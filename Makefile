@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke recovery act-differential reorder-differential fuzz-smoke cluster-smoke clean
+.PHONY: all build test race vet check bench bench-smoke bench-e2e bench-e2e-smoke recovery act-differential reorder-differential fuzz-smoke cluster-smoke clean
 
 all: build
 
@@ -50,7 +50,7 @@ reorder-differential:
 vet:
 	$(GO) vet ./...
 
-check: build vet test race bench-smoke reorder-differential fuzz-smoke cluster-smoke
+check: build vet test race bench-smoke bench-e2e-smoke reorder-differential fuzz-smoke cluster-smoke
 
 # The cluster fabric suite under the race detector: two in-process
 # backends behind the routing proxy — consistent-hash placement, the
@@ -58,9 +58,13 @@ check: build vet test race bench-smoke reorder-differential fuzz-smoke cluster-s
 # creates after), backend-loss re-routing, and the migrate-under-load
 # differential (a session migrated mid-run must end with the same WM
 # and firing trace as one that never moved, on every matcher backend,
-# with pending (accept) input intact).
+# with pending (accept) input intact). The migrate-under-load test then
+# runs 20 more times: its oracle is the migration write fence (every
+# acknowledged tick applied exactly once), a race that showed up once in
+# 5-10 runs before forwards held the route lock across the backend call.
 cluster-smoke:
 	$(GO) test -race -run 'TestRing|TestCluster|TestProgramCache|TestCreateByUnregisteredHash|TestBackendLoss|TestMigrate|TestExportRefuses|TestProxyMetrics' -v ./internal/cluster
+	$(GO) test -race -count=20 -run 'TestMigrateUnderLoad' ./internal/cluster
 	$(GO) test -race -run 'TestConcurrentSessionLifecycle|TestSnapshotFormat' ./internal/server ./internal/wmlog
 
 # Cross-backend differential fuzzing: replay the deterministic 60-seed
@@ -71,19 +75,36 @@ fuzz-smoke:
 	$(GO) test -race -run 'TestCorpusDifferential' -v ./internal/fuzz
 	$(GO) test -fuzz FuzzDifferential -fuzztime 5s -run '^$$' ./internal/fuzz
 
-# 1-rep match-kernel + conflict-set sweep plus the fork-vs-cold
-# session-spawn ratio, failing on regression against the checked-in
-# BENCH_baseline.json (scaling ratios and allocs/op — host-independent
-# invariants, not wall-clock). Regenerate the baseline after an
-# intentional change with:
+# Host-independent performance gates. First the serving path's
+# fixed-cost gate (1 s): a max_cycles:1 batch at hash_lines 2^10 vs 2^18
+# and a one-tag retract at WM 10^2 vs 10^5 must each cost within 4x of
+# each other (min-of-N ratios, so host speed cancels) — a request pays
+# for what it changes, not what the session holds. Then the 1-rep
+# match-kernel + conflict-set sweep plus the fork-vs-cold session-spawn
+# ratio, failing on regression against the checked-in
+# BENCH_baseline.json (scaling ratios and allocs/op, not wall-clock).
+# Regenerate the baseline after an intentional change with:
 #   BENCH_SMOKE=update $(GO) test -run TestBenchSmoke ./internal/tables
 bench-smoke:
+	BENCH_SMOKE=1 $(GO) test -run TestRequestCostIndependentOfSessionSize -v ./internal/server
 	BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/tables
 
-# Refresh BENCH_server.json and print the server throughput benchmark.
+# Refresh BENCH_server.json (the test writes only where BENCH_OUT
+# points) and print the server throughput benchmark.
 bench:
-	$(GO) test -run TestBenchServerJSON -v ./internal/server
+	BENCH_OUT=$(CURDIR)/BENCH_server.json $(GO) test -count=1 -run TestBenchServerJSON -v ./internal/server
 	$(GO) test -bench ServerThroughput -benchtime 3x -run '^$$' ./internal/server
 
+# The end-to-end benchmark BENCHMARK.json declares: four workloads from
+# library call to proxy -> ops5d -> journal, 7 end-to-end metrics plus
+# the per-layer breakdown, one JSON document on stdout. It is its own
+# module (benchmark/go.mod), so root `go test ./...` does not reach it;
+# bench-e2e-smoke runs its 9 s self-test.
+bench-e2e:
+	bash benchmark/run.sh --seed 1 --seconds 20
+
+bench-e2e-smoke:
+	$(GO) -C benchmark test ./...
+
 clean:
-	rm -rf bin
+	rm -rf bin .bench_build

@@ -543,9 +543,11 @@ func (p *Proxy) CreateSession(cfg server.SessionConfig) (*server.SessionInfo, er
 	return nil, fmt.Errorf("session create failed after %d backends", tried)
 }
 
-// forward proxies one session-scoped request to the session's backend,
-// holding the route read lock so a concurrent migration serializes
-// against it. The response streams back verbatim.
+// forward proxies one session-scoped request to the session's backend.
+// Every attempt — the first and both rediscovery retries — goes through
+// doRouted, which holds the route read lock across the backend call, so
+// a concurrent migration serializes against it. The response streams
+// back verbatim.
 func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, id string) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	if err != nil {
@@ -557,12 +559,9 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, id string) {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
-	rt.mu.RLock()
-	n := rt.backend
-	rt.mu.RUnlock()
 	p.count(func(c *stats.Cluster) { c.Forwards++ })
 
-	status, data, hdr, err := p.rawDo(r.Method, p.backends[n].url+r.URL.Path, body)
+	n, status, data, hdr, err := p.doRouted(rt, r.Method, r.URL.Path, body)
 	if status == 0 {
 		// Backend gone mid-request; one rediscovery attempt (the session
 		// may have been migrated or the backend replaced).
@@ -574,10 +573,7 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, id string) {
 			httpError(w, http.StatusBadGateway, fmt.Errorf("backend unreachable: %v", err))
 			return
 		}
-		rt2.mu.RLock()
-		n = rt2.backend
-		rt2.mu.RUnlock()
-		status, data, hdr, err = p.rawDo(r.Method, p.backends[n].url+r.URL.Path, body)
+		n, status, data, hdr, err = p.doRouted(rt2, r.Method, r.URL.Path, body)
 		if status == 0 {
 			httpError(w, http.StatusBadGateway, fmt.Errorf("backend unreachable: %v", err))
 			return
@@ -587,11 +583,8 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, id string) {
 		// Stale route (session moved without us): rediscover once.
 		p.dropRoute(id)
 		if rt2, rerr := p.resolve(id); rerr == nil {
-			rt2.mu.RLock()
-			n = rt2.backend
-			rt2.mu.RUnlock()
-			if s2, d2, h2, e2 := p.rawDo(r.Method, p.backends[n].url+r.URL.Path, body); s2 != 0 && e2 == nil {
-				status, data, hdr = s2, d2, h2
+			if n2, s2, d2, h2, e2 := p.doRouted(rt2, r.Method, r.URL.Path, body); s2 != 0 && e2 == nil {
+				n, status, data, hdr = n2, s2, d2, h2
 			}
 		}
 	}
@@ -609,6 +602,22 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	w.WriteHeader(status)
 	_, _ = w.Write(data)
+}
+
+// doRouted issues one request against the backend rt names, holding
+// rt's read lock from reading the backend until the response is in.
+// That span is the migration write fence: Migrate takes the same lock
+// exclusively, so it waits for every in-flight forward to finish before
+// it exports, and a forward that arrives during a migration blocks here
+// and then reads the flipped route — it can never land on the source
+// after export and be discarded with the stale copy. Returns the
+// backend used alongside rawDo's results.
+func (p *Proxy) doRouted(rt *route, method, path string, body []byte) (int, int, []byte, http.Header, error) {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	n := rt.backend
+	status, data, hdr, err := p.rawDo(method, p.backends[n].url+path, body)
+	return n, status, data, hdr, err
 }
 
 // rawDo issues a request and returns status, body and headers without

@@ -33,13 +33,18 @@ var ErrLimit = errors.New("engine: run limit reached")
 // is returned from Run; wrap ErrLimit for budget stops.
 type RunHook func(cycles int) error
 
+// errCycleLimit is the cycle-budget stop. A max_cycles-sliced session
+// hits it on every batch, so it is built once rather than formatted per
+// stop; callers only ever test it with errors.Is(err, ErrLimit).
+var errCycleLimit = fmt.Errorf("%w: cycle budget exhausted", ErrLimit)
+
 // LimitHook builds a RunHook enforcing a cycle budget and a deadline.
 // maxCycles <= 0 disables the cycle check; a zero deadline disables the
 // time check. Both produce errors wrapping ErrLimit.
 func LimitHook(maxCycles int, deadline time.Time) RunHook {
 	return func(cycles int) error {
 		if maxCycles > 0 && cycles >= maxCycles {
-			return fmt.Errorf("%w: %d cycles", ErrLimit, cycles)
+			return errCycleLimit
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return fmt.Errorf("%w: deadline exceeded after %d cycles", ErrLimit, cycles)
@@ -469,12 +474,8 @@ func (e *Engine) AssertBatch(batch [][]wm.Value) ([]*wm.WME, error) {
 func (e *Engine) RetractBatch(tags []int) ([]int, error) {
 	removed := make([]int, 0, len(tags))
 	if len(tags) > 0 {
-		byTag := make(map[int]*wm.WME)
-		for _, w := range e.WM.Snapshot() {
-			byTag[w.TimeTag] = w
-		}
 		for _, tag := range tags {
-			if w := byTag[tag]; w != nil && e.WM.Remove(w) {
+			if w := e.WM.Get(tag); w != nil && e.WM.Remove(w) {
 				e.submit(false, w)
 				removed = append(removed, tag)
 			}
@@ -488,14 +489,10 @@ func (e *Engine) RetractBatch(tags []int) ([]int, error) {
 // top-level remove) and completes the match phase. It reports whether
 // the tag named a live element.
 func (e *Engine) Retract(timeTag int) (bool, error) {
-	for _, w := range e.WM.Snapshot() {
-		if w.TimeTag == timeTag {
-			if e.WM.Remove(w) {
-				e.submit(false, w)
-				e.drain()
-				return true, e.Matcher.CheckInvariants()
-			}
-		}
+	if w := e.WM.Get(timeTag); w != nil && e.WM.Remove(w) {
+		e.submit(false, w)
+		e.drain()
+		return true, e.Matcher.CheckInvariants()
 	}
 	return false, nil
 }

@@ -38,6 +38,7 @@ func (t *Table) Clone() *Table {
 		seg:    t.seg,
 	}
 	nt.entries.Store(t.entries.Load())
+	nt.parked.Store(t.parked.Load())
 	nt.maxDepth.Store(t.maxDepth.Load())
 	nt.resizes = t.resizes
 	nt.rehashed = t.rehashed
@@ -87,7 +88,7 @@ func (t *Table) cloneCompact() *Table {
 	nt.Hashed = t.Hashed
 	nt.resizes = t.resizes
 	nt.rehashed = t.rehashed
-	var moved, maxDepth int64
+	var moved, parked, maxDepth int64
 	for i := range t.Lines {
 		l := &t.Lines[i]
 		for ri := range l.runs {
@@ -112,10 +113,12 @@ func (t *Table) cloneCompact() *Table {
 		for s := 0; s < 2; s++ {
 			for e := l.XDel[s].Head; e != nil; e = e.Next {
 				nt.Lines[e.Hash&nt.mask].XDel[s].Push(cloneEntry(e))
+				parked++
 			}
 		}
 	}
 	nt.entries.Store(moved)
+	nt.parked.Store(parked)
 	nt.maxDepth.Store(maxDepth)
 	return nt
 }

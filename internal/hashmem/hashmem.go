@@ -79,11 +79,15 @@ type Table struct {
 	Hashed bool
 	seg    bool // node-segregated run layout (New); false for the list layouts
 
-	// entries counts live tokens across the table and maxDepth is the
-	// high-water line depth; both are updated under the per-line locks
-	// but read table-wide, hence atomic. The resize counters are owned
-	// by whoever performs Grow (the control process, drained).
+	// entries counts live tokens across the table, parked the early
+	// deletes sitting on XDel lists, and maxDepth is the high-water line
+	// depth; all three are updated under the per-line locks but read
+	// table-wide, hence atomic. parked is exact — every XDel push and
+	// unlink adjusts it — so CheckDrained is a load, not a walk. The
+	// resize counters are owned by whoever performs Grow (the control
+	// process, drained).
 	entries  atomic.Int64
+	parked   atomic.Int64
 	maxDepth atomic.Int64
 	resizes  int64
 	rehashed int64
@@ -375,6 +379,7 @@ func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, 
 	if sign {
 		// A plus annihilates with a parked early minus for the same token.
 		if e, _ := line.XDel[side].Remove(j, side, hash, wmes); e != nil {
+			t.parked.Add(-1)
 			pools.FreeEntry(e)
 			res.Annihilated = true
 			return nil, ref, res
@@ -409,6 +414,7 @@ func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, 
 	if e == nil {
 		// Early delete: park it and do not otherwise process the token.
 		line.XDel[side].Push(pools.newEntry(j, side, hash, wmes))
+		t.parked.Add(1)
 		res.Parked = true
 		return nil, Ref{}, res
 	}
@@ -679,8 +685,7 @@ func (t *Table) GrowTarget() int {
 // copied — so live *Entry pointers (negation counts) stay valid.
 func (t *Table) Grow(nLines int) *Table {
 	nt := New(nLines)
-	moved := int64(0)
-	var maxDepth int64
+	var moved, parked, maxDepth int64
 	for i := range t.Lines {
 		l := &t.Lines[i]
 		for ri := range l.runs {
@@ -706,12 +711,14 @@ func (t *Table) Grow(nLines int) *Table {
 				next := e.Next
 				e.Next = nil
 				nt.Lines[e.Hash&nt.mask].XDel[s].Push(e)
+				parked++
 				e = next
 			}
 			l.XDel[s] = rete.EntryList{}
 		}
 	}
 	nt.entries.Store(moved)
+	nt.parked.Store(parked)
 	nt.maxDepth.Store(maxDepth)
 	nt.resizes = t.resizes + 1
 	nt.rehashed = t.rehashed + moved
@@ -757,20 +764,29 @@ func (t *Table) SizeByNode(numJoins int) [][2]int {
 
 // CheckDrained verifies the conjugate-pair invariant: after a match
 // phase completes, no parked early deletes may remain. A leftover entry
-// means an add/delete pair was lost — always a matcher bug.
+// means an add/delete pair was lost — always a matcher bug. The check
+// is the exact parked count, so it costs one load whatever the table
+// size; only a violation walks the lines, to name the culprit.
 func (t *Table) CheckDrained() error {
+	n := t.parked.Load()
+	if n == 0 {
+		return nil
+	}
 	for i := range t.Lines {
 		l := &t.Lines[i]
 		for s := 0; s < 2; s++ {
-			if l.XDel[s].Head != nil {
-				e := l.XDel[s].Head
+			if e := l.XDel[s].Head; e != nil {
 				return fmt.Errorf("line %d: unmatched early delete for node %d (%s side, token len %d)",
 					i, e.Node.ID, rete.Side(s), len(e.Wmes))
 			}
 		}
 	}
-	return nil
+	return fmt.Errorf("parked-delete count is %d but every extra-deletes list is empty", n)
 }
+
+// Parked reports how many early deletes are parked on the table's
+// extra-deletes lists. Exact while the table is quiescent.
+func (t *Table) Parked() int64 { return t.parked.Load() }
 
 // EnsureNodes grows a per-node (vs1) table so node IDs up to
 // numJoins-1 have a private line, preserving existing lines. Hashed
@@ -817,7 +833,9 @@ func (t *Table) ExciseNodes(dead map[int]bool, rec *Recorder) (removed int) {
 			n := exciseList(&l.Mem[s], dead)
 			l.live -= n
 			removed += n
-			removed += exciseList(&l.XDel[s], dead)
+			x := exciseList(&l.XDel[s], dead)
+			t.parked.Add(int64(-x))
+			removed += x
 		}
 		for ri := range l.runs {
 			r := &l.runs[ri]

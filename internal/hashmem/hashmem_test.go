@@ -440,3 +440,177 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 		t.Errorf("storm never grew the table (resizes %d, lines %d); raise the pair count", ms.Resizes, ms.Lines)
 	}
 }
+
+// walkParked counts parked early deletes the slow way — every line's
+// extra-deletes lists, entry by entry — which is what CheckDrained did
+// before the table kept an exact count. The tests hold Table.Parked to
+// it after every mutation.
+func walkParked(table *hashmem.Table) int64 {
+	var n int64
+	for i := range table.Lines {
+		for s := 0; s < 2; s++ {
+			for e := table.Lines[i].XDel[s].Head; e != nil; e = e.Next {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// threeJoinSrc compiles to three independent two-CE joins, so the storm
+// has several node IDs to excise one at a time.
+const threeJoinSrc = `(p r1 (a ^x <v>) (b ^y <v>) --> (halt))
+(p r2 (c ^x <v>) (d ^y <v>) --> (halt))
+(p r3 (e ^x <v>) (f ^y <v>) --> (halt))`
+
+// allLayouts returns one constructor per storage layout, per-node (vs1)
+// included.
+func allLayouts(numJoins int) map[string]func() *hashmem.Table {
+	return map[string]func() *hashmem.Table{
+		"segregated": func() *hashmem.Table { return hashmem.New(2) },
+		"legacy":     func() *hashmem.Table { return hashmem.NewLegacy(8) },
+		"pernode":    func() *hashmem.Table { return hashmem.NewPerNode(numJoins) },
+	}
+}
+
+// TestParkedCountTracksWalk drives a randomized add/delete storm with
+// forced early deletes through every layout, interleaving Grow, Clone
+// (the compacting and the fixed-geometry path) and ExciseNodes, and
+// requires after every single step that the exact parked count equals
+// a full walk of the extra-deletes lists and the model's own tally, and
+// that CheckDrained fails exactly when that number is non-zero.
+func TestParkedCountTracksWalk(t *testing.T) {
+	net := fixture(t, threeJoinSrc)
+	if len(net.Joins) < 3 {
+		t.Fatalf("fixture compiled to %d joins, want >= 3", len(net.Joins))
+	}
+	joins := net.Joins[:3]
+
+	type tok struct {
+		j    *rete.JoinNode
+		side rete.Side
+		wmes []*wm.WME
+	}
+	for name, mk := range allLayouts(net.NumJoinIDs()) {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			table := mk()
+			var live, parked []tok
+			tag := 1
+			fresh := func() tok {
+				j := joins[rng.Intn(len(joins))]
+				side := rete.Side(rng.Intn(2))
+				w := mkW(uint32(1+side), tag, int64(rng.Intn(6)))
+				tag++
+				return tok{j, side, []*wm.WME{w}}
+			}
+			take := func(s *[]tok) tok {
+				i := rng.Intn(len(*s))
+				x := (*s)[i]
+				(*s)[i] = (*s)[len(*s)-1]
+				*s = (*s)[:len(*s)-1]
+				return x
+			}
+			check := func(step int, op string) {
+				t.Helper()
+				walk := walkParked(table)
+				if got := table.Parked(); got != walk || walk != int64(len(parked)) {
+					t.Fatalf("step %d (%s): Parked() = %d, walk = %d, model = %d", step, op, got, walk, len(parked))
+				}
+				if err := table.CheckDrained(); (err != nil) != (walk != 0) {
+					t.Fatalf("step %d (%s): CheckDrained = %v with %d parked", step, op, err, walk)
+				}
+			}
+			var sawGrow, sawClone, sawExcise, sawParkedExcise bool
+			for step := 0; step < 4000; step++ {
+				op := ""
+				switch r := rng.Intn(100); {
+				case r < 35:
+					op = "add"
+					x := fresh()
+					apply(table, x.j, x.side, true, x.wmes)
+					live = append(live, x)
+				case r < 55 && len(live) > 0:
+					op = "delete"
+					x := take(&live)
+					apply(table, x.j, x.side, false, x.wmes)
+				case r < 75:
+					op = "early delete"
+					x := fresh()
+					apply(table, x.j, x.side, false, x.wmes)
+					parked = append(parked, x)
+				case r < 92 && len(parked) > 0:
+					op = "annihilating add"
+					x := take(&parked)
+					if got := apply(table, x.j, x.side, true, x.wmes); len(got) != 0 {
+						t.Fatalf("step %d: annihilating add propagated %v", step, got)
+					}
+				case r < 95 && table.Segregated() && len(table.Lines) < 512:
+					op = "grow"
+					table = table.Grow(2 * len(table.Lines))
+					sawGrow = true
+				case r < 98:
+					op = "clone"
+					// Carry on with the copy: the original must be left as it
+					// was, and the copy must count for itself from here on.
+					orig, before := table, table.Parked()
+					table = table.Clone()
+					if orig.Parked() != before || walkParked(orig) != before {
+						t.Fatalf("step %d: Clone disturbed the original's parked deletes", step)
+					}
+					sawClone = true
+				default:
+					op = "excise"
+					dead := joins[rng.Intn(len(joins))]
+					keep := func(s []tok) []tok {
+						out := s[:0]
+						for _, x := range s {
+							if x.j != dead {
+								out = append(out, x)
+							}
+						}
+						return out
+					}
+					n := len(parked)
+					table.ExciseNodes(map[int]bool{dead.ID: true}, nil)
+					live, parked = keep(live), keep(parked)
+					sawExcise = true
+					sawParkedExcise = sawParkedExcise || len(parked) < n
+				}
+				if op != "" {
+					check(step, op)
+				}
+			}
+			if !sawClone || !sawExcise || !sawParkedExcise || (table.Segregated() && !sawGrow) {
+				t.Fatalf("storm too tame: grow %v clone %v excise %v excise-with-parked %v",
+					sawGrow, sawClone, sawExcise, sawParkedExcise)
+			}
+			// Settle: every outstanding conjugate arrives, the count reaches
+			// zero, and CheckDrained is quiet again.
+			for len(parked) > 0 {
+				x := take(&parked)
+				apply(table, x.j, x.side, true, x.wmes)
+			}
+			check(-1, "settle")
+		})
+	}
+}
+
+// TestCheckDrainedNamesLeftover pins the violation message: a parked
+// delete nobody annihilates is reported with its line, node, side and
+// token length, on every layout, exactly as the walking check did.
+func TestCheckDrainedNamesLeftover(t *testing.T) {
+	net := fixture(t, threeJoinSrc)
+	j := net.Joins[1]
+	for name, mk := range allLayouts(net.NumJoinIDs()) {
+		table := mk()
+		rw := []*wm.WME{mkW(2, 1, 5)}
+		apply(table, j, rete.Right, false, rw)
+		idx := table.LineIndex(j, j.RightHash(rw[0]))
+		want := fmt.Sprintf("line %d: unmatched early delete for node %d (right side, token len 1)", idx, j.ID)
+		err := table.CheckDrained()
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: CheckDrained = %v, want %q", name, err, want)
+		}
+	}
+}

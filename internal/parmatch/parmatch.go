@@ -197,6 +197,9 @@ type wctx struct {
 	free  []*taskqueue.Task
 	pools hashmem.Pools
 	cs    *stats.Contention
+	// idleSpins holds queue spins from pops that came back empty, until
+	// the next acquire folds them into cs (see next).
+	idleSpins int64
 	// rec carries this worker's per-node token counts and cumulative
 	// opposite-memory examination counters. Each worker owns its own
 	// recorder (no locks); the control process sums them at drained
@@ -654,17 +657,19 @@ func (w *wctx) next() *taskqueue.Task {
 		return t
 	}
 	t, spins := w.m.queues.Pop(w.pref)
-	// Counter writes are skipped on the idle path (empty queues pop
-	// without locking, spins==0) so Contention() is data-race-free for a
-	// drained matcher, as the protocol promises.
-	if spins != 0 {
-		w.cs.QueueSpins += spins
-	}
+	// No counter is written on the idle path, so Contention() is
+	// data-race-free for a drained matcher, as the protocol promises. An
+	// empty-handed pop can still have spun — it lost the last task to a
+	// peer, whose completion may already have released Drain — so those
+	// spins wait in the worker-private idleSpins for the next acquire.
 	if t != nil {
+		w.cs.QueueSpins += spins + w.idleSpins
+		w.idleSpins = 0
 		w.cs.QueueAcquires++
 		w.unkick()
 		return t
 	}
+	w.idleSpins += spins
 	peers := w.m.workers
 	if n := len(peers); n > 1 {
 		w.stealRot++

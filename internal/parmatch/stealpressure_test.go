@@ -136,6 +136,7 @@ func TestStealPressureMatchesSequential(t *testing.T) {
 					if err := m.CheckInvariants(); err != nil {
 						t.Fatalf("rep %d: %v", rep, err)
 					}
+					requireNoParked(t, m.Table())
 					if n := cs.Len(); n != 0 {
 						t.Fatalf("rep %d: %d instantiations left after retract-all", rep, n)
 					}

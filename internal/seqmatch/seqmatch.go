@@ -90,7 +90,7 @@ func (b *rightBuf) remove(w *wm.WME) {
 }
 
 // New builds a sequential matcher. nLines sizes the vs2 hash tables
-// (ignored for vs1); 0 selects the default of 1024 lines. vs2 tables
+// (ignored for vs1); 0 selects the default of 16384 lines. vs2 tables
 // use the adaptive node-segregated layout and grow between submits as
 // working memory climbs.
 func New(net *rete.Network, v Variant, nLines int, sink rete.TerminalSink) *Matcher {

@@ -3,7 +3,6 @@ package server_test
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,26 +11,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/stats"
 )
-
-// benchOut locates the BENCH_server.json target: $BENCH_OUT if set,
-// else the repo root (found by walking up to go.mod), else the CWD.
-func benchOut() string {
-	if p := os.Getenv("BENCH_OUT"); p != "" {
-		return p
-	}
-	dir, err := os.Getwd()
-	if err != nil {
-		return "BENCH_server.json"
-	}
-	for d := dir; ; d = filepath.Dir(d) {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return filepath.Join(d, "BENCH_server.json")
-		}
-		if filepath.Dir(d) == d {
-			return filepath.Join(dir, "BENCH_server.json")
-		}
-	}
-}
 
 // benchReport is the BENCH_server.json schema: the run configuration,
 // throughput headline, and the server's own metrics snapshot, so future
@@ -119,10 +98,11 @@ func driveServer(sessions, batches, perBatch int, backend string) (*benchReport,
 	return rep, nil
 }
 
-// TestBenchServerJSON runs a small fixed workload and writes
-// BENCH_server.json so every tier-1 run refreshes the throughput
-// seed. Scale stays small enough for CI; BenchmarkServerThroughput is
-// the tunable version.
+// TestBenchServerJSON runs a small fixed workload and asserts on its
+// counters. It writes the report only when asked — $BENCH_OUT names the
+// file (make bench points it at BENCH_server.json) — so a plain tier-1
+// run leaves the tree clean. Scale stays small enough for CI;
+// BenchmarkServerThroughput is the tunable version.
 func TestBenchServerJSON(t *testing.T) {
 	// Run with GOMAXPROCS > 1 so concurrent sessions genuinely overlap;
 	// config records both the raised value and the host's real CPU count.
@@ -142,7 +122,11 @@ func TestBenchServerJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := benchOut()
+	out := os.Getenv("BENCH_OUT")
+	if out == "" {
+		t.Logf("BENCH_OUT unset, report not written: %.0f req/s, %.0f firings/s", rep.RequestsPerSec, rep.FiringsPerSec)
+		return
+	}
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}

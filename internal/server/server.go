@@ -92,6 +92,7 @@ type Server struct {
 	mu        sync.RWMutex
 	sessions  map[string]*Session
 	programs  map[[sha256.Size]byte]*sharedProgram
+	compiling map[[sha256.Size]byte]*progCompile // in-flight compiles, by source hash
 	templates map[string]*template
 	// reserved holds caller-requested session IDs between the uniqueness
 	// check and registration, so two concurrent creates (or imports) of
@@ -201,6 +202,7 @@ func New(opt Options) *Server {
 		opt:       opt,
 		sessions:  make(map[string]*Session),
 		programs:  make(map[[sha256.Size]byte]*sharedProgram),
+		compiling: make(map[[sha256.Size]byte]*progCompile),
 		templates: make(map[string]*template),
 		reserved:  make(map[string]struct{}),
 		bootID:    newBootID(),
@@ -326,38 +328,70 @@ var (
 	ErrSessionExists = errors.New("session ID already exists")
 )
 
+// progCompile is one in-flight compile of a program source. Creates of
+// the same source that arrive while it runs wait on done and share its
+// result, so a program is compiled at most once per process however
+// many sessions race to create it.
+type progCompile struct {
+	done chan struct{}
+	sp   *sharedProgram
+	err  error
+}
+
 // sharedProg resolves program source to the cached compiled program,
-// parsing and compiling on a miss. shared reports a cache hit.
+// parsing and compiling on a miss. shared reports that this call did
+// not compile: a cache hit, or a wait on another caller's compile.
 func (s *Server) sharedProg(src string) (sp *sharedProgram, hash [sha256.Size]byte, shared bool, err error) {
 	hash = sha256.Sum256([]byte(src))
 	s.mu.Lock()
-	sp, shared = s.programs[hash]
-	s.mu.Unlock()
-	if sp != nil {
-		return sp, hash, shared, nil
+	if sp = s.programs[hash]; sp != nil {
+		s.mu.Unlock()
+		return sp, hash, true, nil
 	}
+	if c := s.compiling[hash]; c != nil {
+		s.mu.Unlock()
+		<-c.done
+		return c.sp, hash, c.err == nil, c.err
+	}
+	c := &progCompile{done: make(chan struct{})}
+	s.compiling[hash] = c
+	s.mu.Unlock()
+
+	// Publish and release the waiters on every exit, a parser panic
+	// included (waiters then see the error, not a hang).
+	c.err = errors.New("program compile aborted")
+	defer func() {
+		s.mu.Lock()
+		delete(s.compiling, hash)
+		if c.err == nil {
+			s.programs[hash] = c.sp
+		}
+		s.mu.Unlock()
+		close(c.done)
+	}()
+	c.sp, c.err = compileProgram(src)
+	if c.err != nil {
+		return nil, hash, false, c.err
+	}
+	s.met.programCompiled()
+	return c.sp, hash, false, nil
+}
+
+// compileProgram parses src and compiles both join orders.
+func compileProgram(src string) (*sharedProgram, error) {
 	prog, err := ops5.Parse(src)
 	if err != nil {
-		return nil, hash, false, fmt.Errorf("parse: %w", err)
+		return nil, fmt.Errorf("parse: %w", err)
 	}
 	net, err := rete.CompileWithPlan(prog, rete.PlanConfig{Reorder: true})
 	if err != nil {
-		return nil, hash, false, fmt.Errorf("compile: %w", err)
+		return nil, fmt.Errorf("compile: %w", err)
 	}
 	netSrc, err := rete.Compile(prog)
 	if err != nil {
-		return nil, hash, false, fmt.Errorf("compile: %w", err)
+		return nil, fmt.Errorf("compile: %w", err)
 	}
-	s.met.programCompiled()
-	s.mu.Lock()
-	if cached, ok := s.programs[hash]; ok {
-		sp, shared = cached, true // lost a compile race; use the winner
-	} else {
-		sp = &sharedProgram{src: src, prog: prog, net: net, netSrc: netSrc}
-		s.programs[hash] = sp
-	}
-	s.mu.Unlock()
-	return sp, hash, shared, nil
+	return &sharedProgram{src: src, prog: prog, net: net, netSrc: netSrc}, nil
 }
 
 // resolveProgram maps a session config onto its compiled program:

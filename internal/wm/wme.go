@@ -1,7 +1,8 @@
 package wm
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"sync"
 
@@ -171,6 +172,6 @@ func (m *Memory) Snapshot() []*WME {
 	for _, w := range m.live {
 		out = append(out, w)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TimeTag < out[j].TimeTag })
+	slices.SortFunc(out, func(a, b *WME) int { return cmp.Compare(a.TimeTag, b.TimeTag) })
 	return out
 }
