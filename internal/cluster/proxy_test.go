@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -490,29 +491,90 @@ func TestMigrateCarriesPendingAccepts(t *testing.T) {
 	}
 }
 
-// TestExportRefusesDivergedEpoch: a session whose network was changed
-// at runtime cannot be snapshot-migrated; the export must refuse.
-func TestExportRefusesDivergedEpoch(t *testing.T) {
-	srv := server.New(server.Options{})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	c := &http.Client{Timeout: 5 * time.Second}
+// TestMigrateDivergedEpoch migrates a session whose network diverged
+// from its compiled program at runtime — one rule hot-built, one
+// excised. The snapshot carries the program delta, so the migrated
+// session must keep matching an unmigrated control: same rules, same
+// firing trace, same WM (the TestMigrateDifferential oracle).
+func TestMigrateDivergedEpoch(t *testing.T) {
+	// log fires on every new count element until it is excised; echo-resp
+	// is hot-built over resp elements that already exist.
+	const src = `
+(literalize tick go)
+(literalize count value)
+(literalize resp n)
+(literalize seen v)
+(literalize echo n)
+(p inc
+  (count ^value <v>)
+  (tick)
+-->
+  (remove 2)
+  (modify 1 ^value (compute <v> + 1))
+  (make resp ^n <v>))
+(p log
+  (count ^value <v>)
+-->
+  (make seen ^v <v>))
+(make count ^value 0)
+`
+	const buildSrc = `(p echo-resp (resp ^n <n>) - (echo ^n <n>) --> (make echo ^n <n>))`
+	for _, matcher := range []string{"vs1", "vs2", "parallel"} {
+		t.Run(matcher, func(t *testing.T) {
+			tc := newTestCluster(t, 2)
+			base := tc.pts.URL
 
-	var info server.SessionInfo
-	if code := call(t, c, "POST", ts.URL+"/sessions", server.SessionConfig{Program: pingSrc}, &info); code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
-	}
-	if code := call(t, c, "GET", ts.URL+"/sessions/"+info.ID+"/export", nil, nil); code != http.StatusOK {
-		t.Fatalf("export of clean session: status %d", code)
-	}
-	// Excise the rule at runtime: the session's network diverges.
-	prog := map[string]any{"excise": []string{"answer"}}
-	if code := call(t, c, "POST", ts.URL+"/sessions/"+info.ID+"/program", prog, nil); code != http.StatusOK {
-		t.Fatalf("excise: status %d", code)
-	}
-	if code := call(t, c, "GET", ts.URL+"/sessions/"+info.ID+"/export", nil, nil); code == http.StatusOK {
-		t.Fatal("export of epoch-diverged session succeeded; want refusal")
+			mk := func() string {
+				var info server.SessionInfo
+				cfg := server.SessionConfig{Program: src, Matcher: matcher}
+				if code := call(t, tc.client, "POST", base+"/sessions", cfg, &info); code != http.StatusCreated {
+					t.Fatalf("create: status %d", code)
+				}
+				return info.ID
+			}
+			mig, ctl := mk(), mk()
+			diverge := func(id string) {
+				prog := server.ProgramRequest{Source: buildSrc, Excise: []string{"log"}}
+				if code := call(t, tc.client, "POST", base+"/sessions/"+id+"/program", prog, nil); code != http.StatusOK {
+					t.Fatalf("program change on %s: status %d", id, code)
+				}
+			}
+
+			trace1m, _ := runTicks(t, tc.client, base, mig, 3)
+			trace1c, _ := runTicks(t, tc.client, base, ctl, 3)
+			diverge(mig)
+			diverge(ctl)
+			trace2m, _ := runTicks(t, tc.client, base, mig, 3)
+			trace2c, _ := runTicks(t, tc.client, base, ctl, 3)
+
+			if code := call(t, tc.client, "POST", base+"/sessions/"+mig+"/migrate", nil, nil); code != http.StatusOK {
+				t.Fatalf("migrate of epoch-diverged session: status %d", code)
+			}
+
+			trace3m, wmM := runTicks(t, tc.client, base, mig, 4)
+			trace3c, wmC := runTicks(t, tc.client, base, ctl, 4)
+			got := fmt.Sprint(trace1m, trace2m, trace3m)
+			if want := fmt.Sprint(trace1c, trace2c, trace3c); got != want {
+				t.Fatalf("firing traces diverged after migration:\n%s\nwant\n%s", got, want)
+			}
+			if fmt.Sprint(wmM) != fmt.Sprint(wmC) {
+				t.Fatalf("final WM diverged: %v vs %v", wmM, wmC)
+			}
+			if post := fmt.Sprint(trace3m); !strings.Contains(post, "echo-resp[") || strings.Contains(post, "log[") {
+				t.Fatalf("post-migration trace does not show the diverged network: %s", post)
+			}
+			var list struct {
+				Sessions []server.SessionInfo `json:"sessions"`
+			}
+			if code := call(t, tc.client, "GET", base+"/sessions", nil, &list); code != http.StatusOK {
+				t.Fatalf("list: status %d", code)
+			}
+			for _, info := range list.Sessions {
+				if info.Rules != 2 || info.Epoch != 2 {
+					t.Errorf("session %s: rules=%d epoch=%d, want 2/2 (inc + echo-resp, log excised)", info.ID, info.Rules, info.Epoch)
+				}
+			}
+		})
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/ops5"
 	"repro/internal/rete"
-	"repro/internal/rhs"
 	"repro/internal/symbols"
 )
 
@@ -169,7 +168,9 @@ func (e *Engine) ReplanJoins() (replanned []string, err error) {
 		if err := e.excise(sw, c.r.Name); err != nil {
 			return replanned, err
 		}
-		if err := e.addRuleOrdered(sw, c.r, c.order); err != nil {
+		if err := e.addRule(sw, c.r, func(n *rete.Network, r *ops5.Rule) (*rete.Network, error) {
+			return rete.AddRuleOrdered(n, r, c.order)
+		}); err != nil {
 			return replanned, err
 		}
 		replanned = append(replanned, c.r.Name)
@@ -178,37 +179,6 @@ func (e *Engine) ReplanJoins() (replanned []string, err error) {
 		e.snapshotBudget()
 	}
 	return replanned, e.Matcher.CheckInvariants()
-}
-
-// addRuleOrdered is addRule with an explicit planned join order (nil =
-// source order), used by the re-planner.
-func (e *Engine) addRuleOrdered(sw EpochSwapper, r *ops5.Rule, order []int) error {
-	e.drain()
-	next, err := rete.AddRuleOrdered(e.Net, r, order)
-	if err != nil {
-		return err
-	}
-	cr := next.Delta.AddedRules[0]
-	c, err := rhs.Compile(e.Prog, cr)
-	if err != nil {
-		return fmt.Errorf("production %s: %w", r.Name, err)
-	}
-	live := e.WM.Snapshot()
-	if _, err := sw.SwapEpoch(next, live); err != nil {
-		return err
-	}
-	for len(e.compiled) < next.NumRuleIDs() {
-		e.compiled = append(e.compiled, nil)
-	}
-	e.compiled[cr.Index] = c
-	e.Net = next
-	e.epochStats.Swaps++
-	e.epochStats.RulesAdded++
-	e.epochStats.ReplayedWMEs += int64(len(live))
-	if e.journal != nil {
-		e.journal.RecordProgram(e.Prog.FormatRule(r))
-	}
-	return nil
 }
 
 func equalOrder(a, b []int) bool {

@@ -59,12 +59,17 @@ func (e *Engine) PendingInput() int {
 }
 
 // CaptureState serializes the engine's settled state as a snapshot:
-// live WMEs with exact time tags (tag order), still-live fired
-// instantiations (rule-then-tags order, so the encoding — and the
-// snapshot hash — is deterministic), the tag counter and the halt flag.
-// The caller fills ProgHash and LogOffset. The engine must be drained.
+// the runtime program changes applied so far, live WMEs with exact time
+// tags (tag order), still-live fired instantiations (rule-then-tags
+// order, so the encoding — and the snapshot hash — is deterministic),
+// pending input, the tag counter and the halt flag. The caller fills
+// ProgHash and LogOffset. The engine must be drained.
 func (e *Engine) CaptureState() *wmlog.Snapshot {
-	s := &wmlog.Snapshot{NextTag: e.WM.NextTag(), Halted: e.halted}
+	s := &wmlog.Snapshot{
+		NextTag: e.WM.NextTag(),
+		Halted:  e.halted,
+		Program: append([]string(nil), e.progDelta...),
+	}
 	for _, w := range e.WM.Snapshot() {
 		s.Wmes = append(s.Wmes, wmlog.TaggedWME{
 			Tag:    w.TimeTag,
@@ -92,14 +97,22 @@ func (e *Engine) CaptureState() *wmlog.Snapshot {
 	return s
 }
 
-// RestoreState rebuilds a snapshot's state on a fresh engine: the WMEs
-// are re-asserted under their original tags through the ordinary match
-// machinery, then the fired instantiations re-derived by that match are
-// marked to restore refraction. Every fired key must resolve — the
-// snapshot captured live instantiations of this exact WM state, so a
-// miss means the snapshot and program disagree. The journal must be nil
-// (install it after restoring).
+// RestoreState rebuilds a snapshot's state on a fresh engine: the
+// runtime program changes are re-applied to the still-empty working
+// memory (same rules, rule IDs and epoch as the captured engine, and no
+// WM replay to pay for), the WMEs are re-asserted under their original
+// tags through the ordinary match machinery, then the fired
+// instantiations re-derived by that match are marked to restore
+// refraction. Every fired key must resolve — the snapshot captured live
+// instantiations of this exact WM state, so a miss means the snapshot
+// and program disagree. The journal must be nil (install it after
+// restoring).
 func (e *Engine) RestoreState(s *wmlog.Snapshot) error {
+	for _, src := range s.Program {
+		if _, _, err := e.AddRules(src); err != nil {
+			return fmt.Errorf("engine: restoring program change: %w", err)
+		}
+	}
 	for i := range s.Wmes {
 		tw := &s.Wmes[i]
 		w := e.WM.AddTagged(tw.Tag, wmlog.DecodeFields(tw.Fields, e.Prog.Symbols))
@@ -198,17 +211,18 @@ func (e *Engine) ReplayRecords(recs []*wmlog.Record) error {
 // caller supplies the cloned working memory, conflict set, and matcher
 // (or a fresh matcher it restored separately). Program, network epoch,
 // and compiled right-hand sides are shared — all read-only at execution
-// time. The compiled slice itself is copied so post-fork rule additions
-// never write through a shared backing array.
+// time. The compiled slice and the program delta are copied so post-fork
+// rule changes never write through a shared backing array.
 func (e *Engine) CloneWith(wmem *wm.Memory, cs *conflict.Set, m Matcher, out io.Writer) *Engine {
 	return &Engine{
-		Prog:     e.Prog,
-		Net:      e.Net,
-		WM:       wmem,
-		CS:       cs,
-		Matcher:  m,
-		Out:      out,
-		compiled: append([]*rhs.Compiled(nil), e.compiled...),
-		halted:   e.halted,
+		Prog:      e.Prog,
+		Net:       e.Net,
+		WM:        wmem,
+		CS:        cs,
+		Matcher:   m,
+		Out:       out,
+		compiled:  append([]*rhs.Compiled(nil), e.compiled...),
+		progDelta: append([]string(nil), e.progDelta...),
+		halted:    e.halted,
 	}
 }

@@ -67,7 +67,7 @@ func (e *Engine) AddRules(src string) (added, excised []string, err error) {
 			}
 			excised = append(excised, ch.Add.Name)
 		}
-		if err := e.addRule(sw, ch.Add); err != nil {
+		if err := e.addRule(sw, ch.Add, rete.AddRule); err != nil {
 			return added, excised, err
 		}
 		added = append(added, ch.Add.Name)
@@ -89,13 +89,15 @@ func (e *Engine) Excise(name string) error {
 	return e.Matcher.CheckInvariants()
 }
 
-// addRule compiles one parsed rule into a new network epoch, compiles
-// its RHS, and has the matcher adopt the epoch with a replay of the
-// live working memory. The engine's own state (Net, compiled) is only
-// updated after the swap succeeds.
-func (e *Engine) addRule(sw EpochSwapper, r *ops5.Rule) error {
+// addRule compiles one parsed rule into a new network epoch — build is
+// rete.AddRule for a runtime build (the network's own join plan) or the
+// re-planner's explicitly ordered variant — compiles its RHS, and has
+// the matcher adopt the epoch with a replay of the live working memory.
+// The engine's own state (Net, compiled) is only updated after the swap
+// succeeds. This is the engine's single add site.
+func (e *Engine) addRule(sw EpochSwapper, r *ops5.Rule, build func(*rete.Network, *ops5.Rule) (*rete.Network, error)) error {
 	e.drain()
-	next, err := rete.AddRule(e.Net, r)
+	next, err := build(e.Net, r)
 	if err != nil {
 		return err
 	}
@@ -116,16 +118,25 @@ func (e *Engine) addRule(sw EpochSwapper, r *ops5.Rule) error {
 	e.epochStats.Swaps++
 	e.epochStats.RulesAdded++
 	e.epochStats.ReplayedWMEs += int64(len(live))
-	if e.journal != nil {
-		// One canonical form per applied change: a batch that fails midway
-		// leaves the log describing exactly the changes that took effect.
-		e.journal.RecordProgram(e.Prog.FormatRule(r))
-	}
+	e.programChanged(e.Prog.FormatRule(r))
 	return nil
 }
 
+// programChanged records one applied program change in its canonical
+// form: appended to the delta CaptureState serializes, and journaled.
+// One form per applied change, so a batch that fails midway leaves both
+// describing exactly the changes that took effect.
+func (e *Engine) programChanged(src string) {
+	e.progDelta = append(e.progDelta, src)
+	if e.journal != nil {
+		e.journal.RecordProgram(src)
+	}
+}
+
 // excise builds the removal epoch, swaps the matcher onto it, and
-// drops the rule's conflict-set instantiations.
+// drops the rule's conflict-set instantiations. This is the engine's
+// single excise site: runtime excises, redefinitions, budget quarantines
+// and re-plans all come through here.
 func (e *Engine) excise(sw EpochSwapper, name string) error {
 	cr := e.Net.RuleByName(name)
 	if cr == nil {
@@ -147,8 +158,6 @@ func (e *Engine) excise(sw EpochSwapper, name string) error {
 	e.epochStats.RulesExcised++
 	e.epochStats.RemovedEntries += int64(removed)
 	e.epochStats.RemovedInsts += int64(insts)
-	if e.journal != nil {
-		e.journal.RecordProgram(fmt.Sprintf("(excise %s)", name))
-	}
+	e.programChanged(fmt.Sprintf("(excise %s)", name))
 	return nil
 }

@@ -141,7 +141,11 @@ type Engine struct {
 	// journal, when non-nil, receives every durable event (see Journal in
 	// durable.go). Nil during replay and restore.
 	journal Journal
-	halted  bool
+	// progDelta lists every runtime program change applied to this engine
+	// in canonical form, oldest first (see programChanged): the part of
+	// the session's state that separates Net from the compiled program.
+	progDelta []string
+	halted    bool
 	// rhsCount is atomic so staged RHS execution could fold counts from
 	// worker goroutines; the commit loop folds whole-group totals too.
 	rhsCount   atomic.Int64
@@ -232,8 +236,8 @@ func New(prog *ops5.Program, net *rete.Network, cs *conflict.Set, m Matcher, out
 
 func (e *Engine) env() *rhs.Env {
 	return &rhs.Env{
-		Prog: e.Prog,
-		Out:  e.Out,
+		Prog:       e.Prog,
+		Out:        e.Out,
 		Accept:     e.acceptOne,
 		AcceptLine: e.acceptLine,
 		Make: func(fields []wm.Value) {

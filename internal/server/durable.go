@@ -1,14 +1,11 @@
 package server
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
 	"time"
 
-	"repro/internal/conflict"
-	"repro/internal/engine"
 	"repro/internal/symbols"
 	"repro/internal/wm"
 	"repro/internal/wmlog"
@@ -127,63 +124,85 @@ func (s *Server) EnableDurability() (recovered int, err error) {
 	return recovered, nil
 }
 
-// metaFromConfig maps a session config onto the persisted Meta.
-func metaFromConfig(cfg *SessionConfig, backendName, tpl string) *wmlog.Meta {
-	return &wmlog.Meta{
-		Backend:   backendName,
-		Procs:     cfg.Procs,
-		Queues:    cfg.Queues,
-		Locks:     cfg.Locks,
-		HashLines: cfg.HashLines,
-		CSShards:  cfg.CSShards,
-		FireBatch: cfg.FireBatch,
-		Template:  tpl,
-
-		ReorderJoins: cfg.ReorderJoins,
-		MatchBudget:  cfg.MatchBudget,
-		Unlink:       cfg.Unlink,
-		Watch:        cfg.Watch,
-	}
+// sessionMeta is an entry's meta.json: the session's (or template's)
+// resolved config — the program source lives in its own file — plus the
+// template a fork came from. Backend is how builds before the single
+// state codec named the matcher; it is read, never written.
+type sessionMeta struct {
+	SessionConfig
+	Template string `json:"template,omitempty"`
+	Backend  string `json:"backend,omitempty"`
 }
 
-// configFromMeta rebuilds the session config recovery needs.
-func configFromMeta(m *wmlog.Meta, program string) SessionConfig {
-	return SessionConfig{
-		Program:   program,
-		Matcher:   m.Backend,
-		Procs:     m.Procs,
-		Queues:    m.Queues,
-		Locks:     m.Locks,
-		HashLines: m.HashLines,
-		CSShards:  m.CSShards,
-		FireBatch: m.FireBatch,
-
-		ReorderJoins: m.ReorderJoins,
-		MatchBudget:  m.MatchBudget,
-		Unlink:       m.Unlink,
-		Watch:        m.Watch,
-	}
-}
-
-// persistSession creates the durable state of a brand-new session —
-// entry directory, program source, meta, empty delta log — and returns
-// the journal to install. templateID is empty for cold sessions.
-func (s *Server) persistSession(id string, cfg *SessionConfig, backendName, templateID string, hash [sha256.Size]byte, tab *symbols.Table) (*sessionJournal, string, error) {
-	dir, err := s.dur.store.EntryDir(wmlog.KindSession, id)
+// writeEntry creates the durable entry of a session or template:
+// directory, program source, meta, and — when the entry does not start
+// from empty working memory — the encoded state it starts from.
+func (s *Server) writeEntry(kind wmlog.Kind, id string, cfg *SessionConfig, template string, state []byte) (string, error) {
+	dir, err := s.dur.store.EntryDir(kind, id)
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	if err := os.WriteFile(wmlog.ProgramPath(dir), []byte(cfg.Program), 0o644); err != nil {
-		return nil, "", fmt.Errorf("persist program: %w", err)
+		return "", fmt.Errorf("persist program: %w", err)
 	}
-	if err := wmlog.WriteMeta(dir, metaFromConfig(cfg, backendName, templateID)); err != nil {
-		return nil, "", fmt.Errorf("persist meta: %w", err)
+	meta := sessionMeta{SessionConfig: *cfg, Template: template}
+	meta.Program = ""
+	if err := wmlog.WriteMeta(dir, &meta); err != nil {
+		return "", fmt.Errorf("persist meta: %w", err)
 	}
-	w, err := wmlog.Create(wmlog.LogPath(dir), hash, s.dur.policy, 0)
+	if state != nil {
+		if err := wmlog.WriteSnapshotBytes(wmlog.SnapshotPath(dir), state); err != nil {
+			return "", fmt.Errorf("persist snapshot: %w", err)
+		}
+	}
+	return dir, nil
+}
+
+// readEntry loads what writeEntry wrote (by this build or the one before
+// it) and resolves the entry's compiled program.
+func (s *Server) readEntry(kind wmlog.Kind, id string) (dir string, sp *sharedProgram, cfg SessionConfig, template string, err error) {
+	if dir, err = s.dur.store.EntryDir(kind, id); err != nil {
+		return
+	}
+	src, err := os.ReadFile(wmlog.ProgramPath(dir))
 	if err != nil {
-		return nil, "", fmt.Errorf("create delta log: %w", err)
+		return dir, nil, cfg, "", fmt.Errorf("read program: %w", err)
 	}
-	return &sessionJournal{w: w, tab: tab}, dir, nil
+	var meta sessionMeta
+	if err = wmlog.ReadMeta(dir, &meta); err != nil {
+		return dir, nil, cfg, "", fmt.Errorf("read meta: %w", err)
+	}
+	cfg = meta.SessionConfig
+	cfg.Program = string(src)
+	if cfg.Matcher == "" {
+		cfg.Matcher = meta.Backend
+	}
+	sp, _, err = s.sharedProg(cfg.Program)
+	return dir, sp, cfg, meta.Template, err
+}
+
+// persist creates a new session's durable state — its entry plus an
+// empty delta log — and installs the journal. state is the encoded
+// snapshot the session starts from: nil for a cold create (its log
+// journals everything from empty working memory), a template's pinned
+// bytes for a fork, the payload's for an import; recovery restores it
+// and replays the session's own log over it. No-op when memory-only.
+func (s *Server) persist(sess *Session, state []byte) error {
+	if s.dur == nil {
+		return nil
+	}
+	dir, err := s.writeEntry(wmlog.KindSession, sess.ID, &sess.cfg, sess.template, state)
+	if err != nil {
+		return err
+	}
+	w, err := wmlog.Create(wmlog.LogPath(dir), sess.sp.hash, s.dur.policy, 0)
+	if err != nil {
+		return fmt.Errorf("create delta log: %w", err)
+	}
+	sess.dir = dir
+	sess.journal = &sessionJournal{w: w, tab: sess.sp.prog.Symbols}
+	sess.eng.SetJournal(sess.journal)
+	return nil
 }
 
 // commitLocked is the per-batch durability point: surface any sticky
@@ -241,7 +260,7 @@ func (s *Server) compactLocked(sess *Session) error {
 		return err
 	}
 	st := sess.eng.CaptureState()
-	st.ProgHash = sess.progHash
+	st.ProgHash = sess.sp.hash
 	st.LogOffset = j.w.Size()
 	path := wmlog.SnapshotPath(sess.dir)
 	if _, err := wmlog.WriteSnapshot(path, st); err != nil {
@@ -307,55 +326,21 @@ func (s *Server) SnapshotSession(id string) (*SnapshotResult, error) {
 	}, nil
 }
 
-// rebuildFromDisk reconstructs a session's engine from its persisted
-// state: program parse/compile (cache-shared), snapshot restore through
-// the match machinery, delta-log replay, torn-tail truncation. Returns
-// the rebuilt parts; the caller installs them into a Session.
+// rebuildFromDisk reconstructs a session from its persisted state: a
+// fresh core for the persisted config (program cache-shared), snapshot
+// restore through the match machinery, delta-log replay, torn-tail
+// truncation, and the reopened journal installed.
 func (s *Server) rebuildFromDisk(id string) (sess *Session, replayed int, torn bool, err error) {
-	dir, err := s.dur.store.EntryDir(wmlog.KindSession, id)
+	dir, sp, cfg, template, err := s.readEntry(wmlog.KindSession, id)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	src, err := os.ReadFile(wmlog.ProgramPath(dir))
+	c, err := sp.build(&cfg)
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("read program: %w", err)
-	}
-	meta, err := wmlog.ReadMeta(dir)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("read meta: %w", err)
-	}
-	cfg := configFromMeta(meta, string(src))
-	sp, hash, _, err := s.sharedProg(cfg.Program)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	net, err := sp.netFor(&cfg)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	cs := conflict.New(conflict.Config{Shards: cfg.CSShards})
-	m, backendName, err := newBackend(net, cfg, cs)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	sp.newEng.Lock()
-	eng, err := engine.New(sp.prog, net, cs, m, nil)
-	sp.newEng.Unlock()
-	if err != nil {
-		m.Close()
-		return nil, 0, false, fmt.Errorf("rhs compile: %w", err)
-	}
-	// Install the input queue before restore/replay: snapshot Pending
-	// restores into it and RecAccept/RecAcceptTake records replay
-	// through it.
-	eng.IO = engine.NewQueueIO(sp.prog.Symbols, false)
-	watch, err := resolveWatch(cfg.Watch, sp.prog)
-	if err != nil {
-		m.Close()
 		return nil, 0, false, err
 	}
 	fail := func(e error) (*Session, int, bool, error) {
-		m.Close()
+		c.matcher.Close()
 		return nil, 0, false, e
 	}
 
@@ -365,10 +350,10 @@ func (s *Server) rebuildFromDisk(id string) (sess *Session, replayed int, torn b
 	}
 	var from int64
 	if snap != nil {
-		if snap.ProgHash != hash {
+		if snap.ProgHash != sp.hash {
 			return fail(fmt.Errorf("snapshot belongs to a different program"))
 		}
-		if err := eng.RestoreState(snap); err != nil {
+		if err := c.eng.RestoreState(snap); err != nil {
 			return fail(fmt.Errorf("restore snapshot: %w", err))
 		}
 		from = snap.LogOffset
@@ -383,36 +368,24 @@ func (s *Server) rebuildFromDisk(id string) (sess *Session, replayed int, torn b
 	case err != nil:
 		return fail(fmt.Errorf("read log: %w", err))
 	default:
-		if res.ProgHash != hash {
+		if res.ProgHash != sp.hash {
 			return fail(fmt.Errorf("delta log belongs to a different program"))
 		}
-		if err := eng.ReplayRecords(res.Records); err != nil {
+		if err := c.eng.ReplayRecords(res.Records); err != nil {
 			return fail(fmt.Errorf("replay: %w", err))
 		}
 		replayed = len(res.Records)
 		torn = res.Torn
 		cleanLen = res.CleanLen
 	}
-	w, err := wmlog.Create(logPath, hash, s.dur.policy, cleanLen)
+	w, err := wmlog.Create(logPath, sp.hash, s.dur.policy, cleanLen)
 	if err != nil {
 		return fail(fmt.Errorf("reopen log: %w", err))
 	}
-	sess = &Session{
-		ID:          id,
-		Backend:     backendName,
-		Created:     time.Now(),
-		sp:          sp,
-		cfg:         cfg,
-		eng:         eng,
-		matcher:     m,
-		dir:         dir,
-		progHash:    hash,
-		journal:     &sessionJournal{w: w, tab: sp.prog.Symbols},
-		template:    meta.Template,
-		fireBatch:   clampFireBatch(cfg.FireBatch),
-		matchBudget: cfg.MatchBudget,
-		watch:       watch,
-	}
+	sess = newSession(id, sp, cfg, c, template)
+	sess.dir = dir
+	sess.journal = &sessionJournal{w: w, tab: sp.prog.Symbols}
+	c.eng.SetJournal(sess.journal)
 	return sess, replayed, torn, nil
 }
 
@@ -423,16 +396,8 @@ func (s *Server) recoverSession(id string) error {
 	if err != nil {
 		return err
 	}
-	sess.eng.SetJournal(sess.journal)
-	s.mu.Lock()
-	s.sessions[id] = sess
-	sess.sp.refs++
-	s.bumpNextID(id)
-	s.mu.Unlock()
-	s.met.sessionCreated()
 	s.met.recovered(replayed, torn)
-	s.foldStats(sess)
-	return nil
+	return s.register(sess)
 }
 
 // bumpNextID advances the ID counter past a recovered entry's numeric
@@ -448,7 +413,7 @@ func (s *Server) bumpNextID(id string) {
 // RestoreSession tears a session's live engine down and rebuilds it
 // from its durable state — the last snapshot plus the clean delta-log
 // prefix. It is both the rollback endpoint and the way out of a panic
-// quarantine: the rebuilt engine replaces the broken one.
+// quarantine: the rebuilt core replaces the broken one whole.
 func (s *Server) RestoreSession(id string) (*SessionInfo, error) {
 	sess, err := s.session(id)
 	if err != nil {
@@ -459,7 +424,7 @@ func (s *Server) RestoreSession(id string) (*SessionInfo, error) {
 	if sess.journal == nil {
 		return nil, ErrNotDurable
 	}
-	// Release the current engine: fold what its counters say, close the
+	// Release the current core: fold what its counters say, close the
 	// log fd so the rebuild can reopen the file, stop the matcher.
 	s.foldStatsLocked(sess)
 	s.foldDurLocked(sess)
@@ -472,26 +437,12 @@ func (s *Server) RestoreSession(id string) (*SessionInfo, error) {
 		sess.broken = fmt.Errorf("%w: restore failed: %v", ErrSessionBroken, err)
 		return nil, sess.broken
 	}
-	fresh.eng.SetJournal(fresh.journal)
-	sess.eng = fresh.eng
-	sess.matcher = fresh.matcher
-	sess.journal = fresh.journal
-	sess.watch = fresh.watch
+	sess.core, sess.journal, sess.prevDur = fresh.core, fresh.journal, fresh.prevDur
 	sess.broken = nil
 	sess.batches = 0
-	sess.prev, sess.prevCont, sess.prevConf = fresh.prev, fresh.prevCont, fresh.prevConf
-	sess.prevEpoch, sess.prevMem, sess.prevDur = fresh.prevEpoch, fresh.prevMem, fresh.prevDur
 	s.met.recovered(replayed, torn)
 	s.foldStatsLocked(sess)
-	return &SessionInfo{
-		ID:       sess.ID,
-		Backend:  sess.Backend,
-		Rules:    len(sess.eng.Net.Rules),
-		Epoch:    sess.eng.Epoch(),
-		WMSize:   sess.eng.WM.Len(),
-		Halted:   sess.eng.Halted(),
-		Template: sess.template,
-	}, nil
+	return sess.info(false), nil
 }
 
 // removeDurable deletes a session's or template's on-disk state when it

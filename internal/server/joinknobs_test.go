@@ -115,36 +115,3 @@ func TestSessionUnlink(t *testing.T) {
 		})
 	}
 }
-
-// TestSessionReorderModes checks the reorder_joins escape hatch: both
-// modes produce identical firing behaviour, and a bad value is a 400.
-func TestSessionReorderModes(t *testing.T) {
-	_, ts := newTestServer(t)
-	c := ts.Client()
-
-	run := func(mode string) *server.BatchResult {
-		var info server.SessionInfo
-		cfg := server.SessionConfig{Program: pingSrc, ReorderJoins: mode}
-		if code := call(t, c, "POST", ts.URL+"/sessions", cfg, &info); code != http.StatusCreated {
-			t.Fatalf("create (%q): status %d", mode, code)
-		}
-		return assertN(t, c, ts.URL, info.ID, 1, 8)
-	}
-	on, off := run("on"), run("off")
-	if len(on.Firings) != len(off.Firings) || len(on.Firings) != 8 {
-		t.Fatalf("firings on=%d off=%d, want 8 both ways", len(on.Firings), len(off.Firings))
-	}
-	for i := range on.Firings {
-		if on.Firings[i].Rule != off.Firings[i].Rule {
-			t.Fatalf("firing %d differs: %q vs %q", i, on.Firings[i].Rule, off.Firings[i].Rule)
-		}
-	}
-
-	var apiErr struct {
-		Error string `json:"error"`
-	}
-	cfg := server.SessionConfig{Program: pingSrc, ReorderJoins: "sideways"}
-	if code := call(t, c, "POST", ts.URL+"/sessions", cfg, &apiErr); code != http.StatusBadRequest {
-		t.Fatalf("bad reorder_joins: status %d, want 400", code)
-	}
-}

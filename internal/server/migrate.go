@@ -1,12 +1,8 @@
 package server
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"time"
 
-	"repro/internal/conflict"
-	"repro/internal/engine"
 	"repro/internal/wmlog"
 )
 
@@ -38,10 +34,9 @@ type ExportPayload struct {
 
 // ExportSession captures a session's portable state. The session stays
 // live and untouched; callers that migrate delete it once the import
-// succeeded. A session whose network diverged from the shared compiled
-// base (runtime build/excise, match-budget quarantine) refuses to
-// export: the snapshot pins program source, not epoch deltas, so an
-// import would silently drop the divergence.
+// succeeded. A network that diverged from the compiled program (runtime
+// build/excise, match-budget quarantine) travels as the snapshot's
+// program delta.
 func (s *Server) ExportSession(id string) (*ExportPayload, error) {
 	sess, err := s.session(id)
 	if err != nil {
@@ -52,12 +47,8 @@ func (s *Server) ExportSession(id string) (*ExportPayload, error) {
 	if sess.broken != nil {
 		return nil, sess.broken
 	}
-	if epoch := sess.eng.Epoch(); epoch > 0 {
-		return nil, fmt.Errorf("session %q has a diverged network (epoch %d: runtime build/excise or budget quarantine); not exportable", id, epoch)
-	}
 	st := sess.eng.CaptureState()
-	st.ProgHash = sess.progHash
-	st.LogOffset = 0
+	st.ProgHash = sess.sp.hash
 	b, err := st.Encode()
 	if err != nil {
 		return nil, fmt.Errorf("encode snapshot: %w", err)
@@ -76,7 +67,9 @@ func (s *Server) ExportSession(id string) (*ExportPayload, error) {
 // exported ID (payload.ID). The program compiles through the shared
 // cache — a backend that already holds the hash pays no parse or Rete
 // compile. With durability enabled the imported session persists like
-// any other: program, meta, snapshot, empty delta log.
+// any other: program, meta, the payload's snapshot covering an empty
+// delta log, so a crash right after import recovers the migrated state
+// exactly.
 func (s *Server) ImportSession(p *ExportPayload) (*SessionInfo, error) {
 	if p.ID == "" {
 		return nil, fmt.Errorf("import payload has no session ID")
@@ -85,6 +78,11 @@ func (s *Server) ImportSession(p *ExportPayload) (*SessionInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("import snapshot: %w", err)
 	}
+	if snap.LogOffset != 0 {
+		// Export never sets one; a payload cut from a compaction snapshot
+		// would make recovery skip that much of the session's new log.
+		return nil, fmt.Errorf("import snapshot covers %d bytes of a delta log; want an exported state (offset 0)", snap.LogOffset)
+	}
 
 	id, err := s.reserveID(p.ID)
 	if err != nil {
@@ -92,104 +90,24 @@ func (s *Server) ImportSession(p *ExportPayload) (*SessionInfo, error) {
 	}
 	defer s.unreserveID(p.ID)
 
-	cfg := p.Config
-	cfg.ID, cfg.ProgramHash = "", ""
-	sp, hash, _, err := s.resolveProgram(&cfg)
+	sp, _, err := s.resolveProgram(&p.Config)
 	if err != nil {
 		return nil, err
 	}
-	if hash != snap.ProgHash {
-		return nil, fmt.Errorf("import snapshot pins program %x, payload carries %x", snap.ProgHash[:8], hash[:8])
+	if sp.hash != snap.ProgHash {
+		return nil, fmt.Errorf("import snapshot pins program %x, payload carries %x", snap.ProgHash[:8], sp.hash[:8])
 	}
-	net, err := sp.netFor(&cfg)
+	c, err := sp.build(&p.Config)
 	if err != nil {
 		return nil, err
 	}
-	watch, err := resolveWatch(cfg.Watch, sp.prog)
-	if err != nil {
-		return nil, err
-	}
-	cs := conflict.New(conflict.Config{Shards: cfg.CSShards})
-	m, backendName, err := newBackend(net, cfg, cs)
-	if err != nil {
-		return nil, err
-	}
-	sp.newEng.Lock()
-	eng, err := engine.New(sp.prog, net, cs, m, nil)
-	sp.newEng.Unlock()
-	if err != nil {
-		m.Close()
-		return nil, fmt.Errorf("rhs compile: %w", err)
-	}
-	eng.IO = engine.NewQueueIO(sp.prog.Symbols, false)
-	if err := eng.RestoreState(snap); err != nil {
-		m.Close()
+	if err := c.eng.RestoreState(snap); err != nil {
+		c.matcher.Close()
 		return nil, fmt.Errorf("restore imported state: %w", err)
 	}
-
-	sess := &Session{
-		ID:          id,
-		Backend:     backendName,
-		Created:     time.Now(),
-		sp:          sp,
-		cfg:         cfg,
-		eng:         eng,
-		matcher:     m,
-		progHash:    hash,
-		template:    p.Template,
-		fireBatch:   clampFireBatch(cfg.FireBatch),
-		matchBudget: cfg.MatchBudget,
-		watch:       watch,
+	sess := newSession(id, sp, p.Config, c, p.Template)
+	if err := s.admit(sess, p.Snapshot, nil); err != nil {
+		return nil, err
 	}
-	if s.dur != nil {
-		if err := s.persistImport(sess, &cfg, backendName, hash, snap); err != nil {
-			m.Close()
-			s.removeDurable(wmlog.KindSession, id)
-			return nil, err
-		}
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		sess.journal.close()
-		m.Close()
-		return nil, ErrClosed
-	}
-	s.sessions[id] = sess
-	sp.refs++
-	s.bumpNextID(id)
-	s.mu.Unlock()
-
-	s.met.sessionCreated()
-	s.foldStats(sess)
-	return &SessionInfo{
-		ID:        id,
-		Backend:   backendName,
-		Rules:     len(sp.net.Rules),
-		SharedNet: true,
-		WMSize:    eng.WM.Len(),
-		Halted:    eng.Halted(),
-		Template:  p.Template,
-	}, nil
-}
-
-// persistImport writes an imported session's durable state: program,
-// meta, the imported snapshot covering the (empty) delta log, and the
-// open journal, so a crash right after import recovers the migrated
-// state exactly.
-func (s *Server) persistImport(sess *Session, cfg *SessionConfig, backendName string, hash [sha256.Size]byte, snap *wmlog.Snapshot) error {
-	j, dir, err := s.persistSession(sess.ID, cfg, backendName, sess.template, hash, sess.sp.prog.Symbols)
-	if err != nil {
-		return err
-	}
-	snap.LogOffset = int64(wmlog.HeaderSize)
-	if _, err := wmlog.WriteSnapshot(wmlog.SnapshotPath(dir), snap); err != nil {
-		j.close()
-		return fmt.Errorf("persist imported snapshot: %w", err)
-	}
-	sess.journal = j
-	sess.dir = dir
-	sess.eng.SetJournal(j)
-	return nil
+	return sess.info(true), nil
 }

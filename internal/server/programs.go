@@ -38,7 +38,7 @@ func (s *Server) RegisterProgram(src string) (*ProgramInfo, error) {
 	if src == "" {
 		return nil, fmt.Errorf("missing program source")
 	}
-	sp, hash, shared, err := s.sharedProg(src)
+	sp, shared, err := s.sharedProg(src)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +47,7 @@ func (s *Server) RegisterProgram(src string) (*ProgramInfo, error) {
 	refs := sp.refs
 	s.mu.RUnlock()
 	return &ProgramInfo{
-		Hash:     hex.EncodeToString(hash[:]),
+		Hash:     hex.EncodeToString(sp.hash[:]),
 		Rules:    len(sp.net.Rules),
 		Classes:  len(sp.prog.Classes),
 		Sessions: refs,
@@ -57,25 +57,23 @@ func (s *Server) RegisterProgram(src string) (*ProgramInfo, error) {
 }
 
 // programByHash resolves a hex SHA-256 against the registry.
-func (s *Server) programByHash(hexhash string) (*sharedProgram, [sha256.Size]byte, error) {
-	var hash [sha256.Size]byte
+func (s *Server) programByHash(hexhash string) (*sharedProgram, error) {
 	b, err := hex.DecodeString(hexhash)
 	if err != nil || len(b) != sha256.Size {
-		return nil, hash, fmt.Errorf("bad program hash %q (want hex SHA-256)", hexhash)
+		return nil, fmt.Errorf("bad program hash %q (want hex SHA-256)", hexhash)
 	}
-	copy(hash[:], b)
 	s.mu.RLock()
-	sp := s.programs[hash]
+	sp := s.programs[[sha256.Size]byte(b)]
 	s.mu.RUnlock()
 	if sp == nil {
-		return nil, hash, fmt.Errorf("%w: %s", ErrNoProgram, hexhash)
+		return nil, fmt.Errorf("%w: %s", ErrNoProgram, hexhash)
 	}
-	return sp, hash, nil
+	return sp, nil
 }
 
 // ProgramSource returns the exact source of a registered program.
 func (s *Server) ProgramSource(hexhash string) (string, error) {
-	sp, _, err := s.programByHash(hexhash)
+	sp, err := s.programByHash(hexhash)
 	if err != nil {
 		return "", err
 	}

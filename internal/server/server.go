@@ -118,28 +118,68 @@ type Server struct {
 // engine construction: RHS compilation may lazily extend the class
 // tables of an undeclared-attribute program, which must not race.
 type sharedProgram struct {
-	src  string // the exact source the hash covers
-	prog *ops5.Program
-	// net is the cost-planned network (the default); netSrc keeps the
-	// source-order joins for sessions created with reorder_joins "off".
-	// Both are compiled up front: the program cache is long-lived and a
-	// lazy second compile would race with engine construction.
-	net    *rete.Network
-	netSrc *rete.Network
+	src    string            // the exact source the hash covers
+	hash   [sha256.Size]byte // SHA-256 of src: registry key, pins logs and snapshots
+	prog   *ops5.Program
+	net    *rete.Network // compiled with the cost-based join planner
 	newEng sync.Mutex
 	refs   int // live sessions, for the sessions listing
 }
 
-// netFor picks the compiled network a session config asks for.
-func (sp *sharedProgram) netFor(cfg *SessionConfig) (*rete.Network, error) {
-	switch cfg.ReorderJoins {
-	case "", "on":
-		return sp.net, nil
-	case "off":
-		return sp.netSrc, nil
-	default:
-		return nil, fmt.Errorf("unknown reorder_joins %q (want on or off)", cfg.ReorderJoins)
+// core is one engine and everything bound to it: the matcher backend
+// (which owns the token memories), the conflict set and input queue
+// (eng.CS, eng.IO), the resolved trace level, and the counters already
+// folded into the server metrics. A session or template holds exactly
+// one; restore replaces it whole. build is its only constructor, the
+// sequential template fork (Fork) its only copier.
+type core struct {
+	eng     *engine.Engine
+	matcher backend
+	Backend string // resolved matcher name: vs2, vs1 or parallel
+	// watch is the resolved trace level (0..2): SessionConfig.Watch
+	// merged with the program's (watch ...) declaration.
+	watch int
+	// prev* are the counters already folded into server metrics: match,
+	// contention (parallel backends only), conflict set, runtime
+	// build/excise, token-table memory and the multi-fire act phase.
+	// Gauge fields fold correctly as deltas too: the sum of per-session
+	// net changes is the current total.
+	prev      stats.Match
+	prevCont  stats.Contention
+	prevConf  stats.Conflict
+	prevEpoch stats.Epoch
+	prevMem   stats.Memory
+	prevAct   stats.Act
+}
+
+// build turns a compiled program and a session config into a fresh
+// per-engine core on empty working memory. What the caller does next is
+// the lifecycle operation: Init (create, template), RestoreState
+// (import, parallel fork, template recovery), RestoreState and
+// ReplayRecords (crash recovery, restore).
+func (sp *sharedProgram) build(cfg *SessionConfig) (*core, error) {
+	watch, err := resolveWatch(cfg.Watch, sp.prog)
+	if err != nil {
+		return nil, err
 	}
+	cs := conflict.New(conflict.Config{Shards: cfg.CSShards})
+	m, name, err := newBackend(sp.net, cfg, cs)
+	if err != nil {
+		return nil, err
+	}
+	sp.newEng.Lock()
+	eng, err := engine.New(sp.prog, sp.net, cs, m, nil)
+	sp.newEng.Unlock()
+	if err != nil {
+		m.Close()
+		return nil, fmt.Errorf("rhs compile: %w", err)
+	}
+	// Hosted sessions read (accept) input from a per-session queue the
+	// batch API fills; an empty queue suspends the run (awaiting_input)
+	// instead of fabricating end-of-file. Installed before any restore or
+	// replay: snapshot Pending and accept records go through it.
+	eng.IO = engine.NewQueueIO(sp.prog.Symbols, false)
+	return &core{eng: eng, matcher: m, Backend: name, watch: watch}, nil
 }
 
 // Session is one hosted engine. Its mutex serializes requests: a
@@ -147,52 +187,49 @@ func (sp *sharedProgram) netFor(cfg *SessionConfig) (*rete.Network, error) {
 // in parallel on the worker pool.
 type Session struct {
 	ID      string
-	Backend string
 	Created time.Time
 
-	sp      *sharedProgram
-	mu      sync.Mutex
-	eng     *engine.Engine
-	matcher backend
-	broken  error       // set when a panic quarantined the session
-	prev    stats.Match // counters already folded into server metrics
-	// prevCont mirrors prev for the contention counters of parallel
-	// backends (zero for sequential ones), prevConf for the conflict-set
-	// counters (the gauge fields fold correctly as deltas too: the sum
-	// of per-session net changes is the current total).
-	prevCont stats.Contention
-	prevConf stats.Conflict
-	// prevEpoch mirrors prev for the dynamic-change counters (runtime
-	// build/excise applied to this session's private network epoch).
-	prevEpoch stats.Epoch
-	// prevMem mirrors prev for the token-table memory gauges and resize
-	// counters; like Conflict's gauges, per-session net changes sum to
-	// the current fleet-wide totals.
-	prevMem stats.Memory
-	// prevAct mirrors prev for the multi-fire act-phase counters.
-	prevAct stats.Act
-	// fireBatch is the session's act-phase group size (see
-	// SessionConfig.FireBatch), passed to every Run.
-	fireBatch int
-	// matchBudget is the session's per-cycle match-cost cap (see
-	// SessionConfig.MatchBudget), passed to every Run.
-	matchBudget int64
-	// watch is the resolved trace level (0..2): SessionConfig.Watch
-	// merged with the program's (watch ...) declaration.
-	watch int
+	sp *sharedProgram
+	mu sync.Mutex
+	*core
+	broken error // set when a panic quarantined the session
 
 	// cfg is the session's resolved configuration (Program holds the
-	// full source, ProgramHash/ID cleared): what export serializes so a
-	// migration target rebuilds the same backend.
-	cfg SessionConfig
+	// full source, Matcher the resolved backend, ProgramHash/ID cleared):
+	// what meta.json persists and export serializes, so recovery and a
+	// migration target build the same core.
+	cfg      SessionConfig
+	template string // template this session was forked from
 
 	// Durable state, zero-valued when the server runs memory-only.
-	dir      string            // entry directory under the data dir
-	progHash [sha256.Size]byte // pins the delta log to the program
-	journal  *sessionJournal   // engine journal over the delta log
-	template string            // template this session was forked from
-	batches  int               // batches since the last snapshot
-	prevDur  wmlog.WriterStats // writer counters already folded
+	dir     string            // entry directory under the data dir
+	journal *sessionJournal   // engine journal over the delta log
+	batches int               // batches since the last snapshot
+	prevDur wmlog.WriterStats // writer counters already folded
+}
+
+// newSession wraps a built core as a session, resolving cfg into the
+// form that is persisted and exported.
+func newSession(id string, sp *sharedProgram, cfg SessionConfig, c *core, template string) *Session {
+	cfg.ID, cfg.ProgramHash, cfg.Program, cfg.Matcher = "", "", sp.src, c.Backend
+	return &Session{ID: id, Created: time.Now(), sp: sp, core: c, cfg: cfg, template: template}
+}
+
+// info describes the session; shared is SessionInfo.SharedNet. The
+// caller holds the session mutex or has not published the session yet.
+func (sess *Session) info(shared bool) *SessionInfo {
+	return &SessionInfo{
+		ID:      sess.ID,
+		Backend: sess.Backend,
+		// The session's network may have diverged from the shared base
+		// epoch through runtime build/excise; report its own view.
+		Rules:     len(sess.eng.Net.Rules),
+		Epoch:     sess.eng.Epoch(),
+		SharedNet: shared,
+		WMSize:    sess.eng.WM.Len(),
+		Halted:    sess.eng.Halted(),
+		Template:  sess.template,
+	}
 }
 
 // New builds a server and starts its worker pool.
@@ -279,11 +316,6 @@ type SessionConfig struct {
 	// Results are identical to serial firing; 0 or 1 keeps the serial
 	// act loop. Clamped to 64.
 	FireBatch int `json:"fire_batch"`
-	// ReorderJoins picks the compiled join order: "" or "on" (the
-	// default) uses the cost-planned network, "off" the literal source
-	// order. Firing traces are identical either way — the knob exists
-	// for measurement and as an escape hatch.
-	ReorderJoins string `json:"reorder_joins"`
 	// MatchBudget > 0 caps the opposite-memory candidates any one rule's
 	// joins may examine in a single cycle. A rule over budget is excised
 	// from this session's network (quarantining the rule, not the
@@ -341,17 +373,17 @@ type progCompile struct {
 // sharedProg resolves program source to the cached compiled program,
 // parsing and compiling on a miss. shared reports that this call did
 // not compile: a cache hit, or a wait on another caller's compile.
-func (s *Server) sharedProg(src string) (sp *sharedProgram, hash [sha256.Size]byte, shared bool, err error) {
-	hash = sha256.Sum256([]byte(src))
+func (s *Server) sharedProg(src string) (sp *sharedProgram, shared bool, err error) {
+	hash := sha256.Sum256([]byte(src))
 	s.mu.Lock()
 	if sp = s.programs[hash]; sp != nil {
 		s.mu.Unlock()
-		return sp, hash, true, nil
+		return sp, true, nil
 	}
 	if c := s.compiling[hash]; c != nil {
 		s.mu.Unlock()
 		<-c.done
-		return c.sp, hash, c.err == nil, c.err
+		return c.sp, c.err == nil, c.err
 	}
 	c := &progCompile{done: make(chan struct{})}
 	s.compiling[hash] = c
@@ -369,16 +401,16 @@ func (s *Server) sharedProg(src string) (sp *sharedProgram, hash [sha256.Size]by
 		s.mu.Unlock()
 		close(c.done)
 	}()
-	c.sp, c.err = compileProgram(src)
+	c.sp, c.err = compileProgram(src, hash)
 	if c.err != nil {
-		return nil, hash, false, c.err
+		return nil, false, c.err
 	}
 	s.met.programCompiled()
-	return c.sp, hash, false, nil
+	return c.sp, false, nil
 }
 
-// compileProgram parses src and compiles both join orders.
-func compileProgram(src string) (*sharedProgram, error) {
+// compileProgram parses src and compiles its network.
+func compileProgram(src string, hash [sha256.Size]byte) (*sharedProgram, error) {
 	prog, err := ops5.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
@@ -387,44 +419,29 @@ func compileProgram(src string) (*sharedProgram, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	netSrc, err := rete.Compile(prog)
-	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
-	}
-	return &sharedProgram{src: src, prog: prog, net: net, netSrc: netSrc}, nil
+	return &sharedProgram{src: src, hash: hash, prog: prog, net: net}, nil
 }
 
 // resolveProgram maps a session config onto its compiled program:
 // either by hash against the content-addressed registry (the cluster
 // fast path — no source transfer, no compile) or by source, compiling
-// on a miss. It normalizes the config so the session's retained cfg —
-// and everything persisted or exported from it — always carries the
-// full resolved source.
-func (s *Server) resolveProgram(cfg *SessionConfig) (sp *sharedProgram, hash [sha256.Size]byte, shared bool, err error) {
+// on a miss.
+func (s *Server) resolveProgram(cfg *SessionConfig) (sp *sharedProgram, shared bool, err error) {
 	switch {
 	case cfg.Program == "" && cfg.ProgramHash == "":
-		return nil, hash, false, errors.New("missing program source (or program_hash of a registered program)")
+		return nil, false, errors.New("missing program source (or program_hash of a registered program)")
 	case cfg.Program != "" && cfg.ProgramHash != "":
-		return nil, hash, false, errors.New("program and program_hash are mutually exclusive")
+		return nil, false, errors.New("program and program_hash are mutually exclusive")
 	case cfg.ProgramHash != "":
-		sp, hash, err = s.programByHash(cfg.ProgramHash)
-		if err != nil {
-			return nil, hash, false, err
-		}
+		sp, err = s.programByHash(cfg.ProgramHash)
 		shared = true
-		s.met.programHit()
 	default:
-		sp, hash, shared, err = s.sharedProg(cfg.Program)
-		if err != nil {
-			return nil, hash, false, err
-		}
-		if shared {
-			s.met.programHit()
-		}
+		sp, shared, err = s.sharedProg(cfg.Program)
 	}
-	cfg.Program = sp.src
-	cfg.ProgramHash = ""
-	return sp, hash, shared, nil
+	if err == nil && shared {
+		s.met.programHit()
+	}
+	return sp, shared, err
 }
 
 // reserveID allocates the session's ID: the requested one (held in the
@@ -469,11 +486,56 @@ func (s *Server) unreserveID(want string) {
 	s.mu.Unlock()
 }
 
-// CreateSession compiles (or reuses) the program, builds the matcher
-// and engine, runs the program's top-level makes, and registers the
-// session. The initial match runs on the caller's goroutine under the
-// same panic quarantine as requests. With durability enabled the
-// session ID is reserved up front so the delta log exists before the
+// register publishes a fully built session under its ID and folds the
+// counters its construction ran up.
+func (s *Server) register(sess *Session) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
+	}
+	s.sessions[sess.ID] = sess
+	sess.sp.refs++
+	s.bumpNextID(sess.ID)
+	s.mu.Unlock()
+	s.met.sessionCreated()
+	s.foldStats(sess)
+	return nil
+}
+
+// admit makes a built session live: durable state first (state is the
+// encoded snapshot the session starts from, nil for empty working
+// memory), then init — a cold create's top-level makes, run under the
+// panic quarantine and journaled from the log's first record — then
+// registration. A session that fails any step is released whole: log
+// fd, matcher, and whatever durable state it had written.
+func (s *Server) admit(sess *Session, state []byte, init func() error) (err error) {
+	defer func() {
+		if err != nil {
+			sess.journal.close()
+			sess.matcher.Close()
+			s.removeDurable(wmlog.KindSession, sess.ID)
+		}
+	}()
+	if err := s.persist(sess, state); err != nil {
+		return err
+	}
+	if init != nil {
+		if err := s.guard(sess, init); err != nil {
+			return fmt.Errorf("init: %w", err)
+		}
+		if sess.journal != nil {
+			if err := sess.journal.w.Commit(); err != nil {
+				return fmt.Errorf("commit init log: %w", err)
+			}
+		}
+	}
+	return s.register(sess)
+}
+
+// CreateSession compiles (or reuses) the program, builds the core, runs
+// the program's top-level makes on the caller's goroutine, and registers
+// the session. With durability enabled the delta log exists before the
 // first journaled change: the log records everything from empty working
 // memory, top-level makes included.
 func (s *Server) CreateSession(cfg SessionConfig) (*SessionInfo, error) {
@@ -483,97 +545,19 @@ func (s *Server) CreateSession(cfg SessionConfig) (*SessionInfo, error) {
 	}
 	defer s.unreserveID(cfg.ID)
 
-	sp, hash, shared, err := s.resolveProgram(&cfg)
+	sp, shared, err := s.resolveProgram(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	net, err := sp.netFor(&cfg)
+	c, err := sp.build(&cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	watch, err := resolveWatch(cfg.Watch, sp.prog)
-	if err != nil {
+	sess := newSession(id, sp, cfg, c, "")
+	if err := s.admit(sess, nil, sess.eng.Init); err != nil {
 		return nil, err
 	}
-
-	cs := conflict.New(conflict.Config{Shards: cfg.CSShards})
-	m, backendName, err := newBackend(net, cfg, cs)
-	if err != nil {
-		return nil, err
-	}
-	sp.newEng.Lock()
-	eng, err := engine.New(sp.prog, net, cs, m, nil)
-	sp.newEng.Unlock()
-	if err != nil {
-		m.Close()
-		return nil, fmt.Errorf("rhs compile: %w", err)
-	}
-	// Hosted sessions read (accept) input from a per-session queue the
-	// batch API fills; an empty queue suspends the run (awaiting_input)
-	// instead of fabricating end-of-file.
-	eng.IO = engine.NewQueueIO(sp.prog.Symbols, false)
-	cfg.ID = ""
-	sess := &Session{
-		ID:          id,
-		Backend:     backendName,
-		Created:     time.Now(),
-		sp:          sp,
-		cfg:         cfg,
-		eng:         eng,
-		matcher:     m,
-		progHash:    hash,
-		fireBatch:   clampFireBatch(cfg.FireBatch),
-		matchBudget: cfg.MatchBudget,
-		watch:       watch,
-	}
-	if s.dur != nil {
-		j, dir, err := s.persistSession(id, &cfg, backendName, "", hash, sp.prog.Symbols)
-		if err != nil {
-			m.Close()
-			s.removeDurable(wmlog.KindSession, id)
-			return nil, err
-		}
-		sess.journal = j
-		sess.dir = dir
-		eng.SetJournal(j)
-	}
-	if err := s.guard(sess, func() error { return eng.Init() }); err != nil {
-		sess.journal.close()
-		m.Close()
-		s.removeDurable(wmlog.KindSession, id)
-		return nil, fmt.Errorf("init: %w", err)
-	}
-	if sess.journal != nil {
-		if err := sess.journal.w.Commit(); err != nil {
-			sess.journal.close()
-			m.Close()
-			s.removeDurable(wmlog.KindSession, id)
-			return nil, fmt.Errorf("commit init log: %w", err)
-		}
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		sess.journal.close()
-		m.Close()
-		return nil, ErrClosed
-	}
-	s.sessions[sess.ID] = sess
-	sp.refs++
-	s.mu.Unlock()
-
-	s.met.sessionCreated()
-	s.foldStats(sess)
-	return &SessionInfo{
-		ID:        sess.ID,
-		Backend:   backendName,
-		Rules:     len(sp.net.Rules),
-		SharedNet: shared,
-		WMSize:    eng.WM.Len(),
-		Halted:    eng.Halted(),
-	}, nil
+	return sess.info(shared), nil
 }
 
 // newBootID draws a random process-instance identifier for /healthz.
@@ -618,7 +602,7 @@ func clampFireBatch(n int) int {
 }
 
 // newBackend constructs the matcher a session config asks for.
-func newBackend(net *rete.Network, cfg SessionConfig, cs *conflict.Set) (backend, string, error) {
+func newBackend(net *rete.Network, cfg *SessionConfig, cs *conflict.Set) (backend, string, error) {
 	switch cfg.Matcher {
 	case "", "vs2":
 		sm := seqmatch.New(net, seqmatch.VS2, cfg.HashLines, cs)
@@ -922,8 +906,8 @@ func (s *Server) Batch(id string, req *BatchRequest) (*BatchResult, error) {
 		}
 		run, err := sess.eng.Run(engine.Options{
 			RecordFiring: !req.NoFirings,
-			FireBatch:    sess.fireBatch,
-			MatchBudget:  sess.matchBudget,
+			FireBatch:    clampFireBatch(sess.cfg.FireBatch),
+			MatchBudget:  sess.cfg.MatchBudget,
 			TraceFires:   sess.watch >= 1,
 			TraceWMEs:    sess.watch >= 2,
 			Hook:         engine.LimitHook(maxCycles, deadline),
@@ -987,21 +971,9 @@ func (s *Server) Sessions() []SessionInfo {
 	defer s.mu.RUnlock()
 	out := make([]SessionInfo, 0, len(s.sessions))
 	for _, sess := range s.sessions {
-		info := SessionInfo{
-			ID:        sess.ID,
-			Backend:   sess.Backend,
-			SharedNet: sess.sp.refs > 1,
-			Template:  sess.template,
-		}
 		sess.mu.Lock()
-		// The session's network may have diverged from the shared base
-		// epoch through runtime build/excise; report its own view.
-		info.Rules = len(sess.eng.Net.Rules)
-		info.Epoch = sess.eng.Epoch()
-		info.WMSize = sess.eng.WM.Len()
-		info.Halted = sess.eng.Halted()
+		out = append(out, *sess.info(sess.sp.refs > 1))
 		sess.mu.Unlock()
-		out = append(out, info)
 	}
 	return out
 }

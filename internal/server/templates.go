@@ -1,16 +1,13 @@
 package server
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
 	"sync"
 	"time"
 
-	"repro/internal/conflict"
 	"repro/internal/engine"
-	"repro/internal/rete"
 	"repro/internal/seqmatch"
 	"repro/internal/wm"
 	"repro/internal/wmlog"
@@ -26,17 +23,14 @@ import (
 // its snapshot hash pins that immutability.
 type template struct {
 	ID      string
-	Backend string
 	Created time.Time
 
-	cfg  SessionConfig
-	sp   *sharedProgram
-	hash [sha256.Size]byte
-	dir  string // durable entry dir; "" when memory-only
+	cfg SessionConfig // resolved the way Session.cfg is
+	sp  *sharedProgram
+	dir string // durable entry dir; "" when memory-only
 
-	mu      sync.Mutex
-	eng     *engine.Engine
-	matcher backend
+	mu sync.Mutex
+	*core
 	snap    *wmlog.Snapshot
 	snapRaw []byte   // one encoding shared by every fork's durable state
 	snapSum [32]byte // content hash (offset-independent)
@@ -76,16 +70,8 @@ func (s *Server) CreateTemplate(cfg *TemplateConfig) (info *TemplateInfo, err er
 		}
 	}()
 
-	sp, hash, _, err := s.sharedProg(cfg.Program)
+	sp, _, err := s.sharedProg(cfg.Program)
 	if err != nil {
-		return nil, err
-	}
-	net, err := sp.netFor(&cfg.SessionConfig)
-	if err != nil {
-		return nil, err
-	}
-	// Validate the watch knob now so every fork resolves it cleanly.
-	if _, err := resolveWatch(cfg.Watch, sp.prog); err != nil {
 		return nil, err
 	}
 	fieldsList := make([][]wm.Value, 0, len(cfg.Asserts))
@@ -96,111 +82,79 @@ func (s *Server) CreateTemplate(cfg *TemplateConfig) (info *TemplateInfo, err er
 		}
 		fieldsList = append(fieldsList, fields)
 	}
-	cs := conflict.New(conflict.Config{Shards: cfg.CSShards})
-	m, backendName, err := newBackend(net, cfg.SessionConfig, cs)
+	c, err := sp.build(&cfg.SessionConfig)
 	if err != nil {
 		return nil, err
 	}
-	sp.newEng.Lock()
-	eng, err := engine.New(sp.prog, net, cs, m, nil)
-	sp.newEng.Unlock()
-	if err != nil {
-		m.Close()
-		return nil, fmt.Errorf("rhs compile: %w", err)
-	}
-	if err := eng.Init(); err != nil {
-		m.Close()
+	if err := c.eng.Init(); err != nil {
+		c.matcher.Close()
 		return nil, fmt.Errorf("init: %w", err)
 	}
 	if len(fieldsList) > 0 {
-		if _, err := eng.AssertBatch(fieldsList); err != nil {
-			m.Close()
+		if _, err := c.eng.AssertBatch(fieldsList); err != nil {
+			c.matcher.Close()
 			return nil, fmt.Errorf("base facts: %w", err)
 		}
 	}
-
-	st := eng.CaptureState()
-	st.ProgHash = hash
+	st := c.eng.CaptureState()
+	st.ProgHash = sp.hash
 	raw, err := st.Encode()
 	if err != nil {
-		m.Close()
+		c.matcher.Close()
 		return nil, err
 	}
-	sum, err := st.Hash()
+	tpl, err := s.pinTemplate("", sp, cfg.SessionConfig, c, st, raw)
 	if err != nil {
-		m.Close()
 		return nil, err
 	}
-
-	tpl := &template{
-		Backend: backendName,
-		Created: time.Now(),
-		cfg:     cfg.SessionConfig,
-		sp:      sp,
-		hash:    hash,
-		eng:     eng,
-		matcher: m,
-		snap:    st,
-		snapRaw: raw,
-		snapSum: sum,
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		m.Close()
-		return nil, ErrClosed
-	}
-	s.nextTpl++
-	tpl.ID = fmt.Sprintf("t-%06d", s.nextTpl)
-	s.templates[tpl.ID] = tpl
-	sp.refs++
-	s.mu.Unlock()
-
 	if s.dur != nil {
-		if err := s.persistTemplate(tpl); err != nil {
+		// Templates have no delta log — they never change.
+		tpl.dir, err = s.writeEntry(wmlog.KindTemplate, tpl.ID, &tpl.cfg, "", raw)
+		if err != nil {
 			s.dropTemplate(tpl.ID)
 			return nil, err
 		}
 	}
-	s.met.templateCreated()
 	return s.templateInfo(tpl), nil
 }
 
-// persistTemplate writes a template's durable state: program, meta and
-// the pinned snapshot. Templates have no delta log — they never change.
-func (s *Server) persistTemplate(tpl *template) error {
-	dir, err := s.dur.store.EntryDir(wmlog.KindTemplate, tpl.ID)
+// pinTemplate registers a settled core as a template under id (empty =
+// the next t-NNNNNN), pinned to the state st that raw encodes.
+func (s *Server) pinTemplate(id string, sp *sharedProgram, cfg SessionConfig, c *core, st *wmlog.Snapshot, raw []byte) (*template, error) {
+	sum, err := st.Hash()
 	if err != nil {
-		return err
+		c.matcher.Close()
+		return nil, err
 	}
-	if err := os.WriteFile(wmlog.ProgramPath(dir), []byte(tpl.cfg.Program), 0o644); err != nil {
-		return fmt.Errorf("persist template program: %w", err)
+	cfg.Program, cfg.Matcher = sp.src, c.Backend
+	tpl := &template{ID: id, Created: time.Now(), cfg: cfg, sp: sp, core: c, snap: st, snapRaw: raw, snapSum: sum}
+
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		c.matcher.Close()
+		return nil, ErrClosed
 	}
-	if err := wmlog.WriteMeta(dir, metaFromConfig(&tpl.cfg, tpl.Backend, "")); err != nil {
-		return fmt.Errorf("persist template meta: %w", err)
+	var n uint64
+	if id == "" {
+		s.nextTpl++
+		tpl.ID = fmt.Sprintf("t-%06d", s.nextTpl)
+	} else if _, err := fmt.Sscanf(id, "t-%d", &n); err == nil && n > s.nextTpl {
+		s.nextTpl = n
 	}
-	if err := wmlog.WriteSnapshotBytes(wmlog.SnapshotPath(dir), tpl.snapRaw); err != nil {
-		return fmt.Errorf("persist template snapshot: %w", err)
-	}
-	tpl.dir = dir
-	return nil
+	s.templates[tpl.ID] = tpl
+	sp.refs++
+	s.mu.Unlock()
+	s.met.templateCreated()
+	return tpl, nil
 }
 
 // recoverTemplate rebuilds one persisted template at startup: the
-// snapshot restores through a fresh engine, re-warming it for forks.
+// snapshot restores through a fresh core, re-warming it for forks.
 func (s *Server) recoverTemplate(id string) error {
-	dir, err := s.dur.store.EntryDir(wmlog.KindTemplate, id)
+	dir, sp, cfg, _, err := s.readEntry(wmlog.KindTemplate, id)
 	if err != nil {
 		return err
-	}
-	src, err := os.ReadFile(wmlog.ProgramPath(dir))
-	if err != nil {
-		return fmt.Errorf("read program: %w", err)
-	}
-	meta, err := wmlog.ReadMeta(dir)
-	if err != nil {
-		return fmt.Errorf("read meta: %w", err)
 	}
 	raw, err := os.ReadFile(wmlog.SnapshotPath(dir))
 	if err != nil {
@@ -210,62 +164,22 @@ func (s *Server) recoverTemplate(id string) error {
 	if err != nil {
 		return err
 	}
-	cfg := configFromMeta(meta, string(src))
-	sp, hash, _, err := s.sharedProg(cfg.Program)
-	if err != nil {
-		return err
-	}
-	if st.ProgHash != hash {
+	if st.ProgHash != sp.hash {
 		return fmt.Errorf("template snapshot belongs to a different program")
 	}
-	net, err := sp.netFor(&cfg)
+	c, err := sp.build(&cfg)
 	if err != nil {
 		return err
 	}
-	cs := conflict.New(conflict.Config{Shards: cfg.CSShards})
-	m, backendName, err := newBackend(net, cfg, cs)
-	if err != nil {
-		return err
-	}
-	sp.newEng.Lock()
-	eng, err := engine.New(sp.prog, net, cs, m, nil)
-	sp.newEng.Unlock()
-	if err != nil {
-		m.Close()
-		return fmt.Errorf("rhs compile: %w", err)
-	}
-	if err := eng.RestoreState(st); err != nil {
-		m.Close()
+	if err := c.eng.RestoreState(st); err != nil {
+		c.matcher.Close()
 		return fmt.Errorf("restore: %w", err)
 	}
-	sum, err := st.Hash()
+	tpl, err := s.pinTemplate(id, sp, cfg, c, st, raw)
 	if err != nil {
-		m.Close()
 		return err
 	}
-	tpl := &template{
-		ID:      id,
-		Backend: backendName,
-		Created: time.Now(),
-		cfg:     cfg,
-		sp:      sp,
-		hash:    hash,
-		dir:     dir,
-		eng:     eng,
-		matcher: m,
-		snap:    st,
-		snapRaw: raw,
-		snapSum: sum,
-	}
-	s.mu.Lock()
-	s.templates[id] = tpl
-	sp.refs++
-	var n uint64
-	if _, err := fmt.Sscanf(id, "t-%d", &n); err == nil && n > s.nextTpl {
-		s.nextTpl = n
-	}
-	s.mu.Unlock()
-	s.met.templateCreated()
+	tpl.dir = dir
 	return nil
 }
 
@@ -273,7 +187,7 @@ func (s *Server) templateInfo(tpl *template) *TemplateInfo {
 	return &TemplateInfo{
 		ID:           tpl.ID,
 		Backend:      tpl.Backend,
-		Rules:        len(tpl.sp.net.Rules),
+		Rules:        len(tpl.eng.Net.Rules),
 		WMSize:       len(tpl.snap.Wmes),
 		SnapshotHash: fmt.Sprintf("%x", tpl.snapSum),
 		Forks:        tpl.forks,
@@ -336,51 +250,35 @@ type ForkResult struct {
 // the copy-on-write fast path — working memory, conflict set and token
 // table are structure-copied, sharing every immutable WME and token
 // slice with the template — and skip parse, compile, RHS compile and
-// matching entirely. Parallel backends restore the template's snapshot
-// through a fresh matcher (still skipping the compile pipeline). The
+// matching entirely: the one way a core comes to exist without build.
+// Parallel backends build a fresh core and restore the template's
+// pinned state through it (still skipping the compile pipeline). The
 // template is locked during the clone and never mutated.
 func (s *Server) Fork(templateID string) (*ForkResult, error) {
 	start := time.Now()
+	id, err := s.reserveID("")
+	if err != nil {
+		return nil, err
+	}
 	s.mu.RLock()
 	tpl := s.templates[templateID]
-	closed := s.closed
-	nSess := len(s.sessions)
 	s.mu.RUnlock()
-	if closed {
-		return nil, ErrClosed
-	}
 	if tpl == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoTemplate, templateID)
 	}
-	if nSess >= s.opt.MaxSessions {
-		return nil, fmt.Errorf("%w (%d)", ErrTooManySessions, s.opt.MaxSessions)
-	}
 
 	tpl.mu.Lock()
-	var (
-		eng *engine.Engine
-		m   backend
-		err error
-	)
+	var c *core
 	if sm, ok := tpl.matcher.(*seqmatch.Matcher); ok {
 		cs := tpl.eng.CS.Clone()
 		nm := sm.Clone(cs)
-		eng = tpl.eng.CloneWith(tpl.eng.WM.Clone(), cs, nm, nil)
-		m = nm
-	} else {
-		cs := conflict.New(conflict.Config{Shards: tpl.cfg.CSShards})
-		var net *rete.Network
-		net, err = tpl.sp.netFor(&tpl.cfg)
-		if err == nil {
-			m, _, err = newBackend(net, tpl.cfg, cs)
-		}
-		if err == nil {
-			tpl.sp.newEng.Lock()
-			eng, err = engine.New(tpl.sp.prog, net, cs, m, nil)
-			tpl.sp.newEng.Unlock()
-			if err == nil {
-				err = eng.RestoreState(tpl.snap)
-			}
+		eng := tpl.eng.CloneWith(tpl.eng.WM.Clone(), cs, nm, nil)
+		// The template never reads input, so there is no queue to inherit.
+		eng.IO = engine.NewQueueIO(tpl.sp.prog.Symbols, false)
+		c = &core{eng: eng, matcher: nm, Backend: tpl.Backend, watch: tpl.watch}
+	} else if c, err = tpl.sp.build(&tpl.cfg); err == nil {
+		if err = c.eng.RestoreState(tpl.snap); err != nil {
+			c.matcher.Close()
 		}
 	}
 	if err == nil {
@@ -388,86 +286,15 @@ func (s *Server) Fork(templateID string) (*ForkResult, error) {
 	}
 	tpl.mu.Unlock()
 	if err != nil {
-		if m != nil {
-			m.Close()
-		}
 		return nil, fmt.Errorf("fork %s: %w", templateID, err)
 	}
 
-	// Forks run batches like any hosted session: give each its own
-	// input queue (the template never reads input, so there is nothing
-	// to inherit) and resolve its trace level.
-	eng.IO = engine.NewQueueIO(tpl.sp.prog.Symbols, false)
-	watch, err := resolveWatch(tpl.cfg.Watch, tpl.sp.prog)
-	if err != nil {
-		m.Close()
-		return nil, fmt.Errorf("fork %s: %w", templateID, err)
+	// A durable fork starts from the template's pinned snapshot bytes (one
+	// encoding shared across forks) and diverges through its own log.
+	sess := newSession(id, tpl.sp, tpl.cfg, c, tpl.ID)
+	if err := s.admit(sess, tpl.snapRaw, nil); err != nil {
+		return nil, err
 	}
-
-	sess := &Session{
-		Backend:     tpl.Backend,
-		Created:     time.Now(),
-		sp:          tpl.sp,
-		cfg:         tpl.cfg,
-		eng:         eng,
-		matcher:     m,
-		progHash:    tpl.hash,
-		template:    tpl.ID,
-		fireBatch:   clampFireBatch(tpl.cfg.FireBatch),
-		matchBudget: tpl.cfg.MatchBudget,
-		watch:       watch,
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		m.Close()
-		return nil, ErrClosed
-	}
-	s.nextID++
-	sess.ID = fmt.Sprintf("s-%06d", s.nextID)
-	s.sessions[sess.ID] = sess
-	tpl.sp.refs++
-	s.mu.Unlock()
-
-	if s.dur != nil {
-		if err := s.persistFork(sess, tpl); err != nil {
-			_ = s.DeleteSession(sess.ID)
-			return nil, err
-		}
-		sess.eng.SetJournal(sess.journal)
-	}
-	s.met.sessionCreated()
 	s.met.forked()
-	s.foldStats(sess)
-	return &ForkResult{
-		SessionInfo: SessionInfo{
-			ID:        sess.ID,
-			Backend:   sess.Backend,
-			Rules:     len(sess.eng.Net.Rules),
-			SharedNet: true,
-			WMSize:    sess.eng.WM.Len(),
-			Halted:    sess.eng.Halted(),
-			Template:  tpl.ID,
-		},
-		SpawnUs: time.Since(start).Microseconds(),
-	}, nil
-}
-
-// persistFork writes a forked session's durable state: the template's
-// pinned snapshot bytes (one encoding shared across forks), a fresh
-// empty delta log, program and meta. Recovery restores the snapshot
-// then replays the fork's own log.
-func (s *Server) persistFork(sess *Session, tpl *template) error {
-	j, dir, err := s.persistSession(sess.ID, &tpl.cfg, tpl.Backend, tpl.ID, tpl.hash, tpl.sp.prog.Symbols)
-	if err != nil {
-		return err
-	}
-	if err := wmlog.WriteSnapshotBytes(wmlog.SnapshotPath(dir), tpl.snapRaw); err != nil {
-		j.close()
-		return fmt.Errorf("persist fork snapshot: %w", err)
-	}
-	sess.journal = j
-	sess.dir = dir
-	return nil
+	return &ForkResult{SessionInfo: *sess.info(true), SpawnUs: time.Since(start).Microseconds()}, nil
 }

@@ -12,17 +12,20 @@ import (
 	"path/filepath"
 )
 
-// Snapshot is a session's settled state at a drained point: the live
-// working memory with exact time tags, the refraction state (which
-// still-live instantiations have fired), the time-tag counter and the
-// halt flag, pinned to a program by hash. LogOffset is the delta-log
-// byte offset the snapshot covers: recovery restores the snapshot and
-// replays only records past it, which also makes the
-// snapshot-then-truncate compaction crash-safe in either order.
+// Snapshot is a session's whole portable state at a drained point: the
+// runtime program changes that separate its network from the compiled
+// program, the live working memory with exact time tags, the refraction
+// state (which still-live instantiations have fired), the time-tag
+// counter, the halt flag and the pending input, pinned to a program by
+// hash. Token memories and the conflict set are a function of these and
+// are rebuilt by matching. LogOffset is the delta-log byte offset the
+// snapshot covers: recovery restores the snapshot and replays only
+// records past it, which also makes the snapshot-then-truncate
+// compaction crash-safe in either order.
 //
-// The same encoding serves as the shared settled state of a template
-// session: forks start from the snapshot and diverge through their own
-// delta logs, and the template's snapshot hash pins its immutability.
+// This one encoding is the compaction snapshot, the pinned state of a
+// template (its hash pins the template's immutability), the initial
+// state of a durable fork or import, and the migration payload.
 type Snapshot struct {
 	// Format is the payload's own version stamp, written by Encode and
 	// checked by DecodeSnapshot. The container (magic + snapVersion)
@@ -44,6 +47,14 @@ type Snapshot struct {
 	// and recovery with its buffered values intact. Gob tolerates the
 	// field's absence, so pre-existing snapshots decode as an empty queue.
 	Pending []FieldVal
+	// Program is every runtime program change applied since the program
+	// was compiled, oldest first, in the canonical forms the engine
+	// journals as RecProgram records: "(p name ...)" and "(excise name)"
+	// — runtime builds and excises, match-budget quarantines, re-plans.
+	// Restore re-applies them to the empty engine before the WMEs, so the
+	// rebuilt network has the same rules, rule IDs and epoch. Format 2
+	// payloads lack the field and decode as no changes.
+	Program []string
 }
 
 // TaggedWME is one working-memory element with its original time tag.
@@ -63,7 +74,10 @@ const (
 	snapMagic   = "OPS5WSN1"
 	snapVersion = 1
 	// snapFormat stamps the gob payload layout (see Snapshot.Format).
-	snapFormat = 2
+	// Format 3 added Program; snapFormatMin is the oldest layout this
+	// binary still reads.
+	snapFormat    = 3
+	snapFormatMin = 2
 )
 
 // ErrSnapshotVersion reports a snapshot written by a different payload
@@ -118,10 +132,10 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	if s.Format != snapFormat {
-		return nil, fmt.Errorf("%w: snapshot format version %d, this binary reads %d — "+
+	if s.Format < snapFormatMin || s.Format > snapFormat {
+		return nil, fmt.Errorf("%w: snapshot format version %d, this binary reads %d to %d — "+
 			"the snapshot was written by a different build (re-snapshot with the writing build, or upgrade in place)",
-			ErrSnapshotVersion, s.Format, snapFormat)
+			ErrSnapshotVersion, s.Format, snapFormatMin, snapFormat)
 	}
 	return &s, nil
 }
@@ -149,8 +163,9 @@ func WriteSnapshot(path string, s *Snapshot) (int, error) {
 	return len(b), writeFileAtomic(path, b)
 }
 
-// WriteSnapshotBytes atomically installs pre-encoded snapshot bytes —
-// the template-fork path, which shares one encoding across every fork.
+// WriteSnapshotBytes atomically installs pre-encoded snapshot bytes: a
+// template's pinned encoding shared by every fork, or an imported
+// session's payload.
 func WriteSnapshotBytes(path string, b []byte) error {
 	return writeFileAtomic(path, b)
 }

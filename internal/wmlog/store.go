@@ -12,7 +12,7 @@ import (
 // session or template.
 //
 //	<dir>/sessions/<id>/program.ops5   OPS5 source the session runs
-//	<dir>/sessions/<id>/meta.json      backend configuration (Meta)
+//	<dir>/sessions/<id>/meta.json      the owner's session configuration
 //	<dir>/sessions/<id>/delta.log      framed WM delta log
 //	<dir>/sessions/<id>/snapshot.snap  latest snapshot, if any
 //	<dir>/templates/<id>/...           same layout, log-less
@@ -28,32 +28,6 @@ const (
 	KindSession  Kind = "sessions"
 	KindTemplate Kind = "templates"
 )
-
-// Meta is the per-session configuration persisted alongside the log so
-// recovery rebuilds the same backend. The fields mirror the server's
-// SessionConfig minus the program source, which gets its own file.
-type Meta struct {
-	Backend   string `json:"backend"`
-	Procs     int    `json:"procs,omitempty"`
-	Queues    int    `json:"queues,omitempty"`
-	Locks     string `json:"locks,omitempty"`
-	HashLines int    `json:"hash_lines,omitempty"`
-	CSShards  int    `json:"cs_shards,omitempty"`
-	FireBatch int    `json:"fire_batch,omitempty"`
-	// ReorderJoins, MatchBudget and Unlink mirror the session knobs of
-	// the same names so a recovered session keeps its join order, budget
-	// enforcement and unlinking behaviour.
-	ReorderJoins string `json:"reorder_joins,omitempty"`
-	MatchBudget  int64  `json:"match_budget,omitempty"`
-	Unlink       bool   `json:"unlink,omitempty"`
-	// Watch is the session's raw watch knob (-1 forced silent, 0 program
-	// default, 1/2 explicit), re-resolved against the program on
-	// recovery so per-batch trace output behaviour is preserved.
-	Watch int `json:"watch,omitempty"`
-	// Template records the template a forked session was created from
-	// (informational; recovery uses the fork's own snapshot).
-	Template string `json:"template,omitempty"`
-}
 
 // Open validates dir as a usable data directory, creating it (and its
 // branch directories) as needed. Errors are deliberately explicit: the
@@ -95,26 +69,26 @@ func MetaPath(dir string) string     { return filepath.Join(dir, "meta.json") }
 func LogPath(dir string) string      { return filepath.Join(dir, "delta.log") }
 func SnapshotPath(dir string) string { return filepath.Join(dir, "snapshot.snap") }
 
-// WriteMeta persists the entry's backend configuration.
-func WriteMeta(dir string, m *Meta) error {
-	b, err := json.MarshalIndent(m, "", "  ")
+// WriteMeta persists the entry's configuration: whatever JSON document
+// the owner keeps to rebuild the entry (the store does not interpret it).
+func WriteMeta(dir string, meta any) error {
+	b, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(MetaPath(dir), b, 0o644)
 }
 
-// ReadMeta loads the entry's backend configuration.
-func ReadMeta(dir string) (*Meta, error) {
+// ReadMeta decodes the entry's configuration into meta.
+func ReadMeta(dir string, meta any) error {
 	b, err := os.ReadFile(MetaPath(dir))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var m Meta
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("wmlog: %s: %w", MetaPath(dir), err)
+	if err := json.Unmarshal(b, meta); err != nil {
+		return fmt.Errorf("wmlog: %s: %w", MetaPath(dir), err)
 	}
-	return &m, nil
+	return nil
 }
 
 // List returns the persisted entry IDs of one branch, sorted, so
