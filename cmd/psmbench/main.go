@@ -241,10 +241,15 @@ func runMatch(opt tables.MatchBenchOptions, outPath string) {
 		}
 		return s
 	}
-	fmt.Println("\nworkload        procs  match-s     acts/s      steals  overflows  requeues")
+	fmt.Println("\nworkload        procs  match-s     acts/s  vs-vs2  shared  steals  overflows  requeues")
 	for _, p := range rep.Workloads {
-		fmt.Printf("%-15s %5s  %8.3f  %10.0f  %6d  %9d  %8d\n",
-			p.Workload, mark(p.Procs, p.Oversubscribed), p.MatchSeconds, p.ActsPerSec,
+		label := mark(p.Procs, p.Oversubscribed)
+		if p.Procs == 0 {
+			label = "vs2"
+		}
+		fmt.Printf("%-15s %5s  %8.3f  %10.0f  %6.2f  %6d  %6d  %9d  %8d\n",
+			p.Workload, label, p.MatchSeconds, p.ActsPerSec, p.SpeedupVsVS2,
+			p.Contention.LocalPushes+p.Contention.Overflows,
 			p.Contention.Steals, p.Contention.Overflows, p.Contention.Requeues)
 	}
 	fmt.Println("\nkernel  procs     ns/op  allocs/op  bytes/op  acts/op")

@@ -82,10 +82,13 @@ type Table struct {
 	// entries counts live tokens across the table, parked the early
 	// deletes sitting on XDel lists, and maxDepth is the high-water line
 	// depth; all three are updated under the per-line locks but read
-	// table-wide, hence atomic. parked is exact — every XDel push and
-	// unlink adjusts it — so CheckDrained is a load, not a walk. The
-	// resize counters are owned by whoever performs Grow (the control
-	// process, drained).
+	// table-wide, hence atomic. entries is only as fresh as the last
+	// FoldLive: an activation that brings a Pools counts its insert or
+	// delete there, privately, so the one word every process would write
+	// on every activation is written once per drain instead. parked is
+	// exact — every XDel push and unlink adjusts it — so CheckDrained is a
+	// load, not a walk. The resize counters are owned by whoever performs
+	// Grow (the control process, drained).
 	entries  atomic.Int64
 	parked   atomic.Int64
 	maxDepth atomic.Int64
@@ -302,6 +305,28 @@ type Emit func(sign bool, wmes []*wm.WME)
 type Pools struct {
 	tok     []*wm.WME
 	entries []*rete.Entry
+	live    int64 // inserts minus deletes since the last FoldLive
+}
+
+// FoldLive moves the live-entry delta p's owner has accumulated into
+// the table's gauge. The owner must be out of the table: matchers call
+// it at drained points, before anything reads the gauge (GrowTarget,
+// MemStats, Clone) or recounts it (Grow, ExciseNodes).
+func (t *Table) FoldLive(p *Pools) {
+	if p.live != 0 {
+		t.entries.Add(p.live)
+		p.live = 0
+	}
+}
+
+// noteLive counts one insert (+1) or delete (-1): in the caller's pools
+// when it has them, straight into the shared gauge otherwise.
+func (t *Table) noteLive(p *Pools, d int64) {
+	if p != nil {
+		p.live += d
+	} else {
+		t.entries.Add(d)
+	}
 }
 
 const (
@@ -393,7 +418,8 @@ func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, 
 			line.Mem[side].Push(e)
 		}
 		line.live++
-		t.noteInsert(line.live)
+		t.noteLive(pools, 1)
+		t.noteDepth(line.live)
 		if rec != nil {
 			rec.NodeCount[side][j.ID]++
 		}
@@ -419,7 +445,7 @@ func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, 
 		return nil, Ref{}, res
 	}
 	line.live--
-	t.entries.Add(-1)
+	t.noteLive(pools, -1)
 	if rec != nil {
 		rec.NodeCount[side][j.ID]--
 	}
@@ -427,11 +453,10 @@ func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, 
 	return e, ref, res
 }
 
-// noteInsert maintains the table-wide load and depth gauges after one
-// insert under the line lock. The depth high-water mark is a plain
-// load-then-CAS: almost every insert takes only the load and branch.
-func (t *Table) noteInsert(depth int) {
-	t.entries.Add(1)
+// noteDepth maintains the depth high-water mark after one insert under
+// the line lock, a plain load-then-CAS: almost every insert takes only
+// the load and branch.
+func (t *Table) noteDepth(depth int) {
 	d := int64(depth)
 	for {
 		cur := t.maxDepth.Load()

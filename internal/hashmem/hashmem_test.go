@@ -277,6 +277,53 @@ func TestGrowTargetPolicy(t *testing.T) {
 	}
 }
 
+// TestFoldLiveKeepsTheGaugeExact: activations that bring a Pools count
+// their inserts and deletes there, so the shared gauge moves only when
+// the owner folds; two owners folding in any order must land on the
+// same Entries — and the same growth decision — as pool-less callers
+// that write the gauge directly.
+func TestFoldLiveKeepsTheGaugeExact(t *testing.T) {
+	net := fixture(t, joinSrc)
+	j := net.Joins[0]
+	direct, pooled := hashmem.New(1), hashmem.New(1)
+	var a, b hashmem.Pools
+	toks := map[int][]*wm.WME{}
+	act := func(table *hashmem.Table, p *hashmem.Pools, sign bool, tag int) {
+		if toks[tag] == nil {
+			toks[tag] = []*wm.WME{mkW(1, tag, int64(tag))}
+		}
+		tok := toks[tag]
+		hash := j.LeftHash(tok)
+		table.UpdateOwn(table.LineIndex(j, hash), j, rete.Left, sign, tok, hash, nil, p)
+	}
+	for i := 1; i <= 24; i++ {
+		owner := &a
+		if i%3 == 0 {
+			owner = &b
+		}
+		act(direct, nil, true, i)
+		act(pooled, owner, true, i)
+	}
+	// b deletes what a inserted: its private delta goes negative.
+	for _, tag := range []int{1, 2, 4} {
+		act(direct, nil, false, tag)
+		act(pooled, &b, false, tag)
+	}
+	if n := pooled.MemStats().Entries; n != 0 {
+		t.Fatalf("gauge moved to %d before any fold", n)
+	}
+	pooled.FoldLive(&b)
+	pooled.FoldLive(&a)
+	pooled.FoldLive(&a) // a folded pool holds nothing more
+	want := direct.MemStats()
+	if got := pooled.MemStats(); got != want || got.Entries != 21 {
+		t.Fatalf("folded gauges %+v, pool-less %+v, want equal with 21 entries", got, want)
+	}
+	if got, want := pooled.GrowTarget(), direct.GrowTarget(); got != want || got == 0 {
+		t.Fatalf("GrowTarget %d after folds, %d pool-less, want equal and growing", got, want)
+	}
+}
+
 // TestGrowPreservesNegationCounts grows a table holding a blocked left
 // token and verifies the blocker count survives: Grow moves entry
 // objects rather than copying them, so the NegCount identity a later

@@ -1,25 +1,28 @@
 // Package parmatch is the PSM-E parallel matcher: one control process
 // (the engine goroutine, which calls Submit/Drain) plus k match
 // goroutines that cooperate to pass tokens through a single shared Rete
-// network (§3.1). Tokens awaiting processing live on per-worker local
-// deques and one or more central task queues; node memories live in the
-// two global hash tables, with one lock per line in either the simple
-// or the multiple-reader-single-writer scheme; the global TaskCount
-// tells the control process when match is over.
+// network (§3.1). Node memories live in the two global hash tables, with
+// one lock per line in either the simple or the multiple-reader-single-
+// writer scheme; the global TaskCount tells the control process when
+// match is over.
 //
-// Scheduling follows the paper's multiple-queue remedy for central
-// queue contention (§4.2) taken one step further: each worker owns a
-// bounded lock-free deque it pushes and pops without synchronization,
-// spilling to the central spin-locked queues only on overflow and
-// stealing from peers only when both its deque and the central queues
-// are dry. The match hot path is also allocation-free in the steady
-// state: task objects and memory entries recycle through per-worker
-// free lists, and output token slices come from per-worker arenas
-// (hashmem.Pools).
+// The unit of parallel work is not the paper's single node activation
+// but a run-to-completion unit: a process takes one shared task — a root
+// WM change, a task a peer shared out, an MRSW requeue, a replay task —
+// and runs its whole activation subtree depth-first on a private,
+// unsynchronised stack. TaskCount counts units. Work is shared on
+// demand only (see shareIdle and shareWake), and the control process
+// runs units itself in Drain instead of waiting for the workers, so a
+// cycle too small to pay for a wake-up is matched by one warm process
+// and the workers stay parked. The match hot path is allocation-free in
+// the steady state: task objects and memory entries recycle through
+// per-process free lists, and output token slices come from per-process
+// arenas (hashmem.Pools).
 //
 // This backend runs real concurrency and is exercised under the race
 // detector; the deterministic Encore Multimax timing model lives in
-// internal/multimax and shares this package's protocol semantics.
+// internal/multimax, keeps the paper's per-activation grain, and shares
+// this package's protocol semantics.
 package parmatch
 
 import (
@@ -28,7 +31,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/hashmem"
 	"repro/internal/rete"
@@ -60,8 +62,8 @@ type Config struct {
 	Queues int    // number of central task queues
 	Lines  int    // initial hash-table lines (0 = 16384)
 	Scheme Scheme // line-lock scheme
-	// LocalCap bounds each worker's local deque (0 = 256). Small values
-	// force the overflow and steal paths, which the tests exploit.
+	// LocalCap bounds each process's deque of shared-out tasks (0 = 256).
+	// Small values force the overflow path, which the tests exploit.
 	LocalCap int
 	// Legacy pins the paper's fixed-size linked-list line layout instead
 	// of the adaptive node-segregated default — the reference the
@@ -99,25 +101,46 @@ func newMemState(table *hashmem.Table, scheme Scheme) *memState {
 	return ms
 }
 
-// taskPoolCap bounds each worker's task free list.
-const taskPoolCap = 1024
+// taskPoolCap bounds each process's private task free list; past it a
+// batch goes back to the shared reserve.
+const taskPoolCap = 4 * taskqueue.FreeBatch
 
-// stealWatermark is the local-deque depth at which a worker wakes a
-// parked peer to steal from it.
-const stealWatermark = 16
+// The sharing thresholds, in tasks of private backlog. They come from
+// two measured costs. Getting a parked goroutine onto a CPU costs
+// several microseconds on bare metal and 100-160 us (p50) on the 2-vCPU
+// VM the benchmarks run on — tens to a thousand node activations at
+// 0.1-0.25 us each; and a token-memory line last written by another core
+// roughly doubles the cost of the update that touches it (UpdateOwn
+// 20 -> 41 us per 1000 cycles in profiles), so work moved to a peer runs
+// slower there than it would have here. Sharing therefore has to be
+// worth a wake-up, or cost none:
+//
+//   - shareWake: a private backlog this deep (or this many pending
+//     roots, for Submit) pays for waking a parked peer.
+//   - shareIdle: with a peer already awake and idle the wake-up is free
+//     and only the cache cost remains, so a quarter of that is worth
+//     splitting; a central queue holding no more is popped whole.
+//
+// Measured single-session, k = 2, match time against vs2 (EXPERIMENTS.md,
+// PR 16): 8/8 shares on nearly every cycle and runs Rubik at 0.41 of vs2,
+// 64/16 at 0.70, 256/64 at 0.78, never sharing at 0.79; Tourney's
+// cross-product bursts go 0.59, 0.64, 0.86, 0.79. Lazy, not tuned: on
+// Rubik and Weaver 256/64 is within noise of never sharing.
+const (
+	shareWake = 256
+	shareIdle = 64
+)
 
-// pollBudget is how many scheduler yields a worker that ran dry spends
-// polling before it parks: long enough for the control process to
-// finish a typical RHS and submit the next phase, so one warm worker
-// rides across phase boundaries instead of handing each phase to a
-// cold peer.
-const pollBudget = 512
-
-// pad keeps per-worker counters on separate cache lines.
-type workerStats struct {
-	c stats.Contention
-	_ [64]byte
-}
+// idlePolls is how many empty-handed sweeps a process that ran dry makes
+// before it parks, and drainSpins how many the control process makes
+// between yields while the last units are in peers' hands. A sweep
+// writes nothing shared and costs a few tens of nanoseconds, so both
+// bound a wait of a few microseconds — about what the park and wake-up
+// (or the yield, which wakes an idle P) they put off would cost.
+const (
+	idlePolls  = 128
+	drainSpins = 128
+)
 
 // Matcher is the parallel match backend. It implements engine.Matcher.
 type Matcher struct {
@@ -131,31 +154,31 @@ type Matcher struct {
 	// grown table (with lock arrays resized to match, so footnote 4's
 	// one-lock-per-line discipline holds at every size) only while the
 	// matcher is drained — the same atomic-pointer discipline net uses.
-	mem      atomic.Pointer[memState]
-	queues   *taskqueue.Queues
-	rootFree *taskqueue.FreeList
-	sink     rete.TerminalSink
-	cfg      Config
-	workers  []*wctx
+	mem     atomic.Pointer[memState]
+	queues  *taskqueue.Queues
+	reserve taskqueue.FreeList
+	sink    rete.TerminalSink
+	cfg     Config
+	// procs holds every process's context: the k match goroutines', then
+	// the control process's own (ctl, index Procs), on which Submit
+	// allocates and Drain runs units. Whoever calls Submit/Drain is the
+	// control process; successive callers must be ordered by a lock of
+	// theirs (the server's session lock), never concurrent.
+	procs []*wctx
+	ctl   *wctx
 
-	// Parked workers block on their own wake channel, and every path
-	// that makes work visible outside a worker's own deque (Submit,
-	// overflow spill, MRSW requeue, deep local backlog) kicks one of
-	// them awake with a non-blocking token. This keeps phase-start
-	// latency at a channel send instead of a sleep period, which is what
-	// lets procs > cores configurations run at near-sequential speed.
-	// lastParked remembers the most recent parker so a kick can target
-	// the worker with the warmest cache (the one that drained the
-	// previous phase) rather than an arbitrary cold one.
-	multiCPU   bool         // >1 physical CPUs: backlog kicks can buy real parallelism
-	parked     atomic.Int64 // workers currently registered as parked
-	lastParked atomic.Int32 // id of the most recent parker (-1 before any)
+	// A worker with nothing to do polls briefly (counted in idle, as is
+	// the control process while it waits in Drain) and then parks on its
+	// own wake channel (counted in parked). Whoever publishes work past
+	// the sharing thresholds kicks one awake. No wake-up is ever needed
+	// for progress: the publisher sweeps the shared pools itself before
+	// it parks, and the control process drains them.
+	idle   atomic.Int32
+	parked atomic.Int32
 
 	stop    atomic.Bool
 	wg      sync.WaitGroup
-	ws      []workerStats // index Procs is the control process
-	pushRR  atomic.Int64
-	actives atomic.Int64 // node activations processed (tasks completed)
+	pushRR  int          // control-only: round-robin cursor over the central queues
 	changes atomic.Int64 // working-memory changes submitted
 
 	// unlinkSt is the right-unlinking state (nil when Config.Unlink is
@@ -185,21 +208,28 @@ type unlinkOp struct {
 	wme  *wm.WME
 }
 
-// wctx is one match process's private state: its local deque, free
-// lists, arena, contention counters and the pre-bound closures that
-// keep the hot path from allocating a closure per task.
+// wctx is one process's private state: the stack its current unit runs
+// on, the deque it shares work from, free lists, arena, counters and the
+// pre-bound closures that keep the hot path from allocating a closure
+// per task. Everything plain in it is written only while the process
+// holds a unit (TaskCount > 0), so the control process may read it once
+// TaskCount == 0.
 type wctx struct {
-	m     *Matcher
-	id    int
-	pref  int // preferred central queue
-	rr    int // rotating central-queue cursor for spills and requeues
-	local *taskqueue.Deque
-	free  []*taskqueue.Task
-	pools hashmem.Pools
-	cs    *stats.Contention
-	// idleSpins holds queue spins from pops that came back empty, until
-	// the next acquire folds them into cs (see next).
-	idleSpins int64
+	m                    *Matcher
+	pref                 int               // preferred central queue
+	rr                   int               // rotating central-queue cursor for spills and requeues
+	stack                []*taskqueue.Task // the running unit's pending activations
+	local                *taskqueue.Deque  // tasks shared out, each a unit of its own
+	free                 []*taskqueue.Task
+	pools                hashmem.Pools
+	cs                   stats.Contention
+	acts                 int64 // node activations processed (tasks completed)
+	held                 int64 // units taken and not yet retired: what the stack runs for
+	units                int64 // units retired
+	shareIdle, shareWake int   // the constants, unless a test built the matcher with lower ones
+	// polls counts empty-handed takes: the one counter written while no
+	// unit is held — a drained read can meet an idle worker's — so atomic.
+	polls atomic.Int64
 	// rec carries this worker's per-node token counts and cumulative
 	// opposite-memory examination counters. Each worker owns its own
 	// recorder (no locks); the control process sums them at drained
@@ -224,13 +254,17 @@ type wctx struct {
 
 	wake     chan struct{} // cap-1 park channel; kicks land here
 	isParked atomic.Bool   // registered as parked (kick target scan)
-	didWork  bool          // processed a task since last claiming lastParked
 	stealRot int
 }
 
 // New builds the matcher and starts its match goroutines. Call Close
 // when done with it.
 func New(net *rete.Network, cfg Config, sink rete.TerminalSink) *Matcher {
+	return newMatcher(net, cfg, sink, shareIdle, shareWake)
+}
+
+// newMatcher is New with the sharing thresholds as parameters, for tests.
+func newMatcher(net *rete.Network, cfg Config, sink rete.TerminalSink, idle, wake int) *Matcher {
 	if cfg.Procs < 1 {
 		cfg.Procs = 1
 	}
@@ -241,15 +275,11 @@ func New(net *rete.Network, cfg Config, sink rete.TerminalSink) *Matcher {
 		cfg.Lines = 16384
 	}
 	m := &Matcher{
-		queues:   taskqueue.New(cfg.Queues),
-		rootFree: taskqueue.NewFreeList(0),
-		sink:     sink,
-		cfg:      cfg,
-		multiCPU: runtime.NumCPU() > 1,
-		ws:       make([]workerStats, cfg.Procs+1),
+		queues: taskqueue.New(cfg.Queues),
+		sink:   sink,
+		cfg:    cfg,
 	}
 	m.net.Store(net)
-	m.lastParked.Store(-1)
 	var table *hashmem.Table
 	if cfg.Legacy {
 		table = hashmem.NewLegacy(cfg.Lines)
@@ -257,24 +287,26 @@ func New(net *rete.Network, cfg Config, sink rete.TerminalSink) *Matcher {
 		table = hashmem.New(cfg.Lines)
 	}
 	m.mem.Store(newMemState(table, cfg.Scheme))
-	// Build every worker context before starting any goroutine: workers
-	// steal from each other's deques through this slice.
-	m.workers = make([]*wctx, cfg.Procs)
-	for i := 0; i < cfg.Procs; i++ {
+	// Build every context before starting any goroutine: processes steal
+	// from each other's deques through this slice.
+	m.procs = make([]*wctx, cfg.Procs+1)
+	for i := range m.procs {
 		w := &wctx{
 			m:     m,
-			id:    i,
 			pref:  i % m.queues.Len(),
 			rr:    i,
 			local: taskqueue.NewDeque(cfg.LocalCap),
-			cs:    &m.ws[i].c,
 			rec:   hashmem.NewRecorder(net.NumJoinIDs()),
 			wake:  make(chan struct{}, 1),
+
+			shareIdle: idle,
+			shareWake: wake,
 		}
 		w.emitFn = w.emit
 		w.deliverFn = w.deliver
-		m.workers[i] = w
+		m.procs[i] = w
 	}
+	m.ctl = m.procs[cfg.Procs]
 	if cfg.Unlink {
 		us := &unlinkState{
 			linked: make([]uint32, net.NumJoinIDs()),
@@ -298,55 +330,42 @@ func New(net *rete.Network, cfg Config, sink rete.TerminalSink) *Matcher {
 }
 
 // Submit pushes one working-memory change as a root token. The control
-// process proceeds with RHS evaluation while match goroutines pick the
-// token up — the pipelining of §3.1. Root tasks recycle through a
-// shared free list refilled by the workers that retire them.
+// process proceeds with RHS evaluation, and a match goroutine that is
+// already awake picks the token up meanwhile — the pipelining of §3.1;
+// a parked one is woken only for a backlog worth the wake-up, and what
+// nobody has taken by Drain the control process matches itself.
 func (m *Matcher) Submit(sign bool, w *wm.WME) {
 	m.changes.Add(1)
-	t := m.rootFree.Get()
-	if t == nil {
-		t = &taskqueue.Task{}
-	}
+	t := m.ctl.newTask()
 	t.Root, t.Sign = w, sign
-	spins := m.queues.Push(int(m.pushRR.Add(1)), t)
-	cs := &m.ws[m.cfg.Procs].c
-	cs.QueueAcquires++
-	cs.QueueSpins += spins
-	m.kick()
+	m.inject(t)
 }
 
-// kick wakes one parked worker, if any. On a uniprocessor the kick is
-// suppressed while any worker is awake — that worker will sweep the
-// central queues before it parks (workers re-check after registering
-// as parked, so the task cannot be missed), and waking a second worker
-// there only creates a thief racing the one that takes the work — and
-// otherwise targets the most recent parker, whose caches are still
-// warm from draining the previous phase. On multicore any parked
-// worker will do.
-func (m *Matcher) kick() {
-	if !m.multiCPU {
-		// One CPU wants exactly one drainer.
-		if m.parked.Load() < int64(m.cfg.Procs) {
-			return
-		}
-		id := m.lastParked.Load()
-		if id < 0 {
-			id = 0
-		}
-		m.workers[id].kick()
+// inject pushes one task onto the central queues from the control
+// process, charging its lock traffic to the control slot.
+func (m *Matcher) inject(t *taskqueue.Task) {
+	m.pushRR++
+	spins, depth := m.queues.Push(m.pushRR, t)
+	m.ctl.cs.QueueAcquires++
+	m.ctl.cs.QueueSpins += spins
+	// Pushes rotate over the queues, so one queue's depth times their
+	// number estimates the pending backlog.
+	if int(depth)*m.queues.Len() >= m.ctl.shareWake && m.idle.Load() == 0 {
+		m.wakeOne()
+	}
+}
+
+// wakeOne kicks one parked worker, if any.
+func (m *Matcher) wakeOne() {
+	if m.parked.Load() == 0 {
 		return
 	}
-	start := int(m.pushRR.Load())
-	n := len(m.workers)
-	for i := 0; i < n; i++ {
-		w := m.workers[(start+i)%n]
+	for _, w := range m.procs[:m.cfg.Procs] {
 		if w.isParked.Load() {
 			w.kick()
 			return
 		}
 	}
-	// Every worker is awake; the sleeper protocol guarantees one of
-	// them sweeps the queues before parking, so no wake is lost.
 }
 
 // kick drops a wake token on this worker's park channel; a full
@@ -358,33 +377,45 @@ func (w *wctx) kick() {
 	}
 }
 
-// unkick consumes this worker's pending wake token, if any. A worker
-// that takes advertised work (a central-queue pop or a steal) retires
-// the token that advertised it, so stale tokens don't wake it again
-// into a fruitless poll-steal cycle — on a host with fewer cores than
-// workers those spurious wakes were the dominant parallel overhead.
-// Kicks are hints, not a count: the park-timer backstop covers any
-// token lost to this race.
-func (w *wctx) unkick() {
-	select {
-	case <-w.wake:
-	default:
-	}
-}
-
-// Drain blocks until TaskCount reaches zero. Drained is also the
-// adaptive table's resize point: with no task in flight the workers are
-// out of the table (the TaskCount==0 edge ordered their line writes
-// before this read), so the control process can rehash into a bigger
-// table and publish it, locks and all, before the next Submit.
+// Drain matches until TaskCount reaches zero: the control process runs
+// units on its own context alongside whichever workers are awake, and
+// only waits — a bounded spin, then a yield — while the last units are
+// in peers' hands. Drained is also the adaptive table's resize point:
+// the TaskCount==0 edge ordered the workers' line writes before this
+// read, so the control process can rehash into a bigger table and
+// publish it, locks and all, before the next Submit.
 func (m *Matcher) Drain() {
-	m.queues.WaitIdle()
+	m.drain()
 	if us := m.unlinkSt.Load(); us != nil {
 		m.relinkLoop(us)
 	}
-	ms := m.mem.Load()
-	if n := ms.table.GrowTarget(); n > 0 {
-		m.mem.Store(newMemState(ms.table.Grow(n), m.cfg.Scheme))
+	t := m.Table()
+	if n := t.GrowTarget(); n > 0 {
+		m.mem.Store(newMemState(t.Grow(n), m.cfg.Scheme))
+	}
+}
+
+func (m *Matcher) drain() {
+	c := m.ctl
+	for m.queues.TaskCount.Load() != 0 {
+		t := c.take()
+		if t == nil {
+			// What is left is in peers' hands. Wait as an idle process, so
+			// one of them with a backlog shares it out rather than leaving
+			// the control process to watch.
+			m.idle.Add(1)
+			for wait := 1; t == nil && m.queues.TaskCount.Load() != 0; wait++ {
+				if wait%drainSpins == 0 {
+					runtime.Gosched()
+				}
+				t = c.take()
+			}
+			m.idle.Add(-1)
+			if t == nil {
+				return
+			}
+		}
+		c.run(t)
 	}
 }
 
@@ -398,7 +429,7 @@ func (m *Matcher) Drain() {
 // per-worker recorders, which the TaskCount==0 edge made visible.
 func (m *Matcher) relinkLoop(us *unlinkState) {
 	for {
-		for _, w := range m.workers {
+		for _, w := range m.procs {
 			for _, op := range w.unlinkOps {
 				b := us.bufs[op.join]
 				if b == nil {
@@ -416,9 +447,9 @@ func (m *Matcher) relinkLoop(us *unlinkState) {
 			}
 			w.unlinkOps = w.unlinkOps[:0]
 		}
-		// Gather every replay before injecting any: an injected task wakes
-		// workers, and the recorder reads below are only race-free while
-		// the matcher stays drained.
+		// Gather every replay before injecting any: an injected task can
+		// be taken at once by an awake worker, and the recorder reads below
+		// are only race-free while the matcher stays drained.
 		net := m.net.Load()
 		var replay []*taskqueue.Task
 		for _, j := range net.Joins {
@@ -426,7 +457,7 @@ func (m *Matcher) relinkLoop(us *unlinkState) {
 				continue
 			}
 			var left int64
-			for _, w := range m.workers {
+			for _, w := range m.procs {
 				left += w.rec.NodeCount[rete.Left][j.ID]
 			}
 			if left <= 0 {
@@ -463,24 +494,27 @@ func (m *Matcher) relinkLoop(us *unlinkState) {
 		for _, t := range replay {
 			m.inject(t)
 		}
-		m.queues.WaitIdle()
+		m.drain()
 	}
 }
 
 // Close stops the match goroutines. The matcher must be idle.
 func (m *Matcher) Close() {
 	m.stop.Store(true)
-	// Direct sends, bypassing kick's uniprocessor gate: every parked
-	// worker must wake to observe stop (the park timer would get there
-	// too, just slower).
-	for _, w := range m.workers {
+	for _, w := range m.procs[:m.cfg.Procs] {
 		w.kick()
 	}
 	m.wg.Wait()
 }
 
-// Activations reports the number of tasks processed so far.
-func (m *Matcher) Activations() int64 { return m.actives.Load() }
+// Activations reports the number of tasks processed so far, summed over
+// the processes' own counts. Exact while drained.
+func (m *Matcher) Activations() (n int64) {
+	for _, w := range m.procs {
+		n += w.acts
+	}
+	return n
+}
 
 // MatchStats returns the counters the parallel matcher can attribute
 // exactly: WM changes submitted and node activations (tasks) processed.
@@ -489,10 +523,10 @@ func (m *Matcher) Activations() int64 { return m.actives.Load() }
 func (m *Matcher) MatchStats() stats.Match {
 	out := stats.Match{
 		WMChanges:   m.changes.Load(),
-		Activations: m.actives.Load(),
+		Activations: m.Activations(),
 		Relinks:     m.relinks,
 	}
-	for _, w := range m.workers {
+	for _, w := range m.procs {
 		out.UnlinkSkips += w.unlinkSkips
 	}
 	return out
@@ -504,7 +538,7 @@ func (m *Matcher) MatchStats() stats.Match {
 // per-cycle deltas of it.
 func (m *Matcher) JoinExamined() []int64 {
 	out := make([]int64, m.net.Load().NumJoinIDs())
-	for _, w := range m.workers {
+	for _, w := range m.procs {
 		for id, v := range w.rec.NodeExamined {
 			if id < len(out) {
 				out[id] += v
@@ -530,22 +564,24 @@ func (m *Matcher) UnlinkedJoins() int {
 	return n
 }
 
-// Contention merges the per-process spin, steal and overflow counters.
+// Contention merges the per-process spin, sharing and steal counters.
+// Only meaningful while drained.
 func (m *Matcher) Contention() stats.Contention {
 	var out stats.Contention
-	for i := range m.ws {
-		out.Add(&m.ws[i].c)
+	for _, w := range m.procs {
+		out.Add(&w.cs)
+		out.QueueSpins += w.polls.Load()
 	}
 	return out
 }
 
 // WorkerContention returns each match process's own counters (index
-// Procs is the control process) for load-balance diagnostics. Like
-// Contention, only meaningful while drained.
+// Procs is the control process). Only meaningful while drained.
 func (m *Matcher) WorkerContention() []stats.Contention {
-	out := make([]stats.Contention, len(m.ws))
-	for i := range m.ws {
-		out[i] = m.ws[i].c
+	out := make([]stats.Contention, len(m.procs))
+	for i, w := range m.procs {
+		out[i] = w.cs
+		out[i].QueueSpins += w.polls.Load()
 	}
 	return out
 }
@@ -561,180 +597,173 @@ func (m *Matcher) CheckInvariants() error {
 }
 
 // MemStats returns the current table's memory gauges and resize
-// counters. Exact while drained, like the other counters.
-func (m *Matcher) MemStats() stats.Memory { return m.mem.Load().table.MemStats() }
+// counters. Only while drained, like the other counters.
+func (m *Matcher) MemStats() stats.Memory { return m.Table().MemStats() }
 
 // Table exposes the current token table for introspection (REPL matches
-// command, tests). Only meaningful while drained.
-func (m *Matcher) Table() *hashmem.Table { return m.mem.Load().table }
+// command, tests), with every process's private live-entry delta folded
+// into its gauge. Only while drained.
+func (m *Matcher) Table() *hashmem.Table {
+	t := m.mem.Load().table
+	for _, w := range m.procs {
+		t.FoldLive(&w.pools)
+	}
+	return t
+}
 
+// worker is one match goroutine: run units while there are any, poll
+// briefly when there are none, then park until kicked. The sleeper
+// protocol — register as parked, sweep once more, then block — means a
+// publisher that saw no parked worker pushed before the registration,
+// so that last sweep finds its task.
 func (m *Matcher) worker(id int) {
 	defer m.wg.Done()
-	w := m.workers[id]
-	// park timer: the fallback poll period while blocked on the wake
-	// channel, covering lost kicks and Close.
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	// Born past the poll budget: a new worker parks immediately instead
-	// of spinning at startup, so a working-memory burst right after New
-	// (the engine's initial asserts) is drained by one kicked worker
-	// rather than split across every newborn polling at once.
-	idle := pollBudget + 1
-	for {
-		t := w.next()
+	w := m.procs[id]
+	for !m.stop.Load() {
+		t := w.take()
 		if t == nil {
-			if m.stop.Load() {
-				return
+			m.idle.Add(1)
+			for i := 0; t == nil && i < idlePolls; i++ {
+				t = w.take()
 			}
-			// A few yields to catch work already in flight, then park on
-			// the wake channel. Parked workers cost nothing, so procs >
-			// cores configurations run at near-sequential speed instead of
-			// starving the one busy worker. The sleeper protocol: register
-			// as parked, re-check for work, then block — a submitter that
-			// saw us awake must have pushed before we registered, so the
-			// re-check finds its task and no wakeup is lost. The timer is
-			// a pure backstop (Close and pathological races).
-			idle++
-			if idle <= pollBudget {
-				runtime.Gosched()
-				continue
-			}
+			m.idle.Add(-1)
+		}
+		if t == nil {
 			w.isParked.Store(true)
 			m.parked.Add(1)
-			// Only a worker that drained real work claims the warm-drainer
-			// title; fruitless timer wakes re-park without shuffling it.
-			if w.didWork {
-				w.didWork = false
-				m.lastParked.Store(int32(w.id))
-			}
-			if t = w.next(); t == nil {
-				for {
-					if !timer.Stop() {
-						select {
-						case <-timer.C:
-						default:
-						}
-					}
-					timer.Reset(100 * time.Millisecond)
-					select {
-					case <-w.wake:
-					case <-timer.C:
-					}
-					// Waking on a uniprocessor while another worker is awake
-					// would only poach its work and contend on its hash
-					// lines; stay parked and let it drain alone. (Reached on
-					// channel wakes too: the kicker may have raced a worker
-					// that re-checked, took the task and deregistered.)
-					if !m.multiCPU && !m.stop.Load() &&
-						m.parked.Load() < int64(m.cfg.Procs) {
-						continue
-					}
-					break
-				}
-				m.parked.Add(-1)
-				w.isParked.Store(false)
-				continue
+			if t = w.take(); t == nil && !m.stop.Load() {
+				<-w.wake
 			}
 			m.parked.Add(-1)
 			w.isParked.Store(false)
 		}
-		idle = 0
-		w.didWork = true
-		requeued := w.process(t)
-		m.queues.Done()
-		m.actives.Add(1)
-		if !requeued {
-			w.freeTask(t)
+		if t != nil {
+			w.run(t)
 		}
 	}
 }
 
-// next finds the worker's next task: own deque first (no locks), then
-// the central queues, then a steal sweep over the peers.
-func (w *wctx) next() *taskqueue.Task {
+// take finds the process's next units and returns the first task to
+// run: a task it shared out that nobody took, else a batch of a central
+// queue (the rest of it waits on the private stack, still shareable
+// from there), else one stolen from a peer. An empty-handed take writes
+// nothing shared, so idle sweeps do not disturb busy peers, and counts
+// as one queue spin: a look that got no work, which is what waiting on
+// the queues costs now that their locks are almost never busy.
+func (w *wctx) take() *taskqueue.Task {
+	w.held = 1
 	if t := w.local.Pop(); t != nil {
 		w.cs.LocalPops++
 		return t
 	}
-	t, spins := w.m.queues.Pop(w.pref)
-	// No counter is written on the idle path, so Contention() is
-	// data-race-free for a drained matcher, as the protocol promises. An
-	// empty-handed pop can still have spun — it lost the last task to a
-	// peer, whose completion may already have released Drain — so those
-	// spins wait in the worker-private idleSpins for the next acquire.
-	if t != nil {
-		w.cs.QueueSpins += spins + w.idleSpins
-		w.idleSpins = 0
+	var spins int64
+	w.stack, spins = w.m.queues.Pop(w.pref, w.shareIdle, w.stack)
+	if n := len(w.stack); n > 0 {
+		w.cs.QueueSpins += spins
 		w.cs.QueueAcquires++
-		w.unkick()
+		w.held = int64(n)
+		t := w.stack[n-1]
+		w.stack = w.stack[:n-1]
 		return t
 	}
-	w.idleSpins += spins
-	peers := w.m.workers
-	if n := len(peers); n > 1 {
-		w.stealRot++
-		for i := 0; i < n; i++ {
-			v := peers[(w.id+w.stealRot+i)%n]
-			if v == w {
-				continue
-			}
+	if spins != 0 {
+		w.polls.Add(spins) // a pop that lost the queue's last tasks to a peer
+	}
+	peers := w.m.procs
+	w.stealRot++
+	for i := range peers {
+		if v := peers[(w.stealRot+i)%len(peers)]; v != w {
 			if t := v.local.Steal(); t != nil {
 				w.cs.Steals++
-				w.unkick()
 				return t
 			}
 		}
 	}
+	w.polls.Add(1)
 	return nil
 }
 
-// spawn schedules a child task: TaskCount first (the task must be
-// counted before any other process can retire it), then the local
-// deque, spilling to the central queues when full.
-func (w *wctx) spawn(t *taskqueue.Task) {
-	w.m.queues.TaskCount.Add(1)
-	if w.local.Push(t) {
-		w.cs.LocalPushes++
-		// Deep backlog: wake a parked peer to come steal. The size check
-		// is owner-exact and the kick is a non-blocking send, so this
-		// costs one branch in the common (shallow) case. Only worth it
-		// when another CPU can actually run the thief — on a uniprocessor
-		// the stolen sibling token just collides with the owner on the
-		// same hash lines, so deep backlogs stay local there.
-		if w.m.multiCPU && w.local.Size() == stealWatermark {
-			w.m.kick()
+// run takes the units in hand to completion: the task and, depth-first
+// off the private stack, every activation they lead to that is not
+// shared out on the way. Its last act, Done, is the release edge the
+// control process's TaskCount==0 read acquires.
+func (w *wctx) run(t *taskqueue.Task) {
+	for {
+		if !w.process(t) {
+			w.freeTask(t)
 		}
-		return
+		w.acts++
+		n := len(w.stack)
+		if n >= w.shareIdle {
+			n = w.share(n)
+		}
+		if n == 0 {
+			break
+		}
+		t = w.stack[n-1]
+		w.stack = w.stack[:n-1]
 	}
-	w.cs.Overflows++
-	w.rr++
-	spins := w.m.queues.Spill(w.rr, t)
-	w.cs.QueueAcquires++
-	w.cs.QueueSpins += spins
-	w.m.kick()
+	w.units += w.held
+	w.m.queues.Done(w.held)
 }
 
-// newTask takes a task from the worker's free list, or allocates.
+// share publishes the oldest half of a private backlog of n tasks — the
+// ones nearest the root, with the largest subtrees under them — when a
+// peer is awake with nothing to do, or when the backlog alone is worth
+// waking a parked one for. Each shared task becomes a unit of its own,
+// counted before it is visible. It returns the stack's new length.
+func (w *wctx) share(n int) int {
+	m := w.m
+	idle := m.idle.Load() > 0
+	half := n / 2
+	if half == 0 || !idle && (n < w.shareWake || m.parked.Load() == 0) || w.local.Size() > 0 {
+		// Nothing to split, nobody to take it, or the last offer still
+		// stands: whatever is shared and not taken this process pops back,
+		// one unit at a time.
+		return n
+	}
+	m.queues.TaskCount.Add(int64(half))
+	for _, t := range w.stack[:half] {
+		if w.local.Push(t) {
+			w.cs.LocalPushes++
+			continue
+		}
+		w.cs.Overflows++
+		w.rr++
+		spins, _ := m.queues.Spill(w.rr, t)
+		w.cs.QueueAcquires++
+		w.cs.QueueSpins += spins
+	}
+	n = copy(w.stack, w.stack[half:])
+	clear(w.stack[n:])
+	w.stack = w.stack[:n]
+	if !idle {
+		m.wakeOne()
+	}
+	return n
+}
+
+// newTask takes a task from the process's free list, refilled from the
+// shared reserve when dry, or allocates.
 func (w *wctx) newTask() *taskqueue.Task {
-	if n := len(w.free); n > 0 {
-		t := w.free[n-1]
-		w.free[n-1] = nil
-		w.free = w.free[:n-1]
-		return t
+	if len(w.free) == 0 {
+		if w.free = w.m.reserve.Refill(w.free); len(w.free) == 0 {
+			return &taskqueue.Task{}
+		}
 	}
-	return &taskqueue.Task{}
+	n := len(w.free) - 1
+	t := w.free[n]
+	w.free[n] = nil
+	w.free = w.free[:n]
+	return t
 }
 
-// freeTask recycles a retired task. Root tasks go back to the shared
-// list Submit draws from; everything else stays worker-local.
+// freeTask recycles a retired task on the process that ran it; past
+// taskPoolCap a batch goes back to the reserve for whoever runs short.
 func (w *wctx) freeTask(t *taskqueue.Task) {
-	if t.Root != nil {
-		w.m.rootFree.Put(t)
-		return
-	}
 	t.Reset()
-	if len(w.free) < taskPoolCap {
-		w.free = append(w.free, t)
+	if w.free = append(w.free, t); len(w.free) > taskPoolCap {
+		w.free = w.m.reserve.HandBack(w.free)
 	}
 }
 
@@ -759,7 +788,7 @@ func (w *wctx) process(t *taskqueue.Task) (requeued bool) {
 	return false
 }
 
-// deliver spawns one alpha-destination task for the root change being
+// deliver stacks one alpha-destination task for the root change being
 // processed. All destinations share one immutable length-1 token.
 func (w *wctx) deliver(d rete.AlphaDest) {
 	if w.curRoot == nil {
@@ -776,7 +805,7 @@ func (w *wctx) deliver(d rete.AlphaDest) {
 		nt.Join = d.Join
 		nt.Side = d.Side
 	}
-	w.spawn(nt)
+	w.stack = append(w.stack, nt)
 }
 
 // emit fans one output token of the current join out to its successor
@@ -786,12 +815,12 @@ func (w *wctx) emit(csign bool, cwmes []*wm.WME) {
 	for _, succ := range w.curNet.SuccsOf(j) {
 		nt := w.newTask()
 		nt.Join, nt.Side, nt.Sign, nt.Wmes = succ, rete.Left, csign, cwmes
-		w.spawn(nt)
+		w.stack = append(w.stack, nt)
 	}
 	for _, term := range w.curNet.TermsOf(j) {
 		nt := w.newTask()
 		nt.Term, nt.Sign, nt.Wmes = term, csign, cwmes
-		w.spawn(nt)
+		w.stack = append(w.stack, nt)
 	}
 }
 
@@ -839,13 +868,13 @@ func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 	ok, spins := ms.mrsw[idx].Enter(int(t.Side))
 	w.recordLine(t.Side, spins)
 	if !ok {
-		// Requeue counts the queued copy; the worker's Done() after this
-		// returns releases our in-process claim, so TaskCount stays
-		// balanced at one for the still-pending token.
+		// The token becomes a unit of its own at the bottom of a central
+		// queue; this unit carries on with the rest of its stack.
 		w.cs.Requeues++
 		w.rr++
-		m.queues.Requeue(w.rr, t)
-		m.kick()
+		spins := m.queues.Requeue(w.rr, t)
+		w.cs.QueueAcquires++
+		w.cs.QueueSpins += spins
 		return true
 	}
 	spins = ms.mrsw[idx].Mod.Acquire()
@@ -885,17 +914,6 @@ func (w *wctx) recordLine(side rete.Side, spins int64) {
 	}
 }
 
-// inject pushes one replay task onto the central queues from the
-// control process, charging its lock traffic to the control slot like
-// Submit does.
-func (m *Matcher) inject(t *taskqueue.Task) {
-	spins := m.queues.Push(int(m.pushRR.Add(1)), t)
-	cs := &m.ws[m.cfg.Procs].c
-	cs.QueueAcquires++
-	cs.QueueSpins += spins
-	m.kick()
-}
-
 // SwapEpoch adopts a network epoch derived from the matcher's current
 // one. Must be called from the control process with the matcher drained
 // (no tasks in flight), the same condition under which the engine reads
@@ -922,7 +940,7 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 	if n := m.queues.TaskCount.Load(); n != 0 {
 		return 0, fmt.Errorf("parmatch: SwapEpoch while %d tasks in flight", n)
 	}
-	table := m.mem.Load().table
+	table := m.Table()
 	if len(d.DeadJoins) > 0 {
 		dead := make(map[int]bool, len(d.DeadJoins))
 		for _, j := range d.DeadJoins {
@@ -931,7 +949,7 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 		removed = table.ExciseNodes(dead, nil)
 		us := m.unlinkSt.Load()
 		for id := range dead {
-			for _, w := range m.workers {
+			for _, w := range m.procs {
 				w.rec.NodeCount[0][id] = 0
 				w.rec.NodeCount[1][id] = 0
 				w.rec.NodeExamined[id] = 0
@@ -946,7 +964,7 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 	}
 	m.net.Store(next)
 	nj := next.NumJoinIDs()
-	for _, w := range m.workers {
+	for _, w := range m.procs {
 		w.rec.EnsureNodes(nj)
 	}
 	if us := m.unlinkSt.Load(); us != nil {
@@ -1002,7 +1020,7 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 		// Drain may grow and republish the table; re-load it so the
 		// phase-2 gather below enumerates the live generation.
 		m.Drain()
-		table = m.mem.Load().table
+		table = m.Table()
 	}
 	var phase2 []*taskqueue.Task
 	for _, cd := range targets {

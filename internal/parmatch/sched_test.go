@@ -1,0 +1,157 @@
+package parmatch_test
+
+import (
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/parmatch"
+	"repro/internal/tables"
+)
+
+// TestLastUnitRace is the termination storm: every phase is a single
+// unit (one WM change of the term kernel: a root task and the terminal
+// activation under it), every Submit wakes a parked worker, and the
+// control process goes straight into Drain — so control and workers
+// race for the first unit of the phase, which is also its last. Whoever
+// loses must see TaskCount reach zero and leave; whoever wins must have
+// published everything it wrote before the control process reads it.
+// The reads after each Drain are plain fields of whichever process ran
+// the unit, so under -race this is the check on the TaskCount==0 edge.
+func TestLastUnitRace(t *testing.T) {
+	k, err := tables.NewKernel("term", 8)
+	if err != nil {
+		t.Fatalf("kernel: %v", err)
+	}
+	cs := tables.KernelSink()
+	m := parmatch.NewSharing(k.Net, parmatch.Config{Procs: 4, Queues: 2}, cs, 2, 1)
+	defer m.Close()
+	var phases int64
+	for rep := 0; rep < 500; rep++ {
+		for _, w := range k.Wmes {
+			for _, sign := range []bool{true, false} {
+				m.Submit(sign, w)
+				m.Drain()
+				phases++
+				if n := m.InFlight(); n != 0 {
+					t.Fatalf("phase %d: TaskCount = %d after Drain", phases, n)
+				}
+				if got, want := cs.Len(), map[bool]int{true: 1, false: 0}[sign]; got != want {
+					t.Fatalf("phase %d: %d instantiations, want %d", phases, got, want)
+				}
+				if got := m.Activations(); got != 2*phases {
+					t.Fatalf("phase %d: %d activations, want %d", phases, got, 2*phases)
+				}
+			}
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("rep %d: %v", rep, err)
+		}
+	}
+	checkUnitAccounting(t, m)
+	per := m.WorkerContention()
+	var byWorkers int64
+	for _, c := range per[:len(per)-1] {
+		byWorkers += c.QueueAcquires // a worker's only queue traffic here is its pops
+	}
+	t.Logf("%d single-unit phases: workers won %d, the control process %d",
+		phases, byWorkers, phases-byWorkers)
+}
+
+// parkedMatcher returns a matcher whose match goroutines have all been
+// woken, have worked and have parked again.
+func parkedMatcher(t *testing.T, procs int) *parmatch.Matcher {
+	t.Helper()
+	k, err := tables.NewKernel("join", 64)
+	if err != nil {
+		t.Fatalf("kernel: %v", err)
+	}
+	// Every Submit wakes a worker, to get them all out of bed first.
+	m := parmatch.NewSharing(k.Net, parmatch.Config{Procs: procs, Queues: 2}, tables.KernelSink(), 2, 1)
+	t.Cleanup(m.Close)
+	k.Round(m)
+	awaitParked(t, m, procs)
+	return m
+}
+
+// TestParkedIsFree: a drained matcher costs nothing. Once the match
+// goroutines have parked, every one of them is blocked on its wake
+// channel — none runnable, none on a timer. (What the process then
+// accrues in CPU time is TestParkedAccruesNoCPU, where the OS says.)
+func TestParkedIsFree(t *testing.T) {
+	const procs = 4
+	parkedMatcher(t, procs)
+	// blocked returns the match goroutines' states and how many of them
+	// are blocked on their wake channels.
+	blocked := func() (states []string, n int) {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		for _, g := range strings.Split(string(buf), "\n\n") {
+			if strings.Contains(g, "parmatch.(*Matcher).worker") {
+				header, _, _ := strings.Cut(g, "\n")
+				states = append(states, header)
+				if strings.Contains(header, "[chan receive") {
+					n++
+				}
+			}
+		}
+		return states, n
+	}
+	// A worker registers as parked one sweep before it blocks: give the
+	// last of them that long, then hold all of them to staying blocked.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		states, n := blocked()
+		if n == procs && len(states) == procs {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d match goroutines of a drained matcher blocked on their wake channels: %q", n, procs, states)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	if states, n := blocked(); n != procs {
+		t.Errorf("a parked match goroutine woke with nothing submitted: %q", states)
+	}
+}
+
+// TestControlHandOff: the control process is whoever holds the caller's
+// lock. Successive Submit/Drain rounds come from different goroutines
+// serialised by an external mutex, as the server's session lock does
+// with its request handlers; the control-owned context (free list,
+// stack, counters, recorder) travels between them on that lock alone.
+func TestControlHandOff(t *testing.T) {
+	net, wmes := fanWorkload(t)
+	k := &tables.Kernel{Net: net, Wmes: wmes}
+	cs := tables.KernelSink()
+	m := parmatch.NewSharing(net, parmatch.Config{Procs: 2, Queues: 2, Scheme: parmatch.SchemeMRSW}, cs, 2, 2)
+	defer m.Close()
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	const callers, rounds = 6, 40
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				mu.Lock()
+				k.Round(m)
+				err := m.CheckInvariants()
+				left, entries := cs.Len(), m.MemStats().Entries
+				mu.Unlock()
+				if err != nil || left != 0 || entries != 0 {
+					t.Errorf("round left %d instantiations, %d tokens, invariants: %v", left, entries, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c := checkUnitAccounting(t, m)
+	if want := int64(callers * rounds * 2 * len(wmes)); m.MatchStats().WMChanges != want {
+		t.Errorf("%d WM changes recorded, want %d", m.MatchStats().WMChanges, want)
+	}
+	t.Logf("%d activations, %d requeues, %d shared out, %d stolen",
+		m.Activations(), c.Requeues, c.LocalPushes+c.Overflows, c.Steals)
+}

@@ -5,12 +5,14 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/conflict"
 	"repro/internal/ops5"
 	"repro/internal/parmatch"
 	"repro/internal/rete"
 	"repro/internal/seqmatch"
+	"repro/internal/stats"
 	"repro/internal/tables"
 	"repro/internal/wm"
 )
@@ -32,8 +34,8 @@ func csSignature(cs *conflict.Set) []string {
 
 // fanWorkload builds a high-fan-out join: a few "a" WMEs each matching
 // many "b" WMEs on ^val, so one node activation emits dozens of output
-// tokens in a single burst. With tiny local deques those bursts are
-// what drives the overflow spill path.
+// tokens in a single burst. With sharing forced and tiny deques those
+// bursts are what drives the overflow spill path.
 func fanWorkload(t *testing.T) (*rete.Network, []*wm.WME) {
 	t.Helper()
 	src := `(literalize item kind val)
@@ -74,112 +76,206 @@ func fanWorkload(t *testing.T) (*rete.Network, []*wm.WME) {
 	return net, wmes
 }
 
-// TestStealPressureMatchesSequential runs the match kernels with local
-// deques of capacity 1, forcing every multi-child activation through
-// the overflow spill and giving idle workers constant steal
-// opportunities. The final conflict set must equal the sequential
-// oracle's exactly — no task lost, duplicated, or misrouted — for both
-// locking schemes. Negated kernels legitimately emit transient
-// insert/remove pairs under parallel schedules, so the comparison is on
-// final state, not the event stream.
-func TestStealPressureMatchesSequential(t *testing.T) {
-	type workload struct {
-		name string
-		net  *rete.Network
-		wmes []*wm.WME
-	}
-	var cases []workload
+// pressureCase is one kernel of the sharing-pressure tests.
+type pressureCase struct {
+	name string
+	net  *rete.Network
+	wmes []*wm.WME
+}
+
+// pressureCases returns every match kernel plus the fan workload.
+func pressureCases(t *testing.T) []pressureCase {
+	t.Helper()
+	var cases []pressureCase
 	for _, name := range tables.KernelNames() {
 		k, err := tables.NewKernel(name, 96)
 		if err != nil {
 			t.Fatalf("kernel %s: %v", name, err)
 		}
-		cases = append(cases, workload{name, k.Net, k.Wmes})
+		cases = append(cases, pressureCase{name, k.Net, k.Wmes})
 	}
 	fanNet, fanWmes := fanWorkload(t)
-	cases = append(cases, workload{"fan", fanNet, fanWmes})
+	return append(cases, pressureCase{"fan", fanNet, fanWmes})
+}
 
-	for _, k := range cases {
+// checkUnitAccounting holds a drained matcher's scheduler counters to
+// the unit protocol: every unit was made shared exactly once (a Submit,
+// a task shared out to a deque or spilled past it, an MRSW requeue) and
+// retired exactly once, by whoever took it (own-deque pop, steal, or in
+// a batch popped off a central queue). The matcher must have replayed nothing (no unlinking, no
+// epoch swap): replay tasks are units too, and nothing here counts them.
+func checkUnitAccounting(t *testing.T, m *parmatch.Matcher) stats.Contention {
+	t.Helper()
+	if n := m.InFlight(); n != 0 {
+		t.Fatalf("TaskCount = %d on a drained matcher", n)
+	}
+	c := m.Contention()
+	submitted := m.MatchStats().WMChanges
+	central := submitted + c.Overflows + c.Requeues
+	if made, retired := central+c.LocalPushes, m.Units(); made != retired {
+		t.Errorf("units made %d (submitted %d + shared %d + spilled %d + requeued %d) != retired %d",
+			made, submitted, c.LocalPushes, c.Overflows, c.Requeues, retired)
+	}
+	if c.LocalPushes != c.LocalPops+c.Steals {
+		t.Errorf("deque: %d shared out, %d popped back + %d stolen", c.LocalPushes, c.LocalPops, c.Steals)
+	}
+	// Every central push is one lock acquisition; a pop is one for the
+	// whole batch it takes, and empty-handed pops count nothing.
+	if pops := c.QueueAcquires - central; central > 0 && (pops < 1 || pops > central) {
+		t.Errorf("central queues: %d acquisitions for %d pushes leaves %d pops", c.QueueAcquires, central, pops)
+	}
+	return c
+}
+
+// runPressure drives one kernel through three assert-all/retract-all
+// rounds on a matcher whose sharing thresholds are forced down to 2, so
+// that every activation with two children shares one out, every Submit
+// wakes a parked worker, and a LocalCap of 1 spills most of it past the
+// deques. After every drain the conflict set must equal the sequential
+// oracle's exactly — no task lost, duplicated or misrouted. Negated
+// kernels legitimately emit transient insert/remove pairs under
+// parallel schedules, so the comparison is on final state, not the
+// event stream.
+func runPressure(t *testing.T, k pressureCase, cfg parmatch.Config) {
+	oracleCS := tables.KernelSink()
+	oracle := seqmatch.New(k.net, seqmatch.VS2, 0, oracleCS)
+	for _, w := range k.wmes {
+		oracle.Submit(true, w)
+	}
+	want := csSignature(oracleCS)
+	if len(want) == 0 {
+		t.Fatal("oracle produced no instantiations; kernel is not exercising the match")
+	}
+	for _, w := range k.wmes {
+		oracle.Submit(false, w)
+	}
+
+	cs := tables.KernelSink()
+	m := parmatch.NewSharing(k.net, cfg, cs, 2, 2)
+	defer m.Close()
+	// Three rounds, or on the fan workload as many as it takes for a
+	// burst to meet a peer with nothing to do: sharing needs one, and a
+	// round is over in microseconds.
+	shared := func() bool { c := m.Contention(); return c.LocalPushes > 0 && (c.Overflows > 0 || cfg.LocalCap != 1) }
+	var reps int64
+	for rep := 0; rep < 3 || (k.name == "fan" && rep < 2000 && !shared()); rep++ {
+		reps++
+		for _, w := range k.wmes {
+			m.Submit(true, w)
+		}
+		m.Drain()
+		if !cs.Drained() {
+			t.Fatalf("rep %d: pending conflict-set deletes after assert drain", rep)
+		}
+		if got := csSignature(cs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("rep %d: conflict set diverged from sequential oracle\n got %d: %v\nwant %d: %v",
+				rep, len(got), got, len(want), want)
+		}
+		for _, w := range k.wmes {
+			m.Submit(false, w)
+		}
+		m.Drain()
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("rep %d: %v", rep, err)
+		}
+		requireNoParked(t, m.Table())
+		if n := cs.Len(); n != 0 {
+			t.Fatalf("rep %d: %d instantiations left after retract-all", rep, n)
+		}
+	}
+	c := checkUnitAccounting(t, m)
+	if n := m.MemStats().Entries; n != 0 {
+		t.Errorf("%d tokens left in memory after retract-all", n)
+	}
+	// Without negation the set of activations does not depend on the
+	// schedule: it is vs2's, plus one root task per WM change (which vs2
+	// does not count as an activation) and one more per MRSW requeue.
+	if k.name != "neg" {
+		seq := oracle.MatchStats()
+		if got, want := m.Activations()-c.Requeues, reps*(seq.Activations+seq.WMChanges); got != want {
+			t.Errorf("activations = %d (requeues excluded), want vs2's %d", got, want)
+		}
+	}
+	if k.name == "fan" && !shared() {
+		t.Errorf("fan workload never shared a burst out in %d rounds (%d to deques, %d spilled past them)",
+			reps, c.LocalPushes, c.Overflows)
+	}
+}
+
+// TestStealPressureMatchesSequential runs every kernel under both lock
+// schemes on four match processes with one-slot deques and forced
+// sharing: the overflow, wake and steal paths all carry traffic.
+func TestStealPressureMatchesSequential(t *testing.T) {
+	for _, k := range pressureCases(t) {
 		for _, scheme := range []parmatch.Scheme{parmatch.SchemeSimple, parmatch.SchemeMRSW} {
 			t.Run(fmt.Sprintf("%s/%s", k.name, scheme), func(t *testing.T) {
-				oracleCS := tables.KernelSink()
-				oracle := seqmatch.New(k.net, seqmatch.VS2, 0, oracleCS)
-				for _, w := range k.wmes {
-					oracle.Submit(true, w)
-				}
-				want := csSignature(oracleCS)
-				if len(want) == 0 {
-					t.Fatal("oracle produced no instantiations; kernel is not exercising the match")
-				}
-
-				cs := tables.KernelSink()
-				m := parmatch.New(k.net, parmatch.Config{
-					Procs: 4, Queues: 2, Scheme: scheme, LocalCap: 1,
-				}, cs)
-				defer m.Close()
-				for rep := 0; rep < 3; rep++ {
-					for _, w := range k.wmes {
-						m.Submit(true, w)
-					}
-					m.Drain()
-					if !cs.Drained() {
-						t.Fatalf("rep %d: pending conflict-set deletes after assert drain", rep)
-					}
-					if got := csSignature(cs); !reflect.DeepEqual(got, want) {
-						t.Fatalf("rep %d: conflict set diverged from sequential oracle\n got %d: %v\nwant %d: %v",
-							rep, len(got), got, len(want), want)
-					}
-					for _, w := range k.wmes {
-						m.Submit(false, w)
-					}
-					m.Drain()
-					if err := m.CheckInvariants(); err != nil {
-						t.Fatalf("rep %d: %v", rep, err)
-					}
-					requireNoParked(t, m.Table())
-					if n := cs.Len(); n != 0 {
-						t.Fatalf("rep %d: %d instantiations left after retract-all", rep, n)
-					}
-				}
-				c := m.Contention()
-				if c.LocalPushes == 0 {
-					t.Error("no local deque pushes recorded")
-				}
-				if k.name == "fan" && c.Overflows == 0 {
-					t.Error("fan workload with LocalCap=1 never spilled to the central queues")
-				}
+				runPressure(t, k, parmatch.Config{Procs: 4, Queues: 2, Scheme: scheme, LocalCap: 1})
 			})
 		}
 	}
 }
 
-// TestLocalDequeCounters checks the scheduler counters stay consistent:
-// every task is accounted to exactly one source (local pop, central
-// pop, or steal), and pushes route either locally or as overflow.
+// TestForcedSharingMatchesSequential is the same equivalence with
+// default-size deques (so shared tasks travel by steal, not spill) swept
+// over the process counts the dynamic-equivalence suite uses.
+func TestForcedSharingMatchesSequential(t *testing.T) {
+	for _, k := range pressureCases(t) {
+		for _, scheme := range []parmatch.Scheme{parmatch.SchemeSimple, parmatch.SchemeMRSW} {
+			for _, procs := range []int{1, 2, 4, 8} {
+				t.Run(fmt.Sprintf("%s/%s/p%d", k.name, scheme, procs), func(t *testing.T) {
+					runPressure(t, k, parmatch.Config{Procs: procs, Queues: 2, Scheme: scheme})
+				})
+			}
+		}
+	}
+}
+
+// awaitParked waits until n of m's match goroutines have parked.
+func awaitParked(t *testing.T, m *parmatch.Matcher, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); m.Parked() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d match goroutines parked after 5s", m.Parked(), n)
+		}
+	}
+}
+
+// TestLocalDequeCounters checks the scheduler counters on the fan
+// workload. At the real thresholds its 28 pending roots and bursts of 24
+// are not worth a wake-up, so the control process must match every unit
+// itself and a worker may show nothing but the empty-handed looks it
+// took before it parked; on a matcher built with sharing forced the bursts do get shared out, spilled and stolen,
+// and the unit accounting balances either way.
 func TestLocalDequeCounters(t *testing.T) {
-	k, err := tables.NewKernel("join", 64)
-	if err != nil {
-		t.Fatalf("kernel: %v", err)
-	}
-	cs := tables.KernelSink()
-	m := parmatch.New(k.Net, parmatch.Config{Procs: 2, Queues: 2, LocalCap: 4}, cs)
+	net, wmes := fanWorkload(t)
+	k := &tables.Kernel{Net: net, Wmes: wmes}
+	cfg := parmatch.Config{Procs: 2, Queues: 2, LocalCap: 4}
+
+	m := parmatch.New(net, cfg, tables.KernelSink())
 	defer m.Close()
+	awaitParked(t, m, cfg.Procs) // newborn workers poll once before they park
 	k.Round(m)
-	c := m.Contention()
-	acts := m.Activations()
-	sources := c.LocalPops + c.Steals + c.QueueAcquires
-	// QueueAcquires also counts Submit-side pushes and overflow spills,
-	// so it upper-bounds the central pops; the three sources together
-	// must cover every processed task.
-	if sources < acts {
-		t.Errorf("task sources (%d local + %d steals + %d queue ops) < %d activations",
-			c.LocalPops, c.Steals, c.QueueAcquires, acts)
+	checkUnitAccounting(t, m)
+	for i, c := range m.WorkerContention()[:cfg.Procs] {
+		if c.QueueSpins == 0 {
+			t.Errorf("worker %d parked without an empty-handed look counted", i)
+		}
+		if c.QueueSpins = 0; c != (stats.Contention{}) {
+			t.Errorf("worker %d took part in cycles below the sharing thresholds: %+v", i, c)
+		}
 	}
-	spawned := c.LocalPushes + c.Overflows
-	if spawned == 0 {
-		t.Error("no worker-side spawns recorded for the join kernel")
+
+	// Sharing needs a burst to meet a peer with nothing to do, and a
+	// round is over in microseconds: give it rounds until one does.
+	f := parmatch.NewSharing(net, cfg, tables.KernelSink(), 2, 2)
+	defer f.Close()
+	var c stats.Contention
+	for i := 0; i < 2000 && (c.LocalPushes == 0 || c.Overflows == 0 || c.Steals == 0); i++ {
+		k.Round(f)
+		c = checkUnitAccounting(t, f)
 	}
-	if c.LocalPops > c.LocalPushes {
-		t.Errorf("more local pops (%d) than local pushes (%d)", c.LocalPops, c.LocalPushes)
+	if c.LocalPushes == 0 || c.Overflows == 0 || c.Steals == 0 {
+		t.Errorf("forced sharing: %d shared to deques, %d spilled past them, %d stolen; want all three",
+			c.LocalPushes, c.Overflows, c.Steals)
 	}
 }

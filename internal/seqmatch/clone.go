@@ -15,6 +15,7 @@ import (
 // fork genuinely holds. The matcher must be quiescent (a settled
 // template) when cloned.
 func (m *Matcher) Clone(sink rete.TerminalSink) *Matcher {
+	m.Table.FoldLive(&m.pools)
 	c := NewWithTable(m.Net, m.Variant, m.Table.Clone(), sink)
 	c.Rec.EnsureNodes(m.Net.NumJoinIDs())
 	for s := 0; s < 2; s++ {

@@ -129,6 +129,7 @@ func NewWithTable(net *rete.Network, v Variant, table *hashmem.Table, sink rete.
 // table's resize point: an overloaded segregated table is grown and
 // rehashed before the change enters the network.
 func (m *Matcher) Submit(sign bool, w *wm.WME) {
+	m.Table.FoldLive(&m.pools)
 	if n := m.Table.GrowTarget(); n > 0 {
 		m.Table = m.Table.Grow(n)
 	}
@@ -189,7 +190,10 @@ func (m *Matcher) Close() {}
 func (m *Matcher) MatchStats() stats.Match { return m.Rec.M }
 
 // MemStats returns the token table's memory gauges and resize counters.
-func (m *Matcher) MemStats() stats.Memory { return m.Table.MemStats() }
+func (m *Matcher) MemStats() stats.Memory {
+	m.Table.FoldLive(&m.pools)
+	return m.Table.MemStats()
+}
 
 // JoinExamined returns a copy of the cumulative per-join
 // opposite-memory candidate counts, indexed by join ID. The engine's
@@ -307,6 +311,7 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 				m.unlinked[j.ID] = nil
 			}
 		}
+		m.Table.FoldLive(&m.pools)
 		removed = m.Table.ExciseNodes(dead, m.Rec)
 	}
 	m.Net = next

@@ -211,7 +211,9 @@ func (h *Histogram) CountSummary() CountSummary {
 // Snapshot is the point-in-time view GET /metrics serves and the bench
 // harness writes into BENCH_*.json: server counters, the aggregated
 // match counters of every live and closed session, scheduler/lock
-// contention from parallel-backend sessions, latency summaries keyed by
+// contention from parallel-backend sessions (queue and deque counters
+// count shared run-to-completion units, line counters node activations;
+// see Contention), latency summaries keyed by
 // operation ("request", "run", ...) and size summaries keyed by
 // quantity ("batch_items").
 type Snapshot struct {

@@ -9,7 +9,7 @@ package stats
 // versions.
 type Match struct {
 	WMChanges   int64 `json:"wm_changes"`  // working-memory changes processed
-	Activations int64 `json:"activations"` // node activations == tasks pushed/popped (Table 4-1 last column)
+	Activations int64 `json:"activations"` // node activations == tasks processed (Table 4-1 last column)
 
 	LeftActs  int64 `json:"left_acts"`  // two-input node activations from the left
 	RightActs int64 `json:"right_acts"` // ... and from the right
@@ -94,14 +94,25 @@ func Mean(num, den int64) float64 {
 
 // Contention aggregates spin-lock and work-distribution statistics for
 // the parallel runs. "Spins" follows the paper's measure: the number of
-// times a process observes the lock busy before acquiring it. The
-// local/steal/overflow counters instrument the per-worker deques layered
-// over the paper's central queues: LocalPushes/LocalPops never touch a
-// lock, Steals move tasks between workers, Overflows count local-deque
-// spills back onto the central spin-locked queues.
+// times a process observes the lock busy before acquiring it. For the
+// goroutine matcher QueueSpins also counts every empty-handed look a
+// process that wants work takes at the queues and deques — an idle
+// worker's bounded poll before it parks, the control process waiting in
+// Drain for a peer's last unit — so QueueSpins/QueueAcquires is failed
+// looks per successful one; the Multimax simulator charges an empty
+// scan as time (QueueScan) and keeps QueueSpins to the lock. The
+// queue and deque counters count shared units, not node activations: a
+// match process runs a unit's whole activation subtree on a private
+// stack nothing here sees, and shares part of it out only on demand.
+// QueueAcquires is one per task pushed onto a central queue (a Submit,
+// a replay, an Overflow, a Requeue) plus one per batch popped off one;
+// LocalPushes are tasks a process shared out to its own deque and
+// LocalPops those it took back because no peer did; Steals are the ones
+// a peer took; Overflows were shared out past a full deque onto the
+// central queues. Drained, LocalPushes == LocalPops + Steals.
 type Contention struct {
 	QueueAcquires int64 `json:"queue_acquires"` // task-queue lock acquisitions
-	QueueSpins    int64 `json:"queue_spins"`    // spins observed while acquiring task-queue locks
+	QueueSpins    int64 `json:"queue_spins"`    // task-queue locks observed busy, plus (parmatch) empty-handed looks at the queues
 
 	LineAcquiresLeft  int64 `json:"line_acquires_left"` // hash-line acquisitions for left activations
 	LineSpinsLeft     int64 `json:"line_spins_left"`
@@ -110,10 +121,10 @@ type Contention struct {
 
 	Requeues int64 `json:"requeues"` // MRSW wrong-side re-queues
 
-	LocalPushes int64 `json:"local_pushes"` // tasks pushed onto a worker's own deque
-	LocalPops   int64 `json:"local_pops"`   // tasks popped back off the owner's deque
-	Steals      int64 `json:"steals"`       // tasks taken from another worker's deque
-	Overflows   int64 `json:"overflows"`    // local-deque spills onto the central queues
+	LocalPushes int64 `json:"local_pushes"` // tasks shared out to the process's own deque
+	LocalPops   int64 `json:"local_pops"`   // shared-out tasks the owner took back itself
+	Steals      int64 `json:"steals"`       // shared-out tasks taken by another process
+	Overflows   int64 `json:"overflows"`    // tasks shared out past a full deque, onto the central queues
 }
 
 // Conflict aggregates sharded conflict-set statistics. The counter

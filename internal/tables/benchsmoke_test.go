@@ -33,6 +33,10 @@ type benchBaseline struct {
 	// KernelAllocs maps "kernel/pN" to baseline allocs/op of one
 	// assert-all/retract-all round; the gate allows 25%+2 headroom.
 	KernelAllocs map[string]int64 `json:"kernel_allocs_per_op"`
+	// MaxKernelAllocsReal caps the same rounds' allocs/op at the host's
+	// real concurrency (a quarter of the entries the largest round
+	// inserts; measured 0-33).
+	MaxKernelAllocsReal int64 `json:"max_kernel_allocs_per_op_real"`
 	// MaxBigmemOppPerPair bounds the segregated layout's selectivity on
 	// the bigmem kernel: opposite-memory tokens examined per emitted
 	// pair. The (node, hash) runs make this ~1.0; a broken sub-index
@@ -164,14 +168,20 @@ func TestBenchSmoke(t *testing.T) {
 		}
 		for _, procs := range []int{1, 4} {
 			// The baseline is the allocation discipline of the code, so it
-			// is measured the way it was recorded: on one P, where a match
-			// worker never loses the try-lock race for the root-task free
-			// list. With real concurrency some root tasks miss the pool and
-			// allocate; that figure is host- and timing-dependent, so it is
-			// logged (ROADMAP item 5), not gated.
+			// is measured where that is all there is to see: on one P. Tasks
+			// recycle across processes through the matcher's shared reserve,
+			// so with real concurrency they no longer allocate either; what
+			// does is memory entries, whose free lists are per process — an
+			// entry inserted by one process and deleted by another leaves the
+			// first short. That residue is host- and timing-dependent, so it
+			// is logged and held under a flat cap, not compared per kernel.
 			real, err := benchKernel(k, procs)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if mode != "update" && real.AllocsPerOp > base.MaxKernelAllocsReal {
+				t.Errorf("kernel %s/p%d: %d allocs/op at GOMAXPROCS=%d, cap %d",
+					name, procs, real.AllocsPerOp, runtime.GOMAXPROCS(0), base.MaxKernelAllocsReal)
 			}
 			restore := runtime.GOMAXPROCS(1)
 			pt, err := benchKernel(k, procs)
@@ -404,6 +414,7 @@ func TestBenchSmoke(t *testing.T) {
 			MaxSelectRatio:      3,
 			MaxChurnAllocs:      0,
 			KernelAllocs:        kernels,
+			MaxKernelAllocsReal: 64,
 			MaxBigmemOppPerPair: 2,
 			MinBigmemGain:       2,
 			MaxBigmemDepth:      64,

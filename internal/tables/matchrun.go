@@ -41,8 +41,10 @@ type MatchBenchOptions struct {
 }
 
 // MatchWorkloadPoint is one (workload, procs) measurement of the real
-// goroutine matcher. GOMAXPROCS is raised to procs+1 for the point (the
-// +1 is the control process) but never past the host CPU count — extra
+// goroutine matcher; procs 0 is the sequential vs2 matcher run in the
+// same rotation, the bar SpeedupVsVS2 measures against (match time
+// only, single session). GOMAXPROCS is raised to procs+1 for the point
+// (the +1 is the control process) but never past the host CPU count — extra
 // Ps on a smaller host just add runtime thrash (spinning Ms, more GC
 // mark workers) without any parallelism. On hosts with fewer cores the
 // sweep therefore measures match processes timesharing the real CPUs;
@@ -56,6 +58,7 @@ type MatchWorkloadPoint struct {
 	MatchSeconds float64          `json:"match_seconds"`
 	Activations  int64            `json:"activations"`
 	ActsPerSec   float64          `json:"acts_per_sec"`
+	SpeedupVsVS2 float64          `json:"speedup_vs_vs2,omitempty"`
 	Contention   stats.Contention `json:"contention"`
 	// Oversubscribed marks points whose proc count exceeds the host's
 	// CPUs: the match processes timeshared real cores, so wall-clock
@@ -137,7 +140,16 @@ func RunMatchBench(opt MatchBenchOptions) (*MatchBenchReport, error) {
 
 	for _, spec := range Programs(opt.Scale) {
 		best := make([]*ParRun, len(opt.Procs))
+		var seq *SeqRun
 		for rep := 0; rep < opt.Reps; rep++ {
+			runtime.GOMAXPROCS(prev)
+			r, err := RunSeq(spec, "vs2")
+			if err != nil {
+				return nil, err
+			}
+			if seq == nil || r.Match < seq.Match {
+				seq = r
+			}
 			for j := range opt.Procs {
 				i := (j + rep) % len(opt.Procs)
 				p := opt.Procs[i]
@@ -157,6 +169,11 @@ func RunMatchBench(opt MatchBenchOptions) (*MatchBenchReport, error) {
 				}
 			}
 		}
+		rep.Workloads = append(rep.Workloads, MatchWorkloadPoint{
+			Workload: spec.Name, GoMaxProcs: prev, Scheme: "vs2", Cycles: seq.Cycles,
+			MatchSeconds: seq.Match.Seconds(), Activations: seq.Activations,
+			ActsPerSec: float64(seq.Activations) / seq.Match.Seconds(),
+		})
 		for i, p := range opt.Procs {
 			run := best[i]
 			gm := p + 1
@@ -177,6 +194,7 @@ func RunMatchBench(opt MatchBenchOptions) (*MatchBenchReport, error) {
 			}
 			if secs > 0 {
 				pt.ActsPerSec = float64(run.Match.Activations) / secs
+				pt.SpeedupVsVS2 = seq.Match.Seconds() / secs
 			}
 			rep.Workloads = append(rep.Workloads, pt)
 		}

@@ -6,20 +6,21 @@ import "sync/atomic"
 // shape, fixed-size): exactly one owner pushes and pops at the bottom
 // in LIFO order without ever taking a lock, while any number of
 // thieves take from the top in FIFO order with a single CAS. The
-// parallel matcher gives each match process one of these as its local
-// task pool, so the shared spin-locked queues are touched only when a
-// deque overflows (spill) or runs dry (steal/refill) — the paper's
-// central-queue contention (§4.2, Table 4-7) moves off the common path.
+// parallel matcher gives each match process one of these as the place
+// it shares work from: the oldest half of a deep private stack goes in,
+// idle peers steal it out, and the shared spin-locked queues are touched
+// only when a deque overflows — the paper's central-queue contention
+// (§4.2, Table 4-7) stays off the common path.
 //
 // Boundedness is what makes the fixed buffer safe: a slot is only
 // rewritten by Push after top has advanced past it (the size check
 // reads top), and top only ever advances through a CAS, so a thief
 // that read a slot but loses the CAS never uses the stale pointer.
 type Deque struct {
-	top atomic.Int64
-	_   [56]byte // owner and thieves hammer different words
-	bot atomic.Int64
-	_   [56]byte
+	top  atomic.Int64
+	_    [56]byte // owner and thieves hammer different words
+	bot  atomic.Int64
+	_    [56]byte
 	buf  []atomic.Pointer[Task]
 	mask int64
 }
@@ -46,13 +47,7 @@ func (d *Deque) Cap() int { return len(d.buf) }
 
 // Size reports the number of queued tasks. Exact for the owner; a
 // racy lower bound for anyone else.
-func (d *Deque) Size() int64 {
-	s := d.bot.Load() - d.top.Load()
-	if s < 0 {
-		return 0
-	}
-	return s
-}
+func (d *Deque) Size() int64 { return max(d.bot.Load()-d.top.Load(), 0) }
 
 // Push appends a task at the bottom. Owner only. It reports false when
 // the deque is full — the caller spills to the central queues instead.
@@ -71,10 +66,15 @@ func (d *Deque) Push(t *Task) bool {
 // queues do.
 func (d *Deque) Pop() *Task {
 	b := d.bot.Load() - 1
+	if d.top.Load() > b {
+		// Empty, and owner-exact (only the owner raises bot): the common
+		// case costs two loads and reserves nothing.
+		return nil
+	}
 	d.bot.Store(b)
 	t := d.top.Load()
 	if t > b {
-		// Empty: undo the reservation.
+		// A thief emptied it since: undo the reservation.
 		d.bot.Store(b + 1)
 		return nil
 	}

@@ -163,34 +163,56 @@ func TestSpillDoesNotDoubleCount(t *testing.T) {
 	if got := q.TaskCount.Load(); got != 1 {
 		t.Fatalf("TaskCount after Spill = %d, want 1", got)
 	}
-	task, _ := q.Pop(0)
-	if task == nil || task.Root.TimeTag != 1 {
-		t.Fatalf("pop got %v, want spilled task", task)
+	if got := tags(q, 0, 0); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("pop got %v, want the spilled task", got)
 	}
-	q.Done()
+	q.Done(1)
 	if got := q.TaskCount.Load(); got != 0 {
 		t.Fatalf("TaskCount after Done = %d, want 0", got)
 	}
 }
 
+// TestFreeListRecycles moves tasks through the shared reserve the way
+// the matcher's processes do: one whose private list overflowed hands
+// its newest FreeBatch back, one that ran dry refills, and between them
+// no task is lost or handed out twice.
 func TestFreeListRecycles(t *testing.T) {
-	f := taskqueue.NewFreeList(2)
-	if f.Get() != nil {
-		t.Fatal("Get on empty free list returned a task")
+	var f taskqueue.FreeList
+	if got := f.Refill(nil); len(got) != 0 {
+		t.Fatalf("Refill from an empty reserve returned %d tasks", len(got))
 	}
-	a, b := mkTask(1), mkTask(2)
-	f.Put(a)
-	f.Put(b)
-	f.Put(mkTask(3)) // beyond capacity: dropped
-	first := f.Get()
-	second := f.Get()
-	if first == nil || second == nil {
-		t.Fatal("free list lost a recycled task")
+	const extra = 5
+	src := make([]*taskqueue.Task, 0, 2*taskqueue.FreeBatch+extra)
+	seen := map[*taskqueue.Task]int{}
+	for i := 0; i < cap(src); i++ {
+		src = append(src, &taskqueue.Task{})
+		seen[src[i]] = 0
 	}
-	if first.Root != nil || second.Root != nil {
-		t.Fatal("recycled task not reset")
+	src = f.HandBack(f.HandBack(src))
+	if len(src) != extra {
+		t.Fatalf("two hand-backs left %d tasks, want %d", len(src), extra)
 	}
-	if f.Get() != nil {
-		t.Fatal("free list returned more tasks than were kept")
+	for _, p := range src[len(src):cap(src)] {
+		if p != nil {
+			t.Fatal("hand-back left a stale pointer behind the slice")
+		}
+	}
+	var dst []*taskqueue.Task
+	for i := 0; i < 3; i++ {
+		before := len(dst)
+		dst = f.Refill(dst)
+		if got, want := len(dst)-before, taskqueue.FreeBatch; i < 2 && got != want {
+			t.Fatalf("refill %d moved %d tasks, want %d", i, got, want)
+		} else if i == 2 && got != 0 {
+			t.Fatalf("refill from a drained reserve moved %d tasks", got)
+		}
+	}
+	for _, p := range append(dst, src...) {
+		seen[p]++
+	}
+	for p, n := range seen {
+		if n != 1 {
+			t.Fatalf("task %p came back %d times, want once", p, n)
+		}
 	}
 }

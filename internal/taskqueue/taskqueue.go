@@ -5,15 +5,15 @@
 // and, for two-input nodes, the side — the two extra fields the
 // parallel token adds over the sequential one.
 //
-// Layered over the central queues, Deque gives each match process a
-// bounded lock-free local pool (deque.go); the central queues then
-// serve only as the overflow target and the worker-to-worker transfer
-// edge, which is what keeps their spin-lock contention off the match
-// hot path.
+// What the queues and TaskCount hold is shared units, not single node
+// activations: a process that takes a task runs everything it leads to
+// on a private stack (internal/parmatch) and shares work out again only
+// on demand, through its Deque (deque.go) — a bounded lock-free pool
+// its idle peers steal from — or, when that is full, back through the
+// central queues.
 package taskqueue
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/rete"
@@ -21,8 +21,8 @@ import (
 	"repro/internal/wm"
 )
 
-// Task is one schedulable unit of match work. Exactly one of Root, Join
-// or Term is set: a group of constant-test node activations for a WM
+// Task is one node activation awaiting processing. Exactly one of Root,
+// Join or Term is set: a group of constant-test node activations for a WM
 // change, a two-input node activation, or a terminal activation.
 type Task struct {
 	Root *wm.WME
@@ -53,13 +53,11 @@ type queue struct {
 // Queues is a set of task queues with the shared TaskCount.
 type Queues struct {
 	qs []queue
-	// TaskCount is the number of tokens on the queues (central and
-	// local) plus the number being processed; the match phase is
-	// finished when it reaches zero.
+	// TaskCount is the number of shared units — tasks on the central
+	// queues and the deques, plus tasks taken from them whose private
+	// subtree is still being run; the match phase is finished when it
+	// reaches zero.
 	TaskCount atomic.Int64
-	// rot rotates the fallback scan origin so workers whose preferred
-	// queue is empty don't all descend on queue 0 together.
-	rot atomic.Int64
 }
 
 // New returns n queues (n >= 1).
@@ -77,34 +75,30 @@ func New(n int) *Queues {
 // Len reports the number of queues.
 func (q *Queues) Len() int { return len(q.qs) }
 
-// Push increments TaskCount and pushes t onto queue idx (mod the queue
-// count), returning the spins observed on the queue lock.
-func (q *Queues) Push(idx int, t *Task) (spins int64) {
+// Push counts t as a new unit and pushes it onto queue idx (mod the
+// queue count), returning the spins observed on the queue lock and the
+// queue's depth with t on it.
+func (q *Queues) Push(idx int, t *Task) (spins, depth int64) {
 	q.TaskCount.Add(1)
+	return q.Spill(idx, t)
+}
+
+// Spill pushes an already-counted task: a process sharing part of its
+// private stack counts the whole batch once, before any of it becomes
+// visible, so the central queue must not count the overflow again.
+func (q *Queues) Spill(idx int, t *Task) (spins, depth int64) {
 	qu := &q.qs[idx%len(q.qs)]
 	spins = qu.lock.Acquire()
 	qu.tasks = append(qu.tasks, t)
-	qu.n.Store(int64(len(qu.tasks)))
+	depth = int64(len(qu.tasks))
+	qu.n.Store(depth)
 	qu.lock.Release()
-	return spins
+	return spins, depth
 }
 
-// Spill pushes an already-counted task: a worker whose local deque is
-// full incremented TaskCount when it spawned the task, so the central
-// queue must not count it again.
-func (q *Queues) Spill(idx int, t *Task) (spins int64) {
-	qu := &q.qs[idx%len(q.qs)]
-	spins = qu.lock.Acquire()
-	qu.tasks = append(qu.tasks, t)
-	qu.n.Store(int64(len(qu.tasks)))
-	qu.lock.Release()
-	return spins
-}
-
-// Requeue pushes a task back without touching TaskCount: the task was
-// popped (still counted as in-process by its worker, which will
-// decrement once) and must remain pending. Used by the MRSW scheme when
-// the line is busy processing the opposite side.
+// Requeue makes a task a unit of its own at the bottom of a queue. Used
+// by the MRSW scheme when the line is busy processing the opposite
+// side: the unit the task was part of carries on without it.
 func (q *Queues) Requeue(idx int, t *Task) (spins int64) {
 	q.TaskCount.Add(1)
 	qu := &q.qs[idx%len(q.qs)]
@@ -119,102 +113,90 @@ func (q *Queues) Requeue(idx int, t *Task) (spins int64) {
 	return spins
 }
 
-// Pop removes a task. It tries the preferred queue first; when that is
-// empty the fallback scan over the remaining queues starts at a
-// rotating offset, so a burst of workers with empty preferred queues
-// spreads across the set instead of all hammering the same neighbour.
-// It returns nil when every queue is empty at the time of the scan.
-func (q *Queues) Pop(prefer int) (t *Task, spins int64) {
-	n := len(q.qs)
-	if t, s := q.tryPop(prefer % n); t != nil || n == 1 {
-		return t, s
-	}
-	start := int(q.rot.Add(1))
-	for i := 0; i < n-1; i++ {
-		idx := (start + i) % n
-		if idx == prefer%n {
-			continue // already tried
+// Pop takes tasks off the first non-empty queue, scanning from the
+// preferred one, and appends them to dst oldest first, so a caller that
+// works from the end keeps the queue's LIFO order. A queue holding at
+// most whole tasks is taken whole — a backlog that small is not worth
+// splitting — and a deeper one by its newest half, one lock acquisition
+// either way. Processes prefer different queues, so a burst of
+// empty-handed pops spreads across the set; such a scan writes nothing
+// shared, so idle processes can poll without disturbing busy ones.
+func (q *Queues) Pop(prefer, whole int, dst []*Task) (_ []*Task, spins int64) {
+	for i := range q.qs {
+		qu := &q.qs[(prefer+i)%len(q.qs)]
+		if qu.n.Load() == 0 {
+			continue // cheap emptiness test before locking
 		}
-		t, s := q.tryPop(idx)
-		spins += s
-		if t != nil {
-			return t, spins
+		spins += qu.lock.Acquire()
+		m := len(qu.tasks)
+		k := m
+		if m > whole {
+			k = (m + 1) / 2
+		}
+		dst = append(dst, qu.tasks[m-k:]...)
+		clear(qu.tasks[m-k:])
+		qu.tasks = qu.tasks[:m-k]
+		qu.n.Store(int64(m - k))
+		qu.lock.Release()
+		if k > 0 {
+			break
 		}
 	}
-	return nil, spins
+	return dst, spins
 }
 
-// tryPop pops from one queue, or returns nil if it looks or is empty.
-func (q *Queues) tryPop(idx int) (t *Task, spins int64) {
-	qu := &q.qs[idx]
-	if qu.n.Load() == 0 {
-		return nil, 0 // cheap emptiness test before locking
-	}
-	spins = qu.lock.Acquire()
-	if m := len(qu.tasks); m > 0 {
-		t = qu.tasks[m-1]
-		qu.tasks[m-1] = nil
-		qu.tasks = qu.tasks[:m-1]
-		qu.n.Store(int64(len(qu.tasks)))
-	}
-	qu.lock.Release()
-	return t, spins
-}
+// Done retires n units: the process that took them has run them and
+// every activation they led to that was not shared out as a unit of its
+// own.
+func (q *Queues) Done(n int64) { q.TaskCount.Add(-n) }
 
-// Done decrements TaskCount after a worker finishes a task.
-func (q *Queues) Done() { q.TaskCount.Add(-1) }
+// FreeBatch is how many recycled tasks move between a match process's
+// private free list and the shared reserve at a time, so the reserve's
+// lock is taken once per FreeBatch tasks of imbalance, not once per task.
+const FreeBatch = 64
 
-// WaitIdle spins until TaskCount reaches zero (the control process's
-// wait at the end of RHS evaluation).
-func (q *Queues) WaitIdle() {
-	for i := 0; q.TaskCount.Load() != 0; i++ {
-		runtime.Gosched()
-	}
-}
-
-// FreeList is a small bounded spin-locked stack of recyclable tasks.
-// The parallel matcher's workers return processed root tasks here so
-// the control process's Submit can reuse them instead of allocating —
-// the one producer/consumer pair whose free lists cannot be worker-local.
+// FreeList is the shared reserve behind the per-process task free
+// lists. Tasks retire on whichever process ran them, not the one that
+// allocated them — roots the control process submits and a worker takes,
+// donated tasks a peer steals — so a process whose private list
+// overflows hands a batch back here and one whose list ran dry refills
+// from here before it allocates.
 type FreeList struct {
 	lock spinlock.Lock
+	// n mirrors len(free): a Refill from an empty reserve — every
+	// allocation while the working set grows — is a load, not the lock.
+	n    atomic.Int64
 	free []*Task
-	cap  int
 }
 
-// NewFreeList returns a free list keeping at most capacity tasks
-// (capacity <= 0 selects 1024).
-func NewFreeList(capacity int) *FreeList {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &FreeList{free: make([]*Task, 0, capacity), cap: capacity}
-}
+// freeListCap bounds the reserve; hand-backs past it go to the GC.
+const freeListCap = 4096
 
-// Get pops a recycled task, or returns nil when the list is empty or
-// momentarily contended (callers allocate instead — never spin here).
-func (f *FreeList) Get() *Task {
-	if !f.lock.TryAcquire() {
-		return nil
-	}
-	var t *Task
-	if n := len(f.free); n > 0 {
-		t = f.free[n-1]
-		f.free[n-1] = nil
-		f.free = f.free[:n-1]
+// HandBack moves the newest FreeBatch tasks of src (which must hold at
+// least that many) to the reserve and returns src without them.
+func (f *FreeList) HandBack(src []*Task) []*Task {
+	n := len(src) - FreeBatch
+	f.lock.Acquire()
+	if len(f.free) < freeListCap {
+		f.free = append(f.free, src[n:]...)
+		f.n.Store(int64(len(f.free)))
 	}
 	f.lock.Release()
-	return t
+	clear(src[n:])
+	return src[:n]
 }
 
-// Put recycles a task; it is dropped when the list is full or busy.
-func (f *FreeList) Put(t *Task) {
-	t.Reset()
-	if !f.lock.TryAcquire() {
-		return
+// Refill moves up to FreeBatch tasks from the reserve onto dst.
+func (f *FreeList) Refill(dst []*Task) []*Task {
+	if f.n.Load() == 0 {
+		return dst
 	}
-	if len(f.free) < f.cap {
-		f.free = append(f.free, t)
-	}
+	f.lock.Acquire()
+	n := max(len(f.free)-FreeBatch, 0)
+	dst = append(dst, f.free[n:]...)
+	clear(f.free[n:])
+	f.free = f.free[:n]
+	f.n.Store(int64(n))
 	f.lock.Release()
+	return dst
 }

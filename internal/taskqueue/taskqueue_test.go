@@ -1,6 +1,7 @@
 package taskqueue_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -12,20 +13,41 @@ func mkTask(n int) *taskqueue.Task {
 	return &taskqueue.Task{Root: &wm.WME{TimeTag: n}}
 }
 
+// tags pops one batch and returns its time tags in the order a match
+// process runs them: from the end of the appended slice, newest first.
+func tags(q *taskqueue.Queues, prefer, whole int) []int {
+	batch, _ := q.Pop(prefer, whole, nil)
+	var out []int
+	for i := len(batch) - 1; i >= 0; i-- {
+		out = append(out, batch[i].Root.TimeTag)
+	}
+	return out
+}
+
 func TestPushPopLIFO(t *testing.T) {
 	q := taskqueue.New(1)
 	for i := 1; i <= 3; i++ {
 		q.Push(0, mkTask(i))
 	}
-	for want := 3; want >= 1; want-- {
-		task, _ := q.Pop(0)
-		if task == nil || task.Root.TimeTag != want {
-			t.Fatalf("popped %v, want tag %d", task, want)
-		}
-		q.Done()
+	if got := tags(q, 0, 3); !reflect.DeepEqual(got, []int{3, 2, 1}) {
+		t.Fatalf("whole-queue pop ran %v, want [3 2 1]", got)
 	}
-	if task, _ := q.Pop(0); task != nil {
-		t.Fatalf("pop on empty returned %v", task)
+	q.Done(3)
+	if got := tags(q, 0, 3); got != nil {
+		t.Fatalf("pop on empty returned %v", got)
+	}
+	// A queue deeper than whole goes by its newest half, rounded up.
+	for i := 1; i <= 5; i++ {
+		q.Push(0, mkTask(i))
+	}
+	for _, want := range [][]int{{5, 4, 3}, {2}, {1}} {
+		if got := tags(q, 0, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("half pop ran %v, want %v", got, want)
+		}
+		q.Done(int64(len(want)))
+	}
+	if got := q.TaskCount.Load(); got != 0 {
+		t.Fatalf("TaskCount = %d after everything retired", got)
 	}
 }
 
@@ -39,15 +61,14 @@ func TestTaskCountProtocol(t *testing.T) {
 	if got := q.TaskCount.Load(); got != 2 {
 		t.Fatalf("TaskCount = %d, want 2", got)
 	}
-	task, _ := q.Pop(0)
-	if task == nil {
-		t.Fatal("pop failed")
+	if got := tags(q, 0, 0); len(got) != 1 {
+		t.Fatalf("pop took %v, want one task", got)
 	}
 	// Popped but in-process: still counted.
 	if got := q.TaskCount.Load(); got != 2 {
 		t.Fatalf("TaskCount after pop = %d, want 2 (in-process counts)", got)
 	}
-	q.Done()
+	q.Done(1)
 	if got := q.TaskCount.Load(); got != 1 {
 		t.Fatalf("TaskCount after done = %d, want 1", got)
 	}
@@ -56,56 +77,29 @@ func TestTaskCountProtocol(t *testing.T) {
 func TestPopStealsFromOtherQueues(t *testing.T) {
 	q := taskqueue.New(4)
 	q.Push(3, mkTask(7))
-	task, _ := q.Pop(0) // prefers queue 0, must find queue 3
-	if task == nil || task.Root.TimeTag != 7 {
-		t.Fatalf("steal failed: %v", task)
+	// Prefers queue 0, must find queue 3.
+	if got := tags(q, 0, 0); !reflect.DeepEqual(got, []int{7}) {
+		t.Fatalf("steal failed: %v", got)
 	}
-	q.Done()
+	q.Done(1)
 }
 
 func TestRequeueGoesToBottom(t *testing.T) {
 	q := taskqueue.New(1)
 	q.Push(0, mkTask(1))
 	q.Push(0, mkTask(2))
-	popped, _ := q.Pop(0)
-	if popped.Root.TimeTag != 2 {
-		t.Fatalf("expected LIFO top 2, got %d", popped.Root.TimeTag)
+	batch, _ := q.Pop(0, 0, nil)
+	if len(batch) != 1 || batch[0].Root.TimeTag != 2 {
+		t.Fatalf("expected LIFO top 2, got %v", batch)
 	}
-	q.Requeue(0, popped) // back to the bottom
-	q.Done()             // worker releases its in-process claim
-	a, _ := q.Pop(0)
-	b, _ := q.Pop(0)
-	if a.Root.TimeTag != 1 || b.Root.TimeTag != 2 {
-		t.Fatalf("order after requeue = %d,%d; want 1,2", a.Root.TimeTag, b.Root.TimeTag)
+	q.Requeue(0, batch[0]) // back to the bottom, a unit of its own
+	q.Done(1)              // the unit it was part of retires
+	if got := tags(q, 0, 2); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("order after requeue = %v; want [1 2]", got)
 	}
-	q.Done()
-	q.Done()
-}
-
-func TestWaitIdle(t *testing.T) {
-	q := taskqueue.New(2)
-	const total = 2000
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < total; i++ {
-			q.Push(i, mkTask(i))
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for done := 0; done < total; {
-			if task, _ := q.Pop(0); task != nil {
-				q.Done()
-				done++
-			}
-		}
-	}()
-	wg.Wait()
-	q.WaitIdle() // must return promptly with everything drained
+	q.Done(2)
 	if got := q.TaskCount.Load(); got != 0 {
-		t.Fatalf("TaskCount = %d after drain", got)
+		t.Fatalf("TaskCount = %d after everything retired", got)
 	}
 }
 
@@ -131,8 +125,8 @@ func TestConcurrentPushPop(t *testing.T) {
 			defer wg.Done()
 			local := int64(0)
 			for {
-				task, _ := q.Pop(0)
-				if task == nil {
+				batch, _ := q.Pop(0, 4, nil)
+				if len(batch) == 0 {
 					mu.Lock()
 					done := popped >= 4*perG
 					mu.Unlock()
@@ -141,10 +135,11 @@ func TestConcurrentPushPop(t *testing.T) {
 					}
 					continue
 				}
-				q.Done()
-				local++
+				n := int64(len(batch))
+				q.Done(n)
+				local += n
 				mu.Lock()
-				popped += 1
+				popped += n
 				mu.Unlock()
 				if local > 4*perG {
 					t.Error("popped more tasks than pushed")
