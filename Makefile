@@ -21,13 +21,15 @@ test:
 # Race-detect the concurrent subsystems: the inference server (which
 # includes the crash-recovery differential suite), the sharded conflict
 # set and runtime build/excise epoch swaps (engine dynamic tests); then
-# the parallel matcher and its task queues 20 times over — their oracles
-# are schedules (who wins the last unit of a phase, whether a shared
-# burst is stolen or popped back, a control hand-off between
-# goroutines), and one pass samples too few of them.
+# the parallel matcher, its task queues and the token store under it 20
+# times over — their oracles are schedules (who wins the last unit of a
+# phase, whether a shared burst is stolen or popped back, a control
+# hand-off between goroutines, which same-side activation re-keys a run
+# slot another still holds a Ref to), and one pass samples too few of
+# them.
 race:
 	$(GO) test -race ./internal/server ./internal/conflict ./internal/engine
-	$(GO) test -race -count=20 ./internal/parmatch ./internal/taskqueue
+	$(GO) test -race -count=20 ./internal/parmatch ./internal/taskqueue ./internal/hashmem
 
 # The durability suite on its own (`make race` already covers it; this
 # is the focused, verbose run): kill-and-recover differential (WM +
@@ -92,7 +94,10 @@ fuzz-smoke:
 # path's fixed-cost gate (1 s): a max_cycles:1 batch at hash_lines 2^10
 # vs 2^18 and a one-tag retract at WM 10^2 vs 10^5 must each cost within
 # 4x of each other (min-of-N ratios, so host speed cancels) — a request
-# pays for what it changes, not what the session holds. Then the 1-rep
+# pays for what it changes, not what the session holds. Then the token
+# store's allocation gate (counts): one Weaver(20, 9) session on vs2
+# played to halt in 25-cycle slices must stay under 0.40 mallocs and 75
+# bytes per node activation and 25 k mallocs in Init. Then the 1-rep
 # match-kernel + conflict-set sweep plus the fork-vs-cold session-spawn
 # ratio, failing on regression against the checked-in
 # BENCH_baseline.json (scaling ratios and allocs/op, not wall-clock).
@@ -100,6 +105,7 @@ fuzz-smoke:
 #   BENCH_SMOKE=update $(GO) test -run TestBenchSmoke ./internal/tables
 bench-smoke:
 	BENCH_SMOKE=1 $(GO) test -run TestRequestCostIndependentOfSessionSize -v ./internal/server
+	BENCH_SMOKE=1 $(GO) test -run TestMatchAllocationGate -v ./internal/engine
 	BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/tables
 
 # Refresh BENCH_server.json (the test writes only where BENCH_OUT

@@ -138,6 +138,8 @@ type Engine struct {
 	// compiled is indexed by CompiledRule.Index — the monotonic rule ID,
 	// never reused across epochs — so it is sparse after excises.
 	compiled []*rhs.Compiled
+	// rhsEnv is the serial path's execution environment (see env).
+	rhsEnv *rhs.Env
 	// journal, when non-nil, receives every durable event (see Journal in
 	// durable.go). Nil during replay and restore.
 	journal Journal
@@ -202,40 +204,68 @@ func (e *Engine) drain() {
 	e.matchTime += time.Since(t0)
 }
 
-// New wires an engine. The conflict set must be the same sink the
-// matcher's terminals report into. The program's (strategy ...) form is
-// resolved to a conflict.Strategy enum here, once, so the per-cycle
-// Select never compares strategy strings.
+// New wires an engine, compiling the program's right-hand sides for it.
+// The conflict set must be the same sink the matcher's terminals report
+// into. The program's (strategy ...) form is resolved to a
+// conflict.Strategy enum here, once, so the per-cycle Select never
+// compares strategy strings.
 func New(prog *ops5.Program, net *rete.Network, cs *conflict.Set, m Matcher, out io.Writer) (*Engine, error) {
-	st, err := conflict.ParseStrategy(prog.Strategy)
+	compiled, err := CompileRHS(prog, net)
 	if err != nil {
 		return nil, err
 	}
-	cs.UseStrategy(st)
-	e := &Engine{
-		Prog:    prog,
-		Net:     net,
-		WM:      wm.NewMemory(),
-		CS:      cs,
-		Matcher: m,
-		Out:     out,
-	}
-	e.compiled = make([]*rhs.Compiled, net.NumRuleIDs())
+	return NewWithRHS(prog, net, compiled, cs, m, out)
+}
+
+// CompileRHS compiles the right-hand side of every rule of net, indexed
+// by CompiledRule.Index, and freezes the program: from here on the class
+// tables are read concurrently by matchers and RHS evaluation, so runtime
+// parses must not mutate them. The result is read-only and may be handed
+// to any number of engines over the same program (NewWithRHS).
+func CompileRHS(prog *ops5.Program, net *rete.Network) ([]*rhs.Compiled, error) {
+	compiled := make([]*rhs.Compiled, net.NumRuleIDs())
 	for _, cr := range net.Rules {
 		c, err := rhs.Compile(prog, cr)
 		if err != nil {
 			return nil, err
 		}
-		e.compiled[cr.Index] = c
+		compiled[cr.Index] = c
 	}
-	// From here on the class tables are read concurrently by matchers and
-	// RHS evaluation; freeze them so runtime parses cannot mutate them.
 	prog.Freeze()
-	return e, nil
+	return compiled, nil
 }
 
+// NewWithRHS is New over right-hand sides CompileRHS already produced
+// for this program and network — a server compiles them once per program,
+// not once per session. The slice is copied (runtime build and excise
+// write the engine's own), the compiled rules are shared.
+func NewWithRHS(prog *ops5.Program, net *rete.Network, compiled []*rhs.Compiled, cs *conflict.Set, m Matcher, out io.Writer) (*Engine, error) {
+	st, err := conflict.ParseStrategy(prog.Strategy)
+	if err != nil {
+		return nil, err
+	}
+	cs.UseStrategy(st)
+	return &Engine{
+		Prog:     prog,
+		Net:      net,
+		WM:       wm.NewMemory(),
+		CS:       cs,
+		Matcher:  m,
+		Out:      out,
+		compiled: append([]*rhs.Compiled(nil), compiled...),
+	}, nil
+}
+
+// env returns the engine's RHS execution environment: built on first
+// use — its closures capture e, so a fork builds its own — and reused by
+// every serial firing. Out is re-read on each use because its owner may
+// swap it between runs (the server points it at each batch's buffer).
 func (e *Engine) env() *rhs.Env {
-	return &rhs.Env{
+	if e.rhsEnv != nil {
+		e.rhsEnv.Out = e.Out
+		return e.rhsEnv
+	}
+	e.rhsEnv = &rhs.Env{
 		Prog:       e.Prog,
 		Out:        e.Out,
 		Accept:     e.acceptOne,
@@ -267,6 +297,7 @@ func (e *Engine) env() *rhs.Env {
 			}
 		},
 	}
+	return e.rhsEnv
 }
 
 // acceptOne services an (accept): one value from the IO, end-of-file

@@ -8,14 +8,17 @@
 //
 // Three storage layouts share the machinery:
 //
-//   - New builds the node-segregated layout: within a line, entries live
-//     in per-(node, hash) runs reached through a small open-addressed
-//     sub-index, so searches and deletes touch only same-node, same-hash
-//     candidates instead of every colliding token. Runs are dense slices
-//     kept compact by swap-remove. These tables are also adaptive: the
-//     owner grows them at a drained point once the load factor climbs
-//     (GrowTarget/Grow), so production-scale working memories never
-//     degrade a line into a linear scan.
+//   - New builds the node-segregated layout: within a line, tokens live
+//     in per-(node, hash) runs, so searches and deletes touch only
+//     same-node, same-hash candidates instead of every colliding token.
+//     A run is two intrusive lists (left and right, newest first) chained
+//     through Entry.Next; a line carries its first run inline and reaches
+//     any further ones through a small open-addressed sub-index, so a
+//     one-run line costs one cache line and no allocation, and no
+//     activation allocates anything but its entry. These tables are also
+//     adaptive: the owner grows them at a drained point once the load
+//     factor climbs (GrowTarget/Grow), so production-scale working
+//     memories never degrade a line into a linear scan.
 //   - NewLegacy builds the paper's original fixed-size layout — each
 //     line is a pair of singly-linked token lists scanned linearly with
 //     a node filter. It is the naive reference the differential tests
@@ -40,6 +43,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/rete"
 	"repro/internal/stats"
@@ -47,27 +51,66 @@ import (
 )
 
 // run is one (node, hash) equivalence class of a segregated line: every
-// entry in mem shares the node and the full 64-bit token hash. A run
-// whose slices are both empty stays in the sub-index as a reusable key
-// slot so open-addressed probe sequences remain intact.
+// entry on its two lists shares the node and the full 64-bit token hash.
+// The lists are intrusive (Entry.Next), newest first — the paper's
+// stack discipline, so a delete scans in pure LIFO order and an
+// activation allocates nothing but its entry.
 type run struct {
 	node *rete.JoinNode
 	hash uint64
-	mem  [2][]*rete.Entry // indexed by rete.Side
+	mem  [2]*rete.Entry // list heads, indexed by rete.Side
 }
 
+func (r *run) empty() bool { return r.mem[0] == nil && r.mem[1] == nil }
+
 // Line is a pair of corresponding left/right buckets plus the parked
-// early deletes for each side. List-layout tables (vs1, legacy) store
-// tokens on the Mem lists; segregated tables store them in runs. XDel
-// is an intrusive list in every layout: parked conjugate minuses are
-// few and short-lived.
+// early deletes for each side: one cache line. A segregated line holds
+// its first run inline — an activation on a one-run line touches the
+// line and the entry, nothing else — and reaches further runs through an
+// open-addressed sub-index of slots run values starting at runs (a bare
+// pointer and a count rather than a slice header, to fit). What no
+// segregated activation needs sits behind ext. Both are allocated on
+// first use.
 type Line struct {
+	first run
+	runs  *run
+	ext   *lineExt
+	live  int32 // live entries in the line (line depth)
+	used  int32 // overflow slots holding a key (live or emptied)
+	slots int32 // overflow slots, a power of two (0: none yet)
+}
+
+// lineExt is the rarely-needed part of a line: the token lists of the
+// list layouts (vs1, legacy) and the parked conjugate minuses of every
+// layout (few and short-lived).
+type lineExt struct {
 	Mem  [2]rete.EntryList // list layouts: indexed by rete.Side
 	XDel [2]rete.EntryList // conjugate minus tokens that arrived early
+}
 
-	runs []run // segregated layout: open-addressed by (node, hash)
-	used int   // sub-index slots holding a key (live or emptied)
-	live int   // live entries across runs (line depth)
+// overflow returns the line's overflow sub-index, nil when it has none.
+func (l *Line) overflow() []run {
+	if l.runs == nil {
+		return nil
+	}
+	return unsafe.Slice(l.runs, l.slots)
+}
+
+// x returns the line's extension, allocating it on first use.
+func (l *Line) x() *lineExt {
+	if l.ext == nil {
+		l.ext = new(lineExt)
+	}
+	return l.ext
+}
+
+// ParkedHead returns the newest early delete parked on the line for
+// side, nil when there is none; the rest follow through Entry.Next.
+func (l *Line) ParkedHead(side rete.Side) *rete.Entry {
+	if l.ext == nil {
+		return nil
+	}
+	return l.ext.XDel[side].Head
 }
 
 // Table is a set of lines. With Hashed true, lines are selected by token
@@ -100,10 +143,9 @@ type Table struct {
 // holds more than growLoadFactor live entries, to the smallest power of
 // two bringing the mean back to growTargetLoad, and never past
 // growMaxLines. The trigger/target pair is deliberately lazy: the
-// sub-index keeps intra-line scans short whatever the depth, so the
-// table only needs enough lines to keep locks uncontended and runs off
-// any single line — growing to load ≤ 1 would balloon the line array
-// past cache for no scan benefit.
+// runs keep intra-line scans short whatever the depth, so the table only
+// needs enough lines to keep locks uncontended — growing a live table to
+// load ≤ 1 stalls the request that trips it for no scan benefit.
 const (
 	growLoadFactor = 16
 	growTargetLoad = 4
@@ -167,98 +209,109 @@ func slotOf(hash uint64, n int) int {
 
 // Ref is an opaque handle to the (node, hash) run an activation landed
 // in, resolved by UpdateOwn while the line's modification lock is held.
-// SearchOpposite consumes it instead of re-probing, so the open-addressed
-// sub-index — which same-side inserts mutate — is only ever touched
-// under that lock; the run struct itself stays valid across concurrent
-// sub-index growth (growth copies run values, and the opposite-side
-// slice this activation reads cannot be mutated while its side holds
-// the line). Zero for list-layout tables.
+// SearchOpposite consumes it instead of re-probing, so the run index —
+// which same-side inserts mutate — is only ever touched under that lock.
+// Two rules keep a Ref sound without one: it is read once, for the
+// opposite-side list head only, by the SearchOpposite paired with the
+// UpdateOwn that made it; and a run slot is re-keyed only when both its
+// lists are empty, which cannot happen to a list a reader is walking
+// (its side is frozen while the reader's side holds the line), so a
+// re-keyed or outgrown slot still shows that reader exactly the
+// opposite list it came for. Zero for list-layout tables.
 type Ref struct{ r *run }
 
 // findRun returns the line's run for (j, hash), optionally creating it.
-// The sub-index is open-addressed with linear probing; emptied runs keep
-// their key and are reused on an exact match, so deletion never needs
-// tombstone repair.
+// The inline run is tried first; the overflow sub-index is open-addressed
+// with linear probing, and its emptied runs keep their key and are reused
+// on an exact match, so deletion never needs tombstone repair. A new key
+// takes the inline slot whenever that is empty — a key therefore lives
+// in one place only — and an overflow slot otherwise.
 func (l *Line) findRun(j *rete.JoinNode, hash uint64, create bool) *run {
-	if l.runs == nil {
-		if !create {
-			return nil
-		}
-		l.runs = make([]run, 4)
+	f := &l.first
+	if f.node == j && f.hash == hash {
+		return f
 	}
-	n := len(l.runs)
-	i := slotOf(hash, n)
-	for probes := 0; probes < n; probes++ {
-		r := &l.runs[i&(n-1)]
-		if r.node == nil {
-			if !create {
-				return nil
+	var slot *run // the free overflow slot the probe ended on
+	if runs := l.overflow(); runs != nil {
+		// A quarter of the slots is always free, so the probe terminates.
+		for n, i := len(runs), slotOf(hash, len(runs)); ; i++ {
+			r := &runs[i&(n-1)]
+			if r.node == nil {
+				slot = r
+				break
 			}
-			if l.used+1 > n-n/4 { // keep a quarter of the slots empty
-				l.growRuns()
-				return l.findRun(j, hash, create)
+			if r.node == j && r.hash == hash {
+				return r
 			}
-			r.node, r.hash = j, hash
-			l.used++
-			return r
 		}
-		if r.node == j && r.hash == hash {
-			return r
-		}
-		i++
 	}
 	if !create {
 		return nil
 	}
-	l.growRuns()
-	return l.findRun(j, hash, create)
+	if f.empty() {
+		f.node, f.hash = j, hash
+		return f
+	}
+	if slot == nil || l.used+1 > l.slots-l.slots/4 {
+		slot = freeSlot(l.growRuns(), hash)
+	}
+	slot.node, slot.hash = j, hash
+	l.used++
+	return slot
 }
 
-// growRuns doubles the sub-index, dropping emptied runs (compaction
-// happens here rather than on every delete).
-func (l *Line) growRuns() {
-	old := l.runs
-	n := len(old) * 2
-	if n == 0 {
-		n = 4
+// freeSlot returns the first free slot on hash's probe sequence.
+func freeSlot(runs []run, hash uint64) *run {
+	for n, i := len(runs), slotOf(hash, len(runs)); ; i++ {
+		if r := &runs[i&(n-1)]; r.node == nil {
+			return r
+		}
 	}
-	l.runs = make([]run, n)
-	l.used = 0
+}
+
+// growRuns doubles the overflow sub-index, dropping emptied runs
+// (compaction happens here rather than on every delete), and returns
+// it. Run values are copied, so a Ref into the old array stays readable.
+func (l *Line) growRuns() []run {
+	old := l.overflow()
+	runs := make([]run, max(4, 2*len(old)))
+	l.runs, l.slots, l.used = &runs[0], int32(len(runs)), 0
 	for i := range old {
-		r := &old[i]
-		if r.node == nil || (len(r.mem[0]) == 0 && len(r.mem[1]) == 0) {
-			continue
-		}
-		j := slotOf(r.hash, n)
-		for {
-			dst := &l.runs[j&(n-1)]
-			if dst.node == nil {
-				*dst = *r
-				l.used++
-				break
-			}
-			j++
+		if r := &old[i]; r.node != nil && !r.empty() {
+			*freeSlot(runs, r.hash) = *r
+			l.used++
 		}
 	}
+	return runs
 }
 
-// removeFromRun takes one entry for wmes out of the run's side slice,
-// scanning newest-first (the LIFO discipline of the list layout) and
-// swap-removing to keep the run dense. All entries in a run already
-// share the node and hash, so only the token comparison remains.
-func (r *run) removeFromRun(side rete.Side, wmes []*wm.WME) (*rete.Entry, int) {
-	s := r.mem[side]
-	for i := len(s) - 1; i >= 0; i-- {
-		if rete.SameWmes(s[i].Wmes, wmes) {
-			e := s[i]
-			last := len(s) - 1
-			s[i] = s[last]
-			s[last] = nil
-			r.mem[side] = s[:last]
-			return e, len(s) - i
+// remove unlinks one entry for wmes from the run's side list, scanning
+// newest-first. All entries in a run already share the node and hash, so
+// only the token comparison remains.
+func (r *run) remove(side rete.Side, wmes []*wm.WME) (e *rete.Entry, scanned int) {
+	for p := &r.mem[side]; *p != nil; p = &(*p).Next {
+		scanned++
+		if e = *p; rete.SameWmes(e.Wmes, wmes) {
+			*p, e.Next = e.Next, nil
+			return e, scanned
 		}
 	}
-	return nil, len(s)
+	return nil, scanned
+}
+
+// forEachRun calls fn for every keyed run of a segregated line. The
+// overflow array is read once, so fn may insert into the line (epoch
+// replay does): the runs it has yet to visit stay where they were.
+func (l *Line) forEachRun(fn func(*run)) {
+	if l.first.node != nil {
+		fn(&l.first)
+	}
+	runs := l.overflow()
+	for i := range runs {
+		if runs[i].node != nil {
+			fn(&runs[i])
+		}
+	}
 }
 
 // Recorder accumulates the sequential-matcher statistics of Tables
@@ -290,8 +343,8 @@ func NewRecorder(numJoins int) *Recorder {
 type Emit func(sign bool, wmes []*wm.WME)
 
 // Pools is a per-worker allocation cache for the match hot path: an
-// arena for the token slices built per matching pair, and a free list
-// of memory entries recycled when a delete unlinks them. Each matcher
+// arena for the token slices built per matching pair, and memory entries
+// carved from slabs and recycled when a delete unlinks them. Each matcher
 // process owns one (no synchronization); a nil *Pools falls back to
 // plain allocation, which the Multimax simulator keeps for its
 // deterministic replay.
@@ -301,11 +354,16 @@ type Emit func(sign bool, wmes []*wm.WME)
 // memories and the conflict set, so its lifetime escapes the task that
 // built it. The arena instead amortizes those allocations to one large
 // chunk per tokenChunk pointers; entries, whose lifetime is exactly
-// bracketed by insert and delete under the line lock, do recycle.
+// bracketed by insert and delete under the line lock, do recycle —
+// every one of them, through an intrusive free list with no cap, so a
+// session's entry memory is its peak live token count and nothing is
+// handed back to the collector one entry at a time.
 type Pools struct {
-	tok     []*wm.WME
-	entries []*rete.Entry
-	live    int64 // inserts minus deletes since the last FoldLive
+	tok  []*wm.WME
+	slab []rete.Entry // unissued entries of the newest slab
+	next int          // size of the slab after that
+	free *rete.Entry  // recycled entries, chained through Next
+	live int64        // inserts minus deletes since the last FoldLive
 }
 
 // FoldLive moves the live-entry delta p's owner has accumulated into
@@ -329,9 +387,14 @@ func (t *Table) noteLive(p *Pools, d int64) {
 	}
 }
 
+// tokenChunk is the token arena's chunk size in pointers. Entry slabs
+// start at entrySlabMin entries and double up to entrySlabMax, so a
+// short-lived session pays for a handful of entries and a large one
+// for one allocation per entrySlabMax.
 const (
 	tokenChunk   = 4096
-	entryPoolCap = 1024
+	entrySlabMin = 16
+	entrySlabMax = 1024
 )
 
 // MakeToken returns a zeroed token slice of length n with no spare
@@ -352,15 +415,22 @@ func (p *Pools) MakeToken(n int) []*wm.WME {
 	return s
 }
 
-// newEntry builds a memory entry, reusing a recycled one when possible.
+// newEntry builds a memory entry: a recycled one when there is one, the
+// next of the current slab otherwise.
 func (p *Pools) newEntry(j *rete.JoinNode, side rete.Side, hash uint64, wmes []*wm.WME) *rete.Entry {
-	if p == nil || len(p.entries) == 0 {
+	if p == nil {
 		return &rete.Entry{Node: j, Side: side, Hash: hash, Wmes: wmes}
 	}
-	n := len(p.entries) - 1
-	e := p.entries[n]
-	p.entries[n] = nil
-	p.entries = p.entries[:n]
+	e := p.free
+	if e != nil {
+		p.free, e.Next = e.Next, nil
+	} else {
+		if len(p.slab) == 0 {
+			p.slab = make([]rete.Entry, max(p.next, entrySlabMin))
+			p.next = min(2*len(p.slab), entrySlabMax)
+		}
+		e, p.slab = &p.slab[0], p.slab[1:]
+	}
 	e.Node, e.Side, e.Hash, e.Wmes = j, side, hash, wmes
 	return e
 }
@@ -370,12 +440,12 @@ func (p *Pools) newEntry(j *rete.JoinNode, side rete.Side, hash uint64, wmes []*
 // no other process can reach it. The caller must be done reading
 // NegCount (negated-node deletes read it inside SearchOpposite).
 func (p *Pools) FreeEntry(e *rete.Entry) {
-	if p == nil || e == nil || len(p.entries) >= entryPoolCap {
+	if p == nil || e == nil {
 		return
 	}
-	e.Node, e.Wmes, e.Next = nil, nil, nil
+	e.Node, e.Wmes = nil, nil
 	e.NegCount.Store(0)
-	p.entries = append(p.entries, e)
+	e.Next, p.free = p.free, e
 }
 
 // StepResult reports what an activation did, for cost accounting by the
@@ -403,23 +473,25 @@ func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, 
 	var ref Ref
 	if sign {
 		// A plus annihilates with a parked early minus for the same token.
-		if e, _ := line.XDel[side].Remove(j, side, hash, wmes); e != nil {
-			t.parked.Add(-1)
-			pools.FreeEntry(e)
-			res.Annihilated = true
-			return nil, ref, res
+		if x := line.ext; x != nil {
+			if e, _ := x.XDel[side].Remove(j, side, hash, wmes); e != nil {
+				t.parked.Add(-1)
+				pools.FreeEntry(e)
+				res.Annihilated = true
+				return nil, ref, res
+			}
 		}
 		e := pools.newEntry(j, side, hash, wmes)
 		if t.seg {
 			r := line.findRun(j, hash, true)
-			r.mem[side] = append(r.mem[side], e)
+			e.Next, r.mem[side] = r.mem[side], e
 			ref.r = r
 		} else {
-			line.Mem[side].Push(e)
+			line.x().Mem[side].Push(e)
 		}
 		line.live++
 		t.noteLive(pools, 1)
-		t.noteDepth(line.live)
+		t.noteDepth(int64(line.live))
 		if rec != nil {
 			rec.NodeCount[side][j.ID]++
 		}
@@ -427,19 +499,17 @@ func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, 
 		return e, ref, res
 	}
 	var e *rete.Entry
-	var scanned int
 	if t.seg {
 		if r := line.findRun(j, hash, false); r != nil {
-			e, scanned = r.removeFromRun(side, wmes)
+			e, res.OwnScanned = r.remove(side, wmes)
 			ref.r = r
 		}
-	} else {
-		e, scanned = line.Mem[side].Remove(j, side, hash, wmes)
+	} else if x := line.ext; x != nil {
+		e, res.OwnScanned = x.Mem[side].Remove(j, side, hash, wmes)
 	}
-	res.OwnScanned = scanned
 	if e == nil {
 		// Early delete: park it and do not otherwise process the token.
-		line.XDel[side].Push(pools.newEntry(j, side, hash, wmes))
+		line.x().XDel[side].Push(pools.newEntry(j, side, hash, wmes))
 		t.parked.Add(1)
 		res.Parked = true
 		return nil, Ref{}, res
@@ -456,8 +526,7 @@ func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, 
 // noteDepth maintains the depth high-water mark after one insert under
 // the line lock, a plain load-then-CAS: almost every insert takes only
 // the load and branch.
-func (t *Table) noteDepth(depth int) {
-	d := int64(depth)
+func (t *Table) noteDepth(d int64) {
 	for {
 		cur := t.maxDepth.Load()
 		if d <= cur {
@@ -474,43 +543,21 @@ func (t *Table) noteDepth(depth int) {
 // emitting the resulting tokens. For negated nodes it maintains the
 // join counts. entry and ref are UpdateOwn's results (the entry for
 // negated-node count handling, the ref so segregated tables never probe
-// the sub-index outside the modification lock). In the MRSW scheme this
+// the run index outside the modification lock). In the MRSW scheme this
 // part runs without the modification lock for positive nodes; negated
 // right-side activations update left counts atomically.
+//
+// Every layout walks an intrusive list from oppHead. A list-layout line
+// mixes the tokens of every node that hashes to it, so the walk filters
+// on (node, side); a run holds one node's tokens only and every entry
+// passes — one loop serves both, with identical examined counts.
 func (t *Table) SearchOpposite(idx int, ref Ref, j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME, entry *rete.Entry, rec *Recorder, pools *Pools, emit Emit) StepResult {
 	var res StepResult
+	opp := side ^ 1
 	if j.Negated {
-		if t.seg {
-			searchNegatedRun(ref.r, j, side, sign, wmes, entry, &res, emit)
-		} else {
-			searchNegatedList(&t.Lines[idx], j, side, sign, wmes, entry, &res, emit)
-		}
-	} else if t.seg {
-		opp := side ^ 1
-		if r := ref.r; r != nil {
-			for _, e := range r.mem[opp] {
-				res.OppExamined++
-				var left []*wm.WME
-				var right *wm.WME
-				if side == rete.Left {
-					left, right = wmes, e.Wmes[0]
-				} else {
-					left, right = e.Wmes, wmes[0]
-				}
-				if !j.TestPair(left, right) {
-					continue
-				}
-				res.Pairs++
-				child := pools.MakeToken(len(left) + 1)
-				copy(child, left)
-				child[len(left)] = right
-				emit(sign, child)
-			}
-		}
+		searchNegated(t.oppHead(idx, ref, opp), j, side, sign, wmes, entry, &res, emit)
 	} else {
-		line := &t.Lines[idx]
-		opp := side ^ 1
-		for e := line.Mem[opp].Head; e != nil; e = e.Next {
+		for e := t.oppHead(idx, ref, opp); e != nil; e = e.Next {
 			if e.Node != j || e.Side != opp {
 				continue // hash collision with another node's tokens
 			}
@@ -538,66 +585,32 @@ func (t *Table) SearchOpposite(idx int, ref Ref, j *rete.JoinNode, side rete.Sid
 	return res
 }
 
-// searchNegatedRun maintains negation counts within the (node, hash)
-// run: a right WME can only match left tokens whose hash equals its
-// own, so count updates never need to look outside the run.
-func searchNegatedRun(r *run, j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME, entry *rete.Entry, res *StepResult, emit Emit) {
-	if side == rete.Left {
-		if sign {
-			var count int32
-			if r != nil {
-				for _, e := range r.mem[rete.Right] {
-					res.OppExamined++
-					if j.TestPair(wmes, e.Wmes[0]) {
-						count++
-					}
-				}
-			}
-			entry.NegCount.Store(count)
-			if count == 0 {
-				res.Pairs++
-				emit(true, wmes)
-			}
-			return
+// oppHead returns the head of the list holding the opp-side tokens an
+// activation must examine: the ref's run in a segregated table (a right
+// WME can only match left tokens whose hash equals its own, so nothing
+// outside the run matters), the line's whole opp list otherwise.
+func (t *Table) oppHead(idx int, ref Ref, opp rete.Side) *rete.Entry {
+	if t.seg {
+		if ref.r == nil {
+			return nil
 		}
-		// Deleting a left token that had passed (count 0) retracts it.
-		if entry.NegCount.Load() == 0 {
-			res.Pairs++
-			emit(false, wmes)
-		}
-		return
+		return ref.r.mem[opp]
 	}
-	// Right-side activation: adjust the counts of matching left tokens.
-	if r == nil {
-		return
+	if x := t.Lines[idx].ext; x != nil {
+		return x.Mem[opp].Head
 	}
-	w := wmes[0]
-	for _, e := range r.mem[rete.Left] {
-		res.OppExamined++
-		if !j.TestPair(e.Wmes, w) {
-			continue
-		}
-		if sign {
-			if e.NegCount.Add(1) == 1 {
-				res.Pairs++
-				emit(false, e.Wmes)
-			}
-		} else {
-			if e.NegCount.Add(-1) == 0 {
-				res.Pairs++
-				emit(true, e.Wmes)
-			}
-		}
-	}
+	return nil
 }
 
-func searchNegatedList(line *Line, j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME, entry *rete.Entry, res *StepResult, emit Emit) {
+// searchNegated maintains the negation counts of a negated node against
+// the opposite list starting at head.
+func searchNegated(head *rete.Entry, j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME, entry *rete.Entry, res *StepResult, emit Emit) {
 	if side == rete.Left {
 		if sign {
 			// Count the matching right WMEs; pass the token through when
 			// there are none.
 			var count int32
-			for e := line.Mem[rete.Right].Head; e != nil; e = e.Next {
+			for e := head; e != nil; e = e.Next {
 				if e.Node != j || e.Side != rete.Right {
 					continue
 				}
@@ -622,7 +635,7 @@ func searchNegatedList(line *Line, j *rete.JoinNode, side rete.Side, sign bool, 
 	}
 	// Right-side activation: adjust the counts of matching left tokens.
 	w := wmes[0]
-	for e := line.Mem[rete.Left].Head; e != nil; e = e.Next {
+	for e := head; e != nil; e = e.Next {
 		if e.Node != j || e.Side != rete.Left {
 			continue
 		}
@@ -702,52 +715,102 @@ func (t *Table) GrowTarget() int {
 }
 
 // Grow returns a new table with nLines lines holding every live entry
-// and parked early delete of t, re-slotted by its stored 64-bit hash.
-// The caller must hold t exclusively (sequential matchers between
-// submits; the parallel control process drained) and must republish the
-// lock arrays alongside the table so footnote 4's one-lock-per-line
-// discipline holds at the new size. Entry objects move — they are never
-// copied — so live *Entry pointers (negation counts) stay valid.
+// and parked early delete of t. A run's tokens share one hash, so a run
+// moves whole: its two list heads are re-slotted and the entries behind
+// them are never touched beyond being counted — per-run order, and with
+// it every later scan count, is preserved. The caller must hold t
+// exclusively (sequential matchers between submits; the parallel control
+// process drained) and must republish the lock arrays alongside the
+// table so footnote 4's one-lock-per-line discipline holds at the new
+// size. Entry objects move — they are never copied — so live *Entry
+// pointers (negation counts) stay valid.
 func (t *Table) Grow(nLines int) *Table {
 	nt := New(nLines)
-	var moved, parked, maxDepth int64
+	moved := t.rehashInto(nt, nil)
+	nt.resizes = t.resizes + 1
+	nt.rehashed = t.rehashed + moved
+	return nt
+}
+
+// rehashInto fills the empty segregated table nt with t's runs and
+// parked deletes, re-slotted by hash, and sets nt's gauges; it returns
+// the live entries carried over. With cp nil the entries themselves move
+// (Grow: t is dead afterwards); otherwise nt gets copies drawn from cp
+// (Clone: t is left untouched). Distinct runs of t stay distinct in nt,
+// so every destination run starts empty and takes its lists in order.
+func (t *Table) rehashInto(nt *Table, cp *Pools) (moved int64) {
+	var parked, maxDepth int64
 	for i := range t.Lines {
 		l := &t.Lines[i]
-		for ri := range l.runs {
-			r := &l.runs[ri]
-			if r.node == nil {
-				continue
+		l.forEachRun(func(r *run) {
+			if r.empty() {
+				return
 			}
-			for s := 0; s < 2; s++ {
-				for _, e := range r.mem[s] {
-					dl := &nt.Lines[e.Hash&nt.mask]
-					dr := dl.findRun(e.Node, e.Hash, true)
-					dr.mem[s] = append(dr.mem[s], e)
-					dl.live++
-					if int64(dl.live) > maxDepth {
-						maxDepth = int64(dl.live)
-					}
-					moved++
-				}
+			dl := &nt.Lines[r.hash&nt.mask]
+			dr := dl.findRun(r.node, r.hash, true)
+			for s := range r.mem {
+				var n int
+				dr.mem[s], n = carryList(r.mem[s], cp)
+				dl.live += int32(n)
+				moved += int64(n)
 			}
+			maxDepth = max(maxDepth, int64(dl.live))
+		})
+		if l.ext == nil {
+			continue
 		}
-		for s := 0; s < 2; s++ {
-			for e := l.XDel[s].Head; e != nil; {
+		for s := range l.ext.XDel {
+			for e := l.ext.XDel[s].Head; e != nil; {
 				next := e.Next
-				e.Next = nil
-				nt.Lines[e.Hash&nt.mask].XDel[s].Push(e)
+				if cp != nil {
+					e = cp.copyEntry(e)
+				}
+				nt.Lines[e.Hash&nt.mask].x().XDel[s].Push(e)
 				parked++
 				e = next
 			}
-			l.XDel[s] = rete.EntryList{}
+			if cp == nil {
+				l.ext.XDel[s] = rete.EntryList{}
+			}
 		}
 	}
 	nt.entries.Store(moved)
 	nt.parked.Store(parked)
 	nt.maxDepth.Store(maxDepth)
-	nt.resizes = t.resizes + 1
-	nt.rehashed = t.rehashed + moved
-	return nt
+	return moved
+}
+
+// carryList returns the list starting at head with its length: the list
+// itself when cp is nil, an order-preserving copy with entries drawn
+// from cp otherwise.
+func carryList(head *rete.Entry, cp *Pools) (*rete.Entry, int) {
+	if cp == nil {
+		return head, listLen(head)
+	}
+	var out *rete.Entry
+	tail, n := &out, 0
+	for e := head; e != nil; e = e.Next {
+		c := cp.copyEntry(e)
+		*tail, tail = c, &c.Next
+		n++
+	}
+	return out, n
+}
+
+// copyEntry returns a copy of e drawn from p, unlinked. The copy shares
+// the token slice and WME pointers — both immutable once emitted — and
+// starts from the original's negation count.
+func (p *Pools) copyEntry(e *rete.Entry) *rete.Entry {
+	c := p.newEntry(e.Node, e.Side, e.Hash, e.Wmes)
+	c.NegCount.Store(e.NegCount.Load())
+	return c
+}
+
+func listLen(head *rete.Entry) (n int) {
+	for e := head; e != nil; e = e.Next {
+		n++
+	}
+	return n
 }
 
 // MemStats snapshots the table's memory gauges and resize counters for
@@ -769,18 +832,17 @@ func (t *Table) SizeByNode(numJoins int) [][2]int {
 	out := make([][2]int, numJoins)
 	for i := range t.Lines {
 		l := &t.Lines[i]
-		for s := 0; s < 2; s++ {
-			for e := l.Mem[s].Head; e != nil; e = e.Next {
-				out[e.Node.ID][s]++
+		l.forEachRun(func(r *run) {
+			for s := range r.mem {
+				out[r.node.ID][s] += listLen(r.mem[s])
 			}
+		})
+		if l.ext == nil {
+			continue
 		}
-		for ri := range l.runs {
-			r := &l.runs[ri]
-			if r.node == nil {
-				continue
-			}
-			for s := 0; s < 2; s++ {
-				out[r.node.ID][s] += len(r.mem[s])
+		for s := range l.ext.Mem {
+			for e := l.ext.Mem[s].Head; e != nil; e = e.Next {
+				out[e.Node.ID][s]++
 			}
 		}
 	}
@@ -798,11 +860,10 @@ func (t *Table) CheckDrained() error {
 		return nil
 	}
 	for i := range t.Lines {
-		l := &t.Lines[i]
-		for s := 0; s < 2; s++ {
-			if e := l.XDel[s].Head; e != nil {
+		for s := rete.Left; s <= rete.Right; s++ {
+			if e := t.Lines[i].ParkedHead(s); e != nil {
 				return fmt.Errorf("line %d: unmatched early delete for node %d (%s side, token len %d)",
-					i, e.Node.ID, rete.Side(s), len(e.Wmes))
+					i, e.Node.ID, s, len(e.Wmes))
 			}
 		}
 	}
@@ -854,27 +915,29 @@ func (t *Table) ExciseNodes(dead map[int]bool, rec *Recorder) (removed int) {
 	}
 	for i := range t.Lines {
 		l := &t.Lines[i]
-		for s := 0; s < 2; s++ {
-			n := exciseList(&l.Mem[s], dead)
-			l.live -= n
-			removed += n
-			x := exciseList(&l.XDel[s], dead)
-			t.parked.Add(int64(-x))
-			removed += x
-		}
-		for ri := range l.runs {
-			r := &l.runs[ri]
-			if r.node == nil || !dead[r.node.ID] {
-				continue
+		// A dead run keeps its key (overflow probe sequences stay intact;
+		// the next sub-index growth compacts it away) and drops its lists.
+		l.forEachRun(func(r *run) {
+			if !dead[r.node.ID] {
+				return
 			}
-			// Keep the keyed slot so probe sequences stay intact; the next
-			// sub-index growth compacts it away.
-			for s := 0; s < 2; s++ {
-				n := len(r.mem[s])
-				l.live -= n
+			for s := range r.mem {
+				n := listLen(r.mem[s])
+				l.live -= int32(n)
 				removed += n
 				r.mem[s] = nil
 			}
+		})
+		if l.ext == nil {
+			continue
+		}
+		for s := range l.ext.Mem {
+			n := exciseList(&l.ext.Mem[s], dead)
+			l.live -= int32(n)
+			removed += n
+			x := exciseList(&l.ext.XDel[s], dead)
+			t.parked.Add(int64(-x))
+			removed += x
 		}
 	}
 	// removed includes parked XDel entries, which never counted toward
@@ -930,63 +993,47 @@ func exciseList(l *rete.EntryList, dead map[int]bool) (removed int) {
 // values into their hash and therefore share a line — and, in the
 // segregated layout, a run. The caller must hold the table exclusively.
 func (t *Table) ForEachOutput(j *rete.JoinNode, pools *Pools, fn func(wmes []*wm.WME)) {
-	if t.seg {
-		for i := range t.Lines {
-			l := &t.Lines[i]
-			for ri := range l.runs {
-				r := &l.runs[ri]
-				if r.node != j {
-					continue
-				}
-				for _, le := range r.mem[rete.Left] {
-					if j.Negated {
-						if le.NegCount.Load() == 0 {
-							fn(le.Wmes)
-						}
-						continue
-					}
-					for _, re := range r.mem[rete.Right] {
-						if !j.TestPair(le.Wmes, re.Wmes[0]) {
-							continue
-						}
-						child := pools.MakeToken(len(le.Wmes) + 1)
-						copy(child, le.Wmes)
-						child[len(le.Wmes)] = re.Wmes[0]
-						fn(child)
-					}
-				}
-			}
-		}
-		return
-	}
 	lines := t.Lines
 	if !t.Hashed {
 		lines = t.Lines[j.ID : j.ID+1]
 	}
 	for i := range lines {
 		l := &lines[i]
-		for le := l.Mem[rete.Left].Head; le != nil; le = le.Next {
-			if le.Node != j || le.Side != rete.Left {
+		l.forEachRun(func(r *run) {
+			if r.node == j {
+				forEachPair(j, r.mem[rete.Left], r.mem[rete.Right], pools, fn)
+			}
+		})
+		if x := l.ext; x != nil {
+			forEachPair(j, x.Mem[rete.Left].Head, x.Mem[rete.Right].Head, pools, fn)
+		}
+	}
+}
+
+// forEachPair calls fn for every output token j's entries on the two
+// lists stand for, skipping entries of other nodes.
+func forEachPair(j *rete.JoinNode, left, right *rete.Entry, pools *Pools, fn func(wmes []*wm.WME)) {
+	for le := left; le != nil; le = le.Next {
+		if le.Node != j || le.Side != rete.Left {
+			continue
+		}
+		if j.Negated {
+			if le.NegCount.Load() == 0 {
+				fn(le.Wmes)
+			}
+			continue
+		}
+		for re := right; re != nil; re = re.Next {
+			if re.Node != j || re.Side != rete.Right {
 				continue
 			}
-			if j.Negated {
-				if le.NegCount.Load() == 0 {
-					fn(le.Wmes)
-				}
+			if !j.TestPair(le.Wmes, re.Wmes[0]) {
 				continue
 			}
-			for re := l.Mem[rete.Right].Head; re != nil; re = re.Next {
-				if re.Node != j || re.Side != rete.Right {
-					continue
-				}
-				if !j.TestPair(le.Wmes, re.Wmes[0]) {
-					continue
-				}
-				child := pools.MakeToken(len(le.Wmes) + 1)
-				copy(child, le.Wmes)
-				child[len(le.Wmes)] = re.Wmes[0]
-				fn(child)
-			}
+			child := pools.MakeToken(len(le.Wmes) + 1)
+			copy(child, le.Wmes)
+			child[len(le.Wmes)] = re.Wmes[0]
+			fn(child)
 		}
 	}
 }

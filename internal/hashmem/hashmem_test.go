@@ -3,7 +3,9 @@ package hashmem_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/hashmem"
@@ -402,24 +404,29 @@ func emitKey(sign bool, wmes []*wm.WME) string {
 }
 
 // TestStormDifferentialAcrossResize runs a randomized conjugate-balanced
-// insert/remove/early-delete storm through the segregated layout — with
-// adaptive growth firing mid-stream, including while deletes are parked —
-// and through the fixed legacy layout, and requires identical emission
+// insert/remove/early-delete storm over three joins through the
+// segregated layout — with adaptive growth firing mid-stream, including
+// while deletes are parked, and the table swapped for its Clone and
+// joins excised at random points between activations — and in lockstep
+// through the fixed legacy layout (which sees the same excises), and
+// requires identical gauges at every such point, identical emission
 // multisets, drained extra-deletes and empty final memories.
 func TestStormDifferentialAcrossResize(t *testing.T) {
-	net := fixture(t, joinSrc)
-	j := net.Joins[0]
+	net := fixture(t, threeJoinSrc)
+	joins := net.Joins[:3]
 	rng := rand.New(rand.NewSource(7))
 
 	type ev struct {
+		j    *rete.JoinNode
 		side rete.Side
 		sign bool
 		tok  []*wm.WME
 	}
 	var events []ev
 	tag := 1
-	const pairs = 400
+	const pairs = 900
 	for i := 0; i < pairs; i++ {
+		j := joins[rng.Intn(len(joins))]
 		v := int64(rng.Intn(8)) // few distinct join values => real cross matches
 		var side rete.Side
 		var tok []*wm.WME
@@ -431,37 +438,75 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 		tag++
 		// A full shuffle of conjugate pairs yields plenty of
 		// minus-before-plus orderings, exercising the parking protocol.
-		events = append(events, ev{side, true, tok}, ev{side, false, tok})
+		events = append(events, ev{j, side, true, tok}, ev{j, side, false, tok})
 	}
 	rng.Shuffle(len(events), func(a, b int) { events[a], events[b] = events[b], events[a] })
 
-	run := func(table *hashmem.Table, grow bool) ([]string, *hashmem.Table) {
-		var got []string
-		for _, e := range events {
-			var hash uint64
-			if e.side == rete.Left {
-				hash = j.LeftHash(e.tok)
-			} else {
-				hash = j.RightHash(e.tok[0])
-			}
-			idx := table.LineIndex(j, hash)
-			entry, ref, res := table.UpdateOwn(idx, j, e.side, e.sign, e.tok, hash, nil, nil)
-			if res.Proceeded {
-				table.SearchOpposite(idx, ref, j, e.side, e.sign, e.tok, entry, nil, nil,
-					func(s bool, w []*wm.WME) { got = append(got, emitKey(s, w)) })
-			}
-			if grow {
-				if n := table.GrowTarget(); n > 0 {
-					table = table.Grow(n)
-				}
+	step := func(table *hashmem.Table, e ev, got *[]string) {
+		var hash uint64
+		if e.side == rete.Left {
+			hash = e.j.LeftHash(e.tok)
+		} else {
+			hash = e.j.RightHash(e.tok[0])
+		}
+		idx := table.LineIndex(e.j, hash)
+		entry, ref, res := table.UpdateOwn(idx, e.j, e.side, e.sign, e.tok, hash, nil, nil)
+		if res.Proceeded {
+			table.SearchOpposite(idx, ref, e.j, e.side, e.sign, e.tok, entry, nil, nil,
+				func(s bool, w []*wm.WME) { *got = append(*got, emitKey(s, w)) })
+		}
+	}
+	seg, leg := hashmem.New(1), hashmem.NewLegacy(64)
+	sameGauges := func(i int, op string) {
+		t.Helper()
+		if s, l := seg.Parked(), leg.Parked(); s != l {
+			t.Fatalf("event %d (%s): Parked() segregated %d, legacy %d", i, op, s, l)
+		}
+		if s, l := seg.MemStats().Entries, leg.MemStats().Entries; s != l {
+			t.Fatalf("event %d (%s): Entries segregated %d, legacy %d", i, op, s, l)
+		}
+		s, l := seg.SizeByNode(net.NumJoinIDs()), leg.SizeByNode(net.NumJoinIDs())
+		for id := range s {
+			if s[id] != l[id] {
+				t.Fatalf("event %d (%s): SizeByNode[%d] segregated %v, legacy %v", i, op, id, s[id], l[id])
 			}
 		}
-		sort.Strings(got)
-		return got, table
 	}
-
-	segGot, seg := run(hashmem.New(1), true)
-	legGot, leg := run(hashmem.NewLegacy(64), false)
+	var segGot, legGot []string
+	dead := map[*rete.JoinNode]bool{}
+	clones := 0
+	for i, e := range events {
+		if dead[e.j] {
+			continue // its tokens left with the node, in both tables
+		}
+		step(seg, e, &segGot)
+		step(leg, e, &legGot)
+		if n := seg.GrowTarget(); n > 0 {
+			seg = seg.Grow(n)
+			sameGauges(i, "grow")
+		}
+		switch r := rng.Intn(150); {
+		case r < 2 && i > len(events)/3:
+			// Carry on with the copy. It is sized for its live entries, so
+			// growth stops here: the first third of the storm is grow's.
+			seg = seg.Clone()
+			clones++
+			sameGauges(i, "clone")
+		case r == 2 && i > len(events)/2 && len(dead) < 2:
+			j := joins[rng.Intn(len(joins))]
+			if dead[j] {
+				break
+			}
+			dead[j] = true
+			ns, nl := seg.ExciseNodes(map[int]bool{j.ID: true}, nil), leg.ExciseNodes(map[int]bool{j.ID: true}, nil)
+			if ns != nl {
+				t.Fatalf("event %d: ExciseNodes dropped %d segregated, %d legacy", i, ns, nl)
+			}
+			sameGauges(i, "excise")
+		}
+	}
+	sort.Strings(segGot)
+	sort.Strings(legGot)
 
 	if len(segGot) != len(legGot) {
 		t.Fatalf("emission counts differ: segregated %d, legacy %d", len(segGot), len(legGot))
@@ -482,9 +527,8 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 			t.Errorf("%s: %d tokens left in memory", name, n)
 		}
 	}
-	ms := seg.MemStats()
-	if ms.Resizes == 0 || ms.Lines == 1 {
-		t.Errorf("storm never grew the table (resizes %d, lines %d); raise the pair count", ms.Resizes, ms.Lines)
+	if ms := seg.MemStats(); ms.Resizes == 0 || clones == 0 || len(dead) == 0 {
+		t.Errorf("storm too tame: %d resizes, %d clones, %d excises; raise the pair count", ms.Resizes, clones, len(dead))
 	}
 }
 
@@ -495,8 +539,8 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 func walkParked(table *hashmem.Table) int64 {
 	var n int64
 	for i := range table.Lines {
-		for s := 0; s < 2; s++ {
-			for e := table.Lines[i].XDel[s].Head; e != nil; e = e.Next {
+		for s := rete.Left; s <= rete.Right; s++ {
+			for e := table.Lines[i].ParkedHead(s); e != nil; e = e.Next {
 				n++
 			}
 		}
@@ -659,5 +703,242 @@ func TestCheckDrainedNamesLeftover(t *testing.T) {
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: CheckDrained = %v, want %q", name, err, want)
 		}
+	}
+}
+
+// TestLineFitsACacheLine pins the point of the layout: one activation on
+// a one-run line touches one cache line of the table.
+func TestLineFitsACacheLine(t *testing.T) {
+	if hashmem.LineSize > 64 {
+		t.Fatalf("Line is %d bytes, want <= 64", hashmem.LineSize)
+	}
+}
+
+// own is apply's first half on a one-line table, leaving the search to
+// the caller so tests can put other activations in between.
+func own(table *hashmem.Table, j *rete.JoinNode, side rete.Side, sign bool, tok []*wm.WME) (*rete.Entry, hashmem.Ref) {
+	hash := j.RightHash(tok[0])
+	if side == rete.Left {
+		hash = j.LeftHash(tok)
+	}
+	entry, ref, _ := table.UpdateOwn(0, j, side, sign, tok, hash, nil, nil)
+	return entry, ref
+}
+
+// TestStaleRefReadsItsOppositeList holds a Ref across same-side
+// activations of other nodes on the same line — what the MRSW scheme
+// allows between an UpdateOwn and its SearchOpposite — that first grow
+// the overflow sub-index out from under it and then re-key the inline
+// run it points at: the search must still see exactly the opposite list
+// of its own (node, hash).
+func TestStaleRefReadsItsOppositeList(t *testing.T) {
+	net := fixture(t, threeJoinSrc)
+	j1, j2, j3 := net.Joins[0], net.Joins[1], net.Joins[2]
+	table := hashmem.New(1)
+	line := &table.Lines[0]
+	search := func(j *rete.JoinNode, side rete.Side, sign bool, tok []*wm.WME, entry *rete.Entry, ref hashmem.Ref) []string {
+		var out []string
+		table.SearchOpposite(0, ref, j, side, sign, tok, entry, nil, nil,
+			func(s bool, w []*wm.WME) { out = append(out, emitKey(s, w)) })
+		return out
+	}
+	left := func(tag int, v int64) []*wm.WME { return []*wm.WME{mkW(1, tag, v)} }
+
+	// An overflow run outgrown. (j1, 5) takes the inline slot, (j1, 6) the
+	// first overflow slot; the left token's ref points into that array.
+	r5 := []*wm.WME{mkW(2, 1, 5)}
+	apply(table, j1, rete.Right, true, r5)
+	apply(table, j1, rete.Right, true, []*wm.WME{mkW(2, 2, 6)})
+	l6 := left(3, 6)
+	entry, ref := own(table, j1, rete.Left, true, l6)
+	if ref.Inline(line) || line.OverflowSlots() == 0 {
+		t.Fatalf("fixture: (j1, 6) should sit in the overflow sub-index (slots %d)", line.OverflowSlots())
+	}
+	before := line.OverflowSlots()
+	for i, j := range []*rete.JoinNode{j2, j3, j2, j3, j2, j3} {
+		own(table, j, rete.Left, true, left(10+i, int64(20+i))) // six new keys, left side only
+	}
+	own(table, j1, rete.Left, true, left(4, 6)) // and a sibling in the ref's own run, new array
+	if line.OverflowSlots() <= before {
+		t.Fatalf("fixture: overflow sub-index did not grow (%d slots)", line.OverflowSlots())
+	}
+	if got := search(j1, rete.Left, true, l6, entry, ref); len(got) != 1 || got[0] != "+,3,2" {
+		t.Fatalf("search through an outgrown ref emitted %v, want [+,3,2]", got)
+	}
+
+	// The inline run emptied and re-keyed. Deleting (j1, 5)'s only token
+	// leaves both its lists empty; the next new key on the line takes the
+	// slot while the delete's ref still points at it.
+	entry, ref = own(table, j1, rete.Right, false, r5)
+	if !ref.Inline(line) {
+		t.Fatal("fixture: (j1, 5) should be the inline run")
+	}
+	r99 := []*wm.WME{mkW(2, 30, 99)}
+	own(table, j2, rete.Right, true, r99)
+	if _, again := own(table, j2, rete.Right, false, r99); !again.Inline(line) {
+		t.Fatal("fixture: the new key did not re-key the emptied inline run")
+	}
+	if got := search(j1, rete.Right, false, r5, entry, ref); len(got) != 0 {
+		t.Fatalf("search through a re-keyed ref emitted %v, want nothing", got)
+	}
+}
+
+// TestCloneAndGrowKeepRunOrder: a run's tokens must come out of Clone
+// and Grow in the order they went in, or a copy's delete scans (Table
+// 4-3's same-memory counts) would differ from the original's.
+func TestCloneAndGrowKeepRunOrder(t *testing.T) {
+	net := fixture(t, joinSrc)
+	j := net.Joins[0]
+	orig := hashmem.New(2)
+	var toks [][]*wm.WME
+	for i := 0; i < 40; i++ {
+		tok := []*wm.WME{mkW(1, i+1, int64(i%3))} // three runs of 13-14 tokens
+		toks = append(toks, tok)
+		apply(orig, j, rete.Left, true, tok)
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(toks), func(a, b int) { toks[a], toks[b] = toks[b], toks[a] })
+	scans := func(table *hashmem.Table) []int {
+		var out []int
+		for _, tok := range toks {
+			hash := j.LeftHash(tok)
+			_, _, res := table.UpdateOwn(table.LineIndex(j, hash), j, rete.Left, false, tok, hash, nil, nil)
+			if !res.Proceeded {
+				t.Fatalf("token %d not found", tok[0].TimeTag)
+			}
+			out = append(out, res.OwnScanned)
+		}
+		return out
+	}
+	clone := orig.Clone()
+	grown := orig.Clone().Grow(64)
+	regrown := grown.Clone().Grow(4096).Clone()
+	want := scans(orig)
+	if deepest := slices.Max(want); deepest < 5 {
+		t.Fatalf("fixture: deepest delete scan %d, runs too short to tell orders apart", deepest)
+	}
+	for name, table := range map[string]*hashmem.Table{"clone": clone, "grown": grown, "regrown": regrown} {
+		if got := scans(table); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: delete scan counts %v, original %v", name, got, want)
+		}
+	}
+}
+
+// TestEntriesRecycleWithoutACap: every entry a delete unlinks is reused
+// by a later insert, however many there are — the free list has no cap,
+// so a working memory that swells and shrinks allocates its peak once.
+func TestEntriesRecycleWithoutACap(t *testing.T) {
+	net := fixture(t, joinSrc)
+	j := net.Joins[0]
+	const n = 5000
+	table := hashmem.New(n)
+	var pools hashmem.Pools
+	toks := make([][]*wm.WME, n)
+	for i := range toks {
+		toks[i] = []*wm.WME{mkW(1, i+1, int64(i))}
+	}
+	round := func() {
+		for _, sign := range []bool{true, false} {
+			for _, tok := range toks {
+				hash := j.LeftHash(tok)
+				e, _, res := table.UpdateOwn(table.LineIndex(j, hash), j, rete.Left, sign, tok, hash, nil, &pools)
+				if !res.Proceeded {
+					t.Fatal("activation did not proceed")
+				}
+				if !sign {
+					pools.FreeEntry(e)
+				}
+			}
+		}
+	}
+	round() // allocates the slabs and the overflow runs
+	if allocs := testing.AllocsPerRun(3, round); allocs > 0 {
+		t.Fatalf("a round of %d inserts and deletes over recycled entries made %.0f allocations, want 0", n, allocs)
+	}
+}
+
+// TestSameSideEpochKeepsRefsSound is the MRSW discipline on one line
+// under the race detector: several goroutines run left activations of
+// three nodes at once, UpdateOwn under a shared modification lock and
+// SearchOpposite outside it, while run slots are created, outgrown,
+// emptied and re-keyed around the Refs in flight. The right memories are
+// frozen for the epoch, so every insert must pair with exactly the right
+// tokens of its own (node, value) and every delete retract as many.
+func TestSameSideEpochKeepsRefsSound(t *testing.T) {
+	net := fixture(t, threeJoinSrc)
+	joins := net.Joins[:3]
+	table := hashmem.New(1)
+	// A partnerless left token takes the inline run before any right token
+	// arrives, so the slot is free to empty and re-key during the epoch.
+	l0 := []*wm.WME{mkW(1, 1, 100)}
+	apply(table, joins[0], rete.Left, true, l0)
+	tag := 2
+	rights := func(j *rete.JoinNode, v int64) int { return (j.ID + int(v)) % 3 } // 0..2 partners
+	for _, j := range joins {
+		for v := int64(0); v < 4; v++ {
+			for k := 0; k < rights(j, v); k++ {
+				apply(table, j, rete.Right, true, []*wm.WME{mkW(2, tag, v)})
+				tag++
+			}
+		}
+	}
+
+	var mod sync.Mutex
+	activate := func(p *hashmem.Pools, j *rete.JoinNode, sign bool, tok []*wm.WME) (pairs int) {
+		hash := j.LeftHash(tok)
+		mod.Lock()
+		entry, ref, res := table.UpdateOwn(0, j, rete.Left, sign, tok, hash, nil, p)
+		mod.Unlock()
+		if !res.Proceeded {
+			return -1
+		}
+		table.SearchOpposite(0, ref, j, rete.Left, sign, tok, entry, nil, p, func(bool, []*wm.WME) { pairs++ })
+		if !sign {
+			p.FreeEntry(entry)
+		}
+		return pairs
+	}
+	const workers, rounds = 4, 400
+	pools := make([]hashmem.Pools, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			p := &pools[w]
+			if w == 0 {
+				if got := activate(p, joins[0], false, l0); got != 0 {
+					t.Errorf("partnerless delete emitted %d pairs", got)
+				}
+			}
+			for i := 0; i < rounds; i++ {
+				j := joins[rng.Intn(len(joins))]
+				v := int64(rng.Intn(4))
+				if rng.Intn(3) == 0 {
+					v = int64(1000 + rng.Intn(50)) // a key of its own: new slots, no partners
+				}
+				want := 0
+				if v < 4 {
+					want = rights(j, v)
+				}
+				tok := []*wm.WME{mkW(1, 1_000_000*(w+1)+i, v)}
+				for _, sign := range []bool{true, false} {
+					if got := activate(p, j, sign, tok); got != want {
+						t.Errorf("worker %d: node %d value %d sign %v emitted %d pairs, want %d", w, j.ID, v, sign, got, want)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range pools {
+		table.FoldLive(&pools[i])
+	}
+	if err := table.CheckDrained(); err != nil {
+		t.Error(err)
+	}
+	if got, want := table.MemStats().Entries, int64(tag-2); got != want {
+		t.Errorf("%d entries left, want the %d right tokens", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/hashmem"
 	"repro/internal/parmatch"
+	"repro/internal/rete"
 	"repro/internal/tables"
 )
 
@@ -18,8 +19,8 @@ func requireNoParked(t *testing.T, table *hashmem.Table) {
 	t.Helper()
 	var walk int64
 	for i := range table.Lines {
-		for s := 0; s < 2; s++ {
-			for e := table.Lines[i].XDel[s].Head; e != nil; e = e.Next {
+		for s := rete.Left; s <= rete.Right; s++ {
+			for e := table.Lines[i].ParkedHead(s); e != nil; e = e.Next {
 				walk++
 			}
 		}

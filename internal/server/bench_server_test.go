@@ -2,8 +2,11 @@ package server_test
 
 import (
 	"encoding/json"
+	"math/rand"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -149,4 +152,96 @@ func BenchmarkServerThroughput(b *testing.B) {
 			b.ReportMetric(float64(rep.Snapshot.Latency["run"].P99Us), "p99-µs")
 		})
 	}
+}
+
+// forkLedgerSrc is the ledger of the end-to-end benchmark's
+// serve-ingest-durable workload: an acct x txn equality join guarded by
+// a negated hold, modify + remove on the right-hand side.
+const forkLedgerSrc = `(literalize acct id bal n)
+(literalize txn acct amt)
+(literalize hold acct)
+(p post
+   (txn ^acct <a> ^amt <m>)
+   (acct ^id <a> ^bal <b> ^n <n>)
+  -(hold ^acct <a>)
+  -->
+   (modify 2 ^bal (compute <b> + <m>) ^n (compute <n> + 1))
+   (remove 1))
+`
+
+// BenchmarkForkLedgerLoop is that workload with the journal taken away:
+// a memory-only template of 2 000 accounts, then per iteration one fork,
+// 100 batches (16 Zipf-keyed txns and a hold asserted, the hold of four
+// batches earlier retracted) and the delete, all by direct calls. What
+// is left is the fork's table clone and the match on the cloned table —
+// the part of serve-ingest-durable the token store's layout can move —
+// reported as fork_ms, op_us (mean) and op_p99_us.
+func BenchmarkForkLedgerLoop(b *testing.B) {
+	const accounts, batches, txns, holdLag = 2000, 100, 16, 4
+	srv := server.New(server.Options{})
+	defer srv.Close()
+	tc := &server.TemplateConfig{SessionConfig: server.SessionConfig{Program: forkLedgerSrc, Matcher: "vs2"}}
+	for i := 0; i < accounts; i++ {
+		tc.Asserts = append(tc.Asserts, server.WMEInput{Class: "acct", Attrs: map[string]any{"id": i, "bal": 0, "n": 0}})
+	}
+	tpl, err := srv.CreateTemplate(tc)
+	if err != nil {
+		b.Fatalf("template: %v", err)
+	}
+	r := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(r, 1.1, 1, accounts-1)
+	stream := make([][]server.WMEInput, batches)
+	for n := range stream {
+		for i := 0; i < txns; i++ {
+			stream[n] = append(stream[n], server.WMEInput{Class: "txn", Attrs: map[string]any{"acct": int(zipf.Uint64()), "amt": 1 + r.Intn(99)}})
+		}
+		stream[n] = append(stream[n], server.WMEInput{Class: "hold", Attrs: map[string]any{"acct": int(zipf.Uint64())}})
+	}
+	var forkNs time.Duration
+	ops := make([]time.Duration, 0, b.N*batches)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		fork, err := srv.Fork(tpl.ID)
+		if err != nil {
+			b.Fatalf("fork: %v", err)
+		}
+		t1 := time.Now()
+		forkNs += t1.Sub(t0)
+		var holds []int
+		for n, asserts := range stream {
+			req := &server.BatchRequest{Asserts: asserts}
+			if n >= holdLag {
+				req.Retracts = []int{holds[n-holdLag]}
+			}
+			t2 := time.Now()
+			res, err := srv.Batch(fork.ID, req)
+			if err != nil {
+				b.Fatalf("batch %d: %v", n, err)
+			}
+			ops = append(ops, time.Since(t2))
+			// The hold is the batch's last assert; the post firings' modifies
+			// come after it, so find it by class.
+			for _, w := range res.WMAdded {
+				if strings.HasPrefix(w.Text, "(hold ") {
+					holds = append(holds, w.TimeTag)
+				}
+			}
+			if len(holds) != n+1 {
+				b.Fatalf("batch %d: reply reports no hold time tag", n)
+			}
+		}
+		if err := srv.DeleteSession(fork.ID); err != nil {
+			b.Fatalf("delete: %v", err)
+		}
+	}
+	b.StopTimer()
+	slices.Sort(ops)
+	var opNs time.Duration
+	for _, d := range ops {
+		opNs += d
+	}
+	b.ReportMetric(float64(forkNs.Microseconds())/1000/float64(b.N), "fork_ms")
+	b.ReportMetric(float64(opNs.Microseconds())/float64(len(ops)), "op_us")
+	b.ReportMetric(float64(ops[len(ops)*99/100].Microseconds()), "op_p99_us")
 }

@@ -26,6 +26,7 @@ import (
 	"repro/internal/ops5"
 	"repro/internal/parmatch"
 	"repro/internal/rete"
+	"repro/internal/rhs"
 	"repro/internal/seqmatch"
 	"repro/internal/stats"
 	"repro/internal/wm"
@@ -114,16 +115,17 @@ type Server struct {
 }
 
 // sharedProgram is one compiled program, shared read-only by every
-// session created from byte-identical source. newEng serializes
-// engine construction: RHS compilation may lazily extend the class
-// tables of an undeclared-attribute program, which must not race.
+// session created from byte-identical source. RHS compilation may
+// lazily extend the class tables of an undeclared-attribute program, so
+// it happens here, once, before the program is published and frozen —
+// sessions of one program build concurrently.
 type sharedProgram struct {
-	src    string            // the exact source the hash covers
-	hash   [sha256.Size]byte // SHA-256 of src: registry key, pins logs and snapshots
-	prog   *ops5.Program
-	net    *rete.Network // compiled with the cost-based join planner
-	newEng sync.Mutex
-	refs   int // live sessions, for the sessions listing
+	src  string            // the exact source the hash covers
+	hash [sha256.Size]byte // SHA-256 of src: registry key, pins logs and snapshots
+	prog *ops5.Program
+	net  *rete.Network   // compiled with the cost-based join planner
+	rhs  []*rhs.Compiled // every rule's right-hand side, by rule ID
+	refs int             // live sessions, for the sessions listing
 }
 
 // core is one engine and everything bound to it: the matcher backend
@@ -167,12 +169,10 @@ func (sp *sharedProgram) build(cfg *SessionConfig) (*core, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp.newEng.Lock()
-	eng, err := engine.New(sp.prog, sp.net, cs, m, nil)
-	sp.newEng.Unlock()
+	eng, err := engine.NewWithRHS(sp.prog, sp.net, sp.rhs, cs, m, nil)
 	if err != nil {
 		m.Close()
-		return nil, fmt.Errorf("rhs compile: %w", err)
+		return nil, err
 	}
 	// Hosted sessions read (accept) input from a per-session queue the
 	// batch API fills; an empty queue suspends the run (awaiting_input)
@@ -409,7 +409,8 @@ func (s *Server) sharedProg(src string) (sp *sharedProgram, shared bool, err err
 	return c.sp, false, nil
 }
 
-// compileProgram parses src and compiles its network.
+// compileProgram parses src and compiles its network and right-hand
+// sides; the program is frozen from here on.
 func compileProgram(src string, hash [sha256.Size]byte) (*sharedProgram, error) {
 	prog, err := ops5.Parse(src)
 	if err != nil {
@@ -419,7 +420,11 @@ func compileProgram(src string, hash [sha256.Size]byte) (*sharedProgram, error) 
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	return &sharedProgram{src: src, hash: hash, prog: prog, net: net}, nil
+	compiled, err := engine.CompileRHS(prog, net)
+	if err != nil {
+		return nil, fmt.Errorf("rhs compile: %w", err)
+	}
+	return &sharedProgram{src: src, hash: hash, prog: prog, net: net, rhs: compiled}, nil
 }
 
 // resolveProgram maps a session config onto its compiled program:

@@ -377,3 +377,55 @@ func TestDeadlineBudget(t *testing.T) {
 		t.Fatalf("deadline run took %v", el)
 	}
 }
+
+// echoSrc writes one line per request and consumes it.
+const echoSrc = `
+(literalize req n)
+(p echo
+  (req ^n <n>)
+-->
+  (write got <n> (crlf))
+  (remove 1))
+`
+
+// TestOutputLandsInItsOwnBatch: the engine builds its RHS environment
+// once and the server swaps the output writer per batch, so every batch
+// must get exactly the text its own firings wrote — none of an earlier
+// batch's, none lost to an earlier batch's buffer — on a session and on
+// a fork of it (whose environment is its own).
+func TestOutputLandsInItsOwnBatch(t *testing.T) {
+	srv := server.New(server.Options{})
+	defer srv.Close()
+	info, err := srv.CreateSession(server.SessionConfig{Program: echoSrc, Matcher: "vs2"})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	batch := func(id string, n int) string {
+		t.Helper()
+		res, err := srv.Batch(id, &server.BatchRequest{
+			Asserts: []server.WMEInput{{Class: "req", Attrs: map[string]any{"n": n}}},
+		})
+		if err != nil {
+			t.Fatalf("batch %d: %v", n, err)
+		}
+		return res.Output
+	}
+	for n := 1; n <= 3; n++ {
+		if got, want := batch(info.ID, n), fmt.Sprintf("got %d\n", n); got != want {
+			t.Fatalf("batch %d output %q, want %q", n, got, want)
+		}
+	}
+	tpl, err := srv.CreateTemplate(&server.TemplateConfig{SessionConfig: server.SessionConfig{Program: echoSrc, Matcher: "vs2"}})
+	if err != nil {
+		t.Fatalf("template: %v", err)
+	}
+	fork, err := srv.Fork(tpl.ID)
+	if err != nil {
+		t.Fatalf("fork: %v", err)
+	}
+	for n := 7; n <= 8; n++ {
+		if got, want := batch(fork.ID, n), fmt.Sprintf("got %d\n", n); got != want {
+			t.Fatalf("fork batch %d output %q, want %q", n, got, want)
+		}
+	}
+}

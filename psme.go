@@ -137,7 +137,12 @@ type Config struct {
 	// TaskQueues is the number of task queues (default 1; the paper
 	// found 8 essential for speed-up at high process counts).
 	TaskQueues int
-	// HashLines sizes the token hash tables (default 16384 lines).
+	// HashLines is the starting size of the token hash tables in lines
+	// (default 16384; 64 bytes a line, rounded up to a power of two).
+	// MatcherVS2 and MatcherParallel tables grow from there once they hold
+	// more than 16 tokens per line; MatcherVS1 has one line per join node
+	// and ignores it. Token entries are recycled within the session
+	// without limit; the token slices themselves are not.
 	HashLines int
 	// CSShards is the number of conflict-set lock stripes, rounded up
 	// to a power of two (default conflict.DefaultShards).
