@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke bench-e2e bench-e2e-smoke recovery act-differential reorder-differential fuzz-smoke cluster-smoke clean
+.PHONY: all build test race vet check bench bench-smoke bench-e2e bench-e2e-smoke recovery reorder-differential fuzz-smoke cluster-smoke clean
 
 all: build
 
@@ -18,38 +18,33 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detect the concurrent subsystems: the inference server (which
-# includes the crash-recovery differential suite), the sharded conflict
-# set and runtime build/excise epoch swaps (engine dynamic tests); then
-# the parallel matcher, its task queues and the token store under it 20
-# times over — their oracles are schedules (who wins the last unit of a
-# phase, whether a shared burst is stolen or popped back, a control
-# hand-off between goroutines, which same-side activation re-keys a run
-# slot another still holds a Ref to), and one pass samples too few of
-# them.
+# Race-detect the concurrent subsystems: the inference server (many
+# sessions on the worker pool; it includes the crash-recovery
+# differential suite) and the engine over the parallel matcher
+# (runtime build/excise epoch swaps); then the parallel matcher, its
+# task queues and the token store under it 20 times over — their oracles
+# are schedules (who wins the last unit of a phase, which process
+# buffers a terminal activation, a control hand-off between goroutines,
+# which same-side activation re-keys a run slot another still holds a
+# Ref to), and one pass samples too few of them. The conflict set is no
+# longer concurrent: match goroutines buffer their terminal activations
+# and only the control process applies them.
 race:
-	$(GO) test -race ./internal/server ./internal/conflict ./internal/engine
+	$(GO) test -race ./internal/server ./internal/engine
 	$(GO) test -race -count=20 ./internal/parmatch ./internal/taskqueue ./internal/hashmem
 
 # The durability suite on its own (`make race` already covers it; this
 # is the focused, verbose run): kill-and-recover differential (WM +
-# timetags + firing trace vs an uninterrupted control, across backends,
-# including a speculative multi-fire victim), the lifecycle differential
-# (a session diverged by runtime build, excise and budget quarantine
-# taken through compaction+crash, restore, export/import and fork+crash),
-# recovery of a data directory written by the previous build, torn-tail
-# truncation, template-fork isolation and the quarantine fd release,
-# under the race detector.
+# timetags + firing trace vs an uninterrupted control, on vs1 and vs2),
+# the lifecycle differential (a session diverged by runtime build,
+# excise and budget quarantine taken through compaction+crash, restore,
+# export/import and fork+crash), recovery of a data directory and import
+# of an export payload written by earlier builds, torn-tail truncation,
+# template-fork isolation and the quarantine fd release, under the race
+# detector.
 recovery:
-	$(GO) test -race -run 'TestCrashRecoveryDifferential|TestCrashRecoveryMultiFire|TestLifecycleDifferential|TestRecoverParentDataDir|TestRestoreKeepsActCounters|TestRecoveryTornTail|TestForkIsolation|TestQuarantine' -v ./internal/server
+	$(GO) test -race -run 'TestCrashRecoveryDifferential|TestLifecycleDifferential|TestRecoverParentDataDir|TestImportParentPayload|TestRecoveryTornTail|TestForkIsolation|TestQuarantine' -v ./internal/server
 	$(GO) test -race ./internal/wmlog
-
-# The multi-fire equivalence suite on its own (`make race` already
-# covers it; this is the focused, verbose run): FireBatch 1 vs {2,4,8}
-# must produce identical WM, timetags, and firing traces on every
-# matcher backend, including the rollback-heavy adversarial kernel.
-act-differential:
-	$(GO) test -race -run 'TestFireBatch' -v ./internal/engine
 
 # The join-order equivalence suite: every workload compiled with the
 # cost-based reorderer on vs off must produce identical WM, timetags
@@ -68,7 +63,7 @@ check: build vet test race bench-smoke bench-e2e-smoke reorder-differential fuzz
 # content-addressed program cache (one push per backend, hash-only
 # creates after), backend-loss re-routing, and the migrate-under-load
 # differential (a session migrated mid-run must end with the same WM
-# and firing trace as one that never moved, on every matcher backend,
+# and firing trace as one that never moved, on vs1 and vs2,
 # with pending (accept) input and a runtime-diverged network intact:
 # TestMigrateDivergedEpoch). The migrate-under-load test then
 # runs 20 more times: its oracle is the migration write fence (every
@@ -97,7 +92,9 @@ fuzz-smoke:
 # pays for what it changes, not what the session holds. Then the token
 # store's allocation gate (counts): one Weaver(20, 9) session on vs2
 # played to halt in 25-cycle slices must stay under 0.40 mallocs and 75
-# bytes per node activation and 25 k mallocs in Init. Then the 1-rep
+# bytes per node activation and 25 k mallocs in Init, its conflict set
+# must rescan at most 30 000 instantiations and report no lock spins.
+# Then the 1-rep
 # match-kernel + conflict-set sweep plus the fork-vs-cold session-spawn
 # ratio, failing on regression against the checked-in
 # BENCH_baseline.json (scaling ratios and allocs/op, not wall-clock).

@@ -8,7 +8,6 @@ package psme_test
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 
 	psme "repro"
@@ -221,8 +220,7 @@ func BenchmarkParallelHost_Rubik(b *testing.B) {
 // BenchmarkMatchKernels measures the steady-state match hot path alone
 // (no engine, no RHS): one iteration asserts and retracts a fixed WME
 // block through the parallel matcher. allocs/op here is the
-// allocation-discipline headline BENCH_match.json tracks; the steal and
-// overflow counters come out as metrics.
+// allocation-discipline headline BENCH_match.json tracks.
 func BenchmarkMatchKernels(b *testing.B) {
 	for _, name := range tables.KernelNames() {
 		for _, procs := range []int{1, 4} {
@@ -290,82 +288,45 @@ func conflictRule(b *testing.B) *rete.CompiledRule {
 
 // BenchmarkConflictChurn measures one steady-state conflict-set
 // insert+remove pair with `live` instantiations resident: the headline
-// O(1)-vs-live claim. Equal ns/op across the live sizes at a fixed
-// shard count is the win over the old O(n) SameWmes scans.
+// O(1)-vs-live claim. Equal ns/op across the live sizes is the win over
+// the old O(n) SameWmes scans.
 func BenchmarkConflictChurn(b *testing.B) {
 	for _, live := range []int{1000, 10000} {
-		for _, shards := range []int{1, 64} {
-			b.Run(fmt.Sprintf("live%d/s%d", live, shards), func(b *testing.B) {
-				cs := conflict.New(conflict.Config{Shards: shards})
-				rule := conflictRule(b)
-				for tag := 1; tag <= live; tag++ {
-					cs.InsertInstantiation(rule, []*wm.WME{{TimeTag: tag}})
-				}
-				w := []*wm.WME{{TimeTag: live + 1}}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cs.InsertInstantiation(rule, w)
-					cs.RemoveInstantiation(rule, w)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("live%d", live), func(b *testing.B) {
+			cs := conflict.NewSet()
+			rule := conflictRule(b)
+			for tag := 1; tag <= live; tag++ {
+				cs.InsertInstantiation(rule, []*wm.WME{{TimeTag: tag}})
+			}
+			w := []*wm.WME{{TimeTag: live + 1}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cs.InsertInstantiation(rule, w)
+				cs.RemoveInstantiation(rule, w)
+			}
+		})
 	}
 }
 
 // BenchmarkConflictSelect measures warm-cache Select at large live
-// sets: cost should track the shard count, not the set size.
+// sets: cost should track the partition count, not the set size.
 func BenchmarkConflictSelect(b *testing.B) {
 	for _, live := range []int{1000, 10000} {
-		for _, shards := range []int{1, 64} {
-			b.Run(fmt.Sprintf("live%d/s%d", live, shards), func(b *testing.B) {
-				cs := conflict.New(conflict.Config{Shards: shards})
-				rule := conflictRule(b)
-				for tag := 1; tag <= live; tag++ {
-					cs.InsertInstantiation(rule, []*wm.WME{{TimeTag: tag}})
-				}
-				if cs.Select() == nil {
-					b.Fatal("preloaded set selected nil")
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cs.Select()
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkConflictParallelChurn runs 4 concurrent churners on
-// disjoint keys; spins/acquire contrasts one global stripe against
-// full striping (the counters the acceptance criteria track).
-func BenchmarkConflictParallelChurn(b *testing.B) {
-	const churners = 4
-	for _, shards := range []int{1, 64} {
-		b.Run(fmt.Sprintf("s%d", shards), func(b *testing.B) {
-			cs := conflict.New(conflict.Config{Shards: shards})
+		b.Run(fmt.Sprintf("live%d", live), func(b *testing.B) {
+			cs := conflict.NewSet()
 			rule := conflictRule(b)
-			before := cs.StatsSnapshot()
+			for tag := 1; tag <= live; tag++ {
+				cs.InsertInstantiation(rule, []*wm.WME{{TimeTag: tag}})
+			}
+			if cs.Select() == nil {
+				b.Fatal("preloaded set selected nil")
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			var wg sync.WaitGroup
-			for g := 0; g < churners; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					w := []*wm.WME{{TimeTag: g + 1}}
-					for i := g; i < b.N; i += churners {
-						cs.InsertInstantiation(rule, w)
-						cs.RemoveInstantiation(rule, w)
-					}
-				}(g)
+			for i := 0; i < b.N; i++ {
+				cs.Select()
 			}
-			wg.Wait()
-			b.StopTimer()
-			st := cs.StatsSnapshot()
-			st.Sub(&before)
-			b.ReportMetric(mean(st.ShardSpins, st.ShardAcquires), "spins/acquire")
 		})
 	}
 }

@@ -8,7 +8,6 @@
 //	psmbench [-scale 1.0] [-table all|4-1|...|seq|sim] [-host]
 //	psmbench -match [-procs 1,2,4,8] [-matchout BENCH_match.json]
 //	psmbench -durability [-durout BENCH_durability.json]
-//	psmbench -act [-firebatch 1,4,8] [-procs 1,2,4,8] [-actout BENCH_act.json]
 //	psmbench -join [-reorder both] [-procs 1,2,4] [-joinout BENCH_join.json]
 //	psmbench -cluster [-backends 1,2,4] [-clusterout BENCH_cluster.json]
 //	psmbench ... [-cpuprofile cpu.prof] [-memprofile mem.prof]
@@ -37,8 +36,6 @@ func main() {
 	matchOut := flag.String("matchout", "", "write -match results as JSON to this file (e.g. BENCH_match.json)")
 	durabilityBench := flag.Bool("durability", false, "run the session-spawn (fork vs cold) and crash-recovery benchmarks")
 	durOut := flag.String("durout", "", "write -durability results as JSON to this file (e.g. BENCH_durability.json)")
-	actBench := flag.Bool("act", false, "run the act-phase FireBatch x procs sweep (speculative multi-fire)")
-	actOut := flag.String("actout", "", "write -act results as JSON to this file (e.g. BENCH_act.json)")
 	joinBench := flag.Bool("join", false, "run the adversarial join kernels (cost-based reordering, match budget, unlinking)")
 	joinOut := flag.String("joinout", "", "write -join results as JSON to this file (e.g. BENCH_join.json)")
 	clusterBench := flag.Bool("cluster", false, "run the cluster fabric sweep (proxy over N in-process backends)")
@@ -47,8 +44,6 @@ func main() {
 	clusterClients := flag.Int("cluster-clients", 8, "concurrent clients driving the -cluster sweep")
 	clusterBatches := flag.Int("cluster-batches", 30, "batches per client per -cluster cell")
 	reorder := flag.String("reorder", "both", "join orders to sweep for -join: on (planned), off (source) or both")
-	fireBatches := flag.String("firebatch", "1,4,8", "comma-separated act-batch sizes for -act")
-	sweepItems := flag.Int("sweep-items", 2000, "items in the -act Sweep removal workload")
 	durItems := flag.Int("dur-items", 2000, "warm base facts in the -durability template")
 	durRules := flag.Int("dur-rules", 64, "generated rules in the -durability workload")
 	procsFlag := flag.String("procs", "1,2,4,8", "comma-separated match-process counts for -match")
@@ -82,17 +77,6 @@ func main() {
 		runDurability(tables.DurabilityBenchOptions{
 			Items: *durItems, Rules: *durRules, Reps: *reps,
 		}, *durOut)
-		return
-	}
-	if *actBench {
-		procs, err := parseProcs(*procsFlag)
-		fatal(err)
-		batches, err := parseProcs(*fireBatches)
-		fatal(err)
-		runAct(tables.ActBenchOptions{
-			Scale: *scale, FireBatches: batches, Procs: procs,
-			Reps: *reps, SweepItems: *sweepItems,
-		}, *actOut)
 		return
 	}
 	if *clusterBench {
@@ -241,16 +225,14 @@ func runMatch(opt tables.MatchBenchOptions, outPath string) {
 		}
 		return s
 	}
-	fmt.Println("\nworkload        procs  match-s     acts/s  vs-vs2  shared  steals  overflows  requeues")
+	fmt.Println("\nworkload        procs  match-s     acts/s  vs-vs2  requeues")
 	for _, p := range rep.Workloads {
 		label := mark(p.Procs, p.Oversubscribed)
 		if p.Procs == 0 {
 			label = "vs2"
 		}
-		fmt.Printf("%-15s %5s  %8.3f  %10.0f  %6.2f  %6d  %6d  %9d  %8d\n",
-			p.Workload, label, p.MatchSeconds, p.ActsPerSec, p.SpeedupVsVS2,
-			p.Contention.LocalPushes+p.Contention.Overflows,
-			p.Contention.Steals, p.Contention.Overflows, p.Contention.Requeues)
+		fmt.Printf("%-15s %5s  %8.3f  %10.0f  %6.2f  %8d\n",
+			p.Workload, label, p.MatchSeconds, p.ActsPerSec, p.SpeedupVsVS2, p.Contention.Requeues)
 	}
 	fmt.Println("\nkernel  procs     ns/op  allocs/op  bytes/op  acts/op")
 	for _, k := range rep.Kernels {
@@ -270,7 +252,7 @@ func runMatch(opt tables.MatchBenchOptions, outPath string) {
 	if oversub {
 		fmt.Println("\n* procs exceed host CPUs: point ran oversubscribed (timeshared cores)")
 	}
-	fmt.Println("\nconflict   live  shards  procs     ns/op  allocs/op  bytes/op  spins/acquire")
+	fmt.Println("\nconflict   live     ns/op  allocs/op  bytes/op")
 	for _, p := range rep.Conflict {
 		fmt.Println(tables.FormatConflictPoint(p))
 	}
@@ -303,41 +285,6 @@ func runDurability(opt tables.DurabilityBenchOptions, outPath string) {
 		data = append(data, '\n')
 		fatal(os.WriteFile(outPath, data, 0o644))
 		fmt.Printf("wrote %s\n", outPath)
-	}
-}
-
-// runAct runs the act-phase FireBatch sweep, prints a summary and
-// optionally writes the BENCH_act.json payload.
-func runAct(opt tables.ActBenchOptions, outPath string) {
-	fmt.Printf("act-phase sweep: host CPUs %d, fire batches %v, procs %v, scale %.2f, reps %d\n",
-		runtime.NumCPU(), opt.FireBatches, opt.Procs, opt.Scale, opt.Reps)
-	rep, err := tables.RunActBench(opt)
-	fatal(err)
-	oversub := false
-	fmt.Println("\nworkload  batch  procs  cycles   seconds   cycles/s  speedup  grouped  rollback  groups")
-	for _, p := range rep.Points {
-		procs := fmt.Sprintf("%d", p.Procs)
-		if p.Oversubscribed {
-			procs += "*"
-			oversub = true
-		}
-		speed := "     -"
-		if p.Speedup > 0 {
-			speed = fmt.Sprintf("%5.2fx", p.Speedup)
-		}
-		fmt.Printf("%-9s %5d  %5s  %6d  %8.3f  %9.0f  %7s  %6.0f%%  %7.0f%%  %6d\n",
-			p.Workload, p.FireBatch, procs, p.Cycles, p.Seconds, p.CyclesPerSec,
-			speed, p.GroupedShare*100, p.RollbackRatio*100, p.Act.GroupCommits)
-	}
-	if oversub {
-		fmt.Println("\n* procs exceed host CPUs: point ran oversubscribed (timeshared cores)")
-	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		fatal(err)
-		data = append(data, '\n')
-		fatal(os.WriteFile(outPath, data, 0o644))
-		fmt.Printf("\nwrote %s\n", outPath)
 	}
 }
 

@@ -1,34 +1,31 @@
 // Package conflict implements the OPS5 conflict set and the LEX and MEA
 // conflict-resolution strategies, including refraction.
 //
-// The set is one of the shared resources of the paper's Figure 3-1, and
-// through PR 2 it was the last globally-locked structure on the match
-// hot path: every terminal (+)/(−) activation from every match worker
-// serialized on one mutex and then linearly scanned the whole set. This
-// version shards the set instead. Instantiations are keyed by a hash of
-// (rule index, WME time tags) into a power-of-two number of spin-locked
-// shards, so terminal activations from parallel match processes hit
-// disjoint locks, and insert, remove, refraction lookup and
-// pending-delete annihilation are all O(1) expected bucket operations.
+// The set is one of the shared resources of the paper's Figure 3-1. Here
+// it is not shared: every caller runs it on one goroutine — the
+// sequential matchers report terminal activations inline, and the
+// parallel matcher's processes buffer theirs for the control process to
+// apply at the drained point — so it takes no locks. Instantiations are
+// keyed by a hash of (rule index, WME time tags), so insert, remove,
+// refraction lookup and pending-delete annihilation are all O(1)
+// expected bucket operations.
 //
-// Selection is incremental: each shard caches its dominant unfired
-// instantiation, maintained on insert and lazily invalidated when the
-// cached best is removed or fired, so Select is a tournament over the
-// shard heads (plus a rescan of the rare dirty shard) instead of a scan
-// of the whole set. Fired instantiations are compacted out of the live
-// index at MarkFired — they stay findable for the terminal minus that
-// eventually retracts them (the conjugate-pair protocol requires it)
-// but never cost selection time again. Instantiation objects recycle
-// through per-shard free lists, hashmem.Pools-style, except objects
-// that were handed out via Select or Snapshot, which are left to the
-// garbage collector because the engine may still hold them.
+// Selection is incremental: the set is split into a fixed number of
+// partitions by key, each caching its dominant unfired instantiation,
+// maintained on insert and lazily invalidated when the cached best is
+// removed or fired, so Select is a tournament over the partition heads
+// (plus a rescan of the rare dirty partition) instead of a scan of the
+// whole set. Fired instantiations are compacted out of the live index at
+// MarkFired — they stay findable for the terminal minus that eventually
+// retracts them (the conjugate-pair protocol requires it) but never cost
+// selection time again. Instantiation objects recycle through
+// per-partition free lists, hashmem.Pools-style, except objects that
+// were handed out via Select or Snapshot, which are left to the garbage
+// collector because the caller may still hold them.
 package conflict
 
 import (
-	"sync/atomic"
-
 	"repro/internal/rete"
-	"repro/internal/spinlock"
 	"repro/internal/stats"
 	"repro/internal/wm"
 )
@@ -44,114 +41,85 @@ type Instantiation struct {
 	recency []int
 	Fired   bool
 
-	hash uint64 // full instantiation key; shard index is hash & mask
+	hash uint64 // full instantiation key; partition index is hash & (partitions-1)
 	next *Instantiation
 	// leaked marks objects handed out via Select or Snapshot. They are
-	// never recycled onto a free list: the engine reads Wmes during RHS
-	// evaluation while match workers may concurrently remove them.
+	// never recycled onto a free list: the caller may still read them.
 	leaked bool
 }
 
-// DefaultShards is the shard count when Config.Shards is zero: enough
-// striping for the paper's 1+13 process counts with headroom, small
-// enough that an empty-set Select stays trivial.
-const DefaultShards = 32
+// partitions is the number of selection partitions, a power of two. One
+// partition would make every Select after a removal of the cached best
+// rescan the whole live set: on a Weaver(20, 9) session that is 25x the
+// instantiations examined and a fifth more session time.
+const partitions = 32
 
-// freeListCap bounds each shard's instantiation free list.
+// freeListCap bounds each partition's instantiation free list.
 const freeListCap = 256
 
-// Config sizes a Set.
+// Config configures a Set.
 type Config struct {
 	// Strategy is the conflict-resolution discipline (default Lex). The
 	// engine re-resolves it from the program at load time via
 	// UseStrategy, so most callers can leave it zero.
 	Strategy Strategy
-	// Shards is the number of lock stripes, rounded up to a power of
-	// two (0 = DefaultShards). Sequential callers can use 1; parallel
-	// matchers want enough stripes that concurrent terminal activations
-	// rarely collide.
-	Shards int
 }
 
-// shard is one lock stripe: bucket chains for live (unfired), fired and
-// parked-delete instantiations, the cached dominant unfired entry, a
-// free list, and contention counters. All fields are guarded by lock
-// except nLive, which is also read without the lock by Select's
-// empty-shard skip.
-type shard struct {
-	lock    spinlock.Lock
+// partition holds bucket chains for live (unfired), fired and
+// parked-delete instantiations of one key range, the cached dominant
+// unfired entry and a free list.
+type partition struct {
 	live    map[uint64]*Instantiation
 	fired   map[uint64]*Instantiation
 	pending map[uint64]*Instantiation
-	nLive   atomic.Int64
-	nFired  int
-	nPend   int
+	nLive   int
 
-	// best is the dominant unfired instantiation of this shard, nil
-	// when the shard is empty. dirty marks it stale (the cached best
-	// was removed or fired); the next Select recomputes it.
+	// best is the dominant unfired instantiation of this partition, nil
+	// when it has none. dirty marks it stale (the cached best was removed
+	// or fired); the next Select recomputes it.
 	best  *Instantiation
 	dirty bool
 
 	free  *Instantiation
 	nFree int
-
-	c stats.Conflict // per-shard counters (gauge fields unused)
-	_ [64]byte       // keep neighbouring shard locks off one cache line
 }
 
-// Set is the sharded conflict set. It implements rete.TerminalSink.
+// Set is the conflict set. It implements rete.TerminalSink.
 type Set struct {
-	shards   []shard
-	mask     uint64
+	parts    [partitions]partition
 	strategy Strategy
-	selects  atomic.Int64
+	c        stats.Conflict // counters and the Live/Fired/Pending gauges
 }
 
-// NewSet returns an empty conflict set with default configuration
-// (Lex, DefaultShards stripes).
+// NewSet returns an empty conflict set with default configuration (Lex).
 func NewSet() *Set { return New(Config{}) }
 
-// New returns an empty conflict set sized by cfg.
+// New returns an empty conflict set configured by cfg.
 func New(cfg Config) *Set {
-	n := cfg.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	s := &Set{shards: make([]shard, p), mask: uint64(p - 1), strategy: cfg.Strategy}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.live = make(map[uint64]*Instantiation)
-		sh.fired = make(map[uint64]*Instantiation)
-		sh.pending = make(map[uint64]*Instantiation)
+	s := &Set{strategy: cfg.Strategy}
+	for i := range s.parts {
+		p := &s.parts[i]
+		p.live = make(map[uint64]*Instantiation)
+		p.fired = make(map[uint64]*Instantiation)
+		p.pending = make(map[uint64]*Instantiation)
 	}
 	return s
 }
 
-// Shards reports the number of lock stripes.
-func (s *Set) Shards() int { return len(s.shards) }
-
 // Strategy reports the current conflict-resolution strategy.
 func (s *Set) Strategy() Strategy { return s.strategy }
 
-// UseStrategy re-resolves the strategy, invalidating the cached shard
-// bests when it changes. The engine calls it once at program load; it
-// must not race with matching or selection.
+// UseStrategy re-resolves the strategy, invalidating the cached
+// partition bests when it changes. The engine calls it once at program
+// load.
 func (s *Set) UseStrategy(st Strategy) {
 	if st == s.strategy {
 		return
 	}
 	s.strategy = st
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lock.Acquire()
-		sh.best = nil
-		sh.dirty = true
-		sh.lock.Release()
+	for i := range s.parts {
+		s.parts[i].best = nil
+		s.parts[i].dirty = true
 	}
 }
 
@@ -192,14 +160,8 @@ func permuteToken(rule *rete.CompiledRule, wmes []*wm.WME) []*wm.WME {
 	return out
 }
 
-// enter locks the shard for key h, recording contention.
-func (s *Set) enter(h uint64) *shard {
-	sh := &s.shards[h&s.mask]
-	spins := sh.lock.Acquire()
-	sh.c.ShardAcquires++
-	sh.c.ShardSpins += spins
-	return sh
-}
+// part returns the partition holding key h.
+func (s *Set) part(h uint64) *partition { return &s.parts[h&(partitions-1)] }
 
 // unlink removes the first chain node in m[h] matching (rule, wmes) by
 // token identity and returns it, or nil.
@@ -240,14 +202,14 @@ func unlinkNode(m map[uint64]*Instantiation, h uint64, prev, cur *Instantiation)
 	cur.next = nil
 }
 
-// newInst builds an instantiation from the shard's free list, or
+// newInst builds an instantiation from the partition's free list, or
 // allocates. withRecency is false for parked pending deletes, which
 // never compete in selection.
-func (sh *shard) newInst(rule *rete.CompiledRule, wmes []*wm.WME, h uint64, withRecency bool) *Instantiation {
-	inst := sh.free
+func (p *partition) newInst(rule *rete.CompiledRule, wmes []*wm.WME, h uint64, withRecency bool) *Instantiation {
+	inst := p.free
 	if inst != nil {
-		sh.free = inst.next
-		sh.nFree--
+		p.free = inst.next
+		p.nFree--
 		inst.next = nil
 	} else {
 		inst = &Instantiation{}
@@ -277,18 +239,18 @@ func (sh *shard) newInst(rule *rete.CompiledRule, wmes []*wm.WME, h uint64, with
 	return inst
 }
 
-// recycle returns an unlinked instantiation to the shard free list.
+// recycle returns an unlinked instantiation to the partition free list.
 // Leaked and fired objects are dropped to the garbage collector — the
 // engine may still read them.
-func (sh *shard) recycle(inst *Instantiation) {
-	if inst.leaked || inst.Fired || sh.nFree >= freeListCap {
+func (p *partition) recycle(inst *Instantiation) {
+	if inst.leaked || inst.Fired || p.nFree >= freeListCap {
 		return
 	}
 	inst.Rule, inst.Wmes = nil, nil
 	inst.recency = inst.recency[:0]
-	inst.next = sh.free
-	sh.free = inst
-	sh.nFree++
+	inst.next = p.free
+	p.free = inst
+	p.nFree++
 }
 
 // InsertInstantiation adds an instantiation (terminal + activation).
@@ -297,107 +259,79 @@ func (sh *shard) recycle(inst *Instantiation) {
 func (s *Set) InsertInstantiation(rule *rete.CompiledRule, wmes []*wm.WME) {
 	wmes = permuteToken(rule, wmes)
 	h := instKey(rule, wmes)
-	sh := s.enter(h)
-	sh.c.Inserts++
-	// A parked early delete annihilates with this insert: O(1) bucket
-	// lookup instead of the old O(pending) scan.
-	if pd := unlink(sh.pending, h, rule, wmes); pd != nil {
-		sh.nPend--
-		sh.c.Annihilations++
-		sh.recycle(pd)
-		sh.lock.Release()
+	p := s.part(h)
+	s.c.Inserts++
+	// A parked early delete annihilates with this insert.
+	if pd := unlink(p.pending, h, rule, wmes); pd != nil {
+		s.c.Pending--
+		s.c.Annihilations++
+		p.recycle(pd)
 		return
 	}
-	inst := sh.newInst(rule, wmes, h, true)
-	inst.next = sh.live[h]
-	sh.live[h] = inst
-	sh.nLive.Add(1)
-	if !sh.dirty {
+	inst := p.newInst(rule, wmes, h, true)
+	inst.next = p.live[h]
+	p.live[h] = inst
+	p.nLive++
+	s.c.Live++
+	if !p.dirty {
 		// Incremental best maintenance: O(1) while the cache is valid.
-		if sh.best == nil || dominates(inst, sh.best, s.strategy) {
-			sh.best = inst
+		if p.best == nil || dominates(inst, p.best, s.strategy) {
+			p.best = inst
 		}
 	}
-	sh.lock.Release()
 }
 
 // RemoveInstantiation removes the instantiation for (rule, wmes)
 // (terminal − activation). Removing an absent instantiation parks a
-// pending delete: in the parallel matcher a terminal minus can be
-// processed before its plus, and the pair annihilates when the plus
-// arrives.
+// pending delete: the parallel matcher hands the control process a
+// phase's terminal activations all at once, removals first, and a
+// removal whose insertion is in the same batch annihilates with it when
+// the insertion arrives.
 func (s *Set) RemoveInstantiation(rule *rete.CompiledRule, wmes []*wm.WME) {
 	wmes = permuteToken(rule, wmes)
 	h := instKey(rule, wmes)
-	sh := s.enter(h)
-	sh.c.Deletes++
-	if inst := unlink(sh.live, h, rule, wmes); inst != nil {
-		sh.nLive.Add(-1)
-		if inst == sh.best {
-			sh.best = nil
-			sh.dirty = true
+	p := s.part(h)
+	s.c.Deletes++
+	if inst := unlink(p.live, h, rule, wmes); inst != nil {
+		p.nLive--
+		s.c.Live--
+		if inst == p.best {
+			p.best = nil
+			p.dirty = true
 		}
-		sh.recycle(inst)
-		sh.lock.Release()
+		p.recycle(inst)
 		return
 	}
 	// Fired instantiations live in their own index; this is the
 	// terminal minus that finally retracts a refracted firing.
-	if inst := unlink(sh.fired, h, rule, wmes); inst != nil {
-		sh.nFired--
-		sh.lock.Release()
+	if inst := unlink(p.fired, h, rule, wmes); inst != nil {
+		s.c.Fired--
 		return
 	}
-	pd := sh.newInst(rule, wmes, h, false)
-	pd.next = sh.pending[h]
-	sh.pending[h] = pd
-	sh.nPend++
-	sh.lock.Release()
+	pd := p.newInst(rule, wmes, h, false)
+	pd.next = p.pending[h]
+	p.pending[h] = pd
+	s.c.Pending++
 }
 
 // Len reports the number of instantiations in the set, fired included
 // (refraction keeps fired entries until their WMEs retract).
-func (s *Set) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lock.Acquire()
-		n += int(sh.nLive.Load()) + sh.nFired
-		sh.lock.Release()
-	}
-	return n
-}
+func (s *Set) Len() int { return int(s.c.Live + s.c.Fired) }
 
 // Live reports the number of unfired instantiations.
-func (s *Set) Live() int {
-	n := int64(0)
-	for i := range s.shards {
-		n += s.shards[i].nLive.Load()
-	}
-	return int(n)
-}
+func (s *Set) Live() int { return int(s.c.Live) }
 
 // Fired reports the number of fired instantiations retained for
 // refraction (awaiting the terminal minus that retracts them).
-func (s *Set) Fired() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lock.Acquire()
-		n += sh.nFired
-		sh.lock.Release()
-	}
-	return n
-}
+func (s *Set) Fired() int { return int(s.c.Fired) }
 
 // Snapshot returns a copy of the instantiations (fired included), for
 // tracing. The returned objects are excluded from pooling.
 func (s *Set) Snapshot() []*Instantiation {
 	var out []*Instantiation
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lock.Acquire()
-		for _, m := range [2]map[uint64]*Instantiation{sh.live, sh.fired} {
+	for i := range s.parts {
+		p := &s.parts[i]
+		for _, m := range [2]map[uint64]*Instantiation{p.live, p.fired} {
 			for _, head := range m {
 				for cur := head; cur != nil; cur = cur.next {
 					cur.leaked = true
@@ -405,240 +339,56 @@ func (s *Set) Snapshot() []*Instantiation {
 				}
 			}
 		}
-		sh.lock.Release()
 	}
 	return out
 }
 
 // Drained reports whether any parked conflict-set deletes remain; a
 // non-empty pending list after a match phase indicates a matcher bug.
-func (s *Set) Drained() bool {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lock.Acquire()
-		n := sh.nPend
-		sh.lock.Release()
-		if n != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (s *Set) Drained() bool { return s.c.Pending == 0 }
 
 // Select returns the dominant unfired instantiation under the set's
 // strategy, or nil if none (the interpreter then halts). It is a
-// tournament over the cached shard bests: a shard rescans its buckets
-// only when its cached best was invalidated since the last call, so
-// the cost scales with the shard count, not the set size.
+// tournament over the cached partition bests: a partition rescans its
+// buckets only when its cached best was invalidated since the last call,
+// so the cost scales with the partition count, not the set size.
 func (s *Set) Select() *Instantiation {
-	s.selects.Add(1)
+	s.c.Selects++
 	var best *Instantiation
-	for i := range s.shards {
-		sh := &s.shards[i]
-		// Empty shards contribute nothing: removal keeps best nil and a
-		// dirty rescan of zero live entries would also yield nil.
-		if sh.nLive.Load() == 0 {
+	for i := range s.parts {
+		p := &s.parts[i]
+		if p.nLive == 0 {
 			continue
 		}
-		spins := sh.lock.Acquire()
-		sh.c.ShardAcquires++
-		sh.c.ShardSpins += spins
-		if sh.dirty {
-			sh.recomputeBest(s.strategy)
+		if p.dirty {
+			s.recomputeBest(p)
 		}
-		b := sh.best
-		if b != nil {
-			// Every tournament candidate escapes this call (the winner
-			// goes to the engine): mark it while its shard lock is held
-			// so a concurrent remove can never recycle it.
-			b.leaked = true
-		}
-		sh.lock.Release()
-		if b != nil && (best == nil || dominates(b, best, s.strategy)) {
+		if b := p.best; b != nil && (best == nil || dominates(b, best, s.strategy)) {
 			best = b
 		}
+	}
+	if best != nil {
+		best.leaked = true
 	}
 	return best
 }
 
-// SelectN pops up to n dominant unfired instantiations in dominance
-// order, marking each fired — the batched form of Select+MarkFired the
-// engine's speculative multi-fire act phase runs once per group instead
-// of rescanning the shard heads n times. A shard's live chains are
-// walked only when they might matter: a shard whose cached best (its
-// exact top-1 while clean — insert maintains it incrementally) cannot
-// enter the current top n is skipped whole, because dominance is a
-// strict total order and everything else in the shard ranks below that
-// best. Walked shards feed a bounded insertion sort that keeps the
-// global top n and refresh their best cache on the way through, so
-// consecutive SelectN calls rescan only the shards the previous group's
-// pops dirtied — the same amortization Select gets. The winners then
-// move to the fired index like MarkFired does, except their recency
-// keys are retained: the engine still needs them for its post-drain
-// dominance verification and for Reinsert on rollback. Call CommitFired
-// once a firing is final to drop the key.
-//
-// Like Select, SelectN must run with the matcher drained (the control
-// process's conflict-resolution phase).
-func (s *Set) SelectN(n int) []*Instantiation {
-	if n <= 0 {
-		return nil
-	}
-	s.selects.Add(1)
-	cands := make([]*Instantiation, 0, n)
-	insert := func(inst *Instantiation) {
-		pos := len(cands)
-		for pos > 0 && dominates(inst, cands[pos-1], s.strategy) {
-			pos--
-		}
-		if pos >= n {
-			return
-		}
-		if len(cands) < n {
-			cands = append(cands, nil)
-		}
-		copy(cands[pos+1:], cands[pos:])
-		cands[pos] = inst
-	}
-	// Seed pass: rank the clean shards' cached bests. The n-th of them is
-	// a sound pruning bar for the walk pass — an unwalked clean shard
-	// whose best misses this top n cannot hold any global top-n entry
-	// (everything else it has ranks below that best), and the n seeded
-	// bests that beat it all live in shards the walk pass does visit.
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if sh.nLive.Load() == 0 {
-			continue
-		}
-		spins := sh.lock.Acquire()
-		sh.c.ShardAcquires++
-		sh.c.ShardSpins += spins
-		if !sh.dirty && sh.best != nil {
-			insert(sh.best)
-		}
-		sh.lock.Release()
-	}
-	var bar *Instantiation
-	if len(cands) == n {
-		bar = cands[n-1]
-	}
-	cands = cands[:0]
-	// Walk pass: visit dirty shards (unknown best) and clean shards whose
-	// best cleared the bar; refresh each walked shard's best cache so the
-	// next SelectN rescans only what this group's pops dirty. Shard state
-	// cannot shift between the passes — SelectN runs on the control
-	// goroutine with the matcher drained.
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if sh.nLive.Load() == 0 {
-			continue
-		}
-		spins := sh.lock.Acquire()
-		sh.c.ShardAcquires++
-		sh.c.ShardSpins += spins
-		if !sh.dirty && sh.best != nil && bar != nil && sh.best != bar && !dominates(sh.best, bar, s.strategy) {
-			sh.lock.Release()
-			continue
-		}
-		var best *Instantiation
-		scanned := int64(0)
-		for _, head := range sh.live {
-			for cur := head; cur != nil; cur = cur.next {
-				scanned++
-				if best == nil || dominates(cur, best, s.strategy) {
-					best = cur
-				}
-				insert(cur)
-			}
-		}
-		if sh.dirty {
-			sh.c.SelectRescans++
-			sh.c.SelectScanned += scanned
-		}
-		sh.best = best
-		sh.dirty = false
-		sh.lock.Release()
-	}
-	for _, inst := range cands {
-		sh := s.enter(inst.hash)
-		inst.Fired = true
-		inst.leaked = true
-		if unlinkPtr(sh.live, inst.hash, inst) {
-			sh.nLive.Add(-1)
-			inst.next = sh.fired[inst.hash]
-			sh.fired[inst.hash] = inst
-			sh.nFired++
-		}
-		if sh.best == inst {
-			sh.best = nil
-			sh.dirty = true
-		}
-		sh.lock.Release()
-	}
-	return cands
-}
-
-// Reinsert returns a SelectN-popped instantiation to the live index,
-// unfired — the rollback path of the speculative act phase, undoing a
-// MarkFired that never committed. The instantiation must still carry
-// its recency key (no CommitFired yet). It reports whether the entry
-// was still in the fired index; false means the firing's own working-
-// memory removals already retracted it, in which case the undo replay
-// re-derives the instantiation through the matcher instead.
-func (s *Set) Reinsert(inst *Instantiation) bool {
-	sh := s.enter(inst.hash)
-	if !unlinkPtr(sh.fired, inst.hash, inst) {
-		sh.lock.Release()
-		return false
-	}
-	sh.nFired--
-	inst.Fired = false
-	inst.next = sh.live[inst.hash]
-	sh.live[inst.hash] = inst
-	sh.nLive.Add(1)
-	if !sh.dirty {
-		if sh.best == nil || dominates(inst, sh.best, s.strategy) {
-			sh.best = inst
-		}
-	}
-	sh.lock.Release()
-	return true
-}
-
-// CommitFired finalizes a SelectN firing after its commit verified,
-// dropping the recency key exactly as MarkFired does for the serial
-// path. Safe to call whether or not the entry is still in the fired
-// index (its own removals may already have retracted it).
-func (s *Set) CommitFired(inst *Instantiation) {
-	sh := s.enter(inst.hash)
-	inst.recency = nil
-	sh.lock.Release()
-}
-
-// Dominates reports whether a should fire before b under the set's
-// strategy — the fixed total order the engine's multi-fire verification
-// checks group prefixes against.
-func (s *Set) Dominates(a, b *Instantiation) bool {
-	return dominates(a, b, s.strategy)
-}
-
-// recomputeBest rescans the shard's live chains. Called with the shard
-// lock held.
-func (sh *shard) recomputeBest(st Strategy) {
+// recomputeBest rescans the partition's live chains.
+func (s *Set) recomputeBest(p *partition) {
 	var best *Instantiation
 	scanned := int64(0)
-	for _, head := range sh.live {
+	for _, head := range p.live {
 		for cur := head; cur != nil; cur = cur.next {
 			scanned++
-			if best == nil || dominates(cur, best, st) {
+			if best == nil || dominates(cur, best, s.strategy) {
 				best = cur
 			}
 		}
 	}
-	sh.best = best
-	sh.dirty = false
-	sh.c.SelectRescans++
-	sh.c.SelectScanned += scanned
+	p.best = best
+	p.dirty = false
+	s.c.SelectRescans++
+	s.c.SelectScanned += scanned
 }
 
 // MarkFired records refraction for the chosen instantiation and
@@ -646,47 +396,31 @@ func (sh *shard) recomputeBest(st Strategy) {
 // still findable by the terminal minus that will eventually retract it
 // — and drops its recency key, so selection never examines it again.
 func (s *Set) MarkFired(inst *Instantiation) {
-	sh := s.enter(inst.hash)
+	p := s.part(inst.hash)
 	inst.Fired = true
 	inst.leaked = true
-	if unlinkPtr(sh.live, inst.hash, inst) {
-		sh.nLive.Add(-1)
+	if unlinkPtr(p.live, inst.hash, inst) {
+		p.nLive--
+		s.c.Live--
 		inst.recency = nil
-		inst.next = sh.fired[inst.hash]
-		sh.fired[inst.hash] = inst
-		sh.nFired++
+		inst.next = p.fired[inst.hash]
+		p.fired[inst.hash] = inst
+		s.c.Fired++
 	}
-	if sh.best == inst {
-		sh.best = nil
-		sh.dirty = true
+	if p.best == inst {
+		p.best = nil
+		p.dirty = true
 	}
-	sh.lock.Release()
 }
 
-// StatsSnapshot sums the per-shard counters and gauges into one
-// stats.Conflict record. Counter reads take each shard lock once; call
-// it between phases, not per terminal activation.
-func (s *Set) StatsSnapshot() stats.Conflict {
-	out := stats.Conflict{Shards: int64(len(s.shards)), Selects: s.selects.Load()}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lock.Acquire()
-		c := sh.c
-		c.Live = sh.nLive.Load()
-		c.Fired = int64(sh.nFired)
-		c.Pending = int64(sh.nPend)
-		sh.lock.Release()
-		c.Shards, c.Selects = 0, 0 // set-level fields, added once above
-		out.Add(&c)
-	}
-	return out
-}
+// StatsSnapshot returns the set's counters and gauges.
+func (s *Set) StatsSnapshot() stats.Conflict { return s.c }
 
 // Inserts reports the total insert count (terminal + activations).
-func (s *Set) Inserts() int64 { return s.StatsSnapshot().Inserts }
+func (s *Set) Inserts() int64 { return s.c.Inserts }
 
 // Deletes reports the total delete count (terminal − activations).
-func (s *Set) Deletes() int64 { return s.StatsSnapshot().Deletes }
+func (s *Set) Deletes() int64 { return s.c.Deletes }
 
 // dominates reports whether a should be preferred over b.
 func dominates(a, b *Instantiation, strategy Strategy) bool {
@@ -761,23 +495,22 @@ func compareRecency(a, b []int) int {
 // from the epoch). Dropped objects are never recycled; Select may have
 // leaked some to the engine.
 func (s *Set) ExciseRule(rule *rete.CompiledRule) (removed int) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lock.Acquire()
-		nLive := exciseMap(sh.live, rule)
+	for i := range s.parts {
+		p := &s.parts[i]
+		nLive := exciseMap(p.live, rule)
 		if nLive > 0 {
-			sh.nLive.Add(int64(-nLive))
-			if sh.best != nil && sh.best.Rule == rule {
-				sh.best = nil
-				sh.dirty = true
+			p.nLive -= nLive
+			if p.best != nil && p.best.Rule == rule {
+				p.best = nil
+				p.dirty = true
 			}
 		}
-		nFired := exciseMap(sh.fired, rule)
-		sh.nFired -= nFired
-		nPend := exciseMap(sh.pending, rule)
-		sh.nPend -= nPend
+		nFired := exciseMap(p.fired, rule)
+		nPend := exciseMap(p.pending, rule)
+		s.c.Live -= int64(nLive)
+		s.c.Fired -= int64(nFired)
+		s.c.Pending -= int64(nPend)
 		removed += nLive + nFired + nPend
-		sh.lock.Release()
 	}
 	return removed
 }

@@ -2,8 +2,7 @@ package conflict_test
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -41,17 +40,6 @@ func TestParseStrategy(t *testing.T) {
 	}
 	if _, err := conflict.ParseStrategy("dfs"); err == nil {
 		t.Fatal("ParseStrategy accepted an unknown strategy")
-	}
-}
-
-func TestShardCountRounding(t *testing.T) {
-	if got := conflict.NewSet().Shards(); got != conflict.DefaultShards {
-		t.Fatalf("default shards = %d, want %d", got, conflict.DefaultShards)
-	}
-	for in, want := range map[int]int{1: 1, 2: 2, 5: 8, 64: 64, 100: 128} {
-		if got := conflict.New(conflict.Config{Shards: in}).Shards(); got != want {
-			t.Fatalf("Shards:%d rounded to %d, want %d", in, got, want)
-		}
 	}
 }
 
@@ -274,7 +262,7 @@ func TestDeterministicFinalTieBreak(t *testing.T) {
 // Removing the cached best must surface the runner-up on the next
 // Select (lazy invalidation + rescan).
 func TestSelectAfterBestRemoved(t *testing.T) {
-	cs := conflict.New(conflict.Config{Shards: 4})
+	cs := lexSet()
 	rules := make([]*rete.CompiledRule, 8)
 	for i := range rules {
 		rules[i] = mkRule(i, 5, fmt.Sprintf("r%d", i))
@@ -314,142 +302,51 @@ func TestSnapshotIncludesFired(t *testing.T) {
 	}
 }
 
-// Concurrent terminal plus/minus storm, run under -race by make check:
-// every (rule, wmes) key gets exactly one insert and one remove from
-// different goroutines in arbitrary order, so every pair must either
-// cancel live or annihilate via the pending-delete path, leaving the
-// set empty and drained.
-func TestConcurrentPlusMinusStorm(t *testing.T) {
-	for _, shards := range []int{1, 16} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cs := conflict.New(conflict.Config{Shards: shards})
-			const workers = 8
-			const perWorker = 500
-			rules := [3]*rete.CompiledRule{
-				mkRule(0, 1, "r0"), mkRule(1, 2, "r1"), mkRule(2, 3, "r2"),
-			}
-			// Pre-build the keys so inserter and remover g use identical
-			// (rule, wmes) identities.
-			keys := make([][][]*wm.WME, workers)
-			for g := range keys {
-				keys[g] = make([][]*wm.WME, perWorker)
-				for i := range keys[g] {
-					tag := g*perWorker + i + 1
-					keys[g][i] = []*wm.WME{mkWME(tag), mkWME(tag + 1)}
-				}
-			}
-			var wg sync.WaitGroup
-			for g := 0; g < workers; g++ {
-				wg.Add(2)
-				go func(g int) {
-					defer wg.Done()
-					for i, w := range keys[g] {
-						cs.InsertInstantiation(rules[i%len(rules)], w)
-					}
-				}(g)
-				go func(g int) {
-					defer wg.Done()
-					for i, w := range keys[g] {
-						cs.RemoveInstantiation(rules[i%len(rules)], w)
-					}
-				}(g)
-			}
-			wg.Wait()
-			if !cs.Drained() {
-				t.Fatal("pending deletes remain after the storm")
-			}
-			if cs.Len() != 0 || cs.Live() != 0 {
-				t.Fatalf("len=%d live=%d after balanced storm, want 0", cs.Len(), cs.Live())
-			}
-			st := cs.StatsSnapshot()
-			want := int64(workers * perWorker)
-			if st.Inserts != want || st.Deletes != want {
-				t.Fatalf("stats = %+v, want %d inserts and deletes", st, want)
-			}
-		})
+// Terminal plus/minus storm in arbitrary order: every (rule, wmes) key
+// gets exactly one insert and one remove, shuffled, so a remove that
+// comes first must park as a pending delete and annihilate with its
+// insert, and one that comes second must cancel the live entry — either
+// way the set ends empty and drained.
+func TestPlusMinusStormAnyOrder(t *testing.T) {
+	cs := lexSet()
+	rules := [3]*rete.CompiledRule{
+		mkRule(0, 1, "r0"), mkRule(1, 2, "r1"), mkRule(2, 3, "r2"),
 	}
-}
-
-// Concurrent inserts with interleaved Selects: Select may run from the
-// control process while this test's activations land, and the final
-// state must contain every inserted instantiation.
-func TestConcurrentInsertWithSelect(t *testing.T) {
-	cs := conflict.New(conflict.Config{Shards: 8})
-	const workers = 4
-	const perWorker = 300
-	r := mkRule(0, 5, "r")
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				cs.InsertInstantiation(r, []*wm.WME{mkWME(g*perWorker + i + 1)})
-			}
-		}(g)
+	type op struct {
+		sign bool
+		rule *rete.CompiledRule
+		wmes []*wm.WME
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			cs.Select()
+	const keys = 4000
+	ops := make([]op, 0, 2*keys)
+	for i := 0; i < keys; i++ {
+		w := []*wm.WME{mkWME(i + 1), mkWME(i + 2)}
+		ops = append(ops, op{true, rules[i%3], w}, op{false, rules[i%3], w})
+	}
+	rand.New(rand.NewPCG(1, 2)).Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	for _, o := range ops {
+		if o.sign {
+			cs.InsertInstantiation(o.rule, o.wmes)
+		} else {
+			cs.RemoveInstantiation(o.rule, o.wmes)
 		}
-	}()
-	wg.Wait()
-	<-done
-	if cs.Len() != workers*perWorker {
-		t.Fatalf("len=%d, want %d", cs.Len(), workers*perWorker)
 	}
-	got := cs.Select()
-	if got == nil || got.Wmes[0].TimeTag != workers*perWorker {
-		t.Fatalf("final Select = %v, want the most recent tag %d", got, workers*perWorker)
+	if !cs.Drained() {
+		t.Fatal("pending deletes remain after the storm")
 	}
-}
-
-// TestStripingReducesSpins is the acceptance check for the sharding
-// itself: four workers churning disjoint keys against one stripe
-// serialize on one spin lock, against 64 stripes they (almost) never
-// observe a busy lock. GOMAXPROCS is forced to 4 so the contrast shows
-// even on small hosts (preemption while holding the lock makes the
-// other workers spin).
-func TestStripingReducesSpins(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	spins := func(shards int) (int64, int64) {
-		cs := conflict.New(conflict.Config{Shards: shards})
-		r := mkRule(0, 5, "r")
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				w := []*wm.WME{mkWME(g + 1)}
-				for i := 0; i < 200000; i++ {
-					cs.InsertInstantiation(r, w)
-					cs.RemoveInstantiation(r, w)
-				}
-			}(g)
-		}
-		wg.Wait()
-		st := cs.StatsSnapshot()
-		return st.ShardSpins, st.ShardAcquires
+	if cs.Len() != 0 || cs.Live() != 0 {
+		t.Fatalf("len=%d live=%d after balanced storm, want 0", cs.Len(), cs.Live())
 	}
-	spins1, acq1 := spins(1)
-	spins64, acq64 := spins(64)
-	t.Logf("shards=1: %d spins / %d acquires; shards=64: %d spins / %d acquires",
-		spins1, acq1, spins64, acq64)
-	if spins1 < 1000 {
-		t.Skip("host too serial to contend the global stripe; nothing to compare")
-	}
-	if spins64 >= spins1/2 {
-		t.Fatalf("striping did not reduce lock spins: %d at 64 shards vs %d at 1", spins64, spins1)
+	st := cs.StatsSnapshot()
+	if st.Inserts != keys || st.Deletes != keys || st.Annihilations == 0 || st.Annihilations == keys {
+		t.Fatalf("stats = %+v, want %d inserts and deletes and some but not all annihilated", st, keys)
 	}
 }
 
 // ExciseRule removes every trace of a rule — live, fired, and parked
 // pending deletes — across all shards, leaving other rules intact.
 func TestExciseRuleRemovesAllStates(t *testing.T) {
-	cs := conflict.New(conflict.Config{Shards: 4})
+	cs := lexSet()
 	doomed := mkRule(0, 5, "doomed")
 	keep := mkRule(1, 5, "keep")
 	// Live entries for both rules, spread across shards; doomed holds

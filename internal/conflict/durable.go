@@ -29,20 +29,13 @@ func instKeyTags(rule *rete.CompiledRule, tags []int) uint64 {
 // later retracted and the instantiation annihilated.
 func (s *Set) MarkFiredByTags(rule *rete.CompiledRule, tags []int) bool {
 	h := instKeyTags(rule, tags)
-	sh := s.enter(h)
-	var found *Instantiation
-	for cur := sh.live[h]; cur != nil; cur = cur.next {
+	for cur := s.part(h).live[h]; cur != nil; cur = cur.next {
 		if cur.Rule == rule && tagsMatch(cur, tags) {
-			found = cur
-			break
+			s.MarkFired(cur)
+			return true
 		}
 	}
-	sh.lock.Release()
-	if found == nil {
-		return false
-	}
-	s.MarkFired(found)
-	return true
+	return false
 }
 
 func tagsMatch(inst *Instantiation, tags []int) bool {
@@ -58,46 +51,37 @@ func tagsMatch(inst *Instantiation, tags []int) bool {
 }
 
 // ForEachFired calls fn for every fired instantiation retained for
-// refraction. fn runs under the shard lock and must copy what it keeps;
-// it must not call back into the set. Snapshots use this instead of
-// Snapshot() so instantiations are not leaked out of the free-list
-// discipline just to be counted.
+// refraction. fn must copy what it keeps and must not call back into the
+// set. Snapshots use this instead of Snapshot() so instantiations are
+// not leaked out of the free-list discipline just to be counted.
 func (s *Set) ForEachFired(fn func(inst *Instantiation)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lock.Acquire()
-		for _, head := range sh.fired {
+	for i := range s.parts {
+		for _, head := range s.parts[i].fired {
 			for cur := head; cur != nil; cur = cur.next {
 				fn(cur)
 			}
 		}
-		sh.lock.Release()
 	}
 }
 
 // Clone returns an independent copy of the set for a forked session:
-// same strategy and shard geometry, fresh instantiation objects (Fired
-// diverges per session), shared WME pointers and rule metadata (both
-// immutable). Chain order within buckets is preserved, so a clone
-// behaves identically under the annihilation and selection protocols.
-// The caller must hold the set quiescent (a drained template session).
+// same strategy, fresh instantiation objects (Fired diverges per
+// session), shared WME pointers and rule metadata (both immutable).
+// Chain order within buckets is preserved, so a clone behaves
+// identically under the annihilation and selection protocols. The
+// counters restart at zero; the gauges carry over.
 func (s *Set) Clone() *Set {
-	ns := New(Config{Strategy: s.strategy, Shards: len(s.shards)})
-	for i := range s.shards {
-		sh := &s.shards[i]
-		nsh := &ns.shards[i]
-		sh.lock.Acquire()
-		cloneBuckets(nsh.live, sh.live)
-		cloneBuckets(nsh.fired, sh.fired)
-		cloneBuckets(nsh.pending, sh.pending)
-		nsh.nLive.Store(sh.nLive.Load())
-		nsh.nFired = sh.nFired
-		nsh.nPend = sh.nPend
+	ns := New(Config{Strategy: s.strategy})
+	for i := range s.parts {
+		p, np := &s.parts[i], &ns.parts[i]
+		cloneBuckets(np.live, p.live)
+		cloneBuckets(np.fired, p.fired)
+		cloneBuckets(np.pending, p.pending)
+		np.nLive = p.nLive
 		// The cached best points at an original object; recompute lazily.
-		nsh.best = nil
-		nsh.dirty = true
-		sh.lock.Release()
+		np.dirty = true
 	}
+	ns.c.Live, ns.c.Fired, ns.c.Pending = s.c.Live, s.c.Fired, s.c.Pending
 	return ns
 }
 

@@ -1,8 +1,6 @@
 package engine_test
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -14,9 +12,8 @@ import (
 	"repro/internal/wm"
 )
 
-// acceptMixSrc interleaves input-consuming rules with independent
-// chains that the speculative act phase can group, so FireBatch > 1
-// has real grouping opportunities around the accept barrier.
+// acceptMixSrc interleaves input-consuming rules with chains that run
+// between the reads.
 const acceptMixSrc = `
 (literalize reading n v)
 (literalize slot n)
@@ -35,41 +32,6 @@ const acceptMixSrc = `
 (make slot ^n 2)
 (make slot ^n 3)
 `
-
-func runWithFireBatch(t *testing.T, fireBatch int) ([]string, []string) {
-	t.Helper()
-	e, _ := buildEngine(t, acceptMixSrc, []wm.Value{wm.Int(10), wm.Int(20), wm.Int(30)})
-	res, err := e.Run(engine.Options{MaxCycles: 50, RecordFiring: true, FireBatch: fireBatch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fired []string
-	for _, f := range res.Firings {
-		fired = append(fired, fmt.Sprintf("%s %v", f.Rule, f.TimeTags))
-	}
-	var wmes []string
-	for _, w := range e.WM.Snapshot() {
-		wmes = append(wmes, fmt.Sprintf("%d %s", w.TimeTag, w.String(e.Prog.Symbols, e.Prog.AttrName)))
-	}
-	sort.Strings(wmes)
-	return fired, wmes
-}
-
-// TestFireBatchAcceptDifferential: the speculative multi-fire act phase
-// must not reorder input consumption — instantiations that read input
-// are unsafe to group, so FireBatch 1 and 4 agree exactly.
-func TestFireBatchAcceptDifferential(t *testing.T) {
-	serialFired, serialWM := runWithFireBatch(t, 1)
-	batchFired, batchWM := runWithFireBatch(t, 4)
-	if strings.Join(serialFired, "\n") != strings.Join(batchFired, "\n") {
-		t.Errorf("firing traces differ:\nserial:\n%s\nbatched:\n%s",
-			strings.Join(serialFired, "\n"), strings.Join(batchFired, "\n"))
-	}
-	if strings.Join(serialWM, "\n") != strings.Join(batchWM, "\n") {
-		t.Errorf("final WM differs:\nserial:\n%s\nbatched:\n%s",
-			strings.Join(serialWM, "\n"), strings.Join(batchWM, "\n"))
-	}
-}
 
 // freshSuspendingEngine wires an engine whose QueueIO does NOT fall
 // back to end-of-file: an empty queue suspends the run. init false
@@ -110,49 +72,45 @@ func buildSuspendingEngine(t *testing.T, src string) (*engine.Engine, *engine.Qu
 // instantiation stays unfired in the conflict set) and a later Run
 // resumes exactly there once values arrive.
 func TestRunSuspendsAwaitingInput(t *testing.T) {
-	for _, fireBatch := range []int{0, 4} {
-		t.Run(fmt.Sprintf("fireBatch=%d", fireBatch), func(t *testing.T) {
-			e, _ := buildSuspendingEngine(t, acceptMixSrc)
-			res, err := e.Run(engine.Options{MaxCycles: 50, FireBatch: fireBatch})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.AwaitingInput || res.Cycles != 0 {
-				t.Fatalf("first run: %+v", res)
-			}
-			// One value releases one read-slot (and its settle chain);
-			// the next read-slot suspends again.
-			if err := e.SupplyInput([]wm.Value{wm.Int(10)}); err != nil {
-				t.Fatal(err)
-			}
-			res, err = e.Run(engine.Options{MaxCycles: 50, FireBatch: fireBatch, RecordFiring: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.AwaitingInput {
-				t.Fatalf("second run should suspend again: %+v", res)
-			}
-			// The rest of the script drains the remaining slots.
-			if err := e.SupplyInput([]wm.Value{wm.Int(20), wm.Int(30)}); err != nil {
-				t.Fatal(err)
-			}
-			res, err = e.Run(engine.Options{MaxCycles: 50, FireBatch: fireBatch})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.AwaitingInput {
-				t.Fatalf("final run still suspended: %+v", res)
-			}
-			var done int
-			for _, w := range e.WM.Snapshot() {
-				if strings.HasPrefix(w.String(e.Prog.Symbols, e.Prog.AttrName), "(done") {
-					done++
-				}
-			}
-			if done != 3 {
-				t.Fatalf("done = %d, want 3", done)
-			}
-		})
+	e, _ := buildSuspendingEngine(t, acceptMixSrc)
+	res, err := e.Run(engine.Options{MaxCycles: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.AwaitingInput || res.Cycles != 0 {
+		t.Fatalf("first run: %+v", res)
+	}
+	// One value releases one read-slot (and its settle chain); the next
+	// read-slot suspends again.
+	if err := e.SupplyInput([]wm.Value{wm.Int(10)}); err != nil {
+		t.Fatal(err)
+	}
+	res, err = e.Run(engine.Options{MaxCycles: 50, RecordFiring: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.AwaitingInput {
+		t.Fatalf("second run should suspend again: %+v", res)
+	}
+	// The rest of the script drains the remaining slots.
+	if err := e.SupplyInput([]wm.Value{wm.Int(20), wm.Int(30)}); err != nil {
+		t.Fatal(err)
+	}
+	res, err = e.Run(engine.Options{MaxCycles: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AwaitingInput {
+		t.Fatalf("final run still suspended: %+v", res)
+	}
+	var done int
+	for _, w := range e.WM.Snapshot() {
+		if strings.HasPrefix(w.String(e.Prog.Symbols, e.Prog.AttrName), "(done") {
+			done++
+		}
+	}
+	if done != 3 {
+		t.Fatalf("done = %d, want 3", done)
 	}
 }
 

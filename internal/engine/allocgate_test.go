@@ -22,10 +22,15 @@ import (
 // read 0.88 mallocs and 87.5 bytes per activation and 56.5 k mallocs in
 // Init (a sub-index per touched line, a slice per run, an entry per
 // insert past a 1 024-entry pool).
+//
+// The same session pins the conflict set's shape: its 32 selection
+// partitions rescan about 21.7 k instantiations over the session where
+// one partition would rescan 554 k, and it takes no locks.
 const (
 	maxMallocsPerActivation = 0.40
 	maxBytesPerActivation   = 75.0
 	maxInitMallocs          = 25000
+	maxSelectScanned        = 30000
 )
 
 // TestMatchAllocationGate is wired into make bench-smoke (BENCH_SMOKE=1).
@@ -85,5 +90,15 @@ func TestMatchAllocationGate(t *testing.T) {
 	}
 	if initMallocs > maxInitMallocs {
 		t.Errorf("Init made %d mallocs, bound %d", initMallocs, maxInitMallocs)
+	}
+	conf := cs.StatsSnapshot()
+	t.Logf("conflict set: %d selects rescanned %d instantiations, %d lock spins",
+		conf.Selects, conf.SelectScanned, conf.ShardSpins)
+	if conf.SelectScanned > maxSelectScanned {
+		t.Errorf("Select rescanned %d instantiations, bound %d: the selection partitions are not narrowing the rescans",
+			conf.SelectScanned, maxSelectScanned)
+	}
+	if conf.ShardSpins != 0 {
+		t.Errorf("conflict set reports %d lock spins; it takes no locks", conf.ShardSpins)
 	}
 }

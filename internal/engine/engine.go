@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/conflict"
@@ -97,13 +96,6 @@ type Options struct {
 	TraceFires   bool // print each firing to Out (OPS5 watch 1)
 	TraceWMEs    bool // also print each WM change to Out (OPS5 watch 2)
 	CheckEvery   bool // run matcher invariant checks after every cycle
-	// FireBatch > 1 enables the speculative multi-fire act phase (act.go):
-	// up to FireBatch dominant instantiations fire per super-cycle when
-	// their read and write sets are disjoint, with one match phase for
-	// the whole group. Results — WM, time tags, firing traces, journal —
-	// are identical to FireBatch = 1; only the schedule changes. 0 and 1
-	// run the serial loop unchanged.
-	FireBatch int
 	// Hook, when non-nil, runs at the top of every cycle; a non-nil
 	// return stops the run (see RunHook and ErrLimit). The inference
 	// server uses it to enforce per-request cycle and time budgets on a
@@ -138,7 +130,7 @@ type Engine struct {
 	// compiled is indexed by CompiledRule.Index — the monotonic rule ID,
 	// never reused across epochs — so it is sparse after excises.
 	compiled []*rhs.Compiled
-	// rhsEnv is the serial path's execution environment (see env).
+	// rhsEnv is the RHS execution environment (see env).
 	rhsEnv *rhs.Env
 	// journal, when non-nil, receives every durable event (see Journal in
 	// durable.go). Nil during replay and restore.
@@ -146,30 +138,16 @@ type Engine struct {
 	// progDelta lists every runtime program change applied to this engine
 	// in canonical form, oldest first (see programChanged): the part of
 	// the session's state that separates Net from the compiled program.
-	progDelta []string
-	halted    bool
-	// rhsCount is atomic so staged RHS execution could fold counts from
-	// worker goroutines; the commit loop folds whole-group totals too.
-	rhsCount   atomic.Int64
+	progDelta  []string
+	halted     bool
+	rhsCount   int64
 	matchTime  time.Duration
 	traceWMEs  bool
 	epochStats stats.Epoch
-	actStats   stats.Act
-	// plan caches the act planner's static tables for the current network
-	// epoch (see actPlanFor).
-	plan *actPlan
 	// Match-budget state (budget.go): the JoinExamined snapshot the next
 	// cycle's deltas are measured against, and the trip log.
 	budgetPrev  []int64
 	quarantined []QuarantinedRule
-	// Batched act-phase scratch, reused across groups so a committed
-	// group allocates nothing beyond what it flushes (see fireGroup).
-	actDelta   actDelta
-	actBuf     groupBuf
-	actRemoved []*wm.WME
-	actEnv     *rhs.Env
-	actTags    []int
-	actNeg     []int
 }
 
 // traceChange prints a working-memory change when watch-2 tracing is on.
@@ -258,7 +236,7 @@ func NewWithRHS(prog *ops5.Program, net *rete.Network, compiled []*rhs.Compiled,
 
 // env returns the engine's RHS execution environment: built on first
 // use — its closures capture e, so a fork builds its own — and reused by
-// every serial firing. Out is re-read on each use because its owner may
+// every firing. Out is re-read on each use because its owner may
 // swap it between runs (the server points it at each batch's buffer).
 func (e *Engine) env() *rhs.Env {
 	if e.rhsEnv != nil {
@@ -400,9 +378,6 @@ func constExpr(ex *ops5.Expr) (wm.Value, error) {
 // Run executes recognize-act cycles until halt, conflict-set
 // exhaustion, or the cycle limit.
 func (e *Engine) Run(opt Options) (*Result, error) {
-	if opt.FireBatch > 1 {
-		return e.runBatched(opt)
-	}
 	res := &Result{}
 	e.traceWMEs = opt.TraceWMEs
 	start := time.Now()
@@ -450,7 +425,7 @@ func (e *Engine) Run(opt Options) (*Result, error) {
 		if err != nil {
 			return res, err
 		}
-		e.rhsCount.Add(int64(n))
+		e.rhsCount += int64(n)
 		e.drain()
 		if opt.CheckEvery {
 			if err := e.Matcher.CheckInvariants(); err != nil {
@@ -476,7 +451,7 @@ func (e *Engine) finish(res *Result, start time.Time) {
 	res.WMSize = e.WM.Len()
 	res.Elapsed = time.Since(start)
 	res.MatchTime = e.matchTime
-	res.RHSInstr = e.rhsCount.Load()
+	res.RHSInstr = e.rhsCount
 }
 
 // Assert adds a working-memory element from outside the recognize-act

@@ -9,10 +9,28 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/engine"
 	"repro/internal/ops5"
+	"repro/internal/parmatch"
 	"repro/internal/rete"
 	"repro/internal/seqmatch"
 	"repro/internal/wm"
 )
+
+// backends enumerates the matcher backends retraction must agree across.
+var backends = []struct {
+	name string
+	make func(net *rete.Network, cs *conflict.Set) (engine.Matcher, func())
+}{
+	{"vs1", func(net *rete.Network, cs *conflict.Set) (engine.Matcher, func()) {
+		return seqmatch.New(net, seqmatch.VS1, 0, cs), func() {}
+	}},
+	{"vs2", func(net *rete.Network, cs *conflict.Set) (engine.Matcher, func()) {
+		return seqmatch.New(net, seqmatch.VS2, 0, cs), func() {}
+	}},
+	{"parallel", func(net *rete.Network, cs *conflict.Set) (engine.Matcher, func()) {
+		m := parmatch.New(net, parmatch.Config{Procs: 4}, cs)
+		return m, m.Close
+	}},
+}
 
 // retractSrc makes retraction observable both ways: removing a txn
 // withdraws a pending pay instantiation and, through the negated CE,
@@ -98,7 +116,7 @@ func TestRetractByTagSemantics(t *testing.T) {
 	}
 
 	var ref *retractRun
-	for _, b := range actBackends {
+	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
 			e, closer := retractEngine(t, b.make, n)
 			defer closer()
@@ -172,10 +190,10 @@ func TestRetractByTagSemantics(t *testing.T) {
 				return
 			}
 			if !reflect.DeepEqual(got.firings, ref.firings) {
-				t.Errorf("firings diverge from %s:\n got %v\nwant %v", actBackends[0].name, got.firings, ref.firings)
+				t.Errorf("firings diverge from %s:\n got %v\nwant %v", backends[0].name, got.firings, ref.firings)
 			}
 			if !reflect.DeepEqual(got.wm, ref.wm) {
-				t.Errorf("WM diverges from %s:\n got %v\nwant %v", actBackends[0].name, got.wm, ref.wm)
+				t.Errorf("WM diverges from %s:\n got %v\nwant %v", backends[0].name, got.wm, ref.wm)
 			}
 		})
 	}
@@ -226,4 +244,12 @@ func TestRetractOnForkLeavesTemplate(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(again, tags) {
 		t.Fatalf("template retract of the same tags = %v, %v; want %v", again, err, tags)
 	}
+}
+
+func snapshotWM(e *engine.Engine) []string {
+	var out []string
+	for _, w := range e.WM.Snapshot() {
+		out = append(out, fmt.Sprintf("%d %s", w.TimeTag, w.String(e.Prog.Symbols, e.Prog.AttrName)))
+	}
+	return out
 }

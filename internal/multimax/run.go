@@ -88,7 +88,7 @@ func Simulate(prog *ops5.Program, net *rete.Network, cfg Config) (*Result, error
 		return nil, err
 	}
 	// The simulator is single-threaded; one stripe keeps Select trivial.
-	cs := conflict.New(conflict.Config{Strategy: st, Shards: 1})
+	cs := conflict.New(conflict.Config{Strategy: st})
 	s := newSim(cfg, net, cs)
 	mem := wm.NewMemory()
 	res := &Result{}

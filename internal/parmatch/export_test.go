@@ -2,13 +2,13 @@ package parmatch
 
 import "repro/internal/rete"
 
-// NewSharing is New with the sharing thresholds lowered, so that
-// kernels far too small to pass the real ones still share work, wake
-// parked workers and steal: idle is the backlog split for an awake idle
-// peer (and the queue depth popped whole), wake the one (and the
-// pending-root depth) a parked peer is woken for.
-func NewSharing(net *rete.Network, cfg Config, sink rete.TerminalSink, idle, wake int) *Matcher {
-	return newMatcher(net, cfg, sink, idle, wake)
+// NewEager is New with the scheduling thresholds lowered, so that
+// kernels far too small to pass the real ones still wake parked workers
+// and spread over several processes: whole is the queue depth popped
+// whole (a deeper queue is split in half), wake the pending-root depth a
+// parked worker is woken for.
+func NewEager(net *rete.Network, cfg Config, sink rete.TerminalSink, whole, wake int) *Matcher {
+	return newMatcher(net, cfg, sink, whole, wake)
 }
 
 // Units reports how many units have been retired, summed over the
@@ -24,5 +24,5 @@ func (m *Matcher) Units() (n int64) {
 // channels (registered, and blocked or about to block).
 func (m *Matcher) Parked() int { return int(m.parked.Load()) }
 
-// InFlight is TaskCount: shared units not yet retired.
+// InFlight is TaskCount: units not yet retired.
 func (m *Matcher) InFlight() int64 { return m.queues.TaskCount.Load() }

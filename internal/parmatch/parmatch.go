@@ -7,17 +7,21 @@
 // match is over.
 //
 // The unit of parallel work is not the paper's single node activation
-// but a run-to-completion unit: a process takes one shared task — a root
-// WM change, a task a peer shared out, an MRSW requeue, a replay task —
-// and runs its whole activation subtree depth-first on a private,
-// unsynchronised stack. TaskCount counts units. Work is shared on
-// demand only (see shareIdle and shareWake), and the control process
-// runs units itself in Drain instead of waiting for the workers, so a
-// cycle too small to pay for a wake-up is matched by one warm process
-// and the workers stay parked. The match hot path is allocation-free in
-// the steady state: task objects and memory entries recycle through
-// per-process free lists, and output token slices come from per-process
-// arenas (hashmem.Pools).
+// but a run-to-completion unit: a process takes a task off the central
+// queues — a root WM change, an MRSW requeue, a replay task — and runs
+// its whole activation subtree depth-first on a private, unsynchronised
+// stack. TaskCount counts units. The control process runs units itself
+// in Drain instead of waiting for the workers, and a parked worker is
+// woken only when the pending roots are worth a wake-up (wakeDepth), so
+// a cycle too small to pay for one is matched by one warm process. The
+// match hot path is allocation-free in the steady state: task objects and
+// memory entries recycle through per-process free lists, and output
+// token slices come from per-process arenas (hashmem.Pools).
+//
+// Terminal activations do not touch the conflict set from the match
+// goroutines: each process buffers its (+)/(−) instantiations privately,
+// and the control process applies them to the TerminalSink once the
+// phase has drained, so the sink is only ever called from one goroutine.
 //
 // This backend runs real concurrency and is exercised under the race
 // detector; the deterministic Encore Multimax timing model lives in
@@ -62,9 +66,6 @@ type Config struct {
 	Queues int    // number of central task queues
 	Lines  int    // initial hash-table lines (0 = 16384)
 	Scheme Scheme // line-lock scheme
-	// LocalCap bounds each process's deque of shared-out tasks (0 = 256).
-	// Small values force the overflow path, which the tests exploit.
-	LocalCap int
 	// Legacy pins the paper's fixed-size linked-list line layout instead
 	// of the adaptive node-segregated default — the reference the
 	// differential tests and bigmem benchmarks compare against.
@@ -102,41 +103,34 @@ func newMemState(table *hashmem.Table, scheme Scheme) *memState {
 }
 
 // taskPoolCap bounds each process's private task free list; past it a
-// batch goes back to the shared reserve.
-const taskPoolCap = 4 * taskqueue.FreeBatch
+// retired task goes to the garbage collector.
+const taskPoolCap = 256
 
-// The sharing thresholds, in tasks of private backlog. They come from
-// two measured costs. Getting a parked goroutine onto a CPU costs
-// several microseconds on bare metal and 100-160 us (p50) on the 2-vCPU
-// VM the benchmarks run on — tens to a thousand node activations at
-// 0.1-0.25 us each; and a token-memory line last written by another core
-// roughly doubles the cost of the update that touches it (UpdateOwn
-// 20 -> 41 us per 1000 cycles in profiles), so work moved to a peer runs
-// slower there than it would have here. Sharing therefore has to be
-// worth a wake-up, or cost none:
+// The scheduling thresholds, in tasks. Getting a parked goroutine onto
+// a CPU costs several microseconds on bare metal and 100-160 us (p50) on
+// the 2-vCPU VM the benchmarks run on — tens to a thousand node
+// activations at 0.1-0.25 us each — and a token-memory line last written
+// by another core roughly doubles the cost of the update that touches
+// it, so work moved to a peer runs slower there than it would have here:
 //
-//   - shareWake: a private backlog this deep (or this many pending
-//     roots, for Submit) pays for waking a parked peer.
-//   - shareIdle: with a peer already awake and idle the wake-up is free
-//     and only the cache cost remains, so a quarter of that is worth
-//     splitting; a central queue holding no more is popped whole.
+//   - wakeDepth: this many pending roots pay for waking a parked peer.
+//   - popWhole: a central queue holding no more than this is popped
+//     whole by the process that finds it; a deeper one by its newest
+//     half, leaving the rest to a peer.
 //
-// Measured single-session, k = 2, match time against vs2 (EXPERIMENTS.md,
-// PR 16): 8/8 shares on nearly every cycle and runs Rubik at 0.41 of vs2,
-// 64/16 at 0.70, 256/64 at 0.78, never sharing at 0.79; Tourney's
-// cross-product bursts go 0.59, 0.64, 0.86, 0.79. Lazy, not tuned: on
-// Rubik and Weaver 256/64 is within noise of never sharing.
+// EXPERIMENTS.md, "Run-to-completion match units", has the sweep these
+// come from: lazy, not tuned.
 const (
-	shareWake = 256
-	shareIdle = 64
+	wakeDepth = 256
+	popWhole  = 64
 )
 
-// idlePolls is how many empty-handed sweeps a process that ran dry makes
-// before it parks, and drainSpins how many the control process makes
-// between yields while the last units are in peers' hands. A sweep
-// writes nothing shared and costs a few tens of nanoseconds, so both
-// bound a wait of a few microseconds — about what the park and wake-up
-// (or the yield, which wakes an idle P) they put off would cost.
+// idlePolls is how many empty-handed looks a process that ran dry takes
+// before it parks, and drainSpins how many the control process takes
+// between yields while the last units are in peers' hands. A look writes
+// nothing shared and costs a few tens of nanoseconds, so both bound a
+// wait of a few microseconds — about what the park and wake-up (or the
+// yield, which wakes an idle P) they put off would cost.
 const (
 	idlePolls  = 128
 	drainSpins = 128
@@ -154,26 +148,25 @@ type Matcher struct {
 	// grown table (with lock arrays resized to match, so footnote 4's
 	// one-lock-per-line discipline holds at every size) only while the
 	// matcher is drained — the same atomic-pointer discipline net uses.
-	mem     atomic.Pointer[memState]
-	queues  *taskqueue.Queues
-	reserve taskqueue.FreeList
-	sink    rete.TerminalSink
-	cfg     Config
+	mem    atomic.Pointer[memState]
+	queues *taskqueue.Queues
+	sink   rete.TerminalSink
+	cfg    Config
+	// whole and wake are popWhole and wakeDepth, unless a test built the
+	// matcher with lower ones.
+	whole, wake int
 	// procs holds every process's context: the k match goroutines', then
 	// the control process's own (ctl, index Procs), on which Submit
 	// allocates and Drain runs units. Whoever calls Submit/Drain is the
 	// control process; successive callers must be ordered by a lock of
-	// theirs (the server's session lock), never concurrent.
+	// theirs, never concurrent.
 	procs []*wctx
 	ctl   *wctx
 
-	// A worker with nothing to do polls briefly (counted in idle, as is
-	// the control process while it waits in Drain) and then parks on its
-	// own wake channel (counted in parked). Whoever publishes work past
-	// the sharing thresholds kicks one awake. No wake-up is ever needed
-	// for progress: the publisher sweeps the shared pools itself before
-	// it parks, and the control process drains them.
-	idle   atomic.Int32
+	// A worker with nothing to do polls briefly and then parks on its own
+	// wake channel (counted in parked); Submit kicks one awake when the
+	// pending roots reach wake. No wake-up is ever needed for progress:
+	// the control process drains whatever nobody took.
 	parked atomic.Int32
 
 	stop    atomic.Bool
@@ -208,25 +201,32 @@ type unlinkOp struct {
 	wme  *wm.WME
 }
 
+// termOp is one terminal activation, buffered by the process that ran
+// it until the control process applies it to the sink.
+type termOp struct {
+	rule *rete.CompiledRule
+	sign bool
+	wmes []*wm.WME
+}
+
 // wctx is one process's private state: the stack its current unit runs
-// on, the deque it shares work from, free lists, arena, counters and the
+// on, free lists, arena, buffered terminal activations, counters and the
 // pre-bound closures that keep the hot path from allocating a closure
 // per task. Everything plain in it is written only while the process
 // holds a unit (TaskCount > 0), so the control process may read it once
 // TaskCount == 0.
 type wctx struct {
-	m                    *Matcher
-	pref                 int               // preferred central queue
-	rr                   int               // rotating central-queue cursor for spills and requeues
-	stack                []*taskqueue.Task // the running unit's pending activations
-	local                *taskqueue.Deque  // tasks shared out, each a unit of its own
-	free                 []*taskqueue.Task
-	pools                hashmem.Pools
-	cs                   stats.Contention
-	acts                 int64 // node activations processed (tasks completed)
-	held                 int64 // units taken and not yet retired: what the stack runs for
-	units                int64 // units retired
-	shareIdle, shareWake int   // the constants, unless a test built the matcher with lower ones
+	m     *Matcher
+	pref  int               // preferred central queue
+	rr    int               // rotating central-queue cursor for requeues
+	stack []*taskqueue.Task // the running unit's pending activations
+	free  []*taskqueue.Task
+	pools hashmem.Pools
+	terms []termOp // terminal activations since the last drain
+	cs    stats.Contention
+	acts  int64 // node activations processed (tasks completed)
+	held  int64 // units taken and not yet retired: what the stack runs for
+	units int64 // units retired
 	// polls counts empty-handed takes: the one counter written while no
 	// unit is held — a drained read can meet an idle worker's — so atomic.
 	polls atomic.Int64
@@ -254,17 +254,17 @@ type wctx struct {
 
 	wake     chan struct{} // cap-1 park channel; kicks land here
 	isParked atomic.Bool   // registered as parked (kick target scan)
-	stealRot int
 }
 
 // New builds the matcher and starts its match goroutines. Call Close
 // when done with it.
 func New(net *rete.Network, cfg Config, sink rete.TerminalSink) *Matcher {
-	return newMatcher(net, cfg, sink, shareIdle, shareWake)
+	return newMatcher(net, cfg, sink, popWhole, wakeDepth)
 }
 
-// newMatcher is New with the sharing thresholds as parameters, for tests.
-func newMatcher(net *rete.Network, cfg Config, sink rete.TerminalSink, idle, wake int) *Matcher {
+// newMatcher is New with the scheduling thresholds as parameters, for
+// tests.
+func newMatcher(net *rete.Network, cfg Config, sink rete.TerminalSink, whole, wake int) *Matcher {
 	if cfg.Procs < 1 {
 		cfg.Procs = 1
 	}
@@ -278,6 +278,8 @@ func newMatcher(net *rete.Network, cfg Config, sink rete.TerminalSink, idle, wak
 		queues: taskqueue.New(cfg.Queues),
 		sink:   sink,
 		cfg:    cfg,
+		whole:  whole,
+		wake:   wake,
 	}
 	m.net.Store(net)
 	var table *hashmem.Table
@@ -287,20 +289,14 @@ func newMatcher(net *rete.Network, cfg Config, sink rete.TerminalSink, idle, wak
 		table = hashmem.New(cfg.Lines)
 	}
 	m.mem.Store(newMemState(table, cfg.Scheme))
-	// Build every context before starting any goroutine: processes steal
-	// from each other's deques through this slice.
 	m.procs = make([]*wctx, cfg.Procs+1)
 	for i := range m.procs {
 		w := &wctx{
-			m:     m,
-			pref:  i % m.queues.Len(),
-			rr:    i,
-			local: taskqueue.NewDeque(cfg.LocalCap),
-			rec:   hashmem.NewRecorder(net.NumJoinIDs()),
-			wake:  make(chan struct{}, 1),
-
-			shareIdle: idle,
-			shareWake: wake,
+			m:    m,
+			pref: i % m.queues.Len(),
+			rr:   i,
+			rec:  hashmem.NewRecorder(net.NumJoinIDs()),
+			wake: make(chan struct{}, 1),
 		}
 		w.emitFn = w.emit
 		w.deliverFn = w.deliver
@@ -350,7 +346,7 @@ func (m *Matcher) inject(t *taskqueue.Task) {
 	m.ctl.cs.QueueSpins += spins
 	// Pushes rotate over the queues, so one queue's depth times their
 	// number estimates the pending backlog.
-	if int(depth)*m.queues.Len() >= m.ctl.shareWake && m.idle.Load() == 0 {
+	if int(depth)*m.queues.Len() >= m.wake {
 		m.wakeOne()
 	}
 }
@@ -377,18 +373,20 @@ func (w *wctx) kick() {
 	}
 }
 
-// Drain matches until TaskCount reaches zero: the control process runs
+// Drain matches until TaskCount reaches zero — the control process runs
 // units on its own context alongside whichever workers are awake, and
-// only waits — a bounded spin, then a yield — while the last units are
-// in peers' hands. Drained is also the adaptive table's resize point:
-// the TaskCount==0 edge ordered the workers' line writes before this
-// read, so the control process can rehash into a bigger table and
+// only waits, a bounded spin and then a yield, while the last units are
+// in peers' hands — and then applies the phase's buffered terminal
+// activations to the sink. Drained is also the adaptive table's resize
+// point: the TaskCount==0 edge ordered the workers' line writes before
+// this read, so the control process can rehash into a bigger table and
 // publish it, locks and all, before the next Submit.
 func (m *Matcher) Drain() {
 	m.drain()
 	if us := m.unlinkSt.Load(); us != nil {
 		m.relinkLoop(us)
 	}
+	m.flushTerminals()
 	t := m.Table()
 	if n := t.GrowTarget(); n > 0 {
 		m.mem.Store(newMemState(t.Grow(n), m.cfg.Scheme))
@@ -399,23 +397,44 @@ func (m *Matcher) drain() {
 	c := m.ctl
 	for m.queues.TaskCount.Load() != 0 {
 		t := c.take()
+		for wait := 1; t == nil && m.queues.TaskCount.Load() != 0; wait++ {
+			// What is left is in peers' hands.
+			if wait%drainSpins == 0 {
+				runtime.Gosched()
+			}
+			t = c.take()
+		}
 		if t == nil {
-			// What is left is in peers' hands. Wait as an idle process, so
-			// one of them with a backlog shares it out rather than leaving
-			// the control process to watch.
-			m.idle.Add(1)
-			for wait := 1; t == nil && m.queues.TaskCount.Load() != 0; wait++ {
-				if wait%drainSpins == 0 {
-					runtime.Gosched()
-				}
-				t = c.take()
-			}
-			m.idle.Add(-1)
-			if t == nil {
-				return
-			}
+			return
 		}
 		c.run(t)
+	}
+}
+
+// flushTerminals applies every process's buffered terminal activations
+// to the sink, all removals before all insertions. Any order would leave
+// the same instantiations (a removal that finds nothing parks as a
+// pending delete and annihilates with its insertion), but removals first
+// also leaves them with the same refraction state a sequential matcher's
+// order would: an instantiation that left and re-entered the conflict
+// set during the phase comes back unfired.
+func (m *Matcher) flushTerminals() {
+	for _, sign := range [2]bool{false, true} {
+		for _, w := range m.procs {
+			for _, op := range w.terms {
+				switch {
+				case op.sign != sign:
+				case sign:
+					m.sink.InsertInstantiation(op.rule, op.wmes)
+				default:
+					m.sink.RemoveInstantiation(op.rule, op.wmes)
+				}
+			}
+		}
+	}
+	for _, w := range m.procs {
+		clear(w.terms)
+		w.terms = w.terms[:0]
 	}
 }
 
@@ -564,7 +583,7 @@ func (m *Matcher) UnlinkedJoins() int {
 	return n
 }
 
-// Contention merges the per-process spin, sharing and steal counters.
+// Contention merges the per-process lock, queue and requeue counters.
 // Only meaningful while drained.
 func (m *Matcher) Contention() stats.Contention {
 	var out stats.Contention
@@ -613,20 +632,16 @@ func (m *Matcher) Table() *hashmem.Table {
 
 // worker is one match goroutine: run units while there are any, poll
 // briefly when there are none, then park until kicked. The sleeper
-// protocol — register as parked, sweep once more, then block — means a
+// protocol — register as parked, look once more, then block — means a
 // publisher that saw no parked worker pushed before the registration,
-// so that last sweep finds its task.
+// so that last look finds its task.
 func (m *Matcher) worker(id int) {
 	defer m.wg.Done()
 	w := m.procs[id]
 	for !m.stop.Load() {
 		t := w.take()
-		if t == nil {
-			m.idle.Add(1)
-			for i := 0; t == nil && i < idlePolls; i++ {
-				t = w.take()
-			}
-			m.idle.Add(-1)
+		for i := 0; t == nil && i < idlePolls; i++ {
+			t = w.take()
 		}
 		if t == nil {
 			w.isParked.Store(true)
@@ -643,50 +658,32 @@ func (m *Matcher) worker(id int) {
 	}
 }
 
-// take finds the process's next units and returns the first task to
-// run: a task it shared out that nobody took, else a batch of a central
-// queue (the rest of it waits on the private stack, still shareable
-// from there), else one stolen from a peer. An empty-handed take writes
-// nothing shared, so idle sweeps do not disturb busy peers, and counts
-// as one queue spin: a look that got no work, which is what waiting on
-// the queues costs now that their locks are almost never busy.
+// take pops a batch of a central queue and returns its first task to
+// run; the rest of the batch waits on the private stack. An empty-handed
+// take writes nothing shared, so idle polls do not disturb busy peers,
+// and counts as one queue spin: a look that got no work, which is what
+// waiting on the queues costs now that their locks are almost never busy.
 func (w *wctx) take() *taskqueue.Task {
-	w.held = 1
-	if t := w.local.Pop(); t != nil {
-		w.cs.LocalPops++
-		return t
-	}
 	var spins int64
-	w.stack, spins = w.m.queues.Pop(w.pref, w.shareIdle, w.stack)
-	if n := len(w.stack); n > 0 {
-		w.cs.QueueSpins += spins
-		w.cs.QueueAcquires++
-		w.held = int64(n)
-		t := w.stack[n-1]
-		w.stack = w.stack[:n-1]
-		return t
+	w.stack, spins = w.m.queues.Pop(w.pref, w.m.whole, w.stack)
+	n := len(w.stack)
+	if n == 0 {
+		// spins != 0: a pop that lost the queue's last tasks to a peer.
+		w.polls.Add(1 + spins)
+		return nil
 	}
-	if spins != 0 {
-		w.polls.Add(spins) // a pop that lost the queue's last tasks to a peer
-	}
-	peers := w.m.procs
-	w.stealRot++
-	for i := range peers {
-		if v := peers[(w.stealRot+i)%len(peers)]; v != w {
-			if t := v.local.Steal(); t != nil {
-				w.cs.Steals++
-				return t
-			}
-		}
-	}
-	w.polls.Add(1)
-	return nil
+	w.cs.QueueSpins += spins
+	w.cs.QueueAcquires++
+	w.held = int64(n)
+	t := w.stack[n-1]
+	w.stack = w.stack[:n-1]
+	return t
 }
 
 // run takes the units in hand to completion: the task and, depth-first
-// off the private stack, every activation they lead to that is not
-// shared out on the way. Its last act, Done, is the release edge the
-// control process's TaskCount==0 read acquires.
+// off the private stack, every activation they lead to. Its last act,
+// Done, is the release edge the control process's TaskCount==0 read
+// acquires.
 func (w *wctx) run(t *taskqueue.Task) {
 	for {
 		if !w.process(t) {
@@ -694,9 +691,6 @@ func (w *wctx) run(t *taskqueue.Task) {
 		}
 		w.acts++
 		n := len(w.stack)
-		if n >= w.shareIdle {
-			n = w.share(n)
-		}
 		if n == 0 {
 			break
 		}
@@ -707,63 +701,23 @@ func (w *wctx) run(t *taskqueue.Task) {
 	w.m.queues.Done(w.held)
 }
 
-// share publishes the oldest half of a private backlog of n tasks — the
-// ones nearest the root, with the largest subtrees under them — when a
-// peer is awake with nothing to do, or when the backlog alone is worth
-// waking a parked one for. Each shared task becomes a unit of its own,
-// counted before it is visible. It returns the stack's new length.
-func (w *wctx) share(n int) int {
-	m := w.m
-	idle := m.idle.Load() > 0
-	half := n / 2
-	if half == 0 || !idle && (n < w.shareWake || m.parked.Load() == 0) || w.local.Size() > 0 {
-		// Nothing to split, nobody to take it, or the last offer still
-		// stands: whatever is shared and not taken this process pops back,
-		// one unit at a time.
-		return n
-	}
-	m.queues.TaskCount.Add(int64(half))
-	for _, t := range w.stack[:half] {
-		if w.local.Push(t) {
-			w.cs.LocalPushes++
-			continue
-		}
-		w.cs.Overflows++
-		w.rr++
-		spins, _ := m.queues.Spill(w.rr, t)
-		w.cs.QueueAcquires++
-		w.cs.QueueSpins += spins
-	}
-	n = copy(w.stack, w.stack[half:])
-	clear(w.stack[n:])
-	w.stack = w.stack[:n]
-	if !idle {
-		m.wakeOne()
-	}
-	return n
-}
-
-// newTask takes a task from the process's free list, refilled from the
-// shared reserve when dry, or allocates.
+// newTask takes a task from the process's free list, or allocates.
 func (w *wctx) newTask() *taskqueue.Task {
-	if len(w.free) == 0 {
-		if w.free = w.m.reserve.Refill(w.free); len(w.free) == 0 {
-			return &taskqueue.Task{}
-		}
-	}
 	n := len(w.free) - 1
+	if n < 0 {
+		return &taskqueue.Task{}
+	}
 	t := w.free[n]
 	w.free[n] = nil
 	w.free = w.free[:n]
 	return t
 }
 
-// freeTask recycles a retired task on the process that ran it; past
-// taskPoolCap a batch goes back to the reserve for whoever runs short.
+// freeTask recycles a retired task on the process that ran it.
 func (w *wctx) freeTask(t *taskqueue.Task) {
-	t.Reset()
-	if w.free = append(w.free, t); len(w.free) > taskPoolCap {
-		w.free = w.m.reserve.HandBack(w.free)
+	if len(w.free) < taskPoolCap {
+		t.Reset()
+		w.free = append(w.free, t)
 	}
 }
 
@@ -777,11 +731,7 @@ func (w *wctx) process(t *taskqueue.Task) (requeued bool) {
 		w.curRoot = nil
 		w.m.net.Load().RootDeliver(t.Root, w.deliverFn)
 	case t.Term != nil:
-		if t.Sign {
-			w.m.sink.InsertInstantiation(t.Term.Rule, t.Wmes)
-		} else {
-			w.m.sink.RemoveInstantiation(t.Term.Rule, t.Wmes)
-		}
+		w.terms = append(w.terms, termOp{rule: t.Term.Rule, sign: t.Sign, wmes: t.Wmes})
 	default:
 		return w.join(t)
 	}

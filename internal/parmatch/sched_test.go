@@ -26,7 +26,7 @@ func TestLastUnitRace(t *testing.T) {
 		t.Fatalf("kernel: %v", err)
 	}
 	cs := tables.KernelSink()
-	m := parmatch.NewSharing(k.Net, parmatch.Config{Procs: 4, Queues: 2}, cs, 2, 1)
+	m := parmatch.NewEager(k.Net, parmatch.Config{Procs: 4, Queues: 2}, cs, 2, 1)
 	defer m.Close()
 	var phases int64
 	for rep := 0; rep < 500; rep++ {
@@ -69,7 +69,7 @@ func parkedMatcher(t *testing.T, procs int) *parmatch.Matcher {
 		t.Fatalf("kernel: %v", err)
 	}
 	// Every Submit wakes a worker, to get them all out of bed first.
-	m := parmatch.NewSharing(k.Net, parmatch.Config{Procs: procs, Queues: 2}, tables.KernelSink(), 2, 1)
+	m := parmatch.NewEager(k.Net, parmatch.Config{Procs: procs, Queues: 2}, tables.KernelSink(), 2, 1)
 	t.Cleanup(m.Close)
 	k.Round(m)
 	awaitParked(t, m, procs)
@@ -125,7 +125,7 @@ func TestControlHandOff(t *testing.T) {
 	net, wmes := fanWorkload(t)
 	k := &tables.Kernel{Net: net, Wmes: wmes}
 	cs := tables.KernelSink()
-	m := parmatch.NewSharing(net, parmatch.Config{Procs: 2, Queues: 2, Scheme: parmatch.SchemeMRSW}, cs, 2, 2)
+	m := parmatch.NewEager(net, parmatch.Config{Procs: 2, Queues: 2, Scheme: parmatch.SchemeMRSW}, cs, 2, 2)
 	defer m.Close()
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -152,6 +152,6 @@ func TestControlHandOff(t *testing.T) {
 	if want := int64(callers * rounds * 2 * len(wmes)); m.MatchStats().WMChanges != want {
 		t.Errorf("%d WM changes recorded, want %d", m.MatchStats().WMChanges, want)
 	}
-	t.Logf("%d activations, %d requeues, %d shared out, %d stolen",
-		m.Activations(), c.Requeues, c.LocalPushes+c.Overflows, c.Steals)
+	t.Logf("%d activations, %d requeues, workers took batches: %v",
+		m.Activations(), c.Requeues, workersRan(m))
 }

@@ -34,8 +34,8 @@ func csSignature(cs *conflict.Set) []string {
 
 // fanWorkload builds a high-fan-out join: a few "a" WMEs each matching
 // many "b" WMEs on ^val, so one node activation emits dozens of output
-// tokens in a single burst. With sharing forced and tiny deques those
-// bursts are what drives the overflow spill path.
+// tokens in a single burst onto the private stack of whichever process
+// runs it.
 func fanWorkload(t *testing.T) (*rete.Network, []*wm.WME) {
 	t.Helper()
 	src := `(literalize item kind val)
@@ -76,7 +76,7 @@ func fanWorkload(t *testing.T) (*rete.Network, []*wm.WME) {
 	return net, wmes
 }
 
-// pressureCase is one kernel of the sharing-pressure tests.
+// pressureCase is one kernel of the scheduling-pressure tests.
 type pressureCase struct {
 	name string
 	net  *rete.Network
@@ -99,11 +99,11 @@ func pressureCases(t *testing.T) []pressureCase {
 }
 
 // checkUnitAccounting holds a drained matcher's scheduler counters to
-// the unit protocol: every unit was made shared exactly once (a Submit,
-// a task shared out to a deque or spilled past it, an MRSW requeue) and
-// retired exactly once, by whoever took it (own-deque pop, steal, or in
-// a batch popped off a central queue). The matcher must have replayed nothing (no unlinking, no
-// epoch swap): replay tasks are units too, and nothing here counts them.
+// the unit protocol: every unit was made exactly once (a Submit or an
+// MRSW requeue) and retired exactly once, by whoever popped it off a
+// central queue. The matcher must have replayed nothing (no unlinking,
+// no epoch swap): replay tasks are units too, and nothing here counts
+// them.
 func checkUnitAccounting(t *testing.T, m *parmatch.Matcher) stats.Contention {
 	t.Helper()
 	if n := m.InFlight(); n != 0 {
@@ -111,32 +111,41 @@ func checkUnitAccounting(t *testing.T, m *parmatch.Matcher) stats.Contention {
 	}
 	c := m.Contention()
 	submitted := m.MatchStats().WMChanges
-	central := submitted + c.Overflows + c.Requeues
-	if made, retired := central+c.LocalPushes, m.Units(); made != retired {
-		t.Errorf("units made %d (submitted %d + shared %d + spilled %d + requeued %d) != retired %d",
-			made, submitted, c.LocalPushes, c.Overflows, c.Requeues, retired)
+	made := submitted + c.Requeues
+	if retired := m.Units(); made != retired {
+		t.Errorf("units made %d (submitted %d + requeued %d) != retired %d",
+			made, submitted, c.Requeues, retired)
 	}
-	if c.LocalPushes != c.LocalPops+c.Steals {
-		t.Errorf("deque: %d shared out, %d popped back + %d stolen", c.LocalPushes, c.LocalPops, c.Steals)
-	}
-	// Every central push is one lock acquisition; a pop is one for the
-	// whole batch it takes, and empty-handed pops count nothing.
-	if pops := c.QueueAcquires - central; central > 0 && (pops < 1 || pops > central) {
-		t.Errorf("central queues: %d acquisitions for %d pushes leaves %d pops", c.QueueAcquires, central, pops)
+	// Every push is one lock acquisition; a pop is one for the whole
+	// batch it takes, and empty-handed pops count nothing.
+	if pops := c.QueueAcquires - made; made > 0 && (pops < 1 || pops > made) {
+		t.Errorf("central queues: %d acquisitions for %d pushes leaves %d pops", c.QueueAcquires, made, pops)
 	}
 	return c
 }
 
+// workersRan reports whether any match goroutine (not the control
+// process) popped a batch off the central queues.
+func workersRan(m *parmatch.Matcher) bool {
+	per := m.WorkerContention()
+	for _, c := range per[:len(per)-1] {
+		if c.QueueAcquires > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // runPressure drives one kernel through three assert-all/retract-all
-// rounds on a matcher whose sharing thresholds are forced down to 2, so
-// that every activation with two children shares one out, every Submit
-// wakes a parked worker, and a LocalCap of 1 spills most of it past the
-// deques. After every drain the conflict set must equal the sequential
-// oracle's exactly — no task lost, duplicated or misrouted. Negated
-// kernels legitimately emit transient insert/remove pairs under
-// parallel schedules, so the comparison is on final state, not the
-// event stream.
-func runPressure(t *testing.T, k pressureCase, cfg parmatch.Config) {
+// rounds on a matcher built with the given scheduling thresholds — low
+// enough that every few pending roots wake a parked worker and the
+// queues are split between the processes that find them. After every
+// drain the conflict set must equal the sequential oracle's exactly — no
+// task lost, duplicated or misrouted, no terminal activation lost in a
+// process's buffer. Negated kernels legitimately emit transient
+// insert/remove pairs under parallel schedules, so the comparison is on
+// final state, not the event stream.
+func runPressure(t *testing.T, k pressureCase, cfg parmatch.Config, whole, wake int) {
 	oracleCS := tables.KernelSink()
 	oracle := seqmatch.New(k.net, seqmatch.VS2, 0, oracleCS)
 	for _, w := range k.wmes {
@@ -151,14 +160,13 @@ func runPressure(t *testing.T, k pressureCase, cfg parmatch.Config) {
 	}
 
 	cs := tables.KernelSink()
-	m := parmatch.NewSharing(k.net, cfg, cs, 2, 2)
+	m := parmatch.NewEager(k.net, cfg, cs, whole, wake)
 	defer m.Close()
 	// Three rounds, or on the fan workload as many as it takes for a
-	// burst to meet a peer with nothing to do: sharing needs one, and a
-	// round is over in microseconds.
-	shared := func() bool { c := m.Contention(); return c.LocalPushes > 0 && (c.Overflows > 0 || cfg.LocalCap != 1) }
+	// worker to win a batch from the control process: a round is over in
+	// microseconds.
 	var reps int64
-	for rep := 0; rep < 3 || (k.name == "fan" && rep < 2000 && !shared()); rep++ {
+	for rep := 0; rep < 3 || (k.name == "fan" && rep < 2000 && !workersRan(m)); rep++ {
 		reps++
 		for _, w := range k.wmes {
 			m.Submit(true, w)
@@ -196,34 +204,34 @@ func runPressure(t *testing.T, k pressureCase, cfg parmatch.Config) {
 			t.Errorf("activations = %d (requeues excluded), want vs2's %d", got, want)
 		}
 	}
-	if k.name == "fan" && !shared() {
-		t.Errorf("fan workload never shared a burst out in %d rounds (%d to deques, %d spilled past them)",
-			reps, c.LocalPushes, c.Overflows)
+	if k.name == "fan" && !workersRan(m) {
+		t.Errorf("fan workload: no worker took a batch in %d rounds", reps)
 	}
 }
 
 // TestStealPressureMatchesSequential runs every kernel under both lock
-// schemes on four match processes with one-slot deques and forced
-// sharing: the overflow, wake and steal paths all carry traffic.
+// schemes on four match processes with one central queue each, every
+// pending root waking a worker and every queue deeper than one split:
+// processes keep taking tasks off queues other than their own.
 func TestStealPressureMatchesSequential(t *testing.T) {
 	for _, k := range pressureCases(t) {
 		for _, scheme := range []parmatch.Scheme{parmatch.SchemeSimple, parmatch.SchemeMRSW} {
 			t.Run(fmt.Sprintf("%s/%s", k.name, scheme), func(t *testing.T) {
-				runPressure(t, k, parmatch.Config{Procs: 4, Queues: 2, Scheme: scheme, LocalCap: 1})
+				runPressure(t, k, parmatch.Config{Procs: 4, Queues: 4, Scheme: scheme}, 1, 1)
 			})
 		}
 	}
 }
 
-// TestForcedSharingMatchesSequential is the same equivalence with
-// default-size deques (so shared tasks travel by steal, not spill) swept
-// over the process counts the dynamic-equivalence suite uses.
+// TestForcedSharingMatchesSequential is the same equivalence over two
+// central queues shared by all the processes, swept over the process
+// counts the dynamic-equivalence suite uses.
 func TestForcedSharingMatchesSequential(t *testing.T) {
 	for _, k := range pressureCases(t) {
 		for _, scheme := range []parmatch.Scheme{parmatch.SchemeSimple, parmatch.SchemeMRSW} {
 			for _, procs := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("%s/%s/p%d", k.name, scheme, procs), func(t *testing.T) {
-					runPressure(t, k, parmatch.Config{Procs: procs, Queues: 2, Scheme: scheme})
+					runPressure(t, k, parmatch.Config{Procs: procs, Queues: 2, Scheme: scheme}, 2, 2)
 				})
 			}
 		}
@@ -240,16 +248,16 @@ func awaitParked(t *testing.T, m *parmatch.Matcher, n int) {
 	}
 }
 
-// TestLocalDequeCounters checks the scheduler counters on the fan
-// workload. At the real thresholds its 28 pending roots and bursts of 24
-// are not worth a wake-up, so the control process must match every unit
-// itself and a worker may show nothing but the empty-handed looks it
-// took before it parked; on a matcher built with sharing forced the bursts do get shared out, spilled and stolen,
-// and the unit accounting balances either way.
-func TestLocalDequeCounters(t *testing.T) {
+// TestSchedulerCounters checks the scheduler counters on the fan
+// workload. At the real thresholds its 28 pending roots are not worth a
+// wake-up, so the control process must match every unit itself and a
+// worker may show nothing but the empty-handed looks it took before it
+// parked; on a matcher built with eager thresholds the workers do take
+// batches, and the unit accounting balances either way.
+func TestSchedulerCounters(t *testing.T) {
 	net, wmes := fanWorkload(t)
 	k := &tables.Kernel{Net: net, Wmes: wmes}
-	cfg := parmatch.Config{Procs: 2, Queues: 2, LocalCap: 4}
+	cfg := parmatch.Config{Procs: 2, Queues: 2}
 
 	m := parmatch.New(net, cfg, tables.KernelSink())
 	defer m.Close()
@@ -261,21 +269,19 @@ func TestLocalDequeCounters(t *testing.T) {
 			t.Errorf("worker %d parked without an empty-handed look counted", i)
 		}
 		if c.QueueSpins = 0; c != (stats.Contention{}) {
-			t.Errorf("worker %d took part in cycles below the sharing thresholds: %+v", i, c)
+			t.Errorf("worker %d took part in cycles below the wake threshold: %+v", i, c)
 		}
 	}
 
-	// Sharing needs a burst to meet a peer with nothing to do, and a
-	// round is over in microseconds: give it rounds until one does.
-	f := parmatch.NewSharing(net, cfg, tables.KernelSink(), 2, 2)
+	// A worker needs to win a batch from the control process, and a round
+	// is over in microseconds: give it rounds until one does.
+	f := parmatch.NewEager(net, cfg, tables.KernelSink(), 2, 2)
 	defer f.Close()
-	var c stats.Contention
-	for i := 0; i < 2000 && (c.LocalPushes == 0 || c.Overflows == 0 || c.Steals == 0); i++ {
+	for i := 0; i < 2000 && !workersRan(f); i++ {
 		k.Round(f)
-		c = checkUnitAccounting(t, f)
+		checkUnitAccounting(t, f)
 	}
-	if c.LocalPushes == 0 || c.Overflows == 0 || c.Steals == 0 {
-		t.Errorf("forced sharing: %d shared to deques, %d spilled past them, %d stolen; want all three",
-			c.LocalPushes, c.Overflows, c.Steals)
+	if !workersRan(f) {
+		t.Error("eager thresholds: no worker took a batch")
 	}
 }

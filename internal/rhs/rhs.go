@@ -47,30 +47,12 @@ type Instr struct {
 	Fields []int // make/modify: destination field per popped value
 }
 
-// Compiled is the threaded code of one production's RHS, plus the
-// static effect summary the engine's speculative act phase plans with:
-// threaded code has no control flow, so which WME positions a firing
-// removes — and whether it creates elements or consumes input — is
-// known at compile time.
+// Compiled is the threaded code of one production's RHS.
 type Compiled struct {
 	Rule   *rete.CompiledRule
 	Code   []Instr
 	Locals int
 
-	// RemovePos lists the distinct instantiation WME positions this RHS
-	// removes (OpRemove operands; OpModify is remove+make and disqualifies
-	// GroupSafe instead). The firing's write set is exactly the time tags
-	// of these positions.
-	RemovePos []int
-	// GroupSafe marks an RHS whose effects can be staged into a delta
-	// buffer and committed (or discarded) atomically: removals, writes,
-	// binds and halt only. Makes and modifies allocate fresh time tags —
-	// speculating those would entangle the tag counter — and accept
-	// consumes external input, so any of them forces the serial path.
-	GroupSafe bool
-	// HasHalt marks an RHS containing (halt); such a firing always ends
-	// its group, since no later instantiation would have fired serially.
-	HasHalt bool
 	// Accepts and AcceptLines count the (accept) and (acceptline) reads
 	// this RHS performs. Threaded code has no control flow, so the counts
 	// are exact; the engine uses them to ask its IO for readiness before
@@ -109,30 +91,13 @@ func Compile(prog *ops5.Program, cr *rete.CompiledRule) (*Compiled, error) {
 			return nil, fmt.Errorf("production %s: %w", cr.Rule.Name, err)
 		}
 	}
-	out := &Compiled{Rule: cr, Code: c.code, Locals: len(c.locals), GroupSafe: true}
-	for i := range out.Code {
-		switch in := &out.Code[i]; in.Op {
-		case OpMake, OpModify:
-			out.GroupSafe = false
+	out := &Compiled{Rule: cr, Code: c.code, Locals: len(c.locals)}
+	for _, in := range out.Code {
+		switch in.Op {
 		case OpPushAccept:
-			out.GroupSafe = false
 			out.Accepts++
 		case OpPushAcceptLine:
-			out.GroupSafe = false
 			out.AcceptLines++
-		case OpHalt:
-			out.HasHalt = true
-		case OpRemove:
-			dup := false
-			for _, p := range out.RemovePos {
-				if p == in.B {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out.RemovePos = append(out.RemovePos, in.B)
-			}
 		}
 	}
 	return out, nil

@@ -48,7 +48,6 @@ func driveServer(sessions, batches, perBatch int, backend string) (*benchReport,
 		info, err := srv.CreateSession(server.SessionConfig{
 			Program: pingSrc,
 			Matcher: backend,
-			Procs:   2,
 		})
 		if err != nil {
 			return nil, err
@@ -139,7 +138,7 @@ func TestBenchServerJSON(t *testing.T) {
 // BenchmarkServerThroughput measures batched assert throughput with N
 // concurrent sessions per backend; b.N counts batches per session.
 func BenchmarkServerThroughput(b *testing.B) {
-	for _, backend := range []string{"vs2", "parallel"} {
+	for _, backend := range []string{"vs2", "vs1"} {
 		b.Run(backend, func(b *testing.B) {
 			const sessions = 8
 			const perBatch = 16

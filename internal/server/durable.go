@@ -126,12 +126,40 @@ func (s *Server) EnableDurability() (recovered int, err error) {
 
 // sessionMeta is an entry's meta.json: the session's (or template's)
 // resolved config — the program source lives in its own file — plus the
-// template a fork came from. Backend is how builds before the single
-// state codec named the matcher; it is read, never written.
+// template a fork came from.
 type sessionMeta struct {
-	SessionConfig
+	storedConfig
 	Template string `json:"template,omitempty"`
-	Backend  string `json:"backend,omitempty"`
+}
+
+// storedConfig is a session config as a meta.json or an export payload
+// carries it. Earlier builds also wrote the keys below — backend (the
+// matcher's old name), procs, queues, locks, cs_shards and fire_batch —
+// so an entry or payload they wrote still decodes; resolve drops them.
+type storedConfig struct {
+	SessionConfig
+	Backend   string `json:"backend,omitempty"`
+	Procs     int    `json:"procs,omitempty"`
+	Queues    int    `json:"queues,omitempty"`
+	Locks     string `json:"locks,omitempty"`
+	CSShards  int    `json:"cs_shards,omitempty"`
+	FireBatch int    `json:"fire_batch,omitempty"`
+}
+
+// resolve is the one compatibility rule for stored configs, used by
+// recovery and import alike: the old matcher key fills in for the new
+// one, a session that ran on the parallel matcher comes back on vs2 —
+// the same firings, WM and time tags on one goroutine — and the
+// parallel matcher's and the multi-fire act phase's knobs are dropped.
+func (c *storedConfig) resolve() SessionConfig {
+	cfg := c.SessionConfig
+	if cfg.Matcher == "" {
+		cfg.Matcher = c.Backend
+	}
+	if cfg.Matcher == "parallel" {
+		cfg.Matcher = "vs2"
+	}
+	return cfg
 }
 
 // writeEntry creates the durable entry of a session or template:
@@ -145,7 +173,7 @@ func (s *Server) writeEntry(kind wmlog.Kind, id string, cfg *SessionConfig, temp
 	if err := os.WriteFile(wmlog.ProgramPath(dir), []byte(cfg.Program), 0o644); err != nil {
 		return "", fmt.Errorf("persist program: %w", err)
 	}
-	meta := sessionMeta{SessionConfig: *cfg, Template: template}
+	meta := sessionMeta{storedConfig: storedConfig{SessionConfig: *cfg}, Template: template}
 	meta.Program = ""
 	if err := wmlog.WriteMeta(dir, &meta); err != nil {
 		return "", fmt.Errorf("persist meta: %w", err)
@@ -172,11 +200,8 @@ func (s *Server) readEntry(kind wmlog.Kind, id string) (dir string, sp *sharedPr
 	if err = wmlog.ReadMeta(dir, &meta); err != nil {
 		return dir, nil, cfg, "", fmt.Errorf("read meta: %w", err)
 	}
-	cfg = meta.SessionConfig
+	cfg = meta.resolve()
 	cfg.Program = string(src)
-	if cfg.Matcher == "" {
-		cfg.Matcher = meta.Backend
-	}
 	sp, _, err = s.sharedProg(cfg.Program)
 	return dir, sp, cfg, meta.Template, err
 }
@@ -339,10 +364,7 @@ func (s *Server) rebuildFromDisk(id string) (sess *Session, replayed int, torn b
 	if err != nil {
 		return nil, 0, false, err
 	}
-	fail := func(e error) (*Session, int, bool, error) {
-		c.matcher.Close()
-		return nil, 0, false, e
-	}
+	fail := func(e error) (*Session, int, bool, error) { return nil, 0, false, e }
 
 	snap, err := wmlog.ReadSnapshot(wmlog.SnapshotPath(dir))
 	if err != nil {
@@ -424,12 +446,11 @@ func (s *Server) RestoreSession(id string) (*SessionInfo, error) {
 	if sess.journal == nil {
 		return nil, ErrNotDurable
 	}
-	// Release the current core: fold what its counters say, close the
-	// log fd so the rebuild can reopen the file, stop the matcher.
+	// Release the current core: fold what its counters say and close the
+	// log fd so the rebuild can reopen the file.
 	s.foldStatsLocked(sess)
 	s.foldDurLocked(sess)
 	sess.journal.close()
-	sess.matcher.Close()
 
 	fresh, replayed, torn, err := s.rebuildFromDisk(id)
 	if err != nil {

@@ -106,23 +106,22 @@ func wmTexts(t *testing.T, s *server.Server, id string) []string {
 // "crashes" (abandons the server without shutdown), recovers the data
 // directory in a fresh server, and diffs working memory, timetags and
 // the post-recovery firing trace against an uninterrupted control
-// session fed the identical script. Covered across the sequential and
-// parallel backends, and across snapshot-cadence (snapshot + log tail)
-// vs pure log replay.
+// session fed the identical script. Covered across both matchers, and
+// across snapshot-cadence (snapshot + log tail) vs pure log replay.
 func TestCrashRecoveryDifferential(t *testing.T) {
 	cases := []struct {
 		backend   string
 		snapEvery int
 	}{
 		{"vs1", 0},
+		{"vs1", 2},
 		{"vs2", 2},
 		{"vs2", 0},
-		{"parallel", 2},
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%s/snap%d", tc.backend, tc.snapEvery), func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := server.SessionConfig{Program: stormSrc, Matcher: tc.backend, Procs: 2}
+			cfg := server.SessionConfig{Program: stormSrc, Matcher: tc.backend}
 
 			// Control: uninterrupted, memory-only, same backend.
 			ctl := server.New(server.Options{DefaultTimeout: 30 * time.Second})
@@ -270,13 +269,13 @@ func TestRecoveryTornTail(t *testing.T) {
 // state the first one did — and (c) with durability on, forks and
 // template survive a restart with their divergent state intact.
 func TestForkIsolation(t *testing.T) {
-	for _, backend := range []string{"vs2", "parallel"} {
+	for _, backend := range []string{"vs2", "vs1"} {
 		t.Run(backend, func(t *testing.T) {
 			dir := t.TempDir()
 			srv, _ := newDurServer(t, dir, 0)
 
 			tcfg := &server.TemplateConfig{
-				SessionConfig: server.SessionConfig{Program: stormSrc, Matcher: backend, Procs: 2},
+				SessionConfig: server.SessionConfig{Program: stormSrc, Matcher: backend},
 			}
 			for n := 1; n <= 8; n++ {
 				tcfg.Asserts = append(tcfg.Asserts, server.WMEInput{
@@ -362,143 +361,6 @@ func TestForkIsolation(t *testing.T) {
 			}
 			if got := wmTexts(t, srv2, fork4.ID); !reflect.DeepEqual(got, base) {
 				t.Fatalf("fork from recovered template:\n%v\nwant\n%v", got, base)
-			}
-		})
-	}
-}
-
-// multiFireSrc is a removal-heavy workload for the multi-fire recovery
-// differential: sweep and scrub are pure-removal rules, so a FireBatch>1
-// session fires them in speculative groups; config-note (a make) keeps a
-// serial firing in the mix.
-const multiFireSrc = `
-(literalize config mode)
-(literalize note mode)
-(literalize item n)
-(literalize junk n)
-(p config-note
-  (config ^mode <m>)
--->
-  (make note ^mode <m>))
-(p sweep
-  (config ^mode <m>)
-  (item ^n <n>)
--->
-  (remove 2))
-(p scrub
-  (junk ^n <n>)
--->
-  (remove 1))
-`
-
-// multiFireBatches asserts config once, then rounds of items and junk
-// that sweep/scrub clear out — each round yields a burst of independent
-// removals that the batched act phase groups together.
-func multiFireBatches() []*server.BatchRequest {
-	reqs := []*server.BatchRequest{{
-		Asserts: []server.WMEInput{{Class: "config", Attrs: map[string]any{"mode": "fast"}}},
-	}}
-	for round := 0; round < 5; round++ {
-		var req server.BatchRequest
-		for n := 1; n <= 6; n++ {
-			req.Asserts = append(req.Asserts, server.WMEInput{
-				Class: "item", Attrs: map[string]any{"n": round*10 + n},
-			})
-		}
-		for n := 1; n <= 3; n++ {
-			req.Asserts = append(req.Asserts, server.WMEInput{
-				Class: "junk", Attrs: map[string]any{"n": round*10 + n},
-			})
-		}
-		reqs = append(reqs, &req)
-	}
-	return reqs
-}
-
-// TestCrashRecoveryMultiFire is the multi-fire variant of the crash
-// differential: the durable victim runs with FireBatch 8 (speculative
-// grouped firing), the memory-only control with FireBatch 1 (strict
-// serial). Because grouped deltas commit in conflict-resolution order
-// and the journal records one fire per committed instantiation in that
-// order, the victim's delta log replays to exactly the serial state —
-// recovery of a multi-fire session must be indistinguishable from
-// recovery of a serial one.
-func TestCrashRecoveryMultiFire(t *testing.T) {
-	for _, backend := range []string{"vs2", "parallel"} {
-		t.Run(backend, func(t *testing.T) {
-			dir := t.TempDir()
-			vcfg := server.SessionConfig{Program: multiFireSrc, Matcher: backend, Procs: 2, FireBatch: 8}
-			ccfg := server.SessionConfig{Program: multiFireSrc, Matcher: backend, Procs: 2, FireBatch: 1}
-
-			ctl := server.New(server.Options{DefaultTimeout: 30 * time.Second})
-			defer ctl.Close()
-			ctlInfo, err := ctl.CreateSession(ccfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			crashed, _ := newDurServer(t, dir, 2)
-			vicInfo, err := crashed.CreateSession(vcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, req := range multiFireBatches() {
-				vres, err := crashed.Batch(vicInfo.ID, req)
-				if err != nil {
-					t.Fatalf("victim batch %d: %v", i, err)
-				}
-				cres, err := ctl.Batch(ctlInfo.ID, req)
-				if err != nil {
-					t.Fatalf("control batch %d: %v", i, err)
-				}
-				if !reflect.DeepEqual(fireTrace(vres), fireTrace(cres)) {
-					t.Fatalf("batch %d multi-fire trace diverged from serial:\n%v\nvs\n%v", i, fireTrace(vres), fireTrace(cres))
-				}
-			}
-			// The victim must actually have fired in groups — otherwise
-			// this test silently degrades to the serial differential.
-			if act := crashed.Snapshot().Act; act.GroupedFires == 0 {
-				t.Fatalf("victim act stats show no grouped fires: %+v", act)
-			}
-
-			// Crash and recover; the rebuilt session keeps FireBatch 8
-			// from its persisted meta.
-			srv, recovered := newDurServer(t, dir, 2)
-			if recovered != 1 {
-				t.Fatalf("recovered %d entries, want 1", recovered)
-			}
-			if got, want := wmTexts(t, srv, vicInfo.ID), wmTexts(t, ctl, ctlInfo.ID); !reflect.DeepEqual(got, want) {
-				t.Fatalf("recovered WM diverged:\n%v\nwant\n%v", got, want)
-			}
-
-			// Post-recovery rounds keep matching the serial control, and
-			// the recovered session still fires in groups.
-			for i, req := range multiFireBatches() {
-				rres, err := srv.Batch(vicInfo.ID, req)
-				if err != nil {
-					t.Fatalf("recovered batch %d: %v", i, err)
-				}
-				cres, err := ctl.Batch(ctlInfo.ID, req)
-				if err != nil {
-					t.Fatalf("control batch %d: %v", i, err)
-				}
-				if !reflect.DeepEqual(fireTrace(rres), fireTrace(cres)) {
-					t.Fatalf("post-recovery batch %d trace diverged:\n%v\nwant\n%v", i, fireTrace(rres), fireTrace(cres))
-				}
-			}
-			if act := srv.Snapshot().Act; act.GroupedFires == 0 {
-				t.Fatalf("recovered session act stats show no grouped fires: %+v", act)
-			}
-			if got, want := wmTexts(t, srv, vicInfo.ID), wmTexts(t, ctl, ctlInfo.ID); !reflect.DeepEqual(got, want) {
-				t.Fatalf("final WM diverged:\n%v\nwant\n%v", got, want)
-			}
-
-			srv2, recovered2 := newDurServer(t, dir, 2)
-			if recovered2 != 1 {
-				t.Fatalf("second recovery found %d entries, want 1", recovered2)
-			}
-			if got, want := wmTexts(t, srv2, vicInfo.ID), wmTexts(t, ctl, ctlInfo.ID); !reflect.DeepEqual(got, want) {
-				t.Fatalf("second recovery WM diverged:\n%v\nwant\n%v", got, want)
 			}
 		})
 	}

@@ -56,7 +56,7 @@ func minBatch(t *testing.T, srv *server.Server, id string, n int, next func() *s
 // table has hashLines lines.
 func tickCost(t *testing.T, srv *server.Server, backend string, hashLines int) time.Duration {
 	t.Helper()
-	info, err := srv.CreateSession(server.SessionConfig{Program: tickSrc, Matcher: backend, Procs: 2, HashLines: hashLines})
+	info, err := srv.CreateSession(server.SessionConfig{Program: tickSrc, Matcher: backend, HashLines: hashLines})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -79,7 +79,7 @@ func tickCost(t *testing.T, srv *server.Server, backend string, hashLines int) t
 // assert then replaces it, so the working memory stays at wmSize.
 func retractCost(t *testing.T, srv *server.Server, backend string, wmSize int) time.Duration {
 	t.Helper()
-	info, err := srv.CreateSession(server.SessionConfig{Program: ledgerSrc, Matcher: backend, Procs: 2})
+	info, err := srv.CreateSession(server.SessionConfig{Program: ledgerSrc, Matcher: backend})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestRequestCostIndependentOfSessionSize(t *testing.T) {
 		{"max_cycles:1 batch by hash_lines", 1 << 10, 1 << 18, tickCost},
 		{"one-tag retract by WM size", 100, 100000, retractCost},
 	}
-	for _, backend := range []string{"vs2", "parallel"} {
+	for _, backend := range []string{"vs2"} {
 		for _, p := range probes {
 			t.Run(fmt.Sprintf("%s/%s", backend, p.name), func(t *testing.T) {
 				// Large first, small second: a warm-up effect would make the

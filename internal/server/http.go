@@ -259,11 +259,21 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) (int, erro
 	return http.StatusOK, nil
 }
 
+// importBody is an ExportPayload as POST /sessions/import decodes it:
+// the payload may come from an earlier build, so its config decodes the
+// way a stored one does.
+type importBody struct {
+	ExportPayload
+	Config storedConfig `json:"config"`
+}
+
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) (int, error) {
-	var p ExportPayload
-	if err := decodeBody(r, &p); err != nil {
+	var body importBody
+	if err := decodeBody(r, &body); err != nil {
 		return http.StatusBadRequest, err
 	}
+	p := body.ExportPayload
+	p.Config = body.Config.resolve()
 	var (
 		info *SessionInfo
 		err  error

@@ -87,11 +87,11 @@ const deadJoinSrc = `
   (halt))
 `
 
-// TestSessionUnlink runs sequential and parallel sessions with
-// unlinking enabled and checks the unlink_skips and relinks counters
-// reach /metrics through the per-session stat folds.
+// TestSessionUnlink runs sessions on both matchers with unlinking
+// enabled and checks the unlink_skips and relinks counters reach
+// /metrics through the per-session stat folds.
 func TestSessionUnlink(t *testing.T) {
-	for _, matcher := range []string{"vs2", "parallel"} {
+	for _, matcher := range []string{"vs2", "vs1"} {
 		t.Run(matcher, func(t *testing.T) {
 			_, ts := newTestServer(t)
 			c := ts.Client()

@@ -1,8 +1,12 @@
 package server_test
 
 import (
+	"encoding/base64"
+	"encoding/json"
 	"fmt"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -240,10 +244,10 @@ func TestLifecycleDifferential(t *testing.T) {
 			disturb: func(t *testing.T, e *lifecycleEnv) { e.crash(t) }},
 	}
 	steps, snapAt, disturbAt := lifecycleScript()
-	for _, backend := range []string{"vs1", "vs2", "parallel"} {
+	for _, backend := range []string{"vs1", "vs2"} {
 		for _, op := range ops {
 			t.Run(backend+"/"+op.name, func(t *testing.T) {
-				cfg := server.SessionConfig{Program: lifecycleSrc, Matcher: backend, Procs: 2, MatchBudget: 50}
+				cfg := server.SessionConfig{Program: lifecycleSrc, Matcher: backend, MatchBudget: 50}
 				ctl := &lifecycleEnv{srv: memServer(t)}
 				vic := &lifecycleEnv{}
 				if op.durable {
@@ -290,9 +294,10 @@ func TestLifecycleDifferential(t *testing.T) {
 // directory written by the build before the single state codec: format-2
 // snapshots (no program delta) and meta.json files in the old
 // field-by-field layout ("backend" for the matcher, a reorder_joins key
-// that no longer exists). One parallel session with every knob set and
-// a log tail past its snapshot, one vs1 template, one fork of it. Each
-// must come back with the backend, knobs and working memory it had.
+// that no longer exists). One parallel session with every knob of that
+// build set and a log tail past its snapshot, one vs1 template, one fork
+// of it. Each must come back with the working memory it had and the
+// knobs that still exist; the parallel session comes back on vs2.
 func TestRecoverParentDataDir(t *testing.T) {
 	// Recovery reopens logs for writing: work on a copy.
 	const fixture = "testdata/parent-datadir"
@@ -335,8 +340,7 @@ func TestRecoverParentDataDir(t *testing.T) {
 	}
 
 	want := map[string]server.SessionConfig{
-		"s-000001": {Program: stormSrc, Matcher: "parallel", Procs: 2, Queues: 1, Locks: "mrsw",
-			HashLines: 1024, CSShards: 8, FireBatch: 4, MatchBudget: 500, Unlink: true, Watch: 1},
+		"s-000001": {Program: stormSrc, Matcher: "vs2", HashLines: 1024, MatchBudget: 500, Unlink: true, Watch: 1},
 		"s-000002": {Program: stormSrc, Matcher: "vs1", HashLines: 512},
 	}
 	for id, cfg := range want {
@@ -379,43 +383,70 @@ func TestRecoverParentDataDir(t *testing.T) {
 	}
 }
 
-// TestRestoreKeepsActCountersMonotonic: restore swaps the session's
-// whole core, fold baselines included, so the server-wide act-phase
-// counters of a fire_batch session never run backwards across it.
-func TestRestoreKeepsActCountersMonotonic(t *testing.T) {
-	srv, _ := newDurServer(t, t.TempDir(), 0)
-	info, err := srv.CreateSession(server.SessionConfig{Program: multiFireSrc, FireBatch: 4})
+// parentPayload is an export payload as the build before this one wrote
+// it: every session-config key, zeros included, and a session that ran
+// on the parallel matcher with that build's knobs set.
+const parentPayload = `{"id":"s-parent","config":{"program":%q,"matcher":"parallel",
+"procs":2,"queues":1,"locks":"mrsw","hash_lines":0,"cs_shards":8,"fire_batch":4,
+"match_budget":0,"unlink":false,"watch":0},"snapshot":%q,"wm_size":%d,"halted":false}`
+
+// TestImportParentPayload imports, over HTTP, a payload in the parent
+// build's format: the dropped knobs are accepted and ignored, the
+// parallel matcher resolves to vs2, and the session carries on exactly
+// like one that never moved.
+func TestImportParentPayload(t *testing.T) {
+	src := memServer(t)
+	info, err := src.CreateSession(server.SessionConfig{Program: stormSrc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := srv.Snapshot().Act
-	check := func(when string) {
-		t.Helper()
-		cur := srv.Snapshot().Act
-		if cur.GroupedFires < prev.GroupedFires || cur.GroupCommits < prev.GroupCommits ||
-			cur.SerialFires < prev.SerialFires || cur.SpeculativeFires < prev.SpeculativeFires {
-			t.Fatalf("act counters decreased %s:\n%+v\nwas\n%+v", when, cur, prev)
-		}
-		prev = cur
-	}
-	reqs := multiFireBatches()
-	for i, req := range reqs[:3] {
-		if _, err := srv.Batch(info.ID, req); err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-		check(fmt.Sprintf("after batch %d", i))
-	}
-	if prev.GroupedFires == 0 {
-		t.Fatalf("no grouped fires before the restore: %+v", prev)
-	}
-	if _, err := srv.RestoreSession(info.ID); err != nil {
+	batches := stormBatches()
+	if _, err := src.Batch(info.ID, batches[0]); err != nil {
 		t.Fatal(err)
 	}
-	check("across the restore")
-	for i, req := range reqs[3:] {
-		if _, err := srv.Batch(info.ID, req); err != nil {
-			t.Fatalf("post-restore batch %d: %v", i, err)
+	p, err := src.ExportSession(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(parentPayload, stormSrc, base64.StdEncoding.EncodeToString(p.Snapshot), p.WMSize)
+
+	dst := memServer(t)
+	ts := httptest.NewServer(dst.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/sessions/import", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got server.SessionInfo
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("import of a parent payload: status %d, %+v, %v", resp.StatusCode, got, err)
+	}
+	if got.ID != "s-parent" || got.Backend != "vs2" {
+		t.Fatalf("imported session %+v, want s-parent on vs2", got)
+	}
+	exp, err := dst.ExportSession("s-parent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (server.SessionConfig{Program: stormSrc, Matcher: "vs2"}); !reflect.DeepEqual(exp.Config, want) {
+		t.Errorf("imported config %+v, want %+v", exp.Config, want)
+	}
+	for i, req := range batches[1:] {
+		gres, err := dst.Batch("s-parent", req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		check(fmt.Sprintf("after post-restore batch %d", i))
+		wres, err := src.Batch(info.ID, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fireTrace(gres), fireTrace(wres)) {
+			t.Fatalf("batch %d after import:\n%v\nwant\n%v", i+1, fireTrace(gres), fireTrace(wres))
+		}
+	}
+	if got, want := wmTexts(t, dst, "s-parent"), wmTexts(t, src, info.ID); !reflect.DeepEqual(got, want) {
+		t.Fatalf("WM after import diverged:\n%v\nwant\n%v", got, want)
 	}
 }

@@ -9,19 +9,17 @@ import (
 )
 
 // metrics is the server-wide counter sink: stats.Server counters, the
-// folded stats.Match and stats.Contention totals of every session (live
-// and closed), latency histograms and count histograms. One mutex
+// folded match, conflict-set, epoch and memory totals of every session
+// (live and closed), latency histograms and count histograms. One mutex
 // guards it all — updates are a handful of integer adds, far off the
 // match hot path.
 type metrics struct {
 	mu    sync.Mutex
 	srv   stats.Server
 	match stats.Match
-	cont  stats.Contention
 	conf  stats.Conflict
 	epoch stats.Epoch
 	mem   stats.Memory
-	act   stats.Act
 	dur   stats.Durability
 	// lastSnap is when any session snapshot was last written, for the
 	// snapshot-age gauge.
@@ -129,12 +127,6 @@ func (m *metrics) foldMatch(delta *stats.Match) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) foldContention(delta *stats.Contention) {
-	m.mu.Lock()
-	m.cont.Add(delta)
-	m.mu.Unlock()
-}
-
 func (m *metrics) foldConflict(delta *stats.Conflict) {
 	m.mu.Lock()
 	m.conf.Add(delta)
@@ -150,12 +142,6 @@ func (m *metrics) foldEpoch(delta *stats.Epoch) {
 func (m *metrics) foldMemory(delta *stats.Memory) {
 	m.mu.Lock()
 	m.mem.Add(delta)
-	m.mu.Unlock()
-}
-
-func (m *metrics) foldAct(delta *stats.Act) {
-	m.mu.Lock()
-	m.act.Add(delta)
 	m.mu.Unlock()
 }
 
@@ -214,11 +200,9 @@ func (s *Server) Snapshot() stats.Snapshot {
 	snap := stats.Snapshot{
 		Server:     s.met.srv,
 		Match:      s.met.match,
-		Contention: s.met.cont,
 		Conflict:   s.met.conf,
 		Epoch:      s.met.epoch,
 		Memory:     s.met.mem,
-		Act:        s.met.act,
 		Durability: s.met.dur,
 		Latency:    make(map[string]stats.LatencySummary, len(s.met.hists)),
 		Counts:     make(map[string]stats.CountSummary, len(s.met.counts)),

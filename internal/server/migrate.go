@@ -102,7 +102,6 @@ func (s *Server) ImportSession(p *ExportPayload) (*SessionInfo, error) {
 		return nil, err
 	}
 	if err := c.eng.RestoreState(snap); err != nil {
-		c.matcher.Close()
 		return nil, fmt.Errorf("restore imported state: %w", err)
 	}
 	sess := newSession(id, sp, p.Config, c, p.Template)

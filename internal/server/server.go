@@ -1,14 +1,15 @@
 // Package server hosts many concurrent OPS5 engine sessions behind one
-// process — the inference-server layer over the PSM-E engine. Each
-// session owns a working memory, a conflict set and a matcher backend
-// (sequential vs1/vs2 for small sessions, the parallel PSM-E matcher
-// for heavy ones), while all sessions created from the same program
-// source share one compiled Rete network read-only, the way the paper's
-// k match processes share theirs. Requests are executed by a fixed
-// worker pool, WM changes are batched into a single match phase per
-// request, per-request cycle/time budgets ride on the engine's RunHook,
-// and a panicking session is quarantined instead of taking the daemon
-// down. cmd/ops5d exposes the HTTP/JSON API.
+// process — the inference-server layer over the PSM-E engine. The
+// session is the grain of concurrency: each owns a working memory, a
+// conflict set and a sequential matcher (vs2 or vs1) and runs one
+// request at a time on one goroutine, while different sessions run in
+// parallel and all sessions created from the same program source share
+// one compiled Rete network read-only, the way the paper's k match
+// processes share theirs. Requests are executed by a fixed worker pool,
+// WM changes are batched into a single match phase per request,
+// per-request cycle/time budgets ride on the engine's RunHook, and a
+// panicking session is quarantined instead of taking the daemon down.
+// cmd/ops5d exposes the HTTP/JSON API.
 package server
 
 import (
@@ -24,7 +25,6 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/engine"
 	"repro/internal/ops5"
-	"repro/internal/parmatch"
 	"repro/internal/rete"
 	"repro/internal/rhs"
 	"repro/internal/seqmatch"
@@ -32,14 +32,6 @@ import (
 	"repro/internal/wm"
 	"repro/internal/wmlog"
 )
-
-// backend is what every matcher must provide to be hosted: the engine
-// protocol plus teardown and counter snapshots.
-type backend interface {
-	engine.Matcher
-	Close()
-	MatchStats() stats.Match
-}
 
 // Options size the server.
 type Options struct {
@@ -128,50 +120,46 @@ type sharedProgram struct {
 	refs int             // live sessions, for the sessions listing
 }
 
-// core is one engine and everything bound to it: the matcher backend
-// (which owns the token memories), the conflict set and input queue
-// (eng.CS, eng.IO), the resolved trace level, and the counters already
-// folded into the server metrics. A session or template holds exactly
-// one; restore replaces it whole. build is its only constructor, the
-// sequential template fork (Fork) its only copier.
+// core is one engine and everything bound to it: the matcher (which
+// owns the token memories), the conflict set and input queue (eng.CS,
+// eng.IO), the resolved trace level, and the counters already folded
+// into the server metrics. A session or template holds exactly one;
+// restore replaces it whole. build is its only constructor, the
+// template fork (Fork) its only copier.
 type core struct {
 	eng     *engine.Engine
-	matcher backend
-	Backend string // resolved matcher name: vs2, vs1 or parallel
+	matcher *seqmatch.Matcher
+	Backend string // resolved matcher name: vs2 or vs1
 	// watch is the resolved trace level (0..2): SessionConfig.Watch
 	// merged with the program's (watch ...) declaration.
 	watch int
 	// prev* are the counters already folded into server metrics: match,
-	// contention (parallel backends only), conflict set, runtime
-	// build/excise, token-table memory and the multi-fire act phase.
-	// Gauge fields fold correctly as deltas too: the sum of per-session
-	// net changes is the current total.
+	// conflict set, runtime build/excise and token-table memory. Gauge
+	// fields fold correctly as deltas too: the sum of per-session net
+	// changes is the current total.
 	prev      stats.Match
-	prevCont  stats.Contention
 	prevConf  stats.Conflict
 	prevEpoch stats.Epoch
 	prevMem   stats.Memory
-	prevAct   stats.Act
 }
 
 // build turns a compiled program and a session config into a fresh
 // per-engine core on empty working memory. What the caller does next is
 // the lifecycle operation: Init (create, template), RestoreState
-// (import, parallel fork, template recovery), RestoreState and
-// ReplayRecords (crash recovery, restore).
+// (import, template recovery), RestoreState and ReplayRecords (crash
+// recovery, restore).
 func (sp *sharedProgram) build(cfg *SessionConfig) (*core, error) {
 	watch, err := resolveWatch(cfg.Watch, sp.prog)
 	if err != nil {
 		return nil, err
 	}
-	cs := conflict.New(conflict.Config{Shards: cfg.CSShards})
-	m, name, err := newBackend(sp.net, cfg, cs)
+	cs := conflict.NewSet()
+	m, name, err := newMatcher(sp.net, cfg, cs)
 	if err != nil {
 		return nil, err
 	}
 	eng, err := engine.NewWithRHS(sp.prog, sp.net, sp.rhs, cs, m, nil)
 	if err != nil {
-		m.Close()
 		return nil, err
 	}
 	// Hosted sessions read (accept) input from a per-session queue the
@@ -263,10 +251,7 @@ func (s *Server) Close() {
 		live = append(live, sess)
 	}
 	s.sessions = map[string]*Session{}
-	tpls := make([]*template, 0, len(s.templates))
-	for _, tpl := range s.templates {
-		tpls = append(tpls, tpl)
-	}
+	tpls := len(s.templates)
 	s.templates = map[string]*template{}
 	s.mu.Unlock()
 
@@ -274,10 +259,7 @@ func (s *Server) Close() {
 	for _, sess := range live {
 		s.teardown(sess)
 	}
-	for _, tpl := range tpls {
-		tpl.mu.Lock()
-		tpl.matcher.Close()
-		tpl.mu.Unlock()
+	for range tpls {
 		s.met.templateClosed()
 	}
 }
@@ -297,25 +279,11 @@ type SessionConfig struct {
 	// migration imports). Empty lets the server pick. A taken ID fails
 	// with ErrSessionExists.
 	ID string `json:"id,omitempty"`
-	// Matcher picks the backend: "vs2" (default), "vs1", or "parallel".
+	// Matcher picks the sequential matcher: "vs2" (default, global token
+	// hash tables) or "vs1" (per-node list memories).
 	Matcher string `json:"matcher"`
-	// Procs/Queues/Locks configure the parallel backend: k match
-	// goroutines, task-queue count, and "simple" or "mrsw" line locks.
-	Procs  int    `json:"procs"`
-	Queues int    `json:"queues"`
-	Locks  string `json:"locks"`
 	// HashLines sizes the token hash tables (0 = default).
 	HashLines int `json:"hash_lines"`
-	// CSShards is the number of conflict-set lock stripes, rounded up to
-	// a power of two (0 = default). Matters for parallel backends, whose
-	// match workers insert terminal activations concurrently.
-	CSShards int `json:"cs_shards"`
-	// FireBatch > 1 enables the speculative multi-fire act phase: up to
-	// this many dominant instantiations fire per super-cycle when their
-	// read and write sets are disjoint, with one match phase per group.
-	// Results are identical to serial firing; 0 or 1 keeps the serial
-	// act loop. Clamped to 64.
-	FireBatch int `json:"fire_batch"`
 	// MatchBudget > 0 caps the opposite-memory candidates any one rule's
 	// joins may examine in a single cycle. A rule over budget is excised
 	// from this session's network (quarantining the rule, not the
@@ -513,12 +481,11 @@ func (s *Server) register(sess *Session) error {
 // memory), then init — a cold create's top-level makes, run under the
 // panic quarantine and journaled from the log's first record — then
 // registration. A session that fails any step is released whole: log
-// fd, matcher, and whatever durable state it had written.
+// fd and whatever durable state it had written.
 func (s *Server) admit(sess *Session, state []byte, init func() error) (err error) {
 	defer func() {
 		if err != nil {
 			sess.journal.close()
-			sess.matcher.Close()
 			s.removeDurable(wmlog.KindSession, sess.ID)
 		}
 	}()
@@ -593,61 +560,22 @@ func resolveWatch(cfgWatch int, prog *ops5.Program) (int, error) {
 	}
 }
 
-// clampFireBatch normalizes the session fire-batch knob: non-positive
-// means serial, and group size is capped so one super-cycle cannot
-// spawn an unbounded number of staging goroutines.
-func clampFireBatch(n int) int {
-	if n < 0 {
-		return 0
-	}
-	if n > 64 {
-		return 64
-	}
-	return n
-}
-
-// newBackend constructs the matcher a session config asks for.
-func newBackend(net *rete.Network, cfg *SessionConfig, cs *conflict.Set) (backend, string, error) {
+// newMatcher constructs the sequential matcher a session config asks
+// for.
+func newMatcher(net *rete.Network, cfg *SessionConfig, cs *conflict.Set) (*seqmatch.Matcher, string, error) {
+	v, name := seqmatch.VS2, "vs2"
 	switch cfg.Matcher {
 	case "", "vs2":
-		sm := seqmatch.New(net, seqmatch.VS2, cfg.HashLines, cs)
-		if cfg.Unlink {
-			sm.EnableUnlink()
-		}
-		return sm, "vs2", nil
 	case "vs1":
-		sm := seqmatch.New(net, seqmatch.VS1, cfg.HashLines, cs)
-		if cfg.Unlink {
-			sm.EnableUnlink()
-		}
-		return sm, "vs1", nil
-	case "parallel":
-		scheme := parmatch.SchemeSimple
-		switch cfg.Locks {
-		case "", "simple":
-		case "mrsw":
-			scheme = parmatch.SchemeMRSW
-		default:
-			return nil, "", fmt.Errorf("unknown lock scheme %q", cfg.Locks)
-		}
-		procs := cfg.Procs
-		if procs <= 0 {
-			procs = 4
-		}
-		queues := cfg.Queues
-		if queues <= 0 {
-			queues = 2
-		}
-		return parmatch.New(net, parmatch.Config{
-			Procs:  procs,
-			Queues: queues,
-			Lines:  cfg.HashLines,
-			Scheme: scheme,
-			Unlink: cfg.Unlink,
-		}, cs), "parallel", nil
+		v, name = seqmatch.VS1, "vs1"
 	default:
-		return nil, "", fmt.Errorf("unknown matcher %q (want vs2, vs1 or parallel)", cfg.Matcher)
+		return nil, "", fmt.Errorf("unknown matcher %q (want vs2 or vs1)", cfg.Matcher)
 	}
+	m := seqmatch.New(net, v, cfg.HashLines, cs)
+	if cfg.Unlink {
+		m.EnableUnlink()
+	}
+	return m, name, nil
 }
 
 // session looks a live session up.
@@ -685,16 +613,14 @@ func (s *Server) DeleteSession(id string) error {
 	return nil
 }
 
-// teardown folds the session's final counters, flushes and closes its
-// delta log (the SIGTERM drain path runs through here), and stops its
-// matcher.
+// teardown folds the session's final counters and flushes and closes
+// its delta log (the SIGTERM drain path runs through here).
 func (s *Server) teardown(sess *Session) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	s.foldStatsLocked(sess)
 	s.foldDurLocked(sess)
 	sess.journal.close()
-	sess.matcher.Close()
 	s.met.sessionClosed()
 }
 
@@ -734,15 +660,6 @@ func (s *Server) foldStatsLocked(sess *Session) {
 	delta.Sub(&sess.prev)
 	sess.prev = cur
 	s.met.foldMatch(&delta)
-	// Parallel backends also expose scheduler/lock contention counters;
-	// fold their delta the same way.
-	if cm, ok := sess.matcher.(interface{ Contention() stats.Contention }); ok {
-		ccur := cm.Contention()
-		cdelta := ccur
-		cdelta.Sub(&sess.prevCont)
-		sess.prevCont = ccur
-		s.met.foldContention(&cdelta)
-	}
 	fcur := sess.eng.CS.StatsSnapshot()
 	fdelta := fcur
 	fdelta.Sub(&sess.prevConf)
@@ -753,19 +670,11 @@ func (s *Server) foldStatsLocked(sess *Session) {
 	edelta.Sub(&sess.prevEpoch)
 	sess.prevEpoch = ecur
 	s.met.foldEpoch(&edelta)
-	// Every Rete backend owns a token table; fold its gauges/counters.
-	if mm, ok := sess.matcher.(interface{ MemStats() stats.Memory }); ok {
-		mcur := mm.MemStats()
-		mdelta := mcur
-		mdelta.Sub(&sess.prevMem)
-		sess.prevMem = mcur
-		s.met.foldMemory(&mdelta)
-	}
-	acur := sess.eng.ActStats()
-	adelta := acur
-	adelta.Sub(&sess.prevAct)
-	sess.prevAct = acur
-	s.met.foldAct(&adelta)
+	mcur := sess.matcher.MemStats()
+	mdelta := mcur
+	mdelta.Sub(&sess.prevMem)
+	sess.prevMem = mcur
+	s.met.foldMemory(&mdelta)
 }
 
 // WMEInput is one element to assert: a class name and attribute values
@@ -911,7 +820,6 @@ func (s *Server) Batch(id string, req *BatchRequest) (*BatchResult, error) {
 		}
 		run, err := sess.eng.Run(engine.Options{
 			RecordFiring: !req.NoFirings,
-			FireBatch:    clampFireBatch(sess.cfg.FireBatch),
 			MatchBudget:  sess.cfg.MatchBudget,
 			TraceFires:   sess.watch >= 1,
 			TraceWMEs:    sess.watch >= 2,

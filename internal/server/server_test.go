@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -173,9 +174,9 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 // TestConcurrentSessionsBothBackends is the acceptance scenario: >= 8
-// sessions over both matcher backends running batched asserts
-// concurrently, every firing accounted for, and a clean drain at the
-// end. go test -race covers the locking.
+// sessions over both matchers running batched asserts concurrently,
+// every firing accounted for, and a clean drain at the end. go test
+// -race covers the locking.
 func TestConcurrentSessionsBothBackends(t *testing.T) {
 	srv, ts := newTestServer(t)
 	c := ts.Client()
@@ -183,16 +184,13 @@ func TestConcurrentSessionsBothBackends(t *testing.T) {
 	const sessions = 12
 	const batches = 5
 	const perBatch = 8
-	backends := []string{"vs2", "vs1", "parallel", "parallel"}
-	locks := []string{"", "", "simple", "mrsw"}
+	backends := []string{"vs2", "vs1"}
 
 	ids := make([]string, sessions)
 	for i := range ids {
 		cfg := server.SessionConfig{
 			Program: pingSrc,
 			Matcher: backends[i%len(backends)],
-			Locks:   locks[i%len(locks)],
-			Procs:   2,
 		}
 		var info server.SessionInfo
 		if code := call(t, c, "POST", ts.URL+"/sessions", cfg, &info); code != http.StatusCreated {
@@ -242,8 +240,8 @@ func TestConcurrentSessionsBothBackends(t *testing.T) {
 		t.Errorf("request latency histogram empty")
 	}
 
-	// Drain: Close tears down every session's goroutines and drains the
-	// pool; afterwards the API refuses new work.
+	// Drain: Close tears down every session and drains the pool;
+	// afterwards the API refuses new work.
 	ts.Close()
 	srv.Close()
 	if _, err := srv.CreateSession(server.SessionConfig{Program: pingSrc}); err == nil {
@@ -332,6 +330,41 @@ func TestBadInputs(t *testing.T) {
 	}
 	if code := call(t, c, "POST", ts.URL+"/sessions", server.SessionConfig{Program: pingSrc}, &apiErr); code != http.StatusTooManyRequests {
 		t.Errorf("session cap: status %d", code)
+	}
+}
+
+// TestRemovedKnobsRejected: the parallel matcher, its knobs and the
+// multi-fire act phase are gone from the session API. A create, template
+// or program-registration body that names one is a 400 whose error
+// names it; only stored entries and export payloads of earlier builds
+// are read past them.
+func TestRemovedKnobsRejected(t *testing.T) {
+	_, ts := newTestServer(t)
+	c := ts.Client()
+	type rejected struct {
+		path string
+		body map[string]any
+		want string
+	}
+	cases := []rejected{
+		{"/sessions", map[string]any{"program": pingSrc, "matcher": "parallel"}, `"parallel"`},
+		{"/templates", map[string]any{"program": pingSrc, "matcher": "parallel"}, `"parallel"`},
+		{"/programs", map[string]any{"program": pingSrc, "procs": 2}, `"procs"`},
+	}
+	for _, key := range []string{"procs", "queues", "locks", "cs_shards", "fire_batch"} {
+		cases = append(cases,
+			rejected{"/sessions", map[string]any{"program": pingSrc, key: 1}, `"` + key + `"`},
+			rejected{"/templates", map[string]any{"program": pingSrc, key: 1}, `"` + key + `"`})
+	}
+	for _, tc := range cases {
+		var apiErr struct {
+			Error string `json:"error"`
+		}
+		if code := call(t, c, "POST", ts.URL+tc.path, tc.body, &apiErr); code != http.StatusBadRequest {
+			t.Errorf("POST %s %v: status %d, want 400", tc.path, tc.body, code)
+		} else if !strings.Contains(apiErr.Error, tc.want) {
+			t.Errorf("POST %s %v: error %q does not name %s", tc.path, tc.body, apiErr.Error, tc.want)
+		}
 	}
 }
 

@@ -8,19 +8,17 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/seqmatch"
 	"repro/internal/wm"
 	"repro/internal/wmlog"
 )
 
 // A template is a warm session held for forking: program loaded and
 // compiled, base facts asserted, matcher settled. Forks clone its
-// working memory, conflict set and token table by structure copy
-// (sequential backends) or restore its snapshot through a fresh matcher
-// (parallel backends) — either way they skip the program parse, network
-// compile, RHS compile and base-fact match a cold session pays. The
-// template itself never runs requests and never changes after creation;
-// its snapshot hash pins that immutability.
+// working memory, conflict set and token table by structure copy, so
+// they skip the program parse, network compile, RHS compile and
+// base-fact match a cold session pays. The template itself never runs
+// requests and never changes after creation; its snapshot hash pins that
+// immutability.
 type template struct {
 	ID      string
 	Created time.Time
@@ -87,12 +85,10 @@ func (s *Server) CreateTemplate(cfg *TemplateConfig) (info *TemplateInfo, err er
 		return nil, err
 	}
 	if err := c.eng.Init(); err != nil {
-		c.matcher.Close()
 		return nil, fmt.Errorf("init: %w", err)
 	}
 	if len(fieldsList) > 0 {
 		if _, err := c.eng.AssertBatch(fieldsList); err != nil {
-			c.matcher.Close()
 			return nil, fmt.Errorf("base facts: %w", err)
 		}
 	}
@@ -100,7 +96,6 @@ func (s *Server) CreateTemplate(cfg *TemplateConfig) (info *TemplateInfo, err er
 	st.ProgHash = sp.hash
 	raw, err := st.Encode()
 	if err != nil {
-		c.matcher.Close()
 		return nil, err
 	}
 	tpl, err := s.pinTemplate("", sp, cfg.SessionConfig, c, st, raw)
@@ -123,7 +118,6 @@ func (s *Server) CreateTemplate(cfg *TemplateConfig) (info *TemplateInfo, err er
 func (s *Server) pinTemplate(id string, sp *sharedProgram, cfg SessionConfig, c *core, st *wmlog.Snapshot, raw []byte) (*template, error) {
 	sum, err := st.Hash()
 	if err != nil {
-		c.matcher.Close()
 		return nil, err
 	}
 	cfg.Program, cfg.Matcher = sp.src, c.Backend
@@ -132,7 +126,6 @@ func (s *Server) pinTemplate(id string, sp *sharedProgram, cfg SessionConfig, c 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		c.matcher.Close()
 		return nil, ErrClosed
 	}
 	var n uint64
@@ -172,7 +165,6 @@ func (s *Server) recoverTemplate(id string) error {
 		return err
 	}
 	if err := c.eng.RestoreState(st); err != nil {
-		c.matcher.Close()
 		return fmt.Errorf("restore: %w", err)
 	}
 	tpl, err := s.pinTemplate(id, sp, cfg, c, st, raw)
@@ -211,7 +203,7 @@ func (s *Server) Templates() []*TemplateInfo {
 	return out
 }
 
-// dropTemplate unregisters a template and stops its matcher.
+// dropTemplate unregisters a template.
 func (s *Server) dropTemplate(id string) *template {
 	s.mu.Lock()
 	tpl, ok := s.templates[id]
@@ -223,9 +215,6 @@ func (s *Server) dropTemplate(id string) *template {
 	if !ok {
 		return nil
 	}
-	tpl.mu.Lock()
-	tpl.matcher.Close()
-	tpl.mu.Unlock()
 	s.met.templateClosed()
 	return tpl
 }
@@ -246,14 +235,12 @@ type ForkResult struct {
 	SpawnUs int64 `json:"spawn_us"`
 }
 
-// Fork clones a template into a new session. Sequential backends take
-// the copy-on-write fast path — working memory, conflict set and token
-// table are structure-copied, sharing every immutable WME and token
-// slice with the template — and skip parse, compile, RHS compile and
-// matching entirely: the one way a core comes to exist without build.
-// Parallel backends build a fresh core and restore the template's
-// pinned state through it (still skipping the compile pipeline). The
-// template is locked during the clone and never mutated.
+// Fork clones a template into a new session by copy-on-write: working
+// memory, conflict set and token table are structure-copied, sharing
+// every immutable WME and token slice with the template, and parse,
+// compile, RHS compile and matching are skipped entirely — the one way a
+// core comes to exist without build. The template is locked during the
+// clone and never mutated.
 func (s *Server) Fork(templateID string) (*ForkResult, error) {
 	start := time.Now()
 	id, err := s.reserveID("")
@@ -268,26 +255,14 @@ func (s *Server) Fork(templateID string) (*ForkResult, error) {
 	}
 
 	tpl.mu.Lock()
-	var c *core
-	if sm, ok := tpl.matcher.(*seqmatch.Matcher); ok {
-		cs := tpl.eng.CS.Clone()
-		nm := sm.Clone(cs)
-		eng := tpl.eng.CloneWith(tpl.eng.WM.Clone(), cs, nm, nil)
-		// The template never reads input, so there is no queue to inherit.
-		eng.IO = engine.NewQueueIO(tpl.sp.prog.Symbols, false)
-		c = &core{eng: eng, matcher: nm, Backend: tpl.Backend, watch: tpl.watch}
-	} else if c, err = tpl.sp.build(&tpl.cfg); err == nil {
-		if err = c.eng.RestoreState(tpl.snap); err != nil {
-			c.matcher.Close()
-		}
-	}
-	if err == nil {
-		tpl.forks++
-	}
+	cs := tpl.eng.CS.Clone()
+	m := tpl.matcher.Clone(cs)
+	eng := tpl.eng.CloneWith(tpl.eng.WM.Clone(), cs, m, nil)
+	// The template never reads input, so there is no queue to inherit.
+	eng.IO = engine.NewQueueIO(tpl.sp.prog.Symbols, false)
+	c := &core{eng: eng, matcher: m, Backend: tpl.Backend, watch: tpl.watch}
+	tpl.forks++
 	tpl.mu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("fork %s: %w", templateID, err)
-	}
 
 	// A durable fork starts from the template's pinned snapshot bytes (one
 	// encoding shared across forks) and diverges through its own log.

@@ -210,20 +210,15 @@ func (h *Histogram) CountSummary() CountSummary {
 
 // Snapshot is the point-in-time view GET /metrics serves and the bench
 // harness writes into BENCH_*.json: server counters, the aggregated
-// match counters of every live and closed session, scheduler/lock
-// contention from parallel-backend sessions (queue and deque counters
-// count shared run-to-completion units, line counters node activations;
-// see Contention), latency summaries keyed by
-// operation ("request", "run", ...) and size summaries keyed by
-// quantity ("batch_items").
+// match, conflict-set, epoch and token-memory counters of every live and
+// closed session, latency summaries keyed by operation ("request",
+// "run", ...) and size summaries keyed by quantity ("batch_items").
 type Snapshot struct {
 	Server     Server                    `json:"server"`
 	Match      Match                     `json:"match"`
-	Contention Contention                `json:"contention"`
 	Conflict   Conflict                  `json:"conflict"`
 	Epoch      Epoch                     `json:"epoch"`
 	Memory     Memory                    `json:"memory"`
-	Act        Act                       `json:"act"`
 	Durability Durability                `json:"durability"`
 	Latency    map[string]LatencySummary `json:"latency"`
 	Counts     map[string]CountSummary   `json:"counts"`

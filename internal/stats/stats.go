@@ -96,20 +96,15 @@ func Mean(num, den int64) float64 {
 // the parallel runs. "Spins" follows the paper's measure: the number of
 // times a process observes the lock busy before acquiring it. For the
 // goroutine matcher QueueSpins also counts every empty-handed look a
-// process that wants work takes at the queues and deques — an idle
-// worker's bounded poll before it parks, the control process waiting in
-// Drain for a peer's last unit — so QueueSpins/QueueAcquires is failed
-// looks per successful one; the Multimax simulator charges an empty
-// scan as time (QueueScan) and keeps QueueSpins to the lock. The
-// queue and deque counters count shared units, not node activations: a
-// match process runs a unit's whole activation subtree on a private
-// stack nothing here sees, and shares part of it out only on demand.
-// QueueAcquires is one per task pushed onto a central queue (a Submit,
-// a replay, an Overflow, a Requeue) plus one per batch popped off one;
-// LocalPushes are tasks a process shared out to its own deque and
-// LocalPops those it took back because no peer did; Steals are the ones
-// a peer took; Overflows were shared out past a full deque onto the
-// central queues. Drained, LocalPushes == LocalPops + Steals.
+// process that wants work takes at the queues — an idle worker's
+// bounded poll before it parks, the control process waiting in Drain
+// for a peer's last unit — so QueueSpins/QueueAcquires is failed looks
+// per successful one; the Multimax simulator charges an empty scan as
+// time (QueueScan) and keeps QueueSpins to the lock. The queue counters
+// count run-to-completion units, not node activations: a match process
+// runs a unit's whole activation subtree on a private stack nothing here
+// sees. QueueAcquires is one per task pushed onto a central queue (a
+// Submit, a replay, a Requeue) plus one per batch popped off one.
 type Contention struct {
 	QueueAcquires int64 `json:"queue_acquires"` // task-queue lock acquisitions
 	QueueSpins    int64 `json:"queue_spins"`    // task-queue locks observed busy, plus (parmatch) empty-handed looks at the queues
@@ -121,19 +116,19 @@ type Contention struct {
 
 	Requeues int64 `json:"requeues"` // MRSW wrong-side re-queues
 
-	LocalPushes int64 `json:"local_pushes"` // tasks shared out to the process's own deque
-	LocalPops   int64 `json:"local_pops"`   // shared-out tasks the owner took back itself
-	Steals      int64 `json:"steals"`       // shared-out tasks taken by another process
-	Overflows   int64 `json:"overflows"`    // tasks shared out past a full deque, onto the central queues
+	// Always 0: the matcher no longer shares work between processes.
+	// Read by benchmark/layers.go; they go with ROADMAP item 5's
+	// benchmark revision.
+	LocalPushes int64 `json:"local_pushes"`
+	Steals      int64 `json:"steals"`
+	Overflows   int64 `json:"overflows"`
 }
 
-// Conflict aggregates sharded conflict-set statistics. The counter
-// fields (Inserts..SelectScanned) accumulate monotonically and fold as
-// deltas like Match; Live, Fired and Pending are point-in-time gauges,
-// and Shards is the configured stripe count. ShardSpins over
-// ShardAcquires is the paper's contention measure applied to the
-// conflict-set locks; SelectScanned over SelectRescans is the mean
-// rescan depth, the residual O(n) cost the cached per-shard bests avoid.
+// Conflict aggregates conflict-set statistics. The counter fields
+// accumulate monotonically and fold as deltas like Match; Live, Fired
+// and Pending are point-in-time gauges. SelectScanned over SelectRescans
+// is the mean rescan depth, the residual O(n) cost the cached partition
+// bests avoid.
 type Conflict struct {
 	Inserts       int64 `json:"inserts"`       // terminal + activations
 	Deletes       int64 `json:"deletes"`       // terminal − activations
@@ -141,16 +136,17 @@ type Conflict struct {
 	Live          int64 `json:"live"`          // unfired instantiations (gauge)
 	Fired         int64 `json:"fired"`         // fired, retained for refraction (gauge)
 	Pending       int64 `json:"pending"`       // parked early deletes (gauge)
+	// Always 0: the conflict set takes no locks. Read by
+	// benchmark/layers.go; they go with ROADMAP item 5's benchmark
+	// revision.
 	ShardAcquires int64 `json:"shard_acquires"`
 	ShardSpins    int64 `json:"shard_spins"`
 	Selects       int64 `json:"selects"`        // Select calls
-	SelectRescans int64 `json:"select_rescans"` // dirty shards recomputed during Select
+	SelectRescans int64 `json:"select_rescans"` // dirty partitions recomputed during Select
 	SelectScanned int64 `json:"select_scanned"` // live instantiations examined by rescans
-	Shards        int64 `json:"shards"`         // configured lock stripes
 }
 
-// Add accumulates o into c. Shards is taken from o when set rather than
-// summed: it is a configuration value, not a counter.
+// Add accumulates o into c.
 func (c *Conflict) Add(o *Conflict) {
 	c.Inserts += o.Inserts
 	c.Deletes += o.Deletes
@@ -163,13 +159,9 @@ func (c *Conflict) Add(o *Conflict) {
 	c.Selects += o.Selects
 	c.SelectRescans += o.SelectRescans
 	c.SelectScanned += o.SelectScanned
-	if o.Shards != 0 {
-		c.Shards = o.Shards
-	}
 }
 
 // Sub subtracts o from c, for per-session delta folding like Match.Sub.
-// Shards is left alone for the same reason Add copies it.
 func (c *Conflict) Sub(o *Conflict) {
 	c.Inserts -= o.Inserts
 	c.Deletes -= o.Deletes
@@ -224,53 +216,6 @@ func (e *Epoch) Sub(o *Epoch) {
 	e.BudgetTrips -= o.BudgetTrips
 }
 
-// Act aggregates transactional act-phase statistics: the speculative
-// multi-fire machinery behind engine.Options.FireBatch. All fields are
-// monotonic counters and fold as deltas like Match. SpeculativeFires
-// counts right-hand sides staged ahead of their commit decision
-// (discarded stagings included); Conflicts counts candidates cut from a
-// group at plan time because their read set overlapped an earlier
-// member's staged removals (or their RHS was not group-safe); Rollbacks
-// counts committed groups undone by the post-drain dominance check,
-// with RolledBackFires the firings those undos discarded. OverlapNs is
-// the wall-clock during which match work and RHS staging/commit were in
-// flight together — the pipelining the paper's control process gets by
-// feeding the match processes while the RHS is still being evaluated.
-type Act struct {
-	SpeculativeFires int64 `json:"speculative_fires"`
-	GroupCommits     int64 `json:"group_commits"`
-	GroupedFires     int64 `json:"grouped_fires"`
-	SerialFires      int64 `json:"serial_fires"`
-	Conflicts        int64 `json:"conflicts"`
-	Rollbacks        int64 `json:"rollbacks"`
-	RolledBackFires  int64 `json:"rolled_back_fires"`
-	OverlapNs        int64 `json:"overlap_ns"`
-}
-
-// Add accumulates o into a.
-func (a *Act) Add(o *Act) {
-	a.SpeculativeFires += o.SpeculativeFires
-	a.GroupCommits += o.GroupCommits
-	a.GroupedFires += o.GroupedFires
-	a.SerialFires += o.SerialFires
-	a.Conflicts += o.Conflicts
-	a.Rollbacks += o.Rollbacks
-	a.RolledBackFires += o.RolledBackFires
-	a.OverlapNs += o.OverlapNs
-}
-
-// Sub subtracts o from a, for per-session delta folding like Match.Sub.
-func (a *Act) Sub(o *Act) {
-	a.SpeculativeFires -= o.SpeculativeFires
-	a.GroupCommits -= o.GroupCommits
-	a.GroupedFires -= o.GroupedFires
-	a.SerialFires -= o.SerialFires
-	a.Conflicts -= o.Conflicts
-	a.Rollbacks -= o.Rollbacks
-	a.RolledBackFires -= o.RolledBackFires
-	a.OverlapNs -= o.OverlapNs
-}
-
 // Memory describes the token hash tables backing a matcher: Lines,
 // Entries and MaxLineDepth are point-in-time gauges (current line
 // count, live token entries, high-water live entries in one line);
@@ -313,7 +258,6 @@ func (c *Contention) Add(o *Contention) {
 	c.LineSpinsRight += o.LineSpinsRight
 	c.Requeues += o.Requeues
 	c.LocalPushes += o.LocalPushes
-	c.LocalPops += o.LocalPops
 	c.Steals += o.Steals
 	c.Overflows += o.Overflows
 }
@@ -328,7 +272,6 @@ func (c *Contention) Sub(o *Contention) {
 	c.LineSpinsRight -= o.LineSpinsRight
 	c.Requeues -= o.Requeues
 	c.LocalPushes -= o.LocalPushes
-	c.LocalPops -= o.LocalPops
 	c.Steals -= o.Steals
 	c.Overflows -= o.Overflows
 }

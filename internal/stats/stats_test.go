@@ -70,30 +70,22 @@ func TestAddAccumulatesEveryField(t *testing.T) {
 }
 
 // TestConflictAddSub checks the conflict-set counters fold like the
-// others, except Shards: a configuration value that Add copies (last
-// nonzero wins) and Sub leaves alone, so per-session delta folding
-// never zeroes or doubles the configured stripe count.
+// others: Add doubles every field of a struct of ones, and Sub of an
+// earlier reading leaves the per-session delta.
 func TestConflictAddSub(t *testing.T) {
 	var c, co stats.Conflict
 	fillOnes(reflect.ValueOf(&c).Elem())
 	fillOnes(reflect.ValueOf(&co).Elem())
-	co.Shards = 64
 	c.Add(&co)
-	c.Shards-- // counter fields doubled; Shards was copied (64), not summed
-	if c.Shards != 63 {
-		t.Fatalf("Shards = %d after Add, want copied 64", c.Shards+1)
-	}
-	c.Shards = 2
 	checkAllTwos(t, reflect.ValueOf(c), "Conflict")
 
 	var cur, prev stats.Conflict
 	fillOnes(reflect.ValueOf(&cur).Elem())
-	cur.Shards = 16
 	prev = cur
 	cur.Inserts, cur.Live = 5, 3
 	delta := cur
 	delta.Sub(&prev)
-	want := stats.Conflict{Inserts: 4, Live: 2, Shards: 16}
+	want := stats.Conflict{Inserts: 4, Live: 2}
 	if delta != want {
 		t.Fatalf("delta = %+v, want %+v", delta, want)
 	}

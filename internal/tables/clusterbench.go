@@ -276,7 +276,7 @@ func RunClusterBench(opt ClusterBenchOptions) (*ClusterReport, error) {
 	}
 	rep.Migration = migHist.Summary()
 
-	for _, matcher := range []string{"vs1", "vs2", "parallel"} {
+	for _, matcher := range []string{"vs1", "vs2"} {
 		ok, err := clusterMigrateDifferential(matcher)
 		if err != nil {
 			return nil, fmt.Errorf("migrate differential (%s): %w", matcher, err)

@@ -1,50 +1,35 @@
 // Conflict-set microbenchmarks: the terminal-heavy counterpart of
-// matchbench.go, driving the sharded conflict set directly so ns/op
-// isolates the conflict-resolution shared resource the paper's §4
-// Amdahl analysis worries about. Two claims are under test, both at
-// large live sets: insert/remove cost is independent of the number of
-// resident instantiations (O(1) bucket ops, not the old O(n) scans),
-// and Select cost follows the shard count, not the set size (cached
-// per-shard bests, not the old full-set scan). cmd/psmbench -match and
-// BenchmarkConflict* in bench_test.go run on top of this file; results
-// land in BENCH_match.json next to the kernel rows.
+// matchbench.go, driving the conflict set directly so ns/op isolates
+// conflict resolution, the shared resource the paper's §4 Amdahl
+// analysis worries about. Two claims are under test, both at large live
+// sets: insert/remove cost is independent of the number of resident
+// instantiations (O(1) bucket ops, not O(n) scans), and Select cost
+// follows the partition count, not the set size (cached partition bests,
+// not a full-set scan). cmd/psmbench -match and BenchmarkConflict* in
+// bench_test.go run on top of this file; results land in
+// BENCH_match.json next to the kernel rows.
 package tables
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/conflict"
 	"repro/internal/ops5"
 	"repro/internal/rete"
-	"repro/internal/stats"
 	"repro/internal/wm"
 )
 
-// ConflictBenchPoint is one (op, live, shards, procs) measurement.
+// ConflictBenchPoint is one (op, live) measurement.
 type ConflictBenchPoint struct {
 	// Op is "churn" (one steady-state insert+remove pair per op, with
 	// Live instantiations resident) or "select" (one Select per op).
-	Op          string  `json:"op"`
-	Live        int     `json:"live"`
-	Shards      int     `json:"shards"`
-	Procs       int     `json:"procs"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	// SpinsPerAcquire is conflict-set lock contention over the timed
-	// region: ShardSpins/ShardAcquires, the paper's busy-lock measure.
-	SpinsPerAcquire float64 `json:"spins_per_acquire"`
-}
-
-// ConflictBenchOptions configures RunConflictBench.
-type ConflictBenchOptions struct {
-	Lives  []int // resident live-set sizes (default 1000, 10000)
-	Shards []int // shard counts to sweep (default 1, 4, 16, 64)
-	Procs  []int // concurrent churner counts (default 1, 4)
+	Op          string `json:"op"`
+	Live        int    `json:"live"`
+	Iterations  int    `json:"iterations"`
+	NsPerOp     int64  `json:"ns_per_op"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
+	BytesPerOp  int64  `json:"bytes_per_op"`
 }
 
 // benchRule compiles one single-CE rule to hang instantiations off; the
@@ -63,8 +48,8 @@ func benchRule() *rete.CompiledRule {
 
 // preloadSet fills a fresh set with live single-WME instantiations
 // tagged 1..live and returns it.
-func preloadSet(rule *rete.CompiledRule, shards, live int) *conflict.Set {
-	cs := conflict.New(conflict.Config{Shards: shards})
+func preloadSet(rule *rete.CompiledRule, live int) *conflict.Set {
+	cs := conflict.NewSet()
 	for tag := 1; tag <= live; tag++ {
 		cs.InsertInstantiation(rule, []*wm.WME{{TimeTag: tag}})
 	}
@@ -72,67 +57,32 @@ func preloadSet(rule *rete.CompiledRule, shards, live int) *conflict.Set {
 }
 
 // benchConflictChurn measures one insert+remove pair per op against a
-// set holding live resident instantiations. procs>1 runs that many
-// concurrent churners on disjoint keys — the lock-striping case; the
-// op count then stays b.N pairs total, split across churners.
-// GOMAXPROCS is raised to procs (even past the host CPU count —
-// preemption while holding a stripe is what makes spins/acquire
-// informative on small hosts) and restored afterwards.
-func benchConflictChurn(rule *rete.CompiledRule, live, shards, procs int) ConflictBenchPoint {
-	if procs > 1 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	}
-	var conf stats.Conflict
+// set holding live resident instantiations.
+func benchConflictChurn(rule *rete.CompiledRule, live int) ConflictBenchPoint {
 	r := testing.Benchmark(func(b *testing.B) {
-		cs := preloadSet(rule, shards, live)
-		before := cs.StatsSnapshot()
-		// Churn keys sit above the resident tags so they never collide
-		// with preloaded instantiations.
-		keys := make([][]*wm.WME, procs)
-		for g := range keys {
-			keys[g] = []*wm.WME{{TimeTag: live + 1 + g}}
-		}
+		cs := preloadSet(rule, live)
+		// The churn key sits above the resident tags so it never collides
+		// with a preloaded instantiation.
+		w := []*wm.WME{{TimeTag: live + 1}}
 		b.ReportAllocs()
 		b.ResetTimer()
-		if procs <= 1 {
-			w := keys[0]
-			for i := 0; i < b.N; i++ {
-				cs.InsertInstantiation(rule, w)
-				cs.RemoveInstantiation(rule, w)
-			}
-		} else {
-			var wg sync.WaitGroup
-			for g := 0; g < procs; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					w := keys[g]
-					for i := g; i < b.N; i += procs {
-						cs.InsertInstantiation(rule, w)
-						cs.RemoveInstantiation(rule, w)
-					}
-				}(g)
-			}
-			wg.Wait()
+		for i := 0; i < b.N; i++ {
+			cs.InsertInstantiation(rule, w)
+			cs.RemoveInstantiation(rule, w)
 		}
-		b.StopTimer()
-		conf = cs.StatsSnapshot()
-		conf.Sub(&before)
 	})
 	return ConflictBenchPoint{
-		Op: "churn", Live: live, Shards: shards, Procs: procs,
-		Iterations: r.N, NsPerOp: r.NsPerOp(),
+		Op: "churn", Live: live, Iterations: r.N, NsPerOp: r.NsPerOp(),
 		AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp(),
-		SpinsPerAcquire: stats.Mean(conf.ShardSpins, conf.ShardAcquires),
 	}
 }
 
 // benchConflictSelect measures Select against a set holding live
 // resident instantiations with a warm cache: the steady state of the
-// recognize-act loop, where at most a few shards are dirty per cycle.
-func benchConflictSelect(rule *rete.CompiledRule, live, shards int) ConflictBenchPoint {
+// recognize-act loop, where at most a few partitions are dirty per cycle.
+func benchConflictSelect(rule *rete.CompiledRule, live int) ConflictBenchPoint {
 	r := testing.Benchmark(func(b *testing.B) {
-		cs := preloadSet(rule, shards, live)
+		cs := preloadSet(rule, live)
 		if cs.Select() == nil {
 			b.Fatal("preloaded set selected nil")
 		}
@@ -143,39 +93,27 @@ func benchConflictSelect(rule *rete.CompiledRule, live, shards int) ConflictBenc
 		}
 	})
 	return ConflictBenchPoint{
-		Op: "select", Live: live, Shards: shards, Procs: 1,
-		Iterations: r.N, NsPerOp: r.NsPerOp(),
+		Op: "select", Live: live, Iterations: r.N, NsPerOp: r.NsPerOp(),
 		AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp(),
 	}
 }
 
-// RunConflictBench runs the conflict-set sweep: churn at every
-// (live, shards, procs) point, Select at every (live, shards) point.
-func RunConflictBench(opt ConflictBenchOptions) []ConflictBenchPoint {
-	if len(opt.Lives) == 0 {
-		opt.Lives = []int{1000, 10000}
-	}
-	if len(opt.Shards) == 0 {
-		opt.Shards = []int{1, 4, 16, 64}
-	}
-	if len(opt.Procs) == 0 {
-		opt.Procs = []int{1, 4}
+// RunConflictBench runs the conflict-set sweep: churn and Select at
+// every live-set size (default 1000, 10000).
+func RunConflictBench(lives ...int) []ConflictBenchPoint {
+	if len(lives) == 0 {
+		lives = []int{1000, 10000}
 	}
 	rule := benchRule()
 	var out []ConflictBenchPoint
-	for _, live := range opt.Lives {
-		for _, shards := range opt.Shards {
-			for _, procs := range opt.Procs {
-				out = append(out, benchConflictChurn(rule, live, shards, procs))
-			}
-			out = append(out, benchConflictSelect(rule, live, shards))
-		}
+	for _, live := range lives {
+		out = append(out, benchConflictChurn(rule, live), benchConflictSelect(rule, live))
 	}
 	return out
 }
 
 // FormatConflictPoint renders one sweep row for psmbench's output.
 func FormatConflictPoint(p ConflictBenchPoint) string {
-	return fmt.Sprintf("%-7s %6d %7d %6d  %8d  %9d  %8d  %14.3f",
-		p.Op, p.Live, p.Shards, p.Procs, p.NsPerOp, p.AllocsPerOp, p.BytesPerOp, p.SpinsPerAcquire)
+	return fmt.Sprintf("%-7s %6d  %8d  %9d  %8d",
+		p.Op, p.Live, p.NsPerOp, p.AllocsPerOp, p.BytesPerOp)
 }

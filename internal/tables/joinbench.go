@@ -151,7 +151,7 @@ func runJoinKernel(kernel, src string, rc joinRunConfig) (*JoinPoint, error) {
 		acts     func() int64
 	)
 	if rc.procs <= 0 {
-		cs := conflict.New(conflict.Config{Shards: 1})
+		cs := conflict.NewSet()
 		sm := seqmatch.New(net, seqmatch.VS2, 0, cs)
 		if rc.unlink {
 			sm.EnableUnlink()

@@ -183,5 +183,5 @@ func (k *Kernel) Round(m engine.Matcher) {
 }
 
 // KernelSink returns a fresh conflict set to use as the terminal sink
-// for kernel runs (it is internally synchronized, like the server's).
+// for kernel runs.
 func KernelSink() *conflict.Set { return conflict.NewSet() }

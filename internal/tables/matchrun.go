@@ -110,8 +110,8 @@ type MatchBenchReport struct {
 	// Bigmem is the token-memory layout comparison: the bigmem kernel at
 	// production scale under the legacy list lines vs the segregated runs.
 	Bigmem []BigmemPoint `json:"bigmem"`
-	// Conflict is the terminal-heavy conflict-set sweep (live × shards ×
-	// procs) from conflictbench.go.
+	// Conflict is the terminal-heavy conflict-set sweep (one churn and
+	// one Select row per live-set size) from conflictbench.go.
 	Conflict []ConflictBenchPoint `json:"conflict"`
 }
 
@@ -219,7 +219,7 @@ func RunMatchBench(opt MatchBenchOptions) (*MatchBenchReport, error) {
 		return nil, err
 	}
 	rep.Bigmem = big
-	rep.Conflict = RunConflictBench(ConflictBenchOptions{})
+	rep.Conflict = RunConflictBench()
 	return rep, nil
 }
 

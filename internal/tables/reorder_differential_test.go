@@ -44,6 +44,32 @@ func bigmemDiffSrc(n int) string {
 	return b.String()
 }
 
+// sweepSrc generates the Sweep workload: a context element plus n
+// items, one pure-removal rule that clears them, and a halt rule that
+// fires once the last item is gone — a negated CE whose blockers leave
+// one per cycle.
+func sweepSrc(items int) string {
+	var b strings.Builder
+	b.WriteString("; Sweep: removal storm.\n")
+	b.WriteString("(literalize ctx phase)\n(literalize item n)\n")
+	b.WriteString(`(p sweep
+  (ctx ^phase go)
+  (item ^n <n>)
+-->
+  (remove 2))
+(p done
+  (ctx ^phase go)
+- (item ^n <nn>)
+-->
+  (halt))
+(make ctx ^phase go)
+`)
+	for i := 1; i <= items; i++ {
+		fmt.Fprintf(&b, "(make item ^n %d)\n", i)
+	}
+	return b.String()
+}
+
 // reorderFingerprint runs spec on one backend under one compile mode
 // and returns a canonical transcript: every firing with its time tags,
 // the final WM (tag + fields, sorted), the next time tag, and the
@@ -67,7 +93,7 @@ func reorderFingerprint(t *testing.T, spec Spec, backend string, reorder, unlink
 		if backend == "vs2" {
 			variant = seqmatch.VS2
 		}
-		cs = conflict.New(conflict.Config{Shards: 1})
+		cs = conflict.NewSet()
 		sm := seqmatch.New(net, variant, 0, cs)
 		if unlink {
 			sm.EnableUnlink()
@@ -127,7 +153,7 @@ func TestReorderDifferential(t *testing.T) {
 	specs := []Spec{
 		{Name: "Tourney", Src: workload.Tourney(8)},
 		{Name: "Weaver", Src: workload.Weaver(4, 7)},
-		{Name: "Sweep", Src: SweepSrc(200)},
+		{Name: "Sweep", Src: sweepSrc(200)},
 		{Name: "bigmem", Src: bigmemDiffSrc(64)},
 	}
 	for _, spec := range specs {

@@ -130,7 +130,7 @@ func RunSeq(spec Spec, variant string) (*SeqRun, error) {
 		return nil, err
 	}
 	// Sequential variants: one conflict-set stripe keeps Select trivial.
-	cs := conflict.New(conflict.Config{Shards: 1})
+	cs := conflict.NewSet()
 	var m engine.Matcher
 	var rec *hashmem.Recorder
 	var lm *lispemu.Matcher

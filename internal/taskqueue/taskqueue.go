@@ -5,12 +5,10 @@
 // and, for two-input nodes, the side — the two extra fields the
 // parallel token adds over the sequential one.
 //
-// What the queues and TaskCount hold is shared units, not single node
+// What the queues and TaskCount hold is units, not single node
 // activations: a process that takes a task runs everything it leads to
-// on a private stack (internal/parmatch) and shares work out again only
-// on demand, through its Deque (deque.go) — a bounded lock-free pool
-// its idle peers steal from — or, when that is full, back through the
-// central queues.
+// on a private stack (internal/parmatch); only roots, replays and MRSW
+// requeues pass through the queues.
 package taskqueue
 
 import (
@@ -53,10 +51,9 @@ type queue struct {
 // Queues is a set of task queues with the shared TaskCount.
 type Queues struct {
 	qs []queue
-	// TaskCount is the number of shared units — tasks on the central
-	// queues and the deques, plus tasks taken from them whose private
-	// subtree is still being run; the match phase is finished when it
-	// reaches zero.
+	// TaskCount is the number of units — tasks on the queues, plus tasks
+	// taken from them whose private subtree is still being run; the match
+	// phase is finished when it reaches zero.
 	TaskCount atomic.Int64
 }
 
@@ -80,13 +77,6 @@ func (q *Queues) Len() int { return len(q.qs) }
 // queue's depth with t on it.
 func (q *Queues) Push(idx int, t *Task) (spins, depth int64) {
 	q.TaskCount.Add(1)
-	return q.Spill(idx, t)
-}
-
-// Spill pushes an already-counted task: a process sharing part of its
-// private stack counts the whole batch once, before any of it becomes
-// visible, so the central queue must not count the overflow again.
-func (q *Queues) Spill(idx int, t *Task) (spins, depth int64) {
 	qu := &q.qs[idx%len(q.qs)]
 	spins = qu.lock.Acquire()
 	qu.tasks = append(qu.tasks, t)
@@ -146,57 +136,5 @@ func (q *Queues) Pop(prefer, whole int, dst []*Task) (_ []*Task, spins int64) {
 }
 
 // Done retires n units: the process that took them has run them and
-// every activation they led to that was not shared out as a unit of its
-// own.
+// every activation they led to.
 func (q *Queues) Done(n int64) { q.TaskCount.Add(-n) }
-
-// FreeBatch is how many recycled tasks move between a match process's
-// private free list and the shared reserve at a time, so the reserve's
-// lock is taken once per FreeBatch tasks of imbalance, not once per task.
-const FreeBatch = 64
-
-// FreeList is the shared reserve behind the per-process task free
-// lists. Tasks retire on whichever process ran them, not the one that
-// allocated them — roots the control process submits and a worker takes,
-// donated tasks a peer steals — so a process whose private list
-// overflows hands a batch back here and one whose list ran dry refills
-// from here before it allocates.
-type FreeList struct {
-	lock spinlock.Lock
-	// n mirrors len(free): a Refill from an empty reserve — every
-	// allocation while the working set grows — is a load, not the lock.
-	n    atomic.Int64
-	free []*Task
-}
-
-// freeListCap bounds the reserve; hand-backs past it go to the GC.
-const freeListCap = 4096
-
-// HandBack moves the newest FreeBatch tasks of src (which must hold at
-// least that many) to the reserve and returns src without them.
-func (f *FreeList) HandBack(src []*Task) []*Task {
-	n := len(src) - FreeBatch
-	f.lock.Acquire()
-	if len(f.free) < freeListCap {
-		f.free = append(f.free, src[n:]...)
-		f.n.Store(int64(len(f.free)))
-	}
-	f.lock.Release()
-	clear(src[n:])
-	return src[:n]
-}
-
-// Refill moves up to FreeBatch tasks from the reserve onto dst.
-func (f *FreeList) Refill(dst []*Task) []*Task {
-	if f.n.Load() == 0 {
-		return dst
-	}
-	f.lock.Acquire()
-	n := max(len(f.free)-FreeBatch, 0)
-	dst = append(dst, f.free[n:]...)
-	clear(f.free[n:])
-	f.free = f.free[:n]
-	f.n.Store(int64(n))
-	f.lock.Release()
-	return dst
-}

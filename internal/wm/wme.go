@@ -132,19 +132,6 @@ func (m *Memory) Clone() *Memory {
 	return c
 }
 
-// Restore re-inserts an element object under its original time tag —
-// the act-phase rollback path. Matcher token memories compare elements
-// by pointer, so an undone removal must bring back the identical *WME,
-// not a fresh object with the same tag.
-func (m *Memory) Restore(w *WME) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.live[w.TimeTag] = w
-	if w.TimeTag >= m.nextTag {
-		m.nextTag = w.TimeTag + 1
-	}
-}
-
 // Remove deletes the element from the store. It reports whether the
 // element was present (removing twice is a caller bug surfaced in tests).
 func (m *Memory) Remove(w *WME) bool {

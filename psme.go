@@ -144,20 +144,12 @@ type Config struct {
 	// and ignores it. Token entries are recycled within the session
 	// without limit; the token slices themselves are not.
 	HashLines int
-	// CSShards is the number of conflict-set lock stripes, rounded up
-	// to a power of two (default conflict.DefaultShards).
-	CSShards int
 	// Locks picks the line-lock scheme for MatcherParallel.
 	Locks LockScheme
 	// Output receives (write ...) text; nil discards it.
 	Output io.Writer
 	// AcceptValues supplies successive (accept) results.
 	AcceptValues []Value
-	// FireBatch > 1 enables the speculative multi-fire act phase: up to
-	// FireBatch dominant instantiations fire per super-cycle when their
-	// read and write sets are disjoint, with a single match phase for the
-	// whole group. Results are identical to FireBatch = 1.
-	FireBatch int
 	// ReorderJoins selects the join-order compile the engine matches on.
 	// The zero value (ReorderOn) uses the cost-based planner; ReorderOff
 	// pins the source condition-element order, the differential baseline.
@@ -217,14 +209,13 @@ type Engine struct {
 	par         *parmatch.Matcher // non-nil for MatcherParallel
 	cs          *conflict.Set
 	init        bool
-	fireBatch   int
 	matchBudget int64
 }
 
 // New builds an engine over a fresh working memory. Call Close when
 // done (it stops the parallel matcher's goroutines).
 func New(p *Program, cfg Config) (*Engine, error) {
-	cs := conflict.New(conflict.Config{Shards: cfg.CSShards})
+	cs := conflict.NewSet()
 	net := p.net
 	if cfg.ReorderJoins == ReorderOff {
 		net = p.netSrc
@@ -278,7 +269,7 @@ func New(p *Program, cfg Config) (*Engine, error) {
 		}
 		e.IO = q
 	}
-	return &Engine{inner: e, par: par, cs: cs, fireBatch: cfg.FireBatch, matchBudget: cfg.MatchBudget}, nil
+	return &Engine{inner: e, par: par, cs: cs, matchBudget: cfg.MatchBudget}, nil
 }
 
 // Run asserts the program's top-level makes (once) and executes
@@ -294,7 +285,6 @@ func (e *Engine) Run(opt RunOptions) (*Result, error) {
 		MaxCycles:    opt.MaxCycles,
 		RecordFiring: opt.RecordFiring,
 		TraceFires:   opt.TraceFires,
-		FireBatch:    e.fireBatch,
 		MatchBudget:  e.matchBudget,
 	})
 	if err != nil {
@@ -324,13 +314,8 @@ func (e *Engine) WorkingMemory() []string {
 }
 
 // ConflictStats returns the conflict set's counters: inserts, deletes,
-// annihilations, live/fired/pending sizes and shard lock contention.
+// annihilations, live/fired/pending sizes and selection rescans.
 func (e *Engine) ConflictStats() stats.Conflict { return e.cs.StatsSnapshot() }
-
-// ActStats returns the act-phase counters of the speculative multi-fire
-// loop: grouped and serial firings, plan conflicts, rollbacks and
-// match/RHS pipeline overlap. All zero when FireBatch <= 1.
-func (e *Engine) ActStats() stats.Act { return e.inner.ActStats() }
 
 // MemStats returns the token table's memory gauges — line count, live
 // entries, high-water line depth — and adaptive-resize counters. Zero
