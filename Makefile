@@ -18,33 +18,43 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detect the concurrent subsystems: the inference server (many
-# sessions on the worker pool; it includes the crash-recovery
-# differential suite) and the engine over the parallel matcher
-# (runtime build/excise epoch swaps); then the parallel matcher, its
-# task queues and the token store under it 20 times over — their oracles
-# are schedules (who wins the last unit of a phase, which process
-# buffers a terminal activation, a control hand-off between goroutines,
-# which same-side activation re-keys a run slot another still holds a
-# Ref to), and one pass samples too few of them. The conflict set is no
-# longer concurrent: match goroutines buffer their terminal activations
-# and only the control process applies them.
-race:
-	$(GO) test -race ./internal/server ./internal/engine
-	$(GO) test -race -count=20 ./internal/parmatch ./internal/taskqueue ./internal/hashmem
-
-# The durability suite on its own (`make race` already covers it; this
-# is the focused, verbose run): kill-and-recover differential (WM +
+# The durability suites: the kill-and-recover differential (WM +
 # timetags + firing trace vs an uninterrupted control, on vs1 and vs2),
 # the lifecycle differential (a session diverged by runtime build,
 # excise and budget quarantine taken through compaction+crash, restore,
 # export/import and fork+crash), recovery of a data directory and import
 # of an export payload written by earlier builds, torn-tail truncation,
-# template-fork isolation and the quarantine fd release, under the race
-# detector.
+# the compaction crash points (a kill after every file operation of a
+# segment switch and snapshot install, then recovery against the same
+# oracle) and the compaction lifecycle races (delete, restore and close
+# against an in-flight compaction, a queued one cancelled, a threshold
+# skipped while one is pending). Compaction runs on its own goroutine,
+# so these oracles are schedules too: both targets below repeat them 20
+# times under the race detector, with the wmlog package.
+DURABILITY_TESTS = TestCrashRecoveryDifferential|TestLifecycleDifferential|TestRecoverParentDataDir|TestImportParentPayload|TestRecoveryTornTail|TestCompactionCrashPoints|TestCompactionLifecycleRaces
+
+# Race-detect the concurrent subsystems: the inference server (many
+# sessions on the worker pool, compactions behind them) and the engine
+# over the parallel matcher (runtime build/excise epoch swaps); then the
+# durability suites, and the parallel matcher, its task queues and the
+# token store under it, 20 times over — their oracles are schedules (who
+# wins the last unit of a phase, which process buffers a terminal
+# activation, a control hand-off between goroutines, which same-side
+# activation re-keys a run slot another still holds a Ref to, whether a
+# compaction is queued, in flight or done when its session goes), and
+# one pass samples too few of them. The conflict set is no longer
+# concurrent: match goroutines buffer their terminal activations and
+# only the control process applies them.
+race:
+	$(GO) test -race ./internal/server ./internal/engine
+	$(GO) test -race -count=20 -run '$(DURABILITY_TESTS)' ./internal/server
+	$(GO) test -race -count=20 ./internal/wmlog ./internal/parmatch ./internal/taskqueue ./internal/hashmem
+
+# The durability suites on their own, verbose, plus template-fork
+# isolation and the quarantine fd release.
 recovery:
-	$(GO) test -race -run 'TestCrashRecoveryDifferential|TestLifecycleDifferential|TestRecoverParentDataDir|TestImportParentPayload|TestRecoveryTornTail|TestForkIsolation|TestQuarantine' -v ./internal/server
-	$(GO) test -race ./internal/wmlog
+	$(GO) test -race -count=20 -run '$(DURABILITY_TESTS)|TestForkIsolation|TestQuarantine' -v ./internal/server
+	$(GO) test -race -count=20 ./internal/wmlog
 
 # The join-order equivalence suite: every workload compiled with the
 # cost-based reorderer on vs off must produce identical WM, timetags

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/conflict"
 	"repro/internal/rhs"
+	"repro/internal/symbols"
 	"repro/internal/wm"
 	"repro/internal/wmlog"
 )
@@ -58,44 +60,70 @@ func (e *Engine) PendingInput() int {
 	return 0
 }
 
-// CaptureState serializes the engine's settled state as a snapshot:
-// the runtime program changes applied so far, live WMEs with exact time
-// tags (tag order), still-live fired instantiations (rule-then-tags
-// order, so the encoding — and the snapshot hash — is deterministic),
-// pending input, the tag counter and the halt flag. The caller fills
-// ProgHash and LogOffset. The engine must be drained.
-func (e *Engine) CaptureState() *wmlog.Snapshot {
-	s := &wmlog.Snapshot{
-		NextTag: e.WM.NextTag(),
-		Halted:  e.halted,
-		Program: append([]string(nil), e.progDelta...),
-	}
-	for _, w := range e.WM.Snapshot() {
-		s.Wmes = append(s.Wmes, wmlog.TaggedWME{
-			Tag:    w.TimeTag,
-			Fields: wmlog.EncodeFields(w.Fields, e.Prog.Symbols),
-		})
+// Capture is an engine's settled state, taken cheaply: the live WMEs by
+// pointer (a WME never changes once made), the fired keys, the runtime
+// program changes, the pending input, the tag counter and the halt flag.
+// Snapshot turns it into a wmlog.Snapshot on any goroutine, while the
+// engine runs on.
+type Capture struct {
+	wmes    []*wm.WME
+	fired   []wmlog.FireKey
+	program []string
+	pending []wm.Value
+	nextTag int
+	halted  bool
+	syms    *symbols.Table
+}
+
+// Capture takes the engine's state for Snapshot. The engine must be
+// drained.
+func (e *Engine) Capture() *Capture {
+	c := &Capture{
+		wmes:    e.WM.Live(),
+		program: append([]string(nil), e.progDelta...),
+		nextTag: e.WM.NextTag(),
+		halted:  e.halted,
+		syms:    e.Prog.Symbols,
 	}
 	e.CS.ForEachFired(func(inst *conflict.Instantiation) {
-		s.Fired = append(s.Fired, wmlog.FireKey{Rule: inst.Rule.Rule.Name, Tags: tags(inst.Wmes)})
+		c.fired = append(c.fired, wmlog.FireKey{Rule: inst.Rule.Rule.Name, Tags: tags(inst.Wmes)})
 	})
 	if q, ok := e.IO.(*QueueIO); ok && q.Len() > 0 {
-		s.Pending = wmlog.EncodeFields(q.Pending(), e.Prog.Symbols)
+		c.pending = q.Pending()
 	}
-	sort.Slice(s.Fired, func(i, j int) bool {
-		a, b := &s.Fired[i], &s.Fired[j]
+	return c
+}
+
+// Snapshot serializes the capture: live WMEs with exact time tags (tag
+// order), still-live fired instantiations (rule-then-tags order, so the
+// encoding — and the snapshot hash — is deterministic), and the rest as
+// captured. The caller fills ProgHash and the log position.
+func (c *Capture) Snapshot() *wmlog.Snapshot {
+	slices.SortFunc(c.wmes, func(a, b *wm.WME) int { return cmp.Compare(a.TimeTag, b.TimeTag) })
+	s := &wmlog.Snapshot{
+		NextTag: c.nextTag,
+		Halted:  c.halted,
+		Program: c.program,
+		Wmes:    make([]wmlog.TaggedWME, len(c.wmes)),
+		Fired:   c.fired,
+	}
+	for i, w := range c.wmes {
+		s.Wmes[i] = wmlog.TaggedWME{Tag: w.TimeTag, Fields: wmlog.EncodeFields(w.Fields, c.syms)}
+	}
+	if len(c.pending) > 0 {
+		s.Pending = wmlog.EncodeFields(c.pending, c.syms)
+	}
+	slices.SortFunc(s.Fired, func(a, b wmlog.FireKey) int {
 		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
+			return cmp.Compare(a.Rule, b.Rule)
 		}
-		for k := 0; k < len(a.Tags) && k < len(b.Tags); k++ {
-			if a.Tags[k] != b.Tags[k] {
-				return a.Tags[k] < b.Tags[k]
-			}
-		}
-		return len(a.Tags) < len(b.Tags)
+		return slices.Compare(a.Tags, b.Tags)
 	})
 	return s
 }
+
+// CaptureState is Capture().Snapshot() in one step.
+func (e *Engine) CaptureState() *wmlog.Snapshot { return e.Capture().Snapshot() }
 
 // RestoreState rebuilds a snapshot's state on a fresh engine: the
 // runtime program changes are re-applied to the still-empty working

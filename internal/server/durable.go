@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/symbols"
 	"repro/internal/wm"
 	"repro/internal/wmlog"
@@ -13,15 +16,18 @@ import (
 
 // This file wires the wmlog durability layer into the session manager:
 // per-session delta logs written through the engine's journal hook,
-// snapshot compaction on a batch cadence, crash recovery at startup,
-// and rebuild-from-disk for the restore endpoint.
+// snapshot compaction on a batch cadence (the snapshot written off the
+// session lock), crash recovery at startup, and rebuild-from-disk for
+// the restore endpoint.
 
 // durState is the server's durability configuration, nil when the
 // daemon runs memory-only.
 type durState struct {
 	store     *wmlog.Store
 	policy    wmlog.SyncPolicy
-	snapEvery int // batches between automatic snapshot compactions; 0 = never
+	snapEvery int        // batches between automatic snapshot compactions; 0 = never
+	fs        wmlog.FS   // compaction file operations
+	lane      sync.Mutex // held by the compaction running now: one at a time
 }
 
 // ErrNotDurable reports a durability operation on a memory-only session
@@ -33,6 +39,7 @@ var ErrNotDurable = errors.New("session has no durable state (server running wit
 // the first error is kept and surfaced at the batch commit point.
 type sessionJournal struct {
 	w   *wmlog.Writer
+	seg int // the log segment w appends to
 	tab *symbols.Table
 	err error
 }
@@ -99,7 +106,7 @@ func (s *Server) EnableDurability() (recovered int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	s.dur = &durState{store: store, policy: policy, snapEvery: s.opt.SnapshotEvery}
+	s.dur = &durState{store: store, policy: policy, snapEvery: s.opt.SnapshotEvery, fs: wmlog.OS}
 
 	tids, err := store.List(wmlog.KindTemplate)
 	if err != nil {
@@ -179,7 +186,7 @@ func (s *Server) writeEntry(kind wmlog.Kind, id string, cfg *SessionConfig, temp
 		return "", fmt.Errorf("persist meta: %w", err)
 	}
 	if state != nil {
-		if err := wmlog.WriteSnapshotBytes(wmlog.SnapshotPath(dir), state); err != nil {
+		if err := wmlog.InstallSnapshot(s.dur.fs, dir, state); err != nil {
 			return "", fmt.Errorf("persist snapshot: %w", err)
 		}
 	}
@@ -249,12 +256,20 @@ func (s *Server) commitLocked(sess *Session) error {
 	}
 	s.foldDurLocked(sess)
 	sess.batches++
-	if s.dur.snapEvery > 0 && sess.batches >= s.dur.snapEvery {
-		if err := s.compactLocked(sess); err != nil {
-			return err
+	if s.dur.snapEvery == 0 || sess.batches < s.dur.snapEvery {
+		return nil
+	}
+	sess.batches = 0
+	if p := sess.compaction; p != nil {
+		select {
+		case <-p.done:
+		default:
+			s.met.compactionSkipped()
+			return nil
 		}
 	}
-	return nil
+	_, err := s.compactLocked(sess)
+	return err
 }
 
 // foldDurLocked folds the session's writer-stats delta into /metrics.
@@ -269,39 +284,75 @@ func (s *Server) foldDurLocked(sess *Session) {
 	s.met.foldWriter(&delta)
 }
 
-// compactLocked snapshots the session and truncates its delta log.
-// The snapshot is written twice around the truncate so every crash
-// window leaves a (snapshot, log) pair that recovers to this state:
-// first covering the full log (a crash before the truncate replays
-// nothing past it), then covering the empty log (so subsequently
-// appended records replay from the log head). Caller holds the session
-// mutex; the engine must be settled.
-func (s *Server) compactLocked(sess *Session) error {
+// compactLocked starts a compaction: capture the session's state,
+// switch its log to a new segment, and hand the capture to compact on
+// its own goroutine, which serializes, encodes and installs it off the
+// session lock. The snapshot names the new segment as the first one
+// recovery replays. Caller holds the session mutex, has committed the
+// log, and has no compaction pending; the engine must be settled.
+func (s *Server) compactLocked(sess *Session) (*compaction, error) {
 	j := sess.journal
-	if j == nil {
-		return ErrNotDurable
+	job := &compaction{dir: sess.dir, state: sess.eng.Capture(), prog: sess.sp.hash, seg: j.seg + 1, done: make(chan struct{})}
+	if err := j.w.Switch(s.dur.fs, wmlog.SegmentPath(sess.dir, job.seg)); err != nil {
+		j.err = err
+		sess.broken = fmt.Errorf("%w: journal: %v", ErrSessionBroken, err)
+		return nil, sess.broken
 	}
-	if err := j.w.Commit(); err != nil {
-		return err
+	j.seg = job.seg
+	sess.compaction = job
+	go s.compact(job)
+	return job, nil
+}
+
+// compaction is one captured state on its way to disk. done closes once
+// it is installed (st, bytes), has failed (err) or was cancelled.
+type compaction struct {
+	dir     string
+	state   *engine.Capture
+	prog    [32]byte    // program hash the snapshot pins
+	seg     int         // first segment the snapshot leaves to replay
+	claimed atomic.Bool // by compact starting it or by a cancel, whichever is first
+	done    chan struct{}
+	st      *wmlog.Snapshot
+	bytes   int // encoded snapshot length
+	err     error
+}
+
+// compact runs one compaction once the server's previous one is done:
+// encode the captured state once, install it (the rename is the commit
+// point) and unlink the segments it covers. A failed compaction loses
+// nothing — the old snapshot and every segment since stay on disk — and
+// the next threshold tries again.
+func (s *Server) compact(job *compaction) {
+	defer close(job.done)
+	s.dur.lane.Lock()
+	defer s.dur.lane.Unlock()
+	if !job.claimed.CompareAndSwap(false, true) {
+		return // cancelled while queued
 	}
-	st := sess.eng.CaptureState()
-	st.ProgHash = sess.sp.hash
-	st.LogOffset = j.w.Size()
-	path := wmlog.SnapshotPath(sess.dir)
-	if _, err := wmlog.WriteSnapshot(path, st); err != nil {
-		return err
+	start := time.Now()
+	job.st = job.state.Snapshot()
+	job.st.ProgHash, job.st.Segment = job.prog, job.seg
+	b, err := job.st.Encode()
+	if err == nil {
+		err = wmlog.CommitCompaction(s.dur.fs, job.dir, b, job.seg)
 	}
-	if err := j.w.Truncate(); err != nil {
-		return err
+	if job.err = err; err != nil {
+		s.met.compactionFailed()
+		return
 	}
-	st.LogOffset = int64(wmlog.HeaderSize)
-	n, err := wmlog.WriteSnapshot(path, st)
-	if err != nil {
-		return err
+	job.bytes = len(b)
+	s.met.snapshotTaken(len(b), time.Since(start))
+}
+
+// cancelCompaction withdraws a queued compaction or waits out one in
+// flight: afterwards it touches the entry directory no more.
+func (s *Server) cancelCompaction(job *compaction) {
+	if job.claimed.CompareAndSwap(false, true) {
+		s.met.compactionCancelled()
+		return
 	}
-	sess.batches = 0
-	s.met.snapshotTaken(n)
-	return nil
+	<-job.done
 }
 
 // SnapshotResult reports an explicit snapshot request.
@@ -313,7 +364,8 @@ type SnapshotResult struct {
 }
 
 // SnapshotSession snapshots one session on demand (POST
-// /sessions/{id}/snapshot), compacting its delta log.
+// /sessions/{id}/snapshot), compacting its delta log. It holds the
+// session until the snapshot is installed.
 func (s *Server) SnapshotSession(id string) (*SnapshotResult, error) {
 	sess, err := s.session(id)
 	if err != nil {
@@ -328,24 +380,28 @@ func (s *Server) SnapshotSession(id string) (*SnapshotResult, error) {
 		return nil, ErrNotDurable
 	}
 	start := time.Now()
-	if err := s.compactLocked(sess); err != nil {
+	if p := sess.compaction; p != nil {
+		<-p.done
+	}
+	if err := sess.journal.w.Commit(); err != nil {
 		return nil, err
 	}
-	st, err := wmlog.ReadSnapshot(wmlog.SnapshotPath(sess.dir))
+	job, err := s.compactLocked(sess)
 	if err != nil {
 		return nil, err
 	}
-	h, err := st.Hash()
-	if err != nil {
-		return nil, err
+	<-job.done
+	if job.err != nil {
+		return nil, job.err
 	}
-	fi, err := os.Stat(wmlog.SnapshotPath(sess.dir))
+	sess.batches = 0
+	h, err := job.st.Hash()
 	if err != nil {
 		return nil, err
 	}
 	return &SnapshotResult{
-		Bytes:   int(fi.Size()),
-		WMSize:  sess.eng.WM.Len(),
+		Bytes:   job.bytes,
+		WMSize:  len(job.st.Wmes),
 		Hash:    fmt.Sprintf("%x", h),
 		Elapsed: time.Since(start).Microseconds(),
 	}, nil
@@ -370,6 +426,7 @@ func (s *Server) rebuildFromDisk(id string) (sess *Session, replayed int, torn b
 	if err != nil {
 		return fail(fmt.Errorf("read snapshot: %w", err))
 	}
+	var first int
 	var from int64
 	if snap != nil {
 		if snap.ProgHash != sp.hash {
@@ -378,37 +435,24 @@ func (s *Server) rebuildFromDisk(id string) (sess *Session, replayed int, torn b
 		if err := c.eng.RestoreState(snap); err != nil {
 			return fail(fmt.Errorf("restore snapshot: %w", err))
 		}
-		from = snap.LogOffset
+		first, from = snap.Segment, snap.LogOffset
 	}
-	cleanLen := int64(0)
-	logPath := wmlog.LogPath(dir)
-	res, err := wmlog.ReadAll(logPath, from)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// No log yet (e.g. a fork persisted only its snapshot before a
-		// crash): recover from the snapshot alone.
-	case err != nil:
+	res, err := wmlog.ReadSegments(dir, sp.hash, first, from)
+	if err != nil {
 		return fail(fmt.Errorf("read log: %w", err))
-	default:
-		if res.ProgHash != sp.hash {
-			return fail(fmt.Errorf("delta log belongs to a different program"))
-		}
-		if err := c.eng.ReplayRecords(res.Records); err != nil {
-			return fail(fmt.Errorf("replay: %w", err))
-		}
-		replayed = len(res.Records)
-		torn = res.Torn
-		cleanLen = res.CleanLen
 	}
-	w, err := wmlog.Create(logPath, sp.hash, s.dur.policy, cleanLen)
+	if err := c.eng.ReplayRecords(res.Records); err != nil {
+		return fail(fmt.Errorf("replay: %w", err))
+	}
+	w, err := wmlog.Create(wmlog.SegmentPath(dir, res.Segment), sp.hash, s.dur.policy, res.CleanLen)
 	if err != nil {
 		return fail(fmt.Errorf("reopen log: %w", err))
 	}
 	sess = newSession(id, sp, cfg, c, template)
 	sess.dir = dir
-	sess.journal = &sessionJournal{w: w, tab: sp.prog.Symbols}
+	sess.journal = &sessionJournal{w: w, seg: res.Segment, tab: sp.prog.Symbols}
 	c.eng.SetJournal(sess.journal)
-	return sess, replayed, torn, nil
+	return sess, len(res.Records), res.Torn, nil
 }
 
 // recoverSession rebuilds one persisted session at startup and
@@ -446,8 +490,12 @@ func (s *Server) RestoreSession(id string) (*SessionInfo, error) {
 	if sess.journal == nil {
 		return nil, ErrNotDurable
 	}
-	// Release the current core: fold what its counters say and close the
-	// log fd so the rebuild can reopen the file.
+	// Let an in-flight compaction land, then release the current core:
+	// fold what its counters say and close the log fd so the rebuild can
+	// reopen the file.
+	if p := sess.compaction; p != nil {
+		<-p.done
+	}
 	s.foldStatsLocked(sess)
 	s.foldDurLocked(sess)
 	sess.journal.close()

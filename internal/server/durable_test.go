@@ -154,6 +154,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			}
 
 			// Recover in a fresh server over the same data directory.
+			crashed.WaitCompactions()
 			srv, recovered := newDurServer(t, dir, tc.snapEvery)
 			if recovered != 1 {
 				t.Fatalf("recovered %d entries, want 1", recovered)
@@ -186,6 +187,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 
 			// A second restart over the now-live directory also works:
 			// recovery itself left a consistent (snapshot, log) pair.
+			srv.WaitCompactions()
 			srv2, recovered2 := newDurServer(t, dir, tc.snapEvery)
 			if recovered2 != 1 {
 				t.Fatalf("second recovery found %d entries, want 1", recovered2)

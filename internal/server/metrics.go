@@ -156,11 +156,32 @@ func (m *metrics) foldWriter(delta *wmlog.WriterStats) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) snapshotTaken(bytes int) {
+// snapshotTaken records one compaction installed; took is its wall time
+// off the session lock.
+func (m *metrics) snapshotTaken(bytes int, took time.Duration) {
 	m.mu.Lock()
 	m.dur.Snapshots++
 	m.dur.SnapshotBytes += int64(bytes)
+	m.dur.CompactionUs += took.Microseconds()
 	m.lastSnap = time.Now()
+	m.mu.Unlock()
+}
+
+func (m *metrics) compactionSkipped() {
+	m.mu.Lock()
+	m.dur.CompactionsSkipped++
+	m.mu.Unlock()
+}
+
+func (m *metrics) compactionFailed() {
+	m.mu.Lock()
+	m.dur.CompactionsFailed++
+	m.mu.Unlock()
+}
+
+func (m *metrics) compactionCancelled() {
+	m.mu.Lock()
+	m.dur.CompactionsCancelled++
 	m.mu.Unlock()
 }
 

@@ -78,10 +78,11 @@ func (s *Server) ImportSession(p *ExportPayload) (*SessionInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("import snapshot: %w", err)
 	}
-	if snap.LogOffset != 0 {
-		// Export never sets one; a payload cut from a compaction snapshot
+	if snap.LogOffset != 0 || snap.Segment != 0 {
+		// Export never sets them; a payload cut from a compaction snapshot
 		// would make recovery skip that much of the session's new log.
-		return nil, fmt.Errorf("import snapshot covers %d bytes of a delta log; want an exported state (offset 0)", snap.LogOffset)
+		return nil, fmt.Errorf("import snapshot starts at segment %d offset %d of a delta log; want an exported state (0, 0)",
+			snap.Segment, snap.LogOffset)
 	}
 
 	id, err := s.reserveID(p.ID)

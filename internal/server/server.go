@@ -190,10 +190,11 @@ type Session struct {
 	template string // template this session was forked from
 
 	// Durable state, zero-valued when the server runs memory-only.
-	dir     string            // entry directory under the data dir
-	journal *sessionJournal   // engine journal over the delta log
-	batches int               // batches since the last snapshot
-	prevDur wmlog.WriterStats // writer counters already folded
+	dir        string            // entry directory under the data dir
+	journal    *sessionJournal   // engine journal over the delta log
+	batches    int               // batches since the last snapshot
+	prevDur    wmlog.WriterStats // writer counters already folded
+	compaction *compaction       // the last one handed off, nil if none
 }
 
 // newSession wraps a built core as a session, resolving cfg into the
@@ -613,11 +614,16 @@ func (s *Server) DeleteSession(id string) error {
 	return nil
 }
 
-// teardown folds the session's final counters and flushes and closes
-// its delta log (the SIGTERM drain path runs through here).
+// teardown cancels or waits out the session's compaction, folds its
+// final counters, and flushes and closes its delta log (the SIGTERM
+// drain path runs through here). Once it returns nothing writes to the
+// session's entry directory, so a delete can remove it for good.
 func (s *Server) teardown(sess *Session) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	if sess.compaction != nil {
+		s.cancelCompaction(sess.compaction)
+	}
 	s.foldStatsLocked(sess)
 	s.foldDurLocked(sess)
 	sess.journal.close()

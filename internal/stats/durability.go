@@ -14,6 +14,12 @@ type Durability struct {
 	Snapshots      int64 `json:"snapshots"`        // snapshots written
 	SnapshotBytes  int64 `json:"snapshot_bytes"`   // encoded snapshot bytes written
 	SnapshotAgeSec int64 `json:"snapshot_age_sec"` // seconds since the last snapshot (-1: never)
+	// Compaction runs off the session lock: CompactionUs is its wall
+	// time (encode, install, unlink), summed over Snapshots.
+	CompactionUs         int64 `json:"compaction_us"`
+	CompactionsSkipped   int64 `json:"compactions_skipped"`   // thresholds crossed while one was pending
+	CompactionsCancelled int64 `json:"compactions_cancelled"` // queued ones dropped by a session's delete or close
+	CompactionsFailed    int64 `json:"compactions_failed"`    // snapshot installs that failed (the log kept everything)
 
 	Forks         int64 `json:"forks"`          // sessions forked from templates
 	TemplatesLive int64 `json:"templates_live"` // warm template sessions held
@@ -32,6 +38,10 @@ func (d *Durability) Add(o *Durability) {
 	d.FsyncUs += o.FsyncUs
 	d.Snapshots += o.Snapshots
 	d.SnapshotBytes += o.SnapshotBytes
+	d.CompactionUs += o.CompactionUs
+	d.CompactionsSkipped += o.CompactionsSkipped
+	d.CompactionsCancelled += o.CompactionsCancelled
+	d.CompactionsFailed += o.CompactionsFailed
 	d.Forks += o.Forks
 	d.TemplatesLive += o.TemplatesLive
 	d.Recoveries += o.Recoveries

@@ -153,12 +153,18 @@ func (m *Memory) Len() int {
 
 // Snapshot returns the live elements ordered by time tag.
 func (m *Memory) Snapshot() []*WME {
+	out := m.Live()
+	slices.SortFunc(out, func(a, b *WME) int { return cmp.Compare(a.TimeTag, b.TimeTag) })
+	return out
+}
+
+// Live returns the live elements in no particular order.
+func (m *Memory) Live() []*WME {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make([]*WME, 0, len(m.live))
 	for _, w := range m.live {
 		out = append(out, w)
 	}
-	slices.SortFunc(out, func(a, b *WME) int { return cmp.Compare(a.TimeTag, b.TimeTag) })
 	return out
 }

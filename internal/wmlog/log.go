@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
+	"sort"
 	"time"
 )
 
@@ -89,15 +91,17 @@ func (s *WriterStats) Sub(o *WriterStats) {
 	s.FsyncUs -= o.FsyncUs
 }
 
-// Writer appends framed records to a session's delta log.
+// Writer appends framed records to a session's delta log, one segment
+// file at a time (see Switch).
 type Writer struct {
-	f       *os.File
-	bw      *bufio.Writer
-	policy  SyncPolicy
-	off     int64 // file offset after the last buffered record
-	scratch []byte
-	stats   WriterStats
-	closed  bool
+	f        File
+	bw       *bufio.Writer
+	policy   SyncPolicy
+	progHash [32]byte // stamped into every segment header
+	off      int64    // file offset after the last buffered record
+	scratch  []byte
+	stats    WriterStats
+	closed   bool
 }
 
 // writeHeader emits the fixed header onto w.
@@ -146,7 +150,7 @@ func Create(path string, progHash [32]byte, policy SyncPolicy, cleanLen int64) (
 		f.Close()
 		return nil, err
 	}
-	w := &Writer{f: f, policy: policy}
+	w := &Writer{f: f, policy: policy, progHash: progHash}
 	if st.Size() < int64(HeaderSize) {
 		// New (or hopelessly short) log: start from a fresh header.
 		if err := f.Truncate(0); err != nil {
@@ -236,11 +240,42 @@ func (w *Writer) sync() error {
 	if err := w.bw.Flush(); err != nil {
 		return err
 	}
+	return w.timed(w.f.Sync)
+}
+
+// timed runs one fsync and counts it.
+func (w *Writer) timed(fsync func() error) error {
 	t0 := time.Now()
-	err := w.f.Sync()
+	err := fsync()
 	w.stats.Fsyncs++
 	w.stats.FsyncUs += time.Since(t0).Microseconds()
 	return err
+}
+
+// Switch moves appending to a new segment file at path: create it,
+// write the header and, unless the policy is SyncNone, fsync the file
+// and its directory — the next acknowledged batch will live there. Call
+// it right after a Commit; the old segment's file is closed. On error
+// the writer stays on the old segment.
+func (w *Writer) Switch(fs FS, path string) error {
+	f, err := fs.Create(path)
+	if err != nil {
+		return err
+	}
+	err = writeHeader(f, w.progHash)
+	if err == nil && w.policy != SyncNone {
+		if err = w.timed(f.Sync); err == nil {
+			err = w.timed(func() error { return fs.SyncDir(filepath.Dir(path)) })
+		}
+	}
+	if err != nil {
+		f.Close()
+		return err
+	}
+	old := w.f
+	w.f, w.off = f, int64(HeaderSize)
+	w.bw.Reset(f)
+	return old.Close()
 }
 
 // Size reports the file offset after the last appended record — the
@@ -249,28 +284,6 @@ func (w *Writer) Size() int64 { return w.off }
 
 // Stats returns the accumulated I/O counters.
 func (w *Writer) Stats() WriterStats { return w.stats }
-
-// Truncate discards every record, resetting the log to header-only.
-// The caller snapshots first; a crash between the snapshot rename and
-// this truncate is benign because the snapshot's LogOffset skips the
-// surviving records.
-func (w *Writer) Truncate() error {
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	if err := w.f.Truncate(int64(HeaderSize)); err != nil {
-		return err
-	}
-	if _, err := w.f.Seek(int64(HeaderSize), io.SeekStart); err != nil {
-		return err
-	}
-	w.off = int64(HeaderSize)
-	w.bw.Reset(w.f)
-	if w.policy != SyncNone {
-		return w.sync()
-	}
-	return nil
-}
 
 // Close flushes, optionally fsyncs, and releases the file handle. Safe
 // to call twice.
@@ -307,6 +320,9 @@ type ReadResult struct {
 	// case the tail [CleanLen, EOF) was dropped.
 	CleanLen int64
 	Torn     bool
+	// Segment is the segment CleanLen belongs to (ReadSegments): the
+	// newest, the one appending resumes in.
+	Segment int
 }
 
 // ReadAll decodes the log at path from the byte offset `from` (0 or
@@ -329,8 +345,7 @@ func ReadAll(path string, from int64) (*ReadResult, error) {
 	off := int64(HeaderSize)
 	if from > off {
 		if from > int64(len(data)) {
-			// The snapshot covers past EOF: the log was truncated after
-			// the snapshot was taken; nothing to replay.
+			// The snapshot covers past EOF: nothing to replay.
 			res.CleanLen = int64(len(data))
 			return res, nil
 		}
@@ -363,6 +378,49 @@ func ReadAll(path string, from int64) (*ReadResult, error) {
 		res.Records = append(res.Records, rec)
 		off += int64(4 + frameLen + 4)
 		res.CleanLen = off
+	}
+	return res, nil
+}
+
+// ReadSegments decodes an entry's delta log from segment first at byte
+// offset from — a snapshot's Segment and LogOffset — through the newest
+// segment, oldest first. Only the newest segment can be cut short by a
+// crash: the torn-tail rule applies to it, and a newest segment shorter
+// than its header (a crash inside Switch) reads as empty. A torn, short
+// or missing older segment is corruption. No segment at all reads as
+// an empty log that resumes in segment first.
+func ReadSegments(dir string, progHash [32]byte, first int, from int64) (*ReadResult, error) {
+	segs, err := Segments(dir)
+	if err != nil {
+		return nil, err
+	}
+	segs = segs[sort.SearchInts(segs, first):]
+	res := &ReadResult{ProgHash: progHash, Segment: first}
+	for i, n := range segs {
+		if n != first+i {
+			return nil, fmt.Errorf("%w: segment %d missing before %d", ErrLogCorrupt, first+i, n)
+		}
+		path := SegmentPath(dir, n)
+		newest := i == len(segs)-1
+		res.Segment, res.CleanLen, res.Torn = n, 0, false
+		if newest {
+			if fi, err := os.Stat(path); err == nil && fi.Size() < int64(HeaderSize) {
+				break
+			}
+		}
+		r, err := ReadAll(path, from)
+		if err != nil {
+			return nil, fmt.Errorf("segment %d: %w", n, err)
+		}
+		if r.ProgHash != progHash {
+			return nil, fmt.Errorf("wmlog: log segment %d belongs to a different program", n)
+		}
+		if r.Torn && !newest {
+			return nil, fmt.Errorf("%w: segment %d is torn but not the newest", ErrLogCorrupt, n)
+		}
+		res.Records = append(res.Records, r.Records...)
+		res.CleanLen, res.Torn = r.CleanLen, r.Torn
+		from = 0
 	}
 	return res, nil
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 )
 
 // Snapshot is a session's whole portable state at a drained point: the
@@ -18,10 +17,9 @@ import (
 // state (which still-live instantiations have fired), the time-tag
 // counter, the halt flag and the pending input, pinned to a program by
 // hash. Token memories and the conflict set are a function of these and
-// are rebuilt by matching. LogOffset is the delta-log byte offset the
-// snapshot covers: recovery restores the snapshot and replays only
-// records past it, which also makes the snapshot-then-truncate
-// compaction crash-safe in either order.
+// are rebuilt by matching. Segment and LogOffset say where the session's
+// own delta log picks up: recovery restores the snapshot, then replays
+// segment Segment from byte LogOffset and every later segment.
 //
 // This one encoding is the compaction snapshot, the pinned state of a
 // template (its hash pins the template's immutability), the initial
@@ -40,8 +38,14 @@ type Snapshot struct {
 	NextTag   int
 	Halted    bool
 	LogOffset int64
-	Wmes      []TaggedWME
-	Fired     []FireKey
+	// Segment is the first delta-log segment recovery replays, starting
+	// at LogOffset. Zero — every template pin and export payload, and
+	// every snapshot written before the log was segmented — means
+	// delta.log; it does not say which segments the snapshot covers (a
+	// fork's first snapshot is its template's, which covers none).
+	Segment int
+	Wmes    []TaggedWME
+	Fired   []FireKey
 	// Pending is the unconsumed (accept) input queue at the snapshot
 	// point, so a session suspended awaiting input survives compaction
 	// and recovery with its buffered values intact. Gob tolerates the
@@ -74,9 +78,10 @@ const (
 	snapMagic   = "OPS5WSN1"
 	snapVersion = 1
 	// snapFormat stamps the gob payload layout (see Snapshot.Format).
-	// Format 3 added Program; snapFormatMin is the oldest layout this
-	// binary still reads.
-	snapFormat    = 3
+	// Format 3 added Program, format 4 Segment (a format-3 reader would
+	// skip the segments it names); snapFormatMin is the oldest layout
+	// this binary still reads.
+	snapFormat    = 4
 	snapFormatMin = 2
 )
 
@@ -141,11 +146,11 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 }
 
 // Hash is the snapshot's content identity: SHA-256 of its canonical
-// encoding with the covering offset zeroed (two snapshots of identical
+// encoding with the log position zeroed (two snapshots of identical
 // session state hash identically wherever their logs stand).
 func (s *Snapshot) Hash() ([32]byte, error) {
 	c := *s
-	c.LogOffset = 0
+	c.LogOffset, c.Segment = 0, 0
 	b, err := c.Encode()
 	if err != nil {
 		return [32]byte{}, err
@@ -153,49 +158,32 @@ func (s *Snapshot) Hash() ([32]byte, error) {
 	return sha256.Sum256(b), nil
 }
 
-// WriteSnapshot atomically replaces the snapshot at path: write to a
-// temp file in the same directory, fsync, rename over.
-func WriteSnapshot(path string, s *Snapshot) (int, error) {
-	b, err := s.Encode()
-	if err != nil {
-		return 0, err
-	}
-	return len(b), writeFileAtomic(path, b)
-}
-
-// WriteSnapshotBytes atomically installs pre-encoded snapshot bytes: a
-// template's pinned encoding shared by every fork, or an imported
-// session's payload.
-func WriteSnapshotBytes(path string, b []byte) error {
-	return writeFileAtomic(path, b)
-}
-
-func writeFileAtomic(path string, b []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snap-*")
+// InstallSnapshot atomically replaces an entry's snapshot with the
+// encoded bytes b: write snapshot.tmp, fsync it, rename it over
+// snapshot.snap. On error the temp file is removed. The rename survives
+// power loss only once the directory is fsynced, which CommitCompaction
+// does; a new entry's first snapshot is no more durable than the rest of
+// the entry, whose files and directory are not fsynced.
+func InstallSnapshot(fs FS, dir string, b []byte) error {
+	tmp := snapshotTmpPath(dir)
+	f, err := fs.Create(tmp)
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err == nil {
+		err = fs.Rename(tmp, SnapshotPath(dir))
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err != nil {
+		fs.Remove(tmp)
 	}
-	return nil
+	return err
 }
 
 // ReadSnapshot loads the snapshot at path; (nil, nil) when none exists.

@@ -13,9 +13,17 @@ import (
 //
 //	<dir>/sessions/<id>/program.ops5   OPS5 source the session runs
 //	<dir>/sessions/<id>/meta.json      the owner's session configuration
-//	<dir>/sessions/<id>/delta.log      framed WM delta log
+//	<dir>/sessions/<id>/delta.log      framed WM delta log, segment 0
+//	<dir>/sessions/<id>/delta.<n>.log  segment n, begun by compaction n
 //	<dir>/sessions/<id>/snapshot.snap  latest snapshot, if any
+//	<dir>/sessions/<id>/snapshot.tmp   a snapshot being installed
 //	<dir>/templates/<id>/...           same layout, log-less
+//
+// A compaction switches the log to a new segment under the session
+// lock, then installs a snapshot naming that segment as the first one
+// recovery replays and unlinks the older ones. The snapshot rename is
+// the commit point: before it recovery replays the old snapshot plus
+// every segment since, after it the new snapshot plus the new segment.
 type Store struct {
 	dir string
 }
@@ -64,10 +72,67 @@ func (st *Store) EntryDir(kind Kind, id string) (string, error) {
 }
 
 // Paths within an entry directory.
-func ProgramPath(dir string) string  { return filepath.Join(dir, "program.ops5") }
-func MetaPath(dir string) string     { return filepath.Join(dir, "meta.json") }
-func LogPath(dir string) string      { return filepath.Join(dir, "delta.log") }
-func SnapshotPath(dir string) string { return filepath.Join(dir, "snapshot.snap") }
+func ProgramPath(dir string) string     { return filepath.Join(dir, "program.ops5") }
+func MetaPath(dir string) string        { return filepath.Join(dir, "meta.json") }
+func LogPath(dir string) string         { return filepath.Join(dir, "delta.log") }
+func SnapshotPath(dir string) string    { return filepath.Join(dir, "snapshot.snap") }
+func snapshotTmpPath(dir string) string { return filepath.Join(dir, "snapshot.tmp") }
+
+// SegmentPath names segment n of an entry's delta log.
+func SegmentPath(dir string, n int) string {
+	if n == 0 {
+		return LogPath(dir)
+	}
+	return filepath.Join(dir, fmt.Sprintf("delta.%d.log", n))
+}
+
+// Segments lists the log segments present in an entry directory,
+// oldest first.
+func Segments(dir string) ([]int, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []int
+	for _, e := range entries {
+		n := 0
+		if e.Name() != "delta.log" {
+			if _, err := fmt.Sscanf(e.Name(), "delta.%d.log", &n); err != nil || n <= 0 ||
+				filepath.Base(SegmentPath(dir, n)) != e.Name() {
+				continue
+			}
+		}
+		out = append(out, n)
+	}
+	sort.Ints(out)
+	return out, nil
+}
+
+// CommitCompaction installs a compaction's encoded snapshot b, which
+// names segment keep as the first one recovery replays, and unlinks the
+// segments below keep. The rename is the commit point: the directory is
+// fsynced after it, before anything the snapshot covers goes.
+func CommitCompaction(fs FS, dir string, b []byte, keep int) error {
+	if err := InstallSnapshot(fs, dir, b); err != nil {
+		return err
+	}
+	if err := fs.SyncDir(dir); err != nil {
+		return err
+	}
+	segs, err := Segments(dir)
+	if err != nil {
+		return err
+	}
+	for _, n := range segs {
+		if n >= keep {
+			break
+		}
+		if err := fs.Remove(SegmentPath(dir, n)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // WriteMeta persists the entry's configuration: whatever JSON document
 // the owner keeps to rebuild the entry (the store does not interpret it).

@@ -181,7 +181,7 @@ func TestLogProgramMismatch(t *testing.T) {
 // the covering-offset semantics of ReadAll.
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "snapshot.snap")
+	path := SnapshotPath(dir)
 	s := &Snapshot{
 		ProgHash:  sha256.Sum256([]byte("prog")),
 		NextTag:   7,
@@ -193,7 +193,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		},
 		Fired: []FireKey{{Rule: "apply", Tags: []int{5, 2}}},
 	}
-	if _, err := WriteSnapshot(path, s); err != nil {
+	b, err := s.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := InstallSnapshot(OS, dir, b); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSnapshot(path)
@@ -208,13 +212,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	moved := *s
-	moved.LogOffset = 9999
+	moved.LogOffset, moved.Segment = 9999, 3
 	h2, err := moved.Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h1 != h2 {
-		t.Fatal("hash must ignore the covering offset")
+		t.Fatal("hash must ignore the log position")
 	}
 	diverged := *s
 	diverged.NextTag++
@@ -230,7 +234,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("missing snapshot: %v, %v", sn, err)
 	}
 	// Corrupt snapshot is rejected.
-	b, _ := os.ReadFile(path)
+	b, _ = os.ReadFile(path)
 	b[len(b)-1] ^= 0xff
 	os.WriteFile(path, b, 0o644)
 	if _, err := ReadSnapshot(path); err == nil {
@@ -239,7 +243,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestReadAllFromOffset replays only the records past a covering
-// offset, including the covers-past-EOF case after compaction.
+// offset, including the covers-past-EOF case.
 func TestReadAllFromOffset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "delta.log")
 	hash := sha256.Sum256([]byte("prog"))
@@ -271,41 +275,6 @@ func TestReadAllFromOffset(t *testing.T) {
 	}
 	if len(res.Records) != 0 || res.Torn {
 		t.Fatalf("past-EOF read: %d records torn=%v", len(res.Records), res.Torn)
-	}
-}
-
-// TestWriterTruncate compacts the log to header-only and appends fresh
-// records.
-func TestWriterTruncate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "delta.log")
-	hash := sha256.Sum256([]byte("prog"))
-	w, err := Create(path, hash, SyncNone, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 10; i++ {
-		if err := w.Append(&Record{Type: RecRemove, Tag: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Size() != int64(HeaderSize) {
-		t.Fatalf("size after truncate: %d", w.Size())
-	}
-	if err := w.Append(&Record{Type: RecRemove, Tag: 99}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := ReadAll(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 1 || res.Records[0].Tag != 99 {
-		t.Fatalf("after truncate: %+v", res.Records)
 	}
 }
 
