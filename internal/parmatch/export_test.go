@@ -20,6 +20,10 @@ func (m *Matcher) Units() (n int64) {
 	return n
 }
 
+// SoloUnits reports how many units the control process ran alone, with
+// no line locks and no task objects. Exact while drained.
+func (m *Matcher) SoloUnits() int64 { return m.ctl.solo }
+
 // Parked reports how many match goroutines are parked on their wake
 // channels (registered, and blocked or about to block).
 func (m *Matcher) Parked() int { return int(m.parked.Load()) }

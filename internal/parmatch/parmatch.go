@@ -18,6 +18,10 @@
 // memory entries recycle through per-process free lists, and output
 // token slices come from per-process arenas (hashmem.Pools).
 //
+// A control process that holds every unit in existence matches alone,
+// as vs2 does, with no line locks, task objects or private stack: the
+// protocol is paid only while a peer could hold a unit.
+//
 // Terminal activations do not touch the conflict set from the match
 // goroutines: each process buffers its (+)/(−) instantiations privately,
 // and the control process applies them to the TerminalSink once the
@@ -31,6 +35,7 @@ package parmatch
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -227,6 +232,7 @@ type wctx struct {
 	acts  int64 // node activations processed (tasks completed)
 	held  int64 // units taken and not yet retired: what the stack runs for
 	units int64 // units retired
+	solo  int64 // of which run alone (control process only)
 	// polls counts empty-handed takes: the one counter written while no
 	// unit is held — a drained read can meet an idle worker's — so atomic.
 	polls atomic.Int64
@@ -251,6 +257,9 @@ type wctx struct {
 
 	emitFn    hashmem.Emit         // bound once to (*wctx).emit
 	deliverFn func(rete.AlphaDest) // bound once to (*wctx).deliver
+	// The control process's solo-drain twins of the two above.
+	soloEmitFn    hashmem.Emit
+	soloDeliverFn func(rete.AlphaDest)
 
 	wake     chan struct{} // cap-1 park channel; kicks land here
 	isParked atomic.Bool   // registered as parked (kick target scan)
@@ -303,6 +312,8 @@ func newMatcher(net *rete.Network, cfg Config, sink rete.TerminalSink, whole, wa
 		m.procs[i] = w
 	}
 	m.ctl = m.procs[cfg.Procs]
+	m.ctl.soloEmitFn = m.ctl.soloEmit
+	m.ctl.soloDeliverFn = m.ctl.soloDeliver
 	if cfg.Unlink {
 		us := &unlinkState{
 			linked: make([]uint32, net.NumJoinIDs()),
@@ -376,7 +387,8 @@ func (w *wctx) kick() {
 // Drain matches until TaskCount reaches zero — the control process runs
 // units on its own context alongside whichever workers are awake, and
 // only waits, a bounded spin and then a yield, while the last units are
-// in peers' hands — and then applies the phase's buffered terminal
+// in peers' hands, or runs them all alone when no peer holds one
+// (takeAll) — and then applies the phase's buffered terminal
 // activations to the sink. Drained is also the adaptive table's resize
 // point: the TaskCount==0 edge ordered the workers' line writes before
 // this read, so the control process can rehash into a bigger table and
@@ -395,6 +407,13 @@ func (m *Matcher) Drain() {
 
 func (m *Matcher) drain() {
 	c := m.ctl
+	if c.takeAll() {
+		c.runSolo()
+		return
+	}
+	if len(c.stack) > 0 {
+		c.run(c.hold())
+	}
 	for m.queues.TaskCount.Load() != 0 {
 		t := c.take()
 		for wait := 1; t == nil && m.queues.TaskCount.Load() != 0; wait++ {
@@ -674,10 +693,114 @@ func (w *wctx) take() *taskqueue.Task {
 	}
 	w.cs.QueueSpins += spins
 	w.cs.QueueAcquires++
+	return w.hold()
+}
+
+// hold takes the stack's tasks as units and returns the first to run.
+func (w *wctx) hold() *taskqueue.Task {
+	n := len(w.stack)
 	w.held = int64(n)
 	t := w.stack[n-1]
 	w.stack = w.stack[:n-1]
 	return t
+}
+
+// takeAll pops the central queues whole until TaskCount equals what the
+// control process holds, and reports whether it got there. Then no peer
+// holds a unit and none can get one before the next Submit: only the
+// control process injects, and an MRSW requeue needs a running unit. The
+// load also orders every peer's Done before the solo run.
+func (w *wctx) takeAll() bool {
+	q := w.m.queues
+	for {
+		n := len(w.stack)
+		if int64(n) == q.TaskCount.Load() {
+			return true
+		}
+		var spins int64
+		w.stack, spins = q.Pop(w.pref, math.MaxInt, w.stack)
+		if len(w.stack) == n {
+			w.polls.Add(1 + spins)
+			return false
+		}
+		w.cs.QueueSpins += spins
+		w.cs.QueueAcquires++
+	}
+}
+
+// runSolo runs the units on the stack in queue order, depth-first as vs2
+// does. Activation counts, terminal buffers and unlink logs are kept as
+// the locked path keeps them.
+func (w *wctx) runSolo() {
+	n := int64(len(w.stack))
+	w.curNet = w.m.net.Load()
+	for i, t := range w.stack {
+		w.stack[i] = nil
+		switch {
+		case t.Root != nil:
+			w.acts++
+			w.curSign, w.curWME, w.curRoot = t.Sign, t.Root, nil
+			w.curNet.RootDeliver(t.Root, w.soloDeliverFn)
+		case t.Term != nil:
+			w.soloTerm(t.Term, t.Sign, t.Wmes)
+		default:
+			w.soloJoin(t.Join, t.Side, t.Sign, t.Wmes)
+		}
+		w.freeTask(t)
+	}
+	w.stack = w.stack[:0]
+	w.units += n
+	w.solo += n
+	w.m.queues.Done(n)
+}
+
+// soloDeliver runs one alpha destination of the current root alone.
+func (w *wctx) soloDeliver(d rete.AlphaDest) {
+	if d.Terminal != nil {
+		w.soloTerm(d.Terminal, w.curSign, w.rootToken())
+		return
+	}
+	w.soloJoin(d.Join, d.Side, w.curSign, w.rootToken())
+}
+
+// soloEmit recurses into one output token's successors, restoring the
+// curJoin the recursion overwrote: SearchOpposite may emit again.
+func (w *wctx) soloEmit(csign bool, cwmes []*wm.WME) {
+	j := w.curJoin
+	for _, succ := range w.curNet.SuccsOf(j) {
+		w.soloJoin(succ, rete.Left, csign, cwmes)
+	}
+	for _, term := range w.curNet.TermsOf(j) {
+		w.soloTerm(term, csign, cwmes)
+	}
+	w.curJoin = j
+}
+
+// soloTerm buffers one terminal activation of a solo run.
+func (w *wctx) soloTerm(term *rete.Terminal, sign bool, wmes []*wm.WME) {
+	w.acts++
+	w.terms = append(w.terms, termOp{rule: term.Rule, sign: sign, wmes: wmes})
+}
+
+// soloJoin is join without the protocol: the same table update and
+// search, its outputs recursed into rather than stacked.
+func (w *wctx) soloJoin(j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME) {
+	w.acts++
+	if w.skipUnlinked(j, side, sign, wmes) {
+		return
+	}
+	hash := tokenHash(j, side, wmes)
+	table := w.m.mem.Load().table
+	idx := table.LineIndex(j, hash)
+	entry, ref, res := table.UpdateOwn(idx, j, side, sign, wmes, hash, w.rec, &w.pools)
+	if !res.Proceeded {
+		return
+	}
+	w.curJoin = j
+	table.SearchOpposite(idx, ref, j, side, sign, wmes, entry, w.rec, &w.pools, w.soloEmitFn)
+	if !sign {
+		w.pools.FreeEntry(entry) // removed from its memory; nothing else holds it
+	}
 }
 
 // run takes the units in hand to completion: the task and, depth-first
@@ -741,14 +864,9 @@ func (w *wctx) process(t *taskqueue.Task) (requeued bool) {
 // deliver stacks one alpha-destination task for the root change being
 // processed. All destinations share one immutable length-1 token.
 func (w *wctx) deliver(d rete.AlphaDest) {
-	if w.curRoot == nil {
-		s := w.pools.MakeToken(1)
-		s[0] = w.curWME
-		w.curRoot = s
-	}
 	nt := w.newTask()
 	nt.Sign = w.curSign
-	nt.Wmes = w.curRoot
+	nt.Wmes = w.rootToken()
 	if d.Terminal != nil {
 		nt.Term = d.Terminal
 	} else {
@@ -756,6 +874,16 @@ func (w *wctx) deliver(d rete.AlphaDest) {
 		nt.Side = d.Side
 	}
 	w.stack = append(w.stack, nt)
+}
+
+// rootToken is the current root's length-1 token, built on first use.
+func (w *wctx) rootToken() []*wm.WME {
+	if w.curRoot == nil {
+		s := w.pools.MakeToken(1)
+		s[0] = w.curWME
+		w.curRoot = s
+	}
+	return w.curRoot
 }
 
 // emit fans one output token of the current join out to its successor
@@ -777,22 +905,10 @@ func (w *wctx) emit(csign bool, cwmes []*wm.WME) {
 func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 	m := w.m
 	j := t.Join
-	if us := m.unlinkSt.Load(); us != nil && t.Side == rete.Right &&
-		atomic.LoadUint32(&us.linked[j.ID]) == 0 {
-		// Right delivery into an unlinked join: log it privately instead
-		// of hashing, storing and searching. The control process merges
-		// the logs while drained and replays them through the ordinary
-		// task machinery when the join's first left token relinks it.
-		w.unlinkOps = append(w.unlinkOps, unlinkOp{join: int32(j.ID), sign: t.Sign, wme: t.Wmes[0]})
-		w.unlinkSkips++
+	if w.skipUnlinked(j, t.Side, t.Sign, t.Wmes) {
 		return false
 	}
-	var hash uint64
-	if t.Side == rete.Left {
-		hash = j.LeftHash(t.Wmes)
-	} else {
-		hash = j.RightHash(t.Wmes[0])
-	}
+	hash := tokenHash(j, t.Side, t.Wmes)
 	// One bundle load per task: the table and its lock arrays always
 	// match, and a resize can only intervene while drained, so no task
 	// straddles two table generations.
@@ -852,6 +968,27 @@ func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 		w.pools.FreeEntry(entry) // Remove unlinked it; no reader survives Exit
 	}
 	return false
+}
+
+// skipUnlinked logs a right delivery into an unlinked join instead of
+// running it, and reports whether it did. The control process merges
+// the logs while drained and replays them when the join relinks.
+func (w *wctx) skipUnlinked(j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME) bool {
+	us := w.m.unlinkSt.Load()
+	if us == nil || side != rete.Right || atomic.LoadUint32(&us.linked[j.ID]) != 0 {
+		return false
+	}
+	w.unlinkOps = append(w.unlinkOps, unlinkOp{join: int32(j.ID), sign: sign, wme: wmes[0]})
+	w.unlinkSkips++
+	return true
+}
+
+// tokenHash is the hash that picks a token's line.
+func tokenHash(j *rete.JoinNode, side rete.Side, wmes []*wm.WME) uint64 {
+	if side == rete.Left {
+		return j.LeftHash(wmes)
+	}
+	return j.RightHash(wmes[0])
 }
 
 func (w *wctx) recordLine(side rete.Side, spins int64) {

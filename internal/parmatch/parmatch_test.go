@@ -40,8 +40,33 @@ func runSeq(t *testing.T, src string, maxCycles int) *engine.Result {
 	return res
 }
 
-// runPar runs a program on the parallel matcher with the given config.
-func runPar(t *testing.T, src string, cfg parmatch.Config, maxCycles int) *engine.Result {
+// builder is one way to build a parallel matcher for the equivalence
+// tests, which run every config both ways.
+type builder struct {
+	name string
+	new  func(*testing.T, *rete.Network, parmatch.Config, rete.TerminalSink) *parmatch.Matcher
+}
+
+// builders: "solo" is New at the real thresholds with the workers parked
+// first, so the control process matches every cycle of these small
+// programs alone; "eager" wakes a worker for every root, so units run
+// the locked path and workers take some of them.
+var builders = []builder{
+	{"solo", func(t *testing.T, net *rete.Network, cfg parmatch.Config, sink rete.TerminalSink) *parmatch.Matcher {
+		m := parmatch.New(net, cfg, sink)
+		awaitParked(t, m, cfg.Procs)
+		return m
+	}},
+	{"eager", func(t *testing.T, net *rete.Network, cfg parmatch.Config, sink rete.TerminalSink) *parmatch.Matcher {
+		return parmatch.NewEager(net, cfg, sink, 2, 1)
+	}},
+}
+
+// runPar runs a program on a parallel matcher built by b with the given
+// config. inspect, if not nil, gets the matcher while it is still open
+// and drained, so tests can read its counters.
+func runPar(t *testing.T, src string, b builder, cfg parmatch.Config, maxCycles int,
+	inspect func(*parmatch.Matcher)) *engine.Result {
 	t.Helper()
 	prog, err := ops5.Parse(src)
 	if err != nil {
@@ -52,7 +77,7 @@ func runPar(t *testing.T, src string, cfg parmatch.Config, maxCycles int) *engin
 		t.Fatalf("compile: %v", err)
 	}
 	cs := conflict.NewSet()
-	m := parmatch.New(net, cfg, cs)
+	m := b.new(t, net, cfg, cs)
 	defer m.Close()
 	e, err := engine.New(prog, net, cs, m, nil)
 	if err != nil {
@@ -68,7 +93,31 @@ func runPar(t *testing.T, src string, cfg parmatch.Config, maxCycles int) *engin
 	if !cs.Drained() {
 		t.Fatalf("conflict set has parked deletes after run")
 	}
+	if b.name == "solo" && m.SoloUnits() != m.Units() {
+		t.Fatalf("solo: %d of %d units run alone", m.SoloUnits(), m.Units())
+	}
+	if inspect != nil {
+		inspect(m)
+	}
 	return res
+}
+
+// sameRun holds a parallel run to the sequential one: the same firing
+// sequence and the same end state.
+func sameRun(t *testing.T, got, want *engine.Result) {
+	t.Helper()
+	if len(got.Firings) != len(want.Firings) {
+		t.Fatalf("firing count: got %d want %d", len(got.Firings), len(want.Firings))
+	}
+	for i := range want.Firings {
+		if got.Firings[i].Rule != want.Firings[i].Rule {
+			t.Fatalf("firing %d: got %s want %s", i, got.Firings[i].Rule, want.Firings[i].Rule)
+		}
+	}
+	if got.Halted != want.Halted || got.WMSize != want.WMSize {
+		t.Fatalf("end state: got halted=%v wm=%d want halted=%v wm=%d",
+			got.Halted, got.WMSize, want.Halted, want.WMSize)
+	}
 }
 
 // chainSrc builds a program whose rules join several classes and cascade
@@ -136,7 +185,8 @@ func configs() []parmatch.Config {
 }
 
 // TestParallelMatchesSequential verifies that every parallel
-// configuration fires exactly the sequence the sequential matcher does.
+// configuration, matching alone or with its workers, fires exactly the
+// sequence the sequential matcher does.
 func TestParallelMatchesSequential(t *testing.T) {
 	srcs := map[string]string{
 		"chain": chainSrc(25),
@@ -145,72 +195,33 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for name, src := range srcs {
 		want := runSeq(t, src, 500)
 		for _, cfg := range configs() {
-			cfg := cfg
 			t.Run(fmt.Sprintf("%s/p%dq%d%s", name, cfg.Procs, cfg.Queues, cfg.Scheme), func(t *testing.T) {
-				got := runPar(t, src, cfg, 500)
-				if len(got.Firings) != len(want.Firings) {
-					t.Fatalf("firing count: got %d want %d", len(got.Firings), len(want.Firings))
-				}
-				for i := range want.Firings {
-					if got.Firings[i].Rule != want.Firings[i].Rule {
-						t.Fatalf("firing %d: got %s want %s", i, got.Firings[i].Rule, want.Firings[i].Rule)
-					}
-				}
-				if got.Halted != want.Halted || got.WMSize != want.WMSize {
-					t.Fatalf("end state: got halted=%v wm=%d want halted=%v wm=%d",
-						got.Halted, got.WMSize, want.Halted, want.WMSize)
+				for _, b := range builders {
+					t.Run(b.name, func(t *testing.T) {
+						sameRun(t, runPar(t, src, b, cfg, 500, nil), want)
+					})
 				}
 			})
 		}
 	}
 }
 
-// TestRepeatedParallelRunsAreStable reruns one config many times to
-// shake out schedule-dependent divergence.
+// TestRepeatedParallelRunsAreStable reruns one config many times, both
+// ways, to shake out schedule-dependent divergence.
 func TestRepeatedParallelRunsAreStable(t *testing.T) {
 	src := chainSrc(15)
 	want := runSeq(t, src, 500)
 	cfg := parmatch.Config{Procs: 4, Queues: 2, Scheme: parmatch.SchemeMRSW, Lines: 64}
-	for i := 0; i < 10; i++ {
-		got := runPar(t, src, cfg, 500)
-		if len(got.Firings) != len(want.Firings) {
-			t.Fatalf("iteration %d: firing count %d want %d", i, len(got.Firings), len(want.Firings))
-		}
+	for _, b := range builders {
+		t.Run(b.name, func(t *testing.T) {
+			for i := 0; i < 10; i++ {
+				got := runPar(t, src, b, cfg, 500, nil)
+				if len(got.Firings) != len(want.Firings) {
+					t.Fatalf("iteration %d: firing count %d want %d", i, len(got.Firings), len(want.Firings))
+				}
+			}
+		})
 	}
-}
-
-// runParM is runPar but also hands back the matcher (still open inside
-// the callback) so tests can read unlink and examination counters while
-// the engine is drained.
-func runParM(t *testing.T, src string, cfg parmatch.Config, maxCycles int,
-	inspect func(*parmatch.Matcher)) *engine.Result {
-	t.Helper()
-	prog, err := ops5.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	net, err := rete.Compile(prog)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	cs := conflict.NewSet()
-	m := parmatch.New(net, cfg, cs)
-	defer m.Close()
-	e, err := engine.New(prog, net, cs, m, nil)
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	if err := e.Init(); err != nil {
-		t.Fatalf("init: %v", err)
-	}
-	res, err := e.Run(engine.Options{MaxCycles: maxCycles, RecordFiring: true, CheckEvery: true})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if inspect != nil {
-		inspect(m)
-	}
-	return res
 }
 
 // TestUnlinkMatchesSequential verifies that right-unlinking changes the
@@ -225,29 +236,17 @@ func TestUnlinkMatchesSequential(t *testing.T) {
 	for name, src := range srcs {
 		want := runSeq(t, src, 500)
 		for _, cfg := range configs() {
-			cfg := cfg
 			cfg.Unlink = true
 			t.Run(fmt.Sprintf("%s/p%dq%d%s", name, cfg.Procs, cfg.Queues, cfg.Scheme), func(t *testing.T) {
-				var skips, relinks int64
-				got := runParM(t, src, cfg, 500, func(m *parmatch.Matcher) {
-					ms := m.MatchStats()
-					skips, relinks = ms.UnlinkSkips, ms.Relinks
-					if len(m.JoinExamined()) == 0 {
-						t.Errorf("JoinExamined returned no per-join counters")
-					}
-				})
-				if len(got.Firings) != len(want.Firings) {
-					t.Fatalf("firing count: got %d want %d (skips=%d relinks=%d)",
-						len(got.Firings), len(want.Firings), skips, relinks)
-				}
-				for i := range want.Firings {
-					if got.Firings[i].Rule != want.Firings[i].Rule {
-						t.Fatalf("firing %d: got %s want %s", i, got.Firings[i].Rule, want.Firings[i].Rule)
-					}
-				}
-				if got.Halted != want.Halted || got.WMSize != want.WMSize {
-					t.Fatalf("end state: got halted=%v wm=%d want halted=%v wm=%d",
-						got.Halted, got.WMSize, want.Halted, want.WMSize)
+				for _, b := range builders {
+					t.Run(b.name, func(t *testing.T) {
+						got := runPar(t, src, b, cfg, 500, func(m *parmatch.Matcher) {
+							if len(m.JoinExamined()) == 0 {
+								t.Errorf("JoinExamined returned no per-join counters")
+							}
+						})
+						sameRun(t, got, want)
+					})
 				}
 			})
 		}
@@ -283,13 +282,17 @@ func TestUnlinkSkipsWork(t *testing.T) {
 		src += fmt.Sprintf("(make item ^kind a ^val %d)\n", i)
 	}
 	cfg := parmatch.Config{Procs: 3, Queues: 2, Scheme: parmatch.SchemeMRSW, Unlink: true}
-	runParM(t, src, cfg, 50, func(m *parmatch.Matcher) {
-		ms := m.MatchStats()
-		if ms.UnlinkSkips < 8 {
-			t.Errorf("UnlinkSkips = %d, want >= 8 (one per buffered item)", ms.UnlinkSkips)
-		}
-		if m.UnlinkedJoins() == 0 {
-			t.Errorf("dead join should still be unlinked at end of run")
-		}
-	})
+	for _, b := range builders {
+		t.Run(b.name, func(t *testing.T) {
+			runPar(t, src, b, cfg, 50, func(m *parmatch.Matcher) {
+				ms := m.MatchStats()
+				if ms.UnlinkSkips < 8 {
+					t.Errorf("UnlinkSkips = %d, want >= 8 (one per buffered item)", ms.UnlinkSkips)
+				}
+				if m.UnlinkedJoins() == 0 {
+					t.Errorf("dead join should still be unlinked at end of run")
+				}
+			})
+		})
+	}
 }

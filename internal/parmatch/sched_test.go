@@ -20,6 +20,8 @@ import (
 // published everything it wrote before the control process reads it.
 // The reads after each Drain are plain fields of whichever process ran
 // the unit, so under -race this is the check on the TaskCount==0 edge.
+// A phase the control process wins it runs alone (it holds the only
+// unit); both outcomes must show, so rounds go on until each has.
 func TestLastUnitRace(t *testing.T) {
 	k, err := tables.NewKernel("term", 8)
 	if err != nil {
@@ -28,8 +30,8 @@ func TestLastUnitRace(t *testing.T) {
 	cs := tables.KernelSink()
 	m := parmatch.NewEager(k.Net, parmatch.Config{Procs: 4, Queues: 2}, cs, 2, 1)
 	defer m.Close()
-	var phases int64
-	for rep := 0; rep < 500; rep++ {
+	var phases, byWorkers int64
+	for rep := 0; rep < 500 || (rep < 20000 && (byWorkers == 0 || m.SoloUnits() == 0)); rep++ {
 		for _, w := range k.Wmes {
 			for _, sign := range []bool{true, false} {
 				m.Submit(sign, w)
@@ -49,15 +51,23 @@ func TestLastUnitRace(t *testing.T) {
 		if err := m.CheckInvariants(); err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
+		per := m.WorkerContention()
+		byWorkers = 0
+		for _, c := range per[:len(per)-1] {
+			byWorkers += c.QueueAcquires // a worker's only queue traffic here is its pops
+		}
 	}
 	checkUnitAccounting(t, m)
-	per := m.WorkerContention()
-	var byWorkers int64
-	for _, c := range per[:len(per)-1] {
-		byWorkers += c.QueueAcquires // a worker's only queue traffic here is its pops
+	solo := m.SoloUnits()
+	t.Logf("%d single-unit phases: workers won %d, the control process ran %d alone",
+		phases, byWorkers, solo)
+	if byWorkers+solo != phases {
+		t.Errorf("workers won %d and the control process ran %d alone: %d phases unaccounted for",
+			byWorkers, solo, phases-byWorkers-solo)
 	}
-	t.Logf("%d single-unit phases: workers won %d, the control process %d",
-		phases, byWorkers, phases-byWorkers)
+	if byWorkers == 0 || solo == 0 {
+		t.Errorf("want both outcomes: workers won %d phases, the control process ran %d alone", byWorkers, solo)
+	}
 }
 
 // parkedMatcher returns a matcher whose match goroutines have all been

@@ -9,6 +9,7 @@ import (
 	"repro/internal/parmatch"
 	"repro/internal/rete"
 	"repro/internal/seqmatch"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -67,9 +68,12 @@ func TestActivationCountMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestContentionCountersAccumulate: with one queue and several workers
-// the matcher must observe queue acquisitions, and its contention merge
-// must be stable after Close.
+// TestContentionCountersAccumulate runs Rubik on one queue and four
+// workers. At the real thresholds, with the workers parked, no cycle is
+// worth a wake-up: the control process matches every unit alone, so the
+// queues see acquisitions and the hash lines none. With every root
+// waking a worker, units run the locked path and the line locks count.
+// Either way the contention merge must be stable after Close.
 func TestContentionCountersAccumulate(t *testing.T) {
 	src := workload.Rubik(3)
 	prog, err := ops5.Parse(src)
@@ -80,27 +84,50 @@ func TestContentionCountersAccumulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := conflict.NewSet()
-	pm := parmatch.New(net, parmatch.Config{Procs: 4, Queues: 1}, cs)
-	e, err := engine.New(prog, net, cs, pm, nil)
-	if err != nil {
-		t.Fatal(err)
+	cfg := parmatch.Config{Procs: 4, Queues: 1}
+	run := func(t *testing.T, pm *parmatch.Matcher, cs *conflict.Set) stats.Contention {
+		e, err := engine.New(prog, net, cs, pm, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Init(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(engine.Options{MaxCycles: 10000}); err != nil {
+			t.Fatal(err)
+		}
+		pm.Close()
+		c := pm.Contention()
+		if c.QueueAcquires == 0 {
+			t.Fatal("no queue acquisitions recorded")
+		}
+		if again := pm.Contention(); again != c {
+			t.Fatal("contention merge not stable after Close")
+		}
+		return c
 	}
-	if err := e.Init(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(engine.Options{MaxCycles: 10000}); err != nil {
-		t.Fatal(err)
-	}
-	pm.Close()
-	c := pm.Contention()
-	if c.QueueAcquires == 0 {
-		t.Fatal("no queue acquisitions recorded")
-	}
-	if c.LineAcquiresLeft+c.LineAcquiresRight == 0 {
-		t.Fatal("no line acquisitions recorded")
-	}
-	if again := pm.Contention(); again != c {
-		t.Fatal("contention merge not stable after Close")
-	}
+	t.Run("solo", func(t *testing.T) {
+		cs := conflict.NewSet()
+		pm := parmatch.New(net, cfg, cs)
+		awaitParked(t, pm, cfg.Procs)
+		c := run(t, pm, cs)
+		if n := c.LineAcquiresLeft + c.LineAcquiresRight; n != 0 {
+			t.Errorf("%d line acquisitions while matching alone", n)
+		}
+		if pm.SoloUnits() != pm.Units() {
+			t.Errorf("%d of %d units run alone", pm.SoloUnits(), pm.Units())
+		}
+	})
+	t.Run("eager", func(t *testing.T) {
+		// A worker must hold a unit when a drain starts, and a run is over
+		// in milliseconds: give it runs until one does.
+		for i := 0; i < 200; i++ {
+			cs := conflict.NewSet()
+			c := run(t, parmatch.NewEager(net, cfg, cs, 2, 1), cs)
+			if c.LineAcquiresLeft+c.LineAcquiresRight > 0 {
+				return
+			}
+		}
+		t.Error("no line acquisitions recorded in 200 runs")
+	})
 }

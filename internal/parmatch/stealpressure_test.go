@@ -250,10 +250,11 @@ func awaitParked(t *testing.T, m *parmatch.Matcher, n int) {
 
 // TestSchedulerCounters checks the scheduler counters on the fan
 // workload. At the real thresholds its 28 pending roots are not worth a
-// wake-up, so the control process must match every unit itself and a
-// worker may show nothing but the empty-handed looks it took before it
-// parked; on a matcher built with eager thresholds the workers do take
-// batches, and the unit accounting balances either way.
+// wake-up, so the control process must match every unit alone — with
+// vs2's activations plus one root task per WM change — and a worker may
+// show nothing but the empty-handed looks it took before it parked; on
+// a matcher built with eager thresholds the workers do take batches,
+// and the unit accounting balances either way.
 func TestSchedulerCounters(t *testing.T) {
 	net, wmes := fanWorkload(t)
 	k := &tables.Kernel{Net: net, Wmes: wmes}
@@ -264,6 +265,15 @@ func TestSchedulerCounters(t *testing.T) {
 	awaitParked(t, m, cfg.Procs) // newborn workers poll once before they park
 	k.Round(m)
 	checkUnitAccounting(t, m)
+	if m.SoloUnits() != m.Units() {
+		t.Errorf("%d of %d units run alone below the wake threshold", m.SoloUnits(), m.Units())
+	}
+	oracle := seqmatch.New(net, seqmatch.VS2, 0, tables.KernelSink())
+	k.Round(oracle)
+	if seq := oracle.MatchStats(); m.Activations() != seq.Activations+seq.WMChanges {
+		t.Errorf("solo drain: %d activations, want vs2's %d + %d roots",
+			m.Activations(), seq.Activations, seq.WMChanges)
+	}
 	for i, c := range m.WorkerContention()[:cfg.Procs] {
 		if c.QueueSpins == 0 {
 			t.Errorf("worker %d parked without an empty-handed look counted", i)
