@@ -58,8 +58,7 @@ recovery:
 
 # The join-order equivalence suite: every workload compiled with the
 # cost-based reorderer on vs off must produce identical WM, timetags
-# and firing traces on vs1/vs2/parallel, with and without beta
-# unlinking, under the race detector.
+# and firing traces on vs1/vs2/parallel, under the race detector.
 reorder-differential:
 	$(GO) test -race -run 'TestReorderDifferential' -v ./internal/tables
 

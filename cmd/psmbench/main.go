@@ -36,7 +36,7 @@ func main() {
 	matchOut := flag.String("matchout", "", "write -match results as JSON to this file (e.g. BENCH_match.json)")
 	durabilityBench := flag.Bool("durability", false, "run the session-spawn (fork vs cold) and crash-recovery benchmarks")
 	durOut := flag.String("durout", "", "write -durability results as JSON to this file (e.g. BENCH_durability.json)")
-	joinBench := flag.Bool("join", false, "run the adversarial join kernels (cost-based reordering, match budget, unlinking)")
+	joinBench := flag.Bool("join", false, "run the adversarial join kernels (cost-based reordering, match budget)")
 	joinOut := flag.String("joinout", "", "write -join results as JSON to this file (e.g. BENCH_join.json)")
 	clusterBench := flag.Bool("cluster", false, "run the cluster fabric sweep (proxy over N in-process backends)")
 	clusterOut := flag.String("clusterout", "", "write -cluster results as JSON to this file (e.g. BENCH_cluster.json)")
@@ -295,7 +295,7 @@ func runJoin(opt tables.JoinBenchOptions, outPath string) {
 	rep, err := tables.RunJoinBench(opt)
 	fatal(err)
 	oversub := false
-	fmt.Println("\nkernel     mode     backend  procs  unlink  budget  cycles  firings  opp-examined  acts  skips  relinks  trips  quarantined")
+	fmt.Println("\nkernel     mode     backend  procs  budget  cycles  firings  opp-examined  acts  trips  quarantined")
 	for _, p := range rep.Points {
 		procs := "-"
 		if p.Procs > 0 {
@@ -309,9 +309,9 @@ func runJoin(opt tables.JoinBenchOptions, outPath string) {
 		if p.Budget > 0 {
 			budget = fmt.Sprintf("%d", p.Budget)
 		}
-		fmt.Printf("%-10s %-8s %-8s %5s  %6v  %6s  %6d  %7d  %12d  %4d  %5d  %7d  %5d  %s\n",
-			p.Kernel, p.Mode, p.Backend, procs, p.Unlink, budget, p.Cycles, p.Firings,
-			p.OppExamined, p.Activations, p.UnlinkSkips, p.Relinks, p.BudgetTrips,
+		fmt.Printf("%-10s %-8s %-8s %5s  %6s  %6d  %7d  %12d  %4d  %5d  %s\n",
+			p.Kernel, p.Mode, p.Backend, procs, budget, p.Cycles, p.Firings,
+			p.OppExamined, p.Activations, p.BudgetTrips,
 			strings.Join(p.Quarantined, ","))
 	}
 	if oversub {
@@ -321,8 +321,6 @@ func runJoin(opt tables.JoinBenchOptions, outPath string) {
 		fmt.Printf("\nskew gain (source/planned opposite candidates): %.1fx\n", rep.SkewGain)
 	}
 	fmt.Printf("cross containment (unbudgeted/budgeted candidates): %.1fx\n", rep.CrossContainment)
-	fmt.Printf("chain null-activation ratio (unlink/linked, gated): %.3f  (%d skips)\n",
-		rep.ChainNullActRatio, rep.ChainUnlinkSkips)
 	if outPath != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		fatal(err)

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -75,13 +74,6 @@ type Config struct {
 	// of the adaptive node-segregated default — the reference the
 	// differential tests and bigmem benchmarks compare against.
 	Legacy bool
-	// Unlink enables right-unlinking of empty-left joins: right-side
-	// tasks for a join whose left memory has never been non-empty are
-	// buffered (per worker, lock-free) instead of hashed, stored and
-	// searched, and the join is relinked — its buffer replayed through
-	// the ordinary task machinery — at the next drain after its first
-	// left token arrives. Negated joins never unlink.
-	Unlink bool
 }
 
 // memState is one published generation of the token storage: the table
@@ -178,32 +170,6 @@ type Matcher struct {
 	wg      sync.WaitGroup
 	pushRR  int          // control-only: round-robin cursor over the central queues
 	changes atomic.Int64 // working-memory changes submitted
-
-	// unlinkSt is the right-unlinking state (nil when Config.Unlink is
-	// off). Workers read the linked flags per task; the control process
-	// flips them and replays buffers only at drained points, so a flag
-	// is constant within a work phase.
-	unlinkSt atomic.Pointer[unlinkState]
-	relinks  int64 // control-only: joins relinked so far
-}
-
-// unlinkState carries the per-join-ID linked flags (1 = process
-// normally; accessed atomically by workers) and the merged right-side
-// buffers (net delivery count per WME; control-only, touched at
-// drained points).
-type unlinkState struct {
-	linked []uint32
-	bufs   []map[*wm.WME]int
-}
-
-// unlinkOp is one skipped right-side delivery, logged privately by the
-// worker that would have processed it. The control process merges the
-// logs while drained; the counts commute, so cross-worker op order
-// doesn't matter.
-type unlinkOp struct {
-	join int32
-	sign bool
-	wme  *wm.WME
 }
 
 // termOp is one terminal activation, buffered by the process that ran
@@ -239,14 +205,10 @@ type wctx struct {
 	// rec carries this worker's per-node token counts and cumulative
 	// opposite-memory examination counters. Each worker owns its own
 	// recorder (no locks); the control process sums them at drained
-	// points for relink decisions and the engine's match budget. Its
+	// points for the engine's match budget. Its
 	// aggregate Match counters are not folded into MatchStats — the
 	// scan statistics stay with the sequential instrumentation runs.
 	rec *hashmem.Recorder
-	// unlinkOps / unlinkSkips log this worker's skipped right-side
-	// deliveries; merged and cleared by the control process at drains.
-	unlinkOps   []unlinkOp
-	unlinkSkips int64
 
 	// Per-task state read by the pre-bound closures below.
 	curNet  *rete.Network  // epoch loaded at task start (emit fan-out)
@@ -314,21 +276,6 @@ func newMatcher(net *rete.Network, cfg Config, sink rete.TerminalSink, whole, wa
 	m.ctl = m.procs[cfg.Procs]
 	m.ctl.soloEmitFn = m.ctl.soloEmit
 	m.ctl.soloDeliverFn = m.ctl.soloDeliver
-	if cfg.Unlink {
-		us := &unlinkState{
-			linked: make([]uint32, net.NumJoinIDs()),
-			bufs:   make([]map[*wm.WME]int, net.NumJoinIDs()),
-		}
-		for i := range us.linked {
-			us.linked[i] = 1
-		}
-		for _, j := range net.Joins {
-			if !j.Negated {
-				us.linked[j.ID] = 0
-			}
-		}
-		m.unlinkSt.Store(us)
-	}
 	for i := 0; i < cfg.Procs; i++ {
 		m.wg.Add(1)
 		go m.worker(i)
@@ -395,9 +342,6 @@ func (w *wctx) kick() {
 // publish it, locks and all, before the next Submit.
 func (m *Matcher) Drain() {
 	m.drain()
-	if us := m.unlinkSt.Load(); us != nil {
-		m.relinkLoop(us)
-	}
 	m.flushTerminals()
 	t := m.Table()
 	if n := t.GrowTarget(); n > 0 {
@@ -457,85 +401,6 @@ func (m *Matcher) flushTerminals() {
 	}
 }
 
-// relinkLoop runs at a drained point: it folds every worker's skipped
-// right-delivery log into the per-join buffers (the counts commute, so
-// cross-worker merge order doesn't matter), relinks each unlinked join
-// whose left memory has become non-empty by replaying its buffer
-// through the ordinary task machinery, and repeats — a relinked join's
-// replay can emit left tokens into other unlinked joins downstream —
-// until no join changes state. The left counts come from summing the
-// per-worker recorders, which the TaskCount==0 edge made visible.
-func (m *Matcher) relinkLoop(us *unlinkState) {
-	for {
-		for _, w := range m.procs {
-			for _, op := range w.unlinkOps {
-				b := us.bufs[op.join]
-				if b == nil {
-					b = make(map[*wm.WME]int)
-					us.bufs[op.join] = b
-				}
-				if op.sign {
-					b[op.wme]++
-				} else {
-					b[op.wme]--
-				}
-				if b[op.wme] == 0 {
-					delete(b, op.wme)
-				}
-			}
-			w.unlinkOps = w.unlinkOps[:0]
-		}
-		// Gather every replay before injecting any: an injected task can
-		// be taken at once by an awake worker, and the recorder reads below
-		// are only race-free while the matcher stays drained.
-		net := m.net.Load()
-		var replay []*taskqueue.Task
-		for _, j := range net.Joins {
-			if j.Negated || atomic.LoadUint32(&us.linked[j.ID]) == 1 {
-				continue
-			}
-			var left int64
-			for _, w := range m.procs {
-				left += w.rec.NodeCount[rete.Left][j.ID]
-			}
-			if left <= 0 {
-				continue
-			}
-			atomic.StoreUint32(&us.linked[j.ID], 1)
-			m.relinks++
-			buf := us.bufs[j.ID]
-			us.bufs[j.ID] = nil
-			if len(buf) == 0 {
-				continue
-			}
-			// Replay in timetag order: the order the WMEs would have
-			// arrived had the join been linked all along.
-			wmes := make([]*wm.WME, 0, len(buf))
-			for rw, c := range buf {
-				if c > 0 {
-					wmes = append(wmes, rw)
-				}
-			}
-			sort.Slice(wmes, func(a, b int) bool { return wmes[a].TimeTag < wmes[b].TimeTag })
-			// Replay tokens escape into node memories, so they come from a
-			// throwaway arena, not a worker pool.
-			var pools hashmem.Pools
-			for _, rw := range wmes {
-				tok := pools.MakeToken(1)
-				tok[0] = rw
-				replay = append(replay, &taskqueue.Task{Join: j, Side: rete.Right, Sign: true, Wmes: tok})
-			}
-		}
-		if len(replay) == 0 {
-			return
-		}
-		for _, t := range replay {
-			m.inject(t)
-		}
-		m.drain()
-	}
-}
-
 // Close stops the match goroutines. The matcher must be idle.
 func (m *Matcher) Close() {
 	m.stop.Store(true)
@@ -562,10 +427,6 @@ func (m *Matcher) MatchStats() stats.Match {
 	out := stats.Match{
 		WMChanges:   m.changes.Load(),
 		Activations: m.Activations(),
-		Relinks:     m.relinks,
-	}
-	for _, w := range m.procs {
-		out.UnlinkSkips += w.unlinkSkips
 	}
 	return out
 }
@@ -584,22 +445,6 @@ func (m *Matcher) JoinExamined() []int64 {
 		}
 	}
 	return out
-}
-
-// UnlinkedJoins reports how many live joins are currently unlinked.
-// Only meaningful while drained.
-func (m *Matcher) UnlinkedJoins() int {
-	us := m.unlinkSt.Load()
-	if us == nil {
-		return 0
-	}
-	n := 0
-	for _, j := range m.net.Load().Joins {
-		if !j.Negated && atomic.LoadUint32(&us.linked[j.ID]) == 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Contention merges the per-process lock, queue and requeue counters.
@@ -729,7 +574,7 @@ func (w *wctx) takeAll() bool {
 }
 
 // runSolo runs the units on the stack in queue order, depth-first as vs2
-// does. Activation counts, terminal buffers and unlink logs are kept as
+// does. Activation counts and terminal buffers are kept as
 // the locked path keeps them.
 func (w *wctx) runSolo() {
 	n := int64(len(w.stack))
@@ -786,9 +631,6 @@ func (w *wctx) soloTerm(term *rete.Terminal, sign bool, wmes []*wm.WME) {
 // search, its outputs recursed into rather than stacked.
 func (w *wctx) soloJoin(j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME) {
 	w.acts++
-	if w.skipUnlinked(j, side, sign, wmes) {
-		return
-	}
 	hash := tokenHash(j, side, wmes)
 	table := w.m.mem.Load().table
 	idx := table.LineIndex(j, hash)
@@ -905,9 +747,6 @@ func (w *wctx) emit(csign bool, cwmes []*wm.WME) {
 func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 	m := w.m
 	j := t.Join
-	if w.skipUnlinked(j, t.Side, t.Sign, t.Wmes) {
-		return false
-	}
 	hash := tokenHash(j, t.Side, t.Wmes)
 	// One bundle load per task: the table and its lock arrays always
 	// match, and a resize can only intervene while drained, so no task
@@ -970,19 +809,6 @@ func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 	return false
 }
 
-// skipUnlinked logs a right delivery into an unlinked join instead of
-// running it, and reports whether it did. The control process merges
-// the logs while drained and replays them when the join relinks.
-func (w *wctx) skipUnlinked(j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME) bool {
-	us := w.m.unlinkSt.Load()
-	if us == nil || side != rete.Right || atomic.LoadUint32(&us.linked[j.ID]) != 0 {
-		return false
-	}
-	w.unlinkOps = append(w.unlinkOps, unlinkOp{join: int32(j.ID), sign: sign, wme: wmes[0]})
-	w.unlinkSkips++
-	return true
-}
-
 // tokenHash is the hash that picks a token's line.
 func tokenHash(j *rete.JoinNode, side rete.Side, wmes []*wm.WME) uint64 {
 	if side == rete.Left {
@@ -1034,18 +860,11 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 			dead[j.ID] = true
 		}
 		removed = table.ExciseNodes(dead, nil)
-		us := m.unlinkSt.Load()
 		for id := range dead {
 			for _, w := range m.procs {
 				w.rec.NodeCount[0][id] = 0
 				w.rec.NodeCount[1][id] = 0
 				w.rec.NodeExamined[id] = 0
-			}
-			if us != nil {
-				// A dead join's buffered rights die with it; the flag is
-				// parked at linked so the never-reused ID stays inert.
-				atomic.StoreUint32(&us.linked[id], 1)
-				us.bufs[id] = nil
 			}
 		}
 	}
@@ -1053,29 +872,6 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 	nj := next.NumJoinIDs()
 	for _, w := range m.procs {
 		w.rec.EnsureNodes(nj)
-	}
-	if us := m.unlinkSt.Load(); us != nil {
-		if nj > len(us.linked) {
-			nl := make([]uint32, nj)
-			copy(nl, us.linked)
-			for i := len(us.linked); i < nj; i++ {
-				nl[i] = 1
-			}
-			nb := make([]map[*wm.WME]int, nj)
-			copy(nb, us.bufs)
-			us = &unlinkState{linked: nl, bufs: nb}
-			m.unlinkSt.Store(us)
-		}
-		// New joins are born with empty memories: start the non-negated
-		// ones unlinked, so the phase-1 right replay below lands in their
-		// buffers and the final drain relinks exactly those whose left
-		// memory filled during phase 2. Negated joins stay linked — their
-		// counts must settle in phase 1, before any left seed arrives.
-		for _, j := range d.NewJoins {
-			if !j.Negated {
-				atomic.StoreUint32(&us.linked[j.ID], 0)
-			}
-		}
 	}
 
 	targets := next.ReplayDests()

@@ -223,76 +223,3 @@ func TestRepeatedParallelRunsAreStable(t *testing.T) {
 		})
 	}
 }
-
-// TestUnlinkMatchesSequential verifies that right-unlinking changes the
-// work done, never the results: every configuration with Unlink on
-// fires exactly the sequence the sequential matcher does, on both the
-// positive chain workload and the negation-churn workload.
-func TestUnlinkMatchesSequential(t *testing.T) {
-	srcs := map[string]string{
-		"chain": chainSrc(25),
-		"neg":   negSrc,
-	}
-	for name, src := range srcs {
-		want := runSeq(t, src, 500)
-		for _, cfg := range configs() {
-			cfg.Unlink = true
-			t.Run(fmt.Sprintf("%s/p%dq%d%s", name, cfg.Procs, cfg.Queues, cfg.Scheme), func(t *testing.T) {
-				for _, b := range builders {
-					t.Run(b.name, func(t *testing.T) {
-						got := runPar(t, src, b, cfg, 500, func(m *parmatch.Matcher) {
-							if len(m.JoinExamined()) == 0 {
-								t.Errorf("JoinExamined returned no per-join counters")
-							}
-						})
-						sameRun(t, got, want)
-					})
-				}
-			})
-		}
-	}
-}
-
-// TestUnlinkSkipsWork checks that a join whose left side never
-// materializes really does buffer its right deliveries instead of
-// storing and searching them, and stays unlinked through the run.
-func TestUnlinkSkipsWork(t *testing.T) {
-	// Rule "dead" joins (ghost, item): no ghost is ever made, so the
-	// item right deliveries into its second join are pure null work.
-	src := `
-(literalize ghost id)
-(literalize item kind val)
-(literalize tick num)
-(p dead
-  (ghost ^id <g>)
-  (item ^val <g>)
--->
-  (halt))
-(p count-down
-  (tick ^num {<n> > 0})
--->
-  (modify 1 ^num (compute <n> - 1)))
-(p finish
-  (tick ^num 0)
--->
-  (halt))
-(make tick ^num 3)
-`
-	for i := 0; i < 8; i++ {
-		src += fmt.Sprintf("(make item ^kind a ^val %d)\n", i)
-	}
-	cfg := parmatch.Config{Procs: 3, Queues: 2, Scheme: parmatch.SchemeMRSW, Unlink: true}
-	for _, b := range builders {
-		t.Run(b.name, func(t *testing.T) {
-			runPar(t, src, b, cfg, 50, func(m *parmatch.Matcher) {
-				ms := m.MatchStats()
-				if ms.UnlinkSkips < 8 {
-					t.Errorf("UnlinkSkips = %d, want >= 8 (one per buffered item)", ms.UnlinkSkips)
-				}
-				if m.UnlinkedJoins() == 0 {
-					t.Errorf("dead join should still be unlinked at end of run")
-				}
-			})
-		})
-	}
-}

@@ -23,12 +23,12 @@ func TestReactorThroughREPL(t *testing.T) {
 	}
 	stdin := strings.Join([]string{
 		"run",
-		"case-42", // incident id
-		"10",      // hpis-flow
-		"55",      // sg-level
-		"30",      // pcs-pressure
-		"60",      // containment-pressure
-		"80",      // containment-radiation
+		"case-42",             // incident id
+		"10",                  // hpis-flow
+		"55",                  // sg-level
+		"30",                  // pcs-pressure
+		"60",                  // containment-pressure
+		"80",                  // containment-radiation
 		"all systems nominal", // operator log line, read by (acceptline)
 		"wm trace",
 		"exit",

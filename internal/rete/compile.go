@@ -525,7 +525,6 @@ func (b *builder) internJoin(prefixKey string, firstAlpha *AlphaChain, prev *Joi
 		EqTests:    split.eqTests,
 		OtherTests: split.otherTests,
 		LeftLen:    tokenLen,
-		Right:      right,
 		PlanPos:    planPos,
 		PlanSel:    joinSelEstimate(split),
 		key:        key,

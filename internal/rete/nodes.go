@@ -138,9 +138,6 @@ type JoinNode struct {
 	// LeftFromAlpha marks first-stage joins, whose left input comes
 	// straight from an alpha chain (tokens of length 1).
 	LeftFromAlpha bool
-	// Right is the alpha chain feeding the node's right input. Matchers
-	// use it to find the candidate WME population of an unlinked join.
-	Right *AlphaChain
 	// PlanPos is the position this join's condition element got in the
 	// compile plan (the source index when compiled in source order), and
 	// PlanSel the static selectivity estimate of the join's tests — both

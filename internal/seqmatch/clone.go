@@ -2,7 +2,6 @@ package seqmatch
 
 import (
 	"repro/internal/rete"
-	"repro/internal/wm"
 )
 
 // Clone returns an independent matcher over a deep copy of the token
@@ -20,25 +19,6 @@ func (m *Matcher) Clone(sink rete.TerminalSink) *Matcher {
 	c.Rec.EnsureNodes(m.Net.NumJoinIDs())
 	for s := 0; s < 2; s++ {
 		copy(c.Rec.NodeCount[s], m.Rec.NodeCount[s])
-	}
-	// Unlinking state is join-memory state, not a counter: a fork of a
-	// template with unlinked joins must keep their buffered right-side
-	// WMEs (the WMEs are immutable and shared; the buffers are not).
-	if m.unlinked != nil {
-		c.unlinked = make([]*rightBuf, len(m.unlinked))
-		for id, b := range m.unlinked {
-			if b == nil {
-				continue
-			}
-			nb := &rightBuf{
-				wmes: append([]*wm.WME(nil), b.wmes...),
-				pos:  make(map[*wm.WME]int, len(b.pos)),
-			}
-			for w, i := range b.pos {
-				nb.pos[w] = i
-			}
-			c.unlinked[id] = nb
-		}
 	}
 	return c
 }

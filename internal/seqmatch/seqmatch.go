@@ -49,44 +49,6 @@ type Matcher struct {
 	curRoot   []*wm.WME
 	emitFn    hashmem.Emit
 	deliverFn func(rete.AlphaDest)
-
-	// unlinked is the per-join-ID right-unlinking state (EnableUnlink);
-	// nil when the optimization is off. A non-nil rightBuf means the
-	// join's left memory has never been non-empty, so right-side
-	// deliveries are buffered in arrival order instead of being hashed,
-	// stored and searched. The first surviving left token relinks the
-	// join: the buffer is replayed as ordinary right activations —
-	// catching up exactly the deliveries that were skipped — and the
-	// join runs normally forever after. Negated joins
-	// never unlink (their right side drives the negation counts that
-	// must be correct before any left token is scored).
-	unlinked []*rightBuf
-}
-
-// rightBuf holds the right-side WMEs delivered to an unlinked join, in
-// arrival order, with O(1) removal for retractions that arrive while
-// the join is still unlinked.
-type rightBuf struct {
-	wmes []*wm.WME
-	pos  map[*wm.WME]int
-}
-
-func (b *rightBuf) add(w *wm.WME) {
-	b.pos[w] = len(b.wmes)
-	b.wmes = append(b.wmes, w)
-}
-
-func (b *rightBuf) remove(w *wm.WME) {
-	i, ok := b.pos[w]
-	if !ok {
-		return
-	}
-	last := len(b.wmes) - 1
-	mv := b.wmes[last]
-	b.wmes[i] = mv
-	b.pos[mv] = i
-	b.wmes = b.wmes[:last]
-	delete(b.pos, w)
 }
 
 // New builds a sequential matcher. nLines sizes the vs2 hash tables
@@ -153,30 +115,6 @@ func (m *Matcher) deliver(d rete.AlphaDest) {
 	m.activate(d.Join, d.Side, m.curSign, m.curRoot)
 }
 
-// EnableUnlink turns on right-unlinking of empty-left joins. It must be
-// called on a fresh matcher, before any working-memory change has been
-// submitted: the unlinked state asserts that a join's memories are
-// empty, which is only guaranteed from birth.
-func (m *Matcher) EnableUnlink() {
-	m.unlinked = make([]*rightBuf, m.Net.NumJoinIDs())
-	for _, j := range m.Net.Joins {
-		if !j.Negated {
-			m.unlinked[j.ID] = &rightBuf{pos: make(map[*wm.WME]int)}
-		}
-	}
-}
-
-// UnlinkedJoins reports how many joins are currently unlinked.
-func (m *Matcher) UnlinkedJoins() int {
-	n := 0
-	for _, b := range m.unlinked {
-		if b != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Drain is a no-op: Submit is synchronous.
 func (m *Matcher) Drain() {}
 
@@ -213,21 +151,6 @@ func (m *Matcher) CheckInvariants() error {
 }
 
 func (m *Matcher) activate(j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME) {
-	if m.unlinked != nil && side == rete.Right {
-		// Right delivery into an unlinked join: record the WME in the
-		// buffer and do no memory work. The WME arrives here through the
-		// alpha chain on every path (root deliveries and epoch replay),
-		// so the buffer is exactly the join's would-be right memory.
-		if b := m.unlinked[j.ID]; b != nil {
-			m.Rec.M.UnlinkSkips++
-			if sign {
-				b.add(wmes[0])
-			} else {
-				b.remove(wmes[0])
-			}
-			return
-		}
-	}
 	m.Rec.M.Activations++
 	// The hash is computed for vs1 too: its per-node lines ignore it for
 	// line selection, but storing it lets EntryList.Remove short-circuit
@@ -245,23 +168,6 @@ func (m *Matcher) activate(j *rete.JoinNode, side rete.Side, sign bool, wmes []*
 	}
 	if !res.Proceeded {
 		return
-	}
-	if m.unlinked != nil && side == rete.Left && sign {
-		// First surviving left token: relink the join by replaying the
-		// buffered right deliveries as ordinary activations. Each replay
-		// pairs its WME against the left memory — which holds exactly the
-		// token just inserted — so the left token's own opposite search
-		// is already covered and is skipped.
-		if b := m.unlinked[j.ID]; b != nil {
-			m.unlinked[j.ID] = nil
-			m.Rec.M.Relinks++
-			for _, rw := range b.wmes {
-				tok := m.pools.MakeToken(1)
-				tok[0] = rw
-				m.activate(j, rete.Right, true, tok)
-			}
-			return
-		}
 	}
 	m.curJoin = j
 	m.Table.SearchOpposite(idx, ref, j, side, sign, wmes, entry, m.Rec, &m.pools, m.emitFn)
@@ -307,9 +213,6 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 		dead := make(map[int]bool, len(d.DeadJoins))
 		for _, j := range d.DeadJoins {
 			dead[j.ID] = true
-			if m.unlinked != nil {
-				m.unlinked[j.ID] = nil
-			}
 		}
 		m.Table.FoldLive(&m.pools)
 		removed = m.Table.ExciseNodes(dead, m.Rec)
@@ -317,21 +220,6 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 	m.Net = next
 	m.Table.EnsureNodes(next.NumJoinIDs())
 	m.Rec.EnsureNodes(next.NumJoinIDs())
-	if m.unlinked != nil {
-		// New joins of this epoch start unlinked: phase 1's right fills
-		// are buffered, and phase 2's left replay relinks any join that
-		// actually has left tokens.
-		if n := next.NumJoinIDs(); n > len(m.unlinked) {
-			grown := make([]*rightBuf, n)
-			copy(grown, m.unlinked)
-			m.unlinked = grown
-		}
-		for _, j := range d.NewJoins {
-			if !j.Negated {
-				m.unlinked[j.ID] = &rightBuf{pos: make(map[*wm.WME]int)}
-			}
-		}
-	}
 
 	targets := next.ReplayDests()
 	// Phase 1: right-side deliveries into the new joins.

@@ -141,8 +141,9 @@ type sessionMeta struct {
 
 // storedConfig is a session config as a meta.json or an export payload
 // carries it. Earlier builds also wrote the keys below — backend (the
-// matcher's old name), procs, queues, locks, cs_shards and fire_batch —
-// so an entry or payload they wrote still decodes; resolve drops them.
+// matcher's old name), procs, queues, locks, cs_shards, fire_batch and
+// unlink — so an entry or payload they wrote still decodes; resolve
+// drops them.
 type storedConfig struct {
 	SessionConfig
 	Backend   string `json:"backend,omitempty"`
@@ -151,13 +152,15 @@ type storedConfig struct {
 	Locks     string `json:"locks,omitempty"`
 	CSShards  int    `json:"cs_shards,omitempty"`
 	FireBatch int    `json:"fire_batch,omitempty"`
+	Unlink    bool   `json:"unlink,omitempty"`
 }
 
 // resolve is the one compatibility rule for stored configs, used by
 // recovery and import alike: the old matcher key fills in for the new
 // one, a session that ran on the parallel matcher comes back on vs2 —
 // the same firings, WM and time tags on one goroutine — and the
-// parallel matcher's and the multi-fire act phase's knobs are dropped.
+// parallel matcher's, the multi-fire act phase's and beta unlinking's
+// knobs are dropped.
 func (c *storedConfig) resolve() SessionConfig {
 	cfg := c.SessionConfig
 	if cfg.Matcher == "" {

@@ -67,51 +67,3 @@ func TestSessionMatchBudget(t *testing.T) {
 		t.Fatalf("metrics rules_excised = %d, want >= 1", snap.Epoch.RulesExcised)
 	}
 }
-
-// deadJoinSrc has a rule whose second condition element never matches:
-// with unlinking on, req activations into the dead join are buffered
-// instead of probed.
-const deadJoinSrc = `
-(literalize req n)
-(literalize resp n)
-(literalize ghost n)
-(p answer
-  (req ^n <n>)
--->
-  (make resp ^n <n>)
-  (remove 1))
-(p dead
-  (ghost ^n <n>)
-  (req ^n <n>)
--->
-  (halt))
-`
-
-// TestSessionUnlink runs sessions on both matchers with unlinking
-// enabled and checks the unlink_skips and relinks counters reach
-// /metrics through the per-session stat folds.
-func TestSessionUnlink(t *testing.T) {
-	for _, matcher := range []string{"vs2", "vs1"} {
-		t.Run(matcher, func(t *testing.T) {
-			_, ts := newTestServer(t)
-			c := ts.Client()
-
-			var info server.SessionInfo
-			cfg := server.SessionConfig{Program: deadJoinSrc, Matcher: matcher, Unlink: true}
-			if code := call(t, c, "POST", ts.URL+"/sessions", cfg, &info); code != http.StatusCreated {
-				t.Fatalf("create: status %d", code)
-			}
-			res := assertN(t, c, ts.URL, info.ID, 1, 16)
-			if got := len(res.Firings); got != 16 {
-				t.Fatalf("firings = %d, want 16", got)
-			}
-			var snap stats.Snapshot
-			if code := call(t, c, "GET", ts.URL+"/metrics", nil, &snap); code != http.StatusOK {
-				t.Fatalf("metrics: status %d", code)
-			}
-			if snap.Match.UnlinkSkips == 0 {
-				t.Fatal("metrics unlink_skips = 0, want > 0 (dead join never probed)")
-			}
-		})
-	}
-}

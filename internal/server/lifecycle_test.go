@@ -340,7 +340,7 @@ func TestRecoverParentDataDir(t *testing.T) {
 	}
 
 	want := map[string]server.SessionConfig{
-		"s-000001": {Program: stormSrc, Matcher: "vs2", HashLines: 1024, MatchBudget: 500, Unlink: true, Watch: 1},
+		"s-000001": {Program: stormSrc, Matcher: "vs2", HashLines: 1024, MatchBudget: 500, Watch: 1},
 		"s-000002": {Program: stormSrc, Matcher: "vs1", HashLines: 512},
 	}
 	for id, cfg := range want {

@@ -290,10 +290,6 @@ type SessionConfig struct {
 	// from this session's network (quarantining the rule, not the
 	// process) and counted in the epoch budget_trips metric. 0 disables.
 	MatchBudget int64 `json:"match_budget"`
-	// Unlink enables left/right unlinking of empty beta-memory inputs:
-	// right activations into a join whose left memory is empty are
-	// buffered instead of probed, and replayed when the join relinks.
-	Unlink bool `json:"unlink"`
 	// Watch sets the session's trace level, mirroring OPS5 (watch N):
 	// 0 defers to the program's own (watch ...) declaration (silent when
 	// it has none), 1 traces firings, 2 adds WM changes, and -1 forces
@@ -572,11 +568,7 @@ func newMatcher(net *rete.Network, cfg *SessionConfig, cs *conflict.Set) (*seqma
 	default:
 		return nil, "", fmt.Errorf("unknown matcher %q (want vs2 or vs1)", cfg.Matcher)
 	}
-	m := seqmatch.New(net, v, cfg.HashLines, cs)
-	if cfg.Unlink {
-		m.EnableUnlink()
-	}
-	return m, name, nil
+	return seqmatch.New(net, v, cfg.HashLines, cs), name, nil
 }
 
 // session looks a live session up.

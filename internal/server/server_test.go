@@ -351,7 +351,7 @@ func TestRemovedKnobsRejected(t *testing.T) {
 		{"/templates", map[string]any{"program": pingSrc, "matcher": "parallel"}, `"parallel"`},
 		{"/programs", map[string]any{"program": pingSrc, "procs": 2}, `"procs"`},
 	}
-	for _, key := range []string{"procs", "queues", "locks", "cs_shards", "fire_batch"} {
+	for _, key := range []string{"procs", "queues", "locks", "cs_shards", "fire_batch", "unlink"} {
 		cases = append(cases,
 			rejected{"/sessions", map[string]any{"program": pingSrc, key: 1}, `"` + key + `"`},
 			rejected{"/templates", map[string]any{"program": pingSrc, key: 1}, `"` + key + `"`})

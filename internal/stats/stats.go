@@ -30,13 +30,6 @@ type Match struct {
 	ConstTests int64 `json:"const_tests"` // constant tests evaluated
 	CSInserts  int64 `json:"cs_inserts"`  // conflict-set insertions
 	CSDeletes  int64 `json:"cs_deletes"`
-
-	// Beta-unlinking counters: right activations buffered instead of
-	// processed because the join's left memory had never been non-empty,
-	// and the number of joins that relinked (first left token arrived
-	// and the buffered right deliveries were replayed).
-	UnlinkSkips int64 `json:"unlink_skips"`
-	Relinks     int64 `json:"relinks"`
 }
 
 // Add accumulates o into m.
@@ -57,8 +50,6 @@ func (m *Match) Add(o *Match) {
 	m.ConstTests += o.ConstTests
 	m.CSInserts += o.CSInserts
 	m.CSDeletes += o.CSDeletes
-	m.UnlinkSkips += o.UnlinkSkips
-	m.Relinks += o.Relinks
 }
 
 // Sub subtracts o from m, field by field. The server uses it to fold
@@ -80,8 +71,6 @@ func (m *Match) Sub(o *Match) {
 	m.ConstTests -= o.ConstTests
 	m.CSInserts -= o.CSInserts
 	m.CSDeletes -= o.CSDeletes
-	m.UnlinkSkips -= o.UnlinkSkips
-	m.Relinks -= o.Relinks
 }
 
 // Mean returns num/den or 0 when den is 0.

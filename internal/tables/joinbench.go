@@ -1,9 +1,8 @@
 // RunJoinBench drives the adversarial join kernels recorded in
 // BENCH_join.json: the skewed-value join (what cost-based reordering
 // fixes), the no-equality-test cross product (what the match budget
-// contains), and the long dependent chain (what left/right unlinking
-// skips). Every point is counter-based — opposite-memory candidates
-// examined, unlink skips, budget trips — so the interesting numbers are
+// contains). Every point is counter-based — opposite-memory candidates
+// examined, budget trips — so the interesting numbers are
 // deterministic for a fixed kernel size and gate cleanly in
 // benchsmoke_test.go.
 package tables
@@ -38,9 +37,6 @@ type JoinBenchOptions struct {
 	CrossObjs   int
 	CrossTicks  int
 	CrossBudget int64
-	// ChainVals x ChainDepth sizes the dependent chain (default 32 x 8).
-	ChainVals  int
-	ChainDepth int
 }
 
 func (o *JoinBenchOptions) fill() {
@@ -65,12 +61,6 @@ func (o *JoinBenchOptions) fill() {
 	if o.CrossBudget <= 0 {
 		o.CrossBudget = 300
 	}
-	if o.ChainVals <= 0 {
-		o.ChainVals = 32
-	}
-	if o.ChainDepth <= 0 {
-		o.ChainDepth = 8
-	}
 }
 
 // JoinPoint is one kernel execution. OppExamined is the sum of
@@ -82,7 +72,6 @@ type JoinPoint struct {
 	Mode    string `json:"mode"`    // "planned" or "source" join order
 	Backend string `json:"backend"` // "vs2" or "parallel"
 	Procs   int    `json:"procs,omitempty"`
-	Unlink  bool   `json:"unlink,omitempty"`
 	Budget  int64  `json:"budget,omitempty"`
 
 	Seconds     float64  `json:"seconds"`
@@ -90,8 +79,6 @@ type JoinPoint struct {
 	Firings     int      `json:"firings"`
 	OppExamined int64    `json:"opp_examined"`
 	Activations int64    `json:"activations"`
-	UnlinkSkips int64    `json:"unlink_skips,omitempty"`
-	Relinks     int64    `json:"relinks,omitempty"`
 	BudgetTrips int64    `json:"budget_trips,omitempty"`
 	Quarantined []string `json:"quarantined,omitempty"`
 	// Oversubscribed: see MatchWorkloadPoint.
@@ -102,24 +89,18 @@ type JoinPoint struct {
 // are computed from the sequential points (deterministic counters):
 // SkewGain is source/planned opposite-memory candidates on the skew
 // kernel, CrossContainment is unbudgeted/budgeted candidates on the
-// cross kernel, ChainNullActRatio is with-unlink/without-unlink
-// activations on the never-relinked chainidle kernel (the head-on
-// chain kernel replays its buffered work, so its trace-equality check
-// is the interesting part there).
+// cross kernel.
 type JoinBenchReport struct {
-	HostCPUs          int         `json:"host_cpus"`
-	SkewGain          float64     `json:"skew_gain"`
-	CrossContainment  float64     `json:"cross_containment"`
-	ChainNullActRatio float64     `json:"chain_null_act_ratio"`
-	ChainUnlinkSkips  int64       `json:"chain_unlink_skips"`
-	Points            []JoinPoint `json:"points"`
+	HostCPUs         int         `json:"host_cpus"`
+	SkewGain         float64     `json:"skew_gain"`
+	CrossContainment float64     `json:"cross_containment"`
+	Points           []JoinPoint `json:"points"`
 }
 
 // joinRunConfig is one execution request against a kernel source.
 type joinRunConfig struct {
 	mode   string // "planned" or "source"
 	procs  int    // 0 = sequential vs2
-	unlink bool
 	budget int64
 }
 
@@ -142,28 +123,22 @@ func runJoinKernel(kernel, src string, rc joinRunConfig) (*JoinPoint, error) {
 	}
 
 	pt := &JoinPoint{
-		Kernel: kernel, Mode: rc.mode, Backend: "vs2",
-		Unlink: rc.unlink, Budget: rc.budget,
+		Kernel: kernel, Mode: rc.mode, Backend: "vs2", Budget: rc.budget,
 	}
 	var (
 		examined func() []int64
-		unlinked func() (int64, int64)
 		acts     func() int64
 	)
 	if rc.procs <= 0 {
 		cs := conflict.NewSet()
 		sm := seqmatch.New(net, seqmatch.VS2, 0, cs)
-		if rc.unlink {
-			sm.EnableUnlink()
-		}
 		examined = sm.JoinExamined
-		unlinked = func() (int64, int64) { ms := sm.MatchStats(); return ms.UnlinkSkips, ms.Relinks }
 		acts = func() int64 { return sm.MatchStats().Activations }
 		e, err := engine.New(prog, net, cs, sm, nil)
 		if err != nil {
 			return nil, err
 		}
-		return finishJoinRun(pt, e, rc, examined, unlinked, acts)
+		return finishJoinRun(pt, e, rc, examined, acts)
 	}
 
 	pt.Backend = "parallel"
@@ -171,21 +146,20 @@ func runJoinKernel(kernel, src string, rc joinRunConfig) (*JoinPoint, error) {
 	pt.Oversubscribed = rc.procs > runtime.NumCPU()
 	cs := conflict.NewSet()
 	pm := parmatch.New(net, parmatch.Config{
-		Procs: rc.procs, Queues: 4, Scheme: parmatch.SchemeSimple, Unlink: rc.unlink,
+		Procs: rc.procs, Queues: 4, Scheme: parmatch.SchemeSimple,
 	}, cs)
 	defer pm.Close()
 	examined = pm.JoinExamined
-	unlinked = func() (int64, int64) { ms := pm.MatchStats(); return ms.UnlinkSkips, ms.Relinks }
 	acts = func() int64 { return pm.MatchStats().Activations }
 	e, err := engine.New(prog, net, cs, pm, nil)
 	if err != nil {
 		return nil, err
 	}
-	return finishJoinRun(pt, e, rc, examined, unlinked, acts)
+	return finishJoinRun(pt, e, rc, examined, acts)
 }
 
 func finishJoinRun(pt *JoinPoint, e *engine.Engine, rc joinRunConfig,
-	examined func() []int64, unlinked func() (int64, int64), acts func() int64) (*JoinPoint, error) {
+	examined func() []int64, acts func() int64) (*JoinPoint, error) {
 	start := time.Now()
 	if err := e.Init(); err != nil {
 		return nil, fmt.Errorf("%s/%s: init: %w", pt.Kernel, pt.Mode, err)
@@ -203,7 +177,6 @@ func finishJoinRun(pt *JoinPoint, e *engine.Engine, rc joinRunConfig,
 	for _, n := range examined() {
 		pt.OppExamined += n
 	}
-	pt.UnlinkSkips, pt.Relinks = unlinked()
 	pt.Activations = acts()
 	pt.BudgetTrips = e.EpochStats().BudgetTrips
 	for _, q := range e.Quarantined() {
@@ -272,48 +245,5 @@ func RunJoinBench(opt JoinBenchOptions) (*JoinBenchReport, error) {
 	if capped.OppExamined > 0 {
 		rep.CrossContainment = float64(free.OppExamined) / float64(capped.OppExamined)
 	}
-
-	// Chain, head on: the correctness shape. The head arrives last, the
-	// chain relinks and replays everything it buffered, and the firing
-	// trace must match the always-linked run exactly.
-	chain := workload.DepChain(opt.ChainVals, opt.ChainDepth, true)
-	linked, err := add("chain", chain, joinRunConfig{mode: "planned"})
-	if err != nil {
-		return nil, err
-	}
-	unlinkedPt, err := add("chain", chain, joinRunConfig{mode: "planned", unlink: true})
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range opt.Procs {
-		if _, err := add("chain", chain, joinRunConfig{mode: "planned", procs: p, unlink: true}); err != nil {
-			return nil, err
-		}
-	}
-	if linked.Firings != unlinkedPt.Firings {
-		return nil, fmt.Errorf("chain: unlinked fired %d, linked %d — unlinking changed the computation",
-			unlinkedPt.Firings, linked.Firings)
-	}
-
-	// Chain, head off: the gate never opens, so what the linked run
-	// spends on null right activations the unlinked run skips outright.
-	idle := workload.DepChain(opt.ChainVals, opt.ChainDepth, false)
-	idleLinked, err := add("chainidle", idle, joinRunConfig{mode: "planned"})
-	if err != nil {
-		return nil, err
-	}
-	idleUnlinked, err := add("chainidle", idle, joinRunConfig{mode: "planned", unlink: true})
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range opt.Procs {
-		if _, err := add("chainidle", idle, joinRunConfig{mode: "planned", procs: p, unlink: true}); err != nil {
-			return nil, err
-		}
-	}
-	if idleLinked.Activations > 0 {
-		rep.ChainNullActRatio = float64(idleUnlinked.Activations) / float64(idleLinked.Activations)
-	}
-	rep.ChainUnlinkSkips = idleUnlinked.UnlinkSkips
 	return rep, nil
 }

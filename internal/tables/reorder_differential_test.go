@@ -75,7 +75,7 @@ func sweepSrc(items int) string {
 // the final WM (tag + fields, sorted), the next time tag, and the
 // program's write output. Any semantic divergence between join orders
 // shows up as a fingerprint mismatch.
-func reorderFingerprint(t *testing.T, spec Spec, backend string, reorder, unlink bool) string {
+func reorderFingerprint(t *testing.T, spec Spec, backend string, reorder bool) string {
 	t.Helper()
 	prog, err := ops5.Parse(spec.Src)
 	if err != nil {
@@ -94,15 +94,11 @@ func reorderFingerprint(t *testing.T, spec Spec, backend string, reorder, unlink
 			variant = seqmatch.VS2
 		}
 		cs = conflict.NewSet()
-		sm := seqmatch.New(net, variant, 0, cs)
-		if unlink {
-			sm.EnableUnlink()
-		}
-		m = sm
+		m = seqmatch.New(net, variant, 0, cs)
 	case "parallel":
 		cs = conflict.NewSet()
 		pm := parmatch.New(net, parmatch.Config{
-			Procs: 4, Queues: 2, Scheme: parmatch.SchemeSimple, Unlink: unlink,
+			Procs: 4, Queues: 2, Scheme: parmatch.SchemeSimple,
 		}, cs)
 		defer pm.Close()
 		m = pm
@@ -143,7 +139,7 @@ func reorderFingerprint(t *testing.T, spec Spec, backend string, reorder, unlink
 // every workload compiled with the join-order planner must produce
 // byte-identical firing traces (rules + time tags + cycles), final
 // working memory and program output as the source-order compile, on
-// every matcher backend, with and without beta unlinking. This is the
+// every matcher backend. This is the
 // semantic contract of the planner's TokenPerm remapping — reordering
 // may change how much work the match does, never what it computes.
 func TestReorderDifferential(t *testing.T) {
@@ -162,33 +158,24 @@ func TestReorderDifferential(t *testing.T) {
 			for _, backend := range []string{"vs1", "vs2", "parallel"} {
 				backend := backend
 				t.Run(backend, func(t *testing.T) {
-					ref := reorderFingerprint(t, spec, backend, false, false)
-					for _, mode := range []struct {
-						name            string
-						reorder, unlink bool
-					}{
-						{"reorder", true, false},
-						{"reorder+unlink", true, true},
-						{"unlink", false, true},
-					} {
-						got := reorderFingerprint(t, spec, backend, mode.reorder, mode.unlink)
-						if got == ref {
-							continue
-						}
-						refLines, gotLines := strings.Split(ref, "\n"), strings.Split(got, "\n")
-						for i := range refLines {
-							line := "<missing>"
-							if i < len(gotLines) {
-								line = gotLines[i]
-							}
-							if refLines[i] != line {
-								t.Fatalf("%s diverges from source order at line %d:\n source %q\n %-6s %q",
-									mode.name, i, refLines[i], mode.name, line)
-							}
-						}
-						t.Fatalf("%s transcript longer than source order: %d vs %d lines",
-							mode.name, len(gotLines), len(refLines))
+					ref := reorderFingerprint(t, spec, backend, false)
+					got := reorderFingerprint(t, spec, backend, true)
+					if got == ref {
+						return
 					}
+					refLines, gotLines := strings.Split(ref, "\n"), strings.Split(got, "\n")
+					for i := range refLines {
+						line := "<missing>"
+						if i < len(gotLines) {
+							line = gotLines[i]
+						}
+						if refLines[i] != line {
+							t.Fatalf("reorder diverges from source order at line %d:\n source  %q\n reorder %q",
+								i, refLines[i], line)
+						}
+					}
+					t.Fatalf("reorder transcript longer than source order: %d vs %d lines",
+						len(gotLines), len(refLines))
 				})
 			}
 		})

@@ -1,5 +1,5 @@
-// Adversarial join kernels for the join-order planner, the match
-// budget and left/right unlinking (BENCH_join.json). Each generator
+// Adversarial join kernels for the join-order planner and the match
+// budget (BENCH_join.json). Each generator
 // returns a complete OPS5 program that halts deterministically, so the
 // same source runs under every backend and either join order with a
 // byte-identical firing trace.
@@ -124,66 +124,5 @@ func CrossProduct(objs, ticks int) string {
 	for i := 1; i <= objs; i++ {
 		fmt.Fprintf(&b, "(make obj ^id %d)\n", i)
 	}
-	return b.String()
-}
-
-// DepChain builds the long-dependent-chain kernel: one rule whose
-// condition elements form a depth-long equality chain on ^val, gated by
-// a head element asserted after every link. Until the head arrives all
-// of the rule's beta memories are empty, so every link assert is a null
-// right activation — the case left/right unlinking turns into a
-// buffered no-op.
-//
-// With headOn true the head is asserted (^flag on) after every link:
-// the first join relinks, the buffered replays cascade down the chain,
-// the rule fires once per value consuming the level-0 links, and the
-// program halts — the correctness shape (deferred work is replayed
-// exactly). With headOn false the head arrives with ^flag off, the
-// gate never opens, and every one of the buffered activations is work
-// avoided outright — the null-activation shape the chain gate in
-// BENCH_baseline.json measures.
-func DepChain(vals, depth int, headOn bool) string {
-	if vals < 1 {
-		vals = 1
-	}
-	if depth < 2 {
-		depth = 2
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, `; DepChain: %d values through a %d-level dependent chain.
-(literalize head flag)
-(literalize link lvl val)
-
-(p chain
-  (head ^flag on)
-`, vals, depth)
-	for l := 0; l < depth; l++ {
-		fmt.Fprintf(&b, "  (link ^lvl %d ^val <v>)\n", l)
-	}
-	b.WriteString(`-->
-  (remove 2))
-
-(p done
-  (head ^flag on)
-  - (link ^lvl 0)
--->
-  (halt))
-
-(p done-gated
-  (head ^flag off)
--->
-  (halt))
-
-`)
-	for v := 1; v <= vals; v++ {
-		for l := 0; l < depth; l++ {
-			fmt.Fprintf(&b, "(make link ^lvl %d ^val %d)\n", l, v)
-		}
-	}
-	flag := "on"
-	if !headOn {
-		flag = "off"
-	}
-	fmt.Fprintf(&b, "(make head ^flag %s)\n", flag)
 	return b.String()
 }

@@ -161,12 +161,6 @@ type Config struct {
 	// quarantined — excised from the network, reported by Quarantined()
 	// — instead of stalling the engine. Inert for the Lisp baseline.
 	MatchBudget int64
-	// Unlink enables left/right unlinking in the hash-table matchers:
-	// right-side activations of a join whose left memory is empty are
-	// buffered instead of stored and searched, and replayed when the
-	// join's first left token arrives. Results are identical; null
-	// activations on dead branches are skipped.
-	Unlink bool
 }
 
 // ReorderMode selects the join-order compile (Config.ReorderJoins).
@@ -230,11 +224,7 @@ func New(p *Program, cfg Config) (*Engine, error) {
 		if cfg.Matcher == MatcherVS1 {
 			v = seqmatch.VS1
 		}
-		sm := seqmatch.New(net, v, cfg.HashLines, cs)
-		if cfg.Unlink {
-			sm.EnableUnlink()
-		}
-		m = sm
+		m = seqmatch.New(net, v, cfg.HashLines, cs)
 	case MatcherLisp:
 		m = lispemu.New(p.prog, net, cs)
 	case MatcherParallel:
@@ -247,7 +237,6 @@ func New(p *Program, cfg Config) (*Engine, error) {
 			Queues: cfg.TaskQueues,
 			Lines:  cfg.HashLines,
 			Scheme: cfg.Locks,
-			Unlink: cfg.Unlink,
 		}, cs)
 		m = par
 	default:
@@ -356,8 +345,7 @@ func (e *Engine) EpochStats() stats.Epoch { return e.inner.EpochStats() }
 func (e *Engine) NetworkSummary() rete.NetStats { return e.inner.Net.Summarize() }
 
 // MatchStats returns the matcher's counters — working-memory changes,
-// node activations, memory-scan statistics, and (with Unlink on) the
-// right activations skipped and joins relinked. Zero for backends that
+// node activations and memory-scan statistics. Zero for backends that
 // keep no counters.
 func (e *Engine) MatchStats() stats.Match {
 	if mm, ok := e.inner.Matcher.(interface{ MatchStats() stats.Match }); ok {
