@@ -48,7 +48,7 @@ DURABILITY_TESTS = TestCrashRecoveryDifferential|TestLifecycleDifferential|TestR
 race:
 	$(GO) test -race ./internal/server ./internal/engine
 	$(GO) test -race -count=20 -run '$(DURABILITY_TESTS)' ./internal/server
-	$(GO) test -race -count=20 ./internal/wmlog ./internal/parmatch ./internal/taskqueue ./internal/hashmem
+	$(GO) test -race -count=20 ./internal/wmlog ./internal/parmatch ./internal/taskqueue ./internal/hashmem ./internal/wm
 
 # The durability suites on their own, verbose, plus template-fork
 # isolation and the quarantine fd release.
@@ -100,9 +100,10 @@ fuzz-smoke:
 # 4x of each other (min-of-N ratios, so host speed cancels) — a request
 # pays for what it changes, not what the session holds. Then the token
 # store's allocation gate (counts): one Weaver(20, 9) session on vs2
-# played to halt in 25-cycle slices must stay under 0.40 mallocs and 75
-# bytes per node activation and 25 k mallocs in Init, its conflict set
-# must rescan at most 30 000 instantiations and report no lock spins.
+# played to halt in 25-cycle slices must stay under 0.20 mallocs and 33
+# bytes per node activation and 13 k mallocs in Init, add at most 1 MB of
+# scannable heap at its peak of live tokens, and its conflict set must
+# rescan at most 30 000 instantiations and report no lock spins.
 # Then the 1-rep
 # match-kernel + conflict-set sweep plus the fork-vs-cold session-spawn
 # ratio, failing on regression against the checked-in

@@ -25,13 +25,17 @@
 package conflict
 
 import (
+	"slices"
+
 	"repro/internal/rete"
 	"repro/internal/stats"
 	"repro/internal/wm"
 )
 
 // Instantiation is one satisfied production: the rule plus the ordered
-// WMEs matching its positive condition elements.
+// WMEs matching its positive condition elements. Wmes is the
+// instantiation's own storage, copied from the matcher's token and
+// reused when the object recycles.
 type Instantiation struct {
 	Rule *rete.CompiledRule
 	Wmes []*wm.WME
@@ -89,6 +93,7 @@ type Set struct {
 	parts    [partitions]partition
 	strategy Strategy
 	c        stats.Conflict // counters and the Live/Fired/Pending gauges
+	tok      []*wm.WME      // scratch: the token being looked up, in source order
 }
 
 // NewSet returns an empty conflict set with default configuration (Lex).
@@ -124,8 +129,8 @@ func (s *Set) UseStrategy(st Strategy) {
 }
 
 // fnv-1a, folding the rule index and each time tag in token order
-// (token order is part of instantiation identity — SameWmes is
-// order-sensitive).
+// (token order is part of instantiation identity — the token comparison
+// is order-sensitive).
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -140,24 +145,26 @@ func instKey(rule *rete.CompiledRule, wmes []*wm.WME) uint64 {
 	return h
 }
 
-// permuteToken maps a network-order token back into the rule's source
-// condition-element order (rete.CompiledRule.TokenPerm). The conflict
-// set is the single choke point every matcher backend's terminal
-// activations flow through, so applying the permutation here keeps
-// instantiation keys, recency, MEA's first-CE tag, RHS positions and
-// the firing trace byte-identical whether or not the rule's joins were
-// reordered at compile time. Plus and minus activations permute the
-// same way, so pending-delete annihilation still pairs correctly.
-func permuteToken(rule *rete.CompiledRule, wmes []*wm.WME) []*wm.WME {
+// sourceToken maps a network-order token back into the rule's source
+// condition-element order (rete.CompiledRule.TokenPerm), in the set's
+// scratch. The conflict set is the single choke point every matcher
+// backend's terminal activations flow through, so applying the
+// permutation here keeps instantiation keys, recency, MEA's first-CE
+// tag, RHS positions and the firing trace byte-identical whether or not
+// the rule's joins were reordered at compile time. Plus and minus
+// activations permute the same way, so pending-delete annihilation still
+// pairs correctly. The caller's token is the matcher's scratch and is
+// only read: an instantiation that stays copies the result.
+func (s *Set) sourceToken(rule *rete.CompiledRule, wmes []*wm.WME) []*wm.WME {
 	p := rule.TokenPerm
 	if p == nil {
 		return wmes
 	}
-	out := make([]*wm.WME, len(wmes))
+	s.tok = slices.Grow(s.tok[:0], len(wmes))[:len(wmes)]
 	for i, w := range wmes {
-		out[p[i]] = w
+		s.tok[p[i]] = w
 	}
-	return out
+	return s.tok
 }
 
 // part returns the partition holding key h.
@@ -168,7 +175,7 @@ func (s *Set) part(h uint64) *partition { return &s.parts[h&(partitions-1)] }
 func unlink(m map[uint64]*Instantiation, h uint64, rule *rete.CompiledRule, wmes []*wm.WME) *Instantiation {
 	var prev *Instantiation
 	for cur := m[h]; cur != nil; prev, cur = cur, cur.next {
-		if cur.Rule == rule && rete.SameWmes(cur.Wmes, wmes) {
+		if cur.Rule == rule && slices.Equal(cur.Wmes, wmes) {
 			unlinkNode(m, h, prev, cur)
 			return cur
 		}
@@ -203,8 +210,9 @@ func unlinkNode(m map[uint64]*Instantiation, h uint64, prev, cur *Instantiation)
 }
 
 // newInst builds an instantiation from the partition's free list, or
-// allocates. withRecency is false for parked pending deletes, which
-// never compete in selection.
+// allocates, copying the token into the instantiation's own storage.
+// withRecency is false for parked pending deletes, which never compete
+// in selection.
 func (p *partition) newInst(rule *rete.CompiledRule, wmes []*wm.WME, h uint64, withRecency bool) *Instantiation {
 	inst := p.free
 	if inst != nil {
@@ -214,7 +222,7 @@ func (p *partition) newInst(rule *rete.CompiledRule, wmes []*wm.WME, h uint64, w
 	} else {
 		inst = &Instantiation{}
 	}
-	inst.Rule, inst.Wmes, inst.hash = rule, wmes, h
+	inst.Rule, inst.Wmes, inst.hash = rule, append(inst.Wmes[:0], wmes...), h
 	inst.Fired, inst.leaked = false, false
 	if !withRecency {
 		inst.recency = inst.recency[:0]
@@ -246,7 +254,9 @@ func (p *partition) recycle(inst *Instantiation) {
 	if inst.leaked || inst.Fired || p.nFree >= freeListCap {
 		return
 	}
-	inst.Rule, inst.Wmes = nil, nil
+	inst.Rule = nil
+	clear(inst.Wmes)
+	inst.Wmes = inst.Wmes[:0]
 	inst.recency = inst.recency[:0]
 	inst.next = p.free
 	p.free = inst
@@ -257,7 +267,7 @@ func (p *partition) recycle(inst *Instantiation) {
 // The token arrives in network join order and is permuted to source
 // condition-element order before anything downstream sees it.
 func (s *Set) InsertInstantiation(rule *rete.CompiledRule, wmes []*wm.WME) {
-	wmes = permuteToken(rule, wmes)
+	wmes = s.sourceToken(rule, wmes)
 	h := instKey(rule, wmes)
 	p := s.part(h)
 	s.c.Inserts++
@@ -288,7 +298,7 @@ func (s *Set) InsertInstantiation(rule *rete.CompiledRule, wmes []*wm.WME) {
 // removal whose insertion is in the same batch annihilates with it when
 // the insertion arrives.
 func (s *Set) RemoveInstantiation(rule *rete.CompiledRule, wmes []*wm.WME) {
-	wmes = permuteToken(rule, wmes)
+	wmes = s.sourceToken(rule, wmes)
 	h := instKey(rule, wmes)
 	p := s.part(h)
 	s.c.Deletes++

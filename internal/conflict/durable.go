@@ -2,6 +2,7 @@ package conflict
 
 import (
 	"repro/internal/rete"
+	"repro/internal/wm"
 )
 
 // This file is the conflict set's durability surface: enumerating and
@@ -91,7 +92,7 @@ func cloneBuckets(dst, src map[uint64]*Instantiation) {
 		for cur := head; cur != nil; cur = cur.next {
 			c := &Instantiation{
 				Rule:  cur.Rule,
-				Wmes:  cur.Wmes, // token slices are immutable once emitted
+				Wmes:  append([]*wm.WME(nil), cur.Wmes...), // the original's storage recycles
 				Fired: cur.Fired,
 				hash:  cur.hash,
 			}

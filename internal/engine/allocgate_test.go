@@ -3,6 +3,7 @@ package engine_test
 import (
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/conflict"
@@ -18,18 +19,26 @@ import (
 // gated on counts. One Weaver(20, 9) session on vs2 — the
 // serve-weaver-direct workload at library level — is built, initialised
 // and played to halt in 25-cycle slices, and the heap counters around it
-// must stay under the bounds below. The segregated layout this replaced
-// read 0.88 mallocs and 87.5 bytes per activation and 56.5 k mallocs in
-// Init (a sub-index per touched line, a slice per run, an entry per
-// insert past a 1 024-entry pool).
+// must stay under the bounds below: the pointer-free token store reads
+// 0.087 mallocs and 25.3 bytes per activation and 4.5 k mallocs in Init.
+// The pointer layout before it read 0.124, 56.2 and 8.7 k (token slices
+// cut from chunks that never recycled), and the one before that 0.88,
+// 87.5 and 56.5 k (a sub-index per touched line, a slice per run, an
+// entry per insert past a 1 024-entry pool).
+//
+// The token store holds no pointers, so the collector has almost
+// nothing of a session to mark: replayed to its peak of live entries and
+// collected, the session adds 0.17 MB of scannable heap, against 9.85 MB
+// when entries, runs, lines and tokens were Go pointers.
 //
 // The same session pins the conflict set's shape: its 32 selection
 // partitions rescan about 21.7 k instantiations over the session where
 // one partition would rescan 554 k, and it takes no locks.
 const (
-	maxMallocsPerActivation = 0.40
-	maxBytesPerActivation   = 75.0
-	maxInitMallocs          = 25000
+	maxMallocsPerActivation = 0.20
+	maxBytesPerActivation   = 33.0
+	maxInitMallocs          = 13000
+	maxScanBytes            = 1 << 20
 	maxSelectScanned        = 30000
 )
 
@@ -52,26 +61,41 @@ func TestMatchAllocationGate(t *testing.T) {
 		t.Fatalf("rhs compile: %v", err)
 	}
 
-	var before, ready, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	cs := conflict.New(conflict.Config{})
-	m := seqmatch.New(net, seqmatch.VS2, 0, cs)
-	eng, err := engine.NewWithRHS(prog, net, compiled, cs, m, nil)
-	if err != nil {
-		t.Fatalf("engine: %v", err)
+	// session builds and initialises one session; slice plays one
+	// 25-cycle slice of it.
+	session := func() (*seqmatch.Matcher, *conflict.Set, *engine.Engine) {
+		cs := conflict.New(conflict.Config{})
+		m := seqmatch.New(net, seqmatch.VS2, 0, cs)
+		eng, err := engine.NewWithRHS(prog, net, compiled, cs, m, nil)
+		if err != nil {
+			t.Fatalf("engine: %v", err)
+		}
+		if err := eng.Init(); err != nil {
+			t.Fatalf("init: %v", err)
+		}
+		return m, cs, eng
 	}
-	if err := eng.Init(); err != nil {
-		t.Fatalf("init: %v", err)
-	}
-	runtime.ReadMemStats(&ready)
-	for !eng.Halted() {
+	slice := func(eng *engine.Engine) {
 		res, err := eng.Run(engine.Options{MaxCycles: 25})
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		if res.Cycles == 0 {
 			t.Fatal("session stopped without halting")
+		}
+	}
+
+	var before, ready, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, cs, eng := session()
+	runtime.ReadMemStats(&ready)
+	var peak int64
+	peakAt := 0
+	for n := 1; !eng.Halted(); n++ {
+		slice(eng)
+		if e := m.MemStats().Entries; e > peak {
+			peak, peakAt = e, n
 		}
 	}
 	runtime.ReadMemStats(&after)
@@ -101,4 +125,29 @@ func TestMatchAllocationGate(t *testing.T) {
 	if conf.ShardSpins != 0 {
 		t.Errorf("conflict set reports %d lock spins; it takes no locks", conf.ShardSpins)
 	}
+
+	// What the collector marks of a session: a second, identical session
+	// replayed to the slice that reached the peak, then collected.
+	base := scanHeap()
+	_, _, peakEng := session()
+	for n := 0; n < peakAt; n++ {
+		slice(peakEng)
+	}
+	added := int64(scanHeap()) - int64(base)
+	runtime.KeepAlive(peakEng)
+	t.Logf("at its peak of %d live entries (slice %d) the session adds %.2f MB of scannable heap",
+		peak, peakAt, float64(added)/(1<<20))
+	if added > maxScanBytes {
+		t.Errorf("the session adds %d scannable bytes at its peak, bound %d: the token store is back on the collector's heap",
+			added, maxScanBytes)
+	}
+}
+
+// scanHeap collects and returns the scannable heap bytes the collector
+// found.
+func scanHeap() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }

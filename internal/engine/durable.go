@@ -242,6 +242,7 @@ func (e *Engine) ReplayRecords(recs []*wmlog.Record) error {
 // time. The compiled slice and the program delta are copied so post-fork
 // rule changes never write through a shared backing array.
 func (e *Engine) CloneWith(wmem *wm.Memory, cs *conflict.Set, m Matcher, out io.Writer) *Engine {
+	UseSlots(m, wmem.Slots())
 	return &Engine{
 		Prog:      e.Prog,
 		Net:       e.Net,

@@ -175,11 +175,32 @@ func (e *Engine) submit(sign bool, w *wm.WME) {
 	e.matchTime += time.Since(t0)
 }
 
-// drain waits out the match phase, accumulating match time.
+// drain waits out the match phase, accumulating match time. Drained,
+// the slots of the elements the phase removed are released — unless the
+// matcher reports a lost delete, whose parked token may still name one.
 func (e *Engine) drain() {
 	t0 := time.Now()
 	e.Matcher.Drain()
 	e.matchTime += time.Since(t0)
+	if e.WM.Retired() > 0 && e.Matcher.CheckInvariants() == nil {
+		e.WM.Release()
+	}
+}
+
+// SlotUser is implemented by matchers whose tokens are spans of WME
+// slots: the engine points them at its working memory's slot table.
+type SlotUser interface {
+	UseSlots(*wm.Slots)
+}
+
+// UseSlots points m at slot table s when m resolves tokens through one;
+// the engine does it for its working memory's table, and callers that
+// submit WMEs built outside a wm.Memory do it for the table they
+// assigned those WMEs' slots in.
+func UseSlots(m Matcher, s *wm.Slots) {
+	if su, ok := m.(SlotUser); ok {
+		su.UseSlots(s)
+	}
 }
 
 // New wires an engine, compiling the program's right-hand sides for it.
@@ -223,10 +244,12 @@ func NewWithRHS(prog *ops5.Program, net *rete.Network, compiled []*rhs.Compiled,
 		return nil, err
 	}
 	cs.UseStrategy(st)
+	mem := wm.NewMemory()
+	UseSlots(m, mem.Slots())
 	return &Engine{
 		Prog:     prog,
 		Net:      net,
-		WM:       wm.NewMemory(),
+		WM:       mem,
 		CS:       cs,
 		Matcher:  m,
 		Out:      out,

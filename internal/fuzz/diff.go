@@ -48,13 +48,24 @@ func RunBackend(c Case, kind psme.MatcherKind) (*Trace, error) {
 		return nil, fmt.Errorf("seed %d: new %s: %w", c.Seed, kind, err)
 	}
 	defer eng.Close()
-	res, err := eng.Run(psme.RunOptions{MaxCycles: MaxCycles, RecordFiring: true})
-	if err != nil {
-		return nil, fmt.Errorf("seed %d: run %s: %w", c.Seed, kind, err)
-	}
-	tr := &Trace{Backend: kind.String(), Halted: res.Halted}
-	for _, f := range res.Firings {
-		tr.Firings = append(tr.Firings, fmt.Sprintf("c%d %s %v", f.Cycle, f.Rule, f.TimeTags))
+	// One cycle at a time, so the slot-safety oracle sees every drained
+	// point: no stored token may name a slot whose element is not live.
+	tr := &Trace{Backend: kind.String()}
+	for cycles := 0; cycles < MaxCycles; {
+		res, err := eng.Run(psme.RunOptions{MaxCycles: 1, RecordFiring: true})
+		if err != nil {
+			return nil, fmt.Errorf("seed %d: run %s: %w", c.Seed, kind, err)
+		}
+		if err := eng.CheckSlots(); err != nil {
+			return nil, fmt.Errorf("seed %d: %s after cycle %d: %w", c.Seed, kind, cycles, err)
+		}
+		for _, f := range res.Firings {
+			tr.Firings = append(tr.Firings, fmt.Sprintf("c%d %s %v", cycles+f.Cycle, f.Rule, f.TimeTags))
+		}
+		cycles += res.Cycles
+		if tr.Halted = res.Halted; res.Halted || res.Cycles == 0 {
+			break
+		}
 	}
 	tr.WM = eng.WorkingMemory()
 	sort.Strings(tr.WM)

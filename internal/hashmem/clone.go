@@ -1,70 +1,49 @@
 package hashmem
 
-import (
-	"repro/internal/rete"
-)
-
 // cloneMinLines floors a segregated clone's line count: enough lines to
 // keep early growth off the fork's critical path without paying for the
 // template's peak-sized array.
 const cloneMinLines = 1024
 
 // Clone returns an independent deep copy of the table for a forked
-// session. Entry objects are copied — their negation counts diverge per
-// session — while token slices and WME pointers are shared: both are
-// immutable once emitted (modify is remove + add), which is what makes
-// forking a structure copy instead of a re-match. The copies come from
-// one slab sized for the whole table.
+// session. The store is copied wholesale — its segments hold no
+// pointers, so the copy is a block copy with every index, token and
+// negation count intact, and the fork's counts diverge from the
+// template's from there.
 //
 // Segregated (adaptive) tables are re-slotted on clone into the smallest
 // line array holding at most one live entry per line, instead of
 // duplicating the template's peak-sized array: at that load nearly every
 // line keeps its one run inline, so a fork's activations stay off the
 // overflow sub-index, and the clone re-grows adaptively as its working
-// memory climbs. Per-run entry order is preserved. Fixed layouts
-// (per-node vs1, legacy list) keep their exact geometry and list order,
-// so a clone's scan behaviour (and the LIFO delete discipline) is
-// indistinguishable from the original's. The caller must hold the table
-// quiescent (a settled template).
+// memory climbs. Re-slotting moves run heads only; per-run entry order
+// is preserved. Fixed layouts (per-node vs1, legacy list) keep their
+// exact geometry and list order, so a clone's scan behaviour (and the
+// LIFO delete discipline) is indistinguishable from the original's. The
+// caller must hold the table quiescent (a settled template).
 func (t *Table) Clone() *Table {
-	live := t.entries.Load()
-	cp := &Pools{next: int(live + t.parked.Load())}
+	st := t.st.clone()
 	if t.seg {
+		live := t.entries.Load()
 		n := cloneMinLines
 		for int64(n) < live && n < growMaxLines {
 			n <<= 1
 		}
-		nt := New(n)
+		nt := newHashed(n, st)
+		nt.seg = true
 		nt.resizes = t.resizes
 		nt.rehashed = t.rehashed
-		t.rehashInto(nt, cp)
+		t.rehashInto(nt, &Pools{})
 		return nt
 	}
 	nt := &Table{
-		Lines:  make([]Line, len(t.Lines)),
+		Lines:  append([]Line(nil), t.Lines...),
 		mask:   t.mask,
 		Hashed: t.Hashed,
+		st:     st,
 	}
-	nt.entries.Store(live)
+	nt.entries.Store(t.entries.Load())
 	nt.parked.Store(t.parked.Load())
 	nt.maxDepth.Store(t.maxDepth.Load())
-	for i := range t.Lines {
-		l := &t.Lines[i]
-		nt.Lines[i].live = l.live
-		if l.ext == nil {
-			continue
-		}
-		nx := nt.Lines[i].x()
-		for s := range l.ext.Mem {
-			nx.Mem[s] = cloneList(&l.ext.Mem[s], cp)
-			nx.XDel[s] = cloneList(&l.ext.XDel[s], cp)
-		}
-	}
 	return nt
-}
-
-// cloneList copies a linked entry list preserving order.
-func cloneList(l *rete.EntryList, cp *Pools) rete.EntryList {
-	head, n := carryList(l.Head, cp)
-	return rete.EntryList{Head: head, Len: n}
 }

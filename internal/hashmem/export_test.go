@@ -10,5 +10,6 @@ const LineSize = unsafe.Sizeof(Line{})
 // OverflowSlots reports the size of the line's overflow sub-index.
 func (l *Line) OverflowSlots() int { return int(l.slots) }
 
-// Inline reports whether the ref resolved to l's inline run.
-func (r Ref) Inline(l *Line) bool { return r.r == &l.first }
+// InlineHolds reports whether the line's inline run is keyed to join
+// node id and hash.
+func (l *Line) InlineHolds(id int, hash uint64) bool { return l.first.is(uint32(id)+1, hash) }

@@ -42,96 +42,73 @@ package hashmem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/rete"
 	"repro/internal/stats"
-	"repro/internal/wm"
 )
 
 // run is one (node, hash) equivalence class of a segregated line: every
 // entry on its two lists shares the node and the full 64-bit token hash.
-// The lists are intrusive (Entry.Next), newest first — the paper's
-// stack discipline, so a delete scans in pure LIFO order and an
-// activation allocates nothing but its entry.
+// The lists are intrusive (entry.next), newest first — the paper's stack
+// discipline, so a delete scans in pure LIFO order and an activation
+// allocates nothing but its entry. A run is five words with no pointer:
+// the line holds its first one inline, further ones sit in an overflow
+// sub-index in the store. node is the join ID plus one, 0 for an unkeyed
+// slot.
 type run struct {
-	node *rete.JoinNode
-	hash uint64
-	mem  [2]*rete.Entry // list heads, indexed by rete.Side
+	hlo, hhi uint32
+	node     uint32
+	mem      [2]uint32 // list heads, indexed by rete.Side
 }
 
-func (r *run) empty() bool { return r.mem[0] == nil && r.mem[1] == nil }
+const runWords = uint32(5)
+
+func (r *run) empty() bool  { return r.mem[0] == 0 && r.mem[1] == 0 }
+func (r *run) hash() uint64 { return uint64(r.hhi)<<32 | uint64(r.hlo) }
+func (r *run) is(node uint32, hash uint64) bool {
+	return r.node == node && r.hlo == uint32(hash) && r.hhi == uint32(hash>>32)
+}
+func (r *run) key(node uint32, hash uint64) {
+	r.node, r.hlo, r.hhi = node, uint32(hash), uint32(hash>>32)
+}
 
 // Line is a pair of corresponding left/right buckets plus the parked
-// early deletes for each side: one cache line. A segregated line holds
-// its first run inline — an activation on a one-run line touches the
-// line and the entry, nothing else — and reaches further runs through an
-// open-addressed sub-index of slots run values starting at runs (a bare
-// pointer and a count rather than a slice header, to fit). What no
-// segregated activation needs sits behind ext. Both are allocated on
-// first use.
+// early deletes for each side, in 44 bytes with no pointer. A segregated
+// line holds its first run inline — an activation on a one-run line
+// touches the line and the entry, nothing else — and reaches further runs
+// through an open-addressed sub-index of slots runs at store index runs.
+// The list layouts (vs1, legacy) keep every node's tokens on first.mem.
 type Line struct {
 	first run
-	runs  *run
-	ext   *lineExt
-	live  int32 // live entries in the line (line depth)
-	used  int32 // overflow slots holding a key (live or emptied)
-	slots int32 // overflow slots, a power of two (0: none yet)
+	xdel  [2]uint32 // conjugate minus tokens that arrived early, per side
+	runs  uint32    // store index of the overflow sub-index (0: none yet)
+	slots int32     // overflow slots, a power of two
+	used  int32     // overflow slots holding a key (live or emptied)
+	live  int32     // live entries in the line (line depth)
 }
 
-// lineExt is the rarely-needed part of a line: the token lists of the
-// list layouts (vs1, legacy) and the parked conjugate minuses of every
-// layout (few and short-lived).
-type lineExt struct {
-	Mem  [2]rete.EntryList // list layouts: indexed by rete.Side
-	XDel [2]rete.EntryList // conjugate minus tokens that arrived early
-}
-
-// overflow returns the line's overflow sub-index, nil when it has none.
-func (l *Line) overflow() []run {
-	if l.runs == nil {
-		return nil
-	}
-	return unsafe.Slice(l.runs, l.slots)
-}
-
-// x returns the line's extension, allocating it on first use.
-func (l *Line) x() *lineExt {
-	if l.ext == nil {
-		l.ext = new(lineExt)
-	}
-	return l.ext
-}
-
-// ParkedHead returns the newest early delete parked on the line for
-// side, nil when there is none; the rest follow through Entry.Next.
-func (l *Line) ParkedHead(side rete.Side) *rete.Entry {
-	if l.ext == nil {
-		return nil
-	}
-	return l.ext.XDel[side].Head
-}
-
-// Table is a set of lines. With Hashed true, lines are selected by token
-// hash (vs2 and the parallel matchers); otherwise one line per join node
-// (vs1).
+// Table is a set of lines over one token store. With Hashed true, lines
+// are selected by token hash (vs2 and the parallel matchers); otherwise
+// one line per join node (vs1).
 type Table struct {
 	Lines  []Line
 	mask   uint64
 	Hashed bool
 	seg    bool // node-segregated run layout (New); false for the list layouts
+	st     *store
 
 	// entries counts live tokens across the table, parked the early
-	// deletes sitting on XDel lists, and maxDepth is the high-water line
+	// deletes sitting on xdel lists, and maxDepth is the high-water line
 	// depth; all three are updated under the per-line locks but read
 	// table-wide, hence atomic. entries is only as fresh as the last
-	// FoldLive: an activation that brings a Pools counts its insert or
-	// delete there, privately, so the one word every process would write
-	// on every activation is written once per drain instead. parked is
-	// exact — every XDel push and unlink adjusts it — so CheckDrained is a
-	// load, not a walk. The resize counters are owned by whoever performs
-	// Grow (the control process, drained).
+	// FoldLive: an activation counts its insert or delete in its Pools,
+	// privately, so the one word every process would write on every
+	// activation is written once per drain instead. parked is exact —
+	// every xdel push and removal adjusts it — so CheckDrained is a load,
+	// not a walk. The resize counters are owned by whoever performs Grow
+	// (the control process, drained).
 	entries  atomic.Int64
 	parked   atomic.Int64
 	maxDepth atomic.Int64
@@ -155,7 +132,7 @@ const (
 // New returns an adaptive node-segregated table with at least nLines
 // lines, rounded up to a power of two.
 func New(nLines int) *Table {
-	t := newHashed(nLines)
+	t := newHashed(nLines, newStore())
 	t.seg = true
 	return t
 }
@@ -164,15 +141,15 @@ func New(nLines int) *Table {
 // linked-list lines scanned linearly with a per-entry node filter. It
 // never grows.
 func NewLegacy(nLines int) *Table {
-	return newHashed(nLines)
+	return newHashed(nLines, newStore())
 }
 
-func newHashed(nLines int) *Table {
+func newHashed(nLines int, st *store) *Table {
 	n := 1
 	for n < nLines {
 		n <<= 1
 	}
-	return &Table{Lines: make([]Line, n), mask: uint64(n - 1), Hashed: true}
+	return &Table{Lines: make([]Line, n), mask: uint64(n - 1), Hashed: true, st: st}
 }
 
 // NewPerNode returns a vs1-style table with one private line per join
@@ -181,7 +158,7 @@ func NewPerNode(numJoins int) *Table {
 	if numJoins == 0 {
 		numJoins = 1
 	}
-	return &Table{Lines: make([]Line, numJoins)}
+	return &Table{Lines: make([]Line, numJoins), st: newStore()}
 }
 
 // Segregated reports whether the table uses the node-segregated run
@@ -207,40 +184,38 @@ func slotOf(hash uint64, n int) int {
 	return int((hash * fibMul) >> (64 - uint(bits.TrailingZeros(uint(n)))))
 }
 
-// Ref is an opaque handle to the (node, hash) run an activation landed
-// in, resolved by UpdateOwn while the line's modification lock is held.
-// SearchOpposite consumes it instead of re-probing, so the run index —
-// which same-side inserts mutate — is only ever touched under that lock.
-// Two rules keep a Ref sound without one: it is read once, for the
-// opposite-side list head only, by the SearchOpposite paired with the
-// UpdateOwn that made it; and a run slot is re-keyed only when both its
-// lists are empty, which cannot happen to a list a reader is walking
-// (its side is frozen while the reader's side holds the line), so a
-// re-keyed or outgrown slot still shows that reader exactly the
-// opposite list it came for. Zero for list-layout tables.
-type Ref struct{ r *run }
+// Ref carries what UpdateOwn resolved for the paired SearchOpposite: the
+// head of the opposite-side list the activation must examine, read while
+// the line's modification lock was held. The MRSW scheme lets the search
+// run outside that lock, and that is sound because the opposite side of
+// a line is frozen while this side holds it: nothing can link into or
+// out of the list the head starts, whatever same-side activations do to
+// the run index meanwhile.
+type Ref struct{ opp uint32 }
 
-// findRun returns the line's run for (j, hash), optionally creating it.
+// findRun returns the line's run for (node, hash), node being the join
+// ID plus one, optionally creating it.
 // The inline run is tried first; the overflow sub-index is open-addressed
 // with linear probing, and its emptied runs keep their key and are reused
 // on an exact match, so deletion never needs tombstone repair. A new key
 // takes the inline slot whenever that is empty — a key therefore lives
-// in one place only — and an overflow slot otherwise.
-func (l *Line) findRun(j *rete.JoinNode, hash uint64, create bool) *run {
+// in one place only — and an overflow slot otherwise. Creating may grow
+// the sub-index, with words from p.
+func (l *Line) findRun(v view, node uint32, hash uint64, create bool, p *Pools) *run {
 	f := &l.first
-	if f.node == j && f.hash == hash {
+	if f.is(node, hash) {
 		return f
 	}
 	var slot *run // the free overflow slot the probe ended on
-	if runs := l.overflow(); runs != nil {
+	if l.runs != 0 {
 		// A quarter of the slots is always free, so the probe terminates.
-		for n, i := len(runs), slotOf(hash, len(runs)); ; i++ {
-			r := &runs[i&(n-1)]
-			if r.node == nil {
+		for n, i := int(l.slots), slotOf(hash, int(l.slots)); ; i++ {
+			r := v.runAt(l.runs + uint32(i&(n-1))*runWords)
+			if r.node == 0 {
 				slot = r
 				break
 			}
-			if r.node == j && r.hash == hash {
+			if r.is(node, hash) {
 				return r
 			}
 		}
@@ -249,69 +224,104 @@ func (l *Line) findRun(j *rete.JoinNode, hash uint64, create bool) *run {
 		return nil
 	}
 	if f.empty() {
-		f.node, f.hash = j, hash
+		f.key(node, hash)
 		return f
 	}
 	if slot == nil || l.used+1 > l.slots-l.slots/4 {
-		slot = freeSlot(l.growRuns(), hash)
+		slot = l.growRuns(p, hash)
 	}
-	slot.node, slot.hash = j, hash
+	slot.key(node, hash)
 	l.used++
 	return slot
 }
 
-// freeSlot returns the first free slot on hash's probe sequence.
-func freeSlot(runs []run, hash uint64) *run {
-	for n, i := len(runs), slotOf(hash, len(runs)); ; i++ {
-		if r := &runs[i&(n-1)]; r.node == nil {
+// freeSlot returns the first free slot on hash's probe sequence of the
+// sub-index of n runs at base.
+func freeSlot(v view, base uint32, n int, hash uint64) *run {
+	for i := slotOf(hash, n); ; i++ {
+		if r := v.runAt(base + uint32(i&(n-1))*runWords); r.node == 0 {
 			return r
 		}
 	}
 }
 
 // growRuns doubles the overflow sub-index, dropping emptied runs
-// (compaction happens here rather than on every delete), and returns
-// it. Run values are copied, so a Ref into the old array stays readable.
-func (l *Line) growRuns() []run {
-	old := l.overflow()
-	runs := make([]run, max(4, 2*len(old)))
-	l.runs, l.slots, l.used = &runs[0], int32(len(runs)), 0
-	for i := range old {
-		if r := &old[i]; r.node != nil && !r.empty() {
-			*freeSlot(runs, r.hash) = *r
-			l.used++
+// (compaction happens here rather than on every delete), and returns the
+// free slot hash probes to. The old sub-index is left as it was: a
+// concurrent search holds only a list head, never a run, so nothing
+// reads it again, and its words stay in the store until the table is
+// rebuilt.
+func (l *Line) growRuns(p *Pools, hash uint64) *run {
+	n := max(4, 2*int(l.slots))
+	base := p.words(uint32(n) * runWords)
+	v := p.st.view()
+	clear(v[base>>segBits][base&segMask : base&segMask+uint32(n)*runWords])
+	used := int32(0)
+	for i := 0; i < int(l.slots); i++ {
+		if r := v.runAt(l.runs + uint32(i)*runWords); r.node != 0 && !r.empty() {
+			*freeSlot(v, base, n, r.hash()) = *r
+			used++
 		}
 	}
-	return runs
-}
-
-// remove unlinks one entry for wmes from the run's side list, scanning
-// newest-first. All entries in a run already share the node and hash, so
-// only the token comparison remains.
-func (r *run) remove(side rete.Side, wmes []*wm.WME) (e *rete.Entry, scanned int) {
-	for p := &r.mem[side]; *p != nil; p = &(*p).Next {
-		scanned++
-		if e = *p; rete.SameWmes(e.Wmes, wmes) {
-			*p, e.Next = e.Next, nil
-			return e, scanned
-		}
-	}
-	return nil, scanned
+	l.runs, l.slots, l.used = base, int32(n), used
+	return freeSlot(v, base, n, hash)
 }
 
 // forEachRun calls fn for every keyed run of a segregated line. The
-// overflow array is read once, so fn may insert into the line (epoch
-// replay does): the runs it has yet to visit stay where they were.
-func (l *Line) forEachRun(fn func(*run)) {
-	if l.first.node != nil {
+// sub-index is read once, so fn may insert into the line (epoch replay
+// does): the runs it has yet to visit stay where they were.
+func (l *Line) forEachRun(v view, fn func(*run)) {
+	if l.first.node != 0 {
 		fn(&l.first)
 	}
-	runs := l.overflow()
-	for i := range runs {
-		if runs[i].node != nil {
-			fn(&runs[i])
+	base, n := l.runs, uint32(l.slots)
+	for i := uint32(0); i < n; i++ {
+		if r := v.runAt(base + i*runWords); r.node != 0 {
+			fn(r)
 		}
 	}
+}
+
+// lists calls fn with a pointer to the head of every token list of the
+// line: the runs' lists for a segregated line, the two shared lists for a
+// list-layout one. Parked lists are not included.
+func (t *Table) lists(v view, l *Line, fn func(side rete.Side, head *uint32)) {
+	if !t.seg {
+		fn(rete.Left, &l.first.mem[rete.Left])
+		fn(rete.Right, &l.first.mem[rete.Right])
+		return
+	}
+	l.forEachRun(v, func(r *run) {
+		fn(rete.Left, &r.mem[rete.Left])
+		fn(rete.Right, &r.mem[rete.Right])
+	})
+}
+
+// removeTok unlinks the first entry of the list at *head holding tok for
+// (j, side), scanning newest first, and returns it with the number of
+// entries examined (the paper's "tokens examined in same memory for
+// deletes"). The stored hash and node are compared before the token, so
+// the slot comparison only runs on genuine candidates; every entry of a
+// run passes those, and a list-layout line filters on them. Lists may
+// hold duplicate tokens, and one removal takes out exactly one.
+func removeTok(v view, head *uint32, meta uint32, hash uint64, tok []uint32) (uint32, int) {
+	scanned := 0
+	for p := head; *p != 0; {
+		i := *p
+		e := v.ent(i)
+		scanned++
+		if e.meta == meta && e.hash() == hash && slices.Equal(v.tok(i, len(tok)), tok) {
+			*p, e.next = e.next, 0
+			return i, scanned
+		}
+		p = &e.next
+	}
+	return 0, scanned
+}
+
+// push links entry i at the head of the list at *head.
+func push(v view, head *uint32, i uint32) {
+	v.ent(i).next, *head = *head, i
 }
 
 // Recorder accumulates the sequential-matcher statistics of Tables
@@ -337,34 +347,10 @@ func NewRecorder(numJoins int) *Recorder {
 	return r
 }
 
-// Emit receives one output token of a node activation. Positive nodes
-// emit extended tokens (left token + right WME); negated nodes re-emit
-// the left token itself.
-type Emit func(sign bool, wmes []*wm.WME)
-
-// Pools is a per-worker allocation cache for the match hot path: an
-// arena for the token slices built per matching pair, and memory entries
-// carved from slabs and recycled when a delete unlinks them. Each matcher
-// process owns one (no synchronization); a nil *Pools falls back to
-// plain allocation, which the Multimax simulator keeps for its
-// deterministic replay.
-//
-// Token slices deliberately do NOT recycle: an output token fans out
-// to every successor and terminal of a node and is retained by node
-// memories and the conflict set, so its lifetime escapes the task that
-// built it. The arena instead amortizes those allocations to one large
-// chunk per tokenChunk pointers; entries, whose lifetime is exactly
-// bracketed by insert and delete under the line lock, do recycle —
-// every one of them, through an intrusive free list with no cap, so a
-// session's entry memory is its peak live token count and nothing is
-// handed back to the collector one entry at a time.
-type Pools struct {
-	tok  []*wm.WME
-	slab []rete.Entry // unissued entries of the newest slab
-	next int          // size of the slab after that
-	free *rete.Entry  // recycled entries, chained through Next
-	live int64        // inserts minus deletes since the last FoldLive
-}
+// Emit receives one output token of a node activation, a span of slots
+// from the activating process's arena. Positive nodes emit extended
+// tokens (left token + right slot); negated nodes re-emit the left token.
+type Emit func(sign bool, tok []uint32)
 
 // FoldLive moves the live-entry delta p's owner has accumulated into
 // the table's gauge. The owner must be out of the table: matchers call
@@ -375,77 +361,6 @@ func (t *Table) FoldLive(p *Pools) {
 		t.entries.Add(p.live)
 		p.live = 0
 	}
-}
-
-// noteLive counts one insert (+1) or delete (-1): in the caller's pools
-// when it has them, straight into the shared gauge otherwise.
-func (t *Table) noteLive(p *Pools, d int64) {
-	if p != nil {
-		p.live += d
-	} else {
-		t.entries.Add(d)
-	}
-}
-
-// tokenChunk is the token arena's chunk size in pointers. Entry slabs
-// start at entrySlabMin entries and double up to entrySlabMax, so a
-// short-lived session pays for a handful of entries and a large one
-// for one allocation per entrySlabMax.
-const (
-	tokenChunk   = 4096
-	entrySlabMin = 16
-	entrySlabMax = 1024
-)
-
-// MakeToken returns a zeroed token slice of length n with no spare
-// capacity (appending to an emitted token must never alias another).
-func (p *Pools) MakeToken(n int) []*wm.WME {
-	if p == nil {
-		return make([]*wm.WME, n)
-	}
-	if len(p.tok) < n {
-		c := tokenChunk
-		if n > c {
-			c = n
-		}
-		p.tok = make([]*wm.WME, c)
-	}
-	s := p.tok[0:n:n]
-	p.tok = p.tok[n:]
-	return s
-}
-
-// newEntry builds a memory entry: a recycled one when there is one, the
-// next of the current slab otherwise.
-func (p *Pools) newEntry(j *rete.JoinNode, side rete.Side, hash uint64, wmes []*wm.WME) *rete.Entry {
-	if p == nil {
-		return &rete.Entry{Node: j, Side: side, Hash: hash, Wmes: wmes}
-	}
-	e := p.free
-	if e != nil {
-		p.free, e.Next = e.Next, nil
-	} else {
-		if len(p.slab) == 0 {
-			p.slab = make([]rete.Entry, max(p.next, entrySlabMin))
-			p.next = min(2*len(p.slab), entrySlabMax)
-		}
-		e, p.slab = &p.slab[0], p.slab[1:]
-	}
-	e.Node, e.Side, e.Hash, e.Wmes = j, side, hash, wmes
-	return e
-}
-
-// FreeEntry recycles an unlinked entry. Callers own the entry
-// exclusively at that point: Remove unlinked it under the line lock and
-// no other process can reach it. The caller must be done reading
-// NegCount (negated-node deletes read it inside SearchOpposite).
-func (p *Pools) FreeEntry(e *rete.Entry) {
-	if p == nil || e == nil {
-		return
-	}
-	e.Node, e.Wmes = nil, nil
-	e.NegCount.Store(0)
-	e.Next, p.free = p.free, e
 }
 
 // StepResult reports what an activation did, for cost accounting by the
@@ -460,37 +375,42 @@ type StepResult struct {
 }
 
 // UpdateOwn performs the first half of a coalesced-node activation on
-// line idx: it adds the token to, or deletes it from, the node's own
+// line idx: it stores the token in, or deletes it from, the node's own
 // memory, applying the conjugate-pair protocol. In the MRSW locking
 // scheme this is the part that runs under the modification lock. It
-// returns the affected entry (the freshly inserted one, or the removed
-// one whose NegCount a negated-node caller still needs) and, for
-// segregated tables, the Ref the matching SearchOpposite call must be
-// handed. The Ref is always resolved for a Proceeded activation.
-func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME, hash uint64, rec *Recorder, pools *Pools) (*rete.Entry, Ref, StepResult) {
+// returns the affected entry (the freshly stored one, or the removed one
+// whose NegCount a negated-node caller still needs and must then free)
+// and the Ref the matching SearchOpposite call must be handed. tok is
+// copied in: the caller's span may be recycled once the activation is
+// done.
+func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, tok []uint32, hash uint64, rec *Recorder, pools *Pools) (uint32, Ref, StepResult) {
+	pools.bind(t.st)
 	line := &t.Lines[idx]
+	v := t.st.view()
+	meta := packMeta(j.ID, len(tok), side)
 	var res StepResult
 	var ref Ref
 	if sign {
 		// A plus annihilates with a parked early minus for the same token.
-		if x := line.ext; x != nil {
-			if e, _ := x.XDel[side].Remove(j, side, hash, wmes); e != nil {
+		if line.xdel[side] != 0 {
+			if e, _ := removeTok(v, &line.xdel[side], meta, hash, tok); e != 0 {
 				t.parked.Add(-1)
 				pools.FreeEntry(e)
 				res.Annihilated = true
-				return nil, ref, res
+				return 0, ref, res
 			}
 		}
-		e := pools.newEntry(j, side, hash, wmes)
+		e := pools.newEntry(j, side, hash, tok)
+		v = t.st.view() // the entry may have opened a segment
+		lists := &line.first
 		if t.seg {
-			r := line.findRun(j, hash, true)
-			e.Next, r.mem[side] = r.mem[side], e
-			ref.r = r
-		} else {
-			line.x().Mem[side].Push(e)
+			lists = line.findRun(v, uint32(j.ID)+1, hash, true, pools)
+			v = t.st.view()
 		}
+		push(v, &lists.mem[side], e)
+		ref.opp = lists.mem[side^1]
 		line.live++
-		t.noteLive(pools, 1)
+		pools.live++
 		t.noteDepth(int64(line.live))
 		if rec != nil {
 			rec.NodeCount[side][j.ID]++
@@ -498,24 +418,26 @@ func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, 
 		res.Proceeded = true
 		return e, ref, res
 	}
-	var e *rete.Entry
+	var e uint32
 	if t.seg {
-		if r := line.findRun(j, hash, false); r != nil {
-			e, res.OwnScanned = r.remove(side, wmes)
-			ref.r = r
+		if r := line.findRun(v, uint32(j.ID)+1, hash, false, pools); r != nil {
+			e, res.OwnScanned = removeTok(v, &r.mem[side], meta, hash, tok)
+			ref.opp = r.mem[side^1]
 		}
-	} else if x := line.ext; x != nil {
-		e, res.OwnScanned = x.Mem[side].Remove(j, side, hash, wmes)
+	} else {
+		e, res.OwnScanned = removeTok(v, &line.first.mem[side], meta, hash, tok)
+		ref.opp = line.first.mem[side^1]
 	}
-	if e == nil {
+	if e == 0 {
 		// Early delete: park it and do not otherwise process the token.
-		line.x().XDel[side].Push(pools.newEntry(j, side, hash, wmes))
+		pe := pools.newEntry(j, side, hash, tok)
+		push(t.st.view(), &line.xdel[side], pe)
 		t.parked.Add(1)
 		res.Parked = true
-		return nil, Ref{}, res
+		return 0, Ref{}, res
 	}
 	line.live--
-	t.noteLive(pools, -1)
+	pools.live--
 	if rec != nil {
 		rec.NodeCount[side][j.ID]--
 	}
@@ -538,45 +460,54 @@ func (t *Table) noteDepth(d int64) {
 	}
 }
 
-// SearchOpposite performs the second half of an activation on line idx:
-// comparing the token against the opposite memory of the same line and
-// emitting the resulting tokens. For negated nodes it maintains the
-// join counts. entry and ref are UpdateOwn's results (the entry for
-// negated-node count handling, the ref so segregated tables never probe
-// the run index outside the modification lock). In the MRSW scheme this
-// part runs without the modification lock for positive nodes; negated
-// right-side activations update left counts atomically.
+// SearchOpposite performs the second half of an activation: comparing
+// the token against the opposite list ref points at and emitting the
+// resulting tokens, fresh spans from pools' arena. For negated nodes it
+// maintains the join counts of entry (UpdateOwn's result) or of the left
+// entries a right activation matches. In the MRSW scheme this part runs
+// without the modification lock for positive nodes; negated right-side
+// activations update left counts atomically. Join tests resolve slots
+// through pools.Slots.
 //
-// Every layout walks an intrusive list from oppHead. A list-layout line
-// mixes the tokens of every node that hashes to it, so the walk filters
-// on (node, side); a run holds one node's tokens only and every entry
-// passes — one loop serves both, with identical examined counts.
-func (t *Table) SearchOpposite(idx int, ref Ref, j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME, entry *rete.Entry, rec *Recorder, pools *Pools, emit Emit) StepResult {
+// A list-layout line mixes the tokens of every node that hashes to it,
+// so the walk filters on (node, side); a run holds one node's tokens
+// only and every entry passes — one loop serves both, with identical
+// examined counts.
+func (t *Table) SearchOpposite(ref Ref, j *rete.JoinNode, side rete.Side, sign bool, tok []uint32, entry uint32, rec *Recorder, pools *Pools, emit Emit) StepResult {
 	var res StepResult
+	v := t.st.view()
+	sv := pools.Slots
 	opp := side ^ 1
 	if j.Negated {
-		searchNegated(t.oppHead(idx, ref, opp), j, side, sign, wmes, entry, &res, emit)
+		t.searchNegated(v, ref.opp, j, side, sign, tok, entry, &res, pools, emit)
 	} else {
-		for e := t.oppHead(idx, ref, opp); e != nil; e = e.Next {
-			if e.Node != j || e.Side != opp {
+		oppLen := 1
+		if opp == rete.Left {
+			oppLen = j.LeftLen
+		}
+		want := packMeta(j.ID, oppLen, opp)
+		for i := ref.opp; i != 0; {
+			e := v.ent(i)
+			if e.meta != want {
+				i = e.next
 				continue // hash collision with another node's tokens
 			}
 			res.OppExamined++
-			var left []*wm.WME
-			var right *wm.WME
+			var left []uint32
+			var right uint32
 			if side == rete.Left {
-				left, right = wmes, e.Wmes[0]
+				left, right = tok, v.tok(i, 1)[0]
 			} else {
-				left, right = e.Wmes, wmes[0]
+				left, right = v.tok(i, oppLen), tok[0]
 			}
-			if !j.TestPair(left, right) {
-				continue
+			if j.TestPair(sv, left, sv.Get(right)) {
+				res.Pairs++
+				child := pools.Token(len(left) + 1)
+				copy(child, left)
+				child[len(left)] = right
+				emit(sign, child)
 			}
-			res.Pairs++
-			child := pools.MakeToken(len(left) + 1)
-			copy(child, left)
-			child[len(left)] = right
-			emit(sign, child)
+			i = e.next
 		}
 	}
 	if rec != nil {
@@ -585,76 +516,74 @@ func (t *Table) SearchOpposite(idx int, ref Ref, j *rete.JoinNode, side rete.Sid
 	return res
 }
 
-// oppHead returns the head of the list holding the opp-side tokens an
-// activation must examine: the ref's run in a segregated table (a right
-// WME can only match left tokens whose hash equals its own, so nothing
-// outside the run matters), the line's whole opp list otherwise.
-func (t *Table) oppHead(idx int, ref Ref, opp rete.Side) *rete.Entry {
-	if t.seg {
-		if ref.r == nil {
-			return nil
-		}
-		return ref.r.mem[opp]
-	}
-	if x := t.Lines[idx].ext; x != nil {
-		return x.Mem[opp].Head
-	}
-	return nil
-}
-
 // searchNegated maintains the negation counts of a negated node against
 // the opposite list starting at head.
-func searchNegated(head *rete.Entry, j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME, entry *rete.Entry, res *StepResult, emit Emit) {
+func (t *Table) searchNegated(v view, head uint32, j *rete.JoinNode, side rete.Side, sign bool, tok []uint32, entry uint32, res *StepResult, pools *Pools, emit Emit) {
+	sv := pools.Slots
 	if side == rete.Left {
 		if sign {
 			// Count the matching right WMEs; pass the token through when
 			// there are none.
+			want := packMeta(j.ID, 1, rete.Right)
 			var count int32
-			for e := head; e != nil; e = e.Next {
-				if e.Node != j || e.Side != rete.Right {
-					continue
+			for i := head; i != 0; {
+				e := v.ent(i)
+				if e.meta == want {
+					res.OppExamined++
+					if j.TestPair(sv, tok, sv.Get(v.tok(i, 1)[0])) {
+						count++
+					}
 				}
-				res.OppExamined++
-				if j.TestPair(wmes, e.Wmes[0]) {
-					count++
-				}
+				i = e.next
 			}
-			entry.NegCount.Store(count)
+			atomic.StoreInt32(&v.ent(entry).neg, count)
 			if count == 0 {
 				res.Pairs++
-				emit(true, wmes)
+				emit(true, tok)
 			}
 			return
 		}
 		// Deleting a left token that had passed (count 0) retracts it.
-		if entry.NegCount.Load() == 0 {
+		if atomic.LoadInt32(&v.ent(entry).neg) == 0 {
 			res.Pairs++
-			emit(false, wmes)
+			emit(false, tok)
 		}
 		return
 	}
 	// Right-side activation: adjust the counts of matching left tokens.
-	w := wmes[0]
-	for e := head; e != nil; e = e.Next {
-		if e.Node != j || e.Side != rete.Left {
+	// A passing or retracted left token is emitted as a copy: the stored
+	// one may be deleted and its entry reused while the copy is in flight.
+	w := sv.Get(tok[0])
+	want := packMeta(j.ID, j.LeftLen, rete.Left)
+	for i := head; i != 0; {
+		e := v.ent(i)
+		if e.meta != want {
+			i = e.next
 			continue
 		}
 		res.OppExamined++
-		if !j.TestPair(e.Wmes, w) {
-			continue
-		}
-		if sign {
-			if e.NegCount.Add(1) == 1 {
-				res.Pairs++
-				emit(false, e.Wmes)
+		left := v.tok(i, j.LeftLen)
+		if j.TestPair(sv, left, w) {
+			var flip bool
+			if sign {
+				flip = atomic.AddInt32(&e.neg, 1) == 1
+			} else {
+				flip = atomic.AddInt32(&e.neg, -1) == 0
 			}
-		} else {
-			if e.NegCount.Add(-1) == 0 {
+			if flip {
 				res.Pairs++
-				emit(true, e.Wmes)
+				emit(!sign, copyTok(pools, left))
 			}
 		}
+		i = e.next
 	}
+}
+
+// copyTok returns an arena copy of tok.
+func copyTok(p *Pools, tok []uint32) []uint32 {
+	c := p.Token(len(tok))
+	copy(c, tok)
+	return c
 }
 
 func recordSearch(rec *Recorder, j *rete.JoinNode, side rete.Side, res *StepResult) {
@@ -715,62 +644,59 @@ func (t *Table) GrowTarget() int {
 }
 
 // Grow returns a new table with nLines lines holding every live entry
-// and parked early delete of t. A run's tokens share one hash, so a run
+// and parked early delete of t, over the same store: entries keep their
+// indices and are never copied. A run's tokens share one hash, so a run
 // moves whole: its two list heads are re-slotted and the entries behind
-// them are never touched beyond being counted — per-run order, and with
-// it every later scan count, is preserved. The caller must hold t
-// exclusively (sequential matchers between submits; the parallel control
-// process drained) and must republish the lock arrays alongside the
-// table so footnote 4's one-lock-per-line discipline holds at the new
-// size. Entry objects move — they are never copied — so live *Entry
-// pointers (negation counts) stay valid.
-func (t *Table) Grow(nLines int) *Table {
-	nt := New(nLines)
-	moved := t.rehashInto(nt, nil)
+// them are only counted — per-run order, and with it every later scan
+// count, is preserved. Sub-indexes of the new lines take words from p.
+// The caller must hold t exclusively (sequential matchers between
+// submits; the parallel control process drained) and must republish the
+// lock arrays alongside the table so footnote 4's one-lock-per-line
+// discipline holds at the new size. t is dead afterwards.
+func (t *Table) Grow(nLines int, p *Pools) *Table {
+	nt := newHashed(nLines, t.st)
+	nt.seg = true
+	moved := t.rehashInto(nt, p)
 	nt.resizes = t.resizes + 1
 	nt.rehashed = t.rehashed + moved
 	return nt
 }
 
-// rehashInto fills the empty segregated table nt with t's runs and
-// parked deletes, re-slotted by hash, and sets nt's gauges; it returns
-// the live entries carried over. With cp nil the entries themselves move
-// (Grow: t is dead afterwards); otherwise nt gets copies drawn from cp
-// (Clone: t is left untouched). Distinct runs of t stay distinct in nt,
-// so every destination run starts empty and takes its lists in order.
-func (t *Table) rehashInto(nt *Table, cp *Pools) (moved int64) {
+// rehashInto fills the empty segregated table nt, whose store holds t's
+// entries at the same indices (t's own store, or a copy of it), with t's
+// runs and parked deletes re-slotted by hash, and sets nt's gauges; it
+// returns the live entries carried over. Distinct runs of t stay distinct
+// in nt, so every destination run starts empty and takes its lists in
+// order.
+func (t *Table) rehashInto(nt *Table, p *Pools) (moved int64) {
+	p.bind(nt.st)
+	tv := t.st.view()
 	var parked, maxDepth int64
 	for i := range t.Lines {
 		l := &t.Lines[i]
-		l.forEachRun(func(r *run) {
+		l.forEachRun(tv, func(r *run) {
 			if r.empty() {
 				return
 			}
-			dl := &nt.Lines[r.hash&nt.mask]
-			dr := dl.findRun(r.node, r.hash, true)
+			h := r.hash()
+			dl := &nt.Lines[h&nt.mask]
+			dr := dl.findRun(nt.st.view(), r.node, h, true, p)
+			v := nt.st.view()
 			for s := range r.mem {
-				var n int
-				dr.mem[s], n = carryList(r.mem[s], cp)
+				dr.mem[s] = r.mem[s]
+				n := listLen(v, r.mem[s])
 				dl.live += int32(n)
 				moved += int64(n)
 			}
 			maxDepth = max(maxDepth, int64(dl.live))
 		})
-		if l.ext == nil {
-			continue
-		}
-		for s := range l.ext.XDel {
-			for e := l.ext.XDel[s].Head; e != nil; {
-				next := e.Next
-				if cp != nil {
-					e = cp.copyEntry(e)
-				}
-				nt.Lines[e.Hash&nt.mask].x().XDel[s].Push(e)
+		for s := range l.xdel {
+			v := nt.st.view()
+			for e := l.xdel[s]; e != 0; {
+				next := v.ent(e).next
+				push(v, &nt.Lines[v.ent(e).hash()&nt.mask].xdel[s], e)
 				parked++
 				e = next
-			}
-			if cp == nil {
-				l.ext.XDel[s] = rete.EntryList{}
 			}
 		}
 	}
@@ -780,34 +706,8 @@ func (t *Table) rehashInto(nt *Table, cp *Pools) (moved int64) {
 	return moved
 }
 
-// carryList returns the list starting at head with its length: the list
-// itself when cp is nil, an order-preserving copy with entries drawn
-// from cp otherwise.
-func carryList(head *rete.Entry, cp *Pools) (*rete.Entry, int) {
-	if cp == nil {
-		return head, listLen(head)
-	}
-	var out *rete.Entry
-	tail, n := &out, 0
-	for e := head; e != nil; e = e.Next {
-		c := cp.copyEntry(e)
-		*tail, tail = c, &c.Next
-		n++
-	}
-	return out, n
-}
-
-// copyEntry returns a copy of e drawn from p, unlinked. The copy shares
-// the token slice and WME pointers — both immutable once emitted — and
-// starts from the original's negation count.
-func (p *Pools) copyEntry(e *rete.Entry) *rete.Entry {
-	c := p.newEntry(e.Node, e.Side, e.Hash, e.Wmes)
-	c.NegCount.Store(e.NegCount.Load())
-	return c
-}
-
-func listLen(head *rete.Entry) (n int) {
-	for e := head; e != nil; e = e.Next {
+func listLen(v view, head uint32) (n int) {
+	for i := head; i != 0; i = v.ent(i).next {
 		n++
 	}
 	return n
@@ -830,23 +730,35 @@ func (t *Table) MemStats() stats.Memory {
 // table — the introspection behind the REPL's matches command.
 func (t *Table) SizeByNode(numJoins int) [][2]int {
 	out := make([][2]int, numJoins)
+	v := t.st.view()
 	for i := range t.Lines {
-		l := &t.Lines[i]
-		l.forEachRun(func(r *run) {
-			for s := range r.mem {
-				out[r.node.ID][s] += listLen(r.mem[s])
+		t.lists(v, &t.Lines[i], func(side rete.Side, head *uint32) {
+			for e := *head; e != 0; e = v.ent(e).next {
+				out[v.ent(e).node()][side]++
 			}
 		})
-		if l.ext == nil {
-			continue
-		}
-		for s := range l.ext.Mem {
-			for e := l.ext.Mem[s].Head; e != nil; e = e.Next {
-				out[e.Node.ID][s]++
+	}
+	return out
+}
+
+// ForEachSlot calls fn with every slot a stored token or parked early
+// delete of the table names — what the slot-safety oracles check against
+// the live working memory. The table must be quiescent.
+func (t *Table) ForEachSlot(fn func(slot uint32)) {
+	v := t.st.view()
+	each := func(head uint32) {
+		for e := head; e != 0; e = v.ent(e).next {
+			for _, s := range v.tok(e, v.ent(e).tokLen()) {
+				fn(s)
 			}
 		}
 	}
-	return out
+	for i := range t.Lines {
+		l := &t.Lines[i]
+		t.lists(v, l, func(_ rete.Side, head *uint32) { each(*head) })
+		each(l.xdel[0])
+		each(l.xdel[1])
+	}
 }
 
 // CheckDrained verifies the conjugate-pair invariant: after a match
@@ -859,11 +771,12 @@ func (t *Table) CheckDrained() error {
 	if n == 0 {
 		return nil
 	}
+	v := t.st.view()
 	for i := range t.Lines {
 		for s := rete.Left; s <= rete.Right; s++ {
-			if e := t.Lines[i].ParkedHead(s); e != nil {
+			if e := t.Lines[i].xdel[s]; e != 0 {
 				return fmt.Errorf("line %d: unmatched early delete for node %d (%s side, token len %d)",
-					i, e.Node.ID, s, len(e.Wmes))
+					i, v.ent(e).node(), s, v.ent(e).tokLen())
 			}
 		}
 	}
@@ -873,6 +786,19 @@ func (t *Table) CheckDrained() error {
 // Parked reports how many early deletes are parked on the table's
 // extra-deletes lists. Exact while the table is quiescent.
 func (t *Table) Parked() int64 { return t.parked.Load() }
+
+// WalkParked counts the parked early deletes by walking every
+// extra-deletes list — the cross-check of Parked's exact count. The
+// table must be quiescent.
+func (t *Table) WalkParked() (n int64) {
+	v := t.st.view()
+	for i := range t.Lines {
+		for _, head := range t.Lines[i].xdel {
+			n += int64(listLen(v, head))
+		}
+	}
+	return n
+}
 
 // EnsureNodes grows a per-node (vs1) table so node IDs up to
 // numJoins-1 have a private line, preserving existing lines. Hashed
@@ -905,43 +831,34 @@ func (r *Recorder) EnsureNodes(numJoins int) {
 }
 
 // ExciseNodes unlinks every memory entry and parked early delete
-// belonging to a dead node (keyed by node ID) and reports how many
-// entries were dropped. rec, when non-nil, has the dead nodes' token
-// counts zeroed. The caller must hold the table exclusively (sequential
-// matchers between activations; the parallel matcher drained).
-func (t *Table) ExciseNodes(dead map[int]bool, rec *Recorder) (removed int) {
+// belonging to a dead node (keyed by node ID), recycles them into p, and
+// reports how many entries were dropped. rec, when non-nil, has the dead
+// nodes' token counts zeroed. The caller must hold the table exclusively
+// (sequential matchers between activations; the parallel matcher
+// drained).
+func (t *Table) ExciseNodes(dead map[int]bool, rec *Recorder, p *Pools) (removed int) {
 	if len(dead) == 0 {
 		return 0
 	}
+	p.bind(t.st)
+	v := t.st.view()
 	for i := range t.Lines {
 		l := &t.Lines[i]
 		// A dead run keeps its key (overflow probe sequences stay intact;
 		// the next sub-index growth compacts it away) and drops its lists.
-		l.forEachRun(func(r *run) {
-			if !dead[r.node.ID] {
-				return
-			}
-			for s := range r.mem {
-				n := listLen(r.mem[s])
-				l.live -= int32(n)
-				removed += n
-				r.mem[s] = nil
-			}
-		})
-		if l.ext == nil {
-			continue
-		}
-		for s := range l.ext.Mem {
-			n := exciseList(&l.ext.Mem[s], dead)
+		t.lists(v, l, func(_ rete.Side, head *uint32) {
+			n := exciseList(v, head, dead, p)
 			l.live -= int32(n)
 			removed += n
-			x := exciseList(&l.ext.XDel[s], dead)
+		})
+		for s := range l.xdel {
+			x := exciseList(v, &l.xdel[s], dead, p)
 			t.parked.Add(int64(-x))
 			removed += x
 		}
 	}
-	// removed includes parked XDel entries, which never counted toward
-	// the live gauge; recompute exactly.
+	// removed includes parked entries, which never counted toward the
+	// live gauge; recompute exactly.
 	var live int64
 	for i := range t.Lines {
 		live += int64(t.Lines[i].live)
@@ -962,77 +879,81 @@ func (t *Table) ExciseNodes(dead map[int]bool, rec *Recorder) (removed int) {
 	return removed
 }
 
-func exciseList(l *rete.EntryList, dead map[int]bool) (removed int) {
-	var prev *rete.Entry
-	for cur := l.Head; cur != nil; {
-		next := cur.Next
-		if dead[cur.Node.ID] {
-			if prev == nil {
-				l.Head = next
-			} else {
-				prev.Next = next
-			}
-			cur.Next = nil
-			l.Len--
+// exciseList unlinks and frees the dead nodes' entries of the list at
+// *head, keeping the others in order.
+func exciseList(v view, head *uint32, dead map[int]bool, p *Pools) (removed int) {
+	for q := head; *q != 0; {
+		i := *q
+		e := v.ent(i)
+		if dead[e.node()] {
+			*q, e.next = e.next, 0
+			p.FreeEntry(i)
 			removed++
-		} else {
-			prev = cur
+			continue
 		}
-		cur = next
+		q = &e.next
 	}
 	return removed
 }
 
 // ForEachOutput re-derives the historical output tokens of join j from
-// its stored memories and calls fn for each: for a positive node every
-// matching (left token, right WME) pair in the same line, for a negated
-// node every left token whose negation count is zero. Replay uses this
-// to seed newly attached successors and terminals of a pre-existing
-// join with the tokens it has already emitted. Correct on hashed tables
-// because both sides of a matching pair fold the same equality-test
-// values into their hash and therefore share a line — and, in the
-// segregated layout, a run. The caller must hold the table exclusively.
-func (t *Table) ForEachOutput(j *rete.JoinNode, pools *Pools, fn func(wmes []*wm.WME)) {
+// its stored memories and calls fn for each, a span from pools' arena:
+// for a positive node every matching (left token, right WME) pair in the
+// same line, for a negated node every left token whose negation count is
+// zero. Replay uses this to seed newly attached successors and terminals
+// of a pre-existing join with the tokens it has already emitted. Correct
+// on hashed tables because both sides of a matching pair fold the same
+// equality-test values into their hash and therefore share a line — and,
+// in the segregated layout, a run. The caller must hold the table
+// exclusively.
+func (t *Table) ForEachOutput(j *rete.JoinNode, pools *Pools, fn func(tok []uint32)) {
 	lines := t.Lines
 	if !t.Hashed {
 		lines = t.Lines[j.ID : j.ID+1]
 	}
+	v := t.st.view()
+	node := uint32(j.ID) + 1
 	for i := range lines {
 		l := &lines[i]
-		l.forEachRun(func(r *run) {
-			if r.node == j {
-				forEachPair(j, r.mem[rete.Left], r.mem[rete.Right], pools, fn)
+		if !t.seg {
+			forEachPair(v, j, l.first.mem[rete.Left], l.first.mem[rete.Right], pools, fn)
+			continue
+		}
+		l.forEachRun(v, func(r *run) {
+			if r.node == node {
+				forEachPair(v, j, r.mem[rete.Left], r.mem[rete.Right], pools, fn)
 			}
 		})
-		if x := l.ext; x != nil {
-			forEachPair(j, x.Mem[rete.Left].Head, x.Mem[rete.Right].Head, pools, fn)
-		}
 	}
 }
 
 // forEachPair calls fn for every output token j's entries on the two
 // lists stand for, skipping entries of other nodes.
-func forEachPair(j *rete.JoinNode, left, right *rete.Entry, pools *Pools, fn func(wmes []*wm.WME)) {
-	for le := left; le != nil; le = le.Next {
-		if le.Node != j || le.Side != rete.Left {
+func forEachPair(v view, j *rete.JoinNode, left, right uint32, pools *Pools, fn func(tok []uint32)) {
+	sv := pools.Slots
+	lwant, rwant := packMeta(j.ID, j.LeftLen, rete.Left), packMeta(j.ID, 1, rete.Right)
+	for le := left; le != 0; le = v.ent(le).next {
+		if v.ent(le).meta != lwant {
 			continue
 		}
+		ltok := v.tok(le, j.LeftLen)
 		if j.Negated {
-			if le.NegCount.Load() == 0 {
-				fn(le.Wmes)
+			if atomic.LoadInt32(&v.ent(le).neg) == 0 {
+				fn(copyTok(pools, ltok))
 			}
 			continue
 		}
-		for re := right; re != nil; re = re.Next {
-			if re.Node != j || re.Side != rete.Right {
+		for re := right; re != 0; re = v.ent(re).next {
+			if v.ent(re).meta != rwant {
 				continue
 			}
-			if !j.TestPair(le.Wmes, re.Wmes[0]) {
+			rs := v.tok(re, 1)[0]
+			if !j.TestPair(sv, ltok, sv.Get(rs)) {
 				continue
 			}
-			child := pools.MakeToken(len(le.Wmes) + 1)
-			copy(child, le.Wmes)
-			child[len(le.Wmes)] = re.Wmes[0]
+			child := pools.Token(len(ltok) + 1)
+			copy(child, ltok)
+			child[len(ltok)] = rs
 			fn(child)
 		}
 	}

@@ -32,12 +32,51 @@ func fixture(t *testing.T, src string) *rete.Network {
 const joinSrc = `(p r (a ^x <v>) (b ^y <v>) --> (halt))`
 const notSrc = `(p r (a ^x <v>) - (b ^y <v>) --> (halt))`
 
+// testSlots is the slot table every test WME is assigned in; slotsMu
+// serializes the assignments of concurrent tests (reads need no lock).
+var (
+	slotsMu   sync.Mutex
+	testSlots = wm.NewSlots()
+)
+
 func mkW(class uint32, tag int, vals ...int64) *wm.WME {
 	fs := []wm.Value{wm.Sym(symbols.ID(class))}
 	for _, v := range vals {
 		fs = append(fs, wm.Int(v))
 	}
-	return &wm.WME{TimeTag: tag, Fields: fs}
+	w := &wm.WME{TimeTag: tag, Fields: fs}
+	slotsMu.Lock()
+	testSlots.Assign(w)
+	slotsMu.Unlock()
+	return w
+}
+
+// toTok returns the slot span of a WME list.
+func toTok(wmes []*wm.WME) []uint32 {
+	tok := make([]uint32, len(wmes))
+	for i, w := range wmes {
+		tok[i] = w.Slot
+	}
+	return tok
+}
+
+// leftHash is j.LeftHash over a WME list.
+func leftHash(j *rete.JoinNode, wmes []*wm.WME) uint64 {
+	return j.LeftHash(testSlots.View(), toTok(wmes))
+}
+
+// testPools holds one Pools per table for the single-goroutine tests.
+var testPools = map[*hashmem.Table]*hashmem.Pools{}
+
+// poolsFor returns t's pools with a fresh slot view.
+func poolsFor(t *hashmem.Table) *hashmem.Pools {
+	p := testPools[t]
+	if p == nil {
+		p = &hashmem.Pools{}
+		testPools[t] = p
+	}
+	p.Slots = testSlots.View()
+	return p
 }
 
 // layouts returns one table per storage layout so every behavioural test
@@ -51,27 +90,33 @@ func layouts(nLines int) map[string]*hashmem.Table {
 }
 
 // apply performs one activation against a table, returning emitted
-// (sign, len) pairs.
+// (sign, len) pairs. The table's live gauge is folded after each one.
 func apply(table *hashmem.Table, j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME) []string {
 	var out []string
 	var hash uint64
 	if side == rete.Left {
-		hash = j.LeftHash(wmes)
+		hash = leftHash(j, wmes)
 	} else {
 		hash = j.RightHash(wmes[0])
 	}
+	p := poolsFor(table)
+	defer table.FoldLive(p)
+	tok := toTok(wmes)
 	idx := table.LineIndex(j, hash)
-	entry, ref, res := table.UpdateOwn(idx, j, side, sign, wmes, hash, nil, nil)
+	entry, ref, res := table.UpdateOwn(idx, j, side, sign, tok, hash, nil, p)
 	if !res.Proceeded {
 		return out
 	}
-	table.SearchOpposite(idx, ref, j, side, sign, wmes, entry, nil, nil, func(s bool, w []*wm.WME) {
+	table.SearchOpposite(ref, j, side, sign, tok, entry, nil, p, func(s bool, w []uint32) {
 		tag := "+"
 		if !s {
 			tag = "-"
 		}
 		out = append(out, fmt.Sprintf("%s%d", tag, len(w)))
 	})
+	if !sign {
+		p.FreeEntry(entry)
+	}
 	return out
 }
 
@@ -236,13 +281,13 @@ func TestRecorderNodeCounts(t *testing.T) {
 	for name, table := range layouts(4) {
 		rec := hashmem.NewRecorder(len(net.Joins))
 		w := []*wm.WME{mkW(1, 1, 5)}
-		hash := j.LeftHash(w)
+		hash := leftHash(j, w)
 		idx := table.LineIndex(j, hash)
-		table.UpdateOwn(idx, j, rete.Left, true, w, hash, rec, nil)
+		table.UpdateOwn(idx, j, rete.Left, true, toTok(w), hash, rec, poolsFor(table))
 		if rec.NodeCount[rete.Left][j.ID] != 1 {
 			t.Fatalf("%s: count after insert = %d", name, rec.NodeCount[rete.Left][j.ID])
 		}
-		table.UpdateOwn(idx, j, rete.Left, false, w, hash, rec, nil)
+		table.UpdateOwn(idx, j, rete.Left, false, toTok(w), hash, rec, poolsFor(table))
 		if rec.NodeCount[rete.Left][j.ID] != 0 {
 			t.Fatalf("%s: count after delete = %d", name, rec.NodeCount[rete.Left][j.ID])
 		}
@@ -279,11 +324,11 @@ func TestGrowTargetPolicy(t *testing.T) {
 	}
 }
 
-// TestFoldLiveKeepsTheGaugeExact: activations that bring a Pools count
-// their inserts and deletes there, so the shared gauge moves only when
-// the owner folds; two owners folding in any order must land on the
-// same Entries — and the same growth decision — as pool-less callers
-// that write the gauge directly.
+// TestFoldLiveKeepsTheGaugeExact: activations count their inserts and
+// deletes in their Pools, so the shared gauge moves only when the owner
+// folds; two owners folding in any order must land on the same Entries —
+// and the same growth decision — as a caller that folds after every
+// activation.
 func TestFoldLiveKeepsTheGaugeExact(t *testing.T) {
 	net := fixture(t, joinSrc)
 	j := net.Joins[0]
@@ -295,8 +340,12 @@ func TestFoldLiveKeepsTheGaugeExact(t *testing.T) {
 			toks[tag] = []*wm.WME{mkW(1, tag, int64(tag))}
 		}
 		tok := toks[tag]
-		hash := j.LeftHash(tok)
-		table.UpdateOwn(table.LineIndex(j, hash), j, rete.Left, sign, tok, hash, nil, p)
+		hash := leftHash(j, tok)
+		if p == nil {
+			p = poolsFor(table)
+			defer table.FoldLive(p)
+		}
+		table.UpdateOwn(table.LineIndex(j, hash), j, rete.Left, sign, toTok(tok), hash, nil, p)
 	}
 	for i := 1; i <= 24; i++ {
 		owner := &a
@@ -328,8 +377,8 @@ func TestFoldLiveKeepsTheGaugeExact(t *testing.T) {
 
 // TestGrowPreservesNegationCounts grows a table holding a blocked left
 // token and verifies the blocker count survives: Grow moves entry
-// objects rather than copying them, so the NegCount identity a later
-// unblock depends on stays intact.
+// entries without copying them, so the NegCount a later unblock depends
+// on stays intact.
 func TestGrowPreservesNegationCounts(t *testing.T) {
 	net := fixture(t, notSrc)
 	j := net.Joins[0]
@@ -350,7 +399,7 @@ func TestGrowPreservesNegationCounts(t *testing.T) {
 	if n == 0 {
 		t.Fatal("table did not reach its growth trigger")
 	}
-	table = table.Grow(n)
+	table = table.Grow(n, poolsFor(table))
 	if got := table.MemStats(); got.Resizes != 1 || got.Lines != int64(n) {
 		t.Fatalf("post-grow stats = %+v, want resizes 1, lines %d", got, n)
 	}
@@ -378,7 +427,7 @@ func TestGrowRehashesParkedDeletes(t *testing.T) {
 	if n == 0 {
 		t.Fatal("table did not reach its growth trigger")
 	}
-	table = table.Grow(n)
+	table = table.Grow(n, poolsFor(table))
 	if err := table.CheckDrained(); err == nil {
 		t.Fatal("parked delete lost by Grow")
 	}
@@ -392,13 +441,13 @@ func TestGrowRehashesParkedDeletes(t *testing.T) {
 
 // emitKey renders one emission as sign plus the token's time tags, an
 // order-independent identity for differential comparison.
-func emitKey(sign bool, wmes []*wm.WME) string {
+func emitKey(sign bool, tok []uint32) string {
 	s := "+"
 	if !sign {
 		s = "-"
 	}
-	for _, w := range wmes {
-		s += fmt.Sprintf(",%d", w.TimeTag)
+	for _, slot := range tok {
+		s += fmt.Sprintf(",%d", testSlots.Get(slot).TimeTag)
 	}
 	return s
 }
@@ -445,15 +494,21 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 	step := func(table *hashmem.Table, e ev, got *[]string) {
 		var hash uint64
 		if e.side == rete.Left {
-			hash = e.j.LeftHash(e.tok)
+			hash = leftHash(e.j, e.tok)
 		} else {
 			hash = e.j.RightHash(e.tok[0])
 		}
+		p := poolsFor(table)
+		defer table.FoldLive(p)
+		tok := toTok(e.tok)
 		idx := table.LineIndex(e.j, hash)
-		entry, ref, res := table.UpdateOwn(idx, e.j, e.side, e.sign, e.tok, hash, nil, nil)
+		entry, ref, res := table.UpdateOwn(idx, e.j, e.side, e.sign, tok, hash, nil, p)
 		if res.Proceeded {
-			table.SearchOpposite(idx, ref, e.j, e.side, e.sign, e.tok, entry, nil, nil,
-				func(s bool, w []*wm.WME) { *got = append(*got, emitKey(s, w)) })
+			table.SearchOpposite(ref, e.j, e.side, e.sign, tok, entry, nil, p,
+				func(s bool, w []uint32) { *got = append(*got, emitKey(s, w)) })
+			if !e.sign {
+				p.FreeEntry(entry)
+			}
 		}
 	}
 	seg, leg := hashmem.New(1), hashmem.NewLegacy(64)
@@ -482,7 +537,7 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 		step(seg, e, &segGot)
 		step(leg, e, &legGot)
 		if n := seg.GrowTarget(); n > 0 {
-			seg = seg.Grow(n)
+			seg = seg.Grow(n, poolsFor(seg))
 			sameGauges(i, "grow")
 		}
 		switch r := rng.Intn(150); {
@@ -498,7 +553,7 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 				break
 			}
 			dead[j] = true
-			ns, nl := seg.ExciseNodes(map[int]bool{j.ID: true}, nil), leg.ExciseNodes(map[int]bool{j.ID: true}, nil)
+			ns, nl := seg.ExciseNodes(map[int]bool{j.ID: true}, nil, poolsFor(seg)), leg.ExciseNodes(map[int]bool{j.ID: true}, nil, poolsFor(leg))
 			if ns != nl {
 				t.Fatalf("event %d: ExciseNodes dropped %d segregated, %d legacy", i, ns, nl)
 			}
@@ -530,22 +585,6 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 	if ms := seg.MemStats(); ms.Resizes == 0 || clones == 0 || len(dead) == 0 {
 		t.Errorf("storm too tame: %d resizes, %d clones, %d excises; raise the pair count", ms.Resizes, clones, len(dead))
 	}
-}
-
-// walkParked counts parked early deletes the slow way — every line's
-// extra-deletes lists, entry by entry — which is what CheckDrained did
-// before the table kept an exact count. The tests hold Table.Parked to
-// it after every mutation.
-func walkParked(table *hashmem.Table) int64 {
-	var n int64
-	for i := range table.Lines {
-		for s := rete.Left; s <= rete.Right; s++ {
-			for e := table.Lines[i].ParkedHead(s); e != nil; e = e.Next {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // threeJoinSrc compiles to three independent two-CE joins, so the storm
@@ -604,7 +643,7 @@ func TestParkedCountTracksWalk(t *testing.T) {
 			}
 			check := func(step int, op string) {
 				t.Helper()
-				walk := walkParked(table)
+				walk := table.WalkParked()
 				if got := table.Parked(); got != walk || walk != int64(len(parked)) {
 					t.Fatalf("step %d (%s): Parked() = %d, walk = %d, model = %d", step, op, got, walk, len(parked))
 				}
@@ -638,7 +677,7 @@ func TestParkedCountTracksWalk(t *testing.T) {
 					}
 				case r < 95 && table.Segregated() && len(table.Lines) < 512:
 					op = "grow"
-					table = table.Grow(2 * len(table.Lines))
+					table = table.Grow(2*len(table.Lines), poolsFor(table))
 					sawGrow = true
 				case r < 98:
 					op = "clone"
@@ -646,7 +685,7 @@ func TestParkedCountTracksWalk(t *testing.T) {
 					// was, and the copy must count for itself from here on.
 					orig, before := table, table.Parked()
 					table = table.Clone()
-					if orig.Parked() != before || walkParked(orig) != before {
+					if orig.Parked() != before || orig.WalkParked() != before {
 						t.Fatalf("step %d: Clone disturbed the original's parked deletes", step)
 					}
 					sawClone = true
@@ -663,7 +702,7 @@ func TestParkedCountTracksWalk(t *testing.T) {
 						return out
 					}
 					n := len(parked)
-					table.ExciseNodes(map[int]bool{dead.ID: true}, nil)
+					table.ExciseNodes(map[int]bool{dead.ID: true}, nil, poolsFor(table))
 					live, parked = keep(live), keep(parked)
 					sawExcise = true
 					sawParkedExcise = sawParkedExcise || len(parked) < n
@@ -716,42 +755,46 @@ func TestLineFitsACacheLine(t *testing.T) {
 
 // own is apply's first half on a one-line table, leaving the search to
 // the caller so tests can put other activations in between.
-func own(table *hashmem.Table, j *rete.JoinNode, side rete.Side, sign bool, tok []*wm.WME) (*rete.Entry, hashmem.Ref) {
-	hash := j.RightHash(tok[0])
-	if side == rete.Left {
-		hash = j.LeftHash(tok)
-	}
-	entry, ref, _ := table.UpdateOwn(0, j, side, sign, tok, hash, nil, nil)
+func own(table *hashmem.Table, j *rete.JoinNode, side rete.Side, sign bool, tok []*wm.WME) (uint32, hashmem.Ref) {
+	entry, ref, _ := table.UpdateOwn(0, j, side, sign, toTok(tok), tokHash(j, side, tok), nil, poolsFor(table))
 	return entry, ref
+}
+
+// tokHash is the line hash of a token of j's side.
+func tokHash(j *rete.JoinNode, side rete.Side, tok []*wm.WME) uint64 {
+	if side == rete.Left {
+		return leftHash(j, tok)
+	}
+	return j.RightHash(tok[0])
 }
 
 // TestStaleRefReadsItsOppositeList holds a Ref across same-side
 // activations of other nodes on the same line — what the MRSW scheme
 // allows between an UpdateOwn and its SearchOpposite — that first grow
-// the overflow sub-index out from under it and then re-key the inline
-// run it points at: the search must still see exactly the opposite list
-// of its own (node, hash).
+// the overflow sub-index out from under the run it came from and then
+// re-key the inline run it came from: the search must still see exactly
+// the opposite list of its own (node, hash).
 func TestStaleRefReadsItsOppositeList(t *testing.T) {
 	net := fixture(t, threeJoinSrc)
 	j1, j2, j3 := net.Joins[0], net.Joins[1], net.Joins[2]
 	table := hashmem.New(1)
 	line := &table.Lines[0]
-	search := func(j *rete.JoinNode, side rete.Side, sign bool, tok []*wm.WME, entry *rete.Entry, ref hashmem.Ref) []string {
+	search := func(j *rete.JoinNode, side rete.Side, sign bool, tok []*wm.WME, entry uint32, ref hashmem.Ref) []string {
 		var out []string
-		table.SearchOpposite(0, ref, j, side, sign, tok, entry, nil, nil,
-			func(s bool, w []*wm.WME) { out = append(out, emitKey(s, w)) })
+		table.SearchOpposite(ref, j, side, sign, toTok(tok), entry, nil, poolsFor(table),
+			func(s bool, w []uint32) { out = append(out, emitKey(s, w)) })
 		return out
 	}
 	left := func(tag int, v int64) []*wm.WME { return []*wm.WME{mkW(1, tag, v)} }
 
 	// An overflow run outgrown. (j1, 5) takes the inline slot, (j1, 6) the
-	// first overflow slot; the left token's ref points into that array.
+	// first overflow slot, where the left token's ref comes from.
 	r5 := []*wm.WME{mkW(2, 1, 5)}
 	apply(table, j1, rete.Right, true, r5)
 	apply(table, j1, rete.Right, true, []*wm.WME{mkW(2, 2, 6)})
 	l6 := left(3, 6)
 	entry, ref := own(table, j1, rete.Left, true, l6)
-	if ref.Inline(line) || line.OverflowSlots() == 0 {
+	if line.InlineHolds(j1.ID, tokHash(j1, rete.Left, l6)) || line.OverflowSlots() == 0 {
 		t.Fatalf("fixture: (j1, 6) should sit in the overflow sub-index (slots %d)", line.OverflowSlots())
 	}
 	before := line.OverflowSlots()
@@ -768,14 +811,14 @@ func TestStaleRefReadsItsOppositeList(t *testing.T) {
 
 	// The inline run emptied and re-keyed. Deleting (j1, 5)'s only token
 	// leaves both its lists empty; the next new key on the line takes the
-	// slot while the delete's ref still points at it.
-	entry, ref = own(table, j1, rete.Right, false, r5)
-	if !ref.Inline(line) {
+	// slot while the delete's ref is still to be searched.
+	if !line.InlineHolds(j1.ID, tokHash(j1, rete.Right, r5)) {
 		t.Fatal("fixture: (j1, 5) should be the inline run")
 	}
+	entry, ref = own(table, j1, rete.Right, false, r5)
 	r99 := []*wm.WME{mkW(2, 30, 99)}
 	own(table, j2, rete.Right, true, r99)
-	if _, again := own(table, j2, rete.Right, false, r99); !again.Inline(line) {
+	if !line.InlineHolds(j2.ID, tokHash(j2, rete.Right, r99)) {
 		t.Fatal("fixture: the new key did not re-key the emptied inline run")
 	}
 	if got := search(j1, rete.Right, false, r5, entry, ref); len(got) != 0 {
@@ -800,8 +843,8 @@ func TestCloneAndGrowKeepRunOrder(t *testing.T) {
 	scans := func(table *hashmem.Table) []int {
 		var out []int
 		for _, tok := range toks {
-			hash := j.LeftHash(tok)
-			_, _, res := table.UpdateOwn(table.LineIndex(j, hash), j, rete.Left, false, tok, hash, nil, nil)
+			hash := leftHash(j, tok)
+			_, _, res := table.UpdateOwn(table.LineIndex(j, hash), j, rete.Left, false, toTok(tok), hash, nil, poolsFor(table))
 			if !res.Proceeded {
 				t.Fatalf("token %d not found", tok[0].TimeTag)
 			}
@@ -810,8 +853,10 @@ func TestCloneAndGrowKeepRunOrder(t *testing.T) {
 		return out
 	}
 	clone := orig.Clone()
-	grown := orig.Clone().Grow(64)
-	regrown := grown.Clone().Grow(4096).Clone()
+	grown := orig.Clone()
+	grown = grown.Grow(64, poolsFor(grown))
+	regrown := grown.Clone()
+	regrown = regrown.Grow(4096, poolsFor(regrown)).Clone()
 	want := scans(orig)
 	if deepest := slices.Max(want); deepest < 5 {
 		t.Fatalf("fixture: deepest delete scan %d, runs too short to tell orders apart", deepest)
@@ -831,16 +876,18 @@ func TestEntriesRecycleWithoutACap(t *testing.T) {
 	j := net.Joins[0]
 	const n = 5000
 	table := hashmem.New(n)
-	var pools hashmem.Pools
-	toks := make([][]*wm.WME, n)
+	pools := poolsFor(table)
+	toks := make([][]uint32, n)
+	hashes := make([]uint64, n)
 	for i := range toks {
-		toks[i] = []*wm.WME{mkW(1, i+1, int64(i))}
+		w := []*wm.WME{mkW(1, i+1, int64(i))}
+		toks[i], hashes[i] = toTok(w), leftHash(j, w)
 	}
 	round := func() {
 		for _, sign := range []bool{true, false} {
-			for _, tok := range toks {
-				hash := j.LeftHash(tok)
-				e, _, res := table.UpdateOwn(table.LineIndex(j, hash), j, rete.Left, sign, tok, hash, nil, &pools)
+			for i, tok := range toks {
+				hash := hashes[i]
+				e, _, res := table.UpdateOwn(table.LineIndex(j, hash), j, rete.Left, sign, tok, hash, nil, pools)
 				if !res.Proceeded {
 					t.Fatal("activation did not proceed")
 				}
@@ -883,15 +930,17 @@ func TestSameSideEpochKeepsRefsSound(t *testing.T) {
 	}
 
 	var mod sync.Mutex
-	activate := func(p *hashmem.Pools, j *rete.JoinNode, sign bool, tok []*wm.WME) (pairs int) {
-		hash := j.LeftHash(tok)
+	activate := func(p *hashmem.Pools, j *rete.JoinNode, sign bool, wmes []*wm.WME) (pairs int) {
+		p.Slots = testSlots.View()
+		tok := toTok(wmes)
+		hash := j.LeftHash(p.Slots, tok)
 		mod.Lock()
 		entry, ref, res := table.UpdateOwn(0, j, rete.Left, sign, tok, hash, nil, p)
 		mod.Unlock()
 		if !res.Proceeded {
 			return -1
 		}
-		table.SearchOpposite(0, ref, j, rete.Left, sign, tok, entry, nil, p, func(bool, []*wm.WME) { pairs++ })
+		table.SearchOpposite(ref, j, rete.Left, sign, tok, entry, nil, p, func(bool, []uint32) { pairs++ })
 		if !sign {
 			p.FreeEntry(entry)
 		}
@@ -940,5 +989,34 @@ func TestSameSideEpochKeepsRefsSound(t *testing.T) {
 	}
 	if got, want := table.MemStats().Entries, int64(tag-2); got != want {
 		t.Errorf("%d entries left, want the %d right tokens", got, want)
+	}
+}
+
+// TestListRemoveDuplicates covers duplicate tokens on the list layouts,
+// where out-of-order parallel processing can legitimately store the
+// same token twice: each delete takes out exactly one instance, and a
+// third finds nothing and parks.
+func TestListRemoveDuplicates(t *testing.T) {
+	net := fixture(t, joinSrc)
+	j := net.Joins[0]
+	for name, mk := range allLayouts(net.NumJoinIDs()) {
+		table := mk()
+		w := []*wm.WME{mkW(1, 1, 1)}
+		apply(table, j, rete.Left, true, w)
+		apply(table, j, rete.Left, true, w)
+		if n := table.MemStats().Entries; n != 2 {
+			t.Fatalf("%s: %d entries after two inserts, want 2", name, n)
+		}
+		hash := leftHash(j, w)
+		idx := table.LineIndex(j, hash)
+		for i, want := range []bool{true, true, false} {
+			_, _, res := table.UpdateOwn(idx, j, rete.Left, false, toTok(w), hash, nil, poolsFor(table))
+			if res.Proceeded != want {
+				t.Fatalf("%s: delete %d proceeded = %v, want %v", name, i+1, res.Proceeded, want)
+			}
+		}
+		if table.Parked() != 1 {
+			t.Fatalf("%s: the unmatched third delete did not park", name)
+		}
 	}
 }

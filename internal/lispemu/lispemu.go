@@ -12,6 +12,7 @@ package lispemu
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/ops5"
@@ -295,7 +296,7 @@ func (m *Matcher) activate(j *rete.JoinNode, side rete.Side, sign bool, wmes []*
 	} else {
 		found := -1
 		for i, e := range *mem {
-			if rete.SameWmes(e.wmes, wmes) {
+			if slices.Equal(e.wmes, wmes) {
 				found = i
 				ent = e
 				break

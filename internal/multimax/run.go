@@ -89,8 +89,8 @@ func Simulate(prog *ops5.Program, net *rete.Network, cfg Config) (*Result, error
 	}
 	// The simulator is single-threaded; one stripe keeps Select trivial.
 	cs := conflict.New(conflict.Config{Strategy: st})
-	s := newSim(cfg, net, cs)
 	mem := wm.NewMemory()
+	s := newSim(cfg, net, cs, mem.Slots())
 	res := &Result{}
 
 	compiled := make([]*rhs.Compiled, len(net.Rules))
@@ -148,6 +148,12 @@ func Simulate(prog *ops5.Program, net *rete.Network, cfg Config) (*Result, error
 		}
 		phaseEnd := s.runPhase(pending, rhsEnd)
 		pending = pending[:0]
+		// Drained: the phase's tokens are dead, and so are the slots of
+		// the elements it removed, unless a delete was lost.
+		s.pools.ResetTokens()
+		if s.table.CheckDrained() == nil {
+			mem.Release()
+		}
 		matchTail = 0
 		if phaseEnd > rhsEnd {
 			matchTail = phaseEnd - rhsEnd

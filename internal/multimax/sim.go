@@ -53,6 +53,12 @@ type sim struct {
 	gates []simMRSW
 	qs    []simQueue
 	sink  rete.TerminalSink
+	// slots resolves token spans; pools carries the virtual processors'
+	// shared allocation state — the simulator runs on one goroutine — and
+	// inst the scratch a terminal token is resolved into.
+	slots *wm.Slots
+	pools hashmem.Pools
+	inst  []*wm.WME
 
 	procs     []*proc // index cfg.Procs is the control process
 	rrProc    int     // rotating tie-break start for minProc
@@ -90,7 +96,7 @@ func (s *sim) profileLine(idx, nodeID int, spins int64) {
 	m[nodeID] = struct{}{}
 }
 
-func newSim(cfg Config, net *rete.Network, sink rete.TerminalSink) *sim {
+func newSim(cfg Config, net *rete.Network, sink rete.TerminalSink, slots *wm.Slots) *sim {
 	if cfg.Queues < 1 || cfg.Hardware {
 		cfg.Queues = 1
 	}
@@ -107,6 +113,7 @@ func newSim(cfg Config, net *rete.Network, sink rete.TerminalSink) *sim {
 		table: hashmem.NewLegacy(cfg.Lines),
 		qs:    make([]simQueue, cfg.Queues),
 		sink:  sink,
+		slots: slots,
 	}
 	n := len(s.table.Lines)
 	if cfg.Scheme == parmatch.SchemeSimple {
@@ -187,6 +194,7 @@ type pushEvent struct {
 // no pushes outstanding).
 func (s *sim) runPhase(pushes []pushEvent, rhsEnd int64) int64 {
 	s.zeroAt = rhsEnd
+	s.pools.Slots = s.slots.View() // WMEs are only made between phases
 	ctl := s.control()
 	s.pushesPending = len(pushes)
 	if len(pushes) > 0 {
@@ -330,7 +338,9 @@ func (s *sim) startTask(p *proc, t *taskqueue.Task) {
 func (s *sim) rootStage(p *proc, t *taskqueue.Task) {
 	var children []*taskqueue.Task
 	tests := s.net.RootDeliver(t.Root, func(d rete.AlphaDest) {
-		nt := &taskqueue.Task{Sign: t.Sign, Wmes: []*wm.WME{t.Root}}
+		tok := s.pools.Token(1)
+		tok[0] = t.Root.Slot
+		nt := &taskqueue.Task{Sign: t.Sign, Tok: tok}
 		if d.Terminal != nil {
 			nt.Term = d.Terminal
 		} else {
@@ -344,10 +354,14 @@ func (s *sim) rootStage(p *proc, t *taskqueue.Task) {
 }
 
 func (s *sim) termStage(p *proc, t *taskqueue.Task) {
+	s.inst = s.inst[:0]
+	for _, slot := range t.Tok {
+		s.inst = append(s.inst, s.pools.Slots.Get(slot))
+	}
 	if t.Sign {
-		s.sink.InsertInstantiation(t.Term.Rule, t.Wmes)
+		s.sink.InsertInstantiation(t.Term.Rule, s.inst)
 	} else {
-		s.sink.RemoveInstantiation(t.Term.Rule, t.Wmes)
+		s.sink.RemoveInstantiation(t.Term.Rule, s.inst)
 	}
 	p.t += s.cost.TermTask
 	s.finishTask(p)
@@ -359,9 +373,9 @@ func (s *sim) joinAcquire(p *proc, t *taskqueue.Task) {
 	j := t.Join
 	var hash uint64
 	if t.Side == rete.Left {
-		hash = j.LeftHash(t.Wmes)
+		hash = j.LeftHash(s.pools.Slots, t.Tok)
 	} else {
-		hash = j.RightHash(t.Wmes[0])
+		hash = j.RightHash(s.pools.Slots.Get(t.Tok[0]))
 	}
 	idx := s.table.LineIndex(j, hash)
 	if s.cfg.Scheme == parmatch.SchemeSimple {
@@ -409,15 +423,18 @@ func (s *sim) mrswMod(p *proc, t *taskqueue.Task, g *simMRSW, idx int, hash uint
 	if !s.tryLine(p, &g.mod, t.Side, idx, t.Join.ID) {
 		return
 	}
-	entry, ref, res := s.table.UpdateOwn(idx, t.Join, t.Side, t.Sign, t.Wmes, hash, nil, nil)
+	entry, ref, res := s.table.UpdateOwn(idx, t.Join, t.Side, t.Sign, t.Tok, hash, nil, &s.pools)
 	cost := s.cost.UpdateOwnBase + int64(res.OwnScanned)*s.cost.OwnScanEntry
 	var children []*taskqueue.Task
 	var searchCost int64
 	if res.Proceeded {
-		sr := s.table.SearchOpposite(idx, ref, t.Join, t.Side, t.Sign, t.Wmes, entry, nil, nil, func(cs bool, cw []*wm.WME) {
-			children = append(children, s.childTasks(t.Join, cs, cw)...)
+		sr := s.table.SearchOpposite(ref, t.Join, t.Side, t.Sign, t.Tok, entry, nil, &s.pools, func(cs bool, ct []uint32) {
+			children = append(children, s.childTasks(t.Join, cs, ct)...)
 		})
 		searchCost = int64(sr.OppExamined)*s.cost.OppExamine + int64(sr.Pairs)*s.cost.PairEmit
+		if !t.Sign {
+			s.pools.FreeEntry(entry)
+		}
 	}
 	if t.Join.Negated && t.Side == rete.Left {
 		// Mirrors parmatch: negated-node left activations keep the
@@ -450,16 +467,19 @@ func (s *sim) mrswExit(p *proc, g *simMRSW, side rete.Side, children []*taskqueu
 // execJoin runs a whole activation under the simple line lock and
 // returns its children and its critical-section cost.
 func (s *sim) execJoin(idx int, t *taskqueue.Task, hash uint64, extra int64) ([]*taskqueue.Task, int64) {
-	entry, ref, res := s.table.UpdateOwn(idx, t.Join, t.Side, t.Sign, t.Wmes, hash, nil, nil)
+	entry, ref, res := s.table.UpdateOwn(idx, t.Join, t.Side, t.Sign, t.Tok, hash, nil, &s.pools)
 	cost := extra + s.cost.UpdateOwnBase + int64(res.OwnScanned)*s.cost.OwnScanEntry
 	var children []*taskqueue.Task
 	exam := int64(0)
 	if res.Proceeded {
-		sr := s.table.SearchOpposite(idx, ref, t.Join, t.Side, t.Sign, t.Wmes, entry, nil, nil, func(cs bool, cw []*wm.WME) {
-			children = append(children, s.childTasks(t.Join, cs, cw)...)
+		sr := s.table.SearchOpposite(ref, t.Join, t.Side, t.Sign, t.Tok, entry, nil, &s.pools, func(cs bool, ct []uint32) {
+			children = append(children, s.childTasks(t.Join, cs, ct)...)
 		})
 		cost += int64(sr.OppExamined)*s.cost.OppExamine + int64(sr.Pairs)*s.cost.PairEmit
 		exam = int64(sr.OppExamined)
+		if !t.Sign {
+			s.pools.FreeEntry(entry)
+		}
 	}
 	id := t.Join.ID
 	s.nodeActs[id]++
@@ -476,13 +496,13 @@ func (s *sim) execJoin(idx int, t *taskqueue.Task, hash uint64, extra int64) ([]
 	return children, cost
 }
 
-func (s *sim) childTasks(j *rete.JoinNode, sign bool, wmes []*wm.WME) []*taskqueue.Task {
+func (s *sim) childTasks(j *rete.JoinNode, sign bool, tok []uint32) []*taskqueue.Task {
 	var out []*taskqueue.Task
 	for _, succ := range s.net.SuccsOf(j) {
-		out = append(out, &taskqueue.Task{Join: succ, Side: rete.Left, Sign: sign, Wmes: wmes})
+		out = append(out, &taskqueue.Task{Join: succ, Side: rete.Left, Sign: sign, Tok: tok})
 	}
 	for _, term := range s.net.TermsOf(j) {
-		out = append(out, &taskqueue.Task{Term: term, Sign: sign, Wmes: wmes})
+		out = append(out, &taskqueue.Task{Term: term, Sign: sign, Tok: tok})
 	}
 	return out
 }

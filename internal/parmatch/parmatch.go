@@ -170,6 +170,13 @@ type Matcher struct {
 	wg      sync.WaitGroup
 	pushRR  int          // control-only: round-robin cursor over the central queues
 	changes atomic.Int64 // working-memory changes submitted
+
+	// slots resolves the slot spans tokens are made of (UseSlots). Match
+	// processes take views of it while the control process assigns.
+	slots *wm.Slots
+	// inst is the control process's scratch for resolving a buffered
+	// terminal token into WMEs for the sink.
+	inst []*wm.WME
 }
 
 // termOp is one terminal activation, buffered by the process that ran
@@ -177,7 +184,7 @@ type Matcher struct {
 type termOp struct {
 	rule *rete.CompiledRule
 	sign bool
-	wmes []*wm.WME
+	tok  []uint32
 }
 
 // wctx is one process's private state: the stack its current unit runs
@@ -215,7 +222,7 @@ type wctx struct {
 	curJoin *rete.JoinNode // join whose outputs emit fans out
 	curSign bool           // sign of the root change being delivered
 	curWME  *wm.WME        // root WME being delivered
-	curRoot []*wm.WME      // shared length-1 token for curWME, built lazily
+	curRoot []uint32       // shared length-1 token for curWME, built lazily
 
 	emitFn    hashmem.Emit         // bound once to (*wctx).emit
 	deliverFn func(rete.AlphaDest) // bound once to (*wctx).deliver
@@ -251,6 +258,7 @@ func newMatcher(net *rete.Network, cfg Config, sink rete.TerminalSink, whole, wa
 		cfg:    cfg,
 		whole:  whole,
 		wake:   wake,
+		slots:  wm.NewSlots(),
 	}
 	m.net.Store(net)
 	var table *hashmem.Table
@@ -282,6 +290,15 @@ func newMatcher(net *rete.Network, cfg Config, sink rete.TerminalSink, whole, wa
 	}
 	return m
 }
+
+// UseSlots makes the matcher resolve tokens through s, the slot table
+// of the working memory whose elements it is submitted. Call it before
+// the first Submit; until then the matcher has a table of its own, which
+// callers that build WMEs outside a wm.Memory assign slots in (Slots).
+func (m *Matcher) UseSlots(s *wm.Slots) { m.slots = s }
+
+// Slots returns the slot table the matcher resolves tokens through.
+func (m *Matcher) Slots() *wm.Slots { return m.slots }
 
 // Submit pushes one working-memory change as a root token. The control
 // process proceeds with RHS evaluation, and a match goroutine that is
@@ -337,15 +354,20 @@ func (w *wctx) kick() {
 // in peers' hands, or runs them all alone when no peer holds one
 // (takeAll) — and then applies the phase's buffered terminal
 // activations to the sink. Drained is also the adaptive table's resize
-// point: the TaskCount==0 edge ordered the workers' line writes before
+// point — the TaskCount==0 edge ordered the workers' line writes before
 // this read, so the control process can rehash into a bigger table and
-// publish it, locks and all, before the next Submit.
+// publish it, locks and all, before the next Submit — and the in-flight
+// tokens' reset point: with the terminals flushed, no task, stack or
+// buffer holds a token any more, so every process's arena rewinds.
 func (m *Matcher) Drain() {
 	m.drain()
 	m.flushTerminals()
+	for _, w := range m.procs {
+		w.pools.ResetTokens()
+	}
 	t := m.Table()
 	if n := t.GrowTarget(); n > 0 {
-		m.mem.Store(newMemState(t.Grow(n), m.cfg.Scheme))
+		m.mem.Store(newMemState(t.Grow(n, &m.ctl.pools), m.cfg.Scheme))
 	}
 }
 
@@ -382,15 +404,21 @@ func (m *Matcher) drain() {
 // order would: an instantiation that left and re-entered the conflict
 // set during the phase comes back unfired.
 func (m *Matcher) flushTerminals() {
+	v := m.slots.View()
 	for _, sign := range [2]bool{false, true} {
 		for _, w := range m.procs {
 			for _, op := range w.terms {
-				switch {
-				case op.sign != sign:
-				case sign:
-					m.sink.InsertInstantiation(op.rule, op.wmes)
-				default:
-					m.sink.RemoveInstantiation(op.rule, op.wmes)
+				if op.sign != sign {
+					continue
+				}
+				m.inst = m.inst[:0]
+				for _, s := range op.tok {
+					m.inst = append(m.inst, v.Get(s))
+				}
+				if sign {
+					m.sink.InsertInstantiation(op.rule, m.inst)
+				} else {
+					m.sink.RemoveInstantiation(op.rule, m.inst)
 				}
 			}
 		}
@@ -478,6 +506,10 @@ func (m *Matcher) CheckInvariants() error {
 	}
 	return m.mem.Load().table.CheckDrained()
 }
+
+// ForEachSlot calls fn with every slot the token table names, for the
+// slot-safety oracles. Only while drained.
+func (m *Matcher) ForEachSlot(fn func(slot uint32)) { m.mem.Load().table.ForEachSlot(fn) }
 
 // MemStats returns the current table's memory gauges and resize
 // counters. Only while drained, like the other counters.
@@ -579,6 +611,7 @@ func (w *wctx) takeAll() bool {
 func (w *wctx) runSolo() {
 	n := int64(len(w.stack))
 	w.curNet = w.m.net.Load()
+	w.pools.Slots = w.m.slots.View() // alone: no slot is assigned meanwhile
 	for i, t := range w.stack {
 		w.stack[i] = nil
 		switch {
@@ -587,9 +620,9 @@ func (w *wctx) runSolo() {
 			w.curSign, w.curWME, w.curRoot = t.Sign, t.Root, nil
 			w.curNet.RootDeliver(t.Root, w.soloDeliverFn)
 		case t.Term != nil:
-			w.soloTerm(t.Term, t.Sign, t.Wmes)
+			w.soloTerm(t.Term, t.Sign, t.Tok)
 		default:
-			w.soloJoin(t.Join, t.Side, t.Sign, t.Wmes)
+			w.soloJoin(t.Join, t.Side, t.Sign, t.Tok)
 		}
 		w.freeTask(t)
 	}
@@ -610,36 +643,36 @@ func (w *wctx) soloDeliver(d rete.AlphaDest) {
 
 // soloEmit recurses into one output token's successors, restoring the
 // curJoin the recursion overwrote: SearchOpposite may emit again.
-func (w *wctx) soloEmit(csign bool, cwmes []*wm.WME) {
+func (w *wctx) soloEmit(csign bool, ctok []uint32) {
 	j := w.curJoin
 	for _, succ := range w.curNet.SuccsOf(j) {
-		w.soloJoin(succ, rete.Left, csign, cwmes)
+		w.soloJoin(succ, rete.Left, csign, ctok)
 	}
 	for _, term := range w.curNet.TermsOf(j) {
-		w.soloTerm(term, csign, cwmes)
+		w.soloTerm(term, csign, ctok)
 	}
 	w.curJoin = j
 }
 
 // soloTerm buffers one terminal activation of a solo run.
-func (w *wctx) soloTerm(term *rete.Terminal, sign bool, wmes []*wm.WME) {
+func (w *wctx) soloTerm(term *rete.Terminal, sign bool, tok []uint32) {
 	w.acts++
-	w.terms = append(w.terms, termOp{rule: term.Rule, sign: sign, wmes: wmes})
+	w.terms = append(w.terms, termOp{rule: term.Rule, sign: sign, tok: tok})
 }
 
 // soloJoin is join without the protocol: the same table update and
 // search, its outputs recursed into rather than stacked.
-func (w *wctx) soloJoin(j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME) {
+func (w *wctx) soloJoin(j *rete.JoinNode, side rete.Side, sign bool, tok []uint32) {
 	w.acts++
-	hash := tokenHash(j, side, wmes)
+	hash := tokenHash(w.pools.Slots, j, side, tok)
 	table := w.m.mem.Load().table
 	idx := table.LineIndex(j, hash)
-	entry, ref, res := table.UpdateOwn(idx, j, side, sign, wmes, hash, w.rec, &w.pools)
+	entry, ref, res := table.UpdateOwn(idx, j, side, sign, tok, hash, w.rec, &w.pools)
 	if !res.Proceeded {
 		return
 	}
 	w.curJoin = j
-	table.SearchOpposite(idx, ref, j, side, sign, wmes, entry, w.rec, &w.pools, w.soloEmitFn)
+	table.SearchOpposite(ref, j, side, sign, tok, entry, w.rec, &w.pools, w.soloEmitFn)
 	if !sign {
 		w.pools.FreeEntry(entry) // removed from its memory; nothing else holds it
 	}
@@ -696,7 +729,7 @@ func (w *wctx) process(t *taskqueue.Task) (requeued bool) {
 		w.curRoot = nil
 		w.m.net.Load().RootDeliver(t.Root, w.deliverFn)
 	case t.Term != nil:
-		w.terms = append(w.terms, termOp{rule: t.Term.Rule, sign: t.Sign, wmes: t.Wmes})
+		w.terms = append(w.terms, termOp{rule: t.Term.Rule, sign: t.Sign, tok: t.Tok})
 	default:
 		return w.join(t)
 	}
@@ -708,7 +741,7 @@ func (w *wctx) process(t *taskqueue.Task) (requeued bool) {
 func (w *wctx) deliver(d rete.AlphaDest) {
 	nt := w.newTask()
 	nt.Sign = w.curSign
-	nt.Wmes = w.rootToken()
+	nt.Tok = w.rootToken()
 	if d.Terminal != nil {
 		nt.Term = d.Terminal
 	} else {
@@ -719,10 +752,10 @@ func (w *wctx) deliver(d rete.AlphaDest) {
 }
 
 // rootToken is the current root's length-1 token, built on first use.
-func (w *wctx) rootToken() []*wm.WME {
+func (w *wctx) rootToken() []uint32 {
 	if w.curRoot == nil {
-		s := w.pools.MakeToken(1)
-		s[0] = w.curWME
+		s := w.pools.Token(1)
+		s[0] = w.curWME.Slot
 		w.curRoot = s
 	}
 	return w.curRoot
@@ -730,16 +763,16 @@ func (w *wctx) rootToken() []*wm.WME {
 
 // emit fans one output token of the current join out to its successor
 // joins and terminals.
-func (w *wctx) emit(csign bool, cwmes []*wm.WME) {
+func (w *wctx) emit(csign bool, ctok []uint32) {
 	j := w.curJoin
 	for _, succ := range w.curNet.SuccsOf(j) {
 		nt := w.newTask()
-		nt.Join, nt.Side, nt.Sign, nt.Wmes = succ, rete.Left, csign, cwmes
+		nt.Join, nt.Side, nt.Sign, nt.Tok = succ, rete.Left, csign, ctok
 		w.stack = append(w.stack, nt)
 	}
 	for _, term := range w.curNet.TermsOf(j) {
 		nt := w.newTask()
-		nt.Term, nt.Sign, nt.Wmes = term, csign, cwmes
+		nt.Term, nt.Sign, nt.Tok = term, csign, ctok
 		w.stack = append(w.stack, nt)
 	}
 }
@@ -747,7 +780,11 @@ func (w *wctx) emit(csign bool, cwmes []*wm.WME) {
 func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 	m := w.m
 	j := t.Join
-	hash := tokenHash(j, t.Side, t.Wmes)
+	// The slot view is taken twice: here for the task's own token, and
+	// again once the line is held, for the slots of the entries stored
+	// there, which may postdate this task.
+	w.pools.Slots = m.slots.View()
+	hash := tokenHash(w.pools.Slots, j, t.Side, t.Tok)
 	// One bundle load per task: the table and its lock arrays always
 	// match, and a resize can only intervene while drained, so no task
 	// straddles two table generations.
@@ -759,9 +796,10 @@ func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 	if m.cfg.Scheme == SchemeSimple {
 		spins := ms.simple[idx].Acquire()
 		w.recordLine(t.Side, spins)
-		entry, ref, res := table.UpdateOwn(idx, j, t.Side, t.Sign, t.Wmes, hash, w.rec, &w.pools)
+		w.pools.Slots = m.slots.View()
+		entry, ref, res := table.UpdateOwn(idx, j, t.Side, t.Sign, t.Tok, hash, w.rec, &w.pools)
 		if res.Proceeded {
-			table.SearchOpposite(idx, ref, j, t.Side, t.Sign, t.Wmes, entry, w.rec, &w.pools, w.emitFn)
+			table.SearchOpposite(ref, j, t.Side, t.Sign, t.Tok, entry, w.rec, &w.pools, w.emitFn)
 		}
 		ms.simple[idx].Release()
 		if !t.Sign && res.Proceeded {
@@ -784,14 +822,15 @@ func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 	}
 	spins = ms.mrsw[idx].Mod.Acquire()
 	w.recordLine(t.Side, spins)
-	entry, ref, res := table.UpdateOwn(idx, j, t.Side, t.Sign, t.Wmes, hash, w.rec, &w.pools)
+	w.pools.Slots = m.slots.View()
+	entry, ref, res := table.UpdateOwn(idx, j, t.Side, t.Sign, t.Tok, hash, w.rec, &w.pools)
 	if j.Negated && t.Side == rete.Left {
 		// Negated-node left activations must compute or read the join
 		// count atomically with the memory update: a concurrent left
 		// delete of the same token would otherwise observe the entry
 		// before its count is stored and emit an unmatched retraction.
 		if res.Proceeded {
-			table.SearchOpposite(idx, ref, j, t.Side, t.Sign, t.Wmes, entry, w.rec, &w.pools, w.emitFn)
+			table.SearchOpposite(ref, j, t.Side, t.Sign, t.Tok, entry, w.rec, &w.pools, w.emitFn)
 		}
 		ms.mrsw[idx].Mod.Release()
 	} else {
@@ -799,7 +838,7 @@ func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 		// resolved under it keeps the sub-index off this unlocked path.
 		ms.mrsw[idx].Mod.Release()
 		if res.Proceeded {
-			table.SearchOpposite(idx, ref, j, t.Side, t.Sign, t.Wmes, entry, w.rec, &w.pools, w.emitFn)
+			table.SearchOpposite(ref, j, t.Side, t.Sign, t.Tok, entry, w.rec, &w.pools, w.emitFn)
 		}
 	}
 	ms.mrsw[idx].Exit()
@@ -810,11 +849,11 @@ func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 }
 
 // tokenHash is the hash that picks a token's line.
-func tokenHash(j *rete.JoinNode, side rete.Side, wmes []*wm.WME) uint64 {
+func tokenHash(v wm.SlotView, j *rete.JoinNode, side rete.Side, tok []uint32) uint64 {
 	if side == rete.Left {
-		return j.LeftHash(wmes)
+		return j.LeftHash(v, tok)
 	}
-	return j.RightHash(wmes[0])
+	return j.RightHash(v.Get(tok[0]))
 }
 
 func (w *wctx) recordLine(side rete.Side, spins int64) {
@@ -859,7 +898,7 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 		for _, j := range d.DeadJoins {
 			dead[j.ID] = true
 		}
-		removed = table.ExciseNodes(dead, nil)
+		removed = table.ExciseNodes(dead, nil, &m.ctl.pools)
 		for id := range dead {
 			for _, w := range m.procs {
 				w.rec.NodeCount[0][id] = 0
@@ -878,9 +917,10 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 	if len(targets) == 0 && len(d.GrownJoins) == 0 {
 		return removed, nil
 	}
-	// Replay tokens escape into node memories and the conflict set, so
-	// they come from a throwaway arena, not a worker pool.
-	var pools hashmem.Pools
+	// Replay tokens come from the control process's arena: they live
+	// until the drain that runs them.
+	pools := &m.ctl.pools
+	pools.Slots = m.slots.View()
 	injected := false
 	for _, cd := range targets {
 		for _, dst := range cd.Dests {
@@ -891,9 +931,9 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 				if w.Class() != cd.Chain.Class || !cd.Chain.Matches(w) {
 					continue
 				}
-				tok := pools.MakeToken(1)
-				tok[0] = w
-				t := &taskqueue.Task{Join: dst.Join, Side: rete.Right, Sign: true, Wmes: tok}
+				tok := pools.Token(1)
+				tok[0] = w.Slot
+				t := &taskqueue.Task{Join: dst.Join, Side: rete.Right, Sign: true, Tok: tok}
 				m.inject(t)
 				injected = true
 			}
@@ -915,24 +955,24 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 				if w.Class() != cd.Chain.Class || !cd.Chain.Matches(w) {
 					continue
 				}
-				tok := pools.MakeToken(1)
-				tok[0] = w
+				tok := pools.Token(1)
+				tok[0] = w.Slot
 				if dst.Terminal != nil {
-					phase2 = append(phase2, &taskqueue.Task{Term: dst.Terminal, Sign: true, Wmes: tok})
+					phase2 = append(phase2, &taskqueue.Task{Term: dst.Terminal, Sign: true, Tok: tok})
 				} else {
-					phase2 = append(phase2, &taskqueue.Task{Join: dst.Join, Side: rete.Left, Sign: true, Wmes: tok})
+					phase2 = append(phase2, &taskqueue.Task{Join: dst.Join, Side: rete.Left, Sign: true, Tok: tok})
 				}
 			}
 		}
 	}
 	for i := range d.GrownJoins {
 		g := &d.GrownJoins[i]
-		table.ForEachOutput(g.Join, &pools, func(tok []*wm.WME) {
+		table.ForEachOutput(g.Join, pools, func(tok []uint32) {
 			for _, succ := range g.NewSuccs {
-				phase2 = append(phase2, &taskqueue.Task{Join: succ, Side: rete.Left, Sign: true, Wmes: tok})
+				phase2 = append(phase2, &taskqueue.Task{Join: succ, Side: rete.Left, Sign: true, Tok: tok})
 			}
 			for _, term := range g.NewTerms {
-				phase2 = append(phase2, &taskqueue.Task{Term: term, Sign: true, Wmes: tok})
+				phase2 = append(phase2, &taskqueue.Task{Term: term, Sign: true, Tok: tok})
 			}
 		})
 	}

@@ -29,6 +29,7 @@ func TestLastUnitRace(t *testing.T) {
 	}
 	cs := tables.KernelSink()
 	m := parmatch.NewEager(k.Net, parmatch.Config{Procs: 4, Queues: 2}, cs, 2, 1)
+	m.UseSlots(k.Slots)
 	defer m.Close()
 	var phases, byWorkers int64
 	for rep := 0; rep < 500 || (rep < 20000 && (byWorkers == 0 || m.SoloUnits() == 0)); rep++ {
@@ -132,10 +133,9 @@ func TestParkedIsFree(t *testing.T) {
 // with its request handlers; the control-owned context (free list,
 // stack, counters, recorder) travels between them on that lock alone.
 func TestControlHandOff(t *testing.T) {
-	net, wmes := fanWorkload(t)
-	k := &tables.Kernel{Net: net, Wmes: wmes}
+	k := fanWorkload(t)
 	cs := tables.KernelSink()
-	m := parmatch.NewEager(net, parmatch.Config{Procs: 2, Queues: 2, Scheme: parmatch.SchemeMRSW}, cs, 2, 2)
+	m := parmatch.NewEager(k.Net, parmatch.Config{Procs: 2, Queues: 2, Scheme: parmatch.SchemeMRSW}, cs, 2, 2)
 	defer m.Close()
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -159,7 +159,7 @@ func TestControlHandOff(t *testing.T) {
 	}
 	wg.Wait()
 	c := checkUnitAccounting(t, m)
-	if want := int64(callers * rounds * 2 * len(wmes)); m.MatchStats().WMChanges != want {
+	if want := int64(callers * rounds * 2 * len(k.Wmes)); m.MatchStats().WMChanges != want {
 		t.Errorf("%d WM changes recorded, want %d", m.MatchStats().WMChanges, want)
 	}
 	t.Logf("%d activations, %d requeues, workers took batches: %v",

@@ -35,8 +35,8 @@ func csSignature(cs *conflict.Set) []string {
 // fanWorkload builds a high-fan-out join: a few "a" WMEs each matching
 // many "b" WMEs on ^val, so one node activation emits dozens of output
 // tokens in a single burst onto the private stack of whichever process
-// runs it.
-func fanWorkload(t *testing.T) (*rete.Network, []*wm.WME) {
+// runs it. The WMEs' slots are assigned in the kernel's Slots.
+func fanWorkload(t *testing.T) *tables.Kernel {
 	t.Helper()
 	src := `(literalize item kind val)
 (p pairup (item ^kind a ^val <v>) (item ^kind b ^val <v>) --> (halt))`
@@ -57,14 +57,16 @@ func fanWorkload(t *testing.T) (*rete.Network, []*wm.WME) {
 	if err != nil {
 		t.Fatalf("field val: %v", err)
 	}
-	var wmes []*wm.WME
+	k := &tables.Kernel{Name: "fan", Prog: prog, Net: net, Slots: wm.NewSlots()}
 	tag := 1
 	add := func(kind string, val int) {
 		fields := make([]wm.Value, cls.NumFields())
 		fields[0] = wm.Sym(cls.Name)
 		fields[kindIdx] = wm.Sym(prog.Symbols.Intern(kind))
 		fields[valIdx] = wm.Int(int64(val))
-		wmes = append(wmes, &wm.WME{TimeTag: tag, Fields: fields})
+		w := &wm.WME{TimeTag: tag, Fields: fields}
+		k.Slots.Assign(w)
+		k.Wmes = append(k.Wmes, w)
 		tag++
 	}
 	for i := 0; i < 4; i++ {
@@ -73,14 +75,15 @@ func fanWorkload(t *testing.T) (*rete.Network, []*wm.WME) {
 	for i := 0; i < 24; i++ {
 		add("b", 1)
 	}
-	return net, wmes
+	return k
 }
 
 // pressureCase is one kernel of the scheduling-pressure tests.
 type pressureCase struct {
-	name string
-	net  *rete.Network
-	wmes []*wm.WME
+	name  string
+	net   *rete.Network
+	wmes  []*wm.WME
+	slots *wm.Slots
 }
 
 // pressureCases returns every match kernel plus the fan workload.
@@ -92,10 +95,10 @@ func pressureCases(t *testing.T) []pressureCase {
 		if err != nil {
 			t.Fatalf("kernel %s: %v", name, err)
 		}
-		cases = append(cases, pressureCase{name, k.Net, k.Wmes})
+		cases = append(cases, pressureCase{name, k.Net, k.Wmes, k.Slots})
 	}
-	fanNet, fanWmes := fanWorkload(t)
-	return append(cases, pressureCase{"fan", fanNet, fanWmes})
+	fan := fanWorkload(t)
+	return append(cases, pressureCase{"fan", fan.Net, fan.Wmes, fan.Slots})
 }
 
 // checkUnitAccounting holds a drained matcher's scheduler counters to
@@ -148,6 +151,7 @@ func workersRan(m *parmatch.Matcher) bool {
 func runPressure(t *testing.T, k pressureCase, cfg parmatch.Config, whole, wake int) {
 	oracleCS := tables.KernelSink()
 	oracle := seqmatch.New(k.net, seqmatch.VS2, 0, oracleCS)
+	oracle.UseSlots(k.slots)
 	for _, w := range k.wmes {
 		oracle.Submit(true, w)
 	}
@@ -161,6 +165,7 @@ func runPressure(t *testing.T, k pressureCase, cfg parmatch.Config, whole, wake 
 
 	cs := tables.KernelSink()
 	m := parmatch.NewEager(k.net, cfg, cs, whole, wake)
+	m.UseSlots(k.slots)
 	defer m.Close()
 	// Three rounds, or on the fan workload as many as it takes for a
 	// worker to win a batch from the control process: a round is over in
@@ -256,8 +261,8 @@ func awaitParked(t *testing.T, m *parmatch.Matcher, n int) {
 // a matcher built with eager thresholds the workers do take batches,
 // and the unit accounting balances either way.
 func TestSchedulerCounters(t *testing.T) {
-	net, wmes := fanWorkload(t)
-	k := &tables.Kernel{Net: net, Wmes: wmes}
+	k := fanWorkload(t)
+	net := k.Net
 	cfg := parmatch.Config{Procs: 2, Queues: 2}
 
 	m := parmatch.New(net, cfg, tables.KernelSink())

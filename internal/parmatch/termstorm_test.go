@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/hashmem"
 	"repro/internal/parmatch"
-	"repro/internal/rete"
 	"repro/internal/seqmatch"
 	"repro/internal/tables"
 	"repro/internal/wm"
@@ -19,15 +18,7 @@ import (
 // process at once; only call drained, like CheckInvariants.
 func requireNoParked(t *testing.T, table *hashmem.Table) {
 	t.Helper()
-	var walk int64
-	for i := range table.Lines {
-		for s := rete.Left; s <= rete.Right; s++ {
-			for e := table.Lines[i].ParkedHead(s); e != nil; e = e.Next {
-				walk++
-			}
-		}
-	}
-	if n := table.Parked(); n != 0 || walk != 0 {
+	if n, walk := table.Parked(), table.WalkParked(); n != 0 || walk != 0 {
 		t.Fatalf("parked-delete count %d, walk %d after drain; want both 0", n, walk)
 	}
 }
@@ -52,8 +43,10 @@ func TestTerminalStormDrains(t *testing.T) {
 		t.Run(scheme.String(), func(t *testing.T) {
 			wantCS := tables.KernelSink()
 			oracle := seqmatch.New(k.Net, seqmatch.VS2, 0, wantCS)
+			oracle.UseSlots(k.Slots)
 			cs := tables.KernelSink()
 			m := parmatch.NewEager(k.Net, parmatch.Config{Procs: 4, Queues: 2, Scheme: scheme}, cs, 2, 2)
+			m.UseSlots(k.Slots)
 			defer m.Close()
 			submit := func(sign bool, w *wm.WME) {
 				oracle.Submit(sign, w)
@@ -130,6 +123,7 @@ func TestJoinConjugateStormDrains(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", name, scheme), func(t *testing.T) {
 				cs := tables.KernelSink()
 				m := parmatch.NewEager(k.Net, parmatch.Config{Procs: 4, Queues: 2, Scheme: scheme}, cs, 2, 2)
+				m.UseSlots(k.Slots)
 				defer m.Close()
 				for rep := 0; rep < 5; rep++ {
 					for _, w := range k.Wmes {

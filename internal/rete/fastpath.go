@@ -65,17 +65,17 @@ func (t *ConstTest) compile() func(*wm.WME) bool {
 func (j *JoinNode) compileFast() {
 	switch {
 	case len(j.EqTests) == 0 && len(j.OtherTests) == 0:
-		j.pairFn = func([]*wm.WME, *wm.WME) bool { return true }
+		j.pairFn = func(wm.SlotView, []uint32, *wm.WME) bool { return true }
 	case len(j.EqTests) == 1 && len(j.OtherTests) == 0:
 		// The common shape: a single equality test, which is also the
 		// value both hash functions fold over.
 		t := j.EqTests[0]
 		lp, lf, rf := t.LeftPos, t.LeftField, t.RightField
-		j.pairFn = func(left []*wm.WME, right *wm.WME) bool {
-			return right.Field(rf).Equal(left[lp].Field(lf))
+		j.pairFn = func(v wm.SlotView, left []uint32, right *wm.WME) bool {
+			return right.Field(rf).Equal(v.Get(left[lp]).Field(lf))
 		}
 	default:
-		tests := make([]func([]*wm.WME, *wm.WME) bool, 0, len(j.EqTests)+len(j.OtherTests))
+		tests := make([]func(wm.SlotView, []uint32, *wm.WME) bool, 0, len(j.EqTests)+len(j.OtherTests))
 		for i := range j.EqTests {
 			tests = append(tests, compileJoinTest(&j.EqTests[i]))
 		}
@@ -84,14 +84,14 @@ func (j *JoinNode) compileFast() {
 		}
 		if len(tests) == 2 {
 			f0, f1 := tests[0], tests[1]
-			j.pairFn = func(left []*wm.WME, right *wm.WME) bool {
-				return f0(left, right) && f1(left, right)
+			j.pairFn = func(v wm.SlotView, left []uint32, right *wm.WME) bool {
+				return f0(v, left, right) && f1(v, left, right)
 			}
 			return
 		}
-		j.pairFn = func(left []*wm.WME, right *wm.WME) bool {
+		j.pairFn = func(v wm.SlotView, left []uint32, right *wm.WME) bool {
 			for _, f := range tests {
-				if !f(left, right) {
+				if !f(v, left, right) {
 					return false
 				}
 			}
@@ -101,21 +101,21 @@ func (j *JoinNode) compileFast() {
 }
 
 // compileJoinTest specializes one inter-element test.
-func compileJoinTest(t *JoinTest) func([]*wm.WME, *wm.WME) bool {
+func compileJoinTest(t *JoinTest) func(wm.SlotView, []uint32, *wm.WME) bool {
 	lp, lf, rf := t.LeftPos, t.LeftField, t.RightField
 	switch t.Pred {
 	case ops5.PredEQ:
-		return func(left []*wm.WME, right *wm.WME) bool {
-			return right.Field(rf).Equal(left[lp].Field(lf))
+		return func(v wm.SlotView, left []uint32, right *wm.WME) bool {
+			return right.Field(rf).Equal(v.Get(left[lp]).Field(lf))
 		}
 	case ops5.PredNE:
-		return func(left []*wm.WME, right *wm.WME) bool {
-			return !right.Field(rf).Equal(left[lp].Field(lf))
+		return func(v wm.SlotView, left []uint32, right *wm.WME) bool {
+			return !right.Field(rf).Equal(v.Get(left[lp]).Field(lf))
 		}
 	default:
 		pred := t.Pred
-		return func(left []*wm.WME, right *wm.WME) bool {
-			return pred.Apply(right.Field(rf), left[lp].Field(lf))
+		return func(v wm.SlotView, left []uint32, right *wm.WME) bool {
+			return pred.Apply(right.Field(rf), v.Get(left[lp]).Field(lf))
 		}
 	}
 }

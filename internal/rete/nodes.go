@@ -149,7 +149,7 @@ type JoinNode struct {
 	key     string
 	// pairFn is the compiled token-pair test (fastpath.go); nil on
 	// hand-built nodes, which fall back to the interpreted loop.
-	pairFn func([]*wm.WME, *wm.WME) bool
+	pairFn func(wm.SlotView, []uint32, *wm.WME) bool
 }
 
 // HasEqTests reports whether the node hashes on join values. Nodes
@@ -158,19 +158,20 @@ type JoinNode struct {
 func (j *JoinNode) HasEqTests() bool { return len(j.EqTests) > 0 }
 
 // TestPair evaluates every join test on a (left token, right WME) pair.
-func (j *JoinNode) TestPair(left []*wm.WME, right *wm.WME) bool {
+// The left token is a span of slots, resolved through v.
+func (j *JoinNode) TestPair(v wm.SlotView, left []uint32, right *wm.WME) bool {
 	if j.pairFn != nil {
-		return j.pairFn(left, right)
+		return j.pairFn(v, left, right)
 	}
 	for i := range j.EqTests {
 		t := &j.EqTests[i]
-		if !right.Field(t.RightField).Equal(left[t.LeftPos].Field(t.LeftField)) {
+		if !right.Field(t.RightField).Equal(v.Get(left[t.LeftPos]).Field(t.LeftField)) {
 			return false
 		}
 	}
 	for i := range j.OtherTests {
 		t := &j.OtherTests[i]
-		if !t.Pred.Apply(right.Field(t.RightField), left[t.LeftPos].Field(t.LeftField)) {
+		if !t.Pred.Apply(right.Field(t.RightField), v.Get(left[t.LeftPos]).Field(t.LeftField)) {
 			return false
 		}
 	}
@@ -178,12 +179,13 @@ func (j *JoinNode) TestPair(left []*wm.WME, right *wm.WME) bool {
 }
 
 // LeftHash folds the node identity and the equality-test values of a
-// left token into the hash used to pick the token hash-table line.
-func (j *JoinNode) LeftHash(left []*wm.WME) uint64 {
+// left token (a span of slots, resolved through v) into the hash used to
+// pick the token hash-table line.
+func (j *JoinNode) LeftHash(v wm.SlotView, left []uint32) uint64 {
 	h := uint64(14695981039346656037) ^ (uint64(j.ID) * 0x9e3779b97f4a7c15)
 	for i := range j.EqTests {
 		t := &j.EqTests[i]
-		h = left[t.LeftPos].Field(t.LeftField).Hash(h)
+		h = v.Get(left[t.LeftPos]).Field(t.LeftField).Hash(h)
 	}
 	return h
 }

@@ -186,10 +186,13 @@ func TestJoinHashConsistency(t *testing.T) {
 (p r (a ^x <v>) (b ^y <v>) --> (halt))
 `)
 	j := net.Joins[0]
+	slots := wm.NewSlots()
 	f := func(n int64) bool {
 		lw := &wm.WME{Fields: []wm.Value{wm.Sym(1), wm.Int(n)}}
 		rw := &wm.WME{Fields: []wm.Value{wm.Sym(2), wm.Int(n)}}
-		return j.LeftHash([]*wm.WME{lw}) == j.RightHash(rw)
+		slots.Assign(lw)
+		defer slots.Release(lw.Slot)
+		return j.LeftHash(slots.View(), []uint32{lw.Slot}) == j.RightHash(rw)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -208,37 +211,18 @@ func TestTestPair(t *testing.T) {
 		}
 		return &wm.WME{Fields: fs}
 	}
-	left := []*wm.WME{mk(5)}
-	if !j.TestPair(left, mk(5, 9)) {
+	slots := wm.NewSlots()
+	lw := mk(5)
+	slots.Assign(lw)
+	v, left := slots.View(), []uint32{lw.Slot}
+	if !j.TestPair(v, left, mk(5, 9)) {
 		t.Error("y=5=x and z=9>5 should pass")
 	}
-	if j.TestPair(left, mk(5, 3)) {
+	if j.TestPair(v, left, mk(5, 3)) {
 		t.Error("z=3 fails > test")
 	}
-	if j.TestPair(left, mk(6, 9)) {
+	if j.TestPair(v, left, mk(6, 9)) {
 		t.Error("y=6 fails equality")
-	}
-}
-
-// TestEntryListRemove covers duplicate tokens: Remove takes exactly one.
-func TestEntryListRemoveDuplicates(t *testing.T) {
-	net := compile(t, `(p r (a ^x <v>) (b ^y <v>) --> (halt))`)
-	j := net.Joins[0]
-	w := &wm.WME{Fields: []wm.Value{wm.Sym(1), wm.Int(1)}}
-	var l rete.EntryList
-	l.Push(&rete.Entry{Node: j, Side: rete.Left, Wmes: []*wm.WME{w}})
-	l.Push(&rete.Entry{Node: j, Side: rete.Left, Wmes: []*wm.WME{w}})
-	if l.Len != 2 {
-		t.Fatalf("Len = %d", l.Len)
-	}
-	if e, _ := l.Remove(j, rete.Left, 0, []*wm.WME{w}); e == nil {
-		t.Fatal("first remove failed")
-	}
-	if e, _ := l.Remove(j, rete.Left, 0, []*wm.WME{w}); e == nil {
-		t.Fatal("second remove failed (duplicate should remain)")
-	}
-	if e, _ := l.Remove(j, rete.Left, 0, []*wm.WME{w}); e != nil {
-		t.Fatal("third remove should find nothing")
 	}
 }
 

@@ -39,6 +39,9 @@ type Matcher struct {
 	Rec     *hashmem.Recorder
 	Sink    rete.TerminalSink
 
+	// slots resolves the slot spans tokens are made of; UseSlots points
+	// it at the working memory's table.
+	slots *wm.Slots
 	pools hashmem.Pools
 	// curJoin/curSign carry the context of the innermost activation so
 	// emit and deliver can be bound method values instead of a fresh
@@ -46,9 +49,12 @@ type Matcher struct {
 	// depth-first recursion.
 	curJoin   *rete.JoinNode
 	curSign   bool
-	curRoot   []*wm.WME
+	curRoot   []uint32
 	emitFn    hashmem.Emit
 	deliverFn func(rete.AlphaDest)
+	// inst is the scratch a terminal's token is resolved into for the
+	// sink, which copies what it keeps.
+	inst []*wm.WME
 }
 
 // New builds a sequential matcher. nLines sizes the vs2 hash tables
@@ -79,27 +85,35 @@ func NewWithTable(net *rete.Network, v Variant, table *hashmem.Table, sink rete.
 		Table:   table,
 		Rec:     hashmem.NewRecorder(net.NumJoinIDs()),
 		Sink:    sink,
+		slots:   wm.NewSlots(),
 	}
 	m.emitFn = m.emit
 	m.deliverFn = m.deliver
 	return m
 }
 
+// UseSlots makes the matcher resolve tokens through s, the slot table
+// of the working memory whose elements it is submitted. Call it before
+// the first Submit; until then the matcher has a table of its own, which
+// callers that build WMEs outside a wm.Memory assign slots in (Slots).
+func (m *Matcher) UseSlots(s *wm.Slots) { m.slots = s }
+
+// Slots returns the slot table the matcher resolves tokens through.
+func (m *Matcher) Slots() *wm.Slots { return m.slots }
+
 // Submit processes one working-memory change to completion, depth-first
 // through the network (the classic sequential Rete discipline). The
 // matcher is quiescent between submits, so this is also the adaptive
-// table's resize point: an overloaded segregated table is grown and
-// rehashed before the change enters the network.
+// table's resize point — an overloaded segregated table is grown and
+// rehashed before the change enters the network — and the in-flight
+// tokens' drained point: the previous change's are all dead.
 func (m *Matcher) Submit(sign bool, w *wm.WME) {
-	m.Table.FoldLive(&m.pools)
-	if n := m.Table.GrowTarget(); n > 0 {
-		m.Table = m.Table.Grow(n)
-	}
+	m.quiesce()
 	m.Rec.M.WMChanges++
 	m.curSign = sign
-	tok := m.pools.MakeToken(1)
-	tok[0] = w
-	m.curRoot = tok // one immutable length-1 token shared by all destinations
+	tok := m.pools.Token(1)
+	tok[0] = w.Slot
+	m.curRoot = tok // one length-1 token shared by all destinations
 	tests := m.Net.RootDeliver(w, m.deliverFn)
 	m.Rec.M.ConstTests += int64(tests)
 }
@@ -115,6 +129,18 @@ func (m *Matcher) deliver(d rete.AlphaDest) {
 	m.activate(d.Join, d.Side, m.curSign, m.curRoot)
 }
 
+// quiesce runs the drained-point bookkeeping before a change or an
+// epoch replay enters the network: fold the live gauge, grow the table
+// if due, recycle the in-flight tokens and take a fresh slot view.
+func (m *Matcher) quiesce() {
+	m.Table.FoldLive(&m.pools)
+	if n := m.Table.GrowTarget(); n > 0 {
+		m.Table = m.Table.Grow(n, &m.pools)
+	}
+	m.pools.ResetTokens()
+	m.pools.Slots = m.slots.View()
+}
+
 // Drain is a no-op: Submit is synchronous.
 func (m *Matcher) Drain() {}
 
@@ -126,6 +152,10 @@ func (m *Matcher) Close() {}
 // network a matcher runs over may be shared read-only across many
 // matchers (server sessions); the counters here are per-matcher.
 func (m *Matcher) MatchStats() stats.Match { return m.Rec.M }
+
+// ForEachSlot calls fn with every slot the token table names, for the
+// slot-safety oracles. Only between submits.
+func (m *Matcher) ForEachSlot(fn func(slot uint32)) { m.Table.ForEachSlot(fn) }
 
 // MemStats returns the token table's memory gauges and resize counters.
 func (m *Matcher) MemStats() stats.Memory {
@@ -150,19 +180,19 @@ func (m *Matcher) CheckInvariants() error {
 	return nil
 }
 
-func (m *Matcher) activate(j *rete.JoinNode, side rete.Side, sign bool, wmes []*wm.WME) {
+func (m *Matcher) activate(j *rete.JoinNode, side rete.Side, sign bool, tok []uint32) {
 	m.Rec.M.Activations++
 	// The hash is computed for vs1 too: its per-node lines ignore it for
-	// line selection, but storing it lets EntryList.Remove short-circuit
-	// token comparison on deletes without changing any scan count.
+	// line selection, but storing it lets a delete short-circuit token
+	// comparison without changing any scan count.
 	var hash uint64
 	if side == rete.Left {
-		hash = j.LeftHash(wmes)
+		hash = j.LeftHash(m.pools.Slots, tok)
 	} else {
-		hash = j.RightHash(wmes[0])
+		hash = j.RightHash(m.pools.Slots.Get(tok[0]))
 	}
 	idx := m.Table.LineIndex(j, hash)
-	entry, ref, res := m.Table.UpdateOwn(idx, j, side, sign, wmes, hash, m.Rec, &m.pools)
+	entry, ref, res := m.Table.UpdateOwn(idx, j, side, sign, tok, hash, m.Rec, &m.pools)
 	if !sign {
 		hashmem.RecordDelete(m.Rec, side, &res)
 	}
@@ -170,7 +200,7 @@ func (m *Matcher) activate(j *rete.JoinNode, side rete.Side, sign bool, wmes []*
 		return
 	}
 	m.curJoin = j
-	m.Table.SearchOpposite(idx, ref, j, side, sign, wmes, entry, m.Rec, &m.pools, m.emitFn)
+	m.Table.SearchOpposite(ref, j, side, sign, tok, entry, m.Rec, &m.pools, m.emitFn)
 	if !sign {
 		m.pools.FreeEntry(entry) // removed from its memory; nothing else holds it
 	}
@@ -179,13 +209,13 @@ func (m *Matcher) activate(j *rete.JoinNode, side rete.Side, sign bool, wmes []*
 // emit fans one output token of the current join out depth-first. It
 // saves and restores curJoin around the recursion: SearchOpposite may
 // call it several times, and each nested activate overwrites curJoin.
-func (m *Matcher) emit(csign bool, cwmes []*wm.WME) {
+func (m *Matcher) emit(csign bool, ctok []uint32) {
 	j := m.curJoin
 	for _, succ := range m.Net.SuccsOf(j) {
-		m.activate(succ, rete.Left, csign, cwmes)
+		m.activate(succ, rete.Left, csign, ctok)
 	}
 	for _, t := range m.Net.TermsOf(j) {
-		m.toTerminal(t, csign, cwmes)
+		m.toTerminal(t, csign, ctok)
 	}
 	m.curJoin = j
 }
@@ -209,13 +239,13 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 	if d == nil {
 		return 0, fmt.Errorf("seqmatch: epoch %d has no delta", next.Epoch)
 	}
+	m.quiesce()
 	if len(d.DeadJoins) > 0 {
 		dead := make(map[int]bool, len(d.DeadJoins))
 		for _, j := range d.DeadJoins {
 			dead[j.ID] = true
 		}
-		m.Table.FoldLive(&m.pools)
-		removed = m.Table.ExciseNodes(dead, m.Rec)
+		removed = m.Table.ExciseNodes(dead, m.Rec, &m.pools)
 	}
 	m.Net = next
 	m.Table.EnsureNodes(next.NumJoinIDs())
@@ -232,8 +262,8 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 				if w.Class() != cd.Chain.Class || !cd.Chain.Matches(w) {
 					continue
 				}
-				tok := m.pools.MakeToken(1)
-				tok[0] = w
+				tok := m.pools.Token(1)
+				tok[0] = w.Slot
 				m.activate(dst.Join, rete.Right, true, tok)
 			}
 		}
@@ -249,8 +279,8 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 				if w.Class() != cd.Chain.Class || !cd.Chain.Matches(w) {
 					continue
 				}
-				tok := m.pools.MakeToken(1)
-				tok[0] = w
+				tok := m.pools.Token(1)
+				tok[0] = w.Slot
 				if dst.Terminal != nil {
 					m.toTerminal(dst.Terminal, true, tok)
 				} else {
@@ -261,7 +291,7 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 	}
 	for i := range d.GrownJoins {
 		g := &d.GrownJoins[i]
-		m.Table.ForEachOutput(g.Join, &m.pools, func(tok []*wm.WME) {
+		m.Table.ForEachOutput(g.Join, &m.pools, func(tok []uint32) {
 			for _, succ := range g.NewSuccs {
 				m.activate(succ, rete.Left, true, tok)
 			}
@@ -273,13 +303,19 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 	return removed, nil
 }
 
-func (m *Matcher) toTerminal(t *rete.Terminal, sign bool, wmes []*wm.WME) {
+// toTerminal resolves the token into the matcher's scratch and hands it
+// to the sink.
+func (m *Matcher) toTerminal(t *rete.Terminal, sign bool, tok []uint32) {
 	m.Rec.M.Activations++
+	m.inst = m.inst[:0]
+	for _, s := range tok {
+		m.inst = append(m.inst, m.pools.Slots.Get(s))
+	}
 	if sign {
 		m.Rec.M.CSInserts++
-		m.Sink.InsertInstantiation(t.Rule, wmes)
+		m.Sink.InsertInstantiation(t.Rule, m.inst)
 	} else {
 		m.Rec.M.CSDeletes++
-		m.Sink.RemoveInstantiation(t.Rule, wmes)
+		m.Sink.RemoveInstantiation(t.Rule, m.inst)
 	}
 }

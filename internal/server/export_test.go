@@ -26,3 +26,15 @@ func (s *Server) WaitCompactions() {
 // SetCompactionFS routes the compaction protocol's file operations
 // through fs. Call it after EnableDurability, before any compaction.
 func (s *Server) SetCompactionFS(fs wmlog.FS) { s.dur.fs = fs }
+
+// CheckSlots runs the slot-safety oracle on a live session's engine: no
+// stored token may name a slot whose element has left working memory.
+func (s *Server) CheckSlots(id string) error {
+	sess, err := s.session(id)
+	if err != nil {
+		return err
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return sess.eng.CheckSlots()
+}

@@ -129,6 +129,14 @@ func (e *lifecycleEnv) apply(t *testing.T, st lifecycleStep) string {
 		fireTrace(res), res.WMAdded, res.WMRemoved, res.WMSize, res.Halted)
 }
 
+// checkSlots runs the slot-safety oracle on the session after what.
+func (e *lifecycleEnv) checkSlots(t *testing.T, what string) {
+	t.Helper()
+	if err := e.srv.CheckSlots(e.id); err != nil {
+		t.Fatalf("after %s: %v", what, err)
+	}
+}
+
 func (e *lifecycleEnv) rules(t *testing.T) int {
 	t.Helper()
 	for _, info := range e.srv.Sessions() {
@@ -268,6 +276,7 @@ func TestLifecycleDifferential(t *testing.T) {
 							t.Fatalf("script did not diverge the victim: %d rules, want 4 (5 +tally -config-note -cross)", got)
 						}
 						op.disturb(t, vic)
+						vic.checkSlots(t, op.name)
 						if got, want := vic.rules(t), ctl.rules(t); got != want {
 							t.Fatalf("rules after %s = %d, want %d", op.name, got, want)
 						}
@@ -278,6 +287,8 @@ func TestLifecycleDifferential(t *testing.T) {
 					if got, want := vic.apply(t, st), ctl.apply(t, st); got != want {
 						t.Fatalf("step %d diverged:\n%s\nwant\n%s", i, got, want)
 					}
+					vic.checkSlots(t, fmt.Sprintf("step %d", i))
+					ctl.checkSlots(t, fmt.Sprintf("control step %d", i))
 				}
 				if got, want := vic.rules(t), ctl.rules(t); got != want {
 					t.Fatalf("final rules = %d, want %d", got, want)

@@ -19,14 +19,17 @@ import (
 )
 
 // Kernel is one steady-state micro-workload: a compiled network plus a
-// fixed block of WMEs. One Round asserts every WME, drains, retracts
-// every WME and drains again, leaving all matcher state empty — so a
-// benchmark can run rounds forever without growth.
+// fixed block of WMEs, with their slots assigned in Slots. One Round
+// asserts every WME, drains, retracts every WME and drains again,
+// leaving all matcher state empty — so a benchmark can run rounds
+// forever without growth. A matcher the WMEs are submitted to directly
+// must first be pointed at Slots (engine.UseSlots); Round does it.
 type Kernel struct {
-	Name string
-	Prog *ops5.Program
-	Net  *rete.Network
-	Wmes []*wm.WME
+	Name  string
+	Prog  *ops5.Program
+	Net   *rete.Network
+	Wmes  []*wm.WME
+	Slots *wm.Slots
 }
 
 // KernelNames lists the available kernels: "join" exercises multi-level
@@ -130,10 +133,12 @@ func NewKernel(name string, n int) (*Kernel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kernel %s: compile: %w", name, err)
 	}
-	k := &Kernel{Name: name, Prog: prog, Net: net}
+	k := &Kernel{Name: name, Prog: prog, Net: net, Slots: wm.NewSlots()}
 	tag := 1
 	add := func(class string, attrs map[string]wm.Value) {
-		k.Wmes = append(k.Wmes, kernelWME(prog, tag, class, attrs))
+		w := kernelWME(prog, tag, class, attrs)
+		k.Slots.Assign(w)
+		k.Wmes = append(k.Wmes, w)
 		tag++
 	}
 	sym := func(s string) wm.Value { return wm.Sym(prog.Symbols.Intern(s)) }
@@ -172,6 +177,7 @@ func NewKernel(name string, n int) (*Kernel, error) {
 // The sink (the matcher's conflict set) returns to empty, as do the
 // node memories, so consecutive rounds see identical state.
 func (k *Kernel) Round(m engine.Matcher) {
+	engine.UseSlots(m, k.Slots)
 	for _, w := range k.Wmes {
 		m.Submit(true, w)
 	}

@@ -21,14 +21,16 @@ import (
 
 // Task is one node activation awaiting processing. Exactly one of Root,
 // Join or Term is set: a group of constant-test node activations for a WM
-// change, a two-input node activation, or a terminal activation.
+// change, a two-input node activation, or a terminal activation. Tok is
+// the activation's token, a span of WME slots from the arena of the
+// process that built it, valid until the matcher's next drained point.
 type Task struct {
 	Root *wm.WME
 	Join *rete.JoinNode
 	Term *rete.Terminal
 	Side rete.Side
 	Sign bool
-	Wmes []*wm.WME
+	Tok  []uint32
 }
 
 // Reset clears every field so a pooled Task carries nothing stale.

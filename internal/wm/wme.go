@@ -15,9 +15,13 @@ import (
 // the matchers index fields directly instead of looking attributes up by
 // name (the optimization the paper's C implementation gets from compiled
 // field offsets).
+//
+// Slot is the element's index in its memory's slot table (Slots), the
+// name the match's tokens use for it.
 type WME struct {
 	TimeTag int
 	Fields  []Value
+	Slot    uint32
 }
 
 // Class returns the class symbol of the element.
@@ -55,19 +59,31 @@ func (w *WME) String(tab *symbols.Table, attrNames func(class symbols.ID, field 
 	return b.String()
 }
 
-// Memory is the working-memory store. It assigns time tags and tracks
-// live elements. Only the control process mutates it, but readers (trace
-// dumps, tests) may inspect it concurrently, so it carries a mutex.
+// Memory is the working-memory store. It assigns time tags and slots
+// and tracks live elements. Only the control process mutates it, but
+// readers (trace dumps, tests) may inspect it concurrently, so it
+// carries a mutex.
+//
+// Remove takes an element out of the live set but keeps its slot: the
+// matcher still names the element while it processes the removal.
+// The owner calls Release once the matcher has drained, which frees
+// every slot retired since the last call.
 type Memory struct {
 	mu      sync.RWMutex
 	nextTag int
 	live    map[int]*WME // keyed by time tag
+	slots   *Slots
+	retired []uint32 // slots of removed elements awaiting Release
 }
 
 // NewMemory returns an empty working memory.
 func NewMemory() *Memory {
-	return &Memory{nextTag: 1, live: make(map[int]*WME)}
+	return &Memory{nextTag: 1, live: make(map[int]*WME), slots: NewSlots()}
 }
+
+// Slots returns the memory's slot table, which a matcher resolves its
+// tokens through.
+func (m *Memory) Slots() *Slots { return m.slots }
 
 // Add stamps fields with the next time tag and records the element.
 func (m *Memory) Add(fields []Value) *WME {
@@ -76,6 +92,7 @@ func (m *Memory) Add(fields []Value) *WME {
 	w := &WME{TimeTag: m.nextTag, Fields: fields}
 	m.nextTag++
 	m.live[w.TimeTag] = w
+	m.slots.Assign(w)
 	return w
 }
 
@@ -88,6 +105,7 @@ func (m *Memory) AddTagged(tag int, fields []Value) *WME {
 	defer m.mu.Unlock()
 	w := &WME{TimeTag: tag, Fields: fields}
 	m.live[tag] = w
+	m.slots.Assign(w)
 	if tag >= m.nextTag {
 		m.nextTag = tag + 1
 	}
@@ -120,12 +138,19 @@ func (m *Memory) SetNextTag(n int) {
 
 // Clone returns an independent store holding the same elements. WMEs
 // are immutable once created (modify is remove + add), so the clone
-// shares the element objects and copies only the index — the
-// copy-on-write working-memory half of template-session forking.
+// shares the element objects and copies only the indexes — the
+// copy-on-write working-memory half of template-session forking. The
+// slot table is copied verbatim, so a matcher cloned alongside keeps
+// resolving every token it copied.
 func (m *Memory) Clone() *Memory {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	c := &Memory{nextTag: m.nextTag, live: make(map[int]*WME, len(m.live))}
+	c := &Memory{
+		nextTag: m.nextTag,
+		live:    make(map[int]*WME, len(m.live)),
+		slots:   m.slots.Clone(),
+		retired: append([]uint32(nil), m.retired...),
+	}
 	for tag, w := range m.live {
 		c.live[tag] = w
 	}
@@ -134,6 +159,7 @@ func (m *Memory) Clone() *Memory {
 
 // Remove deletes the element from the store. It reports whether the
 // element was present (removing twice is a caller bug surfaced in tests).
+// The element keeps its slot until the next Release.
 func (m *Memory) Remove(w *WME) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -141,7 +167,40 @@ func (m *Memory) Remove(w *WME) bool {
 		return false
 	}
 	delete(m.live, w.TimeTag)
+	m.retired = append(m.retired, w.Slot)
 	return true
+}
+
+// Retired reports how many removed elements still hold their slots.
+func (m *Memory) Retired() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.retired)
+}
+
+// Release frees the slots of every element removed since the last
+// call. Call it only once the matcher has drained those removals: no
+// stored or in-flight token may still name them.
+func (m *Memory) Release() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, s := range m.retired {
+		m.slots.Release(s)
+	}
+	m.retired = m.retired[:0]
+}
+
+// IsLive reports whether slot i holds an element of the live set — the
+// check the slot-safety oracles apply to every slot the token store
+// names.
+func (m *Memory) IsLive(i uint32) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if i >= m.slots.Issued() {
+		return false
+	}
+	w := m.slots.Get(i)
+	return w != nil && m.live[w.TimeTag] == w
 }
 
 // Len reports the number of live elements.

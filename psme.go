@@ -292,6 +292,11 @@ func (e *Engine) Run(opt RunOptions) (*Result, error) {
 	}, nil
 }
 
+// CheckSlots is the slot-safety oracle: it fails if the matcher's token
+// store names a WME slot whose element is no longer in working memory.
+// Call it between runs.
+func (e *Engine) CheckSlots() error { return e.inner.CheckSlots() }
+
 // WorkingMemory returns the live elements as printable strings.
 func (e *Engine) WorkingMemory() []string {
 	prog := e.inner.Prog
