@@ -50,6 +50,10 @@ type Instantiation struct {
 	// leaked marks objects handed out via Select or Snapshot. They are
 	// never recycled onto a free list: the caller may still read them.
 	leaked bool
+	// wbuf and rbuf back Wmes and recency for tokens of up to four WMEs,
+	// so a new instantiation is one allocation.
+	wbuf [4]*wm.WME
+	rbuf [4]int
 }
 
 // partitions is the number of selection partitions, a power of two. One
@@ -221,6 +225,7 @@ func (p *partition) newInst(rule *rete.CompiledRule, wmes []*wm.WME, h uint64, w
 		inst.next = nil
 	} else {
 		inst = &Instantiation{}
+		inst.Wmes, inst.recency = inst.wbuf[:0], inst.rbuf[:0]
 	}
 	inst.Rule, inst.Wmes, inst.hash = rule, append(inst.Wmes[:0], wmes...), h
 	inst.Fired, inst.leaked = false, false

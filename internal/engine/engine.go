@@ -140,6 +140,7 @@ type Engine struct {
 	// the session's state that separates Net from the compiled program.
 	progDelta  []string
 	halted     bool
+	removed    bool // a removal was submitted since the last drain
 	rhsCount   int64
 	matchTime  time.Duration
 	traceWMEs  bool
@@ -173,6 +174,7 @@ func (e *Engine) submit(sign bool, w *wm.WME) {
 	t0 := time.Now()
 	e.Matcher.Submit(sign, w)
 	e.matchTime += time.Since(t0)
+	e.removed = e.removed || !sign
 }
 
 // drain waits out the match phase, accumulating match time. Drained,
@@ -182,8 +184,9 @@ func (e *Engine) drain() {
 	t0 := time.Now()
 	e.Matcher.Drain()
 	e.matchTime += time.Since(t0)
-	if e.WM.Retired() > 0 && e.Matcher.CheckInvariants() == nil {
+	if e.removed && e.Matcher.CheckInvariants() == nil {
 		e.WM.Release()
+		e.removed = false
 	}
 }
 

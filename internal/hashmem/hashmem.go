@@ -400,12 +400,10 @@ func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, 
 				return 0, ref, res
 			}
 		}
-		e := pools.newEntry(j, side, hash, tok)
-		v = t.st.view() // the entry may have opened a segment
+		e, v := pools.newEntry(j, side, hash, tok) // a view holding the entry
 		lists := &line.first
 		if t.seg {
 			lists = line.findRun(v, uint32(j.ID)+1, hash, true, pools)
-			v = t.st.view()
 		}
 		push(v, &lists.mem[side], e)
 		ref.opp = lists.mem[side^1]
@@ -430,8 +428,8 @@ func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, 
 	}
 	if e == 0 {
 		// Early delete: park it and do not otherwise process the token.
-		pe := pools.newEntry(j, side, hash, tok)
-		push(t.st.view(), &line.xdel[side], pe)
+		pe, v := pools.newEntry(j, side, hash, tok)
+		push(v, &line.xdel[side], pe)
 		t.parked.Add(1)
 		res.Parked = true
 		return 0, Ref{}, res

@@ -182,8 +182,8 @@ func (p *Pools) words(n uint32) uint32 {
 }
 
 // newEntry stores a token: a recycled entry of its length when there is
-// one, fresh words otherwise.
-func (p *Pools) newEntry(j *rete.JoinNode, side rete.Side, hash uint64, tok []uint32) uint32 {
+// one, fresh words otherwise. It returns the entry and a view holding it.
+func (p *Pools) newEntry(j *rete.JoinNode, side rete.Side, hash uint64, tok []uint32) (uint32, view) {
 	n := len(tok)
 	var i uint32
 	if n < len(p.free) && p.free[n] != 0 {
@@ -197,7 +197,7 @@ func (p *Pools) newEntry(j *rete.JoinNode, side rete.Side, hash uint64, tok []ui
 	e.next, e.meta, e.neg = 0, packMeta(j.ID, n, side), 0
 	e.setHash(hash)
 	copy(v.tok(i, n), tok)
-	return i
+	return i, v
 }
 
 // FreeEntry recycles an unlinked entry. Callers own the entry

@@ -171,13 +171,6 @@ func (m *Memory) Remove(w *WME) bool {
 	return true
 }
 
-// Retired reports how many removed elements still hold their slots.
-func (m *Memory) Retired() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.retired)
-}
-
 // Release frees the slots of every element removed since the last
 // call. Call it only once the matcher has drained those removals: no
 // stored or in-flight token may still name them.
