@@ -16,8 +16,12 @@ import (
 )
 
 // fixture compiles a small join so tests have a real node to work with.
+// Every test starts with it, so it also gives the test a fresh slot
+// table and forgets the last test's pools.
 func fixture(t *testing.T, src string) *rete.Network {
 	t.Helper()
+	testSlots = wm.NewSlots()
+	clear(testPools)
 	prog, err := ops5.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -65,13 +69,18 @@ func leftHash(j *rete.JoinNode, wmes []*wm.WME) uint64 {
 	return j.LeftHash(testSlots.View(), toTok(wmes))
 }
 
-// testPools holds one Pools per table for the single-goroutine tests.
+// testPools holds one Pools per recently used table for the
+// single-goroutine tests; it forgets them all once it holds many, so the
+// tables it keeps alive stay few.
 var testPools = map[*hashmem.Table]*hashmem.Pools{}
 
 // poolsFor returns t's pools with a fresh slot view.
 func poolsFor(t *hashmem.Table) *hashmem.Pools {
 	p := testPools[t]
 	if p == nil {
+		if len(testPools) >= 16 {
+			clear(testPools)
+		}
 		p = &hashmem.Pools{}
 		testPools[t] = p
 	}
