@@ -6,16 +6,21 @@
 // exactly one line (paper footnote 4), which is what the per-line locks
 // of the parallel matchers protect.
 //
-// Three storage layouts share the machinery:
+// A token is a span of WME slots (wm.Slots). A stored token lives inline
+// in its memory entry, and entries, runs, lines and sub-indexes refer to
+// one another by 32-bit index into a word store the table owns, so
+// nothing here holds a Go pointer the garbage collector would trace
+// (store.go). Three storage layouts share the machinery and the one
+// entry type:
 //
 //   - New builds the node-segregated layout: within a line, tokens live
 //     in per-(node, hash) runs, so searches and deletes touch only
 //     same-node, same-hash candidates instead of every colliding token.
 //     A run is two intrusive lists (left and right, newest first) chained
-//     through Entry.Next; a line carries its first run inline and reaches
-//     any further ones through a small open-addressed sub-index, so a
-//     one-run line costs one cache line and no allocation, and no
-//     activation allocates anything but its entry. These tables are also
+//     through the entries' next links; a line carries its first run
+//     inline and reaches any further ones through a small open-addressed
+//     sub-index, so a one-run line costs one line read, and no
+//     activation stores anything but its entry. These tables are also
 //     adaptive: the owner grows them at a drained point once the load
 //     factor climbs (GrowTarget/Grow), so production-scale working
 //     memories never degrade a line into a linear scan.
@@ -47,6 +52,7 @@ import (
 
 	"repro/internal/rete"
 	"repro/internal/stats"
+	"repro/internal/wm"
 )
 
 // run is one (node, hash) equivalence class of a segregated line: every
@@ -249,8 +255,7 @@ func freeSlot(v view, base uint32, n int, hash uint64) *run {
 // (compaction happens here rather than on every delete), and returns the
 // free slot hash probes to. The old sub-index is left as it was: a
 // concurrent search holds only a list head, never a run, so nothing
-// reads it again, and its words stay in the store until the table is
-// rebuilt.
+// reads it again. Its words are not reused.
 func (l *Line) growRuns(p *Pools, hash uint64) *run {
 	n := max(4, 2*int(l.slots))
 	base := p.words(uint32(n) * runWords)
@@ -400,7 +405,7 @@ func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, 
 				return 0, ref, res
 			}
 		}
-		e, v := pools.newEntry(j, side, hash, tok) // a view holding the entry
+		e, v := pools.newEntry(v, j, side, hash, tok)
 		lists := &line.first
 		if t.seg {
 			lists = line.findRun(v, uint32(j.ID)+1, hash, true, pools)
@@ -428,7 +433,7 @@ func (t *Table) UpdateOwn(idx int, j *rete.JoinNode, side rete.Side, sign bool, 
 	}
 	if e == 0 {
 		// Early delete: park it and do not otherwise process the token.
-		pe, v := pools.newEntry(j, side, hash, tok)
+		pe, v := pools.newEntry(v, j, side, hash, tok)
 		push(v, &line.xdel[side], pe)
 		t.parked.Add(1)
 		res.Parked = true
@@ -484,6 +489,10 @@ func (t *Table) SearchOpposite(ref Ref, j *rete.JoinNode, side rete.Side, sign b
 			oppLen = j.LeftLen
 		}
 		want := packMeta(j.ID, oppLen, opp)
+		var rw *wm.WME // a right activation's WME, resolved once
+		if side == rete.Right {
+			rw = sv.Get(tok[0])
+		}
 		for i := ref.opp; i != 0; {
 			e := v.ent(i)
 			if e.meta != want {
@@ -491,14 +500,14 @@ func (t *Table) SearchOpposite(ref Ref, j *rete.JoinNode, side rete.Side, sign b
 				continue // hash collision with another node's tokens
 			}
 			res.OppExamined++
-			var left []uint32
-			var right uint32
+			left, right, w := tok, uint32(0), rw
 			if side == rete.Left {
-				left, right = tok, v.tok(i, 1)[0]
+				right = v.tok(i, 1)[0]
+				w = sv.Get(right)
 			} else {
 				left, right = v.tok(i, oppLen), tok[0]
 			}
-			if j.TestPair(sv, left, sv.Get(right)) {
+			if j.TestPair(sv, left, w) {
 				res.Pairs++
 				child := pools.Token(len(left) + 1)
 				copy(child, left)
@@ -534,7 +543,7 @@ func (t *Table) searchNegated(v view, head uint32, j *rete.JoinNode, side rete.S
 				}
 				i = e.next
 			}
-			atomic.StoreInt32(&v.ent(entry).neg, count)
+			v.ent(entry).neg.Store(count)
 			if count == 0 {
 				res.Pairs++
 				emit(true, tok)
@@ -542,7 +551,7 @@ func (t *Table) searchNegated(v view, head uint32, j *rete.JoinNode, side rete.S
 			return
 		}
 		// Deleting a left token that had passed (count 0) retracts it.
-		if atomic.LoadInt32(&v.ent(entry).neg) == 0 {
+		if v.ent(entry).neg.Load() == 0 {
 			res.Pairs++
 			emit(false, tok)
 		}
@@ -564,9 +573,9 @@ func (t *Table) searchNegated(v view, head uint32, j *rete.JoinNode, side rete.S
 		if j.TestPair(sv, left, w) {
 			var flip bool
 			if sign {
-				flip = atomic.AddInt32(&e.neg, 1) == 1
+				flip = e.neg.Add(1) == 1
 			} else {
-				flip = atomic.AddInt32(&e.neg, -1) == 0
+				flip = e.neg.Add(-1) == 0
 			}
 			if flip {
 				res.Pairs++
@@ -936,7 +945,7 @@ func forEachPair(v view, j *rete.JoinNode, left, right uint32, pools *Pools, fn 
 		}
 		ltok := v.tok(le, j.LeftLen)
 		if j.Negated {
-			if atomic.LoadInt32(&v.ent(le).neg) == 0 {
+			if v.ent(le).neg.Load() == 0 {
 				fn(copyTok(pools, ltok))
 			}
 			continue

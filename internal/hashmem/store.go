@@ -98,23 +98,20 @@ type entry struct {
 	meta uint32 // node ID << 9 | token length << 1 | side
 	hlo  uint32 // token hash, low and high halves
 	hhi  uint32
-	neg  int32 // NegCount: matching right WMEs of a negated node's left token; atomic
+	neg  atomic.Int32 // NegCount: matching right WMEs of a negated node's left token
 }
 
-const (
-	entryWords = uint32(unsafe.Sizeof(entry{}) / 4)
-	maxTokLen  = 255
-)
+const entryWords = uint32(unsafe.Sizeof(entry{}) / 4)
 
+// packMeta packs a join ID, a token length and a side into one word;
+// the compiler keeps IDs below rete.MaxJoinIDs and lengths at most
+// rete.MaxTokenLen, which is what makes them fit.
 func packMeta(node int, n int, side rete.Side) uint32 {
-	if n > maxTokLen {
-		panic("hashmem: token longer than 255 WMEs")
-	}
 	return uint32(node)<<9 | uint32(n)<<1 | uint32(side)
 }
 
 func (e *entry) node() int        { return int(e.meta >> 9) }
-func (e *entry) tokLen() int      { return int(e.meta>>1) & maxTokLen }
+func (e *entry) tokLen() int      { return int(e.meta>>1) & rete.MaxTokenLen }
 func (e *entry) side() rete.Side  { return rete.Side(e.meta & 1) }
 func (e *entry) hash() uint64     { return uint64(e.hhi)<<32 | uint64(e.hlo) }
 func (e *entry) setHash(h uint64) { e.hlo, e.hhi = uint32(h), uint32(h>>32) }
@@ -182,19 +179,22 @@ func (p *Pools) words(n uint32) uint32 {
 }
 
 // newEntry stores a token: a recycled entry of its length when there is
-// one, fresh words otherwise. It returns the entry and a view holding it.
-func (p *Pools) newEntry(j *rete.JoinNode, side rete.Side, hash uint64, tok []uint32) (uint32, view) {
+// one, fresh words otherwise. v is a view of p's store; newEntry returns
+// the entry and a view holding it. NegCount is left as it was: only a
+// negated node's left entries use it, and their activation stores the
+// count before anything can read it.
+func (p *Pools) newEntry(v view, j *rete.JoinNode, side rete.Side, hash uint64, tok []uint32) (uint32, view) {
 	n := len(tok)
 	var i uint32
 	if n < len(p.free) && p.free[n] != 0 {
 		i = p.free[n]
-		p.free[n] = p.st.view().ent(i).next
+		p.free[n] = v.ent(i).next
 	} else {
 		i = p.words(entryWords + uint32(n))
+		v = p.st.view() // the words may be in a new segment
 	}
-	v := p.st.view()
 	e := v.ent(i)
-	e.next, e.meta, e.neg = 0, packMeta(j.ID, n, side), 0
+	e.next, e.meta = 0, packMeta(j.ID, n, side)
 	e.setHash(hash)
 	copy(v.tok(i, n), tok)
 	return i, v

@@ -15,8 +15,9 @@
 // woken only when the pending roots are worth a wake-up (wakeDepth), so
 // a cycle too small to pay for one is matched by one warm process. The
 // match hot path is allocation-free in the steady state: task objects and
-// memory entries recycle through per-process free lists, and output
-// token slices come from per-process arenas (hashmem.Pools).
+// memory entries recycle through per-process free lists, and in-flight
+// tokens come from per-process arenas (hashmem.Pools) that rewind at
+// each drained point.
 //
 // A control process that holds every unit in existence matches alone,
 // as vs2 does, with no line locks, task objects or private stack: the
@@ -292,13 +293,10 @@ func newMatcher(net *rete.Network, cfg Config, sink rete.TerminalSink, whole, wa
 }
 
 // UseSlots makes the matcher resolve tokens through s, the slot table
-// of the working memory whose elements it is submitted. Call it before
-// the first Submit; until then the matcher has a table of its own, which
-// callers that build WMEs outside a wm.Memory assign slots in (Slots).
+// the submitted WMEs' slots were assigned in: the working memory's
+// (engine.New does this), or the one a caller that builds WMEs outside
+// a wm.Memory assigned them in. Call it before the first Submit.
 func (m *Matcher) UseSlots(s *wm.Slots) { m.slots = s }
-
-// Slots returns the slot table the matcher resolves tokens through.
-func (m *Matcher) Slots() *wm.Slots { return m.slots }
 
 // Submit pushes one working-memory change as a root token. The control
 // process proceeds with RHS evaluation, and a match goroutine that is

@@ -272,6 +272,18 @@ func (b *builder) compileRule(r *ops5.Rule) error {
 // validOrder.
 func (b *builder) compileRuleOrdered(r *ops5.Rule, order []int) error {
 	net := b.net
+	positive := 0
+	for _, ce := range r.CEs {
+		if !ce.Negated {
+			positive++
+		}
+	}
+	if positive > MaxTokenLen {
+		return fmt.Errorf("%d positive condition elements, at most %d", positive, MaxTokenLen)
+	}
+	if len(net.joinSuccs)+len(r.CEs) > MaxJoinIDs {
+		return fmt.Errorf("the network has run out of join node IDs (%d)", MaxJoinIDs)
+	}
 	cr := &CompiledRule{
 		Rule:     r,
 		Index:    net.numRuleIDs,

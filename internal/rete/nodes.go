@@ -27,6 +27,15 @@ import (
 	"repro/internal/wm"
 )
 
+// The matchers' token store packs a join's ID and a token's length into
+// one word beside each stored token, so the compiler rejects a rule
+// whose instantiations would exceed MaxTokenLen WMEs and stops issuing
+// join IDs at MaxJoinIDs (IDs are never reused across epochs).
+const (
+	MaxTokenLen = 255
+	MaxJoinIDs  = 1 << 23
+)
+
 // Side distinguishes the two inputs of a two-input node.
 type Side uint8
 

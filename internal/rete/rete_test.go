@@ -242,3 +242,22 @@ func TestRootDeliverCountsTests(t *testing.T) {
 		t.Errorf("tests evaluated = %d, want >= 3", tests)
 	}
 }
+
+// TestRejectsOverlongTokens: a rule whose instantiations would hold more
+// WMEs than the token store can record is a compile error, not a
+// corrupt match.
+func TestRejectsOverlongTokens(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("(literalize a x)\n(p wide")
+	for i := 0; i <= rete.MaxTokenLen; i++ {
+		b.WriteString(" (a ^x <v>)")
+	}
+	b.WriteString(" --> (halt))")
+	prog, err := ops5.Parse(b.String())
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if _, err := rete.Compile(prog); err == nil || !strings.Contains(err.Error(), "positive condition elements") {
+		t.Fatalf("compiling %d positive CEs: err = %v, want a limit error", rete.MaxTokenLen+1, err)
+	}
+}

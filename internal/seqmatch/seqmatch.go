@@ -93,13 +93,10 @@ func NewWithTable(net *rete.Network, v Variant, table *hashmem.Table, sink rete.
 }
 
 // UseSlots makes the matcher resolve tokens through s, the slot table
-// of the working memory whose elements it is submitted. Call it before
-// the first Submit; until then the matcher has a table of its own, which
-// callers that build WMEs outside a wm.Memory assign slots in (Slots).
+// the submitted WMEs' slots were assigned in: the working memory's
+// (engine.New does this), or the one a caller that builds WMEs outside
+// a wm.Memory assigned them in. Call it before the first Submit.
 func (m *Matcher) UseSlots(s *wm.Slots) { m.slots = s }
-
-// Slots returns the slot table the matcher resolves tokens through.
-func (m *Matcher) Slots() *wm.Slots { return m.slots }
 
 // Submit processes one working-memory change to completion, depth-first
 // through the network (the classic sequential Rete discipline). The
