@@ -190,9 +190,9 @@ func (e *Engine) drain() {
 	}
 }
 
-// SlotUser is implemented by matchers whose tokens are spans of WME
+// slotUser is implemented by matchers whose tokens are spans of WME
 // slots: the engine points them at its working memory's slot table.
-type SlotUser interface {
+type slotUser interface {
 	UseSlots(*wm.Slots)
 }
 
@@ -201,7 +201,7 @@ type SlotUser interface {
 // submit WMEs built outside a wm.Memory do it for the table they
 // assigned those WMEs' slots in.
 func UseSlots(m Matcher, s *wm.Slots) {
-	if su, ok := m.(SlotUser); ok {
+	if su, ok := m.(slotUser); ok {
 		su.UseSlots(s)
 	}
 }

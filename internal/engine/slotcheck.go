@@ -2,9 +2,9 @@ package engine
 
 import "fmt"
 
-// SlotWalker is implemented by matchers that can enumerate the WME slots
+// slotWalker is implemented by matchers that can enumerate the WME slots
 // their token store names: every stored token and parked early delete.
-type SlotWalker interface {
+type slotWalker interface {
 	ForEachSlot(fn func(slot uint32))
 }
 
@@ -13,7 +13,7 @@ type SlotWalker interface {
 // a slot released, or about to be reused, while a token still holds it.
 // Call it drained. Matchers that do not store slots pass trivially.
 func (e *Engine) CheckSlots() error {
-	sw, ok := e.Matcher.(SlotWalker)
+	sw, ok := e.Matcher.(slotWalker)
 	if !ok {
 		return nil
 	}

@@ -258,9 +258,8 @@ func freeSlot(v view, base uint32, n int, hash uint64) *run {
 // reads it again. Its words are not reused.
 func (l *Line) growRuns(p *Pools, hash uint64) *run {
 	n := max(4, 2*int(l.slots))
-	base := p.words(uint32(n) * runWords)
+	base := p.words(uint32(n) * runWords) // fresh words, all zero: every slot free
 	v := p.st.view()
-	clear(v[base>>segBits][base&segMask : base&segMask+uint32(n)*runWords])
 	used := int32(0)
 	for i := 0; i < int(l.slots); i++ {
 		if r := v.runAt(l.runs + uint32(i)*runWords); r.node != 0 && !r.empty() {

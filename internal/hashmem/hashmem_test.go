@@ -1029,3 +1029,39 @@ func TestListRemoveDuplicates(t *testing.T) {
 		}
 	}
 }
+
+// TestOverflowSubIndexSpansSegments crowds one line with more runs than
+// a store segment can index, so the overflow sub-index outgrows a
+// segment and is laid out across fresh ones; every run must still be
+// found, joined and deleted, in the table and in its clone.
+func TestOverflowSubIndexSpansSegments(t *testing.T) {
+	net := fixture(t, joinSrc)
+	j := net.Joins[0]
+	table := hashmem.New(1)
+	const n = 8000 // a 16 384-slot sub-index: 80 k words, past a 32 k-word segment
+	lefts := make([][]*wm.WME, n)
+	for i := range lefts {
+		lefts[i] = []*wm.WME{mkW(1, i+1, int64(i))}
+		apply(table, j, rete.Left, true, lefts[i])
+	}
+	if slots := table.Lines[0].OverflowSlots(); slots*5 <= 1<<15 {
+		t.Fatalf("fixture: %d overflow slots fit one segment", slots)
+	}
+	for name, tb := range map[string]*hashmem.Table{"table": table, "clone": table.Clone()} {
+		for i := 0; i < n; i += 97 {
+			rw := []*wm.WME{mkW(2, n+i+1, int64(i))}
+			if got := apply(tb, j, rete.Right, true, rw); len(got) != 1 || got[0] != "+2" {
+				t.Fatalf("%s: right %d emitted %v, want [+2]", name, i, got)
+			}
+			if got := apply(tb, j, rete.Right, false, rw); len(got) != 1 || got[0] != "-2" {
+				t.Fatalf("%s: right delete %d emitted %v, want [-2]", name, i, got)
+			}
+		}
+	}
+	for i := range lefts {
+		apply(table, j, rete.Left, false, lefts[i])
+	}
+	if n := table.MemStats().Entries; n != 0 || table.CheckDrained() != nil {
+		t.Fatalf("%d entries left after deleting every token", n)
+	}
+}

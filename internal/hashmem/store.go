@@ -31,6 +31,9 @@ type segment [segWords]uint32
 // segment is added, so readers — match processes walking a line they
 // hold — take no lock: whatever index they reach was linked in after its
 // segment was published. Allocation takes the mutex once per block.
+//
+// Words are issued once and never returned to the store (entries recycle
+// through the processes' free lists), so a word is zero when issued.
 type store struct {
 	dir atomic.Pointer[[]*segment]
 	mu  sync.Mutex
@@ -43,28 +46,42 @@ func newStore() *store {
 	return s
 }
 
-// take issues n contiguous words inside one segment.
+// take issues n contiguous words. Up to a segment's worth fit inside one
+// segment; a larger run (an overflow sub-index of thousands of runs)
+// gets fresh segments cut from one array, so its words are contiguous
+// in memory across the segment boundaries.
 func (s *store) take(n uint32) uint32 {
-	if n > segWords {
-		panic("hashmem: allocation larger than a store segment")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	dir := *s.dir.Load()
 	start := s.top
-	if start&segMask+n > segWords {
+	switch {
+	case n > segWords:
+		start = uint32(len(dir)) << segBits
+	case start&segMask+n > segWords:
 		start = (start | segMask) + 1
 	}
 	end := start + n
 	if end < start {
 		panic("hashmem: token store exhausted its 32-bit word space")
 	}
-	dir := *s.dir.Load()
-	for int((end-1)>>segBits) >= len(dir) {
-		dir = append(dir[:len(dir):len(dir)], new(segment))
+	if need := int((end-1)>>segBits) + 1; need > len(dir) {
+		dir = appendSegments(dir, need-len(dir))
 		s.dir.Store(&dir)
 	}
 	s.top = end
 	return start
+}
+
+// appendSegments returns dir with k zeroed segments appended, cut from
+// one array.
+func appendSegments(dir []*segment, k int) []*segment {
+	words := make([]uint32, k*segWords)
+	grown := append(dir[:len(dir):len(dir)], make([]*segment, k)...)
+	for j := 0; j < k; j++ {
+		grown[len(dir)+j] = (*segment)(words[j*segWords:])
+	}
+	return grown
 }
 
 // clone copies every issued word: the copy has the same indices, so
@@ -73,12 +90,10 @@ func (s *store) clone() *store {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	src := *s.dir.Load()
-	dir := make([]*segment, len(src))
+	dir := appendSegments(nil, len(src))
 	for i := range dir {
-		seg := new(segment)
 		used := min(int64(s.top)-int64(i)*segWords, segWords)
-		copy(seg[:max(used, 0)], src[i][:])
-		dir[i] = seg
+		copy(dir[i][:max(used, 0)], src[i][:])
 	}
 	c := &store{top: s.top}
 	c.dir.Store(&dir)
