@@ -771,10 +771,7 @@ func own(table *hashmem.Table, j *rete.JoinNode, side rete.Side, sign bool, tok 
 
 // tokHash is the line hash of a token of j's side.
 func tokHash(j *rete.JoinNode, side rete.Side, tok []*wm.WME) uint64 {
-	if side == rete.Left {
-		return leftHash(j, tok)
-	}
-	return j.RightHash(tok[0])
+	return j.TokenHash(testSlots.View(), side, toTok(tok))
 }
 
 // TestStaleRefReadsItsOppositeList holds a Ref across same-side

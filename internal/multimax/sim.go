@@ -354,10 +354,7 @@ func (s *sim) rootStage(p *proc, t *taskqueue.Task) {
 }
 
 func (s *sim) termStage(p *proc, t *taskqueue.Task) {
-	s.inst = s.inst[:0]
-	for _, slot := range t.Tok {
-		s.inst = append(s.inst, s.pools.Slots.Get(slot))
-	}
+	s.inst = s.pools.Slots.Resolve(s.inst, t.Tok)
 	if t.Sign {
 		s.sink.InsertInstantiation(t.Term.Rule, s.inst)
 	} else {
@@ -371,12 +368,7 @@ func (s *sim) termStage(p *proc, t *taskqueue.Task) {
 // under the configured scheme, then executes the activation.
 func (s *sim) joinAcquire(p *proc, t *taskqueue.Task) {
 	j := t.Join
-	var hash uint64
-	if t.Side == rete.Left {
-		hash = j.LeftHash(s.pools.Slots, t.Tok)
-	} else {
-		hash = j.RightHash(s.pools.Slots.Get(t.Tok[0]))
-	}
+	hash := j.TokenHash(s.pools.Slots, t.Side, t.Tok)
 	idx := s.table.LineIndex(j, hash)
 	if s.cfg.Scheme == parmatch.SchemeSimple {
 		if !s.tryLine(p, &s.lines[idx], t.Side, idx, j.ID) {

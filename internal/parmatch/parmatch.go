@@ -409,10 +409,7 @@ func (m *Matcher) flushTerminals() {
 				if op.sign != sign {
 					continue
 				}
-				m.inst = m.inst[:0]
-				for _, s := range op.tok {
-					m.inst = append(m.inst, v.Get(s))
-				}
+				m.inst = v.Resolve(m.inst, op.tok)
 				if sign {
 					m.sink.InsertInstantiation(op.rule, m.inst)
 				} else {
@@ -662,7 +659,7 @@ func (w *wctx) soloTerm(term *rete.Terminal, sign bool, tok []uint32) {
 // search, its outputs recursed into rather than stacked.
 func (w *wctx) soloJoin(j *rete.JoinNode, side rete.Side, sign bool, tok []uint32) {
 	w.acts++
-	hash := tokenHash(w.pools.Slots, j, side, tok)
+	hash := j.TokenHash(w.pools.Slots, side, tok)
 	table := w.m.mem.Load().table
 	idx := table.LineIndex(j, hash)
 	entry, ref, res := table.UpdateOwn(idx, j, side, sign, tok, hash, w.rec, &w.pools)
@@ -782,7 +779,7 @@ func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 	// again once the line is held, for the slots of the entries stored
 	// there, which may postdate this task.
 	w.pools.Slots = m.slots.View()
-	hash := tokenHash(w.pools.Slots, j, t.Side, t.Tok)
+	hash := j.TokenHash(w.pools.Slots, t.Side, t.Tok)
 	// One bundle load per task: the table and its lock arrays always
 	// match, and a resize can only intervene while drained, so no task
 	// straddles two table generations.
@@ -844,14 +841,6 @@ func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 		w.pools.FreeEntry(entry) // Remove unlinked it; no reader survives Exit
 	}
 	return false
-}
-
-// tokenHash is the hash that picks a token's line.
-func tokenHash(v wm.SlotView, j *rete.JoinNode, side rete.Side, tok []uint32) uint64 {
-	if side == rete.Left {
-		return j.LeftHash(v, tok)
-	}
-	return j.RightHash(v.Get(tok[0]))
 }
 
 func (w *wctx) recordLine(side rete.Side, spins int64) {

@@ -199,6 +199,15 @@ func (j *JoinNode) LeftHash(v wm.SlotView, left []uint32) uint64 {
 	return h
 }
 
+// TokenHash is the line hash of a token arriving on side: LeftHash for a
+// left token, RightHash of its one WME for a right one.
+func (j *JoinNode) TokenHash(v wm.SlotView, side Side, tok []uint32) uint64 {
+	if side == Left {
+		return j.LeftHash(v, tok)
+	}
+	return j.RightHash(v.Get(tok[0]))
+}
+
 // RightHash is LeftHash's counterpart for a right-input WME; equal join
 // values yield the same hash, so both sides land on the same line.
 func (j *JoinNode) RightHash(w *wm.WME) uint64 {

@@ -182,12 +182,7 @@ func (m *Matcher) activate(j *rete.JoinNode, side rete.Side, sign bool, tok []ui
 	// The hash is computed for vs1 too: its per-node lines ignore it for
 	// line selection, but storing it lets a delete short-circuit token
 	// comparison without changing any scan count.
-	var hash uint64
-	if side == rete.Left {
-		hash = j.LeftHash(m.pools.Slots, tok)
-	} else {
-		hash = j.RightHash(m.pools.Slots.Get(tok[0]))
-	}
+	hash := j.TokenHash(m.pools.Slots, side, tok)
 	idx := m.Table.LineIndex(j, hash)
 	entry, ref, res := m.Table.UpdateOwn(idx, j, side, sign, tok, hash, m.Rec, &m.pools)
 	if !sign {
@@ -304,10 +299,7 @@ func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, er
 // to the sink.
 func (m *Matcher) toTerminal(t *rete.Terminal, sign bool, tok []uint32) {
 	m.Rec.M.Activations++
-	m.inst = m.inst[:0]
-	for _, s := range tok {
-		m.inst = append(m.inst, m.pools.Slots.Get(s))
-	}
+	m.inst = m.pools.Slots.Resolve(m.inst, tok)
 	if sign {
 		m.Rec.M.CSInserts++
 		m.Sink.InsertInstantiation(t.Rule, m.inst)

@@ -101,3 +101,12 @@ type SlotView []*slotChunkArr
 
 // Get returns the element in slot i.
 func (v SlotView) Get(i uint32) *WME { return v[i>>slotChunkBits][i&(slotChunk-1)] }
+
+// Resolve returns the elements of tok, a span of slots, in dst's storage.
+func (v SlotView) Resolve(dst []*WME, tok []uint32) []*WME {
+	dst = dst[:0]
+	for _, s := range tok {
+		dst = append(dst, v.Get(s))
+	}
+	return dst
+}
