@@ -100,7 +100,7 @@ fuzz-smoke:
 # 4x of each other (min-of-N ratios, so host speed cancels) — a request
 # pays for what it changes, not what the session holds. Then the token
 # store's allocation gate (counts): one Weaver(20, 9) session on vs2
-# played to halt in 25-cycle slices must stay under 0.20 mallocs and 33
+# played to halt in 25-cycle slices must stay under 0.14 mallocs and 33
 # bytes per node activation and 13 k mallocs in Init, add at most 1 MB of
 # scannable heap at its peak of live tokens, and its conflict set must
 # rescan at most 30 000 instantiations and report no lock spins.
