@@ -63,10 +63,10 @@ var builders = []builder{
 }
 
 // runPar runs a program on a parallel matcher built by b with the given
-// config. inspect, if not nil, gets the matcher while it is still open
-// and drained, so tests can read its counters.
+// config. everyCycle, if not nil, runs on the engine at the top of every
+// cycle, where the matcher is drained; an error from it fails the run.
 func runPar(t *testing.T, src string, b builder, cfg parmatch.Config, maxCycles int,
-	inspect func(*parmatch.Matcher)) *engine.Result {
+	everyCycle func(*engine.Engine) error) *engine.Result {
 	t.Helper()
 	prog, err := ops5.Parse(src)
 	if err != nil {
@@ -86,7 +86,11 @@ func runPar(t *testing.T, src string, b builder, cfg parmatch.Config, maxCycles 
 	if err := e.Init(); err != nil {
 		t.Fatalf("init: %v", err)
 	}
-	res, err := e.Run(engine.Options{MaxCycles: maxCycles, RecordFiring: true, CheckEvery: true})
+	opt := engine.Options{MaxCycles: maxCycles, RecordFiring: true, CheckEvery: true}
+	if everyCycle != nil {
+		opt.Hook = func(int) error { return everyCycle(e) }
+	}
+	res, err := e.Run(opt)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -95,9 +99,6 @@ func runPar(t *testing.T, src string, b builder, cfg parmatch.Config, maxCycles 
 	}
 	if b.name == "solo" && m.SoloUnits() != m.Units() {
 		t.Fatalf("solo: %d of %d units run alone", m.SoloUnits(), m.Units())
-	}
-	if inspect != nil {
-		inspect(m)
 	}
 	return res
 }
@@ -199,6 +200,46 @@ func TestParallelMatchesSequential(t *testing.T) {
 				for _, b := range builders {
 					t.Run(b.name, func(t *testing.T) {
 						sameRun(t, runPar(t, src, b, cfg, 500, nil), want)
+					})
+				}
+			})
+		}
+	}
+}
+
+// TestUnlinkMatchesSequential verifies that unlinking removed elements
+// from the token store changes no result. A removal's minus tokens
+// unlink every stored entry that names the element, and its slot is
+// released for reuse only once the drain is done. On the cascading chain
+// workload and the negation-churn workload, both full of removals, every
+// configuration must fire exactly the sequential sequence; at the top of
+// every cycle no stored entry may name a slot whose element is not live;
+// and the slots of removed elements must have been reused.
+func TestUnlinkMatchesSequential(t *testing.T) {
+	srcs := map[string]string{
+		"chain": chainSrc(25),
+		"neg":   negSrc,
+	}
+	for name, src := range srcs {
+		want := runSeq(t, src, 500)
+		for _, cfg := range configs() {
+			t.Run(fmt.Sprintf("%s/p%dq%d%s", name, cfg.Procs, cfg.Queues, cfg.Scheme), func(t *testing.T) {
+				for _, b := range builders {
+					t.Run(b.name, func(t *testing.T) {
+						var stored int
+						var last *engine.Engine
+						got := runPar(t, src, b, cfg, 500, func(e *engine.Engine) error {
+							last = e
+							e.Matcher.(*parmatch.Matcher).ForEachSlot(func(uint32) { stored++ })
+							return e.CheckSlots()
+						})
+						sameRun(t, got, want)
+						if stored == 0 {
+							t.Fatal("the token store named no slot at any cycle; the oracle checked nothing")
+						}
+						if issued, made := last.WM.Slots().Issued(), last.WM.NextTag()-1; int(issued) >= made {
+							t.Errorf("slots issued = %d for %d elements made, want fewer (released slots reused)", issued, made)
+						}
 					})
 				}
 			})
