@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke bench-e2e bench-e2e-smoke recovery reorder-differential fuzz-smoke cluster-smoke clean
+.PHONY: all build test race vet check bench-smoke bench-e2e bench-e2e-smoke recovery reorder-differential fuzz-smoke cluster-smoke clean
 
 all: build
 
@@ -91,35 +91,42 @@ fuzz-smoke:
 	$(GO) test -race -run 'TestCorpusDifferential' -v ./internal/fuzz
 	$(GO) test -fuzz FuzzDifferential -fuzztime 5s -run '^$$' ./internal/fuzz
 
-# Host-independent performance gates (green on 1, 2 and 4+ CPUs: the
-# kernel allocs/op gate measures on GOMAXPROCS(1), as its baseline did,
-# and holds the real-concurrency figure under a flat cap; the 2-backend
-# scaling gate runs only with >= 2 CPUs per backend). First the serving
-# path's fixed-cost gate (1 s): a max_cycles:1 batch at hash_lines 2^10
-# vs 2^18 and a one-tag retract at WM 10^2 vs 10^5 must each cost within
-# 4x of each other (min-of-N ratios, so host speed cancels) — a request
-# pays for what it changes, not what the session holds. Then the token
-# store's allocation gate (counts): one Weaver(20, 9) session on vs2
-# played to halt in 25-cycle slices must stay under 0.14 mallocs and 33
-# bytes per node activation and 13 k mallocs in Init, add at most 1 MB of
-# scannable heap at its peak of live tokens, and its conflict set must
-# rescan at most 30 000 instantiations and report no lock spins.
-# Then the 1-rep
-# match-kernel + conflict-set sweep plus the fork-vs-cold session-spawn
-# ratio, failing on regression against the checked-in
-# BENCH_baseline.json (scaling ratios and allocs/op, not wall-clock).
-# Regenerate the baseline after an intentional change with:
-#   BENCH_SMOKE=update $(GO) test -run TestBenchSmoke ./internal/tables
+# Performance gates kept out of a plain `go test` (each skips without
+# BENCH_SMOKE=1) and green on 1, 2 and 4+ CPUs. Their bounds are
+# constants in the tests.
+#  - The serving path's fixed-cost gate
+#    (TestRequestCostIndependentOfSessionSize, internal/server, 1 s): a
+#    max_cycles:1 batch at hash_lines 2^10 vs 2^18 and a one-tag retract
+#    at WM 10^2 vs 10^5 must each cost within 4x of each other (min-of-N
+#    ratios, so host speed cancels) — a request pays for what it
+#    changes, not what the session holds.
+#  - The template fork gate (TestForkFasterThanColdSpawn,
+#    internal/server): fork to first served batch at least 3x faster
+#    than building the same session cold.
+#  - The token store's allocation gate (TestMatchAllocationGate,
+#    internal/engine, counts): one Weaver(20, 9) session on vs2 played to
+#    halt in 25-cycle slices must stay under 0.14 mallocs and 33 bytes
+#    per node activation and 13 k mallocs in Init, add at most 1 MB of
+#    scannable heap at its peak of live tokens, and its conflict set must
+#    rescan at most 30 000 instantiations and report no lock spins.
+#  - The kernel sweep (TestBenchSmoke, internal/tables): conflict-set
+#    churn and Select at 10 k vs 1 k live instantiations within 3x, churn
+#    0 allocs/op; match-kernel allocs/op at most 2 on GOMAXPROCS(1) and
+#    64 at the host's concurrency; the bigmem layouts at most 2 opposite
+#    tokens per pair, a list/runs gain of at least 2, line depth at most
+#    64 and at least one resize.
+#  - The 2-backend scaling gate (TestTwoBackendsScale, internal/cluster):
+#    at least 1.2x the 1-backend batches/s through the proxy; it runs
+#    only with >= 2 CPUs per backend.
+# The join planner's skew gain (TestPlannerSkewGain, internal/rete) and
+# the match budget's cross-product containment
+# (TestMatchBudgetContainsCrossProduct, internal/engine) are counters,
+# not timings, and run in every `go test`.
 bench-smoke:
-	BENCH_SMOKE=1 $(GO) test -run TestRequestCostIndependentOfSessionSize -v ./internal/server
+	BENCH_SMOKE=1 $(GO) test -run 'TestRequestCostIndependentOfSessionSize|TestForkFasterThanColdSpawn' -v ./internal/server
 	BENCH_SMOKE=1 $(GO) test -run TestMatchAllocationGate -v ./internal/engine
 	BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/tables
-
-# Refresh BENCH_server.json (the test writes only where BENCH_OUT
-# points) and print the server throughput benchmark.
-bench:
-	BENCH_OUT=$(CURDIR)/BENCH_server.json $(GO) test -count=1 -run TestBenchServerJSON -v ./internal/server
-	$(GO) test -bench ServerThroughput -benchtime 3x -run '^$$' ./internal/server
+	BENCH_SMOKE=1 $(GO) test -run TestTwoBackendsScale -v ./internal/cluster
 
 # The end-to-end benchmark BENCHMARK.json declares: four workloads from
 # library call to proxy -> ops5d -> journal, 7 end-to-end metrics plus

@@ -11,14 +11,10 @@ import (
 	"testing"
 
 	psme "repro"
-	"repro/internal/conflict"
 	"repro/internal/multimax"
-	"repro/internal/ops5"
 	"repro/internal/parmatch"
-	"repro/internal/rete"
 	"repro/internal/seqmatch"
 	"repro/internal/tables"
-	"repro/internal/wm"
 )
 
 // benchScale keeps single benchmark iterations under ~100ms; psmbench
@@ -269,66 +265,6 @@ func mean(num, den int64) float64 {
 		return 0
 	}
 	return float64(num) / float64(den)
-}
-
-// conflictRule builds the single-CE rule the conflict benchmarks hang
-// instantiations off.
-func conflictRule(b *testing.B) *rete.CompiledRule {
-	b.Helper()
-	prog, err := ops5.Parse("(literalize fact id)\n(p seen (fact ^id <i>) --> (halt))")
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := rete.Compile(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return net.Rules[0]
-}
-
-// BenchmarkConflictChurn measures one steady-state conflict-set
-// insert+remove pair with `live` instantiations resident: the headline
-// O(1)-vs-live claim. Equal ns/op across the live sizes is the win over
-// the old O(n) SameWmes scans.
-func BenchmarkConflictChurn(b *testing.B) {
-	for _, live := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("live%d", live), func(b *testing.B) {
-			cs := conflict.NewSet()
-			rule := conflictRule(b)
-			for tag := 1; tag <= live; tag++ {
-				cs.InsertInstantiation(rule, []*wm.WME{{TimeTag: tag}})
-			}
-			w := []*wm.WME{{TimeTag: live + 1}}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cs.InsertInstantiation(rule, w)
-				cs.RemoveInstantiation(rule, w)
-			}
-		})
-	}
-}
-
-// BenchmarkConflictSelect measures warm-cache Select at large live
-// sets: cost should track the partition count, not the set size.
-func BenchmarkConflictSelect(b *testing.B) {
-	for _, live := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("live%d", live), func(b *testing.B) {
-			cs := conflict.NewSet()
-			rule := conflictRule(b)
-			for tag := 1; tag <= live; tag++ {
-				cs.InsertInstantiation(rule, []*wm.WME{{TimeTag: tag}})
-			}
-			if cs.Select() == nil {
-				b.Fatal("preloaded set selected nil")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cs.Select()
-			}
-		})
-	}
 }
 
 // BenchmarkEngineFiringRate measures end-to-end recognize-act cycles per

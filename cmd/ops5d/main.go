@@ -10,8 +10,8 @@
 //
 // An address with port 0 (e.g. -addr 127.0.0.1:0) binds an ephemeral
 // port; the daemon prints the bound address as its first stdout line
-// ("listening on HOST:PORT") so harnesses — the cluster smoke test,
-// psmbench -cluster — can spawn backends without picking ports.
+// ("listening on HOST:PORT") so scripts can spawn backends without
+// picking ports.
 //
 // With -data-dir set the daemon is durable: every session appends its
 // WM deltas to a per-session log under DIR, and a restart over the

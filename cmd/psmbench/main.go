@@ -7,9 +7,6 @@
 //
 //	psmbench [-scale 1.0] [-table all|4-1|...|seq|sim] [-host]
 //	psmbench -match [-procs 1,2,4,8] [-matchout BENCH_match.json]
-//	psmbench -durability [-durout BENCH_durability.json]
-//	psmbench -join [-reorder both] [-procs 1,2,4] [-joinout BENCH_join.json]
-//	psmbench -cluster [-backends 1,2,4] [-clusterout BENCH_cluster.json]
 //	psmbench ... [-cpuprofile cpu.prof] [-memprofile mem.prof]
 package main
 
@@ -34,18 +31,6 @@ func main() {
 	ablation := flag.Bool("ablation", false, "run the design-choice ablations (hardware scheduler, FIFO, pipelining, ...)")
 	match := flag.Bool("match", false, "run the multicore match microbenchmarks instead of the paper tables")
 	matchOut := flag.String("matchout", "", "write -match results as JSON to this file (e.g. BENCH_match.json)")
-	durabilityBench := flag.Bool("durability", false, "run the session-spawn (fork vs cold) and crash-recovery benchmarks")
-	durOut := flag.String("durout", "", "write -durability results as JSON to this file (e.g. BENCH_durability.json)")
-	joinBench := flag.Bool("join", false, "run the adversarial join kernels (cost-based reordering, match budget)")
-	joinOut := flag.String("joinout", "", "write -join results as JSON to this file (e.g. BENCH_join.json)")
-	clusterBench := flag.Bool("cluster", false, "run the cluster fabric sweep (proxy over N in-process backends)")
-	clusterOut := flag.String("clusterout", "", "write -cluster results as JSON to this file (e.g. BENCH_cluster.json)")
-	backendCounts := flag.String("backends", "1,2,4", "comma-separated backend fleet sizes for -cluster")
-	clusterClients := flag.Int("cluster-clients", 8, "concurrent clients driving the -cluster sweep")
-	clusterBatches := flag.Int("cluster-batches", 30, "batches per client per -cluster cell")
-	reorder := flag.String("reorder", "both", "join orders to sweep for -join: on (planned), off (source) or both")
-	durItems := flag.Int("dur-items", 2000, "warm base facts in the -durability template")
-	durRules := flag.Int("dur-rules", 64, "generated rules in the -durability workload")
 	procsFlag := flag.String("procs", "1,2,4,8", "comma-separated match-process counts for -match")
 	reps := flag.Int("reps", 3, "repetitions per -match workload point (fastest is recorded)")
 	bigmemPairs := flag.Int("bigmem-pairs", 20000, "bigmem layout comparison size in (acct, txn) pairs — 2x this many WMEs")
@@ -73,36 +58,6 @@ func main() {
 		}()
 	}
 
-	if *durabilityBench {
-		runDurability(tables.DurabilityBenchOptions{
-			Items: *durItems, Rules: *durRules, Reps: *reps,
-		}, *durOut)
-		return
-	}
-	if *clusterBench {
-		counts, err := parseProcs(*backendCounts)
-		fatal(err)
-		runCluster(tables.ClusterBenchOptions{
-			BackendCounts: counts, Clients: *clusterClients, Batches: *clusterBatches,
-		}, *clusterOut)
-		return
-	}
-	if *joinBench {
-		procs, err := parseProcs(*procsFlag)
-		fatal(err)
-		var modes []string
-		switch *reorder {
-		case "on":
-			modes = []string{"planned"}
-		case "off":
-			modes = []string{"source"}
-		case "both":
-		default:
-			fatal(fmt.Errorf("bad -reorder %q (want on, off or both)", *reorder))
-		}
-		runJoin(tables.JoinBenchOptions{Procs: procs, Modes: modes}, *joinOut)
-		return
-	}
 	if *match {
 		procs, err := parseProcs(*procsFlag)
 		fatal(err)
@@ -262,112 +217,6 @@ func runMatch(opt tables.MatchBenchOptions, outPath string) {
 		data = append(data, '\n')
 		fatal(os.WriteFile(outPath, data, 0o644))
 		fmt.Printf("\nwrote %s\n", outPath)
-	}
-}
-
-// runDurability runs the fork-vs-cold spawn and crash-recovery
-// benchmarks and optionally writes the BENCH_durability.json payload.
-func runDurability(opt tables.DurabilityBenchOptions, outPath string) {
-	rep, err := tables.RunDurabilityBench(opt)
-	fatal(err)
-	fmt.Printf("session spawn (%s, %d rules, %d base facts, median of %d):\n",
-		rep.Backend, rep.Rules, rep.Items, rep.Reps)
-	fmt.Printf("  cold  create+base+first-batch  %8d us\n", rep.ColdSpawnUs)
-	fmt.Printf("  fork  fork+first-batch         %8d us   (%.1fx faster, %d WMEs shared)\n",
-		rep.ForkSpawnUs, rep.ForkSpeedup, rep.ForkWMShared)
-	fmt.Printf("crash recovery (%d churn batches, %d bytes of log):\n",
-		rep.RecoveryBatches, rep.LogBytes)
-	fmt.Printf("  replayed %d records in %d us  (%.0f records/s)\n",
-		rep.RecoveryRecords, rep.RecoveryUs, rep.RecoveryRecPerSec)
-	if outPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		fatal(err)
-		data = append(data, '\n')
-		fatal(os.WriteFile(outPath, data, 0o644))
-		fmt.Printf("wrote %s\n", outPath)
-	}
-}
-
-// runJoin runs the adversarial join kernels, prints a summary and
-// optionally writes the BENCH_join.json payload.
-func runJoin(opt tables.JoinBenchOptions, outPath string) {
-	fmt.Printf("join kernels: host CPUs %d\n", runtime.NumCPU())
-	rep, err := tables.RunJoinBench(opt)
-	fatal(err)
-	oversub := false
-	fmt.Println("\nkernel     mode     backend  procs  budget  cycles  firings  opp-examined  acts  trips  quarantined")
-	for _, p := range rep.Points {
-		procs := "-"
-		if p.Procs > 0 {
-			procs = fmt.Sprintf("%d", p.Procs)
-			if p.Oversubscribed {
-				procs += "*"
-				oversub = true
-			}
-		}
-		budget := "-"
-		if p.Budget > 0 {
-			budget = fmt.Sprintf("%d", p.Budget)
-		}
-		fmt.Printf("%-10s %-8s %-8s %5s  %6s  %6d  %7d  %12d  %4d  %5d  %s\n",
-			p.Kernel, p.Mode, p.Backend, procs, budget, p.Cycles, p.Firings,
-			p.OppExamined, p.Activations, p.BudgetTrips,
-			strings.Join(p.Quarantined, ","))
-	}
-	if oversub {
-		fmt.Println("\n* procs exceed host CPUs: point ran oversubscribed (timeshared cores)")
-	}
-	if rep.SkewGain > 0 {
-		fmt.Printf("\nskew gain (source/planned opposite candidates): %.1fx\n", rep.SkewGain)
-	}
-	fmt.Printf("cross containment (unbudgeted/budgeted candidates): %.1fx\n", rep.CrossContainment)
-	if outPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		fatal(err)
-		data = append(data, '\n')
-		fatal(os.WriteFile(outPath, data, 0o644))
-		fmt.Printf("\nwrote %s\n", outPath)
-	}
-}
-
-// runCluster runs the cluster fabric sweep, prints a summary and
-// optionally writes the BENCH_cluster.json payload. Like the other
-// wall-clock benches, throughput scaling on a host with fewer CPUs
-// than backends measures timesharing, not the fabric; the report's
-// oversubscribed flag records that and the smoke gate skips the
-// scaling assertion there.
-func runCluster(opt tables.ClusterBenchOptions, outPath string) {
-	fmt.Printf("cluster fabric sweep: host CPUs %d, fleets %v, %d clients x %d batches\n",
-		runtime.NumCPU(), opt.BackendCounts, opt.Clients, opt.Batches)
-	rep, err := tables.RunClusterBench(opt)
-	fatal(err)
-	fmt.Println("\nworkload  backends  sessions  batches   cycles  batches/s   cycles/s  pushes  cache-hits  hit-rate")
-	for _, r := range rep.Runs {
-		fmt.Printf("%-9s %8d  %8d  %7d  %7d  %9.1f  %9.0f  %6d  %10d  %7.0f%%\n",
-			r.Workload, r.Backends, r.Sessions, r.Batches, r.Cycles,
-			r.BatchesPerSec, r.CyclesPerSec, r.ProgramPushes, r.ProgramCacheHits, r.CacheHitRate*100)
-	}
-	for wl, x := range rep.ScalingX2 {
-		mark := ""
-		if rep.Oversubscribed {
-			mark = "*"
-		}
-		fmt.Printf("2-backend scaling (%s): %.2fx%s\n", wl, x, mark)
-	}
-	if rep.Oversubscribed {
-		fmt.Println("* host has fewer CPUs than backends: scaling measures timesharing, not the fabric")
-	}
-	fmt.Printf("migration under load: %d migrations, p50 %d us, p99 %d us, max %d us\n",
-		rep.Migration.Count, rep.Migration.P50Us, rep.Migration.P99Us, rep.Migration.MaxUs)
-	for m, ok := range rep.MigrateDifferential {
-		fmt.Printf("migrate differential (%s): ok=%v\n", m, ok)
-	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		fatal(err)
-		data = append(data, '\n')
-		fatal(os.WriteFile(outPath, data, 0o644))
-		fmt.Printf("wrote %s\n", outPath)
 	}
 }
 

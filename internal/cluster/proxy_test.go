@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // pingSrc answers every (req ^n X) with a (resp ^n X); counterSrc keeps
@@ -591,5 +594,73 @@ func TestProxyMetricsShape(t *testing.T) {
 		if !b.Up || b.BootID == "" {
 			t.Fatalf("backend row %+v", b)
 		}
+	}
+}
+
+// TestTwoBackendsScale is the fabric's throughput gate, run by make
+// bench-smoke (BENCH_SMOKE=1): Tourney and Weaver sessions, created by
+// program hash and driven through the proxy in 25-cycle batches by four
+// clients, must reach at least 1.2x the aggregate batches/s on two
+// backends that they reach on one, on the better of the two workloads.
+// Two backends need two CPUs each — one for the backend's engine, one
+// for its share of the in-process proxy and clients — so the gate skips
+// on smaller hosts, where the ratio measures timesharing (0.64-1.07x,
+// median 0.79x, on 2 CPUs).
+func TestTwoBackendsScale(t *testing.T) {
+	if os.Getenv("BENCH_SMOKE") == "" {
+		t.Skip("set BENCH_SMOKE=1 (make bench-smoke) to run")
+	}
+	if n := runtime.NumCPU(); n < 2*2 {
+		t.Skipf("%d CPUs: a 2-backend fleet needs 4 to measure the fabric", n)
+	}
+	const clients, batches, maxCycles, minScaling = 4, 10, 25, 1.2
+	rate := func(backends int, src string) float64 {
+		tc := newTestCluster(t, backends)
+		base := tc.pts.URL
+		var reg struct {
+			Hash string `json:"hash"`
+		}
+		if code := call(t, tc.client, "POST", base+"/programs", map[string]string{"program": src}, &reg); code != http.StatusCreated {
+			t.Fatalf("register: status %d", code)
+		}
+		start := time.Now()
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; n < batches; {
+					var info server.SessionInfo
+					if code := call(t, tc.client, "POST", base+"/sessions", server.SessionConfig{ProgramHash: reg.Hash}, &info); code != http.StatusCreated {
+						t.Errorf("create: status %d", code)
+						return
+					}
+					for halted := false; !halted && n < batches; n++ {
+						var res server.BatchResult
+						req := server.BatchRequest{MaxCycles: maxCycles, NoFirings: true}
+						if code := call(t, tc.client, "POST", base+"/sessions/"+info.ID+"/assert", req, &res); code != http.StatusOK {
+							t.Errorf("batch: status %d", code)
+							return
+						}
+						halted = res.Halted
+					}
+					call(t, tc.client, "DELETE", base+"/sessions/"+info.ID, nil, nil)
+				}
+			}()
+		}
+		wg.Wait()
+		return float64(clients*batches) / time.Since(start).Seconds()
+	}
+	best := 0.0
+	for _, wl := range []struct{ name, src string }{
+		{"Tourney", workload.Tourney(10)},
+		{"Weaver", workload.Weaver(8, 8)},
+	} {
+		one, two := rate(1, wl.src), rate(2, wl.src)
+		t.Logf("%s: %.1f batches/s on 1 backend, %.1f on 2 (%.2fx)", wl.name, one, two, two/one)
+		best = max(best, two/one)
+	}
+	if best < minScaling {
+		t.Errorf("best 2-backend scaling %.2fx < %.1fx — the fabric is not spreading load", best, minScaling)
 	}
 }

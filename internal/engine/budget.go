@@ -1,4 +1,4 @@
-// The per-rule match budget and the live re-planner.
+// The per-rule match budget.
 //
 // A pathological rule — typically a cross product the join planner
 // cannot fix because the condition elements share no variables — can
@@ -12,25 +12,12 @@
 // the worst offender over budget through the ordinary dynamic-rule
 // path. The rest of the program keeps running; the quarantined rule
 // is reported, not silently dropped.
-//
-// ReplanJoins is the second half of the cost-based planner: at compile
-// time the planner only has static selectivity heuristics, but a live
-// engine knows exactly how many working-memory elements each alpha
-// pattern admits. Re-planning recompiles each rule whose cheapest
-// join order changed under those measured cardinalities, using the
-// excise-and-re-add epoch machinery. Like an OPS5 redefinition, the
-// re-added rule's refraction state is fresh — it may re-fire on
-// instantiations that already fired — so re-planning is an explicit
-// operator call, never something the engine does behind the program's
-// back.
 package engine
 
 import (
 	"fmt"
 
-	"repro/internal/ops5"
 	"repro/internal/rete"
-	"repro/internal/symbols"
 )
 
 // JoinExaminer is the optional matcher interface behind the match
@@ -108,87 +95,4 @@ func (e *Engine) enforceBudget(budget int64, cycle int) error {
 	// cycle's deltas stay non-negative.
 	e.budgetPrev = jm.JoinExamined()
 	return nil
-}
-
-// WMCard returns a cardinality estimator over the current working
-// memory: the number of live elements of the class that pass the given
-// alpha tests. This is the Card function ReplanJoins hands the planner;
-// it is exported so callers (the REPL's plan command, tests) can probe
-// what the re-planner sees.
-func (e *Engine) WMCard() func(class symbols.ID, tests []rete.ConstTest) float64 {
-	// Snapshot once and bucket by class: re-planning probes every CE of
-	// every rule, and a per-probe WM scan would be quadratic.
-	byClass := make(map[symbols.ID][]int)
-	snap := e.WM.Snapshot()
-	for i, w := range snap {
-		byClass[w.Class()] = append(byClass[w.Class()], i)
-	}
-	return func(class symbols.ID, tests []rete.ConstTest) float64 {
-		n := 0
-	wmes:
-		for _, i := range byClass[class] {
-			for t := range tests {
-				if !tests[t].Eval(snap[i]) {
-					continue wmes
-				}
-			}
-			n++
-		}
-		return float64(n)
-	}
-}
-
-// ReplanJoins re-runs the join planner for every live rule using
-// measured working-memory cardinalities and recompiles, via
-// excise-and-re-add epochs, each rule whose planned order changed. It
-// returns the names of the rules re-planned. The matcher must support
-// epoch swaps. Re-added rules get fresh refraction state (OPS5
-// redefinition semantics) — see the package comment.
-func (e *Engine) ReplanJoins() (replanned []string, err error) {
-	sw, ok := e.Matcher.(EpochSwapper)
-	if !ok {
-		return nil, ErrDynamicUnsupported
-	}
-	e.drain()
-	pc := rete.PlanConfig{Reorder: true, Card: e.WMCard()}
-	// Snapshot the rule list: the loop below mutates e.Net.
-	type cand struct {
-		r     *ops5.Rule
-		order []int
-	}
-	var todo []cand
-	for _, cr := range e.Net.Rules {
-		order := rete.PlanOrder(cr.Rule, pc)
-		if equalOrder(order, cr.Order) {
-			continue
-		}
-		todo = append(todo, cand{r: cr.Rule, order: order})
-	}
-	for _, c := range todo {
-		if err := e.excise(sw, c.r.Name); err != nil {
-			return replanned, err
-		}
-		if err := e.addRule(sw, c.r, func(n *rete.Network, r *ops5.Rule) (*rete.Network, error) {
-			return rete.AddRuleOrdered(n, r, c.order)
-		}); err != nil {
-			return replanned, err
-		}
-		replanned = append(replanned, c.r.Name)
-	}
-	if len(todo) > 0 {
-		e.snapshotBudget()
-	}
-	return replanned, e.Matcher.CheckInvariants()
-}
-
-func equalOrder(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -8,8 +8,10 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/engine"
 	"repro/internal/ops5"
+	"repro/internal/parmatch"
 	"repro/internal/rete"
 	"repro/internal/seqmatch"
+	"repro/internal/workload"
 )
 
 // budgetEngine builds a seqmatch-backed engine over src.
@@ -204,58 +206,76 @@ func TestMatchBudgetQuarantineMidGroup(t *testing.T) {
 	}
 }
 
-// TestReplanJoins checks the live re-planner: a rule compiled in source
-// order is recompiled under measured working-memory cardinalities, and
-// the most selective condition element leads the new order.
-func TestReplanJoins(t *testing.T) {
-	var b strings.Builder
-	b.WriteString(`
-(literalize aa val)
-(literalize bb val)
-(literalize cc val)
-(p r
-  (aa ^val <v>)
-  (bb ^val <v>)
-  (cc ^val <v>)
--->
-  (halt))
-`)
-	// Cardinalities 12 / 5 / 1, but no value shared across all three
-	// classes, so the rule never fires.
-	for i := 0; i < 12; i++ {
-		writeMake(&b, "aa", i+100)
-	}
-	for i := 0; i < 5; i++ {
-		writeMake(&b, "bb", i+200)
-	}
-	writeMake(&b, "cc", 300)
-	e := budgetEngine(t, b.String())
-	if cr := e.Net.RuleByName("r"); cr.Order != nil {
-		t.Fatalf("static compile produced order %v, want source order", cr.Order)
-	}
-	replanned, err := e.ReplanJoins()
-	if err != nil {
-		t.Fatalf("replan: %v", err)
-	}
-	if len(replanned) != 1 || replanned[0] != "r" {
-		t.Fatalf("replanned = %v, want [r]", replanned)
-	}
-	cr := e.Net.RuleByName("r")
-	want := []int{2, 1, 0} // cc (1 element) first, then bb (5), then aa (12)
-	if len(cr.Order) != len(want) {
-		t.Fatalf("order = %v, want %v", cr.Order, want)
-	}
-	for i := range want {
-		if cr.Order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", cr.Order, want)
+// TestMatchBudgetContainsCrossProduct is the budget's gate on the
+// no-equality-test kernel (workload.CrossProduct): crossp's condition
+// elements share no variables, so no join order avoids its quadratic
+// obj x obj scan. A budget below one probe's scan must trip and
+// quarantine crossp on vs2 and on the parallel matcher at 1 and 4
+// processes, and on vs2 the budgeted run must examine at least 10x fewer
+// opposite-memory tokens than the unbudgeted one (measured ~400x).
+func TestMatchBudgetContainsCrossProduct(t *testing.T) {
+	const budget, minContainment = 300, 10
+	src := workload.CrossProduct(24, 30)
+	// run plays src to halt under the given budget (0 = none), on vs2 for
+	// procs 0 and on the parallel matcher otherwise, and returns the
+	// opposite tokens examined.
+	run := func(procs int, limit int64) (*engine.Engine, int64) {
+		prog, err := ops5.Parse(src)
+		if err != nil {
+			t.Fatalf("parse: %v", err)
 		}
+		net, err := rete.Compile(prog)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		cs := conflict.NewSet()
+		var m interface {
+			engine.Matcher
+			engine.JoinExaminer
+		}
+		if procs == 0 {
+			m = seqmatch.New(net, seqmatch.VS2, 0, cs)
+		} else {
+			pm := parmatch.New(net, parmatch.Config{Procs: procs, Queues: 4}, cs)
+			defer pm.Close()
+			m = pm
+		}
+		e, err := engine.New(prog, net, cs, m, nil)
+		if err != nil {
+			t.Fatalf("engine: %v", err)
+		}
+		if err := e.Init(); err != nil {
+			t.Fatalf("init: %v", err)
+		}
+		res, err := e.Run(engine.Options{MaxCycles: 1000, MatchBudget: limit})
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if !res.Halted {
+			t.Fatalf("run did not halt (%d cycles)", res.Cycles)
+		}
+		var examined int64
+		for _, n := range m.JoinExamined() {
+			examined += n
+		}
+		return e, examined
 	}
-	// A second replan under unchanged working memory is a no-op.
-	replanned, err = e.ReplanJoins()
-	if err != nil {
-		t.Fatalf("second replan: %v", err)
-	}
-	if len(replanned) != 0 {
-		t.Fatalf("second replan recompiled %v, want nothing", replanned)
+	_, free := run(0, 0)
+	for _, procs := range []int{0, 1, 4} {
+		e, capped := run(procs, budget)
+		q := e.Quarantined()
+		if len(q) != 1 || q[0].Rule != "crossp" || e.EpochStats().BudgetTrips != 1 {
+			t.Errorf("procs %d: quarantined %+v after %d trips, want crossp once",
+				procs, q, e.EpochStats().BudgetTrips)
+		}
+		if procs != 0 {
+			continue
+		}
+		gain := float64(free) / float64(capped)
+		t.Logf("opposite tokens examined: unbudgeted %d, budgeted %d (%.1fx)", free, capped, gain)
+		if capped == 0 || gain < minContainment {
+			t.Errorf("cross-product containment %.2fx < %dx — the match budget is not containing the quadratic rule",
+				gain, minContainment)
+		}
 	}
 }

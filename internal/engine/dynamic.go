@@ -67,7 +67,7 @@ func (e *Engine) AddRules(src string) (added, excised []string, err error) {
 			}
 			excised = append(excised, ch.Add.Name)
 		}
-		if err := e.addRule(sw, ch.Add, rete.AddRule); err != nil {
+		if err := e.addRule(sw, ch.Add); err != nil {
 			return added, excised, err
 		}
 		added = append(added, ch.Add.Name)
@@ -89,15 +89,14 @@ func (e *Engine) Excise(name string) error {
 	return e.Matcher.CheckInvariants()
 }
 
-// addRule compiles one parsed rule into a new network epoch — build is
-// rete.AddRule for a runtime build (the network's own join plan) or the
-// re-planner's explicitly ordered variant — compiles its RHS, and has
-// the matcher adopt the epoch with a replay of the live working memory.
+// addRule compiles one parsed rule into a new network epoch (in the
+// network's own join plan), compiles its RHS, and has the matcher adopt
+// the epoch with a replay of the live working memory.
 // The engine's own state (Net, compiled) is only updated after the swap
 // succeeds. This is the engine's single add site.
-func (e *Engine) addRule(sw EpochSwapper, r *ops5.Rule, build func(*rete.Network, *ops5.Rule) (*rete.Network, error)) error {
+func (e *Engine) addRule(sw EpochSwapper, r *ops5.Rule) error {
 	e.drain()
-	next, err := build(e.Net, r)
+	next, err := rete.AddRule(e.Net, r)
 	if err != nil {
 		return err
 	}
@@ -135,8 +134,8 @@ func (e *Engine) programChanged(src string) {
 
 // excise builds the removal epoch, swaps the matcher onto it, and
 // drops the rule's conflict-set instantiations. This is the engine's
-// single excise site: runtime excises, redefinitions, budget quarantines
-// and re-plans all come through here.
+// single excise site: runtime excises, redefinitions and budget
+// quarantines all come through here.
 func (e *Engine) excise(sw EpochSwapper, name string) error {
 	cr := e.Net.RuleByName(name)
 	if cr == nil {

@@ -71,10 +71,6 @@ type Config struct {
 	Queues int    // number of central task queues
 	Lines  int    // initial hash-table lines (0 = 16384)
 	Scheme Scheme // line-lock scheme
-	// Legacy pins the paper's fixed-size linked-list line layout instead
-	// of the adaptive node-segregated default — the reference the
-	// differential tests and bigmem benchmarks compare against.
-	Legacy bool
 }
 
 // memState is one published generation of the token storage: the table
@@ -262,13 +258,7 @@ func newMatcher(net *rete.Network, cfg Config, sink rete.TerminalSink, whole, wa
 		slots:  wm.NewSlots(),
 	}
 	m.net.Store(net)
-	var table *hashmem.Table
-	if cfg.Legacy {
-		table = hashmem.NewLegacy(cfg.Lines)
-	} else {
-		table = hashmem.New(cfg.Lines)
-	}
-	m.mem.Store(newMemState(table, cfg.Scheme))
+	m.mem.Store(newMemState(hashmem.New(cfg.Lines), cfg.Scheme))
 	m.procs = make([]*wctx, cfg.Procs+1)
 	for i := range m.procs {
 		w := &wctx{

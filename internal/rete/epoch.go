@@ -124,37 +124,13 @@ func (n *Network) cowClone() *Network {
 // must not collide with a live rule (OPS5 redefinition is
 // excise-then-add; the engine handles that ordering).
 func AddRule(parent *Network, r *ops5.Rule) (*Network, error) {
-	return addRule(parent, r, nil, false)
-}
-
-// AddRuleOrdered is AddRule with an explicit condition-element compile
-// order (planned position -> source CE index), the entry point for
-// re-planning a live rule against observed alpha-memory cardinalities:
-// excise, then re-add with the order PlanOrder computed from a live
-// Card estimator. A nil order compiles in source order regardless of
-// the network's plan; an order the compiler cannot realize is an error
-// (callers pre-validate by construction via PlanOrder).
-func AddRuleOrdered(parent *Network, r *ops5.Rule, order []int) (*Network, error) {
-	if order != nil && !validOrder(r, order) {
-		return nil, fmt.Errorf("production %s: invalid planned order %v", r.Name, order)
-	}
-	return addRule(parent, r, order, true)
-}
-
-func addRule(parent *Network, r *ops5.Rule, order []int, forced bool) (*Network, error) {
 	if parent.RuleByName(r.Name) != nil {
 		return nil, fmt.Errorf("production %s is already defined (excise it first)", r.Name)
 	}
 	next := parent.cowClone()
 	d := &EpochDelta{}
 	b := newBuilder(next, d)
-	var err error
-	if forced {
-		err = b.compileRuleOrdered(r, order)
-	} else {
-		err = b.compileRule(r)
-	}
-	if err != nil {
+	if err := b.compileRule(r); err != nil {
 		return nil, fmt.Errorf("production %s: %w", r.Name, err)
 	}
 	b.finishDelta()

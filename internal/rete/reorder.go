@@ -33,11 +33,7 @@
 // a constant is assumed to pass 10% of a class's elements, a
 // disjunction 30%, a relational test 50%), an equality-join selectivity
 // per shared variable, and a flat penalty for cross products (no shared
-// variables — the Tourney pathology of the paper's §4.2). When a
-// PlanConfig carries a Card function the static estimate is replaced by
-// live alpha-memory cardinalities, which is how a running engine
-// re-plans an epoch against its actual working memory (cheap since
-// recompiles are incremental).
+// variables — the Tourney pathology of the paper's §4.2).
 //
 // Everything downstream of the planner keeps source-order semantics
 // byte-identical: CompiledRule.TokenPerm records how to permute a
@@ -51,7 +47,6 @@ package rete
 
 import (
 	"repro/internal/ops5"
-	"repro/internal/symbols"
 )
 
 // PlanConfig selects the join-order compile policy of a network. The
@@ -60,27 +55,22 @@ type PlanConfig struct {
 	// Reorder enables the cost-based join-order planner. Off, the
 	// compiler emits the paper's source-order linear join.
 	Reorder bool
-	// Card, when non-nil, estimates the alpha-memory cardinality of a
-	// condition element from its class and (unbound-environment)
-	// constant tests — typically by counting matching elements of a live
-	// working memory. Nil falls back to the static constant-test model.
-	Card func(class symbols.ID, tests []ConstTest) float64
 }
 
 // Static cost-model constants. Units are arbitrary (only relative order
 // matters); baseCard is the assumed population of a class with no
 // constant tests.
 const (
-	baseCard       = 100.0
-	selConstEQ     = 0.10 // equality against a constant
-	selDisj        = 0.30 // << ... >> disjunction
-	selConstOther  = 0.50 // relational test against a constant
-	selIntra       = 0.50 // intra-element field comparison
-	selEqJoinVar   = 0.05 // per shared equality-joined variable
-	selCrossumPen  = 4.0  // no shared variables: cross product
-	selNegFilter   = 0.75 // a placed negated CE only filters the token set
-	minPlacedCard  = 1.0  // partial-match cardinality floor
-	minDynamicCard = 0.5  // floor for live Card estimates (empty memories)
+	baseCard      = 100.0
+	selConstEQ    = 0.10 // equality against a constant
+	selDisj       = 0.30 // << ... >> disjunction
+	selConstOther = 0.50 // relational test against a constant
+	selIntra      = 0.50 // intra-element field comparison
+	selEqJoinVar  = 0.05 // per shared equality-joined variable
+	selCrossumPen = 4.0  // no shared variables: cross product
+	selNegFilter  = 0.75 // a placed negated CE only filters the token set
+	minPlacedCard = 1.0  // partial-match cardinality floor
+	minCard       = 0.5  // floor for one CE's estimate
 )
 
 // ceAnalysis is the planner's per-condition-element summary.
@@ -109,7 +99,7 @@ type ceAnalysis struct {
 // analyzeRule summarizes every condition element of a rule in source
 // order, tracking the source binding environment for the negated-CE
 // constraints.
-func analyzeRule(r *ops5.Rule, pc PlanConfig) []*ceAnalysis {
+func analyzeRule(r *ops5.Rule) []*ceAnalysis {
 	infos := make([]*ceAnalysis, len(r.CEs))
 	boundSrc := map[string]bool{}
 	for i, ce := range r.CEs {
@@ -121,7 +111,7 @@ func analyzeRule(r *ops5.Rule, pc PlanConfig) []*ceAnalysis {
 			nonEqVars: map[string]bool{},
 			selfBind:  map[string]bool{},
 		}
-		inf.card = estimateCard(ce, pc)
+		inf.card = estimateCard(ce)
 		for _, at := range ce.Tests {
 			for _, term := range at.Terms {
 				if !term.IsVar {
@@ -160,21 +150,8 @@ func analyzeRule(r *ops5.Rule, pc PlanConfig) []*ceAnalysis {
 }
 
 // estimateCard estimates the alpha-memory cardinality of one condition
-// element: the live Card callback when the plan carries one, the static
-// constant-test model otherwise.
-func estimateCard(ce *ops5.CondElem, pc PlanConfig) float64 {
-	if pc.Card != nil {
-		// The unbound-environment split yields exactly the constant and
-		// intra-element tests of the alpha chain this CE gets when placed
-		// first — the superset memory any placement draws from.
-		if split, err := splitCE(ce, map[string]BindRef{}); err == nil {
-			c := pc.Card(ce.Class, split.alphaTests)
-			if c < minDynamicCard {
-				c = minDynamicCard
-			}
-			return c
-		}
-	}
+// element from its constant tests.
+func estimateCard(ce *ops5.CondElem) float64 {
 	card := baseCard
 	for _, at := range ce.Tests {
 		for _, term := range at.Terms {
@@ -190,8 +167,8 @@ func estimateCard(ce *ops5.CondElem, pc PlanConfig) float64 {
 			}
 		}
 	}
-	if card < minDynamicCard {
-		card = minDynamicCard
+	if card < minCard {
+		card = minCard
 	}
 	return card
 }
@@ -232,7 +209,7 @@ func PlanOrder(r *ops5.Rule, pc PlanConfig) []int {
 		// source order rather than reinterpret them.
 		return nil
 	}
-	infos := analyzeRule(r, pc)
+	infos := analyzeRule(r)
 	n := len(infos)
 	placed := make([]bool, n)
 	bound := map[string]bool{}

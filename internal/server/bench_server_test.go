@@ -1,7 +1,7 @@
 package server_test
 
 import (
-	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -15,28 +15,17 @@ import (
 	"repro/internal/stats"
 )
 
-// benchReport is the BENCH_server.json schema: the run configuration,
-// throughput headline, and the server's own metrics snapshot, so future
-// PRs can track the trajectory.
-type benchReport struct {
-	Config struct {
-		Sessions   int    `json:"sessions"`
-		Batches    int    `json:"batches"`
-		PerBatch   int    `json:"per_batch"`
-		Backend    string `json:"backend"`
-		CPUs       int    `json:"cpus"`
-		GoMaxProcs int    `json:"gomaxprocs"`
-	} `json:"config"`
-	RequestsPerSec float64        `json:"requests_per_sec"`
-	FiringsPerSec  float64        `json:"firings_per_sec"`
-	ChangesPerSec  float64        `json:"wm_changes_per_sec"`
-	ElapsedMs      int64          `json:"elapsed_ms"`
-	Snapshot       stats.Snapshot `json:"snapshot"`
+// throughput is what driveServer measured.
+type throughput struct {
+	requestsPerSec float64
+	firingsPerSec  float64
+	snap           stats.Snapshot
 }
 
 // driveServer runs sessions × batches × perBatch asserts through a
-// fresh server (direct API, no HTTP overhead) and returns the report.
-func driveServer(sessions, batches, perBatch int, backend string) (*benchReport, error) {
+// fresh server (direct API, no HTTP overhead) and reports throughput
+// and the server's metrics snapshot.
+func driveServer(sessions, batches, perBatch int, backend string) (*throughput, error) {
 	srv := server.New(server.Options{
 		MaxSessions:      sessions + 1,
 		DefaultMaxCycles: perBatch * 4,
@@ -83,56 +72,27 @@ func driveServer(sessions, batches, perBatch int, backend string) (*benchReport,
 	for err := range errCh {
 		return nil, err
 	}
-	elapsed := time.Since(start)
-
-	rep := &benchReport{Snapshot: srv.Snapshot()}
-	rep.Config.Sessions = sessions
-	rep.Config.Batches = batches
-	rep.Config.PerBatch = perBatch
-	rep.Config.Backend = backend
-	rep.Config.CPUs = runtime.NumCPU()
-	rep.Config.GoMaxProcs = runtime.GOMAXPROCS(0)
-	secs := elapsed.Seconds()
-	rep.RequestsPerSec = float64(sessions*batches) / secs
-	rep.FiringsPerSec = float64(rep.Snapshot.Server.Firings) / secs
-	rep.ChangesPerSec = float64(rep.Snapshot.Match.WMChanges) / secs
-	rep.ElapsedMs = elapsed.Milliseconds()
-	return rep, nil
+	secs := time.Since(start).Seconds()
+	tp := &throughput{snap: srv.Snapshot()}
+	tp.requestsPerSec = float64(sessions*batches) / secs
+	tp.firingsPerSec = float64(tp.snap.Server.Firings) / secs
+	return tp, nil
 }
 
-// TestBenchServerJSON runs a small fixed workload and asserts on its
-// counters. It writes the report only when asked — $BENCH_OUT names the
-// file (make bench points it at BENCH_server.json) — so a plain tier-1
-// run leaves the tree clean. Scale stays small enough for CI;
-// BenchmarkServerThroughput is the tunable version.
-func TestBenchServerJSON(t *testing.T) {
-	// Run with GOMAXPROCS > 1 so concurrent sessions genuinely overlap;
-	// config records both the raised value and the host's real CPU count.
+// TestConcurrentSessionsFireEveryAssert drives 8 vs2 sessions
+// concurrently, 10 batches of 16 asserts each: every assert must fire
+// exactly once. BenchmarkServerThroughput is the tunable version.
+func TestConcurrentSessionsFireEveryAssert(t *testing.T) {
+	// Run with GOMAXPROCS > 1 so concurrent sessions genuinely overlap.
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	rep, err := driveServer(8, 10, 16, "vs2")
+	tp, err := driveServer(8, 10, 16, "vs2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(8 * 10 * 16); rep.Snapshot.Server.Firings != want {
-		t.Fatalf("firings = %d, want %d", rep.Snapshot.Server.Firings, want)
+	if want := int64(8 * 10 * 16); tp.snap.Server.Firings != want {
+		t.Fatalf("firings = %d, want %d", tp.snap.Server.Firings, want)
 	}
-	if rep.RequestsPerSec <= 0 {
-		t.Fatalf("non-positive throughput: %+v", rep)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := os.Getenv("BENCH_OUT")
-	if out == "" {
-		t.Logf("BENCH_OUT unset, report not written: %.0f req/s, %.0f firings/s", rep.RequestsPerSec, rep.FiringsPerSec)
-		return
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %.0f req/s, %.0f firings/s", out, rep.RequestsPerSec, rep.FiringsPerSec)
 }
 
 // BenchmarkServerThroughput measures batched assert throughput with N
@@ -142,14 +102,119 @@ func BenchmarkServerThroughput(b *testing.B) {
 		b.Run(backend, func(b *testing.B) {
 			const sessions = 8
 			const perBatch = 16
-			rep, err := driveServer(sessions, b.N, perBatch, backend)
+			tp, err := driveServer(sessions, b.N, perBatch, backend)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(rep.RequestsPerSec, "req/s")
-			b.ReportMetric(rep.FiringsPerSec, "firings/s")
-			b.ReportMetric(float64(rep.Snapshot.Latency["run"].P99Us), "p99-µs")
+			b.ReportMetric(tp.requestsPerSec, "req/s")
+			b.ReportMetric(tp.firingsPerSec, "firings/s")
+			b.ReportMetric(float64(tp.snap.Latency["run"].P99Us), "p99-µs")
 		})
+	}
+}
+
+// spawnSrc is the fork gate's rule base: rules two-way joins over the
+// warm item base, each keyed to one item by constant tests so a probe
+// fires exactly one of them. Every base-fact assertion runs the full
+// alpha fan-out, so a cold spawn's match scales with rules × items
+// while a fork's does not. The variant comment defeats the program
+// cache: a genuinely new rule base never gets a cache hit.
+func spawnSrc(rules, variant int) string {
+	var b strings.Builder
+	b.WriteString("(literalize item n val)\n(literalize probe n)\n")
+	for r := 1; r <= rules; r++ {
+		fmt.Fprintf(&b, `(p bump-%d
+  (probe ^n %d)
+  (item ^n %d ^val <v>)
+-->
+  (modify 2 ^val (compute <v> + 1))
+  (remove 1))
+`, r, r, r)
+	}
+	fmt.Fprintf(&b, "; variant %d\n", variant)
+	return b.String()
+}
+
+// TestForkFasterThanColdSpawn is the template fork's gate, run by make
+// bench-smoke (BENCH_SMOKE=1): the median time from a fork to its first
+// served batch must beat building the same session cold — create, base
+// facts, first batch — by at least 3x (8-12x measured on a 2-CPU x86-64
+// host). A fork skips
+// parse, network compile, RHS compile and the base-fact match; losing
+// that copy-on-write fast path collapses the ratio toward 1.
+func TestForkFasterThanColdSpawn(t *testing.T) {
+	if os.Getenv("BENCH_SMOKE") == "" {
+		t.Skip("set BENCH_SMOKE=1 (make bench-smoke) to run")
+	}
+	const items, rules, reps, minSpeedup = 1000, 48, 5, 3
+	srv := server.New(server.Options{MaxSessions: 4096, DefaultTimeout: time.Minute})
+	defer srv.Close()
+	base := make([]server.WMEInput, 0, items)
+	for i := 1; i <= items; i++ {
+		base = append(base, server.WMEInput{Class: "item", Attrs: map[string]any{"n": i, "val": 0}})
+	}
+	probe := func(r int) *server.BatchRequest {
+		return &server.BatchRequest{
+			Asserts:   []server.WMEInput{{Class: "probe", Attrs: map[string]any{"n": r%rules + 1}}},
+			NoFirings: true,
+		}
+	}
+	tpl, err := srv.CreateTemplate(&server.TemplateConfig{
+		SessionConfig: server.SessionConfig{Program: spawnSrc(rules, 0), Matcher: "vs2"},
+		Asserts:       base,
+	})
+	if err != nil {
+		t.Fatalf("template: %v", err)
+	}
+	cold := func(r int) time.Duration {
+		start := time.Now()
+		info, err := srv.CreateSession(server.SessionConfig{Program: spawnSrc(rules, r), Matcher: "vs2"})
+		if err != nil {
+			t.Fatalf("cold create: %v", err)
+		}
+		if _, err := srv.Batch(info.ID, &server.BatchRequest{Asserts: base, NoFirings: true}); err != nil {
+			t.Fatalf("cold base facts: %v", err)
+		}
+		if _, err := srv.Batch(info.ID, probe(r)); err != nil {
+			t.Fatalf("cold probe: %v", err)
+		}
+		d := time.Since(start)
+		_ = srv.DeleteSession(info.ID)
+		return d
+	}
+	fork := func(r int) time.Duration {
+		start := time.Now()
+		fr, err := srv.Fork(tpl.ID)
+		if err != nil {
+			t.Fatalf("fork: %v", err)
+		}
+		if _, err := srv.Batch(fr.ID, probe(r)); err != nil {
+			t.Fatalf("fork probe: %v", err)
+		}
+		d := time.Since(start)
+		_ = srv.DeleteSession(fr.ID)
+		return d
+	}
+	// One unmeasured round of each: the first cold create pays one-time
+	// lazy initialisation and the first fork warms the clone path's
+	// allocator size classes.
+	cold(-1)
+	fork(-1)
+	var colds, forks []time.Duration
+	for r := 1; r <= reps; r++ {
+		colds = append(colds, cold(r))
+	}
+	for r := 1; r <= reps; r++ {
+		forks = append(forks, fork(r))
+	}
+	slices.Sort(colds)
+	slices.Sort(forks)
+	c, f := colds[reps/2], forks[reps/2]
+	speedup := float64(c) / float64(f)
+	t.Logf("spawn to first batch: cold %v, fork %v (%.1fx)", c, f, speedup)
+	if speedup < minSpeedup {
+		t.Errorf("fork spawn only %.2fx faster than cold (< %dx) — the template fork fast path regressed",
+			speedup, minSpeedup)
 	}
 }
 

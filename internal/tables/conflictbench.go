@@ -5,8 +5,8 @@
 // sets: insert/remove cost is independent of the number of resident
 // instantiations (O(1) bucket ops, not O(n) scans), and Select cost
 // follows the partition count, not the set size (cached partition bests,
-// not a full-set scan). cmd/psmbench -match and BenchmarkConflict* in
-// bench_test.go run on top of this file; results land in
+// not a full-set scan). cmd/psmbench -match and the bench-smoke gate
+// (TestBenchSmoke) run on top of this file; results land in
 // BENCH_match.json next to the kernel rows.
 package tables
 

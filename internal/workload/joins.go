@@ -1,8 +1,8 @@
 // Adversarial join kernels for the join-order planner and the match
-// budget (BENCH_join.json). Each generator
-// returns a complete OPS5 program that halts deterministically, so the
-// same source runs under every backend and either join order with a
-// byte-identical firing trace.
+// budget (TestPlannerSkewGain, TestMatchBudgetContainsCrossProduct).
+// Each generator returns a complete OPS5 program that halts
+// deterministically, so the same source runs under every backend and
+// either join order with a byte-identical firing trace.
 package workload
 
 import (

@@ -90,18 +90,13 @@ const (
 // Program is a parsed and Rete-compiled OPS5 program.
 type Program struct {
 	prog *ops5.Program
-	// net is the default network: joins ordered by the cost-based
-	// planner (rete.PlanOrder). netSrc is the same program compiled in
-	// source condition-element order — the differential baseline engines
-	// get under Config.ReorderJoins = ReorderOff. Both are compiled
-	// eagerly so either can serve engines after the program freezes.
-	net    *rete.Network
-	netSrc *rete.Network
+	// net has its joins ordered by the cost-based planner
+	// (rete.PlanOrder).
+	net *rete.Network
 }
 
-// Parse parses OPS5 source and compiles its Rete network. Joins are
-// ordered by the compile-time cost planner; Config.ReorderJoins
-// selects the source-order compile instead, per engine.
+// Parse parses OPS5 source and compiles its Rete network, with joins
+// ordered by the compile-time cost planner.
 func Parse(src string) (*Program, error) {
 	prog, err := ops5.Parse(src)
 	if err != nil {
@@ -111,11 +106,7 @@ func Parse(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	netSrc, err := rete.Compile(prog)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{prog: prog, net: net, netSrc: netSrc}, nil
+	return &Program{prog: prog, net: net}, nil
 }
 
 // Rules reports the number of productions.
@@ -150,32 +141,12 @@ type Config struct {
 	Output io.Writer
 	// AcceptValues supplies successive (accept) results.
 	AcceptValues []Value
-	// ReorderJoins selects the join-order compile the engine matches on.
-	// The zero value (ReorderOn) uses the cost-based planner; ReorderOff
-	// pins the source condition-element order, the differential baseline.
-	// Either way firing traces are identical — reordering only changes
-	// the work the matcher does.
-	ReorderJoins ReorderMode
 	// MatchBudget > 0 caps the opposite-memory candidates any one rule's
 	// joins may examine per recognize-act cycle. A rule over the cap is
 	// quarantined — excised from the network, reported by Quarantined()
 	// — instead of stalling the engine. Inert for the Lisp baseline.
 	MatchBudget int64
 }
-
-// ReorderMode selects the join-order compile (Config.ReorderJoins).
-type ReorderMode int
-
-// Join-order compiles.
-const (
-	// ReorderOn orders each rule's joins by the cost-based planner
-	// (most selective condition elements first, negations after their
-	// bound variables). The default.
-	ReorderOn ReorderMode = iota
-	// ReorderOff compiles joins in source order — the escape hatch and
-	// the baseline the reorder differential tests compare against.
-	ReorderOff
-)
 
 // RunOptions bound a run.
 type RunOptions struct {
@@ -211,9 +182,6 @@ type Engine struct {
 func New(p *Program, cfg Config) (*Engine, error) {
 	cs := conflict.NewSet()
 	net := p.net
-	if cfg.ReorderJoins == ReorderOff {
-		net = p.netSrc
-	}
 	var (
 		m   engine.Matcher
 		par *parmatch.Matcher
@@ -365,14 +333,6 @@ func (e *Engine) Quarantined() []engine.QuarantinedRule { return e.inner.Quarant
 
 // QuarantinedRule re-exports the engine's budget-trip record.
 type QuarantinedRule = engine.QuarantinedRule
-
-// ReplanJoins re-runs the join planner for every live rule using
-// measured working-memory cardinalities and recompiles, through
-// excise-and-re-add network epochs, each rule whose cheapest order
-// changed. Re-added rules get fresh refraction state, like an OPS5
-// redefinition — call between phases, not mid-inference. Returns the
-// rules recompiled.
-func (e *Engine) ReplanJoins() ([]string, error) { return e.inner.ReplanJoins() }
 
 // Close stops background match goroutines. Safe to call on any engine.
 func (e *Engine) Close() {
