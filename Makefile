@@ -35,18 +35,21 @@ DURABILITY_TESTS = TestCrashRecoveryDifferential|TestLifecycleDifferential|TestR
 
 # Race-detect the concurrent subsystems: the inference server (many
 # sessions on the worker pool, compactions behind them) and the engine
-# over the parallel matcher (runtime build/excise epoch swaps); then the
-# durability suites, and the parallel matcher, its task queues and the
-# token store under it, 20 times over — their oracles are schedules (who
-# wins the last unit of a phase, which process buffers a terminal
-# activation, a control hand-off between goroutines, which same-side
-# activation re-keys a run slot another still holds a Ref to, whether a
-# compaction is queued, in flight or done when its session goes), and
-# one pass samples too few of them. The conflict set is no longer
-# concurrent: match goroutines buffer their terminal activations and
-# only the control process applies them.
+# over the parallel matcher; then the engine's epoch-swap suites (runtime
+# build/excise on 1-8 workers under both lock schemes: the control
+# process replays alone on the walk once the workers are out, then
+# drains), the durability suites, and the parallel matcher, its task
+# queues and the token store under it, 20 times over — their oracles are
+# schedules (who wins the last unit of a phase, which process buffers a
+# terminal activation, a control hand-off between goroutines, which
+# same-side activation re-keys a run slot another still holds a Ref to,
+# whether a compaction is queued, in flight or done when its session
+# goes), and one pass samples too few of them. The conflict set is no
+# longer concurrent: match goroutines buffer their terminal activations
+# and only the control process applies them.
 race:
 	$(GO) test -race ./internal/server ./internal/engine
+	$(GO) test -race -count=20 -run 'TestDynamic|TestSlotSafetyLifecycle|TestAdaptiveGrowthEquivalence|TestDynamicAddAcrossGrowth' ./internal/engine
 	$(GO) test -race -count=20 -run '$(DURABILITY_TESTS)' ./internal/server
 	$(GO) test -race -count=20 ./internal/wmlog ./internal/parmatch ./internal/taskqueue ./internal/hashmem ./internal/wm
 

@@ -51,15 +51,6 @@ func (e *Engine) SupplyInput(vals []wm.Value) error {
 	return nil
 }
 
-// PendingInput reports the number of buffered input values when the IO
-// is a QueueIO, else 0.
-func (e *Engine) PendingInput() int {
-	if q, ok := e.IO.(*QueueIO); ok {
-		return q.Len()
-	}
-	return 0
-}
-
 // Capture is an engine's settled state, taken cheaply: the live WMEs by
 // pointer (a WME never changes once made), the fired keys, the runtime
 // program changes, the pending input, the tag counter and the halt flag.

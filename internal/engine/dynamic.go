@@ -25,13 +25,6 @@ type EpochSwapper interface {
 	SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, err error)
 }
 
-// SupportsDynamicRules reports whether the engine's matcher can adopt
-// network epochs (AddRules/Excise will work).
-func (e *Engine) SupportsDynamicRules() bool {
-	_, ok := e.Matcher.(EpochSwapper)
-	return ok
-}
-
 // Epoch returns the version of the network the engine is matching on.
 func (e *Engine) Epoch() int { return e.Net.Epoch }
 

@@ -242,7 +242,7 @@ func TestDynamicRedefinition(t *testing.T) {
 }
 
 // TestDynamicUnsupportedBackend: the interpreted Lisp baseline refuses
-// dynamic changes with the sentinel error.
+// dynamic changes, builds and excises alike, with the sentinel error.
 func TestDynamicUnsupportedBackend(t *testing.T) {
 	prog, err := ops5.Parse(dynBase)
 	if err != nil {
@@ -257,11 +257,11 @@ func TestDynamicUnsupportedBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.SupportsDynamicRules() {
-		t.Fatal("lispemu should not support dynamic rules")
-	}
 	if _, _, err := e.AddRules(`(p x (item ^kind red) --> (halt))`); !errors.Is(err, engine.ErrDynamicUnsupported) {
-		t.Fatalf("err = %v, want ErrDynamicUnsupported", err)
+		t.Fatalf("AddRules err = %v, want ErrDynamicUnsupported", err)
+	}
+	if err := e.Excise(net.Rules[0].Rule.Name); !errors.Is(err, engine.ErrDynamicUnsupported) {
+		t.Fatalf("Excise err = %v, want ErrDynamicUnsupported", err)
 	}
 }
 

@@ -8,20 +8,22 @@
 //
 // The unit of parallel work is not the paper's single node activation
 // but a run-to-completion unit: a process takes a task off the central
-// queues — a root WM change, an MRSW requeue, a replay task — and runs
-// its whole activation subtree depth-first on a private, unsynchronised
-// stack. TaskCount counts units. The control process runs units itself
-// in Drain instead of waiting for the workers, and a parked worker is
-// woken only when the pending roots are worth a wake-up (wakeDepth), so
-// a cycle too small to pay for one is matched by one warm process. The
+// queues — a root WM change or an MRSW requeue — and runs its whole
+// activation subtree depth-first on a private, unsynchronised stack.
+// TaskCount counts units. The control process runs units itself in
+// Drain instead of waiting for the workers, and a parked worker is woken
+// only when the pending roots are worth a wake-up (wakeDepth), so a
+// cycle too small to pay for one is matched by one warm process. The
 // match hot path is allocation-free in the steady state: task objects and
 // memory entries recycle through per-process free lists, and in-flight
 // tokens come from per-process arenas (hashmem.Pools) that rewind at
 // each drained point.
 //
-// A control process that holds every unit in existence matches alone,
-// as vs2 does, with no line locks, task objects or private stack: the
-// protocol is paid only while a peer could hold a unit.
+// A control process that holds every unit in existence matches alone on
+// vs2's own walk (seqmatch.Walk) over the shared table, with no line
+// locks, task objects or private stack: the protocol is paid only while
+// a peer could hold a unit. Epoch replay (SwapEpoch) runs on that walk
+// too.
 //
 // Terminal activations do not touch the conflict set from the match
 // goroutines: each process buffers its (+)/(−) instantiations privately,
@@ -43,6 +45,7 @@ import (
 
 	"repro/internal/hashmem"
 	"repro/internal/rete"
+	"repro/internal/seqmatch"
 	"repro/internal/spinlock"
 	"repro/internal/stats"
 	"repro/internal/taskqueue"
@@ -184,38 +187,40 @@ type termOp struct {
 	tok  []uint32
 }
 
-// wctx is one process's private state: the stack its current unit runs
-// on, free lists, arena, buffered terminal activations, counters and the
-// pre-bound closures that keep the hot path from allocating a closure
-// per task. Everything plain in it is written only while the process
-// holds a unit (TaskCount > 0), so the control process may read it once
-// TaskCount == 0.
+// wctx is one process's private state: a walk's state (the epoch its
+// task runs on, its recorder, and its pools of entries and in-flight
+// tokens), the stack its current unit runs on, task free list, buffered
+// terminal activations, counters and the pre-bound closures that keep
+// the hot path from allocating a closure per task. Only the control
+// process runs the walk itself (runSolo, SwapEpoch). Everything plain in
+// it is written only while the process holds a unit (TaskCount > 0), so
+// the control process may read it once TaskCount == 0.
+//
+// The recorder carries this process's per-node token counts and
+// cumulative opposite-memory examination counters. Each process owns
+// its own (no locks); the control process sums them at drained points
+// for the engine's match budget. Of its aggregate Match counters only
+// the control walk's activations reach MatchStats — the scan statistics
+// stay with the sequential instrumentation runs.
 type wctx struct {
+	seqmatch.Walk
 	m     *Matcher
 	pref  int               // preferred central queue
 	rr    int               // rotating central-queue cursor for requeues
 	stack []*taskqueue.Task // the running unit's pending activations
 	free  []*taskqueue.Task
-	pools hashmem.Pools
 	terms []termOp // terminal activations since the last drain
 	cs    stats.Contention
-	acts  int64 // node activations processed (tasks completed)
+	acts  int64 // tasks completed, and roots run alone
 	held  int64 // units taken and not yet retired: what the stack runs for
 	units int64 // units retired
 	solo  int64 // of which run alone (control process only)
 	// polls counts empty-handed takes: the one counter written while no
 	// unit is held — a drained read can meet an idle worker's — so atomic.
 	polls atomic.Int64
-	// rec carries this worker's per-node token counts and cumulative
-	// opposite-memory examination counters. Each worker owns its own
-	// recorder (no locks); the control process sums them at drained
-	// points for the engine's match budget. Its
-	// aggregate Match counters are not folded into MatchStats — the
-	// scan statistics stay with the sequential instrumentation runs.
-	rec *hashmem.Recorder
 
-	// Per-task state read by the pre-bound closures below.
-	curNet  *rete.Network  // epoch loaded at task start (emit fan-out)
+	// Per-task state read by the pre-bound closures below, beside the
+	// epoch (Walk.Net) loaded at task start for emit's fan-out.
 	curJoin *rete.JoinNode // join whose outputs emit fans out
 	curSign bool           // sign of the root change being delivered
 	curWME  *wm.WME        // root WME being delivered
@@ -223,9 +228,6 @@ type wctx struct {
 
 	emitFn    hashmem.Emit         // bound once to (*wctx).emit
 	deliverFn func(rete.AlphaDest) // bound once to (*wctx).deliver
-	// The control process's solo-drain twins of the two above.
-	soloEmitFn    hashmem.Emit
-	soloDeliverFn func(rete.AlphaDest)
 
 	wake     chan struct{} // cap-1 park channel; kicks land here
 	isParked atomic.Bool   // registered as parked (kick target scan)
@@ -265,16 +267,15 @@ func newMatcher(net *rete.Network, cfg Config, sink rete.TerminalSink, whole, wa
 			m:    m,
 			pref: i % m.queues.Len(),
 			rr:   i,
-			rec:  hashmem.NewRecorder(net.NumJoinIDs()),
 			wake: make(chan struct{}, 1),
 		}
+		w.Rec = hashmem.NewRecorder(net.NumJoinIDs())
 		w.emitFn = w.emit
 		w.deliverFn = w.deliver
 		m.procs[i] = w
 	}
 	m.ctl = m.procs[cfg.Procs]
-	m.ctl.soloEmitFn = m.ctl.soloEmit
-	m.ctl.soloDeliverFn = m.ctl.soloDeliver
+	m.ctl.Init(net, m.mem.Load().table, m.ctl.Rec, m.ctl.buffer)
 	for i := 0; i < cfg.Procs; i++ {
 		m.wg.Add(1)
 		go m.worker(i)
@@ -351,11 +352,12 @@ func (m *Matcher) Drain() {
 	m.drain()
 	m.flushTerminals()
 	for _, w := range m.procs {
-		w.pools.ResetTokens()
+		w.Pools.ResetTokens()
 	}
 	t := m.Table()
 	if n := t.GrowTarget(); n > 0 {
-		m.mem.Store(newMemState(t.Grow(n, &m.ctl.pools), m.cfg.Scheme))
+		m.ctl.Table = t.Grow(n, &m.ctl.Pools)
+		m.mem.Store(newMemState(m.ctl.Table, m.cfg.Scheme))
 	}
 }
 
@@ -424,10 +426,12 @@ func (m *Matcher) Close() {
 }
 
 // Activations reports the number of tasks processed so far, summed over
-// the processes' own counts. Exact while drained.
+// the processes' own counts, plus the node activations the control
+// process ran alone on its walk: vs2's count plus one per root. Exact
+// while drained.
 func (m *Matcher) Activations() (n int64) {
 	for _, w := range m.procs {
-		n += w.acts
+		n += w.acts + w.Rec.M.Activations
 	}
 	return n
 }
@@ -451,7 +455,7 @@ func (m *Matcher) MatchStats() stats.Match {
 func (m *Matcher) JoinExamined() []int64 {
 	out := make([]int64, m.net.Load().NumJoinIDs())
 	for _, w := range m.procs {
-		for id, v := range w.rec.NodeExamined {
+		for id, v := range w.Rec.NodeExamined {
 			if id < len(out) {
 				out[id] += v
 			}
@@ -506,7 +510,7 @@ func (m *Matcher) MemStats() stats.Memory { return m.Table().MemStats() }
 func (m *Matcher) Table() *hashmem.Table {
 	t := m.mem.Load().table
 	for _, w := range m.procs {
-		t.FoldLive(&w.pools)
+		t.FoldLive(&w.Pools)
 	}
 	return t
 }
@@ -590,24 +594,24 @@ func (w *wctx) takeAll() bool {
 	}
 }
 
-// runSolo runs the units on the stack in queue order, depth-first as vs2
-// does. Activation counts and terminal buffers are kept as
-// the locked path keeps them.
+// runSolo runs the units on the stack in queue order on the control
+// process's walk, depth-first as vs2 does, over the shared table (the
+// control process, the only writer of the epoch and the table, keeps
+// its walk on the current ones). Roots count one activation each, as on
+// the locked path, and terminals buffer as they do there.
 func (w *wctx) runSolo() {
 	n := int64(len(w.stack))
-	w.curNet = w.m.net.Load()
-	w.pools.Slots = w.m.slots.View() // alone: no slot is assigned meanwhile
+	w.Pools.Slots = w.m.slots.View() // alone: no slot is assigned meanwhile
 	for i, t := range w.stack {
 		w.stack[i] = nil
 		switch {
 		case t.Root != nil:
 			w.acts++
-			w.curSign, w.curWME, w.curRoot = t.Sign, t.Root, nil
-			w.curNet.RootDeliver(t.Root, w.soloDeliverFn)
+			w.Root(t.Sign, t.Root)
 		case t.Term != nil:
-			w.soloTerm(t.Term, t.Sign, t.Tok)
+			w.Terminal(t.Term, t.Sign, t.Tok)
 		default:
-			w.soloJoin(t.Join, t.Side, t.Sign, t.Tok)
+			w.Activate(t.Join, t.Side, t.Sign, t.Tok)
 		}
 		w.freeTask(t)
 	}
@@ -617,50 +621,9 @@ func (w *wctx) runSolo() {
 	w.m.queues.Done(n)
 }
 
-// soloDeliver runs one alpha destination of the current root alone.
-func (w *wctx) soloDeliver(d rete.AlphaDest) {
-	if d.Terminal != nil {
-		w.soloTerm(d.Terminal, w.curSign, w.rootToken())
-		return
-	}
-	w.soloJoin(d.Join, d.Side, w.curSign, w.rootToken())
-}
-
-// soloEmit recurses into one output token's successors, restoring the
-// curJoin the recursion overwrote: SearchOpposite may emit again.
-func (w *wctx) soloEmit(csign bool, ctok []uint32) {
-	j := w.curJoin
-	for _, succ := range w.curNet.SuccsOf(j) {
-		w.soloJoin(succ, rete.Left, csign, ctok)
-	}
-	for _, term := range w.curNet.TermsOf(j) {
-		w.soloTerm(term, csign, ctok)
-	}
-	w.curJoin = j
-}
-
-// soloTerm buffers one terminal activation of a solo run.
-func (w *wctx) soloTerm(term *rete.Terminal, sign bool, tok []uint32) {
-	w.acts++
-	w.terms = append(w.terms, termOp{rule: term.Rule, sign: sign, tok: tok})
-}
-
-// soloJoin is join without the protocol: the same table update and
-// search, its outputs recursed into rather than stacked.
-func (w *wctx) soloJoin(j *rete.JoinNode, side rete.Side, sign bool, tok []uint32) {
-	w.acts++
-	hash := j.TokenHash(w.pools.Slots, side, tok)
-	table := w.m.mem.Load().table
-	idx := table.LineIndex(j, hash)
-	entry, ref, res := table.UpdateOwn(idx, j, side, sign, tok, hash, w.rec, &w.pools)
-	if !res.Proceeded {
-		return
-	}
-	w.curJoin = j
-	table.SearchOpposite(ref, j, side, sign, tok, entry, w.rec, &w.pools, w.soloEmitFn)
-	if !sign {
-		w.pools.FreeEntry(entry) // removed from its memory; nothing else holds it
-	}
+// buffer keeps one terminal activation until the drain's flush.
+func (w *wctx) buffer(rule *rete.CompiledRule, sign bool, tok []uint32) {
+	w.terms = append(w.terms, termOp{rule: rule, sign: sign, tok: tok})
 }
 
 // run takes the units in hand to completion: the task and, depth-first
@@ -714,7 +677,7 @@ func (w *wctx) process(t *taskqueue.Task) (requeued bool) {
 		w.curRoot = nil
 		w.m.net.Load().RootDeliver(t.Root, w.deliverFn)
 	case t.Term != nil:
-		w.terms = append(w.terms, termOp{rule: t.Term.Rule, sign: t.Sign, tok: t.Tok})
+		w.buffer(t.Term.Rule, t.Sign, t.Tok)
 	default:
 		return w.join(t)
 	}
@@ -739,7 +702,7 @@ func (w *wctx) deliver(d rete.AlphaDest) {
 // rootToken is the current root's length-1 token, built on first use.
 func (w *wctx) rootToken() []uint32 {
 	if w.curRoot == nil {
-		s := w.pools.Token(1)
+		s := w.Pools.Token(1)
 		s[0] = w.curWME.Slot
 		w.curRoot = s
 	}
@@ -750,12 +713,12 @@ func (w *wctx) rootToken() []uint32 {
 // joins and terminals.
 func (w *wctx) emit(csign bool, ctok []uint32) {
 	j := w.curJoin
-	for _, succ := range w.curNet.SuccsOf(j) {
+	for _, succ := range w.Net.SuccsOf(j) {
 		nt := w.newTask()
 		nt.Join, nt.Side, nt.Sign, nt.Tok = succ, rete.Left, csign, ctok
 		w.stack = append(w.stack, nt)
 	}
-	for _, term := range w.curNet.TermsOf(j) {
+	for _, term := range w.Net.TermsOf(j) {
 		nt := w.newTask()
 		nt.Term, nt.Sign, nt.Tok = term, csign, ctok
 		w.stack = append(w.stack, nt)
@@ -768,27 +731,27 @@ func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 	// The slot view is taken twice: here for the task's own token, and
 	// again once the line is held, for the slots of the entries stored
 	// there, which may postdate this task.
-	w.pools.Slots = m.slots.View()
-	hash := j.TokenHash(w.pools.Slots, t.Side, t.Tok)
+	w.Pools.Slots = m.slots.View()
+	hash := j.TokenHash(w.Pools.Slots, t.Side, t.Tok)
 	// One bundle load per task: the table and its lock arrays always
 	// match, and a resize can only intervene while drained, so no task
 	// straddles two table generations.
 	ms := m.mem.Load()
 	table := ms.table
 	idx := table.LineIndex(j, hash)
-	w.curNet = m.net.Load()
+	w.Net = m.net.Load()
 	w.curJoin = j
 	if m.cfg.Scheme == SchemeSimple {
 		spins := ms.simple[idx].Acquire()
 		w.recordLine(t.Side, spins)
-		w.pools.Slots = m.slots.View()
-		entry, ref, res := table.UpdateOwn(idx, j, t.Side, t.Sign, t.Tok, hash, w.rec, &w.pools)
+		w.Pools.Slots = m.slots.View()
+		entry, ref, res := table.UpdateOwn(idx, j, t.Side, t.Sign, t.Tok, hash, w.Rec, &w.Pools)
 		if res.Proceeded {
-			table.SearchOpposite(ref, j, t.Side, t.Sign, t.Tok, entry, w.rec, &w.pools, w.emitFn)
+			table.SearchOpposite(ref, j, t.Side, t.Sign, t.Tok, entry, w.Rec, &w.Pools, w.emitFn)
 		}
 		ms.simple[idx].Release()
 		if !t.Sign && res.Proceeded {
-			w.pools.FreeEntry(entry) // unlinked under the line lock; now exclusively ours
+			w.Pools.FreeEntry(entry) // unlinked under the line lock; now exclusively ours
 		}
 		return false
 	}
@@ -807,15 +770,15 @@ func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 	}
 	spins = ms.mrsw[idx].Mod.Acquire()
 	w.recordLine(t.Side, spins)
-	w.pools.Slots = m.slots.View()
-	entry, ref, res := table.UpdateOwn(idx, j, t.Side, t.Sign, t.Tok, hash, w.rec, &w.pools)
+	w.Pools.Slots = m.slots.View()
+	entry, ref, res := table.UpdateOwn(idx, j, t.Side, t.Sign, t.Tok, hash, w.Rec, &w.Pools)
 	if j.Negated && t.Side == rete.Left {
 		// Negated-node left activations must compute or read the join
 		// count atomically with the memory update: a concurrent left
 		// delete of the same token would otherwise observe the entry
 		// before its count is stored and emit an unmatched retraction.
 		if res.Proceeded {
-			table.SearchOpposite(ref, j, t.Side, t.Sign, t.Tok, entry, w.rec, &w.pools, w.emitFn)
+			table.SearchOpposite(ref, j, t.Side, t.Sign, t.Tok, entry, w.Rec, &w.Pools, w.emitFn)
 		}
 		ms.mrsw[idx].Mod.Release()
 	} else {
@@ -823,12 +786,12 @@ func (w *wctx) join(t *taskqueue.Task) (requeued bool) {
 		// resolved under it keeps the sub-index off this unlocked path.
 		ms.mrsw[idx].Mod.Release()
 		if res.Proceeded {
-			table.SearchOpposite(ref, j, t.Side, t.Sign, t.Tok, entry, w.rec, &w.pools, w.emitFn)
+			table.SearchOpposite(ref, j, t.Side, t.Sign, t.Tok, entry, w.Rec, &w.Pools, w.emitFn)
 		}
 	}
 	ms.mrsw[idx].Exit()
 	if !t.Sign && res.Proceeded {
-		w.pools.FreeEntry(entry) // Remove unlinked it; no reader survives Exit
+		w.Pools.FreeEntry(entry) // Remove unlinked it; no reader survives Exit
 	}
 	return false
 }
@@ -846,118 +809,28 @@ func (w *wctx) recordLine(side rete.Side, spins int64) {
 // SwapEpoch adopts a network epoch derived from the matcher's current
 // one. Must be called from the control process with the matcher drained
 // (no tasks in flight), the same condition under which the engine reads
-// the conflict set. Removals drop the excised joins' memory entries
-// directly — safe because the TaskCount==0 edge ordered every worker's
-// line writes before this read. Additions replay the live working
-// memory in two drained phases: first right-side tasks fill the new
-// joins' right memories (left memories are empty, so nothing emits and
-// negation counts settle), then left-side seeds — root deliveries for
-// new first-stage joins and terminals, plus historical outputs of grown
-// joins re-derived from the table while it is quiescent — propagate
-// through the ordinary worker machinery. Phase-2 tasks are all gathered
-// before any is injected, so the table enumeration never races worker
-// inserts.
+// the conflict set: then no peer holds a unit and none can get one
+// before the next Submit, and the TaskCount==0 edge ordered every
+// worker's line writes before this read. So the control process tears
+// down the excised joins and replays the live working memory alone, on
+// vs2's walk (seqmatch.Walk.SwapEpoch), and the closing Drain applies
+// the terminal activations the replay buffered.
 func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, err error) {
-	cur := m.net.Load()
-	if next.Parent() != cur {
-		return 0, fmt.Errorf("parmatch: epoch %d is not derived from the current epoch %d", next.Epoch, cur.Epoch)
-	}
-	d := next.Delta
-	if d == nil {
-		return 0, fmt.Errorf("parmatch: epoch %d has no delta", next.Epoch)
-	}
 	if n := m.queues.TaskCount.Load(); n != 0 {
 		return 0, fmt.Errorf("parmatch: SwapEpoch while %d tasks in flight", n)
 	}
-	table := m.Table()
-	if len(d.DeadJoins) > 0 {
-		dead := make(map[int]bool, len(d.DeadJoins))
-		for _, j := range d.DeadJoins {
-			dead[j.ID] = true
-		}
-		removed = table.ExciseNodes(dead, nil, &m.ctl.pools)
-		for id := range dead {
-			for _, w := range m.procs {
-				w.rec.NodeCount[0][id] = 0
-				w.rec.NodeCount[1][id] = 0
-				w.rec.NodeExamined[id] = 0
-			}
-		}
+	m.Table() // fold every process's live delta before the excise recounts it
+	c := m.ctl
+	c.Pools.Slots = m.slots.View()
+	if removed, err = c.Walk.SwapEpoch(next, live); err != nil {
+		return 0, err
 	}
 	m.net.Store(next)
-	nj := next.NumJoinIDs()
-	for _, w := range m.procs {
-		w.rec.EnsureNodes(nj)
-	}
-
-	targets := next.ReplayDests()
-	if len(targets) == 0 && len(d.GrownJoins) == 0 {
-		return removed, nil
-	}
-	// Replay tokens come from the control process's arena: they live
-	// until the drain that runs them.
-	pools := &m.ctl.pools
-	pools.Slots = m.slots.View()
-	injected := false
-	for _, cd := range targets {
-		for _, dst := range cd.Dests {
-			if dst.Join == nil || dst.Side != rete.Right {
-				continue
-			}
-			for _, w := range live {
-				if w.Class() != cd.Chain.Class || !cd.Chain.Matches(w) {
-					continue
-				}
-				tok := pools.Token(1)
-				tok[0] = w.Slot
-				t := &taskqueue.Task{Join: dst.Join, Side: rete.Right, Sign: true, Tok: tok}
-				m.inject(t)
-				injected = true
-			}
+	for _, w := range m.procs[:m.cfg.Procs] {
+		for _, j := range next.Delta.DeadJoins {
+			w.Rec.NodeCount[0][j.ID], w.Rec.NodeCount[1][j.ID], w.Rec.NodeExamined[j.ID] = 0, 0, 0
 		}
-	}
-	if injected {
-		// Drain may grow and republish the table; re-load it so the
-		// phase-2 gather below enumerates the live generation.
-		m.Drain()
-		table = m.Table()
-	}
-	var phase2 []*taskqueue.Task
-	for _, cd := range targets {
-		for _, dst := range cd.Dests {
-			if dst.Join != nil && dst.Side == rete.Right {
-				continue
-			}
-			for _, w := range live {
-				if w.Class() != cd.Chain.Class || !cd.Chain.Matches(w) {
-					continue
-				}
-				tok := pools.Token(1)
-				tok[0] = w.Slot
-				if dst.Terminal != nil {
-					phase2 = append(phase2, &taskqueue.Task{Term: dst.Terminal, Sign: true, Tok: tok})
-				} else {
-					phase2 = append(phase2, &taskqueue.Task{Join: dst.Join, Side: rete.Left, Sign: true, Tok: tok})
-				}
-			}
-		}
-	}
-	for i := range d.GrownJoins {
-		g := &d.GrownJoins[i]
-		table.ForEachOutput(g.Join, pools, func(tok []uint32) {
-			for _, succ := range g.NewSuccs {
-				phase2 = append(phase2, &taskqueue.Task{Join: succ, Side: rete.Left, Sign: true, Tok: tok})
-			}
-			for _, term := range g.NewTerms {
-				phase2 = append(phase2, &taskqueue.Task{Term: term, Sign: true, Tok: tok})
-			}
-		})
-	}
-	if len(phase2) == 0 {
-		return removed, nil
-	}
-	for _, t := range phase2 {
-		m.inject(t)
+		w.Rec.EnsureNodes(next.NumJoinIDs())
 	}
 	m.Drain()
 	return removed, nil

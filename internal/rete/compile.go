@@ -32,14 +32,6 @@ func CompileWithPlan(prog *ops5.Program, pc PlanConfig) (*Network, error) {
 			return nil, fmt.Errorf("production %s: %w", r.Name, err)
 		}
 	}
-	// Lower every test into its specialized closure (fastpath.go) so the
-	// matchers never re-branch on test kind per token.
-	for _, c := range net.Chains {
-		c.compileFast()
-	}
-	for _, j := range net.Joins {
-		j.compileFast()
-	}
 	return net, nil
 }
 
@@ -256,7 +248,7 @@ func splitCE(ce *ops5.CondElem, bound map[string]BindRef) (*ceSplit, error) {
 // compileRule threads one production through the network, sharing alpha
 // chains and identical join prefixes with previously compiled rules.
 // When the network carries a reorder policy the planner picks the join
-// order; source order otherwise.
+// order; source order, the identity plan, otherwise.
 func (b *builder) compileRule(r *ops5.Rule) error {
 	order := PlanOrder(r, b.net.plan)
 	if order != nil && !validOrder(r, order) {
@@ -264,13 +256,6 @@ func (b *builder) compileRule(r *ops5.Rule) error {
 		// (validOrder runs before any network state is touched).
 		order = nil
 	}
-	return b.compileRuleOrdered(r, order)
-}
-
-// compileRuleOrdered compiles one production with an explicit plan
-// (order nil = source order). A non-nil order must have passed
-// validOrder.
-func (b *builder) compileRuleOrdered(r *ops5.Rule, order []int) error {
 	net := b.net
 	positive := 0
 	for _, ce := range r.CEs {
@@ -290,16 +275,7 @@ func (b *builder) compileRuleOrdered(r *ops5.Rule, order []int) error {
 		CEPos:    make([]int, len(r.CEs)),
 		Bindings: make(map[string]BindRef),
 	}
-	var (
-		firstAlpha *AlphaChain
-		prevJoin   *JoinNode
-		err        error
-	)
-	if order == nil {
-		firstAlpha, prevJoin, err = b.buildSourceOrder(r, cr)
-	} else {
-		firstAlpha, prevJoin, err = b.buildPlanned(r, cr, order)
-	}
+	firstAlpha, prevJoin, err := b.buildPlanned(r, cr, order)
 	if err != nil {
 		return err
 	}
@@ -323,64 +299,24 @@ func (b *builder) compileRuleOrdered(r *ops5.Rule, order []int) error {
 	return nil
 }
 
-// buildSourceOrder is the paper's compile: one linear join per
-// production, condition elements left to right in source order.
-func (b *builder) buildSourceOrder(r *ops5.Rule, cr *CompiledRule) (*AlphaChain, *JoinNode, error) {
-	net := b.net
-	var (
-		prevJoin   *JoinNode // last join built so far (nil before the 2nd CE)
-		firstAlpha *AlphaChain
-		prefixKey  string
-		tokenLen   int
-	)
-	for i, ce := range r.CEs {
-		split, err := splitCE(ce, cr.Bindings)
-		if err != nil {
-			return nil, nil, fmt.Errorf("condition element %d: %w", i+1, err)
-		}
-		cr.Specificity += split.numTests
-		chain := b.internChain(ce.Class, split.alphaTests)
-		cr.ChainIDs = append(cr.ChainIDs, chain.ID)
-		net.chainRefs[chain.ID]++
-		if i == 0 {
-			firstAlpha = chain
-			prefixKey = fmt.Sprintf("a%d", chain.ID)
-			cr.CEPos[0] = 0
-			tokenLen = 1
-			for v, f := range split.newBinds {
-				cr.Bindings[v] = BindRef{Pos: 0, Field: f}
-			}
-			continue
-		}
-		join := b.internJoin(prefixKey, firstAlpha, prevJoin, chain, ce.Negated, split, tokenLen, i)
-		cr.JoinIDs = append(cr.JoinIDs, join.ID)
-		net.joinRefs[join.ID]++
-		b.addJoinRule(join, r.Name)
-		prefixKey = join.key
-		prevJoin = join
-		if ce.Negated {
-			cr.CEPos[i] = -1
-		} else {
-			cr.CEPos[i] = tokenLen
-			for v, f := range split.newBinds {
-				cr.Bindings[v] = BindRef{Pos: tokenLen, Field: f}
-			}
-			tokenLen++
-		}
-	}
-	return firstAlpha, prevJoin, nil
-}
-
 // buildPlanned threads the production through the network in planned
-// order while keeping every source-order contract intact: the RHS
-// evaluator, refraction keys, recency comparison and the firing trace
-// all see source-order tokens, so CEPos, Bindings and Specificity come
-// from a source-order pre-pass, join tests reference planned token
-// positions through a separate binding environment, and TokenPerm
-// records how the conflict set permutes a network token back into
-// source order.
+// order (nil: source order, the paper's compile of one linear join per
+// production, condition elements left to right) while keeping every
+// source-order contract intact: the RHS evaluator, refraction keys,
+// recency comparison and the firing trace all see source-order tokens,
+// so CEPos, Bindings and Specificity come from a source-order pre-pass,
+// join tests reference planned token positions through a separate
+// binding environment, and TokenPerm records how the conflict set
+// permutes a network token back into source order.
 func (b *builder) buildPlanned(r *ops5.Rule, cr *CompiledRule, order []int) (*AlphaChain, *JoinNode, error) {
 	net := b.net
+	cr.Order = append([]int(nil), order...)
+	if order == nil {
+		order = make([]int, len(r.CEs))
+		for i := range order {
+			order[i] = i
+		}
+	}
 	// Source-order pre-pass: source token positions, RHS bindings,
 	// specificity.
 	srcPos := make([]int, len(r.CEs))
@@ -418,8 +354,9 @@ func (b *builder) buildPlanned(r *ops5.Rule, cr *CompiledRule, order []int) (*Al
 		ce := r.CEs[ci]
 		split, err := splitCE(ce, netBound)
 		if err != nil {
-			// validOrder ran this exact split sequence before any state
-			// was touched, so this cannot fire.
+			// validOrder (or, in source order, the pre-pass) ran this
+			// exact split sequence before any state was touched, so this
+			// cannot fire.
 			return nil, nil, fmt.Errorf("condition element %d (planned): %w", ci+1, err)
 		}
 		chain := b.internChain(ce.Class, split.alphaTests)
@@ -449,7 +386,6 @@ func (b *builder) buildPlanned(r *ops5.Rule, cr *CompiledRule, order []int) (*Al
 			tokenLen++
 		}
 	}
-	cr.Order = append([]int(nil), order...)
 	identity := true
 	for i, p := range perm {
 		if p != i {
@@ -485,6 +421,7 @@ func (b *builder) internChain(class symbols.ID, tests []ConstTest) *AlphaChain {
 		return c
 	}
 	c := &AlphaChain{ID: len(net.chainDests), Class: class, Tests: sorted, key: key}
+	c.compileFast()
 	net.Chains = append(net.Chains, c)
 	net.chainDests = append(net.chainDests, nil)
 	net.chainRefs = append(net.chainRefs, 0)
@@ -541,6 +478,7 @@ func (b *builder) internJoin(prefixKey string, firstAlpha *AlphaChain, prev *Joi
 		PlanSel:    joinSelEstimate(split),
 		key:        key,
 	}
+	j.compileFast()
 	net.Joins = append(net.Joins, j)
 	net.joinSuccs = append(net.joinSuccs, nil)
 	net.joinTerms = append(net.joinTerms, nil)

@@ -134,12 +134,6 @@ func AddRule(parent *Network, r *ops5.Rule) (*Network, error) {
 		return nil, fmt.Errorf("production %s: %w", r.Name, err)
 	}
 	b.finishDelta()
-	for _, c := range d.NewChains {
-		c.compileFast()
-	}
-	for _, j := range d.NewJoins {
-		j.compileFast()
-	}
 	next.Delta = d
 	return next, nil
 }

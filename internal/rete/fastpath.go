@@ -1,10 +1,9 @@
-// Specialized test closures, built once at network-compile time. The
-// interpreted ConstTest.Eval and JoinNode.TestPair re-branch on the
-// test kind (disjunction / other-field / predicate) for every token;
-// §2 of the paper attributes much of its 10-20x sequential win to
-// exactly this sort of per-activation discipline, so Compile lowers
-// each test into a closure with the branch already resolved. Hand-built
-// networks (tests) skip this and fall back to the interpreted path.
+// Specialized test closures, built once per node as the compiler
+// creates it. An interpreted test would re-branch on the test kind
+// (disjunction / other-field / predicate) for every token; §2 of the
+// paper attributes much of its 10-20x sequential win to exactly this
+// sort of per-activation discipline, so each test is lowered into a
+// closure with the branch already resolved.
 package rete
 
 import (

@@ -63,23 +63,6 @@ type ConstTest struct {
 	OtherField int        // >= 0: compare Field against OtherField instead of Const
 }
 
-// Eval applies the test to a WME.
-func (t *ConstTest) Eval(w *wm.WME) bool {
-	v := w.Field(t.Field)
-	if t.Disj != nil {
-		for _, d := range t.Disj {
-			if v.Equal(d) {
-				return true
-			}
-		}
-		return false
-	}
-	if t.OtherField >= 0 {
-		return t.Pred.Apply(v, w.Field(t.OtherField))
-	}
-	return t.Pred.Apply(v, t.Const)
-}
-
 // AlphaDest is one destination of an alpha chain: a side of a join node,
 // or a terminal for single-condition-element productions.
 type AlphaDest struct {
@@ -97,23 +80,14 @@ type AlphaChain struct {
 	Class symbols.ID
 	Tests []ConstTest
 	key   string
-	// evals are the compiled per-test closures (fastpath.go); nil on
-	// hand-built chains, which fall back to the interpreted Eval.
+	// evals are the compiled per-test closures (fastpath.go).
 	evals []func(*wm.WME) bool
 }
 
 // Matches runs the whole chain on a WME of the right class.
 func (a *AlphaChain) Matches(w *wm.WME) bool {
-	if a.evals != nil {
-		for _, f := range a.evals {
-			if !f(w) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := range a.Tests {
-		if !a.Tests[i].Eval(w) {
+	for _, f := range a.evals {
+		if !f(w) {
 			return false
 		}
 	}
@@ -156,8 +130,7 @@ type JoinNode struct {
 	PlanPos int
 	PlanSel float64
 	key     string
-	// pairFn is the compiled token-pair test (fastpath.go); nil on
-	// hand-built nodes, which fall back to the interpreted loop.
+	// pairFn is the compiled token-pair test (fastpath.go).
 	pairFn func(wm.SlotView, []uint32, *wm.WME) bool
 }
 
@@ -169,22 +142,7 @@ func (j *JoinNode) HasEqTests() bool { return len(j.EqTests) > 0 }
 // TestPair evaluates every join test on a (left token, right WME) pair.
 // The left token is a span of slots, resolved through v.
 func (j *JoinNode) TestPair(v wm.SlotView, left []uint32, right *wm.WME) bool {
-	if j.pairFn != nil {
-		return j.pairFn(v, left, right)
-	}
-	for i := range j.EqTests {
-		t := &j.EqTests[i]
-		if !right.Field(t.RightField).Equal(v.Get(left[t.LeftPos]).Field(t.LeftField)) {
-			return false
-		}
-	}
-	for i := range j.OtherTests {
-		t := &j.OtherTests[i]
-		if !t.Pred.Apply(right.Field(t.RightField), v.Get(left[t.LeftPos]).Field(t.LeftField)) {
-			return false
-		}
-	}
-	return true
+	return j.pairFn(v, left, right)
 }
 
 // LeftHash folds the node identity and the equality-test values of a
@@ -339,16 +297,9 @@ func (n *Network) TermsOf(j *JoinNode) []*Terminal { return n.joinTerms[j.ID] }
 // include j.
 func (n *Network) RuleNamesOf(j *JoinNode) []string { return n.joinRules[j.ID] }
 
-// NumChainIDs returns the size of the chain ID space (IDs are never
-// reused, so this can exceed len(Chains) after excises).
-func (n *Network) NumChainIDs() int { return len(n.chainDests) }
-
 // NumJoinIDs returns the size of the join ID space. Matchers size
 // per-node structures (vs1 line tables, activation recorders) by it.
 func (n *Network) NumJoinIDs() int { return len(n.joinSuccs) }
-
-// NumTermIDs returns the size of the terminal ID space.
-func (n *Network) NumTermIDs() int { return n.numTermIDs }
 
 // NumRuleIDs returns the size of the rule index space; the engine sizes
 // its compiled-RHS table by it.
@@ -366,15 +317,9 @@ func (n *Network) JoinByID(id int) *JoinNode {
 // ChainRefs returns how many condition elements of live rules use c.
 func (n *Network) ChainRefs(c *AlphaChain) int { return int(n.chainRefs[c.ID]) }
 
-// JoinRefs returns how many live rules' chains include j.
-func (n *Network) JoinRefs(j *JoinNode) int { return int(n.joinRefs[j.ID]) }
-
 // Parent returns the epoch this one was derived from, or nil for a
 // whole-program compile.
 func (n *Network) Parent() *Network { return n.parent }
-
-// Plan returns the join-order compile policy of this network.
-func (n *Network) Plan() PlanConfig { return n.plan }
 
 // RuleByName returns the live compiled rule with the given name, or nil.
 func (n *Network) RuleByName(name string) *CompiledRule {

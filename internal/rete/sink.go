@@ -19,21 +19,11 @@ type TerminalSink interface {
 func (n *Network) RootDeliver(w *wm.WME, deliver func(AlphaDest)) (testsRun int) {
 	for _, chain := range n.ChainsByClass[w.Class()] {
 		pass := true
-		if chain.evals != nil {
-			for _, f := range chain.evals {
-				testsRun++
-				if !f(w) {
-					pass = false
-					break
-				}
-			}
-		} else {
-			for i := range chain.Tests {
-				testsRun++
-				if !chain.Tests[i].Eval(w) {
-					pass = false
-					break
-				}
+		for _, f := range chain.evals {
+			testsRun++
+			if !f(w) {
+				pass = false
+				break
 			}
 		}
 		if !pass {

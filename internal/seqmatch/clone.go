@@ -16,7 +16,7 @@ import (
 // fork genuinely holds. The matcher must be quiescent (a settled
 // template) when cloned.
 func (m *Matcher) Clone(sink rete.TerminalSink) *Matcher {
-	m.Table.FoldLive(&m.pools)
+	m.Table.FoldLive(&m.Pools)
 	c := NewWithTable(m.Net, m.Variant, m.Table.Clone(), sink)
 	c.slots = m.slots
 	c.Rec.EnsureNodes(m.Net.NumJoinIDs())
