@@ -200,49 +200,58 @@ func TestRetractByTagSemantics(t *testing.T) {
 }
 
 // TestRetractOnForkLeavesTemplate forks a settled engine the way the
-// server does (cloned WM index, conflict set and matcher; WME objects
-// shared) and retracts on the fork: the tag lookup must go through the
+// server does (cloned WM index and conflict set, a thawed matcher image,
+// taken as it is or after a template pin's re-slot; WME objects shared)
+// and retracts on the fork: the tag lookup must go through the
 // fork's own index, so the template keeps every element, still matches
 // them, and can retract the same tags itself afterwards.
 func TestRetractOnForkLeavesTemplate(t *testing.T) {
-	const n = 6
-	tpl, closer := retractEngine(t, func(net *rete.Network, cs *conflict.Set) (engine.Matcher, func()) {
-		return seqmatch.New(net, seqmatch.VS2, 0, cs), func() {}
-	}, n)
-	defer closer()
-	before := snapshotWM(tpl)
+	for _, pin := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pin=%v", pin), func(t *testing.T) {
+			const n = 6
+			tpl, closer := retractEngine(t, func(net *rete.Network, cs *conflict.Set) (engine.Matcher, func()) {
+				return seqmatch.New(net, seqmatch.VS2, 0, cs), func() {}
+			}, n)
+			defer closer()
+			before := snapshotWM(tpl)
 
-	cs := tpl.CS.Clone()
-	fork := tpl.CloneWith(tpl.WM.Clone(), cs, tpl.Matcher.(*seqmatch.Matcher).Clone(cs), nil)
-	tags := []int{n + 2, 3, n + 5}
-	removed, err := fork.RetractBatch(tags)
-	if err != nil {
-		t.Fatalf("fork retract: %v", err)
-	}
-	if !reflect.DeepEqual(removed, tags) {
-		t.Fatalf("fork removed %v, want %v", removed, tags)
-	}
-	if got := fork.WM.Len(); got != 2*n-len(tags) {
-		t.Fatalf("fork WM size %d, want %d", got, 2*n-len(tags))
-	}
-	if got := snapshotWM(tpl); !reflect.DeepEqual(got, before) {
-		t.Fatalf("template WM changed by a retract on its fork:\n got %v\nwant %v", got, before)
-	}
-	for _, tag := range tags {
-		if tpl.WM.Get(tag) == nil {
-			t.Fatalf("template lost tag %d", tag)
-		}
-	}
-	if got := tpl.CS.Len(); got != n {
-		t.Fatalf("template conflict set has %d instantiations, want %d", got, n)
-	}
-	// acct 3 and txns 2, 5 are gone from the fork: pay for 1, 4, 6.
-	if got := fork.CS.Len(); got != 5 {
-		t.Fatalf("fork conflict set has %d instantiations, want 5 (3 pay + 2 idle)", got)
-	}
-	again, err := tpl.RetractBatch(tags)
-	if err != nil || !reflect.DeepEqual(again, tags) {
-		t.Fatalf("template retract of the same tags = %v, %v; want %v", again, err, tags)
+			sm := tpl.Matcher.(*seqmatch.Matcher)
+			if pin {
+				sm.Reslot()
+			}
+			cs := tpl.CS.Clone()
+			fork := tpl.CloneWith(tpl.WM.Clone(), cs, sm.Freeze().Thaw(cs), nil)
+			tags := []int{n + 2, 3, n + 5}
+			removed, err := fork.RetractBatch(tags)
+			if err != nil {
+				t.Fatalf("fork retract: %v", err)
+			}
+			if !reflect.DeepEqual(removed, tags) {
+				t.Fatalf("fork removed %v, want %v", removed, tags)
+			}
+			if got := fork.WM.Len(); got != 2*n-len(tags) {
+				t.Fatalf("fork WM size %d, want %d", got, 2*n-len(tags))
+			}
+			if got := snapshotWM(tpl); !reflect.DeepEqual(got, before) {
+				t.Fatalf("template WM changed by a retract on its fork:\n got %v\nwant %v", got, before)
+			}
+			for _, tag := range tags {
+				if tpl.WM.Get(tag) == nil {
+					t.Fatalf("template lost tag %d", tag)
+				}
+			}
+			if got := tpl.CS.Len(); got != n {
+				t.Fatalf("template conflict set has %d instantiations, want %d", got, n)
+			}
+			// acct 3 and txns 2, 5 are gone from the fork: pay for 1, 4, 6.
+			if got := fork.CS.Len(); got != 5 {
+				t.Fatalf("fork conflict set has %d instantiations, want 5 (3 pay + 2 idle)", got)
+			}
+			again, err := tpl.RetractBatch(tags)
+			if err != nil || !reflect.DeepEqual(again, tags) {
+				t.Fatalf("template retract of the same tags = %v, %v; want %v", again, err, tags)
+			}
+		})
 	}
 }
 

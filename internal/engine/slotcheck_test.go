@@ -175,14 +175,20 @@ func TestSlotSafetyLifecycle(t *testing.T) {
 					crashSnap, crashFrom = vic.CaptureState(), len(journal.recs)
 				case 5: // crash→recover: snapshot plus the log since
 					restart(crashSnap, journal.recs[crashFrom:], "recover")
-				case 6: // fork, for matchers that clone
+				case 6: // fork, for matchers that freeze: a create's copy, then a pinned template's
 					sm, ok := vic.Matcher.(*seqmatch.Matcher)
 					if !ok {
 						continue
 					}
 					vic.SetJournal(nil)
-					cs := vic.CS.Clone()
-					fork := vic.CloneWith(vic.WM.Clone(), cs, sm.Clone(cs), nil)
+					forkOf := func(im *seqmatch.Image) *engine.Engine {
+						cs := vic.CS.Clone()
+						return vic.CloneWith(vic.WM.Clone(), cs, im.Thaw(cs), nil)
+					}
+					check(forkOf(sm.Freeze()), "thawed copy")
+					sm.Reslot()
+					check(vic, "pinned template")
+					fork := forkOf(sm.Freeze())
 					check(fork, "fork")
 					check(vic, "fork's template")
 					vic = fork

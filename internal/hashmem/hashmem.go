@@ -359,7 +359,7 @@ type Emit func(sign bool, tok []uint32)
 // FoldLive moves the live-entry delta p's owner has accumulated into
 // the table's gauge. The owner must be out of the table: matchers call
 // it at drained points, before anything reads the gauge (GrowTarget,
-// MemStats, Clone) or recounts it (Grow, ExciseNodes).
+// MemStats, Reslot, Freeze) or recounts it (Grow, ExciseNodes).
 func (t *Table) FoldLive(p *Pools) {
 	if p.live != 0 {
 		t.entries.Add(p.live)
@@ -668,12 +668,11 @@ func (t *Table) Grow(nLines int, p *Pools) *Table {
 	return nt
 }
 
-// rehashInto fills the empty segregated table nt, whose store holds t's
-// entries at the same indices (t's own store, or a copy of it), with t's
-// runs and parked deletes re-slotted by hash, and sets nt's gauges; it
-// returns the live entries carried over. Distinct runs of t stay distinct
-// in nt, so every destination run starts empty and takes its lists in
-// order.
+// rehashInto fills the empty segregated table nt, which shares t's store,
+// with t's runs and parked deletes re-slotted by hash, and sets nt's
+// gauges; it returns the live entries carried over. Distinct runs of t
+// stay distinct in nt, so every destination run starts empty and takes
+// its lists in order.
 func (t *Table) rehashInto(nt *Table, p *Pools) (moved int64) {
 	p.bind(nt.st)
 	tv := t.st.view()

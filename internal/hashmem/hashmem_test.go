@@ -88,6 +88,17 @@ func poolsFor(t *hashmem.Table) *hashmem.Pools {
 	return p
 }
 
+// copyTable copies a settled table the two ways a session starts from an
+// image: frozen and thawed at its own geometry (a create), or re-slotted
+// for a fork first (a template pin) and then frozen and thawed. A pinned
+// source is dead afterwards, as a template's live table is.
+func copyTable(t *hashmem.Table, pin bool) *hashmem.Table {
+	if pin {
+		t = t.Reslot(poolsFor(t))
+	}
+	return t.Freeze().Thaw()
+}
+
 // layouts returns one table per storage layout so every behavioural test
 // runs against both the node-segregated default and the legacy
 // linked-list reference.
@@ -464,8 +475,9 @@ func emitKey(sign bool, tok []uint32) string {
 // TestStormDifferentialAcrossResize runs a randomized conjugate-balanced
 // insert/remove/early-delete storm over three joins through the
 // segregated layout — with adaptive growth firing mid-stream, including
-// while deletes are parked, and the table swapped for its Clone and
-// joins excised at random points between activations — and in lockstep
+// while deletes are parked, and the table swapped for a frozen copy
+// (thawed as it is, or re-slotted at a template pin first) and joins
+// excised at random points between activations — and in lockstep
 // through the fixed legacy layout (which sees the same excises), and
 // requires identical gauges at every such point, identical emission
 // multisets, drained extra-deletes and empty final memories.
@@ -538,7 +550,7 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 	}
 	var segGot, legGot []string
 	dead := map[*rete.JoinNode]bool{}
-	clones := 0
+	copies := 0
 	for i, e := range events {
 		if dead[e.j] {
 			continue // its tokens left with the node, in both tables
@@ -551,11 +563,12 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 		}
 		switch r := rng.Intn(150); {
 		case r < 2 && i > len(events)/3:
-			// Carry on with the copy. It is sized for its live entries, so
-			// growth stops here: the first third of the storm is grow's.
-			seg = seg.Clone()
-			clones++
-			sameGauges(i, "clone")
+			// Carry on with the copy, every other one re-slotted: that one
+			// is sized for its live entries, so growth stops there. The
+			// first third of the storm is grow's.
+			seg = copyTable(seg, copies%2 == 1)
+			copies++
+			sameGauges(i, "copy")
 		case r == 2 && i > len(events)/2 && len(dead) < 2:
 			j := joins[rng.Intn(len(joins))]
 			if dead[j] {
@@ -591,8 +604,8 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 			t.Errorf("%s: %d tokens left in memory", name, n)
 		}
 	}
-	if ms := seg.MemStats(); ms.Resizes == 0 || clones == 0 || len(dead) == 0 {
-		t.Errorf("storm too tame: %d resizes, %d clones, %d excises; raise the pair count", ms.Resizes, clones, len(dead))
+	if ms := seg.MemStats(); ms.Resizes == 0 || copies < 2 || len(dead) == 0 {
+		t.Errorf("storm too tame: %d resizes, %d copies, %d excises; raise the pair count", ms.Resizes, copies, len(dead))
 	}
 }
 
@@ -613,8 +626,9 @@ func allLayouts(numJoins int) map[string]func() *hashmem.Table {
 }
 
 // TestParkedCountTracksWalk drives a randomized add/delete storm with
-// forced early deletes through every layout, interleaving Grow, Clone
-// (the compacting and the fixed-geometry path) and ExciseNodes, and
+// forced early deletes through every layout, interleaving Grow, a frozen
+// copy (thawed as it is, or re-slotted at a template pin first: the
+// compacting and the fixed-geometry path) and ExciseNodes, and
 // requires after every single step that the exact parked count equals
 // a full walk of the extra-deletes lists and the model's own tally, and
 // that CheckDrained fails exactly when that number is non-zero.
@@ -660,7 +674,8 @@ func TestParkedCountTracksWalk(t *testing.T) {
 					t.Fatalf("step %d (%s): CheckDrained = %v with %d parked", step, op, err, walk)
 				}
 			}
-			var sawGrow, sawClone, sawExcise, sawParkedExcise bool
+			var sawGrow, sawExcise, sawParkedExcise bool
+			copies := 0
 			for step := 0; step < 4000; step++ {
 				op := ""
 				switch r := rng.Intn(100); {
@@ -689,15 +704,19 @@ func TestParkedCountTracksWalk(t *testing.T) {
 					table = table.Grow(2*len(table.Lines), poolsFor(table))
 					sawGrow = true
 				case r < 98:
-					op = "clone"
-					// Carry on with the copy: the original must be left as it
-					// was, and the copy must count for itself from here on.
-					orig, before := table, table.Parked()
-					table = table.Clone()
-					if orig.Parked() != before || orig.WalkParked() != before {
-						t.Fatalf("step %d: Clone disturbed the original's parked deletes", step)
+					op = "copy"
+					// Carry on with the copy: what was frozen must be left as
+					// it was, and the copy must count for itself from here on.
+					orig := table
+					if copies%2 == 1 {
+						orig = table.Reslot(poolsFor(table))
 					}
-					sawClone = true
+					before := orig.Parked()
+					table = orig.Freeze().Thaw()
+					if orig.Parked() != before || orig.WalkParked() != before {
+						t.Fatalf("step %d: Freeze disturbed the original's parked deletes", step)
+					}
+					copies++
 				default:
 					op = "excise"
 					dead := joins[rng.Intn(len(joins))]
@@ -720,9 +739,9 @@ func TestParkedCountTracksWalk(t *testing.T) {
 					check(step, op)
 				}
 			}
-			if !sawClone || !sawExcise || !sawParkedExcise || (table.Segregated() && !sawGrow) {
-				t.Fatalf("storm too tame: grow %v clone %v excise %v excise-with-parked %v",
-					sawGrow, sawClone, sawExcise, sawParkedExcise)
+			if copies < 2 || !sawExcise || !sawParkedExcise || (table.Segregated() && !sawGrow) {
+				t.Fatalf("storm too tame: grow %v copies %d excise %v excise-with-parked %v",
+					sawGrow, copies, sawExcise, sawParkedExcise)
 			}
 			// Settle: every outstanding conjugate arrives, the count reaches
 			// zero, and CheckDrained is quiet again.
@@ -832,10 +851,11 @@ func TestStaleRefReadsItsOppositeList(t *testing.T) {
 	}
 }
 
-// TestCloneAndGrowKeepRunOrder: a run's tokens must come out of Clone
-// and Grow in the order they went in, or a copy's delete scans (Table
-// 4-3's same-memory counts) would differ from the original's.
-func TestCloneAndGrowKeepRunOrder(t *testing.T) {
+// TestFreezeAndGrowKeepRunOrder: a run's tokens must come out of
+// Freeze→Thaw, a pin's re-slot and Grow in the order they went in, or a
+// copy's delete scans (Table 4-3's same-memory counts) would differ from
+// the original's.
+func TestFreezeAndGrowKeepRunOrder(t *testing.T) {
 	net := fixture(t, joinSrc)
 	j := net.Joins[0]
 	orig := hashmem.New(2)
@@ -858,16 +878,19 @@ func TestCloneAndGrowKeepRunOrder(t *testing.T) {
 		}
 		return out
 	}
-	clone := orig.Clone()
-	grown := orig.Clone()
+	thawed := copyTable(orig, false)
+	pinned := copyTable(copyTable(orig, false), true)
+	grown := copyTable(orig, false)
 	grown = grown.Grow(64, poolsFor(grown))
-	regrown := grown.Clone()
-	regrown = regrown.Grow(4096, poolsFor(regrown)).Clone()
+	regrown := copyTable(grown, false)
+	regrown = copyTable(regrown.Grow(4096, poolsFor(regrown)), false)
+	repinned := copyTable(regrown, false)
+	repinned = copyTable(repinned.Grow(8192, poolsFor(repinned)), true)
 	want := scans(orig)
 	if deepest := slices.Max(want); deepest < 5 {
 		t.Fatalf("fixture: deepest delete scan %d, runs too short to tell orders apart", deepest)
 	}
-	for name, table := range map[string]*hashmem.Table{"clone": clone, "grown": grown, "regrown": regrown} {
+	for name, table := range map[string]*hashmem.Table{"thawed": thawed, "pinned": pinned, "grown": grown, "regrown": regrown, "repinned": repinned} {
 		if got := scans(table); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: delete scan counts %v, original %v", name, got, want)
 		}
@@ -1030,7 +1053,7 @@ func TestListRemoveDuplicates(t *testing.T) {
 // TestOverflowSubIndexSpansSegments crowds one line with more runs than
 // a store segment can index, so the overflow sub-index outgrows a
 // segment and is laid out across fresh ones; every run must still be
-// found, joined and deleted, in the table and in its clone.
+// found, joined and deleted, in the table and in its frozen copies.
 func TestOverflowSubIndexSpansSegments(t *testing.T) {
 	net := fixture(t, joinSrc)
 	j := net.Joins[0]
@@ -1044,7 +1067,8 @@ func TestOverflowSubIndexSpansSegments(t *testing.T) {
 	if slots := table.Lines[0].OverflowSlots(); slots*5 <= 1<<15 {
 		t.Fatalf("fixture: %d overflow slots fit one segment", slots)
 	}
-	for name, tb := range map[string]*hashmem.Table{"table": table, "clone": table.Clone()} {
+	copies := map[string]*hashmem.Table{"table": table, "thawed": copyTable(table, false), "pinned": copyTable(copyTable(table, false), true)}
+	for name, tb := range copies {
 		for i := 0; i < n; i += 97 {
 			rw := []*wm.WME{mkW(2, n+i+1, int64(i))}
 			if got := apply(tb, j, rete.Right, true, rw); len(got) != 1 || got[0] != "+2" {

@@ -77,6 +77,13 @@ func (m *metrics) programCompiled() {
 	m.mu.Unlock()
 }
 
+// imageBuilt records one program init image built.
+func (m *metrics) imageBuilt() {
+	m.mu.Lock()
+	m.srv.ProgramImagesBuilt++
+	m.mu.Unlock()
+}
+
 // programHit records one session create that reused an already-compiled
 // program (by hash or by byte-identical source) instead of compiling.
 func (m *metrics) programHit() {

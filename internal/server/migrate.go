@@ -106,7 +106,7 @@ func (s *Server) ImportSession(p *ExportPayload) (*SessionInfo, error) {
 		return nil, fmt.Errorf("restore imported state: %w", err)
 	}
 	sess := newSession(id, sp, p.Config, c, p.Template)
-	if err := s.admit(sess, p.Snapshot, nil); err != nil {
+	if err := s.admit(sess, p.Snapshot); err != nil {
 		return nil, err
 	}
 	return sess.info(true), nil

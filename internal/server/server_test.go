@@ -462,3 +462,45 @@ func TestOutputLandsInItsOwnBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestTemplateByProgramHash: a template resolves its program the way a
+// create does — by source or by the hash of a registered program, never
+// both and never neither. A template made by hash carries the program's
+// rules, and so does a fork of it.
+func TestTemplateByProgramHash(t *testing.T) {
+	srv := server.New(server.Options{})
+	defer srv.Close()
+	reg, err := srv.RegisterProgram(pingSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl, err := srv.CreateTemplate(&server.TemplateConfig{
+		SessionConfig: server.SessionConfig{ProgramHash: reg.Hash},
+		Asserts:       []server.WMEInput{{Class: "resp", Attrs: map[string]any{"n": 1}}},
+	})
+	if err != nil {
+		t.Fatalf("template by hash: %v", err)
+	}
+	if tpl.Rules != 1 || tpl.WMSize != 1 {
+		t.Fatalf("template by hash has %d rules and %d WMEs, want 1 and 1", tpl.Rules, tpl.WMSize)
+	}
+	fork, err := srv.Fork(tpl.ID)
+	if err != nil {
+		t.Fatalf("fork: %v", err)
+	}
+	if fork.Rules != 1 || fork.WMSize != 1 {
+		t.Fatalf("fork has %d rules and %d WMEs, want 1 and 1", fork.Rules, fork.WMSize)
+	}
+	res, err := srv.Batch(fork.ID, &server.BatchRequest{Asserts: []server.WMEInput{{Class: "req", Attrs: map[string]any{"n": 2}}}})
+	if err != nil || len(res.Firings) != 1 {
+		t.Fatalf("fork batch: %+v, %v; want one firing", res, err)
+	}
+	for name, cfg := range map[string]server.SessionConfig{
+		"both":    {Program: pingSrc, ProgramHash: reg.Hash},
+		"neither": {},
+	} {
+		if tpl, err := srv.CreateTemplate(&server.TemplateConfig{SessionConfig: cfg}); err == nil {
+			t.Errorf("%s: template created (%+v), want an error", name, tpl)
+		}
+	}
+}

@@ -32,6 +32,9 @@ type Server struct {
 	ProgramsRegistered int64 `json:"programs_registered"`
 	ProgramHits        int64 `json:"program_hits"`
 	ProgramCompiles    int64 `json:"program_compiles"`
+	// ProgramImagesBuilt counts the init images built: a program's
+	// top-level makes matched once, then copied by every create.
+	ProgramImagesBuilt int64 `json:"program_images_built"`
 }
 
 // Add accumulates o into s.
@@ -52,6 +55,7 @@ func (s *Server) Add(o *Server) {
 	s.ProgramsRegistered += o.ProgramsRegistered
 	s.ProgramHits += o.ProgramHits
 	s.ProgramCompiles += o.ProgramCompiles
+	s.ProgramImagesBuilt += o.ProgramImagesBuilt
 }
 
 // histBuckets is the number of power-of-two latency buckets. Bucket i
