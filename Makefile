@@ -46,9 +46,17 @@ DURABILITY_TESTS = TestCrashRecoveryDifferential|TestLifecycleDifferential|TestR
 # whether a compaction is queued, in flight or done when its session
 # goes), and one pass samples too few of them. The conflict set is no
 # longer concurrent: match goroutines buffer their terminal activations
-# and only the control process applies them.
+# and only the control process applies them. Session starts are
+# schedules too: concurrent creates of a new program race to build its
+# one init image while others thaw it, and forks thaw a template's
+# image with no lock, so the image suite, fork isolation and the
+# concurrent session suites also run 20 times. The image suite plays four
+# paper programs to halt twice per config under the race detector
+# (about 16 s a pass on 2 CPUs), so twenty passes get a longer timeout
+# than go test's default 10 minutes.
 race:
 	$(GO) test -race ./internal/server ./internal/engine
+	$(GO) test -race -count=20 -timeout 30m -run 'TestCreateForksProgramImage|TestForkIsolation|TestConcurrentSession' ./internal/server
 	$(GO) test -race -count=20 -run 'TestDynamic|TestSlotSafetyLifecycle|TestAdaptiveGrowthEquivalence|TestDynamicAddAcrossGrowth' ./internal/engine
 	$(GO) test -race -count=20 -run '$(DURABILITY_TESTS)' ./internal/server
 	$(GO) test -race -count=20 ./internal/wmlog ./internal/parmatch ./internal/taskqueue ./internal/hashmem ./internal/wm
@@ -106,6 +114,10 @@ fuzz-smoke:
 #  - The template fork gate (TestForkFasterThanColdSpawn,
 #    internal/server): fork to first served batch at least 3x faster
 #    than building the same session cold.
+#  - The init image gate (TestCreateFromImageFasterThanInit,
+#    internal/server): a warm Weaver(20, 9) create, a thaw of the
+#    program's init image, at least 3x faster than build + Init on the
+#    same server (medians of 9).
 #  - The token store's allocation gate (TestMatchAllocationGate,
 #    internal/engine, counts): one Weaver(20, 9) session on vs2 played to
 #    halt in 25-cycle slices must stay under 0.14 mallocs and 33 bytes
@@ -126,7 +138,7 @@ fuzz-smoke:
 # (TestMatchBudgetContainsCrossProduct, internal/engine) are counters,
 # not timings, and run in every `go test`.
 bench-smoke:
-	BENCH_SMOKE=1 $(GO) test -run 'TestRequestCostIndependentOfSessionSize|TestForkFasterThanColdSpawn' -v ./internal/server
+	BENCH_SMOKE=1 $(GO) test -run 'TestRequestCostIndependentOfSessionSize|TestForkFasterThanColdSpawn|TestCreateFromImageFasterThanInit' -v ./internal/server
 	BENCH_SMOKE=1 $(GO) test -run TestMatchAllocationGate -v ./internal/engine
 	BENCH_SMOKE=1 $(GO) test -run TestBenchSmoke -v ./internal/tables
 	BENCH_SMOKE=1 $(GO) test -run TestTwoBackendsScale -v ./internal/cluster

@@ -65,10 +65,10 @@ func (s *Set) ForEachFired(fn func(inst *Instantiation)) {
 	}
 }
 
-// Clone returns an independent copy of the set for a forked session:
-// same strategy, fresh instantiation objects (Fired diverges per
-// session), shared WME pointers and rule metadata (both immutable).
-// Chain order within buckets is preserved, so a clone behaves
+// Clone returns an independent copy of the set for a session started
+// from an image: same strategy, fresh instantiation objects (Fired
+// diverges per session), shared WME pointers and rule metadata (both
+// immutable). Chain order within buckets is preserved, so a clone behaves
 // identically under the annihilation and selection protocols. The
 // counters restart at zero; the gauges carry over.
 func (s *Set) Clone() *Set {

@@ -218,10 +218,11 @@ func (s *Server) readEntry(kind wmlog.Kind, id string) (dir string, sp *sharedPr
 
 // persist creates a new session's durable state — its entry plus an
 // empty delta log — and installs the journal. state is the encoded
-// snapshot the session starts from: nil for a cold create (its log
-// journals everything from empty working memory), a template's pinned
-// bytes for a fork, the payload's for an import; recovery restores it
-// and replays the session's own log over it. No-op when memory-only.
+// snapshot the session starts from: nil for a create (admit journals
+// its state from empty working memory into the log), a template's
+// pinned bytes for a fork, the payload's for an import; recovery
+// restores it and replays the session's own log over it. No-op when
+// memory-only.
 func (s *Server) persist(sess *Session, state []byte) error {
 	if s.dur == nil {
 		return nil
