@@ -19,11 +19,12 @@ test:
 	$(GO) test ./...
 
 # The durability suites: the kill-and-recover differential (WM +
-# timetags + firing trace vs an uninterrupted control, on vs1 and vs2),
-# the lifecycle differential (a session diverged by runtime build,
+# timetags + firing trace vs an uninterrupted control), the lifecycle
+# differential (a session diverged by runtime build,
 # excise and budget quarantine taken through compaction+crash, restore,
 # export/import and fork+crash), recovery of a data directory and import
-# of an export payload written by earlier builds, torn-tail truncation,
+# of an export payload written by earlier builds (a vs1 or parallel
+# session among them, which comes back on vs2), torn-tail truncation,
 # the compaction crash points (a kill after every file operation of a
 # segment switch and snapshot install, then recovery against the same
 # oracle) and the compaction lifecycle races (delete, restore and close
@@ -51,12 +52,10 @@ DURABILITY_TESTS = TestCrashRecoveryDifferential|TestLifecycleDifferential|TestR
 # one init image while others thaw it, and forks thaw a template's
 # image with no lock, so the image suite, fork isolation and the
 # concurrent session suites also run 20 times. The image suite plays four
-# paper programs to halt twice per config under the race detector
-# (about 16 s a pass on 2 CPUs), so twenty passes get a longer timeout
-# than go test's default 10 minutes.
+# paper programs to halt twice under the race detector.
 race:
 	$(GO) test -race ./internal/server ./internal/engine
-	$(GO) test -race -count=20 -timeout 30m -run 'TestCreateForksProgramImage|TestForkIsolation|TestConcurrentSession' ./internal/server
+	$(GO) test -race -count=20 -run 'TestCreateForksProgramImage|TestForkIsolation|TestConcurrentSession' ./internal/server
 	$(GO) test -race -count=20 -run 'TestDynamic|TestSlotSafetyLifecycle|TestAdaptiveGrowthEquivalence|TestDynamicAddAcrossGrowth' ./internal/engine
 	$(GO) test -race -count=20 -run '$(DURABILITY_TESTS)' ./internal/server
 	$(GO) test -race -count=20 ./internal/wmlog ./internal/parmatch ./internal/taskqueue ./internal/hashmem ./internal/wm
@@ -83,8 +82,8 @@ check: build vet test race bench-smoke bench-e2e-smoke reorder-differential fuzz
 # content-addressed program cache (one push per backend, hash-only
 # creates after), backend-loss re-routing, and the migrate-under-load
 # differential (a session migrated mid-run must end with the same WM
-# and firing trace as one that never moved, on vs1 and vs2,
-# with pending (accept) input and a runtime-diverged network intact:
+# and firing trace as one that never moved, with pending (accept) input
+# and a runtime-diverged network intact:
 # TestMigrateDivergedEpoch). The migrate-under-load test then
 # runs 20 more times: its oracle is the migration write fence (every
 # acknowledged tick applied exactly once), a race that showed up once in
@@ -107,7 +106,8 @@ fuzz-smoke:
 # constants in the tests.
 #  - The serving path's fixed-cost gate
 #    (TestRequestCostIndependentOfSessionSize, internal/server, 1 s): a
-#    max_cycles:1 batch at hash_lines 2^10 vs 2^18 and a one-tag retract
+#    max_cycles:1 batch on a token table resized to 2^10 vs 2^18 lines
+#    (a test hook: no session knob sets the size) and a one-tag retract
 #    at WM 10^2 vs 10^5 must each cost within 4x of each other (min-of-N
 #    ratios, so host speed cancels) — a request pays for what it
 #    changes, not what the session holds.

@@ -334,48 +334,46 @@ func runTicks(t *testing.T, client *http.Client, base, id string, n int) (trace 
 // traces and final WM must match element for element, including the
 // pending (accept) queue surviving the move.
 func TestMigrateDifferential(t *testing.T) {
-	for _, matcher := range []string{"vs1", "vs2"} {
-		t.Run(matcher, func(t *testing.T) {
-			tc := newTestCluster(t, 2)
-			base := tc.pts.URL
+	t.Run("vs2", func(t *testing.T) {
+		tc := newTestCluster(t, 2)
+		base := tc.pts.URL
 
-			mk := func() string {
-				var info server.SessionInfo
-				cfg := server.SessionConfig{Program: counterSrc, Matcher: matcher}
-				if code := call(t, tc.client, "POST", base+"/sessions", cfg, &info); code != http.StatusCreated {
-					t.Fatalf("create: status %d", code)
-				}
-				return info.ID
+		mk := func() string {
+			var info server.SessionInfo
+			cfg := server.SessionConfig{Program: counterSrc}
+			if code := call(t, tc.client, "POST", base+"/sessions", cfg, &info); code != http.StatusCreated {
+				t.Fatalf("create: status %d", code)
 			}
-			mig, ctl := mk(), mk()
+			return info.ID
+		}
+		mig, ctl := mk(), mk()
 
-			trace1m, _ := runTicks(t, tc.client, base, mig, 5)
-			trace1c, _ := runTicks(t, tc.client, base, ctl, 5)
+		trace1m, _ := runTicks(t, tc.client, base, mig, 5)
+		trace1c, _ := runTicks(t, tc.client, base, ctl, 5)
 
-			var res cluster.MigrateResult
-			if code := call(t, tc.client, "POST", base+"/sessions/"+mig+"/migrate", nil, &res); code != http.StatusOK {
-				t.Fatalf("migrate: status %d", code)
-			}
-			if res.From == res.To || res.From == "" {
-				t.Fatalf("migrate result %+v", res)
-			}
+		var res cluster.MigrateResult
+		if code := call(t, tc.client, "POST", base+"/sessions/"+mig+"/migrate", nil, &res); code != http.StatusOK {
+			t.Fatalf("migrate: status %d", code)
+		}
+		if res.From == res.To || res.From == "" {
+			t.Fatalf("migrate result %+v", res)
+		}
 
-			trace2m, wmM := runTicks(t, tc.client, base, mig, 5)
-			trace2c, wmC := runTicks(t, tc.client, base, ctl, 5)
+		trace2m, wmM := runTicks(t, tc.client, base, mig, 5)
+		trace2c, wmC := runTicks(t, tc.client, base, ctl, 5)
 
-			full := func(a, b []string) string { return fmt.Sprintf("%v vs %v", a, b) }
-			if fmt.Sprint(append(trace1m, trace2m...)) != fmt.Sprint(append(trace1c, trace2c...)) {
-				t.Fatalf("firing traces diverged after migration: %s", full(trace2m, trace2c))
-			}
-			if fmt.Sprint(wmM) != fmt.Sprint(wmC) {
-				t.Fatalf("final WM diverged: %s", full(wmM, wmC))
-			}
-			m := tc.proxy.Metrics()
-			if m.Cluster.Migrations != 1 || m.MigrationLatency.Count != 1 {
-				t.Errorf("migrations=%d latency count=%d, want 1/1", m.Cluster.Migrations, m.MigrationLatency.Count)
-			}
-		})
-	}
+		full := func(a, b []string) string { return fmt.Sprintf("%v vs %v", a, b) }
+		if fmt.Sprint(append(trace1m, trace2m...)) != fmt.Sprint(append(trace1c, trace2c...)) {
+			t.Fatalf("firing traces diverged after migration: %s", full(trace2m, trace2c))
+		}
+		if fmt.Sprint(wmM) != fmt.Sprint(wmC) {
+			t.Fatalf("final WM diverged: %s", full(wmM, wmC))
+		}
+		m := tc.proxy.Metrics()
+		if m.Cluster.Migrations != 1 || m.MigrationLatency.Count != 1 {
+			t.Errorf("migrations=%d latency count=%d, want 1/1", m.Cluster.Migrations, m.MigrationLatency.Count)
+		}
+	})
 }
 
 // TestMigrateUnderLoad migrates while a writer hammers the session:
@@ -522,63 +520,61 @@ func TestMigrateDivergedEpoch(t *testing.T) {
 (make count ^value 0)
 `
 	const buildSrc = `(p echo-resp (resp ^n <n>) - (echo ^n <n>) --> (make echo ^n <n>))`
-	for _, matcher := range []string{"vs1", "vs2"} {
-		t.Run(matcher, func(t *testing.T) {
-			tc := newTestCluster(t, 2)
-			base := tc.pts.URL
+	t.Run("vs2", func(t *testing.T) {
+		tc := newTestCluster(t, 2)
+		base := tc.pts.URL
 
-			mk := func() string {
-				var info server.SessionInfo
-				cfg := server.SessionConfig{Program: src, Matcher: matcher}
-				if code := call(t, tc.client, "POST", base+"/sessions", cfg, &info); code != http.StatusCreated {
-					t.Fatalf("create: status %d", code)
-				}
-				return info.ID
+		mk := func() string {
+			var info server.SessionInfo
+			cfg := server.SessionConfig{Program: src}
+			if code := call(t, tc.client, "POST", base+"/sessions", cfg, &info); code != http.StatusCreated {
+				t.Fatalf("create: status %d", code)
 			}
-			mig, ctl := mk(), mk()
-			diverge := func(id string) {
-				prog := server.ProgramRequest{Source: buildSrc, Excise: []string{"log"}}
-				if code := call(t, tc.client, "POST", base+"/sessions/"+id+"/program", prog, nil); code != http.StatusOK {
-					t.Fatalf("program change on %s: status %d", id, code)
-				}
+			return info.ID
+		}
+		mig, ctl := mk(), mk()
+		diverge := func(id string) {
+			prog := server.ProgramRequest{Source: buildSrc, Excise: []string{"log"}}
+			if code := call(t, tc.client, "POST", base+"/sessions/"+id+"/program", prog, nil); code != http.StatusOK {
+				t.Fatalf("program change on %s: status %d", id, code)
 			}
+		}
 
-			trace1m, _ := runTicks(t, tc.client, base, mig, 3)
-			trace1c, _ := runTicks(t, tc.client, base, ctl, 3)
-			diverge(mig)
-			diverge(ctl)
-			trace2m, _ := runTicks(t, tc.client, base, mig, 3)
-			trace2c, _ := runTicks(t, tc.client, base, ctl, 3)
+		trace1m, _ := runTicks(t, tc.client, base, mig, 3)
+		trace1c, _ := runTicks(t, tc.client, base, ctl, 3)
+		diverge(mig)
+		diverge(ctl)
+		trace2m, _ := runTicks(t, tc.client, base, mig, 3)
+		trace2c, _ := runTicks(t, tc.client, base, ctl, 3)
 
-			if code := call(t, tc.client, "POST", base+"/sessions/"+mig+"/migrate", nil, nil); code != http.StatusOK {
-				t.Fatalf("migrate of epoch-diverged session: status %d", code)
-			}
+		if code := call(t, tc.client, "POST", base+"/sessions/"+mig+"/migrate", nil, nil); code != http.StatusOK {
+			t.Fatalf("migrate of epoch-diverged session: status %d", code)
+		}
 
-			trace3m, wmM := runTicks(t, tc.client, base, mig, 4)
-			trace3c, wmC := runTicks(t, tc.client, base, ctl, 4)
-			got := fmt.Sprint(trace1m, trace2m, trace3m)
-			if want := fmt.Sprint(trace1c, trace2c, trace3c); got != want {
-				t.Fatalf("firing traces diverged after migration:\n%s\nwant\n%s", got, want)
+		trace3m, wmM := runTicks(t, tc.client, base, mig, 4)
+		trace3c, wmC := runTicks(t, tc.client, base, ctl, 4)
+		got := fmt.Sprint(trace1m, trace2m, trace3m)
+		if want := fmt.Sprint(trace1c, trace2c, trace3c); got != want {
+			t.Fatalf("firing traces diverged after migration:\n%s\nwant\n%s", got, want)
+		}
+		if fmt.Sprint(wmM) != fmt.Sprint(wmC) {
+			t.Fatalf("final WM diverged: %v vs %v", wmM, wmC)
+		}
+		if post := fmt.Sprint(trace3m); !strings.Contains(post, "echo-resp[") || strings.Contains(post, "log[") {
+			t.Fatalf("post-migration trace does not show the diverged network: %s", post)
+		}
+		var list struct {
+			Sessions []server.SessionInfo `json:"sessions"`
+		}
+		if code := call(t, tc.client, "GET", base+"/sessions", nil, &list); code != http.StatusOK {
+			t.Fatalf("list: status %d", code)
+		}
+		for _, info := range list.Sessions {
+			if info.Rules != 2 || info.Epoch != 2 {
+				t.Errorf("session %s: rules=%d epoch=%d, want 2/2 (inc + echo-resp, log excised)", info.ID, info.Rules, info.Epoch)
 			}
-			if fmt.Sprint(wmM) != fmt.Sprint(wmC) {
-				t.Fatalf("final WM diverged: %v vs %v", wmM, wmC)
-			}
-			if post := fmt.Sprint(trace3m); !strings.Contains(post, "echo-resp[") || strings.Contains(post, "log[") {
-				t.Fatalf("post-migration trace does not show the diverged network: %s", post)
-			}
-			var list struct {
-				Sessions []server.SessionInfo `json:"sessions"`
-			}
-			if code := call(t, tc.client, "GET", base+"/sessions", nil, &list); code != http.StatusOK {
-				t.Fatalf("list: status %d", code)
-			}
-			for _, info := range list.Sessions {
-				if info.Rules != 2 || info.Epoch != 2 {
-					t.Errorf("session %s: rules=%d epoch=%d, want 2/2 (inc + echo-resp, log excised)", info.ID, info.Rules, info.Epoch)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestProxyMetricsShape sanity-checks the snapshot wiring.

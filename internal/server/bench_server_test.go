@@ -25,7 +25,7 @@ type throughput struct {
 // driveServer runs sessions × batches × perBatch asserts through a
 // fresh server (direct API, no HTTP overhead) and reports throughput
 // and the server's metrics snapshot.
-func driveServer(sessions, batches, perBatch int, backend string) (*throughput, error) {
+func driveServer(sessions, batches, perBatch int) (*throughput, error) {
 	srv := server.New(server.Options{
 		MaxSessions:      sessions + 1,
 		DefaultMaxCycles: perBatch * 4,
@@ -34,10 +34,7 @@ func driveServer(sessions, batches, perBatch int, backend string) (*throughput, 
 
 	ids := make([]string, sessions)
 	for i := range ids {
-		info, err := srv.CreateSession(server.SessionConfig{
-			Program: pingSrc,
-			Matcher: backend,
-		})
+		info, err := srv.CreateSession(server.SessionConfig{Program: pingSrc})
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +83,7 @@ func TestConcurrentSessionsFireEveryAssert(t *testing.T) {
 	// Run with GOMAXPROCS > 1 so concurrent sessions genuinely overlap.
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	tp, err := driveServer(8, 10, 16, "vs2")
+	tp, err := driveServer(8, 10, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,21 +93,17 @@ func TestConcurrentSessionsFireEveryAssert(t *testing.T) {
 }
 
 // BenchmarkServerThroughput measures batched assert throughput with N
-// concurrent sessions per backend; b.N counts batches per session.
+// concurrent sessions; b.N counts batches per session.
 func BenchmarkServerThroughput(b *testing.B) {
-	for _, backend := range []string{"vs2", "vs1"} {
-		b.Run(backend, func(b *testing.B) {
-			const sessions = 8
-			const perBatch = 16
-			tp, err := driveServer(sessions, b.N, perBatch, backend)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(tp.requestsPerSec, "req/s")
-			b.ReportMetric(tp.firingsPerSec, "firings/s")
-			b.ReportMetric(float64(tp.snap.Latency["run"].P99Us), "p99-µs")
-		})
+	const sessions = 8
+	const perBatch = 16
+	tp, err := driveServer(sessions, b.N, perBatch)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.ReportMetric(tp.requestsPerSec, "req/s")
+	b.ReportMetric(tp.firingsPerSec, "firings/s")
+	b.ReportMetric(float64(tp.snap.Latency["run"].P99Us), "p99-µs")
 }
 
 // spawnSrc is the fork gate's rule base: rules two-way joins over the

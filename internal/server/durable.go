@@ -141,12 +141,13 @@ type sessionMeta struct {
 
 // storedConfig is a session config as a meta.json or an export payload
 // carries it. Earlier builds also wrote the keys below — backend (the
-// matcher's old name), procs, queues, locks, cs_shards, fire_batch and
-// unlink — so an entry or payload they wrote still decodes; resolve
-// drops them.
+// matcher's old name), hash_lines, procs, queues, locks, cs_shards,
+// fire_batch and unlink — so an entry or payload they wrote still
+// decodes; resolve drops them.
 type storedConfig struct {
 	SessionConfig
 	Backend   string `json:"backend,omitempty"`
+	HashLines int    `json:"hash_lines,omitempty"`
 	Procs     int    `json:"procs,omitempty"`
 	Queues    int    `json:"queues,omitempty"`
 	Locks     string `json:"locks,omitempty"`
@@ -157,17 +158,17 @@ type storedConfig struct {
 
 // resolve is the one compatibility rule for stored configs, used by
 // recovery and import alike: the old matcher key fills in for the new
-// one, a session that ran on the parallel matcher comes back on vs2 —
-// the same firings, WM and time tags on one goroutine — and the
-// parallel matcher's, the multi-fire act phase's and beta unlinking's
-// knobs are dropped.
+// one, a session that ran on vs1 or the parallel matcher comes back on
+// vs2 — the same firings, WM and time tags, on the one matcher the
+// server runs — and the table size, the parallel matcher's, the
+// multi-fire act phase's and beta unlinking's knobs are dropped.
 func (c *storedConfig) resolve() SessionConfig {
 	cfg := c.SessionConfig
 	if cfg.Matcher == "" {
 		cfg.Matcher = c.Backend
 	}
-	if cfg.Matcher == "parallel" {
-		cfg.Matcher = "vs2"
+	if cfg.Matcher == "vs1" || cfg.Matcher == "parallel" {
+		cfg.Matcher = servedMatcher
 	}
 	return cfg
 }

@@ -106,24 +106,15 @@ func wmTexts(t *testing.T, s *server.Server, id string) []string {
 // "crashes" (abandons the server without shutdown), recovers the data
 // directory in a fresh server, and diffs working memory, timetags and
 // the post-recovery firing trace against an uninterrupted control
-// session fed the identical script. Covered across both matchers, and
-// across snapshot-cadence (snapshot + log tail) vs pure log replay.
+// session fed the identical script. Covered across snapshot cadence
+// (snapshot + log tail) vs pure log replay.
 func TestCrashRecoveryDifferential(t *testing.T) {
-	cases := []struct {
-		backend   string
-		snapEvery int
-	}{
-		{"vs1", 0},
-		{"vs1", 2},
-		{"vs2", 2},
-		{"vs2", 0},
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s/snap%d", tc.backend, tc.snapEvery), func(t *testing.T) {
+	for _, snapEvery := range []int{2, 0} {
+		t.Run(fmt.Sprintf("vs2/snap%d", snapEvery), func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := server.SessionConfig{Program: stormSrc, Matcher: tc.backend}
+			cfg := server.SessionConfig{Program: stormSrc}
 
-			// Control: uninterrupted, memory-only, same backend.
+			// Control: uninterrupted, memory-only.
 			ctl := server.New(server.Options{DefaultTimeout: 30 * time.Second})
 			defer ctl.Close()
 			ctlInfo, err := ctl.CreateSession(cfg)
@@ -134,7 +125,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			// Victim: durable, runs the storm, then is abandoned mid-life
 			// (no Close, no final snapshot — recovery must come from the
 			// delta log alone past the last compaction point).
-			crashed, _ := newDurServer(t, dir, tc.snapEvery)
+			crashed, _ := newDurServer(t, dir, snapEvery)
 			vicInfo, err := crashed.CreateSession(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -155,7 +146,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 
 			// Recover in a fresh server over the same data directory.
 			crashed.WaitCompactions()
-			srv, recovered := newDurServer(t, dir, tc.snapEvery)
+			srv, recovered := newDurServer(t, dir, snapEvery)
 			if recovered != 1 {
 				t.Fatalf("recovered %d entries, want 1", recovered)
 			}
@@ -188,7 +179,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			// A second restart over the now-live directory also works:
 			// recovery itself left a consistent (snapshot, log) pair.
 			srv.WaitCompactions()
-			srv2, recovered2 := newDurServer(t, dir, tc.snapEvery)
+			srv2, recovered2 := newDurServer(t, dir, snapEvery)
 			if recovered2 != 1 {
 				t.Fatalf("second recovery found %d entries, want 1", recovered2)
 			}
@@ -271,99 +262,97 @@ func TestRecoveryTornTail(t *testing.T) {
 // state the first one did — and (c) with durability on, forks and
 // template survive a restart with their divergent state intact.
 func TestForkIsolation(t *testing.T) {
-	for _, backend := range []string{"vs2", "vs1"} {
-		t.Run(backend, func(t *testing.T) {
-			dir := t.TempDir()
-			srv, _ := newDurServer(t, dir, 0)
+	t.Run("vs2", func(t *testing.T) {
+		dir := t.TempDir()
+		srv, _ := newDurServer(t, dir, 0)
 
-			tcfg := &server.TemplateConfig{
-				SessionConfig: server.SessionConfig{Program: stormSrc, Matcher: backend},
-			}
-			for n := 1; n <= 8; n++ {
-				tcfg.Asserts = append(tcfg.Asserts, server.WMEInput{
-					Class: "item", Attrs: map[string]any{"n": n, "val": 100},
-				})
-			}
-			tinfo, err := srv.CreateTemplate(tcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+		tcfg := &server.TemplateConfig{
+			SessionConfig: server.SessionConfig{Program: stormSrc},
+		}
+		for n := 1; n <= 8; n++ {
+			tcfg.Asserts = append(tcfg.Asserts, server.WMEInput{
+				Class: "item", Attrs: map[string]any{"n": n, "val": 100},
+			})
+		}
+		tinfo, err := srv.CreateTemplate(tcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			fork1, err := srv.Fork(tinfo.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fork2, err := srv.Fork(tinfo.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := wmTexts(t, srv, fork1.ID)
-			if got := wmTexts(t, srv, fork2.ID); !reflect.DeepEqual(got, base) {
-				t.Fatalf("fresh forks differ:\n%v\nvs\n%v", got, base)
-			}
+		fork1, err := srv.Fork(tinfo.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork2, err := srv.Fork(tinfo.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := wmTexts(t, srv, fork1.ID)
+		if got := wmTexts(t, srv, fork2.ID); !reflect.DeepEqual(got, base) {
+			t.Fatalf("fresh forks differ:\n%v\nvs\n%v", got, base)
+		}
 
-			// Drive the forks apart.
-			probe := func(id string, n int) *server.BatchResult {
-				res, err := srv.Batch(id, &server.BatchRequest{
-					Asserts: []server.WMEInput{{Class: "probe", Attrs: map[string]any{"n": n}}},
-				})
-				if err != nil {
-					t.Fatalf("batch on %s: %v", id, err)
+		// Drive the forks apart.
+		probe := func(id string, n int) *server.BatchResult {
+			res, err := srv.Batch(id, &server.BatchRequest{
+				Asserts: []server.WMEInput{{Class: "probe", Attrs: map[string]any{"n": n}}},
+			})
+			if err != nil {
+				t.Fatalf("batch on %s: %v", id, err)
+			}
+			return res
+		}
+		r1 := probe(fork1.ID, 1)
+		probe(fork2.ID, 2)
+		probe(fork2.ID, 3)
+		wm1, wm2 := wmTexts(t, srv, fork1.ID), wmTexts(t, srv, fork2.ID)
+		if reflect.DeepEqual(wm1, wm2) {
+			t.Fatalf("forks did not diverge: %v", wm1)
+		}
+
+		// The template is untouched: its pinned hash is stable and a
+		// new fork starts from the identical state — same WM bytes,
+		// same behavior on the same first batch.
+		for _, ti := range srv.Templates() {
+			if ti.ID == tinfo.ID {
+				if ti.SnapshotHash != tinfo.SnapshotHash {
+					t.Fatalf("template hash changed: %s -> %s", tinfo.SnapshotHash, ti.SnapshotHash)
 				}
-				return res
-			}
-			r1 := probe(fork1.ID, 1)
-			probe(fork2.ID, 2)
-			probe(fork2.ID, 3)
-			wm1, wm2 := wmTexts(t, srv, fork1.ID), wmTexts(t, srv, fork2.ID)
-			if reflect.DeepEqual(wm1, wm2) {
-				t.Fatalf("forks did not diverge: %v", wm1)
-			}
-
-			// The template is untouched: its pinned hash is stable and a
-			// new fork starts from the identical state — same WM bytes,
-			// same behavior on the same first batch.
-			for _, ti := range srv.Templates() {
-				if ti.ID == tinfo.ID {
-					if ti.SnapshotHash != tinfo.SnapshotHash {
-						t.Fatalf("template hash changed: %s -> %s", tinfo.SnapshotHash, ti.SnapshotHash)
-					}
-					if ti.Forks != 2 {
-						t.Errorf("fork count = %d, want 2", ti.Forks)
-					}
+				if ti.Forks != 2 {
+					t.Errorf("fork count = %d, want 2", ti.Forks)
 				}
 			}
-			fork3, err := srv.Fork(tinfo.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := wmTexts(t, srv, fork3.ID); !reflect.DeepEqual(got, base) {
-				t.Fatalf("post-divergence fork differs from base:\n%v\nwant\n%v", got, base)
-			}
-			if r3 := probe(fork3.ID, 1); !reflect.DeepEqual(fireTrace(r3), fireTrace(r1)) {
-				t.Fatalf("fork3 first-batch trace:\n%v\nwant\n%v", fireTrace(r3), fireTrace(r1))
-			}
+		}
+		fork3, err := srv.Fork(tinfo.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := wmTexts(t, srv, fork3.ID); !reflect.DeepEqual(got, base) {
+			t.Fatalf("post-divergence fork differs from base:\n%v\nwant\n%v", got, base)
+		}
+		if r3 := probe(fork3.ID, 1); !reflect.DeepEqual(fireTrace(r3), fireTrace(r1)) {
+			t.Fatalf("fork3 first-batch trace:\n%v\nwant\n%v", fireTrace(r3), fireTrace(r1))
+		}
 
-			// Restart: template and all forks come back, forks keeping
-			// their divergent state (fork3 now matches fork1 exactly —
-			// both took the same single batch).
-			wm3 := wmTexts(t, srv, fork3.ID)
-			srv2, recovered := newDurServer(t, dir, 0)
-			if recovered != 4 { // template + three forks
-				t.Fatalf("recovered %d entries, want 4", recovered)
+		// Restart: template and all forks come back, forks keeping
+		// their divergent state (fork3 now matches fork1 exactly —
+		// both took the same single batch).
+		wm3 := wmTexts(t, srv, fork3.ID)
+		srv2, recovered := newDurServer(t, dir, 0)
+		if recovered != 4 { // template + three forks
+			t.Fatalf("recovered %d entries, want 4", recovered)
+		}
+		for id, want := range map[string][]string{fork1.ID: wm1, fork2.ID: wm2, fork3.ID: wm3} {
+			if got := wmTexts(t, srv2, id); !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovered %s WM:\n%v\nwant\n%v", id, got, want)
 			}
-			for id, want := range map[string][]string{fork1.ID: wm1, fork2.ID: wm2, fork3.ID: wm3} {
-				if got := wmTexts(t, srv2, id); !reflect.DeepEqual(got, want) {
-					t.Fatalf("recovered %s WM:\n%v\nwant\n%v", id, got, want)
-				}
-			}
-			fork4, err := srv2.Fork(tinfo.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := wmTexts(t, srv2, fork4.ID); !reflect.DeepEqual(got, base) {
-				t.Fatalf("fork from recovered template:\n%v\nwant\n%v", got, base)
-			}
-		})
-	}
+		}
+		fork4, err := srv2.Fork(tinfo.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := wmTexts(t, srv2, fork4.ID); !reflect.DeepEqual(got, base) {
+			t.Fatalf("fork from recovered template:\n%v\nwant\n%v", got, base)
+		}
+	})
 }

@@ -27,6 +27,22 @@ func (s *Server) WaitCompactions() {
 // through fs. Call it after EnableDurability, before any compaction.
 func (s *Server) SetCompactionFS(fs wmlog.FS) { s.dur.fs = fs }
 
+// ResizeTable re-slots a live session's token table into n lines
+// (hashmem.Table.Grow, which shrinks as well), as the adaptive growth
+// does between submits. The fixed-cost gate sizes its sessions with it.
+func (s *Server) ResizeTable(id string, n int) error {
+	sess, err := s.session(id)
+	if err != nil {
+		return err
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	m := sess.matcher
+	m.Table.FoldLive(&m.Pools)
+	m.Table = m.Table.Grow(n, &m.Pools)
+	return nil
+}
+
 // CheckSlots runs the slot-safety oracle on a live session's engine: no
 // stored token may name a slot whose element has left working memory.
 func (s *Server) CheckSlots(id string) error {

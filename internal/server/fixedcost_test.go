@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -53,14 +52,17 @@ func minBatch(t *testing.T, srv *server.Server, id string, n int, next func() *s
 }
 
 // tickCost is the fastest max_cycles:1 batch on a session whose token
-// table has hashLines lines.
-func tickCost(t *testing.T, srv *server.Server, backend string, hashLines int) time.Duration {
+// table has lines lines.
+func tickCost(t *testing.T, srv *server.Server, lines int) time.Duration {
 	t.Helper()
-	info, err := srv.CreateSession(server.SessionConfig{Program: tickSrc, Matcher: backend, HashLines: hashLines})
+	info, err := srv.CreateSession(server.SessionConfig{Program: tickSrc})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	defer srv.DeleteSession(info.ID)
+	if err := srv.ResizeTable(info.ID, lines); err != nil {
+		t.Fatalf("resize: %v", err)
+	}
 	seed := &server.BatchRequest{MaxCycles: 1, Asserts: []server.WMEInput{{Class: "count", Attrs: map[string]any{"n": 0}}}}
 	if _, err := srv.Batch(info.ID, seed); err != nil {
 		t.Fatalf("seed: %v", err)
@@ -77,9 +79,9 @@ func tickCost(t *testing.T, srv *server.Server, backend string, hashLines int) t
 // retractCost is the fastest one-tag retract batch on a session holding
 // wmSize accounts. Each probe retracts the newest account; an untimed
 // assert then replaces it, so the working memory stays at wmSize.
-func retractCost(t *testing.T, srv *server.Server, backend string, wmSize int) time.Duration {
+func retractCost(t *testing.T, srv *server.Server, wmSize int) time.Duration {
 	t.Helper()
-	info, err := srv.CreateSession(server.SessionConfig{Program: ledgerSrc, Matcher: backend})
+	info, err := srv.CreateSession(server.SessionConfig{Program: ledgerSrc})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -115,7 +117,7 @@ func retractCost(t *testing.T, srv *server.Server, backend string, wmSize int) t
 
 // TestRequestCostIndependentOfSessionSize is wired into make
 // bench-smoke (BENCH_SMOKE=1); it is skipped in a plain go test because
-// it builds a 100 000-element working memory per backend.
+// it builds a 100 000-element working memory.
 func TestRequestCostIndependentOfSessionSize(t *testing.T) {
 	if os.Getenv("BENCH_SMOKE") == "" {
 		t.Skip("set BENCH_SMOKE=1 (make bench-smoke) to run")
@@ -125,25 +127,23 @@ func TestRequestCostIndependentOfSessionSize(t *testing.T) {
 	probes := []struct {
 		name         string
 		small, large int
-		cost         func(*testing.T, *server.Server, string, int) time.Duration
+		cost         func(*testing.T, *server.Server, int) time.Duration
 	}{
-		{"max_cycles:1 batch by hash_lines", 1 << 10, 1 << 18, tickCost},
+		{"max_cycles:1 batch by table lines", 1 << 10, 1 << 18, tickCost},
 		{"one-tag retract by WM size", 100, 100000, retractCost},
 	}
-	for _, backend := range []string{"vs2"} {
-		for _, p := range probes {
-			t.Run(fmt.Sprintf("%s/%s", backend, p.name), func(t *testing.T) {
-				// Large first, small second: a warm-up effect would make the
-				// small run cheaper and the ratio worse, never hide a regression.
-				large := p.cost(t, srv, backend, p.large)
-				small := p.cost(t, srv, backend, p.small)
-				ratio := float64(large) / float64(small)
-				t.Logf("%d: %v, %d: %v, ratio %.2f (bound %.1f)", p.small, small, p.large, large, ratio, maxFixedCostRatio)
-				if ratio > maxFixedCostRatio {
-					t.Errorf("request cost grew %.1f× from size %d to %d (bound %.1f×): a per-request step is walking session state",
-						ratio, p.small, p.large, maxFixedCostRatio)
-				}
-			})
-		}
+	for _, p := range probes {
+		t.Run(p.name, func(t *testing.T) {
+			// Large first, small second: a warm-up effect would make the
+			// small run cheaper and the ratio worse, never hide a regression.
+			large := p.cost(t, srv, p.large)
+			small := p.cost(t, srv, p.small)
+			ratio := float64(large) / float64(small)
+			t.Logf("%d: %v, %d: %v, ratio %.2f (bound %.1f)", p.small, small, p.large, large, ratio, maxFixedCostRatio)
+			if ratio > maxFixedCostRatio {
+				t.Errorf("request cost grew %.1f× from size %d to %d (bound %.1f×): a per-request step is walking session state",
+					ratio, p.small, p.large, maxFixedCostRatio)
+			}
+		})
 	}
 }

@@ -335,9 +335,6 @@ func (s *Server) handleCreateTemplate(w http.ResponseWriter, r *http.Request) (i
 	if err := decodeBody(r, &cfg); err != nil {
 		return http.StatusBadRequest, err
 	}
-	if cfg.Program == "" {
-		return http.StatusBadRequest, errors.New("missing program source")
-	}
 	var (
 		info *TemplateInfo
 		err  error

@@ -19,13 +19,12 @@ import (
 type image struct {
 	eng     *engine.Engine
 	matcher *seqmatch.Image
-	backend string
 }
 
 // freeze turns a settled core into an image. The core is spent: its
 // engine is the image's now.
 func freeze(c *core) *image {
-	im := &image{eng: c.eng, matcher: c.matcher.Freeze(), backend: c.Backend}
+	im := &image{eng: c.eng, matcher: c.matcher.Freeze()}
 	c.eng.Matcher = nil
 	return im
 }
@@ -40,54 +39,37 @@ func (im *image) thaw(watch int) *core {
 	eng := im.eng.CloneWith(im.eng.WM.Clone(), cs, m, nil)
 	// An image never reads input, so there is no queue to inherit.
 	eng.IO = engine.NewQueueIO(im.eng.Prog.Symbols, false)
-	return &core{eng: eng, matcher: m, Backend: im.backend, watch: watch}
-}
-
-// imageKey is what an init image depends on besides the program: the
-// resolved matcher and the table size it was built at. Trace level and
-// match budget do not change what Init leaves.
-type imageKey struct {
-	matcher string
-	lines   int
+	return &core{eng: eng, matcher: m, watch: watch}
 }
 
 // programImage is a program's one init image and the lock its build
 // runs under.
 type programImage struct {
 	mu  sync.Mutex
-	key imageKey
 	img *image
 }
 
-// initImage returns sp's init image for a create's config, building it
-// on the first create that needs it: a fresh core, the program's
-// top-level makes under the panic quarantine, then freeze. Creates that
-// arrive during the build wait for it, so concurrent creates of a new
-// program run Init once. A failed build is not kept, and a create with
-// another key replaces the image: a program holds at most one.
-func (s *Server) initImage(sp *sharedProgram, cfg *SessionConfig) (*image, error) {
-	name, v, err := resolveMatcher(cfg)
-	if err != nil {
-		return nil, err
-	}
-	key := imageKey{matcher: name}
-	if v == seqmatch.VS2 {
-		key.lines = max(cfg.HashLines, 0)
-	}
+// initImage returns sp's init image, building it on the program's first
+// create: a fresh core, the program's top-level makes under the panic
+// quarantine, then freeze. Trace level and match budget do not change
+// what Init leaves, so every create of the program shares it. Creates
+// that arrive during the build wait for it, so concurrent creates of a
+// new program run Init once. A failed build is not kept.
+func (s *Server) initImage(sp *sharedProgram) (*image, error) {
 	pi := &sp.init
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
-	if pi.img != nil && pi.key == key {
+	if pi.img != nil {
 		return pi.img, nil
 	}
-	c, err := sp.build(cfg)
+	c, err := sp.build(&SessionConfig{})
 	if err != nil {
 		return nil, err
 	}
 	if err := s.quarantined(c.eng.Init); err != nil {
 		return nil, fmt.Errorf("init: %w", err)
 	}
-	pi.key, pi.img = key, freeze(c)
+	pi.img = freeze(c)
 	s.met.imageBuilt()
 	return pi.img, nil
 }

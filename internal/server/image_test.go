@@ -52,11 +52,11 @@ func runToHalt(t *testing.T, eng *engine.Engine) ([]engine.Firing, []string) {
 // program's init image, and must be indistinguishable from the core a
 // create used to build (build + Init): the same captured state, the same
 // token-table gauges, and the same firing trace, working memory and time
-// tags all the way to halt — on both matchers, at the default and an
-// explicit table size. A durable create must journal exactly the log
-// Init would have written, and concurrent creates of a new program must
-// build its image once. The program subtests run in parallel on one
-// server, so their creates and thaws race each other too.
+// tags all the way to halt. A durable create must journal exactly the
+// log Init would have written, and a program must build one image
+// however many creates race for it and whatever their trace level or
+// match budget. The program subtests run in parallel on one server, so
+// their creates and thaws race each other too.
 func TestCreateForksProgramImage(t *testing.T) {
 	programs := []struct{ name, src string }{
 		{"weaver", workload.Weaver(20, 9)},
@@ -67,50 +67,46 @@ func TestCreateForksProgramImage(t *testing.T) {
 	s := New(Options{})
 	t.Cleanup(s.Close)
 	for _, p := range programs {
-		for _, matcher := range []string{"vs2", "vs1"} {
-			for _, lines := range []int{0, 1024} {
-				cfg := SessionConfig{Program: p.src, Matcher: matcher, HashLines: lines}
-				t.Run(fmt.Sprintf("%s/%s/lines=%d", p.name, matcher, lines), func(t *testing.T) {
-					t.Parallel()
-					info, err := s.CreateSession(cfg)
-					if err != nil {
-						t.Fatalf("create: %v", err)
-					}
-					defer s.DeleteSession(info.ID)
-					sess, err := s.session(info.ID)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sess.mu.Lock()
-					defer sess.mu.Unlock()
-					cold := coldCore(t, sess.sp, &cfg)
-
-					gotSum, err := sess.eng.CaptureState().Hash()
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantSum, err := cold.eng.CaptureState().Hash()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gotSum != wantSum {
-						t.Errorf("captured state hash %x, cold %x", gotSum, wantSum)
-					}
-					gm, wm := sess.matcher.MemStats(), cold.matcher.MemStats()
-					if gm.Lines != wm.Lines || gm.Entries != wm.Entries || gm.MaxLineDepth != wm.MaxLineDepth {
-						t.Errorf("memory stats %+v, cold %+v", gm, wm)
-					}
-					gotFires, gotWM := runToHalt(t, sess.eng)
-					wantFires, wantWM := runToHalt(t, cold.eng)
-					if !reflect.DeepEqual(gotFires, wantFires) {
-						t.Errorf("firing trace differs from cold: %d firings, want %d", len(gotFires), len(wantFires))
-					}
-					if !reflect.DeepEqual(gotWM, wantWM) {
-						t.Errorf("final WM differs from cold: %d elements, want %d", len(gotWM), len(wantWM))
-					}
-				})
+		cfg := SessionConfig{Program: p.src}
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			info, err := s.CreateSession(cfg)
+			if err != nil {
+				t.Fatalf("create: %v", err)
 			}
-		}
+			defer s.DeleteSession(info.ID)
+			sess, err := s.session(info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.mu.Lock()
+			defer sess.mu.Unlock()
+			cold := coldCore(t, sess.sp, &cfg)
+
+			gotSum, err := sess.eng.CaptureState().Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSum, err := cold.eng.CaptureState().Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotSum != wantSum {
+				t.Errorf("captured state hash %x, cold %x", gotSum, wantSum)
+			}
+			gm, wm := sess.matcher.MemStats(), cold.matcher.MemStats()
+			if gm.Lines != wm.Lines || gm.Entries != wm.Entries || gm.MaxLineDepth != wm.MaxLineDepth {
+				t.Errorf("memory stats %+v, cold %+v", gm, wm)
+			}
+			gotFires, gotWM := runToHalt(t, sess.eng)
+			wantFires, wantWM := runToHalt(t, cold.eng)
+			if !reflect.DeepEqual(gotFires, wantFires) {
+				t.Errorf("firing trace differs from cold: %d firings, want %d", len(gotFires), len(wantFires))
+			}
+			if !reflect.DeepEqual(gotWM, wantWM) {
+				t.Errorf("final WM differs from cold: %d elements, want %d", len(gotWM), len(wantWM))
+			}
+		})
 	}
 
 	t.Run("durable log", func(t *testing.T) {
@@ -202,14 +198,14 @@ func TestCreateForksProgramImage(t *testing.T) {
 		if n := built(); n != 1 {
 			t.Fatalf("%d concurrent creates built %d images, want 1", creates, n)
 		}
-		// Another key replaces the image: one image per program.
-		for i, cfg := range []SessionConfig{{Matcher: "vs1"}, {}, {}, {HashLines: 1024}} {
+		// Trace level and match budget do not key the image.
+		for _, cfg := range []SessionConfig{{Watch: 2}, {MatchBudget: 500}, {Matcher: "vs2", Watch: -1}} {
 			cfg.Program = src
 			if _, err := s.CreateSession(cfg); err != nil {
 				t.Fatal(err)
 			}
-			if n, want := built(), []int64{2, 3, 3, 4}[i]; n != want {
-				t.Fatalf("after create %+v: %d images built, want %d", cfg, n, want)
+			if n := built(); n != 1 {
+				t.Fatalf("after create %+v: %d images built, want 1", cfg, n)
 			}
 		}
 	})

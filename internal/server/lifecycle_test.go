@@ -252,52 +252,50 @@ func TestLifecycleDifferential(t *testing.T) {
 			disturb: func(t *testing.T, e *lifecycleEnv) { e.crash(t) }},
 	}
 	steps, snapAt, disturbAt := lifecycleScript()
-	for _, backend := range []string{"vs1", "vs2"} {
-		for _, op := range ops {
-			t.Run(backend+"/"+op.name, func(t *testing.T) {
-				cfg := server.SessionConfig{Program: lifecycleSrc, Matcher: backend, MatchBudget: 50}
-				ctl := &lifecycleEnv{srv: memServer(t)}
-				vic := &lifecycleEnv{}
-				if op.durable {
-					vic.dir = t.TempDir()
-					vic.srv, _ = newDurServer(t, vic.dir, 0)
-				} else {
-					vic.srv = memServer(t)
-				}
-				ctl.id = op.start(cfg)(t, ctl.srv)
-				vic.id = op.start(cfg)(t, vic.srv)
+	for _, op := range ops {
+		t.Run("vs2/"+op.name, func(t *testing.T) {
+			cfg := server.SessionConfig{Program: lifecycleSrc, MatchBudget: 50}
+			ctl := &lifecycleEnv{srv: memServer(t)}
+			vic := &lifecycleEnv{}
+			if op.durable {
+				vic.dir = t.TempDir()
+				vic.srv, _ = newDurServer(t, vic.dir, 0)
+			} else {
+				vic.srv = memServer(t)
+			}
+			ctl.id = op.start(cfg)(t, ctl.srv)
+			vic.id = op.start(cfg)(t, vic.srv)
 
-				for i, st := range steps {
-					if i == snapAt && op.early != nil {
-						op.early(t, vic)
-					}
-					if i == disturbAt {
-						if got := vic.rules(t); got != 4 {
-							t.Fatalf("script did not diverge the victim: %d rules, want 4 (5 +tally -config-note -cross)", got)
-						}
-						op.disturb(t, vic)
-						vic.checkSlots(t, op.name)
-						if got, want := vic.rules(t), ctl.rules(t); got != want {
-							t.Fatalf("rules after %s = %d, want %d", op.name, got, want)
-						}
-						if got, want := wmTexts(t, vic.srv, vic.id), wmTexts(t, ctl.srv, ctl.id); !reflect.DeepEqual(got, want) {
-							t.Fatalf("WM after %s diverged:\n%v\nwant\n%v", op.name, got, want)
-						}
-					}
-					if got, want := vic.apply(t, st), ctl.apply(t, st); got != want {
-						t.Fatalf("step %d diverged:\n%s\nwant\n%s", i, got, want)
-					}
-					vic.checkSlots(t, fmt.Sprintf("step %d", i))
-					ctl.checkSlots(t, fmt.Sprintf("control step %d", i))
+			for i, st := range steps {
+				if i == snapAt && op.early != nil {
+					op.early(t, vic)
 				}
-				if got, want := vic.rules(t), ctl.rules(t); got != want {
-					t.Fatalf("final rules = %d, want %d", got, want)
+				if i == disturbAt {
+					if got := vic.rules(t); got != 4 {
+						t.Fatalf("script did not diverge the victim: %d rules, want 4 (5 +tally -config-note -cross)", got)
+					}
+					op.disturb(t, vic)
+					vic.checkSlots(t, op.name)
+					if got, want := vic.rules(t), ctl.rules(t); got != want {
+						t.Fatalf("rules after %s = %d, want %d", op.name, got, want)
+					}
+					if got, want := wmTexts(t, vic.srv, vic.id), wmTexts(t, ctl.srv, ctl.id); !reflect.DeepEqual(got, want) {
+						t.Fatalf("WM after %s diverged:\n%v\nwant\n%v", op.name, got, want)
+					}
 				}
-				if got, want := wmTexts(t, vic.srv, vic.id), wmTexts(t, ctl.srv, ctl.id); !reflect.DeepEqual(got, want) {
-					t.Fatalf("final WM diverged:\n%v\nwant\n%v", got, want)
+				if got, want := vic.apply(t, st), ctl.apply(t, st); got != want {
+					t.Fatalf("step %d diverged:\n%s\nwant\n%s", i, got, want)
 				}
-			})
-		}
+				vic.checkSlots(t, fmt.Sprintf("step %d", i))
+				ctl.checkSlots(t, fmt.Sprintf("control step %d", i))
+			}
+			if got, want := vic.rules(t), ctl.rules(t); got != want {
+				t.Fatalf("final rules = %d, want %d", got, want)
+			}
+			if got, want := wmTexts(t, vic.srv, vic.id), wmTexts(t, ctl.srv, ctl.id); !reflect.DeepEqual(got, want) {
+				t.Fatalf("final WM diverged:\n%v\nwant\n%v", got, want)
+			}
+		})
 	}
 }
 
@@ -308,7 +306,7 @@ func TestLifecycleDifferential(t *testing.T) {
 // that no longer exists). One parallel session with every knob of that
 // build set and a log tail past its snapshot, one vs1 template, one fork
 // of it. Each must come back with the working memory it had and the
-// knobs that still exist; the parallel session comes back on vs2.
+// knobs that still exist, and all of them on vs2.
 func TestRecoverParentDataDir(t *testing.T) {
 	// Recovery reopens logs for writing: work on a copy.
 	const fixture = "testdata/parent-datadir"
@@ -351,8 +349,8 @@ func TestRecoverParentDataDir(t *testing.T) {
 	}
 
 	want := map[string]server.SessionConfig{
-		"s-000001": {Program: stormSrc, Matcher: "vs2", HashLines: 1024, MatchBudget: 500, Watch: 1},
-		"s-000002": {Program: stormSrc, Matcher: "vs1", HashLines: 512},
+		"s-000001": {Program: stormSrc, Matcher: "vs2", MatchBudget: 500, Watch: 1},
+		"s-000002": {Program: stormSrc, Matcher: "vs2"},
 	}
 	for id, cfg := range want {
 		p, err := srv.ExportSession(id)
@@ -380,8 +378,8 @@ func TestRecoverParentDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Backend != "vs1" || f.WMSize != 1 {
-		t.Errorf("fork of recovered template: backend %s wm_size %d, want vs1/1", f.Backend, f.WMSize)
+	if f.Backend != "vs2" || f.WMSize != 1 {
+		t.Errorf("fork of recovered template: backend %s wm_size %d, want vs2/1", f.Backend, f.WMSize)
 	}
 
 	// What recovery left behind is the new layout; it recovers again.
@@ -394,70 +392,80 @@ func TestRecoverParentDataDir(t *testing.T) {
 	}
 }
 
-// parentPayload is an export payload as the build before this one wrote
-// it: every session-config key, zeros included, and a session that ran
-// on the parallel matcher with that build's knobs set.
-const parentPayload = `{"id":"s-parent","config":{"program":%q,"matcher":"parallel",
+// parentPayloads are export payloads as earlier builds wrote them. The
+// build before the sequential-only server wrote every session-config
+// key, zeros included, and this one ran on the parallel matcher with
+// that build's knobs set. The build before the vs2-only server wrote
+// matcher and hash_lines, and this one ran on vs1 at 512 lines.
+var parentPayloads = []struct{ name, format string }{
+	{"parallel", `{"id":"s-parent","config":{"program":%q,"matcher":"parallel",
 "procs":2,"queues":1,"locks":"mrsw","hash_lines":0,"cs_shards":8,"fire_batch":4,
-"match_budget":0,"unlink":false,"watch":0},"snapshot":%q,"wm_size":%d,"halted":false}`
+"match_budget":0,"unlink":false,"watch":0},"snapshot":%q,"wm_size":%d,"halted":false}`},
+	{"vs1", `{"id":"s-parent","config":{"program":%q,"matcher":"vs1","hash_lines":512,
+"match_budget":0,"watch":0},"snapshot":%q,"wm_size":%d,"halted":false}`},
+}
 
-// TestImportParentPayload imports, over HTTP, a payload in the parent
-// build's format: the dropped knobs are accepted and ignored, the
-// parallel matcher resolves to vs2, and the session carries on exactly
-// like one that never moved.
+// TestImportParentPayload imports, over HTTP, payloads in earlier
+// builds' formats: the dropped knobs are accepted and ignored, the
+// parallel matcher and vs1 resolve to vs2, and the session carries on
+// exactly like one that never moved.
 func TestImportParentPayload(t *testing.T) {
-	src := memServer(t)
-	info, err := src.CreateSession(server.SessionConfig{Program: stormSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := stormBatches()
-	if _, err := src.Batch(info.ID, batches[0]); err != nil {
-		t.Fatal(err)
-	}
-	p, err := src.ExportSession(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := fmt.Sprintf(parentPayload, stormSrc, base64.StdEncoding.EncodeToString(p.Snapshot), p.WMSize)
+	for _, pp := range parentPayloads {
+		t.Run(pp.name, func(t *testing.T) {
+			src := memServer(t)
+			info, err := src.CreateSession(server.SessionConfig{Program: stormSrc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches := stormBatches()
+			if _, err := src.Batch(info.ID, batches[0]); err != nil {
+				t.Fatal(err)
+			}
+			p, err := src.ExportSession(info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := fmt.Sprintf(pp.format, stormSrc, base64.StdEncoding.EncodeToString(p.Snapshot), p.WMSize)
 
-	dst := memServer(t)
-	ts := httptest.NewServer(dst.Handler())
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/sessions/import", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got server.SessionInfo
-	err = json.NewDecoder(resp.Body).Decode(&got)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusCreated {
-		t.Fatalf("import of a parent payload: status %d, %+v, %v", resp.StatusCode, got, err)
-	}
-	if got.ID != "s-parent" || got.Backend != "vs2" {
-		t.Fatalf("imported session %+v, want s-parent on vs2", got)
-	}
-	exp, err := dst.ExportSession("s-parent")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (server.SessionConfig{Program: stormSrc, Matcher: "vs2"}); !reflect.DeepEqual(exp.Config, want) {
-		t.Errorf("imported config %+v, want %+v", exp.Config, want)
-	}
-	for i, req := range batches[1:] {
-		gres, err := dst.Batch("s-parent", req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wres, err := src.Batch(info.ID, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(fireTrace(gres), fireTrace(wres)) {
-			t.Fatalf("batch %d after import:\n%v\nwant\n%v", i+1, fireTrace(gres), fireTrace(wres))
-		}
-	}
-	if got, want := wmTexts(t, dst, "s-parent"), wmTexts(t, src, info.ID); !reflect.DeepEqual(got, want) {
-		t.Fatalf("WM after import diverged:\n%v\nwant\n%v", got, want)
+			dst := memServer(t)
+			ts := httptest.NewServer(dst.Handler())
+			defer ts.Close()
+			resp, err := http.Post(ts.URL+"/sessions/import", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got server.SessionInfo
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusCreated {
+				t.Fatalf("import of a parent payload: status %d, %+v, %v", resp.StatusCode, got, err)
+			}
+			if got.ID != "s-parent" || got.Backend != "vs2" {
+				t.Fatalf("imported session %+v, want s-parent on vs2", got)
+			}
+			exp, err := dst.ExportSession("s-parent")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (server.SessionConfig{Program: stormSrc, Matcher: "vs2"}); !reflect.DeepEqual(exp.Config, want) {
+				t.Errorf("imported config %+v, want %+v", exp.Config, want)
+			}
+			for i, req := range batches[1:] {
+				gres, err := dst.Batch("s-parent", req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wres, err := src.Batch(info.ID, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fireTrace(gres), fireTrace(wres)) {
+					t.Fatalf("batch %d after import:\n%v\nwant\n%v", i+1, fireTrace(gres), fireTrace(wres))
+				}
+			}
+			if got, want := wmTexts(t, dst, "s-parent"), wmTexts(t, src, info.ID); !reflect.DeepEqual(got, want) {
+				t.Fatalf("WM after import diverged:\n%v\nwant\n%v", got, want)
+			}
+		})
 	}
 }

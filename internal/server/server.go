@@ -1,7 +1,7 @@
 // Package server hosts many concurrent OPS5 engine sessions behind one
 // process — the inference-server layer over the PSM-E engine. The
 // session is the grain of concurrency: each owns a working memory, a
-// conflict set and a sequential matcher (vs2 or vs1) and runs one
+// conflict set and a sequential matcher (vs2) and runs one
 // request at a time on one goroutine, while different sessions run in
 // parallel and all sessions created from the same program source share
 // one compiled Rete network read-only, the way the paper's k match
@@ -130,7 +130,6 @@ type sharedProgram struct {
 type core struct {
 	eng     *engine.Engine
 	matcher *seqmatch.Matcher
-	Backend string // resolved matcher name: vs2 or vs1
 	// watch is the resolved trace level (0..2): SessionConfig.Watch
 	// merged with the program's (watch ...) declaration.
 	watch int
@@ -150,16 +149,15 @@ type core struct {
 // (import, template recovery), RestoreState and ReplayRecords (crash
 // recovery, restore).
 func (sp *sharedProgram) build(cfg *SessionConfig) (*core, error) {
+	if err := checkMatcher(cfg.Matcher); err != nil {
+		return nil, err
+	}
 	watch, err := resolveWatch(cfg.Watch, sp.prog)
 	if err != nil {
 		return nil, err
 	}
-	name, v, err := resolveMatcher(cfg)
-	if err != nil {
-		return nil, err
-	}
 	cs := conflict.NewSet()
-	m := seqmatch.New(sp.net, v, cfg.HashLines, cs)
+	m := seqmatch.New(sp.net, seqmatch.VS2, 0, cs)
 	eng, err := engine.NewWithRHS(sp.prog, sp.net, sp.rhs, cs, m, nil)
 	if err != nil {
 		return nil, err
@@ -169,7 +167,7 @@ func (sp *sharedProgram) build(cfg *SessionConfig) (*core, error) {
 	// instead of fabricating end-of-file. Installed before any restore or
 	// replay: snapshot Pending and accept records go through it.
 	eng.IO = engine.NewQueueIO(sp.prog.Symbols, false)
-	return &core{eng: eng, matcher: m, Backend: name, watch: watch}, nil
+	return &core{eng: eng, matcher: m, watch: watch}, nil
 }
 
 // Session is one hosted engine. Its mutex serializes requests: a
@@ -185,7 +183,7 @@ type Session struct {
 	broken error // set when a panic quarantined the session
 
 	// cfg is the session's resolved configuration (Program holds the
-	// full source, Matcher the resolved backend, ProgramHash/ID cleared):
+	// full source, Matcher the served one, ProgramHash/ID cleared):
 	// what meta.json persists and export serializes, so recovery and a
 	// migration target build the same core.
 	cfg      SessionConfig
@@ -202,7 +200,7 @@ type Session struct {
 // newSession wraps a built core as a session, resolving cfg into the
 // form that is persisted and exported.
 func newSession(id string, sp *sharedProgram, cfg SessionConfig, c *core, template string) *Session {
-	cfg.ID, cfg.ProgramHash, cfg.Program, cfg.Matcher = "", "", sp.src, c.Backend
+	cfg.ID, cfg.ProgramHash, cfg.Program, cfg.Matcher = "", "", sp.src, servedMatcher
 	return &Session{ID: id, Created: time.Now(), sp: sp, core: c, cfg: cfg, template: template}
 }
 
@@ -211,7 +209,7 @@ func newSession(id string, sp *sharedProgram, cfg SessionConfig, c *core, templa
 func (sess *Session) info(shared bool) *SessionInfo {
 	return &SessionInfo{
 		ID:      sess.ID,
-		Backend: sess.Backend,
+		Backend: servedMatcher,
 		// The session's network may have diverged from the shared base
 		// epoch through runtime build/excise; report its own view.
 		Rules:     len(sess.eng.Net.Rules),
@@ -282,11 +280,10 @@ type SessionConfig struct {
 	// migration imports). Empty lets the server pick. A taken ID fails
 	// with ErrSessionExists.
 	ID string `json:"id,omitempty"`
-	// Matcher picks the sequential matcher: "vs2" (default, global token
-	// hash tables) or "vs1" (per-node list memories).
+	// Matcher names the sequential matcher. Every session runs vs2
+	// (global token hash tables, grown as they fill), so the only values
+	// accepted are "" and "vs2".
 	Matcher string `json:"matcher"`
-	// HashLines sizes the token hash tables (0 = default).
-	HashLines int `json:"hash_lines"`
 	// MatchBudget > 0 caps the opposite-memory candidates any one rule's
 	// joins may examine in a single cycle. A rule over budget is excised
 	// from this session's network (quarantining the rule, not the
@@ -533,11 +530,14 @@ func (s *Server) CreateSession(cfg SessionConfig) (*SessionInfo, error) {
 	}
 	defer s.unreserveID(cfg.ID)
 
+	if err := checkMatcher(cfg.Matcher); err != nil {
+		return nil, err
+	}
 	sp, shared, err := s.resolveProgram(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	im, err := s.initImage(sp, &cfg)
+	im, err := s.initImage(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -576,16 +576,17 @@ func resolveWatch(cfgWatch int, prog *ops5.Program) (int, error) {
 	}
 }
 
-// resolveMatcher names the sequential matcher a session config asks
-// for.
-func resolveMatcher(cfg *SessionConfig) (string, seqmatch.Variant, error) {
-	switch cfg.Matcher {
-	case "", "vs2":
-		return "vs2", seqmatch.VS2, nil
-	case "vs1":
-		return "vs1", seqmatch.VS1, nil
+// servedMatcher is the one sequential matcher the server runs, as
+// SessionInfo, TemplateInfo and a resolved config name it.
+const servedMatcher = "vs2"
+
+// checkMatcher rejects a session config that asks for any matcher but
+// the served one.
+func checkMatcher(name string) error {
+	if name != "" && name != servedMatcher {
+		return fmt.Errorf("unknown matcher %q (the server runs vs2 only)", name)
 	}
-	return "", 0, fmt.Errorf("unknown matcher %q (want vs2 or vs1)", cfg.Matcher)
+	return nil
 }
 
 // session looks a live session up.

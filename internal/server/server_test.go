@@ -173,25 +173,21 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestConcurrentSessionsBothBackends is the acceptance scenario: >= 8
-// sessions over both matchers running batched asserts concurrently,
-// every firing accounted for, and a clean drain at the end. go test
-// -race covers the locking.
-func TestConcurrentSessionsBothBackends(t *testing.T) {
+// TestConcurrentSessionsShareProgram is the acceptance scenario: >= 8
+// sessions of one program running batched asserts concurrently on its
+// shared network, every firing accounted for, and a clean drain at the
+// end. go test -race covers the locking.
+func TestConcurrentSessionsShareProgram(t *testing.T) {
 	srv, ts := newTestServer(t)
 	c := ts.Client()
 
 	const sessions = 12
 	const batches = 5
 	const perBatch = 8
-	backends := []string{"vs2", "vs1"}
 
 	ids := make([]string, sessions)
 	for i := range ids {
-		cfg := server.SessionConfig{
-			Program: pingSrc,
-			Matcher: backends[i%len(backends)],
-		}
+		cfg := server.SessionConfig{Program: pingSrc}
 		var info server.SessionInfo
 		if code := call(t, c, "POST", ts.URL+"/sessions", cfg, &info); code != http.StatusCreated {
 			t.Fatalf("create %d: status %d", i, code)
@@ -333,11 +329,11 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
-// TestRemovedKnobsRejected: the parallel matcher, its knobs and the
-// multi-fire act phase are gone from the session API. A create, template
-// or program-registration body that names one is a 400 whose error
-// names it; only stored entries and export payloads of earlier builds
-// are read past them.
+// TestRemovedKnobsRejected: the parallel matcher, its knobs, the
+// multi-fire act phase, vs1 and the table size are gone from the session
+// API. A create, template or program-registration body that names one
+// is a 400 whose error names it; only stored entries and export payloads
+// of earlier builds are read past them.
 func TestRemovedKnobsRejected(t *testing.T) {
 	_, ts := newTestServer(t)
 	c := ts.Client()
@@ -349,9 +345,11 @@ func TestRemovedKnobsRejected(t *testing.T) {
 	cases := []rejected{
 		{"/sessions", map[string]any{"program": pingSrc, "matcher": "parallel"}, `"parallel"`},
 		{"/templates", map[string]any{"program": pingSrc, "matcher": "parallel"}, `"parallel"`},
+		{"/sessions", map[string]any{"program": pingSrc, "matcher": "vs1"}, `"vs1"`},
+		{"/templates", map[string]any{"program": pingSrc, "matcher": "vs1"}, `"vs1"`},
 		{"/programs", map[string]any{"program": pingSrc, "procs": 2}, `"procs"`},
 	}
-	for _, key := range []string{"procs", "queues", "locks", "cs_shards", "fire_batch", "unlink"} {
+	for _, key := range []string{"hash_lines", "procs", "queues", "locks", "cs_shards", "fire_batch", "unlink"} {
 		cases = append(cases,
 			rejected{"/sessions", map[string]any{"program": pingSrc, key: 1}, `"` + key + `"`},
 			rejected{"/templates", map[string]any{"program": pingSrc, key: 1}, `"` + key + `"`})
@@ -502,5 +500,15 @@ func TestTemplateByProgramHash(t *testing.T) {
 		if tpl, err := srv.CreateTemplate(&server.TemplateConfig{SessionConfig: cfg}); err == nil {
 			t.Errorf("%s: template created (%+v), want an error", name, tpl)
 		}
+	}
+	// Over HTTP too: a body with only the hash is a template.
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var info server.TemplateInfo
+	if code := call(t, ts.Client(), "POST", ts.URL+"/templates", map[string]any{"program_hash": reg.Hash}, &info); code != http.StatusCreated {
+		t.Fatalf("POST /templates by program_hash: status %d, want 201", code)
+	}
+	if info.Rules != 1 || info.Backend != "vs2" {
+		t.Errorf("template by program_hash over HTTP: %+v", info)
 	}
 }

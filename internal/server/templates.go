@@ -57,6 +57,9 @@ type TemplateInfo struct {
 // (by source or by hash, as a create does), thaw its init image, assert
 // the base facts, and pin the settled state in an encoded snapshot.
 func (s *Server) CreateTemplate(cfg *TemplateConfig) (*TemplateInfo, error) {
+	if err := checkMatcher(cfg.Matcher); err != nil {
+		return nil, err
+	}
 	sp, _, err := s.resolveProgram(&cfg.SessionConfig)
 	if err != nil {
 		return nil, err
@@ -73,7 +76,7 @@ func (s *Server) CreateTemplate(cfg *TemplateConfig) (*TemplateInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	im, err := s.initImage(sp, &cfg.SessionConfig)
+	im, err := s.initImage(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +120,7 @@ func (s *Server) pinTemplate(id string, sp *sharedProgram, cfg SessionConfig, c 
 	if err != nil {
 		return nil, err
 	}
-	cfg.ID, cfg.ProgramHash, cfg.Program, cfg.Matcher = "", "", sp.src, c.Backend
+	cfg.ID, cfg.ProgramHash, cfg.Program, cfg.Matcher = "", "", sp.src, servedMatcher
 	c.matcher.Reslot()
 	tpl := &template{ID: id, Created: time.Now(), cfg: cfg, sp: sp, img: freeze(c), snap: st, snapRaw: raw, snapSum: sum}
 
@@ -176,7 +179,7 @@ func (s *Server) recoverTemplate(id string) error {
 func (s *Server) templateInfo(tpl *template) *TemplateInfo {
 	return &TemplateInfo{
 		ID:           tpl.ID,
-		Backend:      tpl.img.backend,
+		Backend:      servedMatcher,
 		Rules:        len(tpl.img.eng.Net.Rules),
 		WMSize:       len(tpl.snap.Wmes),
 		SnapshotHash: fmt.Sprintf("%x", tpl.snapSum),

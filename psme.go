@@ -128,13 +128,6 @@ type Config struct {
 	// TaskQueues is the number of task queues (default 1; the paper
 	// found 8 essential for speed-up at high process counts).
 	TaskQueues int
-	// HashLines is the starting size of the token hash tables in lines
-	// (default 16384; 64 bytes a line, rounded up to a power of two).
-	// MatcherVS2 and MatcherParallel tables grow from there once they hold
-	// more than 16 tokens per line; MatcherVS1 has one line per join node
-	// and ignores it. Token entries are recycled within the session
-	// without limit; the token slices themselves are not.
-	HashLines int
 	// Locks picks the line-lock scheme for MatcherParallel.
 	Locks LockScheme
 	// Output receives (write ...) text; nil discards it.
@@ -192,7 +185,7 @@ func New(p *Program, cfg Config) (*Engine, error) {
 		if cfg.Matcher == MatcherVS1 {
 			v = seqmatch.VS1
 		}
-		m = seqmatch.New(net, v, cfg.HashLines, cs)
+		m = seqmatch.New(net, v, 0, cs)
 	case MatcherLisp:
 		m = lispemu.New(p.prog, net, cs)
 	case MatcherParallel:
@@ -203,7 +196,6 @@ func New(p *Program, cfg Config) (*Engine, error) {
 		par = parmatch.New(net, parmatch.Config{
 			Procs:  procs,
 			Queues: cfg.TaskQueues,
-			Lines:  cfg.HashLines,
 			Scheme: cfg.Locks,
 		}, cs)
 		m = par
@@ -361,7 +353,6 @@ func (v Value) toInternal(p *ops5.Program) wm.Value {
 type SimConfig struct {
 	MatchProcs int
 	TaskQueues int
-	HashLines  int
 	Locks      LockScheme
 	// Pipelined overlaps match with RHS evaluation (§3.1). The paper's
 	// parallel columns are pipelined; its uniprocessor baseline is not.
@@ -388,7 +379,6 @@ func Simulate(p *Program, cfg SimConfig) (*SimResult, error) {
 	r, err := multimax.Simulate(p.prog, p.net, multimax.Config{
 		Procs:     cfg.MatchProcs,
 		Queues:    cfg.TaskQueues,
-		Lines:     cfg.HashLines,
 		Scheme:    cfg.Locks,
 		Pipelined: cfg.Pipelined,
 		MaxCycles: cfg.MaxCycles,
