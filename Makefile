@@ -77,19 +77,20 @@ vet:
 
 check: build vet test race bench-smoke bench-e2e-smoke reorder-differential fuzz-smoke cluster-smoke
 
-# The cluster fabric suite under the race detector: two in-process
-# backends behind the routing proxy — consistent-hash placement, the
+# The cluster fabric suite under the race detector: in-process
+# backends behind the routing proxy — least-loaded placement, the
 # content-addressed program cache (one push per backend, hash-only
-# creates after), backend-loss re-routing, and the migrate-under-load
-# differential (a session migrated mid-run must end with the same WM
-# and firing trace as one that never moved, with pending (accept) input
-# and a runtime-diverged network intact:
+# creates after), backend-loss re-routing, route discovery by a
+# restarted proxy, a never-started proxy's prompt Close, and the
+# migrate-under-load differential (a session migrated mid-run must end
+# with the same WM and firing trace as one that never moved, with
+# pending (accept) input and a runtime-diverged network intact:
 # TestMigrateDivergedEpoch). The migrate-under-load test then
 # runs 20 more times: its oracle is the migration write fence (every
 # acknowledged tick applied exactly once), a race that showed up once in
 # 5-10 runs before forwards held the route lock across the backend call.
 cluster-smoke:
-	$(GO) test -race -run 'TestRing|TestCluster|TestProgramCache|TestCreateByUnregisteredHash|TestBackendLoss|TestMigrate|TestProxyMetrics' -v ./internal/cluster
+	$(GO) test -race -run 'TestCloseWithoutStart|TestCluster|TestProgramCache|TestCreateByUnregisteredHash|TestBackendLoss|TestDiscoveryAfterProxyRestart|TestMigrate|TestProxyMetrics' -v ./internal/cluster
 	$(GO) test -race -count=20 -run 'TestMigrateUnderLoad' ./internal/cluster
 	$(GO) test -race -run 'TestConcurrentSessionLifecycle|TestSnapshotFormat' ./internal/server ./internal/wmlog
 

@@ -38,7 +38,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8726", "listen address")
 	maxSessions := flag.Int("max-sessions", 256, "live session cap")
-	workers := flag.Int("workers", 0, "request worker pool size (0 = 2x CPU)")
+	workers := flag.Int("workers", 0, "requests doing session work at once (0 = 2x CPU, min 4)")
 	maxCycles := flag.Int("max-cycles", 10000, "default recognize-act cycle budget per request (<0 = unlimited)")
 	timeout := flag.Duration("timeout", 5*time.Second, "default per-request run budget")
 	maxBatch := flag.Int("max-batch", 4096, "max WM changes per request")

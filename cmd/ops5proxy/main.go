@@ -1,13 +1,13 @@
-// Command ops5proxy is the cluster routing tier: a stateless proxy
-// that consistent-hash-maps session IDs onto a fleet of ops5d
-// backends (bounded-load placement), health-checks them, keeps the
-// cluster-wide content-addressed program cache, and migrates live
-// sessions between backends on request.
+// Command ops5proxy is the cluster's availability and migration tier: a
+// stateless proxy that places each new session on the least-loaded live
+// ops5d backend, health-checks the backends, keeps the cluster-wide
+// content-addressed program cache, and migrates live sessions between
+// backends on request.
 //
 // Usage:
 //
 //	ops5proxy -backends http://h1:8726,http://h2:8726 [-addr :8800]
-//	          [-vnodes 128] [-load-factor 1.25] [-health-every 2s]
+//	          [-health-every 2s] [-drain 10s]
 //
 // The proxy serves the same /sessions API as one ops5d, so clients
 // point at it unchanged, plus POST /sessions/{id}/migrate and the
@@ -36,8 +36,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8800", "listen address")
 	backends := flag.String("backends", "", "comma-separated ops5d base URLs (required)")
-	vnodes := flag.Int("vnodes", 128, "virtual nodes per backend on the hash ring")
-	loadFactor := flag.Float64("load-factor", 1.25, "bounded-load ceiling over the cluster mean")
 	healthEvery := flag.Duration("health-every", 2*time.Second, "backend health-probe interval")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown drain budget")
 	flag.Parse()
@@ -53,8 +51,6 @@ func main() {
 	}
 	p, err := cluster.New(cluster.Options{
 		Backends:    urls,
-		VNodes:      *vnodes,
-		LoadFactor:  *loadFactor,
 		HealthEvery: *healthEvery,
 	})
 	if err != nil {

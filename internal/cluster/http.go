@@ -12,7 +12,7 @@ import (
 // Handler is the proxy's HTTP surface — the same API shape as one
 // ops5d, so clients need no changes, plus the cluster-only endpoints:
 //
-//	POST   /sessions                 create (routed by bounded-load consistent hash)
+//	POST   /sessions                 create (placed on the least-loaded live backend)
 //	GET    /sessions                 merged listing across live backends
 //	POST   /sessions/{id}/migrate    move the session ({"target": url-or-index}, empty = auto)
 //	*      /sessions/{id}[/...]      forwarded to the session's backend
@@ -33,7 +33,14 @@ func (p *Proxy) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, p.Metrics())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		live, total := p.liveLoad()
+		m := p.Metrics()
+		var total int64
+		for _, b := range m.Backends {
+			if b.Up {
+				total += b.Sessions
+			}
+		}
+		live := m.Cluster.BackendsLive
 		writeJSON(w, http.StatusOK, map[string]any{
 			"ok": live > 0, "backends_live": live, "backends": len(p.backends), "sessions": total,
 		})

@@ -28,8 +28,8 @@ type MigrateResult struct {
 }
 
 // Migrate moves session id to the named target backend (base URL or
-// its index as a string; empty picks the next live ring candidate
-// after the current holder).
+// its index as a string; empty picks the least-loaded live backend
+// other than the current holder).
 func (p *Proxy) Migrate(id, target string) (*MigrateResult, error) {
 	rt, err := p.resolve(id)
 	if err != nil {
@@ -59,38 +59,26 @@ func (p *Proxy) Migrate(id, target string) (*MigrateResult, error) {
 }
 
 // pickTarget resolves the migration destination: explicit URL/index,
-// or the first live ring candidate that isn't the source.
+// or the least-loaded live backend that isn't the source.
 func (p *Proxy) pickTarget(id string, src int, target string) (int, error) {
-	if target != "" {
-		for n, b := range p.backends {
-			if b.url == target || fmt.Sprint(n) == target {
-				if n == src {
-					return -1, fmt.Errorf("session %q is already on %s", id, b.url)
-				}
-				b.mu.Lock()
-				up := b.up
-				b.mu.Unlock()
-				if !up {
-					return -1, fmt.Errorf("target backend %s is down", b.url)
-				}
-				return n, nil
-			}
+	if target == "" {
+		if n := p.leastLoaded(src); n >= 0 {
+			return n, nil
 		}
-		return -1, fmt.Errorf("unknown target backend %q", target)
+		return -1, fmt.Errorf("no live backend to migrate %q to", id)
 	}
-	for _, n := range p.ring.Candidates(id) {
-		if n == src {
-			continue
-		}
-		b := p.backends[n]
-		b.mu.Lock()
-		up := b.up
-		b.mu.Unlock()
-		if up {
+	for n, b := range p.backends {
+		if b.url == target || fmt.Sprint(n) == target {
+			if n == src {
+				return -1, fmt.Errorf("session %q is already on %s", id, b.url)
+			}
+			if !b.isUp() {
+				return -1, fmt.Errorf("target backend %s is down", b.url)
+			}
 			return n, nil
 		}
 	}
-	return -1, fmt.Errorf("no live backend to migrate %q to", id)
+	return -1, fmt.Errorf("unknown target backend %q", target)
 }
 
 // migrateLocked runs the export → import → delete sequence. Caller
@@ -119,17 +107,12 @@ func (p *Proxy) migrateLocked(id string, src, dst int) (*MigrateResult, error) {
 	b := p.backends[dst]
 	b.mu.Lock()
 	b.known[hash] = struct{}{}
-	b.sessions++
 	b.mu.Unlock()
+	p.addLoad(dst, 1)
 	// Source delete is best-effort: the route flip already isolates the
 	// stale copy, and a dead source drops it on its own.
 	if st, derr := p.backendDo("DELETE", p.backends[src].url+"/sessions/"+id, nil, nil); derr == nil && st == http.StatusNoContent {
-		sb := p.backends[src]
-		sb.mu.Lock()
-		if sb.sessions > 0 {
-			sb.sessions--
-		}
-		sb.mu.Unlock()
+		p.addLoad(src, -1)
 	}
 	return &MigrateResult{
 		ID:     id,

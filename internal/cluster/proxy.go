@@ -1,3 +1,13 @@
+// Package cluster is the session fabric's availability and migration
+// tier: a routing proxy (cmd/ops5proxy) that places each new session on
+// the least-loaded live ops5d backend, keeps a cluster-wide
+// content-addressed program cache so each program compiles once per
+// backend no matter how many sessions use it, and migrates live
+// sessions between backends via the durability layer's versioned
+// snapshots. The proxy holds soft state only — a route cache, the
+// program registry, health views — all reconstructible by probing the
+// backends, so proxies can restart (or run in multiples) without losing
+// the cluster.
 package cluster
 
 import (
@@ -9,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -24,12 +33,6 @@ import (
 type Options struct {
 	// Backends are the ops5d base URLs (e.g. "http://127.0.0.1:8701").
 	Backends []string
-	// VNodes is the virtual-node count per backend (default 128).
-	VNodes int
-	// LoadFactor is the bounded-load ceiling: a backend is skipped for
-	// new sessions while its session count exceeds LoadFactor × the
-	// cluster mean (default 1.25, min 1.0).
-	LoadFactor float64
 	// HealthEvery is the health-probe interval (default 2s).
 	HealthEvery time.Duration
 	// Client issues all backend requests (default: 10s timeout).
@@ -37,9 +40,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.LoadFactor < 1.0 {
-		o.LoadFactor = 1.25
-	}
 	if o.HealthEvery <= 0 {
 		o.HealthEvery = 2 * time.Second
 	}
@@ -74,7 +74,6 @@ type route struct {
 // liveness by probing).
 type Proxy struct {
 	opt      Options
-	ring     *Ring
 	backends []*backendState
 	client   *http.Client
 	nonce    string // distinguishes this proxy's generated session IDs
@@ -88,8 +87,12 @@ type Proxy struct {
 	routesMu sync.RWMutex
 	routes   map[string]*route
 
+	// placeMu serializes place, so concurrent creates each see the
+	// load the one before them added.
+	placeMu sync.Mutex
+
 	stop chan struct{}
-	done chan struct{}
+	loop sync.WaitGroup // the health loop, once Start launched it
 	once sync.Once
 }
 
@@ -103,13 +106,11 @@ func New(opt Options) (*Proxy, error) {
 	}
 	p := &Proxy{
 		opt:      opt,
-		ring:     NewRing(len(opt.Backends), opt.VNodes),
 		client:   opt.Client,
 		nonce:    newNonce(),
 		programs: make(map[string]string),
 		routes:   make(map[string]*route),
 		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	for _, u := range opt.Backends {
 		p.backends = append(p.backends, &backendState{
@@ -131,8 +132,9 @@ func newNonce() string {
 
 // Start launches the background health loop.
 func (p *Proxy) Start() {
+	p.loop.Add(1)
 	go func() {
-		defer close(p.done)
+		defer p.loop.Done()
 		t := time.NewTicker(p.opt.HealthEvery)
 		defer t.Stop()
 		for {
@@ -146,13 +148,11 @@ func (p *Proxy) Start() {
 	}()
 }
 
-// Close stops the health loop.
+// Close stops the health loop and waits for it; a proxy that was never
+// started closes at once.
 func (p *Proxy) Close() {
 	p.once.Do(func() { close(p.stop) })
-	select {
-	case <-p.done:
-	case <-time.After(time.Second):
-	}
+	p.loop.Wait()
 }
 
 // healthzBody is what ops5d's GET /healthz returns.
@@ -216,50 +216,50 @@ func (p *Proxy) count(f func(*stats.Cluster)) {
 	p.mu.Unlock()
 }
 
-// liveLoad sums the live backends and their session counts.
-func (p *Proxy) liveLoad() (live int, total int64) {
-	for _, b := range p.backends {
-		b.mu.Lock()
-		if b.up {
-			live++
-			total += b.sessions
-		}
-		b.mu.Unlock()
-	}
-	return live, total
+// isUp reads the backend's liveness.
+func (b *backendState) isUp() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.up
 }
 
-// place picks the backend for a new session: walk the key's ring
-// candidates, skip down backends, and skip overloaded ones (bounded
-// load: sessions > LoadFactor × ceil((total+1)/live)) as long as a
-// lighter live candidate remains. Returns -1 when no backend is live.
-func (p *Proxy) place(key string) int {
-	live, total := p.liveLoad()
-	if live == 0 {
-		return -1
-	}
-	allowed := int64(math.Ceil(p.opt.LoadFactor * float64(total+1) / float64(live)))
-	first := -1
-	for _, n := range p.ring.Candidates(key) {
-		b := p.backends[n]
+// addLoad moves the backend's load estimate by d sessions, never
+// below zero.
+func (p *Proxy) addLoad(n int, d int64) {
+	b := p.backends[n]
+	b.mu.Lock()
+	b.sessions = max(b.sessions+d, 0)
+	b.mu.Unlock()
+}
+
+// leastLoaded returns the live backend other than skip with the lowest
+// load estimate (its last healthz count plus the proxy's own adds and
+// removes since), ties to the lowest index; -1 when there is none.
+func (p *Proxy) leastLoaded(skip int) int {
+	best, bestLoad := -1, int64(0)
+	for n, b := range p.backends {
 		b.mu.Lock()
 		up, load := b.up, b.sessions
 		b.mu.Unlock()
-		if !up {
-			continue
+		if up && n != skip && (best < 0 || load < bestLoad) {
+			best, bestLoad = n, load
 		}
-		if first < 0 {
-			first = n
-		}
-		if load < allowed {
-			if n != first {
-				p.count(func(c *stats.Cluster) { c.ReRoutes++ })
-			}
-			return n
-		}
-		p.count(func(c *stats.Cluster) { c.ReRoutes++ })
 	}
-	return first // every live backend at the ceiling: take the owner
+	return best
+}
+
+// place picks the backend for a new session, the least-loaded live one,
+// and counts the session against it at once so a concurrent create sees
+// it; a create that then fails takes it back with addLoad(n, -1).
+// Returns -1 when no backend is live.
+func (p *Proxy) place() int {
+	p.placeMu.Lock()
+	defer p.placeMu.Unlock()
+	n := p.leastLoaded(-1)
+	if n >= 0 {
+		p.addLoad(n, 1)
+	}
+	return n
 }
 
 // routeFor returns the cached route for a session, or nil.
@@ -289,16 +289,13 @@ func (p *Proxy) dropRoute(id string) {
 }
 
 // discover finds which backend holds a session the proxy has no route
-// for (proxy restart, session created out of band): probe the ring
-// candidates with GET /sessions/{id}/wm until one answers non-404.
+// for (proxy restart, session created out of band): probe the live
+// backends in index order with GET /sessions/{id}/wm until one answers
+// non-404.
 func (p *Proxy) discover(id string) (int, error) {
 	p.count(func(c *stats.Cluster) { c.Discoveries++ })
-	for _, n := range p.ring.Candidates(id) {
-		b := p.backends[n]
-		b.mu.Lock()
-		up := b.up
-		b.mu.Unlock()
-		if !up {
+	for n, b := range p.backends {
+		if !b.isUp() {
 			continue
 		}
 		resp, err := p.client.Get(b.url + "/sessions/" + id + "/wm")
@@ -402,8 +399,7 @@ func (p *Proxy) RegisterProgram(src string) (string, error) {
 		p.met.ProgramsRegistered++
 	}
 	p.mu.Unlock()
-	for n := range p.backends {
-		b := p.backends[n]
+	for n, b := range p.backends {
 		b.mu.Lock()
 		up := b.up
 		_, has := b.known[hash]
@@ -454,11 +450,10 @@ func (p *Proxy) ensureProgram(n int, hash string) (hit bool, err error) {
 }
 
 // CreateSession places a session on the cluster: resolve the program
-// (inline source auto-registers; a hash must be pre-registered), pick
-// the backend by bounded-load consistent hashing on the session ID,
-// ensure the program is resident there, create by hash, and cache the
-// route. Transport failures mark the backend down and retry the next
-// ring candidate.
+// (inline source auto-registers; a hash must be pre-registered), place
+// it on the least-loaded live backend, ensure the program is resident
+// there, create by hash, and cache the route. Transport failures mark
+// the backend down and place the session again.
 func (p *Proxy) CreateSession(cfg server.SessionConfig) (*server.SessionInfo, error) {
 	var hash string
 	switch {
@@ -492,22 +487,24 @@ func (p *Proxy) CreateSession(cfg server.SessionConfig) (*server.SessionInfo, er
 	cfg.ID = id
 	cfg.ProgramHash = hash
 
-	tried := 0
+	prev := -1
 	for attempt := 0; attempt < len(p.backends); attempt++ {
-		n := p.place(id)
+		n := p.place()
 		if n < 0 {
 			return nil, errors.New("no live backends")
 		}
 		if attempt > 0 {
-			p.count(func(c *stats.Cluster) { c.Retries++ })
+			p.count(func(c *stats.Cluster) {
+				c.Retries++
+				if n != prev {
+					c.ReRoutes++
+				}
+			})
 		}
-		tried++
+		prev = n
 		if _, err := p.ensureProgram(n, hash); err != nil {
-			b := p.backends[n]
-			b.mu.Lock()
-			up := b.up
-			b.mu.Unlock()
-			if up {
+			p.addLoad(n, -1)
+			if p.backends[n].isUp() {
 				// The backend rejected the program (e.g. it fails to
 				// compile): every backend would; surface it.
 				return nil, err
@@ -517,6 +514,9 @@ func (p *Proxy) CreateSession(cfg server.SessionConfig) (*server.SessionInfo, er
 		body, _ := json.Marshal(&cfg)
 		var info server.SessionInfo
 		status, err := p.backendDo("POST", p.backends[n].url+"/sessions", body, &info)
+		if err != nil {
+			p.addLoad(n, -1)
+		}
 		switch {
 		case status == 0:
 			p.markDown(n)
@@ -532,15 +532,11 @@ func (p *Proxy) CreateSession(cfg server.SessionConfig) (*server.SessionInfo, er
 		case err != nil:
 			return nil, err
 		}
-		b := p.backends[n]
-		b.mu.Lock()
-		b.sessions++
-		b.mu.Unlock()
 		p.setRoute(id, n)
 		p.count(func(c *stats.Cluster) { c.SessionsRouted++ })
 		return &info, nil
 	}
-	return nil, fmt.Errorf("session create failed after %d backends", tried)
+	return nil, fmt.Errorf("session create failed after %d backends", len(p.backends))
 }
 
 // forward proxies one session-scoped request to the session's backend.
@@ -590,12 +586,7 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	if r.Method == http.MethodDelete && status == http.StatusNoContent {
 		p.dropRoute(id)
-		b := p.backends[n]
-		b.mu.Lock()
-		if b.sessions > 0 {
-			b.sessions--
-		}
-		b.mu.Unlock()
+		p.addLoad(n, -1)
 	}
 	if ct := hdr.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -651,10 +642,7 @@ func (p *Proxy) rawDo(method, url string, body []byte) (int, []byte, http.Header
 func (p *Proxy) Sessions() ([]server.SessionInfo, error) {
 	var out []server.SessionInfo
 	for n, b := range p.backends {
-		b.mu.Lock()
-		up := b.up
-		b.mu.Unlock()
-		if !up {
+		if !b.isUp() {
 			continue
 		}
 		var lst struct {

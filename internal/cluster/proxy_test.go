@@ -121,53 +121,20 @@ func call(t *testing.T, client *http.Client, method, url string, body, out any) 
 	return resp.StatusCode
 }
 
-func TestRingCandidates(t *testing.T) {
-	r := cluster.NewRing(4, 64)
-	counts := make([]int, 4)
-	for i := 0; i < 4000; i++ {
-		c := r.Candidates(fmt.Sprintf("session-%d", i))
-		if len(c) != 4 {
-			t.Fatalf("candidates = %v, want 4 distinct", c)
-		}
-		seen := map[int]bool{}
-		for _, n := range c {
-			if seen[n] {
-				t.Fatalf("duplicate candidate in %v", c)
-			}
-			seen[n] = true
-		}
-		counts[c[0]]++
-	}
-	// Stability: the same key walks the same order.
-	a, b := r.Candidates("session-7"), r.Candidates("session-7")
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("unstable candidates %v vs %v", a, b)
-		}
-	}
-	for n, c := range counts {
-		if c < 400 {
-			t.Errorf("backend %d owns only %d/4000 keys — vnode distribution badly skewed", n, c)
-		}
-	}
-	// Removing one backend moves only its keys: every key whose owner
-	// isn't node 3 keeps its owner in a 3-node ring of the same vnodes.
-	r3 := cluster.NewRing(3, 64)
-	moved := 0
-	for i := 0; i < 4000; i++ {
-		key := fmt.Sprintf("session-%d", i)
-		if o := r.Owner(key); o != 3 && r3.Owner(key) != o {
-			moved++
-		}
-	}
-	if moved != 0 {
-		t.Errorf("%d keys not owned by the removed node changed owner", moved)
+// TestCloseWithoutStart: a proxy whose health loop never started has
+// nothing to wait for, so Close returns at once.
+func TestCloseWithoutStart(t *testing.T) {
+	tc := newTestCluster(t, 1)
+	start := time.Now()
+	tc.proxy.Close()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Close of a never-started proxy took %v, want < 100ms", d)
 	}
 }
 
 // TestClusterCreateRouteForward drives the full proxy path: creates
-// land spread over the ring, forwards reach the owning backend, and
-// deletes clean the route.
+// alternate between the two equally loaded backends, forwards reach the
+// holding backend, and deletes clean the route.
 func TestClusterCreateRouteForward(t *testing.T) {
 	tc := newTestCluster(t, 2)
 	base := tc.pts.URL
@@ -198,11 +165,10 @@ func TestClusterCreateRouteForward(t *testing.T) {
 	if code := call(t, tc.client, "GET", base+"/sessions", nil, &lst); code != http.StatusOK || len(lst.Sessions) != 8 {
 		t.Fatalf("list: status %d, %d sessions (want 8)", code, len(lst.Sessions))
 	}
-	// Both backends got some (8 sessions over 2 backends: a fully
-	// one-sided split means routing ignores the ring).
+	// Least-loaded placement splits 8 sequential creates exactly 4/4.
 	a, b := len(tc.backends[0].Sessions()), len(tc.backends[1].Sessions())
-	if a == 0 || b == 0 {
-		t.Errorf("session split %d/%d — one backend unused", a, b)
+	if a != 4 || b != 4 {
+		t.Errorf("session split %d/%d, want 4/4", a, b)
 	}
 	for _, id := range ids {
 		if code := call(t, tc.client, "DELETE", base+"/sessions/"+id, nil, nil); code != http.StatusNoContent {
@@ -211,6 +177,34 @@ func TestClusterCreateRouteForward(t *testing.T) {
 	}
 	if m := tc.proxy.Metrics(); m.Routes != 0 {
 		t.Errorf("routes cached after deletes = %d, want 0", m.Routes)
+	}
+}
+
+// TestClusterConcurrentCreatesSplit: place counts a session against its
+// backend before the create is sent, so creates racing each other still
+// split evenly instead of all picking the backend that looked lightest.
+func TestClusterConcurrentCreatesSplit(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, _ := json.Marshal(server.SessionConfig{Program: pingSrc})
+			resp, err := tc.client.Post(tc.pts.URL+"/sessions", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusCreated {
+				t.Errorf("create: status %d", resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	if a, b := len(tc.backends[0].Sessions()), len(tc.backends[1].Sessions()); a != 4 || b != 4 {
+		t.Errorf("concurrent session split %d/%d, want 4/4", a, b)
 	}
 }
 
@@ -287,8 +281,8 @@ func TestBackendLossReroute(t *testing.T) {
 			t.Fatalf("create after loss: status %d", code)
 		}
 	}
-	if n := len(tc.backends[0].Sessions()); n < 6 {
-		t.Errorf("survivor holds %d sessions, want ≥6", n)
+	if n := len(tc.backends[0].Sessions()); n != 9 {
+		t.Errorf("survivor holds %d sessions, want 9 (3 before the loss + 6 after)", n)
 	}
 	// Sessions that lived on the dead backend answer 404/502, not 200.
 	lost := 0
@@ -298,8 +292,54 @@ func TestBackendLossReroute(t *testing.T) {
 			lost++
 		}
 	}
-	if lost == 0 {
-		t.Error("every pre-loss session still answers — backend 1 held none?")
+	// The pre-loss creates alternated 0,1,0,1,...: backend 1 took 3.
+	if lost != 3 {
+		t.Errorf("%d of 6 pre-loss sessions lost, want 3", lost)
+	}
+}
+
+// TestDiscoveryAfterProxyRestart creates sessions through one proxy and
+// reaches them through a fresh one over the same backends, whose empty
+// route cache must find every session by probing the backends.
+func TestDiscoveryAfterProxyRestart(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	ids := make([]string, 0, 6)
+	for i := 0; i < 6; i++ {
+		var info server.SessionInfo
+		if code := call(t, tc.client, "POST", tc.pts.URL+"/sessions", server.SessionConfig{Program: pingSrc}, &info); code != http.StatusCreated {
+			t.Fatalf("create: status %d", code)
+		}
+		ids = append(ids, info.ID)
+	}
+
+	urls := make([]string, 0, len(tc.tss))
+	for _, ts := range tc.tss {
+		urls = append(urls, ts.URL)
+	}
+	pb, err := cluster.New(cluster.Options{Backends: urls, HealthEvery: time.Hour, Client: tc.client})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pb.Close()
+	bts := httptest.NewServer(pb.Handler())
+	defer bts.Close()
+
+	for i, id := range ids {
+		var res server.BatchResult
+		req := server.BatchRequest{Asserts: []server.WMEInput{{Class: "req", Attrs: map[string]any{"n": i}}}}
+		if code := call(t, tc.client, "POST", bts.URL+"/sessions/"+id+"/assert", req, &res); code != http.StatusOK {
+			t.Fatalf("assert on %s through the fresh proxy: status %d", id, code)
+		}
+		if len(res.Firings) != 1 {
+			t.Fatalf("assert on %s: %d firings, want 1", id, len(res.Firings))
+		}
+	}
+	if d := pb.Metrics().Cluster.Discoveries; d != 6 {
+		t.Errorf("discoveries = %d, want 6", d)
+	}
+	req := server.BatchRequest{Asserts: []server.WMEInput{{Class: "req", Attrs: map[string]any{"n": 0}}}}
+	if code := call(t, tc.client, "POST", bts.URL+"/sessions/no-such-session/assert", req, nil); code != http.StatusNotFound {
+		t.Errorf("assert on an unknown ID: status %d, want 404", code)
 	}
 }
 
@@ -438,6 +478,34 @@ func TestMigrateUnderLoad(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("counter lost ticks across %d migrations: want %q in %v", migrated, want, snap.WMEs)
+	}
+}
+
+// TestMigrateAutoTargetLeastLoaded: a migrate with no target, over three
+// backends, lands on the lighter of the two that do not hold the session.
+func TestMigrateAutoTargetLeastLoaded(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	base := tc.pts.URL
+	// Five creates fill backends 0,1,2,0,1: loads 2/2/1.
+	ids := make([]string, 0, 5)
+	for i := 0; i < 5; i++ {
+		var info server.SessionInfo
+		if code := call(t, tc.client, "POST", base+"/sessions", server.SessionConfig{Program: counterSrc}, &info); code != http.StatusCreated {
+			t.Fatalf("create: status %d", code)
+		}
+		ids = append(ids, info.ID)
+	}
+	var res cluster.MigrateResult
+	if code := call(t, tc.client, "POST", base+"/sessions/"+ids[0]+"/migrate", nil, &res); code != http.StatusOK {
+		t.Fatalf("migrate: status %d", code)
+	}
+	if res.From != tc.tss[0].URL || res.To != tc.tss[2].URL {
+		t.Fatalf("migrated %s -> %s, want %s -> %s (the lighter non-source backend)", res.From, res.To, tc.tss[0].URL, tc.tss[2].URL)
+	}
+	for i, want := range []int{1, 2, 2} {
+		if n := len(tc.backends[i].Sessions()); n != want {
+			t.Errorf("backend %d holds %d sessions after the migrate, want %d", i, n, want)
+		}
 	}
 }
 

@@ -31,8 +31,8 @@ import (
 //	GET    /metrics                  stats.Snapshot JSON
 //	GET    /healthz                  liveness + session count + boot_id
 //
-// Session work (create, batch) executes on the worker pool; reads are
-// served inline.
+// Session work (create, batch, ...) takes one of Options.Workers slots
+// on the request's own goroutine; reads run without one.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sessions", s.timed(s.handleCreate))
@@ -115,13 +115,29 @@ func statusOf(err error) int {
 		return http.StatusFailedDependency
 	case errors.Is(err, ErrSessionExists):
 		return http.StatusConflict
-	case errors.Is(err, ErrClosed), errors.Is(err, ErrPoolClosed):
+	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrSessionBroken):
 		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
 	}
+}
+
+// doWork runs fn in a work slot and writes its result with status ok.
+func doWork[T any](s *Server, w http.ResponseWriter, r *http.Request, ok int, fn func() (T, error)) (int, error) {
+	var (
+		res T
+		err error
+	)
+	if werr := s.work(r.Context(), func() { res, err = fn() }); werr != nil {
+		return statusOf(werr), werr
+	}
+	if err != nil {
+		return statusOf(err), err
+	}
+	writeJSON(w, ok, res)
+	return ok, nil
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -132,20 +148,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) (int, erro
 	if cfg.Program == "" && cfg.ProgramHash == "" {
 		return http.StatusBadRequest, errors.New("missing program source (or program_hash)")
 	}
-	var (
-		info *SessionInfo
-		err  error
-	)
-	if poolErr := s.pool.do(r.Context(), func() {
-		info, err = s.CreateSession(cfg)
-	}); poolErr != nil {
-		return statusOf(poolErr), poolErr
-	}
-	if err != nil {
-		return statusOf(err), err
-	}
-	writeJSON(w, http.StatusCreated, info)
-	return http.StatusCreated, nil
+	return doWork(s, w, r, http.StatusCreated, func() (*SessionInfo, error) { return s.CreateSession(cfg) })
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -159,20 +162,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (int, error
 	if err := decodeBody(r, &req); err != nil {
 		return http.StatusBadRequest, err
 	}
-	var (
-		res *BatchResult
-		err error
-	)
-	if poolErr := s.pool.do(r.Context(), func() {
-		res, err = s.Batch(id, &req)
-	}); poolErr != nil {
-		return statusOf(poolErr), poolErr
-	}
-	if err != nil {
-		return statusOf(err), err
-	}
-	writeJSON(w, http.StatusOK, res)
-	return http.StatusOK, nil
+	return doWork(s, w, r, http.StatusOK, func() (*BatchResult, error) { return s.Batch(id, &req) })
 }
 
 func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -181,20 +171,7 @@ func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) (int, err
 	if err := decodeBody(r, &req); err != nil {
 		return http.StatusBadRequest, err
 	}
-	var (
-		res *ProgramResult
-		err error
-	)
-	if poolErr := s.pool.do(r.Context(), func() {
-		res, err = s.Program(id, &req)
-	}); poolErr != nil {
-		return statusOf(poolErr), poolErr
-	}
-	if err != nil {
-		return statusOf(err), err
-	}
-	writeJSON(w, http.StatusOK, res)
-	return http.StatusOK, nil
+	return doWork(s, w, r, http.StatusOK, func() (*ProgramResult, error) { return s.Program(id, &req) })
 }
 
 func (s *Server) handleWM(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -216,38 +193,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) (int, erro
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) (int, error) {
 	id := r.PathValue("id")
-	var (
-		res *SnapshotResult
-		err error
-	)
-	if poolErr := s.pool.do(r.Context(), func() {
-		res, err = s.SnapshotSession(id)
-	}); poolErr != nil {
-		return statusOf(poolErr), poolErr
-	}
-	if err != nil {
-		return statusOf(err), err
-	}
-	writeJSON(w, http.StatusOK, res)
-	return http.StatusOK, nil
+	return doWork(s, w, r, http.StatusOK, func() (*SnapshotResult, error) { return s.SnapshotSession(id) })
 }
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) (int, error) {
 	id := r.PathValue("id")
-	var (
-		info *SessionInfo
-		err  error
-	)
-	if poolErr := s.pool.do(r.Context(), func() {
-		info, err = s.RestoreSession(id)
-	}); poolErr != nil {
-		return statusOf(poolErr), poolErr
-	}
-	if err != nil {
-		return statusOf(err), err
-	}
-	writeJSON(w, http.StatusOK, info)
-	return http.StatusOK, nil
+	return doWork(s, w, r, http.StatusOK, func() (*SessionInfo, error) { return s.RestoreSession(id) })
 }
 
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -274,20 +225,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) (int, erro
 	}
 	p := body.ExportPayload
 	p.Config = body.Config.resolve()
-	var (
-		info *SessionInfo
-		err  error
-	)
-	if poolErr := s.pool.do(r.Context(), func() {
-		info, err = s.ImportSession(&p)
-	}); poolErr != nil {
-		return statusOf(poolErr), poolErr
-	}
-	if err != nil {
-		return statusOf(err), err
-	}
-	writeJSON(w, http.StatusCreated, info)
-	return http.StatusCreated, nil
+	return doWork(s, w, r, http.StatusCreated, func() (*SessionInfo, error) { return s.ImportSession(&p) })
 }
 
 // programBody is the POST /programs request.
@@ -300,20 +238,7 @@ func (s *Server) handleRegisterProgram(w http.ResponseWriter, r *http.Request) (
 	if err := decodeBody(r, &body); err != nil {
 		return http.StatusBadRequest, err
 	}
-	var (
-		info *ProgramInfo
-		err  error
-	)
-	if poolErr := s.pool.do(r.Context(), func() {
-		info, err = s.RegisterProgram(body.Program)
-	}); poolErr != nil {
-		return statusOf(poolErr), poolErr
-	}
-	if err != nil {
-		return statusOf(err), err
-	}
-	writeJSON(w, http.StatusCreated, info)
-	return http.StatusCreated, nil
+	return doWork(s, w, r, http.StatusCreated, func() (*ProgramInfo, error) { return s.RegisterProgram(body.Program) })
 }
 
 func (s *Server) handleListPrograms(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -335,20 +260,7 @@ func (s *Server) handleCreateTemplate(w http.ResponseWriter, r *http.Request) (i
 	if err := decodeBody(r, &cfg); err != nil {
 		return http.StatusBadRequest, err
 	}
-	var (
-		info *TemplateInfo
-		err  error
-	)
-	if poolErr := s.pool.do(r.Context(), func() {
-		info, err = s.CreateTemplate(&cfg)
-	}); poolErr != nil {
-		return statusOf(poolErr), poolErr
-	}
-	if err != nil {
-		return statusOf(err), err
-	}
-	writeJSON(w, http.StatusCreated, info)
-	return http.StatusCreated, nil
+	return doWork(s, w, r, http.StatusCreated, func() (*TemplateInfo, error) { return s.CreateTemplate(&cfg) })
 }
 
 func (s *Server) handleListTemplates(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -358,20 +270,7 @@ func (s *Server) handleListTemplates(w http.ResponseWriter, r *http.Request) (in
 
 func (s *Server) handleFork(w http.ResponseWriter, r *http.Request) (int, error) {
 	id := r.PathValue("id")
-	var (
-		res *ForkResult
-		err error
-	)
-	if poolErr := s.pool.do(r.Context(), func() {
-		res, err = s.Fork(id)
-	}); poolErr != nil {
-		return statusOf(poolErr), poolErr
-	}
-	if err != nil {
-		return statusOf(err), err
-	}
-	writeJSON(w, http.StatusCreated, res)
-	return http.StatusCreated, nil
+	return doWork(s, w, r, http.StatusCreated, func() (*ForkResult, error) { return s.Fork(id) })
 }
 
 func (s *Server) handleDeleteTemplate(w http.ResponseWriter, r *http.Request) (int, error) {

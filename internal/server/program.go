@@ -32,7 +32,7 @@ type ProgramResult struct {
 }
 
 // Program applies a runtime program change to a session. It is the
-// synchronous core; the HTTP layer schedules it on the worker pool.
+// synchronous core; the HTTP layer runs it in a work slot.
 func (s *Server) Program(id string, req *ProgramRequest) (*ProgramResult, error) {
 	sess, err := s.session(id)
 	if err != nil {

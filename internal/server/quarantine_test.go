@@ -60,59 +60,61 @@ func TestPanicQuarantine(t *testing.T) {
 	}
 }
 
-// TestPoolDrainsOnClose checks every accepted job runs before close
-// returns, and submissions after close fail with ErrPoolClosed.
+// TestPoolDrainsOnClose checks every admitted call runs to completion
+// before Close returns, and a call after Close fails with ErrClosed.
 func TestPoolDrainsOnClose(t *testing.T) {
-	p := newPool(2)
+	s := New(Options{Workers: 2})
 	var ran atomic.Int64
 	const jobs = 50
 	done := make(chan error, jobs)
 	for i := 0; i < jobs; i++ {
 		go func() {
-			done <- p.do(context.Background(), func() {
+			done <- s.work(context.Background(), func() {
 				time.Sleep(100 * time.Microsecond)
 				ran.Add(1)
 			})
 		}()
 	}
-	// Let some jobs get accepted, then close; do() calls race the close
-	// and must either run fully or fail with ErrPoolClosed.
+	// Let some calls get admitted, then close; the calls race the close
+	// and must either run fully or fail with ErrClosed.
 	time.Sleep(2 * time.Millisecond)
-	p.close()
-	accepted := int64(0)
+	s.Close()
+	finished := ran.Load()
+	admitted := int64(0)
 	for i := 0; i < jobs; i++ {
 		if err := <-done; err == nil {
-			accepted++
-		} else if !errors.Is(err, ErrPoolClosed) {
-			t.Fatalf("unexpected pool error: %v", err)
+			admitted++
+		} else if !errors.Is(err, ErrClosed) {
+			t.Fatalf("unexpected work error: %v", err)
 		}
 	}
-	if ran.Load() != accepted {
-		t.Errorf("ran %d jobs but %d were accepted", ran.Load(), accepted)
+	if finished != admitted {
+		t.Errorf("%d calls finished by Close but %d were admitted", finished, admitted)
 	}
-	if err := p.do(context.Background(), func() {}); !errors.Is(err, ErrPoolClosed) {
-		t.Errorf("do after close: %v", err)
+	if err := s.work(context.Background(), func() {}); !errors.Is(err, ErrClosed) {
+		t.Errorf("work after close: %v", err)
 	}
 }
 
-// TestPoolHonorsContext checks a full queue + cancelled context fails
-// fast instead of blocking the caller.
+// TestPoolHonorsContext checks a call that finds every slot held and
+// whose context expires fails with the context's error without running.
 func TestPoolHonorsContext(t *testing.T) {
-	p := newPool(1)
-	defer p.close()
-	// Occupy the single worker and fill the buffered queue.
-	block := make(chan struct{})
-	go p.do(context.Background(), func() { <-block })
-	time.Sleep(time.Millisecond)
-	for i := 0; i < cap(p.jobs); i++ {
-		go p.do(context.Background(), func() {})
-	}
-	time.Sleep(time.Millisecond)
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	go s.work(context.Background(), func() {
+		close(held)
+		<-release
+	})
+	<-held
+	defer close(release)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	err := p.do(ctx, func() {})
-	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v", err)
+	ran := false
+	if err := s.work(ctx, func() { ran = true }); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	close(block)
+	if ran {
+		t.Fatal("work ran its function after its context expired")
+	}
 }

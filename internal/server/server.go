@@ -5,19 +5,22 @@
 // request at a time on one goroutine, while different sessions run in
 // parallel and all sessions created from the same program source share
 // one compiled Rete network read-only, the way the paper's k match
-// processes share theirs. Requests are executed by a fixed worker pool,
-// WM changes are batched into a single match phase per request,
-// per-request cycle/time budgets ride on the engine's RunHook, and a
-// panicking session is quarantined instead of taking the daemon down.
-// cmd/ops5d exposes the HTTP/JSON API.
+// processes share theirs. At most Options.Workers requests do session
+// work at once, each on its own HTTP goroutine; WM changes are batched
+// into a single match phase per request, per-request cycle/time budgets
+// ride on the engine's RunHook, and a panicking session is quarantined
+// instead of taking the daemon down. cmd/ops5d exposes the HTTP/JSON
+// API.
 package server
 
 import (
+	"context"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -37,7 +40,9 @@ import (
 type Options struct {
 	// MaxSessions caps live sessions (default 256).
 	MaxSessions int
-	// Workers sizes the request worker pool (default 2×CPU, min 4).
+	// Workers caps the requests doing session work at once (default
+	// 2×CPU, min 4): the server-level analogue of the paper's fixed
+	// 1+k processes. Requests past the cap wait for a slot.
 	Workers int
 	// DefaultMaxCycles bounds recognize-act cycles per request when the
 	// request doesn't say (default 10000; <0 = unlimited).
@@ -62,6 +67,9 @@ func (o *Options) fill() {
 	if o.MaxSessions <= 0 {
 		o.MaxSessions = 256
 	}
+	if o.Workers <= 0 {
+		o.Workers = max(2*runtime.NumCPU(), 4)
+	}
 	if o.DefaultMaxCycles == 0 {
 		o.DefaultMaxCycles = 10000
 	}
@@ -79,8 +87,13 @@ func (o *Options) fill() {
 // Server is the session manager. Create one with New, serve its
 // Handler, and Close it when done.
 type Server struct {
-	opt  Options
-	pool *pool
+	opt Options
+	// slots holds one token per request doing session work, at most
+	// Workers. admitted counts the requests that passed the closed check
+	// and have not returned, waiting for a slot or holding one, so Close
+	// can wait for them.
+	slots    chan struct{}
+	admitted sync.WaitGroup
 
 	mu        sync.RWMutex
 	sessions  map[string]*Session
@@ -172,7 +185,7 @@ func (sp *sharedProgram) build(cfg *SessionConfig) (*core, error) {
 
 // Session is one hosted engine. Its mutex serializes requests: a
 // session processes one batch at a time, while different sessions run
-// in parallel on the worker pool.
+// in parallel.
 type Session struct {
 	ID      string
 	Created time.Time
@@ -221,7 +234,7 @@ func (sess *Session) info(shared bool) *SessionInfo {
 	}
 }
 
-// New builds a server and starts its worker pool.
+// New builds a server.
 func New(opt Options) *Server {
 	opt.fill()
 	s := &Server{
@@ -233,13 +246,14 @@ func New(opt Options) *Server {
 		reserved:  make(map[string]struct{}),
 		bootID:    newBootID(),
 	}
-	s.pool = newPool(opt.Workers)
+	s.slots = make(chan struct{}, opt.Workers)
 	s.met.init()
 	return s
 }
 
-// Close drains the worker pool and tears down every session. Safe to
-// call once; new requests fail afterwards.
+// Close refuses new work, waits for the work already admitted, and
+// tears down every session. Safe to call more than once; requests fail
+// with ErrClosed afterwards.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -256,13 +270,35 @@ func (s *Server) Close() {
 	s.templates = map[string]*template{}
 	s.mu.Unlock()
 
-	s.pool.close()
+	s.admitted.Wait()
 	for _, sess := range live {
 		s.teardown(sess)
 	}
 	for range tpls {
 		s.met.templateClosed()
 	}
+}
+
+// work runs fn on the caller's goroutine once one of the Workers slots
+// is free. A caller whose ctx ends while every slot is held gets ctx's
+// error and fn does not run; after Close every caller gets ErrClosed.
+func (s *Server) work(ctx context.Context, fn func()) error {
+	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
+		return ErrClosed
+	}
+	s.admitted.Add(1)
+	s.mu.RUnlock()
+	defer s.admitted.Done()
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-s.slots }()
+	fn()
+	return nil
 }
 
 // SessionConfig creates a session.
@@ -758,7 +794,7 @@ type BatchResult struct {
 }
 
 // Batch executes one assert/retract batch on a session. It is the
-// synchronous core; the HTTP layer schedules it on the worker pool.
+// synchronous core; the HTTP layer runs it in a work slot.
 func (s *Server) Batch(id string, req *BatchRequest) (*BatchResult, error) {
 	sess, err := s.session(id)
 	if err != nil {

@@ -1,9 +1,10 @@
 package stats
 
-// Cluster aggregates the routing proxy's counters: ring routing,
-// health checking, the cluster-wide content-addressed program cache,
-// and session migration. Like the other counter structs it is plain
-// int64 fields synchronized by its owner (the proxy's metrics mutex).
+// Cluster aggregates the routing proxy's counters: session placement
+// and forwarding, health checking, the cluster-wide content-addressed
+// program cache, and session migration. Like the other counter structs
+// it is plain int64 fields synchronized by its owner (the proxy's
+// metrics mutex).
 type Cluster struct {
 	BackendsLive int64 `json:"backends_live"` // backends currently passing health checks
 	BackendsDown int64 `json:"backends_down"` // backends currently failing health checks
@@ -13,11 +14,11 @@ type Cluster struct {
 	Transitions  int64 `json:"transitions"`   // up<->down state changes observed
 	BootChanges  int64 `json:"boot_changes"`  // backend restarts detected (boot_id changed)
 
-	SessionsRouted int64 `json:"sessions_routed"` // session creates placed via the ring
+	SessionsRouted int64 `json:"sessions_routed"` // session creates placed on a backend
 	Forwards       int64 `json:"forwards"`        // session-scoped requests forwarded
 	Discoveries    int64 `json:"discoveries"`     // route-cache misses resolved by probing backends
 	Retries        int64 `json:"retries"`         // forwards/creates retried after a backend error
-	ReRoutes       int64 `json:"reroutes"`        // creates moved off a down or overloaded backend
+	ReRoutes       int64 `json:"reroutes"`        // creates retried on another backend after one failed
 
 	// Content-addressed program cache, cluster view: programs registered
 	// with the proxy, program bodies pushed to a backend (each push is
