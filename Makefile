@@ -79,10 +79,11 @@ check: build vet test race bench-smoke bench-e2e-smoke reorder-differential fuzz
 
 # The cluster fabric suite under the race detector: in-process
 # backends behind the routing proxy — least-loaded placement, the
-# content-addressed program cache (one push per backend, hash-only
-# creates after), backend-loss re-routing, route discovery by a
-# restarted proxy, a never-started proxy's prompt Close, and the
-# migrate-under-load differential (a session migrated mid-run must end
+# content-addressed program cache (push on 424: a backend's first
+# create of a program, concurrent first creates and a backend
+# restarted with no health probe since), backend-loss re-routing,
+# route discovery by a restarted proxy, a never-started proxy's prompt
+# Close, and the migrate-under-load differential (a session migrated mid-run must end
 # with the same WM and firing trace as one that never moved, with
 # pending (accept) input and a runtime-diverged network intact:
 # TestMigrateDivergedEpoch). The migrate-under-load test then
@@ -90,7 +91,7 @@ check: build vet test race bench-smoke bench-e2e-smoke reorder-differential fuzz
 # acknowledged tick applied exactly once), a race that showed up once in
 # 5-10 runs before forwards held the route lock across the backend call.
 cluster-smoke:
-	$(GO) test -race -run 'TestCloseWithoutStart|TestCluster|TestProgramCache|TestCreateByUnregisteredHash|TestBackendLoss|TestDiscoveryAfterProxyRestart|TestMigrate|TestProxyMetrics' -v ./internal/cluster
+	$(GO) test -race -run 'TestCloseWithoutStart|TestCluster|TestProgramCache|TestCreateAfterBackendRestart|TestCreateByUnregisteredHash|TestBackendLoss|TestDiscoveryAfterProxyRestart|TestMigrate|TestProxyMetrics' -v ./internal/cluster
 	$(GO) test -race -count=20 -run 'TestMigrateUnderLoad' ./internal/cluster
 	$(GO) test -race -run 'TestConcurrentSessionLifecycle|TestSnapshotFormat' ./internal/server ./internal/wmlog
 

@@ -6,7 +6,7 @@
 //
 //	ops5d [-addr :8726] [-max-sessions 256] [-workers 0]
 //	      [-max-cycles 10000] [-timeout 5s] [-max-batch 4096]
-//	      [-data-dir DIR] [-durability commit] [-snapshot-every 0]
+//	      [-data-dir DIR] [-snapshot-every 0]
 //
 // An address with port 0 (e.g. -addr 127.0.0.1:0) binds an ephemeral
 // port; the daemon prints the bound address as its first stdout line
@@ -14,9 +14,10 @@
 // picking ports.
 //
 // With -data-dir set the daemon is durable: every session appends its
-// WM deltas to a per-session log under DIR, and a restart over the
-// same directory recovers every session and template. SIGINT/SIGTERM
-// drain in-flight requests and flush the delta logs before exiting.
+// WM deltas to a per-session log under DIR, fsynced once per request
+// batch, and a restart over the same directory recovers every session
+// and template. SIGINT/SIGTERM drain in-flight requests and flush the
+// delta logs before exiting.
 package main
 
 import (
@@ -44,7 +45,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 4096, "max WM changes per request")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain budget")
 	dataDir := flag.String("data-dir", "", "durability directory; empty = memory-only")
-	durability := flag.String("durability", "", `log sync policy: "none", "commit" (default with -data-dir) or "always"`)
 	snapEvery := flag.Int("snapshot-every", 0, "compact a session's delta log after this many batches (0 = only on demand)")
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -59,7 +59,6 @@ func main() {
 		DefaultTimeout:   *timeout,
 		MaxBatch:         *maxBatch,
 		DataDir:          *dataDir,
-		Durability:       *durability,
 		SnapshotEvery:    *snapEvery,
 	})
 	if *dataDir != "" {
@@ -67,13 +66,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("ops5d: cannot open data dir %q: %v", *dataDir, err)
 		}
-		policy := *durability
-		if policy == "" {
-			policy = "commit"
-		}
-		log.Printf("ops5d: durable in %s (policy %s), recovered %d entries", *dataDir, policy, recovered)
-	} else if *durability != "" || *snapEvery != 0 {
-		log.Fatalf("ops5d: -durability/-snapshot-every need -data-dir")
+		log.Printf("ops5d: durable in %s, recovered %d entries", *dataDir, recovered)
+	} else if *snapEvery != 0 {
+		log.Fatalf("ops5d: -snapshot-every needs -data-dir")
 	}
 	// Listen before serving so a ":0" ephemeral port resolves to its
 	// real address, printed on stdout for spawning harnesses to read.

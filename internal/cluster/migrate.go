@@ -97,17 +97,12 @@ func (p *Proxy) migrateLocked(id string, src, dst int) (*MigrateResult, error) {
 		p.countMigrateFail()
 		return nil, fmt.Errorf("export payload: %w", err)
 	}
-	// The import compiles through the target's shared cache; record the
-	// program as resident there either way, so later creates skip the push.
-	hash := hashOf(meta.Config.Program)
+	// The payload carries the source, so the import compiles through
+	// the target's shared cache with no push.
 	if _, err := p.backendDo("POST", p.backends[dst].url+"/sessions/import", payload, nil); err != nil {
 		p.countMigrateFail()
 		return nil, fmt.Errorf("import to %s: %w", p.backends[dst].url, err)
 	}
-	b := p.backends[dst]
-	b.mu.Lock()
-	b.known[hash] = struct{}{}
-	b.mu.Unlock()
 	p.addLoad(dst, 1)
 	// Source delete is best-effort: the route flip already isolates the
 	// stale copy, and a dead source drops it on its own.

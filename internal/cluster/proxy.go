@@ -1,13 +1,13 @@
 // Package cluster is the session fabric's availability and migration
 // tier: a routing proxy (cmd/ops5proxy) that places each new session on
-// the least-loaded live ops5d backend, keeps a cluster-wide
-// content-addressed program cache so each program compiles once per
-// backend no matter how many sessions use it, and migrates live
-// sessions between backends via the durability layer's versioned
-// snapshots. The proxy holds soft state only — a route cache, the
-// program registry, health views — all reconstructible by probing the
-// backends, so proxies can restart (or run in multiples) without losing
-// the cluster.
+// the least-loaded live ops5d backend, keeps a cluster-wide registry
+// of program sources (pushed to a backend when it answers a create by
+// hash with 424) so each program compiles once per backend no matter
+// how many sessions use it, and migrates live sessions between backends
+// via the durability layer's versioned snapshots. The proxy holds soft
+// state only — a route cache, the program registry, health views — all
+// reconstructible by probing the backends, so proxies can restart (or
+// run in multiples) without losing the cluster.
 package cluster
 
 import (
@@ -54,9 +54,7 @@ type backendState struct {
 
 	mu       sync.Mutex
 	up       bool
-	bootID   string
-	sessions int64               // load estimate: healthz count + local delta
-	known    map[string]struct{} // program hashes resident on this backend
+	sessions int64 // load estimate: healthz count + local delta
 }
 
 // route maps one session ID to its backend. The per-route RWMutex is
@@ -70,8 +68,9 @@ type route struct {
 
 // Proxy is the routing tier. It is stateless in the durability sense:
 // everything it holds is reconstructible from the backends (routes by
-// discovery, program residency by /healthz boot tracking plus pushes,
-// liveness by probing).
+// discovery, liveness by probing). Which programs a backend holds is
+// the backend's to say: a create by hash it cannot serve answers 424,
+// and the proxy pushes the source then.
 type Proxy struct {
 	opt      Options
 	backends []*backendState
@@ -113,10 +112,7 @@ func New(opt Options) (*Proxy, error) {
 		stop:     make(chan struct{}),
 	}
 	for _, u := range opt.Backends {
-		p.backends = append(p.backends, &backendState{
-			url:   strings.TrimRight(u, "/"),
-			known: make(map[string]struct{}),
-		})
+		p.backends = append(p.backends, &backendState{url: strings.TrimRight(u, "/")})
 	}
 	p.CheckNow()
 	return p, nil
@@ -155,18 +151,13 @@ func (p *Proxy) Close() {
 	p.loop.Wait()
 }
 
-// healthzBody is what ops5d's GET /healthz returns.
+// healthzBody is the part of ops5d's GET /healthz the proxy reads.
 type healthzBody struct {
-	OK       bool   `json:"ok"`
-	Sessions int64  `json:"sessions"`
-	Programs int    `json:"programs"`
-	BootID   string `json:"boot_id"`
+	OK       bool  `json:"ok"`
+	Sessions int64 `json:"sessions"`
 }
 
-// CheckNow probes every backend once, updating liveness, load and boot
-// identity. A changed boot_id means the backend restarted: its program
-// cache is empty no matter what the proxy pushed before, so the known
-// set resets and the next create re-pushes.
+// CheckNow probes every backend once, updating liveness and load.
 func (p *Proxy) CheckNow() {
 	var wg sync.WaitGroup
 	for _, b := range p.backends {
@@ -199,13 +190,6 @@ func (p *Proxy) probe(b *backendState) {
 	b.up = ok
 	if ok {
 		b.sessions = h.Sessions
-		if h.BootID != b.bootID {
-			if b.bootID != "" {
-				p.count(func(c *stats.Cluster) { c.BootChanges++ })
-			}
-			b.bootID = h.BootID
-			b.known = make(map[string]struct{})
-		}
 	}
 	b.mu.Unlock()
 }
@@ -383,79 +367,30 @@ func hashOf(src string) string {
 	return hex.EncodeToString(h[:])
 }
 
-// RegisterProgram stores source in the cluster registry and pushes it
-// to every live backend, so subsequent creates anywhere hit a warm
-// compile cache. Returns the hash; pushing is best-effort (a backend
-// that missed the push gets it on demand at create time).
+// RegisterProgram stores source in the cluster registry and returns
+// its hash. Nothing is sent to a backend: the first create by that hash
+// on each backend gets a 424 and pushes the source then.
 func (p *Proxy) RegisterProgram(src string) (string, error) {
 	if src == "" {
 		return "", errors.New("missing program source")
 	}
 	hash := hashOf(src)
 	p.mu.Lock()
-	_, dup := p.programs[hash]
-	p.programs[hash] = src
-	if !dup {
+	if _, dup := p.programs[hash]; !dup {
+		p.programs[hash] = src
 		p.met.ProgramsRegistered++
 	}
 	p.mu.Unlock()
-	for n, b := range p.backends {
-		b.mu.Lock()
-		up := b.up
-		_, has := b.known[hash]
-		b.mu.Unlock()
-		if up && !has {
-			_ = p.pushProgram(n, hash, src)
-		}
-	}
 	return hash, nil
-}
-
-// pushProgram installs a program on one backend and marks it resident.
-func (p *Proxy) pushProgram(n int, hash, src string) error {
-	body, _ := json.Marshal(map[string]string{"program": src})
-	status, err := p.backendDo("POST", p.backends[n].url+"/programs", body, nil)
-	if err != nil {
-		if status == 0 {
-			p.markDown(n)
-		}
-		return err
-	}
-	p.count(func(c *stats.Cluster) { c.ProgramPushes++ })
-	b := p.backends[n]
-	b.mu.Lock()
-	b.known[hash] = struct{}{}
-	b.mu.Unlock()
-	return nil
-}
-
-// ensureProgram makes hash resident on backend n, pushing from the
-// registry when the proxy doesn't believe it's there.
-func (p *Proxy) ensureProgram(n int, hash string) (hit bool, err error) {
-	b := p.backends[n]
-	b.mu.Lock()
-	_, has := b.known[hash]
-	b.mu.Unlock()
-	if has {
-		p.count(func(c *stats.Cluster) { c.ProgramCacheHits++ })
-		return true, nil
-	}
-	p.mu.Lock()
-	src, ok := p.programs[hash]
-	p.mu.Unlock()
-	if !ok {
-		return false, fmt.Errorf("program %s not registered with the proxy", hash)
-	}
-	return false, p.pushProgram(n, hash, src)
 }
 
 // CreateSession places a session on the cluster: resolve the program
 // (inline source auto-registers; a hash must be pre-registered), place
-// it on the least-loaded live backend, ensure the program is resident
-// there, create by hash, and cache the route. Transport failures mark
-// the backend down and place the session again.
+// it on the least-loaded live backend, create by hash, and cache the
+// route. Transport failures mark the backend down and place the session
+// again.
 func (p *Proxy) CreateSession(cfg server.SessionConfig) (*server.SessionInfo, error) {
-	var hash string
+	var hash, src string
 	switch {
 	case cfg.Program != "" && cfg.ProgramHash != "":
 		return nil, errors.New("program and program_hash are mutually exclusive")
@@ -464,13 +399,13 @@ func (p *Proxy) CreateSession(cfg server.SessionConfig) (*server.SessionInfo, er
 		if hash, err = p.RegisterProgram(cfg.Program); err != nil {
 			return nil, err
 		}
-		cfg.Program = ""
+		src, cfg.Program = cfg.Program, ""
 	case cfg.ProgramHash != "":
 		hash = cfg.ProgramHash
 		p.mu.Lock()
-		_, ok := p.programs[hash]
+		src = p.programs[hash]
 		p.mu.Unlock()
-		if !ok {
+		if src == "" {
 			return nil, fmt.Errorf("program %s not registered (POST /programs first)", hash)
 		}
 	default:
@@ -486,6 +421,7 @@ func (p *Proxy) CreateSession(cfg server.SessionConfig) (*server.SessionInfo, er
 	}
 	cfg.ID = id
 	cfg.ProgramHash = hash
+	body, _ := json.Marshal(&cfg)
 
 	prev := -1
 	for attempt := 0; attempt < len(p.backends); attempt++ {
@@ -502,34 +438,14 @@ func (p *Proxy) CreateSession(cfg server.SessionConfig) (*server.SessionInfo, er
 			})
 		}
 		prev = n
-		if _, err := p.ensureProgram(n, hash); err != nil {
-			p.addLoad(n, -1)
-			if p.backends[n].isUp() {
-				// The backend rejected the program (e.g. it fails to
-				// compile): every backend would; surface it.
-				return nil, err
-			}
-			continue // push failed because the backend just died: re-place
-		}
-		body, _ := json.Marshal(&cfg)
 		var info server.SessionInfo
-		status, err := p.backendDo("POST", p.backends[n].url+"/sessions", body, &info)
+		status, err := p.createOn(n, body, src, &info)
 		if err != nil {
 			p.addLoad(n, -1)
-		}
-		switch {
-		case status == 0:
-			p.markDown(n)
-			continue
-		case status == http.StatusFailedDependency:
-			// The backend lost the program since our last look (restart
-			// raced the health probe): push and let the next attempt retry.
-			b := p.backends[n]
-			b.mu.Lock()
-			delete(b.known, hash)
-			b.mu.Unlock()
-			continue
-		case err != nil:
+			if status == 0 {
+				p.markDown(n)
+				continue
+			}
 			return nil, err
 		}
 		p.setRoute(id, n)
@@ -537,6 +453,29 @@ func (p *Proxy) CreateSession(cfg server.SessionConfig) (*server.SessionInfo, er
 		return &info, nil
 	}
 	return nil, fmt.Errorf("session create failed after %d backends", len(p.backends))
+}
+
+// createOn sends a create by hash to backend n. A 424 means the backend
+// does not hold the program (its first create of it, or it restarted):
+// push the source there and send the create once more. Returns the
+// last status, 0 on a transport failure.
+func (p *Proxy) createOn(n int, body []byte, src string, info *server.SessionInfo) (int, error) {
+	url := p.backends[n].url
+	status, err := p.backendDo("POST", url+"/sessions", body, info)
+	if status != http.StatusFailedDependency {
+		if err == nil {
+			p.count(func(c *stats.Cluster) { c.ProgramCacheHits++ })
+		}
+		return status, err
+	}
+	push, _ := json.Marshal(map[string]string{"program": src})
+	if status, err = p.backendDo("POST", url+"/programs", push, nil); err != nil {
+		// A backend that answers but rejects the program (it fails to
+		// compile) would on every backend: surface it.
+		return status, err
+	}
+	p.count(func(c *stats.Cluster) { c.ProgramPushes++ })
+	return p.backendDo("POST", url+"/sessions", body, info)
 }
 
 // forward proxies one session-scoped request to the session's backend.
@@ -661,9 +600,7 @@ func (p *Proxy) Sessions() ([]server.SessionInfo, error) {
 type BackendStatus struct {
 	URL      string `json:"url"`
 	Up       bool   `json:"up"`
-	BootID   string `json:"boot_id,omitempty"`
 	Sessions int64  `json:"sessions"`
-	Programs int    `json:"programs_known"`
 }
 
 // MetricsSnapshot is GET /metrics on the proxy.
@@ -687,7 +624,7 @@ func (p *Proxy) Metrics() MetricsSnapshot {
 	snap.Cluster.BackendsLive, snap.Cluster.BackendsDown = 0, 0
 	for _, b := range p.backends {
 		b.mu.Lock()
-		st := BackendStatus{URL: b.url, Up: b.up, BootID: b.bootID, Sessions: b.sessions, Programs: len(b.known)}
+		st := BackendStatus{URL: b.url, Up: b.up, Sessions: b.sessions}
 		b.mu.Unlock()
 		if st.Up {
 			snap.Cluster.BackendsLive++

@@ -47,13 +47,35 @@ const counterSrc = `
 (make count ^value 0)
 `
 
-// testCluster is B in-process backends plus a proxy over them.
+// testCluster is B in-process backends plus a proxy over them. Each
+// backend serves through a swapHandler, so a test can replace its
+// process behind an unchanged URL.
 type testCluster struct {
 	backends []*server.Server
+	swaps    []*swapHandler
 	tss      []*httptest.Server
 	proxy    *cluster.Proxy
 	pts      *httptest.Server
 	client   *http.Client
+}
+
+// swapHandler serves through whichever handler was stored last.
+type swapHandler struct {
+	mu sync.RWMutex
+	h  http.Handler
+}
+
+func (s *swapHandler) set(h http.Handler) {
+	s.mu.Lock()
+	s.h = h
+	s.mu.Unlock()
+}
+
+func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mu.RLock()
+	h := s.h
+	s.mu.RUnlock()
+	h.ServeHTTP(w, r)
 }
 
 func newTestCluster(t *testing.T, n int) *testCluster {
@@ -62,8 +84,10 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 	urls := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		srv := server.New(server.Options{DefaultMaxCycles: 1000, DefaultTimeout: 10 * time.Second})
-		ts := httptest.NewServer(srv.Handler())
+		sw := &swapHandler{h: srv.Handler()}
+		ts := httptest.NewServer(sw)
 		tc.backends = append(tc.backends, srv)
+		tc.swaps = append(tc.swaps, sw)
 		tc.tss = append(tc.tss, ts)
 		urls = append(urls, ts.URL)
 	}
@@ -183,6 +207,9 @@ func TestClusterCreateRouteForward(t *testing.T) {
 // TestClusterConcurrentCreatesSplit: place counts a session against its
 // backend before the create is sent, so creates racing each other still
 // split evenly instead of all picking the backend that looked lightest.
+// They are also first creates of a program no backend holds: each gets
+// a 424 and pushes, and the pushes to one backend share its one
+// single-flight compile.
 func TestClusterConcurrentCreatesSplit(t *testing.T) {
 	tc := newTestCluster(t, 2)
 	var wg sync.WaitGroup
@@ -205,6 +232,14 @@ func TestClusterConcurrentCreatesSplit(t *testing.T) {
 	wg.Wait()
 	if a, b := len(tc.backends[0].Sessions()), len(tc.backends[1].Sessions()); a != 4 || b != 4 {
 		t.Errorf("concurrent session split %d/%d, want 4/4", a, b)
+	}
+	for i, b := range tc.backends {
+		if c := b.Snapshot().Server.ProgramCompiles; c != 1 {
+			t.Errorf("backend %d compiled %d times, want 1", i, c)
+		}
+	}
+	if c := tc.proxy.Metrics().Cluster; c.Retries != 0 || c.ProgramPushes < 2 {
+		t.Errorf("retries=%d pushes=%d, want 0 and at least one push per backend", c.Retries, c.ProgramPushes)
 	}
 }
 
@@ -244,6 +279,44 @@ func TestProgramCacheOnePushPerBackend(t *testing.T) {
 	}
 	if m.Cluster.ProgramCacheHits == 0 {
 		t.Error("no program cache hits across 10 creates")
+	}
+}
+
+// TestCreateAfterBackendRestart: a backend restarts behind its URL with
+// an empty program cache and no health probe runs before the next
+// create. The backend's 424 is the whole signal: the proxy pushes the
+// source to it and re-sends the create there, which is no retry and no
+// re-route.
+func TestCreateAfterBackendRestart(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	var reg struct {
+		Hash string `json:"hash"`
+	}
+	if code := call(t, tc.client, "POST", tc.pts.URL+"/programs", map[string]string{"program": pingSrc}, &reg); code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	create := func() {
+		t.Helper()
+		if code := call(t, tc.client, "POST", tc.pts.URL+"/sessions", server.SessionConfig{ProgramHash: reg.Hash}, nil); code != http.StatusCreated {
+			t.Fatalf("create by hash: status %d", code)
+		}
+	}
+	create() // backend 0
+	create() // backend 1
+	fresh := server.New(server.Options{DefaultMaxCycles: 1000, DefaultTimeout: 10 * time.Second})
+	defer fresh.Close()
+	tc.swaps[0].set(fresh.Handler())
+	create() // backend 0 again: the tie goes to the lowest index
+
+	if n := len(fresh.Sessions()); n != 1 {
+		t.Errorf("restarted backend 0 holds %d sessions, want 1", n)
+	}
+	c := tc.proxy.Metrics().Cluster
+	if c.Retries != 0 || c.ReRoutes != 0 {
+		t.Errorf("retries=%d reroutes=%d, want 0/0", c.Retries, c.ReRoutes)
+	}
+	if c.ProgramPushes != 3 || c.ProgramCacheHits != 0 {
+		t.Errorf("pushes=%d hits=%d, want 3/0 (one per backend, one more after the restart)", c.ProgramPushes, c.ProgramCacheHits)
 	}
 }
 
@@ -654,9 +727,9 @@ func TestProxyMetricsShape(t *testing.T) {
 	}
 	var zero stats.Cluster
 	zero.Add(&m.Cluster) // Add covers every field; compile-time drift check
-	for _, b := range m.Backends {
-		if !b.Up || b.BootID == "" {
-			t.Fatalf("backend row %+v", b)
+	for i, b := range m.Backends {
+		if !b.Up || b.URL != tc.tss[i].URL {
+			t.Fatalf("backend row %d = %+v, want up at %s", i, b, tc.tss[i].URL)
 		}
 	}
 }

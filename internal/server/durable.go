@@ -24,7 +24,6 @@ import (
 // daemon runs memory-only.
 type durState struct {
 	store     *wmlog.Store
-	policy    wmlog.SyncPolicy
 	snapEvery int        // batches between automatic snapshot compactions; 0 = never
 	fs        wmlog.FS   // compaction file operations
 	lane      sync.Mutex // held by the compaction running now: one at a time
@@ -93,20 +92,20 @@ func (j *sessionJournal) close() {
 // EnableDurability opens the data directory named in Options, then
 // rebuilds every persisted template and session found there. Call once,
 // after New and before serving. Returns how many entries were
-// recovered. With no DataDir configured it is a no-op.
+// recovered. A Durability other than "" or "commit" is an error; with
+// no DataDir configured it does nothing else.
 func (s *Server) EnableDurability() (recovered int, err error) {
+	if d := s.opt.Durability; d != "" && d != "commit" {
+		return 0, fmt.Errorf("unknown durability %q (the one sync policy is \"commit\")", d)
+	}
 	if s.opt.DataDir == "" {
 		return 0, nil
-	}
-	policy, err := wmlog.ParseSyncPolicy(s.opt.Durability)
-	if err != nil {
-		return 0, err
 	}
 	store, err := wmlog.Open(s.opt.DataDir)
 	if err != nil {
 		return 0, err
 	}
-	s.dur = &durState{store: store, policy: policy, snapEvery: s.opt.SnapshotEvery, fs: wmlog.OS}
+	s.dur = &durState{store: store, snapEvery: s.opt.SnapshotEvery, fs: wmlog.OS}
 
 	tids, err := store.List(wmlog.KindTemplate)
 	if err != nil {
@@ -232,7 +231,7 @@ func (s *Server) persist(sess *Session, state []byte) error {
 	if err != nil {
 		return err
 	}
-	w, err := wmlog.Create(wmlog.LogPath(dir), sess.sp.hash, s.dur.policy, 0)
+	w, err := wmlog.Create(wmlog.LogPath(dir), sess.sp.hash, wmlog.SyncCommit, 0)
 	if err != nil {
 		return fmt.Errorf("create delta log: %w", err)
 	}
@@ -243,7 +242,7 @@ func (s *Server) persist(sess *Session, state []byte) error {
 }
 
 // commitLocked is the per-batch durability point: surface any sticky
-// journal error, commit the log under the sync policy, fold writer
+// journal error, commit (flush and fsync) the log, fold writer
 // stats, and run the snapshot cadence. Caller holds the session mutex.
 func (s *Server) commitLocked(sess *Session) error {
 	j := sess.journal
@@ -449,7 +448,7 @@ func (s *Server) rebuildFromDisk(id string) (sess *Session, replayed int, torn b
 	if err := c.eng.ReplayRecords(res.Records); err != nil {
 		return fail(fmt.Errorf("replay: %w", err))
 	}
-	w, err := wmlog.Create(wmlog.SegmentPath(dir, res.Segment), sp.hash, s.dur.policy, res.CleanLen)
+	w, err := wmlog.Create(wmlog.SegmentPath(dir, res.Segment), sp.hash, wmlog.SyncCommit, res.CleanLen)
 	if err != nil {
 		return fail(fmt.Errorf("reopen log: %w", err))
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,6 +56,40 @@ func newDurServer(t *testing.T, dir string, snapEvery int) (*server.Server, int)
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv, n
+}
+
+// TestDurabilityPolicy: the delta log has one sync policy, an fsync per
+// batch, named "commit" or left empty; any other name is an error that
+// names it, and nothing is opened.
+func TestDurabilityPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		durability string
+		ok         bool
+	}{
+		{"", true},
+		{"commit", true},
+		{"none", false},
+		{"always", false},
+	} {
+		t.Run("durability="+tc.durability, func(t *testing.T) {
+			dir := t.TempDir()
+			srv := server.New(server.Options{DataDir: dir, Durability: tc.durability})
+			defer srv.Close()
+			_, err := srv.EnableDurability()
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("EnableDurability: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.durability)) {
+				t.Fatalf("EnableDurability = %v, want an error naming %q", err, tc.durability)
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+				t.Errorf("rejected policy left %d entries in the data dir", len(ents))
+			}
+		})
+	}
 }
 
 // stormBatches is the scripted WM storm: one config batch, then rounds

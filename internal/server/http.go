@@ -29,7 +29,7 @@ import (
 //	POST   /templates/{id}/fork      fork a template into a new session
 //	DELETE /templates/{id}           drop a template
 //	GET    /metrics                  stats.Snapshot JSON
-//	GET    /healthz                  liveness + session count + boot_id
+//	GET    /healthz                  liveness + session and program counts
 //
 // Session work (create, batch, ...) takes one of Options.Workers slots
 // on the request's own goroutine; reads run without one.
@@ -64,11 +64,7 @@ func (s *Server) Handler() http.Handler {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ok": false})
 			return
 		}
-		// boot_id lets a routing proxy detect a restart (and invalidate
-		// its view of which programs this backend holds).
-		writeJSON(w, http.StatusOK, map[string]any{
-			"ok": true, "sessions": n, "programs": progs, "boot_id": s.bootID,
-		})
+		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "sessions": n, "programs": progs})
 	})
 	return mux
 }

@@ -135,7 +135,7 @@ func TestCreateForksProgramImage(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), "delta.log")
-		w, err := wmlog.Create(path, sess.sp.hash, ds.dur.policy, 0)
+		w, err := wmlog.Create(path, sess.sp.hash, wmlog.SyncCommit, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

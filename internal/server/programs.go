@@ -12,10 +12,12 @@ import (
 // this file adds the explicit registration surface a routing proxy
 // uses: POST /programs registers source once and returns its hash,
 // GET /programs lists what this backend holds, GET /programs/{hash}
-// returns the source (so a migration target missing a hash can be fed
-// from any backend that has it), and session creates may then name the
-// program by hash alone (SessionConfig.ProgramHash) — no source bytes
-// on the wire, no parse, no Rete compile.
+// returns a registered program's source, and session creates may then
+// name the program by hash alone (SessionConfig.ProgramHash) — no
+// source bytes on the wire, no parse, no Rete compile. A create by a
+// hash this backend does not hold is ErrNoProgram (424); the proxy
+// answers it by pushing the source. A migration needs none of this:
+// the export payload carries the source.
 
 // ProgramInfo describes one registered program.
 type ProgramInfo struct {
@@ -97,10 +99,4 @@ func (s *Server) Programs() []ProgramInfo {
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Hash < out[j].Hash })
 	return out
-}
-
-// BootID identifies this server process instance; it changes on every
-// restart so a proxy can invalidate its per-backend program-cache view.
-func (s *Server) BootID() string {
-	return s.bootID
 }

@@ -15,9 +15,7 @@ package server
 
 import (
 	"context"
-	"crypto/rand"
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -55,8 +53,9 @@ type Options struct {
 	// delta logs, snapshots and templates persisted under this directory
 	// and recovered by EnableDurability on restart.
 	DataDir string
-	// Durability selects the log sync policy: "none", "commit" (fsync
-	// once per batch, the default when a DataDir is set) or "always".
+	// Durability names the log sync policy. The one policy is "commit"
+	// (fsync once per batch); "" means the same, and EnableDurability
+	// rejects any other value.
 	Durability string
 	// SnapshotEvery compacts a session's delta log into a snapshot after
 	// this many batches (0 = only on explicit snapshot requests).
@@ -78,9 +77,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 4096
-	}
-	if o.DataDir != "" && o.Durability == "" {
-		o.Durability = "commit"
 	}
 }
 
@@ -107,10 +103,6 @@ type Server struct {
 	nextID   uint64
 	nextTpl  uint64
 	closed   bool
-	// bootID identifies this server process instance (new on every New);
-	// /healthz reports it so a routing proxy can tell a restart — and a
-	// stale program-cache view — from a healthy backend.
-	bootID string
 
 	// dur is the durability layer, nil when running memory-only. Set
 	// once by EnableDurability before serving, then read-only.
@@ -244,7 +236,6 @@ func New(opt Options) *Server {
 		compiling: make(map[[sha256.Size]byte]*progCompile),
 		templates: make(map[string]*template),
 		reserved:  make(map[string]struct{}),
-		bootID:    newBootID(),
 	}
 	s.slots = make(chan struct{}, opt.Workers)
 	s.met.init()
@@ -582,15 +573,6 @@ func (s *Server) CreateSession(cfg SessionConfig) (*SessionInfo, error) {
 		return nil, err
 	}
 	return sess.info(shared), nil
-}
-
-// newBootID draws a random process-instance identifier for /healthz.
-func newBootID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("t%d", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // resolveWatch merges the session watch knob with the program's own

@@ -12,18 +12,19 @@ type Cluster struct {
 	HealthChecks int64 `json:"health_checks"` // /healthz probes issued
 	HealthFails  int64 `json:"health_fails"`  // probes that failed or reported not-ok
 	Transitions  int64 `json:"transitions"`   // up<->down state changes observed
-	BootChanges  int64 `json:"boot_changes"`  // backend restarts detected (boot_id changed)
 
 	SessionsRouted int64 `json:"sessions_routed"` // session creates placed on a backend
 	Forwards       int64 `json:"forwards"`        // session-scoped requests forwarded
 	Discoveries    int64 `json:"discoveries"`     // route-cache misses resolved by probing backends
-	Retries        int64 `json:"retries"`         // forwards/creates retried after a backend error
+	Retries        int64 `json:"retries"`         // forwards/creates retried after a transport failure (a push on 424 is not one)
 	ReRoutes       int64 `json:"reroutes"`        // creates retried on another backend after one failed
 
 	// Content-addressed program cache, cluster view: programs registered
-	// with the proxy, program bodies pushed to a backend (each push is
-	// one parse+Rete compile somewhere in the cluster), and creates that
-	// skipped the push because the target backend already held the hash.
+	// with the proxy; program bodies pushed to a backend because a create
+	// by hash got 424 there (its first create of the program, or it
+	// restarted; each push is at most one parse+Rete compile, concurrent
+	// duplicates share it); and creates a backend accepted by hash with
+	// no push. A create re-sent after its push counts as a push only.
 	ProgramsRegistered int64 `json:"programs_registered"`
 	ProgramPushes      int64 `json:"program_pushes"`
 	ProgramCacheHits   int64 `json:"program_cache_hits"`
@@ -39,7 +40,6 @@ func (c *Cluster) Add(o *Cluster) {
 	c.HealthChecks += o.HealthChecks
 	c.HealthFails += o.HealthFails
 	c.Transitions += o.Transitions
-	c.BootChanges += o.BootChanges
 	c.SessionsRouted += o.SessionsRouted
 	c.Forwards += o.Forwards
 	c.Discoveries += o.Discoveries

@@ -44,34 +44,13 @@ const (
 // header checksum) — as opposed to a torn tail, which is recoverable.
 var ErrLogCorrupt = errors.New("wmlog: corrupt log header")
 
-// SyncPolicy selects when appended records are forced to stable
-// storage.
+// SyncPolicy names when appended records are forced to stable storage.
+// There is one: SyncCommit, an fsync at every Commit (once per request
+// batch). Create still takes it so existing callers keep compiling.
 type SyncPolicy int
 
-const (
-	// SyncNone flushes the user-space buffer at commit points but never
-	// fsyncs; durability is best-effort (OS crash loses the page cache).
-	SyncNone SyncPolicy = iota
-	// SyncCommit fsyncs at every Commit — once per request batch, the
-	// server's durability default.
-	SyncCommit
-	// SyncAlways fsyncs after every record.
-	SyncAlways
-)
-
-// ParseSyncPolicy maps the daemon's -durability flag values.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "", "none":
-		return SyncNone, nil
-	case "commit", "batch":
-		return SyncCommit, nil
-	case "always":
-		return SyncAlways, nil
-	default:
-		return 0, fmt.Errorf("wmlog: unknown durability %q (want none, commit or always)", s)
-	}
-}
+// SyncCommit fsyncs at every Commit.
+const SyncCommit SyncPolicy = 1
 
 // WriterStats counts a log writer's I/O, for /metrics.
 type WriterStats struct {
@@ -96,7 +75,6 @@ func (s *WriterStats) Sub(o *WriterStats) {
 type Writer struct {
 	f        File
 	bw       *bufio.Writer
-	policy   SyncPolicy
 	progHash [32]byte // stamped into every segment header
 	off      int64    // file offset after the last buffered record
 	scratch  []byte
@@ -139,8 +117,9 @@ func readHeader(r io.Reader) (progHash [32]byte, err error) {
 // Create opens (or creates) the delta log at path for appending. A new
 // or empty file gets a fresh header; an existing file has its header
 // validated against progHash and is truncated to cleanLen — the clean
-// prefix a prior ReadAll reported — before appending resumes.
-func Create(path string, progHash [32]byte, policy SyncPolicy, cleanLen int64) (*Writer, error) {
+// prefix a prior ReadAll reported — before appending resumes. The
+// policy is always SyncCommit.
+func Create(path string, progHash [32]byte, _ SyncPolicy, cleanLen int64) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
@@ -150,7 +129,7 @@ func Create(path string, progHash [32]byte, policy SyncPolicy, cleanLen int64) (
 		f.Close()
 		return nil, err
 	}
-	w := &Writer{f: f, policy: policy, progHash: progHash}
+	w := &Writer{f: f, progHash: progHash}
 	if st.Size() < int64(HeaderSize) {
 		// New (or hopelessly short) log: start from a fresh header.
 		if err := f.Truncate(0); err != nil {
@@ -194,8 +173,8 @@ func Create(path string, progHash [32]byte, policy SyncPolicy, cleanLen int64) (
 	return w, nil
 }
 
-// Append frames and buffers one record. Visibility and durability
-// follow the writer's sync policy; call Commit at batch boundaries.
+// Append frames and buffers one record; it is neither visible nor
+// durable until the next Commit, called at batch boundaries.
 func (w *Writer) Append(rec *Record) error {
 	if w.closed {
 		return errors.New("wmlog: append on closed writer")
@@ -214,29 +193,15 @@ func (w *Writer) Append(rec *Record) error {
 	w.off += int64(len(b))
 	w.stats.Records++
 	w.stats.Bytes += int64(len(b))
-	if w.policy == SyncAlways {
-		return w.sync()
-	}
 	return nil
 }
 
-// Commit makes every appended record visible in the file, fsyncing
-// under SyncCommit and SyncAlways.
+// Commit makes every appended record visible in the file and fsyncs it.
 func (w *Writer) Commit() error {
 	if w.closed {
 		return errors.New("wmlog: commit on closed writer")
 	}
 	w.stats.Commits++
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	if w.policy == SyncNone {
-		return nil
-	}
-	return w.sync()
-}
-
-func (w *Writer) sync() error {
 	if err := w.bw.Flush(); err != nil {
 		return err
 	}
@@ -253,17 +218,17 @@ func (w *Writer) timed(fsync func() error) error {
 }
 
 // Switch moves appending to a new segment file at path: create it,
-// write the header and, unless the policy is SyncNone, fsync the file
-// and its directory — the next acknowledged batch will live there. Call
-// it right after a Commit; the old segment's file is closed. On error
-// the writer stays on the old segment.
+// write the header and fsync the file and its directory — the next
+// acknowledged batch will live there. Call it right after a Commit; the
+// old segment's file is closed. On error the writer stays on the old
+// segment.
 func (w *Writer) Switch(fs FS, path string) error {
 	f, err := fs.Create(path)
 	if err != nil {
 		return err
 	}
 	err = writeHeader(f, w.progHash)
-	if err == nil && w.policy != SyncNone {
+	if err == nil {
 		if err = w.timed(f.Sync); err == nil {
 			err = w.timed(func() error { return fs.SyncDir(filepath.Dir(path)) })
 		}
@@ -285,8 +250,8 @@ func (w *Writer) Size() int64 { return w.off }
 // Stats returns the accumulated I/O counters.
 func (w *Writer) Stats() WriterStats { return w.stats }
 
-// Close flushes, optionally fsyncs, and releases the file handle. Safe
-// to call twice.
+// Close flushes, fsyncs, and releases the file handle. Safe to call
+// twice.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
@@ -294,7 +259,7 @@ func (w *Writer) Close() error {
 	w.closed = true
 	flushErr := w.bw.Flush()
 	var syncErr error
-	if w.policy != SyncNone && flushErr == nil {
+	if flushErr == nil {
 		syncErr = w.f.Sync()
 	}
 	closeErr := w.f.Close()

@@ -191,7 +191,7 @@ func TestSegmentedLog(t *testing.T) {
 	}
 
 	// Now segment 3 is torn mid-frame: the clean prefix survives.
-	w, err = Create(short, hash, SyncNone, 0)
+	w, err = Create(short, hash, SyncCommit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

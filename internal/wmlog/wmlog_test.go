@@ -30,7 +30,7 @@ func testRecords() []*Record {
 
 func writeTestLog(t *testing.T, path string, hash [32]byte, recs []*Record) {
 	t.Helper()
-	w, err := Create(path, hash, SyncNone, 0)
+	w, err := Create(path, hash, SyncCommit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestLogTornTail(t *testing.T) {
 			}
 			// Recovery reopens at CleanLen and appends; the log is whole
 			// again.
-			w, err := Create(path, hash, SyncNone, res.CleanLen)
+			w, err := Create(path, hash, SyncCommit, res.CleanLen)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestLogTornTail(t *testing.T) {
 func TestLogProgramMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "delta.log")
 	writeTestLog(t, path, sha256.Sum256([]byte("a")), nil)
-	if _, err := Create(path, sha256.Sum256([]byte("b")), SyncNone, 0); err == nil {
+	if _, err := Create(path, sha256.Sum256([]byte("b")), SyncCommit, 0); err == nil {
 		t.Fatal("expected program-hash mismatch error")
 	}
 }
@@ -247,7 +247,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestReadAllFromOffset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "delta.log")
 	hash := sha256.Sum256([]byte("prog"))
-	w, err := Create(path, hash, SyncNone, 0)
+	w, err := Create(path, hash, SyncCommit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
