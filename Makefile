@@ -35,7 +35,8 @@ test:
 DURABILITY_TESTS = TestCrashRecoveryDifferential|TestLifecycleDifferential|TestRecoverParentDataDir|TestImportParentPayload|TestRecoveryTornTail|TestCompactionCrashPoints|TestCompactionLifecycleRaces
 
 # Race-detect the concurrent subsystems: the inference server (many
-# sessions on the worker pool, compactions behind them) and the engine
+# sessions admitted through its semaphore of Workers slots, compactions
+# behind them) and the engine
 # over the parallel matcher; then the engine's epoch-swap suites (runtime
 # build/excise on 1-8 workers under both lock schemes: the control
 # process replays alone on the walk once the workers are out, then
@@ -81,7 +82,8 @@ check: build vet test race bench-smoke bench-e2e-smoke reorder-differential fuzz
 # backends behind the routing proxy — least-loaded placement, the
 # content-addressed program cache (push on 424: a backend's first
 # create of a program, concurrent first creates and a backend
-# restarted with no health probe since), backend-loss re-routing,
+# restarted with no health probe since; source that does not parse is
+# refused at registration), backend-loss re-routing,
 # route discovery by a restarted proxy, a never-started proxy's prompt
 # Close, and the migrate-under-load differential (a session migrated mid-run must end
 # with the same WM and firing trace as one that never moved, with
@@ -91,7 +93,7 @@ check: build vet test race bench-smoke bench-e2e-smoke reorder-differential fuzz
 # acknowledged tick applied exactly once), a race that showed up once in
 # 5-10 runs before forwards held the route lock across the backend call.
 cluster-smoke:
-	$(GO) test -race -run 'TestCloseWithoutStart|TestCluster|TestProgramCache|TestCreateAfterBackendRestart|TestCreateByUnregisteredHash|TestBackendLoss|TestDiscoveryAfterProxyRestart|TestMigrate|TestProxyMetrics' -v ./internal/cluster
+	$(GO) test -race -run 'TestCloseWithoutStart|TestCluster|TestProgramCache|TestCreateAfterBackendRestart|TestCreateByUnregisteredHash|TestRegisterRejectsUnparsableSource|TestBackendLoss|TestDiscoveryAfterProxyRestart|TestMigrate|TestProxyMetrics' -v ./internal/cluster
 	$(GO) test -race -count=20 -run 'TestMigrateUnderLoad' ./internal/cluster
 	$(GO) test -race -run 'TestConcurrentSessionLifecycle|TestSnapshotFormat' ./internal/server ./internal/wmlog
 

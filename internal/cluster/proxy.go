@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ops5"
 	"repro/internal/server"
 	"repro/internal/stats"
 )
@@ -368,13 +369,25 @@ func hashOf(src string) string {
 }
 
 // RegisterProgram stores source in the cluster registry and returns
-// its hash. Nothing is sent to a backend: the first create by that hash
-// on each backend gets a 424 and pushes the source then.
+// its hash. The first registration of a hash parses the source, so the
+// registry holds no program a backend would refuse to parse; a hash
+// already registered is not parsed again. Nothing is sent to a backend:
+// the first create by that hash on each backend gets a 424 and pushes
+// the source then.
 func (p *Proxy) RegisterProgram(src string) (string, error) {
 	if src == "" {
 		return "", errors.New("missing program source")
 	}
 	hash := hashOf(src)
+	p.mu.Lock()
+	_, dup := p.programs[hash]
+	p.mu.Unlock()
+	if dup {
+		return hash, nil
+	}
+	if _, err := ops5.Parse(src); err != nil {
+		return "", fmt.Errorf("parse: %w", err)
+	}
 	p.mu.Lock()
 	if _, dup := p.programs[hash]; !dup {
 		p.programs[hash] = src

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/server"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -327,6 +326,42 @@ func TestCreateByUnregisteredHash(t *testing.T) {
 		server.SessionConfig{ProgramHash: "deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef"}, nil)
 	if code != http.StatusBadRequest {
 		t.Fatalf("create by unknown hash: status %d, want 400", code)
+	}
+}
+
+// TestRegisterRejectsUnparsableSource: the proxy refuses to register
+// source that does not parse, with the error a backend gives for it, and
+// stores nothing. An inline-source create goes through the same check.
+func TestRegisterRejectsUnparsableSource(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	broken := map[string]string{"program": "(p broken"}
+	var direct, proxied struct {
+		Error string `json:"error"`
+	}
+	if code := call(t, tc.client, "POST", tc.tss[0].URL+"/programs", broken, &direct); code != http.StatusBadRequest {
+		t.Fatalf("backend register: status %d, want 400", code)
+	}
+	if code := call(t, tc.client, "POST", tc.pts.URL+"/programs", broken, &proxied); code != http.StatusBadRequest {
+		t.Fatalf("proxy register: status %d, want 400", code)
+	}
+	if !strings.HasPrefix(proxied.Error, "parse: ") || proxied.Error != direct.Error {
+		t.Errorf("proxy error %q, backend error %q", proxied.Error, direct.Error)
+	}
+	if code := call(t, tc.client, "POST", tc.pts.URL+"/sessions", server.SessionConfig{Program: "(p broken"}, &proxied); code != http.StatusBadRequest {
+		t.Fatalf("inline-source create: status %d, want 400", code)
+	}
+	if !strings.HasPrefix(proxied.Error, "parse: ") {
+		t.Errorf("inline-source create error %q, want a parse error", proxied.Error)
+	}
+
+	var list struct {
+		Programs []struct{} `json:"programs"`
+	}
+	if code := call(t, tc.client, "GET", tc.pts.URL+"/programs", nil, &list); code != http.StatusOK || len(list.Programs) != 0 {
+		t.Errorf("GET /programs: status %d, %d programs, want 0", code, len(list.Programs))
+	}
+	if n := tc.proxy.Metrics().Cluster.ProgramsRegistered; n != 0 {
+		t.Errorf("programs_registered = %d, want 0", n)
 	}
 }
 
@@ -725,8 +760,6 @@ func TestProxyMetricsShape(t *testing.T) {
 	if m.Cluster.BackendsLive != 3 || len(m.Backends) != 3 {
 		t.Fatalf("live=%d backends=%d, want 3/3", m.Cluster.BackendsLive, len(m.Backends))
 	}
-	var zero stats.Cluster
-	zero.Add(&m.Cluster) // Add covers every field; compile-time drift check
 	for i, b := range m.Backends {
 		if !b.Up || b.URL != tc.tss[i].URL {
 			t.Fatalf("backend row %d = %+v, want up at %s", i, b, tc.tss[i].URL)

@@ -116,48 +116,18 @@ func (c *Capture) Snapshot() *wmlog.Snapshot {
 // CaptureState is Capture().Snapshot() in one step.
 func (e *Engine) CaptureState() *wmlog.Snapshot { return e.Capture().Snapshot() }
 
-// RestoreState rebuilds a snapshot's state on a fresh engine: the
-// runtime program changes are re-applied to the still-empty working
-// memory (same rules, rule IDs and epoch as the captured engine, and no
-// WM replay to pay for), the WMEs are re-asserted under their original
-// tags through the ordinary match machinery, then the fired
-// instantiations re-derived by that match are marked to restore
-// refraction. Every fired key must resolve — the snapshot captured live
-// instantiations of this exact WM state, so a miss means the snapshot
-// and program disagree. The journal must be nil (install it after
-// restoring).
+// RestoreState rebuilds a snapshot's state on a fresh engine by
+// replaying it (wmlog.Snapshot.Records): everything the matcher holds is
+// a function of working memory and the network, so a snapshot is one
+// more log to run through the ordinary match machinery. The tag counter
+// is then raised to the captured one, which can exceed every live tag.
+// The journal must be nil (install it after restoring).
 func (e *Engine) RestoreState(s *wmlog.Snapshot) error {
-	for _, src := range s.Program {
-		if _, _, err := e.AddRules(src); err != nil {
-			return fmt.Errorf("engine: restoring program change: %w", err)
-		}
-	}
-	for i := range s.Wmes {
-		tw := &s.Wmes[i]
-		w := e.WM.AddTagged(tw.Tag, wmlog.DecodeFields(tw.Fields, e.Prog.Symbols))
-		e.submit(true, w)
-	}
-	e.drain()
-	for i := range s.Fired {
-		fk := &s.Fired[i]
-		cr := e.Net.RuleByName(fk.Rule)
-		if cr == nil {
-			return fmt.Errorf("engine: snapshot fires unknown production %s", fk.Rule)
-		}
-		if !e.CS.MarkFiredByTags(cr, fk.Tags) {
-			return fmt.Errorf("engine: snapshot fired instantiation %s %v not re-derived", fk.Rule, fk.Tags)
-		}
-	}
-	if len(s.Pending) > 0 {
-		q, ok := e.IO.(*QueueIO)
-		if !ok {
-			return fmt.Errorf("engine: snapshot has pending input but the engine's IO is %T, not a QueueIO", e.IO)
-		}
-		q.SetPending(wmlog.DecodeFields(s.Pending, e.Prog.Symbols))
+	if err := e.ReplayRecords(s.Records()); err != nil {
+		return err
 	}
 	e.WM.SetNextTag(s.NextTag)
-	e.halted = s.Halted
-	return e.Matcher.CheckInvariants()
+	return nil
 }
 
 // ReplayRecords applies a delta-log suffix in order. WM changes replay

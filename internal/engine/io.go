@@ -58,11 +58,6 @@ func (q *QueueIO) Pending() []wm.Value {
 	return out
 }
 
-// SetPending replaces the queue, for snapshot restore.
-func (q *QueueIO) SetPending(vals []wm.Value) {
-	q.pending = append(q.pending[:0], vals...)
-}
-
 // Len is the number of buffered values.
 func (q *QueueIO) Len() int { return len(q.pending) }
 

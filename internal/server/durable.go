@@ -242,8 +242,8 @@ func (s *Server) persist(sess *Session, state []byte) error {
 }
 
 // commitLocked is the per-batch durability point: surface any sticky
-// journal error, commit (flush and fsync) the log, fold writer
-// stats, and run the snapshot cadence. Caller holds the session mutex.
+// journal error, commit (flush and fsync) the log, and run the snapshot
+// cadence. Caller holds the session mutex.
 func (s *Server) commitLocked(sess *Session) error {
 	j := sess.journal
 	if j == nil {
@@ -258,7 +258,6 @@ func (s *Server) commitLocked(sess *Session) error {
 		sess.broken = fmt.Errorf("%w: journal: %v", ErrSessionBroken, j.err)
 		return sess.broken
 	}
-	s.foldDurLocked(sess)
 	sess.batches++
 	if s.dur.snapEvery == 0 || sess.batches < s.dur.snapEvery {
 		return nil
@@ -274,18 +273,6 @@ func (s *Server) commitLocked(sess *Session) error {
 	}
 	_, err := s.compactLocked(sess)
 	return err
-}
-
-// foldDurLocked folds the session's writer-stats delta into /metrics.
-func (s *Server) foldDurLocked(sess *Session) {
-	if sess.journal == nil {
-		return
-	}
-	cur := sess.journal.w.Stats()
-	delta := cur
-	delta.Sub(&sess.prevDur)
-	sess.prevDur = cur
-	s.met.foldWriter(&delta)
 }
 
 // compactLocked starts a compaction: capture the session's state,
@@ -411,21 +398,15 @@ func (s *Server) SnapshotSession(id string) (*SnapshotResult, error) {
 	}, nil
 }
 
-// rebuildFromDisk reconstructs a session from its persisted state: a
-// fresh core for the persisted config (program cache-shared), snapshot
-// restore through the match machinery, delta-log replay, torn-tail
-// truncation, and the reopened journal installed.
+// rebuildFromDisk reconstructs a session from its persisted state (the
+// last snapshot plus the clean delta-log prefix, through restore),
+// truncates a torn tail and installs the reopened journal.
 func (s *Server) rebuildFromDisk(id string) (sess *Session, replayed int, torn bool, err error) {
 	dir, sp, cfg, template, err := s.readEntry(wmlog.KindSession, id)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	c, err := sp.build(&cfg)
-	if err != nil {
-		return nil, 0, false, err
-	}
 	fail := func(e error) (*Session, int, bool, error) { return nil, 0, false, e }
-
 	snap, err := wmlog.ReadSnapshot(wmlog.SnapshotPath(dir))
 	if err != nil {
 		return fail(fmt.Errorf("read snapshot: %w", err))
@@ -433,20 +414,15 @@ func (s *Server) rebuildFromDisk(id string) (sess *Session, replayed int, torn b
 	var first int
 	var from int64
 	if snap != nil {
-		if snap.ProgHash != sp.hash {
-			return fail(fmt.Errorf("snapshot belongs to a different program"))
-		}
-		if err := c.eng.RestoreState(snap); err != nil {
-			return fail(fmt.Errorf("restore snapshot: %w", err))
-		}
 		first, from = snap.Segment, snap.LogOffset
 	}
 	res, err := wmlog.ReadSegments(dir, sp.hash, first, from)
 	if err != nil {
 		return fail(fmt.Errorf("read log: %w", err))
 	}
-	if err := c.eng.ReplayRecords(res.Records); err != nil {
-		return fail(fmt.Errorf("replay: %w", err))
+	c, err := sp.restore(&cfg, snap, res.Records)
+	if err != nil {
+		return fail(err)
 	}
 	w, err := wmlog.Create(wmlog.SegmentPath(dir, res.Segment), sp.hash, wmlog.SyncCommit, res.CleanLen)
 	if err != nil {
@@ -495,13 +471,12 @@ func (s *Server) RestoreSession(id string) (*SessionInfo, error) {
 		return nil, ErrNotDurable
 	}
 	// Let an in-flight compaction land, then release the current core:
-	// fold what its counters say and close the log fd so the rebuild can
-	// reopen the file.
+	// fold it as gone and close the log fd so the rebuild can reopen the
+	// file.
 	if p := sess.compaction; p != nil {
 		<-p.done
 	}
-	s.foldStatsLocked(sess)
-	s.foldDurLocked(sess)
+	s.foldLocked(sess, true)
 	sess.journal.close()
 
 	fresh, replayed, torn, err := s.rebuildFromDisk(id)
@@ -510,11 +485,11 @@ func (s *Server) RestoreSession(id string) (*SessionInfo, error) {
 		sess.broken = fmt.Errorf("%w: restore failed: %v", ErrSessionBroken, err)
 		return nil, sess.broken
 	}
-	sess.core, sess.journal, sess.prevDur = fresh.core, fresh.journal, fresh.prevDur
+	sess.core, sess.journal = fresh.core, fresh.journal
 	sess.broken = nil
 	sess.batches = 0
 	s.met.recovered(replayed, torn)
-	s.foldStatsLocked(sess)
+	s.foldLocked(sess, false)
 	return sess.info(false), nil
 }
 

@@ -5,14 +5,13 @@ import (
 	"time"
 
 	"repro/internal/stats"
-	"repro/internal/wmlog"
 )
 
 // metrics is the server-wide counter sink: stats.Server counters, the
-// folded match, conflict-set, epoch and memory totals of every session
-// (live and closed), latency histograms and count histograms. One mutex
-// guards it all — updates are a handful of integer adds, far off the
-// match hot path.
+// folded match, conflict-set, epoch and memory counters of every session
+// (live and closed) with the gauges of the live ones, latency histograms
+// and count histograms. One mutex guards it all — updates are a handful
+// of integer adds, far off the match hot path.
 type metrics struct {
 	mu    sync.Mutex
 	srv   stats.Server
@@ -128,38 +127,25 @@ func (m *metrics) batchDone(asserts, retracts int, res *BatchResult, d time.Dura
 	m.mu.Unlock()
 }
 
-func (m *metrics) foldMatch(delta *stats.Match) {
+// fold adds what a session counted between two folds, cur less done,
+// to the server totals.
+func (m *metrics) fold(cur, done *counters) {
 	m.mu.Lock()
-	m.match.Add(delta)
-	m.mu.Unlock()
-}
-
-func (m *metrics) foldConflict(delta *stats.Conflict) {
-	m.mu.Lock()
-	m.conf.Add(delta)
-	m.mu.Unlock()
-}
-
-func (m *metrics) foldEpoch(delta *stats.Epoch) {
-	m.mu.Lock()
-	m.epoch.Add(delta)
-	m.mu.Unlock()
-}
-
-func (m *metrics) foldMemory(delta *stats.Memory) {
-	m.mu.Lock()
-	m.mem.Add(delta)
-	m.mu.Unlock()
-}
-
-// foldWriter folds one session's delta-log writer counters.
-func (m *metrics) foldWriter(delta *wmlog.WriterStats) {
-	m.mu.Lock()
-	m.dur.LogRecords += delta.Records
-	m.dur.LogBytes += delta.Bytes
-	m.dur.LogCommits += delta.Commits
-	m.dur.Fsyncs += delta.Fsyncs
-	m.dur.FsyncUs += delta.FsyncUs
+	m.match.Add(&cur.match)
+	m.match.Sub(&done.match)
+	m.conf.Add(&cur.conf)
+	m.conf.Sub(&done.conf)
+	m.epoch.Add(&cur.epoch)
+	m.epoch.Sub(&done.epoch)
+	m.mem.Add(&cur.mem)
+	m.mem.Sub(&done.mem)
+	d := cur.dur
+	d.Sub(&done.dur)
+	m.dur.LogRecords += d.Records
+	m.dur.LogBytes += d.Bytes
+	m.dur.LogCommits += d.Commits
+	m.dur.Fsyncs += d.Fsyncs
+	m.dur.FsyncUs += d.FsyncUs
 	m.mu.Unlock()
 }
 

@@ -95,15 +95,9 @@ func (s *Server) ImportSession(p *ExportPayload) (*SessionInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sp.hash != snap.ProgHash {
-		return nil, fmt.Errorf("import snapshot pins program %x, payload carries %x", snap.ProgHash[:8], sp.hash[:8])
-	}
-	c, err := sp.build(&p.Config)
+	c, err := sp.restore(&p.Config, snap, nil)
 	if err != nil {
-		return nil, err
-	}
-	if err := c.eng.RestoreState(snap); err != nil {
-		return nil, fmt.Errorf("restore imported state: %w", err)
+		return nil, fmt.Errorf("import: %w", err)
 	}
 	sess := newSession(id, sp, p.Config, c, p.Template)
 	if err := s.admit(sess, p.Snapshot); err != nil {

@@ -74,8 +74,9 @@ func (s *Server) Program(id string, req *ProgramRequest) (*ProgramResult, error)
 	res.SharedJoins = sum.SharedJoins
 	res.ElapsedUs = time.Since(start).Microseconds()
 
-	s.foldStatsLocked(sess)
-	if err := s.commitLocked(sess); err != nil {
+	err = s.commitLocked(sess)
+	s.foldLocked(sess, false)
+	if err != nil {
 		return nil, err
 	}
 	return res, nil

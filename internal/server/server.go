@@ -130,29 +130,22 @@ type sharedProgram struct {
 // owns the token memories), the conflict set and input queue (eng.CS,
 // eng.IO), the resolved trace level, and the counters already folded
 // into the server metrics. A session holds exactly one; restore replaces
-// it whole. build makes one on empty working memory, image.thaw copies
-// one from a settled state.
+// it whole, folded counters included. build makes one on empty working
+// memory, restore one from stored state, image.thaw one from a settled
+// state.
 type core struct {
 	eng     *engine.Engine
 	matcher *seqmatch.Matcher
 	// watch is the resolved trace level (0..2): SessionConfig.Watch
 	// merged with the program's (watch ...) declaration.
 	watch int
-	// prev* are the counters already folded into server metrics: match,
-	// conflict set, runtime build/excise and token-table memory. Gauge
-	// fields fold correctly as deltas too: the sum of per-session net
-	// changes is the current total.
-	prev      stats.Match
-	prevConf  stats.Conflict
-	prevEpoch stats.Epoch
-	prevMem   stats.Memory
+	// folded is what the last fold read (Server.foldLocked).
+	folded counters
 }
 
 // build turns a compiled program and a session config into a fresh
-// per-engine core on empty working memory. What the caller does next is
-// the lifecycle operation: Init (a program's init image), RestoreState
-// (import, template recovery), RestoreState and ReplayRecords (crash
-// recovery, restore).
+// per-engine core on empty working memory: Init follows for a program's
+// init image, restore's replay for everything rebuilt from stored state.
 func (sp *sharedProgram) build(cfg *SessionConfig) (*core, error) {
 	if err := checkMatcher(cfg.Matcher); err != nil {
 		return nil, err
@@ -175,6 +168,29 @@ func (sp *sharedProgram) build(cfg *SessionConfig) (*core, error) {
 	return &core{eng: eng, matcher: m, watch: watch}, nil
 }
 
+// restore builds a core for cfg from stored state: snap (nil when the
+// state starts from empty working memory) restored, then log replayed
+// over it. Import, template recovery, crash recovery and restore all
+// rebuild through here.
+func (sp *sharedProgram) restore(cfg *SessionConfig, snap *wmlog.Snapshot, log []*wmlog.Record) (*core, error) {
+	c, err := sp.build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if snap != nil {
+		if snap.ProgHash != sp.hash {
+			return nil, fmt.Errorf("snapshot pins program %x, not %x", snap.ProgHash[:8], sp.hash[:8])
+		}
+		if err := c.eng.RestoreState(snap); err != nil {
+			return nil, fmt.Errorf("restore snapshot: %w", err)
+		}
+	}
+	if err := c.eng.ReplayRecords(log); err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	return c, nil
+}
+
 // Session is one hosted engine. Its mutex serializes requests: a
 // session processes one batch at a time, while different sessions run
 // in parallel.
@@ -195,11 +211,10 @@ type Session struct {
 	template string // template this session was forked from
 
 	// Durable state, zero-valued when the server runs memory-only.
-	dir        string            // entry directory under the data dir
-	journal    *sessionJournal   // engine journal over the delta log
-	batches    int               // batches since the last snapshot
-	prevDur    wmlog.WriterStats // writer counters already folded
-	compaction *compaction       // the last one handed off, nil if none
+	dir        string          // entry directory under the data dir
+	journal    *sessionJournal // engine journal over the delta log
+	batches    int             // batches since the last snapshot
+	compaction *compaction     // the last one handed off, nil if none
 }
 
 // newSession wraps a built core as a session, resolving cfg into the
@@ -482,20 +497,20 @@ func (s *Server) unreserveID(want string) {
 	s.mu.Unlock()
 }
 
-// register publishes a fully built session under its ID and folds the
-// counters its construction ran up.
+// register folds the counters a fully built session's construction ran
+// up and publishes it under its ID. Nothing else reaches the session
+// before it is published, so the fold needs no session lock.
 func (s *Server) register(sess *Session) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return ErrClosed
 	}
+	s.foldLocked(sess, false)
 	s.sessions[sess.ID] = sess
 	sess.sp.refs++
 	s.bumpNextID(sess.ID)
-	s.mu.Unlock()
 	s.met.sessionCreated()
-	s.foldStats(sess)
 	return nil
 }
 
@@ -652,8 +667,7 @@ func (s *Server) teardown(sess *Session) {
 	if sess.compaction != nil {
 		s.cancelCompaction(sess.compaction)
 	}
-	s.foldStatsLocked(sess)
-	s.foldDurLocked(sess)
+	s.foldLocked(sess, true)
 	sess.journal.close()
 	s.met.sessionClosed()
 }
@@ -680,35 +694,39 @@ func (s *Server) guard(sess *Session, fn func() error) (err error) {
 	return fn()
 }
 
-// foldStats folds the matcher counters accumulated since the last fold
-// into the server-wide match totals.
-func (s *Server) foldStats(sess *Session) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	s.foldStatsLocked(sess)
+// counters is what a session's core has counted: match, conflict set,
+// runtime build/excise, token-table memory and delta-log writes.
+type counters struct {
+	match stats.Match
+	conf  stats.Conflict
+	epoch stats.Epoch
+	mem   stats.Memory
+	dur   wmlog.WriterStats
 }
 
-func (s *Server) foldStatsLocked(sess *Session) {
-	cur := sess.matcher.MatchStats()
-	delta := cur
-	delta.Sub(&sess.prev)
-	sess.prev = cur
-	s.met.foldMatch(&delta)
-	fcur := sess.eng.CS.StatsSnapshot()
-	fdelta := fcur
-	fdelta.Sub(&sess.prevConf)
-	sess.prevConf = fcur
-	s.met.foldConflict(&fdelta)
-	ecur := sess.eng.EpochStats()
-	edelta := ecur
-	edelta.Sub(&sess.prevEpoch)
-	sess.prevEpoch = ecur
-	s.met.foldEpoch(&edelta)
-	mcur := sess.matcher.MemStats()
-	mdelta := mcur
-	mdelta.Sub(&sess.prevMem)
-	sess.prevMem = mcur
-	s.met.foldMemory(&mdelta)
+// foldLocked folds what the session's core has counted since its last
+// fold into the server metrics. gone says the core is being released
+// (teardown, or a restore replacing it): its gauges — conflict live,
+// fired and pending, memory lines, entries and max depth — read zero, so
+// the fold takes them back out and the server's gauges sum the live
+// sessions only. The caller holds the session mutex, or the session is
+// not published yet.
+func (s *Server) foldLocked(sess *Session, gone bool) {
+	cur := counters{
+		match: sess.matcher.MatchStats(),
+		conf:  sess.eng.CS.StatsSnapshot(),
+		epoch: sess.eng.EpochStats(),
+		mem:   sess.matcher.MemStats(),
+	}
+	if sess.journal != nil {
+		cur.dur = sess.journal.w.Stats()
+	}
+	if gone {
+		cur.conf.Live, cur.conf.Fired, cur.conf.Pending = 0, 0, 0
+		cur.mem.Lines, cur.mem.Entries, cur.mem.MaxLineDepth = 0, 0, 0
+	}
+	s.met.fold(&cur, &sess.folded)
+	sess.folded = cur
 }
 
 // WMEInput is one element to assert: a class name and attribute values
@@ -888,8 +906,9 @@ func (s *Server) Batch(id string, req *BatchRequest) (*BatchResult, error) {
 	}
 	res.ElapsedUs = time.Since(start).Microseconds()
 
-	s.foldStatsLocked(sess)
-	if err := s.commitLocked(sess); err != nil {
+	err = s.commitLocked(sess)
+	s.foldLocked(sess, false)
+	if err != nil {
 		return nil, err
 	}
 	s.met.batchDone(len(req.Asserts), len(req.Retracts), res, time.Since(start))

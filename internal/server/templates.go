@@ -1,10 +1,11 @@
 package server
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/wm"
@@ -16,7 +17,8 @@ import (
 // image. Every fork is a thaw of that image, so it skips the program
 // parse, network compile, RHS compile and base-fact match a cold session
 // pays. The template itself never runs requests and never changes after
-// creation; its snapshot hash pins that immutability.
+// creation. It pins the encoded snapshot of its state, and that
+// encoding's hash pins the immutability.
 type template struct {
 	ID      string
 	Created time.Time
@@ -26,11 +28,12 @@ type template struct {
 	dir string // durable entry dir; "" when memory-only
 	img *image // re-slotted for forks when pinned, then frozen
 
-	mu      sync.Mutex
-	snap    *wmlog.Snapshot
-	snapRaw []byte   // one encoding shared by every fork's durable state
-	snapSum [32]byte // content hash (offset-independent)
-	forks   int64
+	// state is the pinned snapshot, encoded once: every durable fork
+	// starts from these bytes. sum is their SHA-256, which is the
+	// snapshot's Hash, since a pin's log position is zero.
+	state []byte
+	sum   [32]byte
+	forks atomic.Int64
 }
 
 // ErrNoTemplate reports an unknown template ID.
@@ -92,17 +95,17 @@ func (s *Server) CreateTemplate(cfg *TemplateConfig) (*TemplateInfo, error) {
 	}
 	st := c.eng.CaptureState()
 	st.ProgHash = sp.hash
-	raw, err := st.Encode()
+	state, err := st.Encode()
 	if err != nil {
 		return nil, err
 	}
-	tpl, err := s.pinTemplate("", sp, cfg.SessionConfig, c, st, raw)
+	tpl, err := s.pinTemplate("", sp, cfg.SessionConfig, c, state)
 	if err != nil {
 		return nil, err
 	}
 	if s.dur != nil {
 		// Templates have no delta log — they never change.
-		tpl.dir, err = s.writeEntry(wmlog.KindTemplate, tpl.ID, &tpl.cfg, "", raw)
+		tpl.dir, err = s.writeEntry(wmlog.KindTemplate, tpl.ID, &tpl.cfg, "", state)
 		if err != nil {
 			s.dropTemplate(tpl.ID)
 			return nil, err
@@ -112,17 +115,14 @@ func (s *Server) CreateTemplate(cfg *TemplateConfig) (*TemplateInfo, error) {
 }
 
 // pinTemplate registers a settled core as a template under id (empty =
-// the next t-NNNNNN), pinned to the state st that raw encodes. The core
-// becomes the template's image: its token table is re-slotted into the
-// geometry forks start from (seqmatch.Matcher.Reslot), once, and frozen.
-func (s *Server) pinTemplate(id string, sp *sharedProgram, cfg SessionConfig, c *core, st *wmlog.Snapshot, raw []byte) (*template, error) {
-	sum, err := st.Hash()
-	if err != nil {
-		return nil, err
-	}
+// the next t-NNNNNN), pinned to state, the core's encoded snapshot. The
+// core becomes the template's image: its token table is re-slotted into
+// the geometry forks start from (seqmatch.Matcher.Reslot), once, and
+// frozen.
+func (s *Server) pinTemplate(id string, sp *sharedProgram, cfg SessionConfig, c *core, state []byte) (*template, error) {
 	cfg.ID, cfg.ProgramHash, cfg.Program, cfg.Matcher = "", "", sp.src, servedMatcher
 	c.matcher.Reslot()
-	tpl := &template{ID: id, Created: time.Now(), cfg: cfg, sp: sp, img: freeze(c), snap: st, snapRaw: raw, snapSum: sum}
+	tpl := &template{ID: id, Created: time.Now(), cfg: cfg, sp: sp, img: freeze(c), state: state, sum: sha256.Sum256(state)}
 
 	s.mu.Lock()
 	if s.closed {
@@ -144,31 +144,26 @@ func (s *Server) pinTemplate(id string, sp *sharedProgram, cfg SessionConfig, c 
 }
 
 // recoverTemplate rebuilds one persisted template at startup: the
-// snapshot restores through a fresh core, re-warming it for forks.
+// snapshot restores through a fresh core, re-warming it for forks, and
+// the template pins the bytes read from disk.
 func (s *Server) recoverTemplate(id string) error {
 	dir, sp, cfg, _, err := s.readEntry(wmlog.KindTemplate, id)
 	if err != nil {
 		return err
 	}
-	raw, err := os.ReadFile(wmlog.SnapshotPath(dir))
+	state, err := os.ReadFile(wmlog.SnapshotPath(dir))
 	if err != nil {
 		return fmt.Errorf("read snapshot: %w", err)
 	}
-	st, err := wmlog.DecodeSnapshot(raw)
+	st, err := wmlog.DecodeSnapshot(state)
 	if err != nil {
 		return err
 	}
-	if st.ProgHash != sp.hash {
-		return fmt.Errorf("template snapshot belongs to a different program")
-	}
-	c, err := sp.build(&cfg)
+	c, err := sp.restore(&cfg, st, nil)
 	if err != nil {
 		return err
 	}
-	if err := c.eng.RestoreState(st); err != nil {
-		return fmt.Errorf("restore: %w", err)
-	}
-	tpl, err := s.pinTemplate(id, sp, cfg, c, st, raw)
+	tpl, err := s.pinTemplate(id, sp, cfg, c, state)
 	if err != nil {
 		return err
 	}
@@ -181,25 +176,19 @@ func (s *Server) templateInfo(tpl *template) *TemplateInfo {
 		ID:           tpl.ID,
 		Backend:      servedMatcher,
 		Rules:        len(tpl.img.eng.Net.Rules),
-		WMSize:       len(tpl.snap.Wmes),
-		SnapshotHash: fmt.Sprintf("%x", tpl.snapSum),
-		Forks:        tpl.forks,
+		WMSize:       tpl.img.eng.WM.Len(),
+		SnapshotHash: fmt.Sprintf("%x", tpl.sum),
+		Forks:        tpl.forks.Load(),
 	}
 }
 
 // Templates lists the server's warm templates.
 func (s *Server) Templates() []*TemplateInfo {
 	s.mu.RLock()
-	tpls := make([]*template, 0, len(s.templates))
+	defer s.mu.RUnlock()
+	out := make([]*TemplateInfo, 0, len(s.templates))
 	for _, tpl := range s.templates {
-		tpls = append(tpls, tpl)
-	}
-	s.mu.RUnlock()
-	out := make([]*TemplateInfo, 0, len(tpls))
-	for _, tpl := range tpls {
-		tpl.mu.Lock()
 		out = append(out, s.templateInfo(tpl))
-		tpl.mu.Unlock()
 	}
 	return out
 }
@@ -256,13 +245,11 @@ func (s *Server) Fork(templateID string) (*ForkResult, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoTemplate, templateID)
 	}
 
-	tpl.mu.Lock()
-	tpl.forks++
-	tpl.mu.Unlock()
+	tpl.forks.Add(1)
 
 	// A durable fork starts from the template's pinned snapshot bytes (one
 	// encoding shared across forks) and diverges through its own log.
-	sess, err := s.startFrom(id, tpl.sp, tpl.cfg, tpl.img, tpl.ID, tpl.snapRaw)
+	sess, err := s.startFrom(id, tpl.sp, tpl.cfg, tpl.img, tpl.ID, tpl.state)
 	if err != nil {
 		return nil, err
 	}

@@ -32,22 +32,3 @@ type Cluster struct {
 	Migrations     int64 `json:"migrations"`      // sessions moved between backends
 	MigrationFails int64 `json:"migration_fails"` // migrations that failed (session stays put)
 }
-
-// Add accumulates o into c.
-func (c *Cluster) Add(o *Cluster) {
-	c.BackendsLive += o.BackendsLive
-	c.BackendsDown += o.BackendsDown
-	c.HealthChecks += o.HealthChecks
-	c.HealthFails += o.HealthFails
-	c.Transitions += o.Transitions
-	c.SessionsRouted += o.SessionsRouted
-	c.Forwards += o.Forwards
-	c.Discoveries += o.Discoveries
-	c.Retries += o.Retries
-	c.ReRoutes += o.ReRoutes
-	c.ProgramsRegistered += o.ProgramsRegistered
-	c.ProgramPushes += o.ProgramPushes
-	c.ProgramCacheHits += o.ProgramCacheHits
-	c.Migrations += o.Migrations
-	c.MigrationFails += o.MigrationFails
-}

@@ -7,7 +7,7 @@ import (
 
 // Server aggregates inference-server counters. Plain int64 fields, like
 // Match: the owner synchronizes access (the server updates them under
-// its metrics mutex) and Add folds per-session shards together.
+// its metrics mutex).
 type Server struct {
 	SessionsCreated int64 `json:"sessions_created"`
 	SessionsClosed  int64 `json:"sessions_closed"`
@@ -35,27 +35,6 @@ type Server struct {
 	// ProgramImagesBuilt counts the init images built: a program's
 	// top-level makes matched once, then copied by every create.
 	ProgramImagesBuilt int64 `json:"program_images_built"`
-}
-
-// Add accumulates o into s.
-func (s *Server) Add(o *Server) {
-	s.SessionsCreated += o.SessionsCreated
-	s.SessionsClosed += o.SessionsClosed
-	s.SessionsLive += o.SessionsLive
-	s.Requests += o.Requests
-	s.RequestErrors += o.RequestErrors
-	s.Panics += o.Panics
-	s.LimitStops += o.LimitStops
-	s.Batches += o.Batches
-	s.BatchItems += o.BatchItems
-	s.Asserts += o.Asserts
-	s.Retracts += o.Retracts
-	s.Cycles += o.Cycles
-	s.Firings += o.Firings
-	s.ProgramsRegistered += o.ProgramsRegistered
-	s.ProgramHits += o.ProgramHits
-	s.ProgramCompiles += o.ProgramCompiles
-	s.ProgramImagesBuilt += o.ProgramImagesBuilt
 }
 
 // histBuckets is the number of power-of-two latency buckets. Bucket i
@@ -96,18 +75,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		h.MaxUs = us
 	}
 	h.Buckets[bucketOf(us)]++
-}
-
-// Add accumulates o into h.
-func (h *Histogram) Add(o *Histogram) {
-	h.Count += o.Count
-	h.SumUs += o.SumUs
-	if o.MaxUs > h.MaxUs {
-		h.MaxUs = o.MaxUs
-	}
-	for i := range h.Buckets {
-		h.Buckets[i] += o.Buckets[i]
-	}
 }
 
 // ObserveCount records a unitless size observation (batch items, token

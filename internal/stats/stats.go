@@ -209,8 +209,8 @@ func (e *Epoch) Sub(o *Epoch) {
 // Entries and MaxLineDepth are point-in-time gauges (current line
 // count, live token entries, high-water live entries in one line);
 // Resizes and Rehashed count adaptive grows and the entries they moved.
-// Like Conflict's gauges, multi-session folds sum the gauges of every
-// session's table.
+// Like Conflict's gauges, the server's fold sums the gauges of its live
+// sessions' tables.
 type Memory struct {
 	Lines        int64 `json:"lines"`
 	Entries      int64 `json:"entries"`
@@ -249,18 +249,4 @@ func (c *Contention) Add(o *Contention) {
 	c.LocalPushes += o.LocalPushes
 	c.Steals += o.Steals
 	c.Overflows += o.Overflows
-}
-
-// Sub subtracts o from c, for per-session delta folding like Match.Sub.
-func (c *Contention) Sub(o *Contention) {
-	c.QueueAcquires -= o.QueueAcquires
-	c.QueueSpins -= o.QueueSpins
-	c.LineAcquiresLeft -= o.LineAcquiresLeft
-	c.LineSpinsLeft -= o.LineSpinsLeft
-	c.LineAcquiresRight -= o.LineAcquiresRight
-	c.LineSpinsRight -= o.LineSpinsRight
-	c.Requeues -= o.Requeues
-	c.LocalPushes -= o.LocalPushes
-	c.Steals -= o.Steals
-	c.Overflows -= o.Overflows
 }

@@ -61,12 +61,6 @@ func TestAddAccumulatesEveryField(t *testing.T) {
 	fillOnes(reflect.ValueOf(&co).Elem())
 	c.Add(&co)
 	checkAllTwos(t, reflect.ValueOf(c), "Contention")
-
-	var s, so stats.Server
-	fillOnes(reflect.ValueOf(&s).Elem())
-	fillOnes(reflect.ValueOf(&so).Elem())
-	s.Add(&so)
-	checkAllTwos(t, reflect.ValueOf(s), "Server")
 }
 
 // TestConflictAddSub checks the conflict-set counters fold like the
@@ -143,26 +137,6 @@ func TestHistogramObserveQuantile(t *testing.T) {
 	}
 	if mean := h.MeanUs(); mean < 500 || mean > 511 {
 		t.Errorf("mean = %vµs, want ~509.9", mean)
-	}
-}
-
-// TestHistogramAdd merges two histograms and checks the combined
-// quantiles see both populations.
-func TestHistogramAdd(t *testing.T) {
-	var a, b stats.Histogram
-	for i := 0; i < 50; i++ {
-		a.Observe(time.Microsecond)
-		b.Observe(time.Millisecond)
-	}
-	a.Add(&b)
-	if a.Count != 100 {
-		t.Fatalf("count = %d", a.Count)
-	}
-	if p25 := a.Quantile(0.25); p25 > 2*time.Microsecond {
-		t.Errorf("p25 = %v, want <= 2µs", p25)
-	}
-	if p90 := a.Quantile(0.90); p90 < 512*time.Microsecond {
-		t.Errorf("p90 = %v, want >= 512µs", p90)
 	}
 }
 

@@ -145,6 +145,30 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	return &s, nil
 }
 
+// Records is the snapshot as the delta-log records that rebuild it on an
+// empty engine, in restore order: the program changes (so the WMEs match
+// the same rules, rule IDs and epoch), the makes in tag order, the
+// fires, one accept record for the pending input, then the halt.
+func (s *Snapshot) Records() []*Record {
+	recs := make([]*Record, 0, len(s.Program)+len(s.Wmes)+len(s.Fired)+2)
+	for _, src := range s.Program {
+		recs = append(recs, &Record{Type: RecProgram, Src: src})
+	}
+	for i := range s.Wmes {
+		recs = append(recs, &Record{Type: RecMake, Tag: s.Wmes[i].Tag, Fields: s.Wmes[i].Fields})
+	}
+	for i := range s.Fired {
+		recs = append(recs, &Record{Type: RecFire, Rule: s.Fired[i].Rule, Tags: s.Fired[i].Tags})
+	}
+	if len(s.Pending) > 0 {
+		recs = append(recs, &Record{Type: RecAccept, Fields: s.Pending})
+	}
+	if s.Halted {
+		recs = append(recs, &Record{Type: RecHalt})
+	}
+	return recs
+}
+
 // Hash is the snapshot's content identity: SHA-256 of its canonical
 // encoding with the log position zeroed (two snapshots of identical
 // session state hash identically wherever their logs stand).
