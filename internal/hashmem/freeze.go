@@ -18,32 +18,45 @@ type Frozen struct {
 	rehashed    int64
 }
 
-// forkMinLines floors a re-slotted table's line count: enough lines to
-// keep early growth off a fork's critical path without paying for the
-// template's peak-sized array.
-const forkMinLines = 1024
+// DefaultLines is the line count a vs2 table is built with when its
+// caller names none, and the ceiling Reslot keeps an image under unless
+// its table already grew past it.
+const DefaultLines = 16384
 
-// Reslot returns a segregated table re-slotted over the same store into
-// the smallest line array holding at most one live entry per line
-// (never fewer than forkMinLines): at that load nearly every line keeps
-// its one run inline, so a fork's activations stay off the overflow
-// sub-index, and the fork re-grows adaptively as its working memory
-// climbs. Re-slotting moves run heads only; per-run entry order and the
-// resize counters are kept. A template re-slots once, when it is
-// pinned, and every fork thaws the result. Fixed layouts (per-node vs1,
-// legacy list) are returned as they are. The caller must hold the table
-// quiescent with its live gauge folded; t is dead afterwards unless it
-// is returned.
+// minImageLines floors a re-slotted table's line count: enough lines to
+// keep early growth off a session's first requests without paying for
+// the image's peak-sized array.
+const minImageLines = 1024
+
+// Reslot returns a segregated table sized for freezing into an image.
+// Its line count is the smallest power of two at least the live
+// entries, so nearly every line keeps its one run inline and
+// activations stay off the overflow sub-index; never below
+// minImageLines; and never above the table's own size or DefaultLines,
+// whichever is larger, because every thaw pays for every line and a
+// session grows adaptively as its working memory climbs. At the table's
+// own size t is returned as it is. Otherwise the live entries are copied
+// into a store of the new table's own, so the image leaves behind the
+// words t's store no longer reaches (outgrown sub-indexes, recycled
+// entries), which Freeze would copy into every thaw; per-run entry order
+// and the resize counters are kept. Every image is re-slotted once, when
+// it is frozen. Fixed layouts (per-node vs1, legacy list) are returned
+// as they are. The caller must hold the table quiescent with its live
+// gauge folded; t is dead afterwards unless it is returned.
 func (t *Table) Reslot(p *Pools) *Table {
 	if !t.seg {
 		return t
 	}
 	live := t.entries.Load()
-	n := forkMinLines
-	for int64(n) < live && n < growMaxLines {
+	ceil := max(len(t.Lines), DefaultLines)
+	n := minImageLines
+	for int64(n) < live && n < ceil {
 		n <<= 1
 	}
-	nt := newHashed(n, t.st)
+	if n == len(t.Lines) {
+		return t
+	}
+	nt := newHashed(n, newStore())
 	nt.seg = true
 	t.rehashInto(nt, p)
 	nt.resizes, nt.rehashed = t.resizes, t.rehashed

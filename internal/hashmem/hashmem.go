@@ -668,14 +668,21 @@ func (t *Table) Grow(nLines int, p *Pools) *Table {
 	return nt
 }
 
-// rehashInto fills the empty segregated table nt, which shares t's store,
-// with t's runs and parked deletes re-slotted by hash, and sets nt's
-// gauges; it returns the live entries carried over. Distinct runs of t
-// stay distinct in nt, so every destination run starts empty and takes
-// its lists in order.
+// rehashInto fills the empty segregated table nt with t's runs and
+// parked deletes re-slotted by hash, and sets nt's gauges; it returns the
+// live entries carried over. Distinct runs of t stay distinct in nt, so
+// every destination run starts empty and takes its lists in order. Over
+// t's own store (Grow) a list moves whole, by its head; over a store of
+// nt's own (Reslot) every entry is copied into it in list order, and the
+// words t no longer reaches stay behind with t's store.
 func (t *Table) rehashInto(nt *Table, p *Pools) (moved int64) {
 	p.bind(nt.st)
 	tv := t.st.view()
+	copying := nt.st != t.st
+	carry := func(head uint32) (uint32, int) { return head, listLen(tv, head) }
+	if copying {
+		carry = func(head uint32) (uint32, int) { return p.copyList(tv, head) }
+	}
 	var parked, maxDepth int64
 	for i := range t.Lines {
 		l := &t.Lines[i]
@@ -686,19 +693,21 @@ func (t *Table) rehashInto(nt *Table, p *Pools) (moved int64) {
 			h := r.hash()
 			dl := &nt.Lines[h&nt.mask]
 			dr := dl.findRun(nt.st.view(), r.node, h, true, p)
-			v := nt.st.view()
 			for s := range r.mem {
-				dr.mem[s] = r.mem[s]
-				n := listLen(v, r.mem[s])
+				head, n := carry(r.mem[s])
+				dr.mem[s] = head
 				dl.live += int32(n)
 				moved += int64(n)
 			}
 			maxDepth = max(maxDepth, int64(dl.live))
 		})
 		for s := range l.xdel {
-			v := nt.st.view()
 			for e := l.xdel[s]; e != 0; {
-				next := v.ent(e).next
+				next := tv.ent(e).next
+				if copying {
+					e = p.copyEntry(tv, e)
+				}
+				v := nt.st.view()
 				push(v, &nt.Lines[v.ent(e).hash()&nt.mask].xdel[s], e)
 				parked++
 				e = next

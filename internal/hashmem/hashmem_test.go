@@ -88,10 +88,10 @@ func poolsFor(t *hashmem.Table) *hashmem.Pools {
 	return p
 }
 
-// copyTable copies a settled table the two ways a session starts from an
-// image: frozen and thawed at its own geometry (a create), or re-slotted
-// for a fork first (a template pin) and then frozen and thawed. A pinned
-// source is dead afterwards, as a template's live table is.
+// copyTable copies a settled table through an image: frozen and thawed
+// at its own geometry, or re-slotted first, as every session image is
+// when it is frozen (pin). A re-slotted source is dead afterwards unless
+// Reslot returned it, as an image's live table is.
 func copyTable(t *hashmem.Table, pin bool) *hashmem.Table {
 	if pin {
 		t = t.Reslot(poolsFor(t))
@@ -852,9 +852,10 @@ func TestStaleRefReadsItsOppositeList(t *testing.T) {
 }
 
 // TestFreezeAndGrowKeepRunOrder: a run's tokens must come out of
-// Freeze→Thaw, a pin's re-slot and Grow in the order they went in, or a
-// copy's delete scans (Table 4-3's same-memory counts) would differ from
-// the original's.
+// Freeze→Thaw, an image's re-slot (up from a small table, down from a
+// grown one, or kept at its own size) and Grow in the order they went
+// in, or a copy's delete scans (Table 4-3's same-memory counts) would
+// differ from the original's.
 func TestFreezeAndGrowKeepRunOrder(t *testing.T) {
 	net := fixture(t, joinSrc)
 	j := net.Joins[0]
@@ -886,11 +887,17 @@ func TestFreezeAndGrowKeepRunOrder(t *testing.T) {
 	regrown = copyTable(regrown.Grow(4096, poolsFor(regrown)), false)
 	repinned := copyTable(regrown, false)
 	repinned = copyTable(repinned.Grow(8192, poolsFor(repinned)), true)
+	kept := copyTable(orig, false)
+	kept = kept.Grow(1024, poolsFor(kept))
+	if kept.Reslot(poolsFor(kept)) != kept {
+		t.Fatal("re-slotting a 1 024-line table of 40 tokens rebuilt it")
+	}
+	kept = copyTable(kept, true)
 	want := scans(orig)
 	if deepest := slices.Max(want); deepest < 5 {
 		t.Fatalf("fixture: deepest delete scan %d, runs too short to tell orders apart", deepest)
 	}
-	for name, table := range map[string]*hashmem.Table{"thawed": thawed, "pinned": pinned, "grown": grown, "regrown": regrown, "repinned": repinned} {
+	for name, table := range map[string]*hashmem.Table{"thawed": thawed, "pinned": pinned, "grown": grown, "regrown": regrown, "repinned": repinned, "kept": kept} {
 		if got := scans(table); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: delete scan counts %v, original %v", name, got, want)
 		}

@@ -226,6 +226,35 @@ func (p *Pools) newEntry(v view, j *rete.JoinNode, side rete.Side, hash uint64, 
 	return i, v
 }
 
+// copyEntry copies the entry at i, read through src, into fresh words of
+// p's store and returns the copy, unlinked: its token and NegCount come
+// across as they are.
+func (p *Pools) copyEntry(src view, i uint32) uint32 {
+	n := entryWords + uint32(src.ent(i).tokLen())
+	j := p.words(n)
+	v := p.st.view()
+	copy(v[j>>segBits][j&segMask:][:n], src[i>>segBits][i&segMask:][:n])
+	v.ent(j).next = 0
+	return j
+}
+
+// copyList copies the list at head, read through src, into p's store in
+// the same order, and returns the copy's head and length.
+func (p *Pools) copyList(src view, head uint32) (first uint32, n int) {
+	var last uint32
+	for i := head; i != 0; i = src.ent(i).next {
+		j := p.copyEntry(src, i)
+		if last == 0 {
+			first = j
+		} else {
+			p.st.view().ent(last).next = j
+		}
+		last = j
+		n++
+	}
+	return first, n
+}
+
 // FreeEntry recycles an unlinked entry. Callers own the entry
 // exclusively at that point: UpdateOwn unlinked it under the line lock
 // and no other process can reach it. The caller must be done reading

@@ -72,7 +72,7 @@ func (s Scheme) String() string {
 type Config struct {
 	Procs  int    // number of match processes (the k of "1+k")
 	Queues int    // number of central task queues
-	Lines  int    // initial hash-table lines (0 = 16384)
+	Lines  int    // initial hash-table lines (0 = hashmem.DefaultLines)
 	Scheme Scheme // line-lock scheme
 }
 
@@ -249,7 +249,7 @@ func newMatcher(net *rete.Network, cfg Config, sink rete.TerminalSink, whole, wa
 		cfg.Queues = 1
 	}
 	if cfg.Lines <= 0 {
-		cfg.Lines = 16384
+		cfg.Lines = hashmem.DefaultLines
 	}
 	m := &Matcher{
 		queues: taskqueue.New(cfg.Queues),

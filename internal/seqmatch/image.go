@@ -18,9 +18,9 @@ type Image struct {
 	count   [2][]int64
 }
 
-// Reslot re-slots a settled vs2 table into the geometry a fork starts
-// from (hashmem.Table.Reslot): a template does it once, when it is
-// pinned, before it freezes. vs1's per-node table is kept as it is.
+// Reslot re-slots a settled vs2 table into the geometry a session starts
+// from (hashmem.Table.Reslot): every image does it once, before it
+// freezes. vs1's per-node table is kept as it is.
 func (m *Matcher) Reslot() {
 	m.Table.FoldLive(&m.Pools)
 	m.Table = m.Table.Reslot(&m.Pools)

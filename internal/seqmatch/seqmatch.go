@@ -48,7 +48,7 @@ type Matcher struct {
 }
 
 // New builds a sequential matcher. nLines sizes the vs2 hash tables
-// (ignored for vs1); 0 selects the default of 16384 lines. vs2 tables
+// (ignored for vs1); 0 selects hashmem.DefaultLines. vs2 tables
 // use the adaptive node-segregated layout and grow between submits as
 // working memory climbs.
 func New(net *rete.Network, v Variant, nLines int, sink rete.TerminalSink) *Matcher {
@@ -57,7 +57,7 @@ func New(net *rete.Network, v Variant, nLines int, sink rete.TerminalSink) *Matc
 		table = hashmem.NewPerNode(net.NumJoinIDs())
 	} else {
 		if nLines <= 0 {
-			nLines = 16384
+			nLines = hashmem.DefaultLines
 		}
 		table = hashmem.New(nLines)
 	}

@@ -21,9 +21,12 @@ type image struct {
 	matcher *seqmatch.Image
 }
 
-// freeze turns a settled core into an image. The core is spent: its
-// engine is the image's now.
+// freeze turns a settled core into an image, its token table re-slotted
+// first (seqmatch.Matcher.Reslot) so the image, and every thaw of it,
+// holds lines for what the table holds. The core is spent: its engine
+// is the image's now.
 func freeze(c *core) *image {
+	c.matcher.Reslot()
 	im := &image{eng: c.eng, matcher: c.matcher.Freeze()}
 	c.eng.Matcher = nil
 	return im

@@ -116,12 +116,9 @@ func (s *Server) CreateTemplate(cfg *TemplateConfig) (*TemplateInfo, error) {
 
 // pinTemplate registers a settled core as a template under id (empty =
 // the next t-NNNNNN), pinned to state, the core's encoded snapshot. The
-// core becomes the template's image: its token table is re-slotted into
-// the geometry forks start from (seqmatch.Matcher.Reslot), once, and
-// frozen.
+// core becomes the template's image.
 func (s *Server) pinTemplate(id string, sp *sharedProgram, cfg SessionConfig, c *core, state []byte) (*template, error) {
 	cfg.ID, cfg.ProgramHash, cfg.Program, cfg.Matcher = "", "", sp.src, servedMatcher
-	c.matcher.Reslot()
 	tpl := &template{ID: id, Created: time.Now(), cfg: cfg, sp: sp, img: freeze(c), state: state, sum: sha256.Sum256(state)}
 
 	s.mu.Lock()
