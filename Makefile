@@ -53,10 +53,13 @@ DURABILITY_TESTS = TestCrashRecoveryDifferential|TestLifecycleDifferential|TestR
 # one init image while others thaw it, and forks thaw a template's
 # image with no lock, so the image suite, fork isolation and the
 # concurrent session suites also run 20 times. The image suite plays four
-# paper programs to halt twice under the race detector.
+# paper programs to halt twice under the race detector, the second time
+# on the token table the first one's delete handed back. A delete hands
+# a session's table to the next start while a request may still wait
+# for the session's lock, so the delete-race suite runs 20 times too.
 race:
 	$(GO) test -race ./internal/server ./internal/engine
-	$(GO) test -race -count=20 -run 'TestCreateForksProgramImage|TestForkIsolation|TestConcurrentSession' ./internal/server
+	$(GO) test -race -count=20 -run 'TestCreateForksProgramImage|TestForkIsolation|TestConcurrentSession|TestDeleteRacesBatch' ./internal/server
 	$(GO) test -race -count=20 -run 'TestDynamic|TestSlotSafetyLifecycle|TestAdaptiveGrowthEquivalence|TestDynamicAddAcrossGrowth' ./internal/engine
 	$(GO) test -race -count=20 -run '$(DURABILITY_TESTS)' ./internal/server
 	$(GO) test -race -count=20 ./internal/wmlog ./internal/parmatch ./internal/taskqueue ./internal/hashmem ./internal/wm

@@ -220,7 +220,7 @@ func TestRetractOnForkLeavesTemplate(t *testing.T) {
 				sm.Reslot()
 			}
 			cs := tpl.CS.Clone()
-			fork := tpl.CloneWith(tpl.WM.Clone(), cs, sm.Freeze().Thaw(cs), nil)
+			fork := tpl.CloneWith(tpl.WM.Clone(), cs, sm.Freeze().Thaw(cs, nil), nil)
 			tags := []int{n + 2, 3, n + 5}
 			removed, err := fork.RetractBatch(tags)
 			if err != nil {

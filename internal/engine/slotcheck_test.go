@@ -183,7 +183,7 @@ func TestSlotSafetyLifecycle(t *testing.T) {
 					vic.SetJournal(nil)
 					forkOf := func(im *seqmatch.Image) *engine.Engine {
 						cs := vic.CS.Clone()
-						return vic.CloneWith(vic.WM.Clone(), cs, im.Thaw(cs), nil)
+						return vic.CloneWith(vic.WM.Clone(), cs, im.Thaw(cs, nil), nil)
 					}
 					check(forkOf(sm.Freeze()), "thawed copy")
 					sm.Reslot()

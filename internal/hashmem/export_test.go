@@ -23,3 +23,20 @@ func (f *Frozen) Shape() (lines, stored, words int) { return f.nLines, len(f.lin
 func (f *Frozen) Bytes() int {
 	return 4*len(f.at) + int(LineSize)*len(f.lines) + 4*len(f.words)
 }
+
+// Shares reports whether t took o's line array and o's store segments.
+func (t *Table) Shares(o *Table) (lines, segments bool) {
+	td, od := *t.st.dir.Load(), *o.st.dir.Load()
+	return &t.Lines[0] == &o.Lines[0], len(td) > 0 && len(od) > 0 && td[0] == od[0]
+}
+
+// Segments reports how many segments t's store holds.
+func (t *Table) Segments() int { return len(*t.st.dir.Load()) }
+
+// SwapSegments swaps the first two segments of t's store directory, so
+// they no longer form one array. t's words are then at the wrong
+// indices: only a dead table is fit to be swapped, as a spare.
+func (t *Table) SwapSegments() {
+	dir := *t.st.dir.Load()
+	dir[0], dir[1] = dir[1], dir[0]
+}

@@ -94,8 +94,28 @@ func (t *Table) Freeze() *Frozen {
 // link, line head, token and negation count of the frozen table is
 // valid in it, and its gauges are the frozen ones. f is only read, so
 // any number of goroutines may thaw it at once.
-func (f *Frozen) Thaw() *Table {
-	t := &Table{Lines: make([]Line, f.nLines), Hashed: f.hashed, seg: f.seg, st: thawStore(f.words)}
+//
+// spare, when not nil, is a dead table whose memory the thaw takes
+// over instead of allocating: its line array when it has f's length,
+// cleared first, and its store's segments when the ones f's words fill
+// form one array (thawStore). Whichever of the two does not fit is
+// allocated fresh. Every table thawed from f fits both until it grows
+// its line array. The caller must own spare outright: nothing may read
+// or write it again except through the returned table.
+func (f *Frozen) Thaw(spare *Table) *Table {
+	t := &Table{Hashed: f.hashed, seg: f.seg}
+	var old *store
+	if spare != nil {
+		old = spare.st
+		if len(spare.Lines) == f.nLines {
+			t.Lines = spare.Lines
+			clear(t.Lines)
+		}
+	}
+	if t.Lines == nil {
+		t.Lines = make([]Line, f.nLines)
+	}
+	t.st = thawStore(f.words, old)
 	if f.hashed {
 		t.mask = uint64(f.nLines - 1)
 	}

@@ -1,6 +1,8 @@
 package hashmem_test
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -50,7 +52,7 @@ func TestFrozenIsCompact(t *testing.T) {
 	if f.Bytes() >= 16<<10 {
 		t.Errorf("frozen table is %d bytes, want under 16 KB", f.Bytes())
 	}
-	thawed := f.Thaw()
+	thawed := f.Thaw(nil)
 	if !slices.Equal(thawed.Lines, m.Table.Lines) {
 		t.Errorf("thawed lines differ from the frozen table's")
 	}
@@ -66,6 +68,45 @@ func TestFrozenIsCompact(t *testing.T) {
 	if lines, _, _ := m.Table.Reslot(&m.Pools).Freeze().Shape(); lines != 1024 {
 		t.Errorf("re-slotted image has %d lines, want 1 024", lines)
 	}
+}
+
+// BenchmarkThaw times a thaw of Weaver(20, 9)'s init image, re-slotted
+// as every image is (16 384 lines, seven store segments): into a new
+// table, and into the table the previous thaw made, as a create after a
+// delete thaws into the deleted session's.
+func BenchmarkThaw(b *testing.B) {
+	prog, err := ops5.Parse(workload.Weaver(20, 9))
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := rete.CompileWithPlan(prog, rete.PlanConfig{Reorder: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs := conflict.NewSet()
+	m := seqmatch.New(net, seqmatch.VS2, 0, cs)
+	eng, err := engine.New(prog, net, cs, m, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.Init(); err != nil {
+		b.Fatal(err)
+	}
+	m.Reslot()
+	f := m.Table.Freeze()
+	b.Run("new table", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			f.Thaw(nil)
+		}
+	})
+	b.Run("into spare", func(b *testing.B) {
+		b.ReportAllocs()
+		t := f.Thaw(nil)
+		for range b.N {
+			t = f.Thaw(t)
+		}
+	})
 }
 
 // filled returns a segregated table of n lines holding live left tokens
@@ -121,6 +162,106 @@ func TestReslotSizesEveryImage(t *testing.T) {
 			}
 			if _, _, w := got.Freeze().Shape(); w != words {
 				t.Errorf("frozen words went from %d to %d over a kept table", words, w)
+			}
+		})
+	}
+}
+
+// TestThawIntoSpare: a thaw takes over a dead table's memory where it
+// fits and allocates only what does not: the line array when the
+// spare's has the image's length, the segments when the ones the
+// image's words fill form one array in the spare's store, as they do in
+// every table thawed from the same image. The image here spans two
+// segments, so a run may cross their boundary. Whatever it takes, the
+// thaw freezes byte for byte as a fresh thaw does, keeps the segments
+// the spare grew, and emits and ends the same under the same walk.
+func TestThawIntoSpare(t *testing.T) {
+	// An image of nothing thaws over a store that has no segment yet.
+	empty := hashmem.New(8).Freeze()
+	if got := empty.Thaw(empty.Thaw(nil)); got.Segments() != 0 {
+		t.Fatalf("an empty image thawed into %d segments", got.Segments())
+	}
+	net := fixture(t, joinSrc)
+	j := net.Joins[0]
+	f := filled(t, 1024, 6000).Freeze()
+	if _, _, words := f.Shape(); words <= 1<<15 {
+		t.Fatalf("fixture: %d store words fit in one segment", words)
+	}
+	want := f.Thaw(nil).Freeze()
+	dirtied := func() *hashmem.Table {
+		spare := f.Thaw(nil)
+		churn(spare, j, 6000)
+		return spare
+	}
+	// The walk: every third left token joined from the right, every fifth
+	// deleted, and fresh tokens stored past the image's words.
+	type act struct {
+		side rete.Side
+		sign bool
+		w    []*wm.WME
+	}
+	var acts []act
+	for i := 0; i < 6000; i += 3 {
+		acts = append(acts, act{rete.Right, true, []*wm.WME{mkW(2, 3_000_000+i, int64(i))}})
+	}
+	for i := 0; i < 6000; i += 5 {
+		acts = append(acts, act{rete.Left, false, []*wm.WME{mkW(1, i+1, int64(i))}})
+	}
+	for i := range 2000 {
+		acts = append(acts, act{rete.Left, true, []*wm.WME{mkW(1, 4_000_000+i, int64(i))}})
+	}
+	walk := func(table *hashmem.Table) []string {
+		var out []string
+		for _, a := range acts {
+			out = append(out, apply(table, j, a.side, a.sign, a.w)...)
+		}
+		return append(out, fmt.Sprint(table.MemStats()))
+	}
+	cases := []struct {
+		name            string
+		spare           func() *hashmem.Table
+		lines, segments bool
+	}{
+		{"spare of the image", dirtied, true, true},
+		{"spare that grew its lines", func() *hashmem.Table {
+			s := dirtied()
+			return s.Grow(2048, poolsFor(s))
+		}, false, true},
+		{"spare whose segments are not one array", func() *hashmem.Table {
+			s := dirtied()
+			s.SwapSegments()
+			return s
+		}, true, false},
+		{"spare that fits in nothing", func() *hashmem.Table {
+			s := dirtied()
+			s = s.Grow(2048, poolsFor(s))
+			s.SwapSegments()
+			return s
+		}, false, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spare := c.spare()
+			grown := spare.Segments()
+			if grown <= 2 {
+				t.Fatalf("fixture: the spare's store holds %d segments, want it grown past the image's 2", grown)
+			}
+			got := f.Thaw(spare)
+			if lines, segs := got.Shares(spare); lines != c.lines || segs != c.segments {
+				t.Errorf("thaw took the spare's lines: %v, its segments: %v; want %v, %v", lines, segs, c.lines, c.segments)
+			}
+			if !reflect.DeepEqual(got.Freeze(), want) {
+				t.Fatal("the thaw freezes differently from a fresh thaw")
+			}
+			if c.segments && got.Segments() != grown {
+				t.Errorf("thaw kept %d segments of the spare's %d", got.Segments(), grown)
+			}
+			fresh := f.Thaw(nil)
+			if w, g := walk(fresh), walk(got); !slices.Equal(g, w) {
+				t.Fatalf("the same walk emitted %d items on the thaw, %d on a fresh one (last %s vs %s)", len(g), len(w), g[len(g)-1], w[len(w)-1])
+			}
+			if !reflect.DeepEqual(got.Freeze(), fresh.Freeze()) {
+				t.Error("after the same walk the thaw freezes differently from a fresh thaw")
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package hashmem_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -96,7 +97,45 @@ func copyTable(t *hashmem.Table, pin bool) *hashmem.Table {
 	if pin {
 		t = t.Reslot(poolsFor(t))
 	}
-	return t.Freeze().Thaw()
+	return t.Freeze().Thaw(nil)
+}
+
+// thawIntoSpare copies a settled table through an image the third way:
+// thawed into a dirty spare, a table thawed from the same image that
+// then ran on (dirty), as a deleted session's table is handed to the
+// next session of its image. The thaw must take the spare's line array
+// and segments and freeze byte for byte as a fresh thaw does.
+func thawIntoSpare(t *testing.T, src *hashmem.Table, dirty func(*hashmem.Table)) *hashmem.Table {
+	t.Helper()
+	f := src.Freeze()
+	spare := f.Thaw(nil)
+	dirty(spare)
+	got := f.Thaw(spare)
+	if lines, segs := got.Shares(spare); !lines || !segs {
+		t.Fatalf("thaw into a spare of its own image took its lines: %v, its segments: %v", lines, segs)
+	}
+	if !reflect.DeepEqual(got.Freeze(), f.Thaw(nil).Freeze()) {
+		t.Fatal("a thaw into a dirty spare freezes differently from a fresh thaw")
+	}
+	return got
+}
+
+// churn runs a session's worth of traffic on table as its owner would:
+// n left tokens of j inserted, every other one deleted again so its
+// entry is recycled by a later insert, and every seventh an early
+// right delete parked for a token that never arrives. The store grows
+// past what the table was thawed with.
+func churn(table *hashmem.Table, j *rete.JoinNode, n int) {
+	for i := range n {
+		w := []*wm.WME{mkW(1, 1_000_000+i, int64(i))}
+		apply(table, j, rete.Left, true, w)
+		if i%2 == 0 {
+			apply(table, j, rete.Left, false, w)
+		}
+		if i%7 == 0 {
+			apply(table, j, rete.Right, false, []*wm.WME{mkW(2, 2_000_000+i, int64(i))})
+		}
+	}
 }
 
 // layouts returns one table per storage layout so every behavioural test
@@ -476,7 +515,8 @@ func emitKey(sign bool, tok []uint32) string {
 // insert/remove/early-delete storm over three joins through the
 // segregated layout — with adaptive growth firing mid-stream, including
 // while deletes are parked, and the table swapped for a frozen copy
-// (thawed as it is, or re-slotted at a template pin first) and joins
+// (thawed as it is, re-slotted at a template pin first, or thawed into
+// a dirty spare) and joins
 // excised at random points between activations — and in lockstep
 // through the fixed legacy layout (which sees the same excises), and
 // requires identical gauges at every such point, identical emission
@@ -563,10 +603,22 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 		}
 		switch r := rng.Intn(150); {
 		case r < 2 && i > len(events)/3:
-			// Carry on with the copy, every other one re-slotted: that one
-			// is sized for its live entries, so growth stops there. The
-			// first third of the storm is grow's.
-			seg = copyTable(seg, copies%2 == 1)
+			// Carry on with the copy: thawed as it is, re-slotted (sized for
+			// its live entries, so growth stops there), or thawed into a
+			// spare that ran the next stretch of the storm first. The first
+			// third of the storm is grow's.
+			switch copies % 3 {
+			case 2:
+				rest := events[i+1:]
+				seg = thawIntoSpare(t, seg, func(spare *hashmem.Table) {
+					var discard []string
+					for _, e := range rest[:min(len(rest), 300)] {
+						step(spare, e, &discard)
+					}
+				})
+			default:
+				seg = copyTable(seg, copies%3 == 1)
+			}
 			copies++
 			sameGauges(i, "copy")
 		case r == 2 && i > len(events)/2 && len(dead) < 2:
@@ -604,7 +656,7 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 			t.Errorf("%s: %d tokens left in memory", name, n)
 		}
 	}
-	if ms := seg.MemStats(); ms.Resizes == 0 || copies < 2 || len(dead) == 0 {
+	if ms := seg.MemStats(); ms.Resizes == 0 || copies < 3 || len(dead) == 0 {
 		t.Errorf("storm too tame: %d resizes, %d copies, %d excises; raise the pair count", ms.Resizes, copies, len(dead))
 	}
 }
@@ -712,7 +764,7 @@ func TestParkedCountTracksWalk(t *testing.T) {
 						orig = table.Reslot(poolsFor(table))
 					}
 					before := orig.Parked()
-					table = orig.Freeze().Thaw()
+					table = orig.Freeze().Thaw(nil)
 					if orig.Parked() != before || orig.WalkParked() != before {
 						t.Fatalf("step %d: Freeze disturbed the original's parked deletes", step)
 					}
@@ -852,10 +904,10 @@ func TestStaleRefReadsItsOppositeList(t *testing.T) {
 }
 
 // TestFreezeAndGrowKeepRunOrder: a run's tokens must come out of
-// Freeze→Thaw, an image's re-slot (up from a small table, down from a
-// grown one, or kept at its own size) and Grow in the order they went
-// in, or a copy's delete scans (Table 4-3's same-memory counts) would
-// differ from the original's.
+// Freeze→Thaw, a thaw into a dirty spare, an image's re-slot (up from a
+// small table, down from a grown one, or kept at its own size) and Grow
+// in the order they went in, or a copy's delete scans (Table 4-3's
+// same-memory counts) would differ from the original's.
 func TestFreezeAndGrowKeepRunOrder(t *testing.T) {
 	net := fixture(t, joinSrc)
 	j := net.Joins[0]
@@ -893,11 +945,12 @@ func TestFreezeAndGrowKeepRunOrder(t *testing.T) {
 		t.Fatal("re-slotting a 1 024-line table of 40 tokens rebuilt it")
 	}
 	kept = copyTable(kept, true)
+	recycled := thawIntoSpare(t, orig, func(spare *hashmem.Table) { churn(spare, j, 6000) })
 	want := scans(orig)
 	if deepest := slices.Max(want); deepest < 5 {
 		t.Fatalf("fixture: deepest delete scan %d, runs too short to tell orders apart", deepest)
 	}
-	for name, table := range map[string]*hashmem.Table{"thawed": thawed, "pinned": pinned, "grown": grown, "regrown": regrown, "repinned": repinned, "kept": kept} {
+	for name, table := range map[string]*hashmem.Table{"thawed": thawed, "pinned": pinned, "grown": grown, "regrown": regrown, "repinned": repinned, "kept": kept, "recycled": recycled} {
 		if got := scans(table); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: delete scan counts %v, original %v", name, got, want)
 		}

@@ -97,18 +97,52 @@ func (s *store) freeze() []uint32 {
 }
 
 // thawStore builds a store holding words from index 0 in segments cut
-// from one array, issuing the next word after them.
-func thawStore(words []uint32) *store {
+// from one array, issuing the next word after them. With old, a dead
+// store, it reuses old's segments when the ones words fill form one
+// array there, as they do in every store thawed from the same words:
+// words is copied in, the words old issued above them are cleared,
+// because a word is zero when the store issues it, and old's further
+// segments stay, so the new store grows into them without allocating.
+func thawStore(words []uint32, old *store) *store {
 	s := &store{top: max(uint32(len(words)), 1)}
+	k := (len(words) + segMask) / segWords
 	var dir []*segment
-	if n := len(words); n > 0 {
-		dir = appendSegments(nil, (n+segMask)/segWords)
-		for i := range dir {
-			copy(dir[i][:], words[i*segWords:])
-		}
+	if old != nil && oneArray(*old.dir.Load(), k) {
+		dir = *old.dir.Load()
+		clearWords(dir, len(words), min(int(old.top), len(dir)<<segBits))
+	} else if k > 0 {
+		dir = appendSegments(nil, k)
+	}
+	for i := range k {
+		copy(dir[i][:], words[i*segWords:])
 	}
 	s.dir.Store(&dir)
 	return s
+}
+
+// oneArray reports whether dir's first k segments are consecutive in
+// memory, as appendSegments cuts them: a run of more than a segment's
+// words may span them.
+func oneArray(dir []*segment, k int) bool {
+	if len(dir) < k {
+		return false
+	}
+	for i := 1; i < k; i++ {
+		if uintptr(unsafe.Pointer(dir[i]))-uintptr(unsafe.Pointer(dir[0])) != uintptr(i)*unsafe.Sizeof(segment{}) {
+			return false
+		}
+	}
+	return true
+}
+
+// clearWords zeroes words from..to-1 of dir.
+func clearWords(dir []*segment, from, to int) {
+	for from < to {
+		base := from &^ segMask
+		end := min(to, base+segWords)
+		clear(dir[from>>segBits][from-base : end-base])
+		from = end
+	}
 }
 
 // view is a snapshot of a store's segment directory, good for every

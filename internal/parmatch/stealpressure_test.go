@@ -168,10 +168,12 @@ func runPressure(t *testing.T, k pressureCase, cfg parmatch.Config, whole, wake 
 	m.UseSlots(k.slots)
 	defer m.Close()
 	// Three rounds, or on the fan workload as many as it takes for a
-	// worker to win a batch from the control process: a round is over in
-	// microseconds.
+	// worker to win a batch from the control process, for up to
+	// workerBudget: a round is over in microseconds, and on a loaded host
+	// with few CPUs a worker may not be scheduled for many of them.
 	var reps int64
-	for rep := 0; rep < 3 || (k.name == "fan" && rep < 2000 && !workersRan(m)); rep++ {
+	deadline := time.Now().Add(workerBudget)
+	for rep := 0; rep < 3 || (k.name == "fan" && !workersRan(m) && time.Now().Before(deadline)); rep++ {
 		reps++
 		for _, w := range k.wmes {
 			m.Submit(true, w)
@@ -210,9 +212,13 @@ func runPressure(t *testing.T, k pressureCase, cfg parmatch.Config, whole, wake 
 		}
 	}
 	if k.name == "fan" && !workersRan(m) {
-		t.Errorf("fan workload: no worker took a batch in %d rounds", reps)
+		t.Errorf("fan workload: no worker took a batch in %d rounds (%v)", reps, workerBudget)
 	}
 }
+
+// workerBudget is how long a test that needs a worker to win a batch
+// from the control process keeps playing rounds for it.
+const workerBudget = 10 * time.Second
 
 // TestStealPressureMatchesSequential runs every kernel under both lock
 // schemes on four match processes with one central queue each, every
@@ -289,14 +295,15 @@ func TestSchedulerCounters(t *testing.T) {
 	}
 
 	// A worker needs to win a batch from the control process, and a round
-	// is over in microseconds: give it rounds until one does.
+	// is over in microseconds: give it rounds until one does, for up to
+	// workerBudget.
 	f := parmatch.NewEager(net, cfg, tables.KernelSink(), 2, 2)
 	defer f.Close()
-	for i := 0; i < 2000 && !workersRan(f); i++ {
+	for deadline := time.Now().Add(workerBudget); !workersRan(f) && time.Now().Before(deadline); {
 		k.Round(f)
 		checkUnitAccounting(t, f)
 	}
 	if !workersRan(f) {
-		t.Error("eager thresholds: no worker took a batch")
+		t.Errorf("eager thresholds: no worker took a batch in %v", workerBudget)
 	}
 }

@@ -44,10 +44,13 @@ func (m *Matcher) Freeze() *Image {
 // image's, because they describe state the copy genuinely holds. The
 // matcher resolves slots through a table of its own until the caller
 // points it at the working memory the image's tokens name (UseSlots),
-// which a wm.Memory.Clone of the image's memory copies verbatim. The
-// image is only read, so any number of goroutines may thaw it at once.
-func (im *Image) Thaw(sink rete.TerminalSink) *Matcher {
-	m := NewWithTable(im.net, im.variant, im.table.Thaw(), sink)
+// which a wm.Memory.Clone of the image's memory copies verbatim. spare,
+// when not nil, is the token table of a dead matcher the thaw may take
+// over instead of allocating (hashmem.Frozen.Thaw); the caller gives it
+// up. The image is only read, so any number of goroutines may thaw it
+// at once.
+func (im *Image) Thaw(sink rete.TerminalSink, spare *hashmem.Table) *Matcher {
+	m := NewWithTable(im.net, im.variant, im.table.Thaw(spare), sink)
 	for s := range m.Rec.NodeCount {
 		copy(m.Rec.NodeCount[s], im.count[s])
 	}

@@ -211,22 +211,8 @@ func TestForkFasterThanColdSpawn(t *testing.T) {
 	}
 }
 
-// forkLedgerSrc is the ledger of the end-to-end benchmark's
-// serve-ingest-durable workload: an acct x txn equality join guarded by
-// a negated hold, modify + remove on the right-hand side.
-const forkLedgerSrc = `(literalize acct id bal n)
-(literalize txn acct amt)
-(literalize hold acct)
-(p post
-   (txn ^acct <a> ^amt <m>)
-   (acct ^id <a> ^bal <b> ^n <n>)
-  -(hold ^acct <a>)
-  -->
-   (modify 2 ^bal (compute <b> + <m>) ^n (compute <n> + 1))
-   (remove 1))
-`
-
-// BenchmarkForkLedgerLoop is that workload with the journal taken away:
+// BenchmarkForkLedgerLoop is the end-to-end benchmark's
+// serve-ingest-durable workload with the journal taken away:
 // a memory-only template of 2 000 accounts, then per iteration one fork,
 // 100 batches (16 Zipf-keyed txns and a hold asserted, the hold of four
 // batches earlier retracted) and the delete, all by direct calls. What
@@ -237,7 +223,7 @@ func BenchmarkForkLedgerLoop(b *testing.B) {
 	const accounts, batches, txns, holdLag = 2000, 100, 16, 4
 	srv := server.New(server.Options{})
 	defer srv.Close()
-	tc := &server.TemplateConfig{SessionConfig: server.SessionConfig{Program: forkLedgerSrc, Matcher: "vs2"}}
+	tc := &server.TemplateConfig{SessionConfig: server.SessionConfig{Program: server.LedgerSrc, Matcher: "vs2"}}
 	for i := 0; i < accounts; i++ {
 		tc.Asserts = append(tc.Asserts, server.WMEInput{Class: "acct", Attrs: map[string]any{"id": i, "bal": 0, "n": 0}})
 	}

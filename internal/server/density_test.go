@@ -30,7 +30,7 @@ func TestSessionDensity(t *testing.T) {
 		{"monkeys", workload.Monkeys(), false, 300},
 		{"rubik", workload.Rubik(60), false, 450},
 		{"weaver", workload.Weaver(20, 9), false, 1900},
-		{"ledger fork", forkLedgerSrc, true, 360},
+		{"ledger fork", server.LedgerSrc, true, 360},
 	}
 	heap := func() int64 {
 		var ms runtime.MemStats

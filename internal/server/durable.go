@@ -362,7 +362,9 @@ func (s *Server) SnapshotSession(id string) (*SnapshotResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess.mu.Lock()
+	if err := sess.lock(); err != nil {
+		return nil, err
+	}
 	defer sess.mu.Unlock()
 	if sess.broken != nil {
 		return nil, sess.broken
@@ -465,7 +467,9 @@ func (s *Server) RestoreSession(id string) (*SessionInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess.mu.Lock()
+	if err := sess.lock(); err != nil {
+		return nil, err
+	}
 	defer sess.mu.Unlock()
 	if sess.journal == nil {
 		return nil, ErrNotDurable

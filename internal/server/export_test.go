@@ -2,6 +2,21 @@ package server
 
 import "repro/internal/wmlog"
 
+// LedgerSrc is the ledger of the end-to-end benchmark's
+// serve-ingest-durable workload: an acct x txn equality join guarded by
+// a negated hold, modify + remove on the right-hand side.
+const LedgerSrc = `(literalize acct id bal n)
+(literalize txn acct amt)
+(literalize hold acct)
+(p post
+   (txn ^acct <a> ^amt <m>)
+   (acct ^id <a> ^bal <b> ^n <n>)
+  -(hold ^acct <a>)
+  -->
+   (modify 2 ^bal (compute <b> + <m>) ^n (compute <n> + 1))
+   (remove 1))
+`
+
 // WaitCompactions blocks until no session has a compaction queued or in
 // flight. A test that "crashes" a server by abandoning it calls this
 // first: abandoning stops the batches, as a crash would, but not the
@@ -35,7 +50,9 @@ func (s *Server) ResizeTable(id string, n int) error {
 	if err != nil {
 		return err
 	}
-	sess.mu.Lock()
+	if err := sess.lock(); err != nil {
+		return err
+	}
 	defer sess.mu.Unlock()
 	m := sess.matcher
 	m.Table.FoldLive(&m.Pools)
@@ -50,7 +67,9 @@ func (s *Server) CheckSlots(id string) error {
 	if err != nil {
 		return err
 	}
-	sess.mu.Lock()
+	if err := sess.lock(); err != nil {
+		return err
+	}
 	defer sess.mu.Unlock()
 	return sess.eng.CheckSlots()
 }

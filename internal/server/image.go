@@ -3,8 +3,10 @@ package server
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/engine"
+	"repro/internal/hashmem"
 	"repro/internal/seqmatch"
 )
 
@@ -16,9 +18,16 @@ import (
 // as a thaw of one: a create thaws its program's init image (the state
 // right after Init), a fork its template's. Thawing only reads the
 // image, so any number of sessions may start from it at once.
+//
+// spare is the token table of the last session of this image that was
+// deleted, waiting for the next thaw to take it over instead of
+// allocating one (hashmem.Frozen.Thaw): at most one table per image, as
+// large as that session grew it. A later delete replaces it; the one
+// replaced goes to the collector.
 type image struct {
 	eng     *engine.Engine
 	matcher *seqmatch.Image
+	spare   atomic.Pointer[hashmem.Table]
 }
 
 // freeze turns a settled core into an image, its token table re-slotted
@@ -35,14 +44,16 @@ func freeze(c *core) *image {
 // thaw builds a new core from the image at trace level watch. Parse,
 // compile, RHS compile and matching are all skipped: the conflict set
 // and working memory are copied (sharing every immutable WME), the
-// token table is thawed.
-func (im *image) thaw(watch int) *core {
+// token table is thawed, into the image's spare when it holds one
+// (reused).
+func (im *image) thaw(watch int) (c *core, reused bool) {
+	spare := im.spare.Swap(nil)
 	cs := im.eng.CS.Clone()
-	m := im.matcher.Thaw(cs)
+	m := im.matcher.Thaw(cs, spare)
 	eng := im.eng.CloneWith(im.eng.WM.Clone(), cs, m, nil)
 	// An image never reads input, so there is no queue to inherit.
 	eng.IO = engine.NewQueueIO(im.eng.Prog.Symbols, false)
-	return &core{eng: eng, matcher: m, watch: watch}
+	return &core{eng: eng, matcher: m, watch: watch, from: im}, spare != nil
 }
 
 // programImage is a program's one init image and the lock its build

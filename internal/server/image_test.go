@@ -12,9 +12,94 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/wm"
 	"repro/internal/wmlog"
 	"repro/internal/workload"
 )
+
+// matchesCold holds a created session, locked, to build + Init of its
+// program: the same captured state and live tokens on a table of lines
+// lines, and the same trace, WM, time tags and state at halt.
+func matchesCold(t *testing.T, sess *Session, cfg *SessionConfig, lines int64) {
+	t.Helper()
+	cold := coldCore(t, sess.sp, cfg)
+	sameState(t, sess.eng, cold.eng)
+	gm, wm := sess.matcher.MemStats(), cold.matcher.MemStats()
+	if gm.Lines != lines || gm.Entries != wm.Entries {
+		t.Errorf("memory stats %+v, cold %+v; want %d lines", gm, wm, lines)
+	}
+	gotFires, gotWM := runToHalt(t, sess.eng)
+	wantFires, wantWM := runToHalt(t, cold.eng)
+	if !reflect.DeepEqual(gotFires, wantFires) {
+		t.Errorf("firing trace differs from cold: %d firings, want %d", len(gotFires), len(wantFires))
+	}
+	if !reflect.DeepEqual(gotWM, wantWM) {
+		t.Errorf("final WM differs from cold: %d elements, want %d", len(gotWM), len(wantWM))
+	}
+	sameState(t, sess.eng, cold.eng)
+}
+
+// sameState compares two engines' captured state hashes: working
+// memory, time tags, refraction and halt.
+func sameState(t *testing.T, got, want *engine.Engine) {
+	t.Helper()
+	g, err := got.CaptureState().Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := want.CaptureState().Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g != w {
+		t.Errorf("captured state hash %x, want %x", g, w)
+	}
+}
+
+// ledgerTraffic drives an engine of LedgerSrc through a fixed stream of
+// batches, txns against the first 200 accounts with holds among them
+// and each batch run to quiescence, and returns each batch's firings
+// and the final WM with time tags.
+func ledgerTraffic(t *testing.T, sp *sharedProgram, eng *engine.Engine) [][]string {
+	t.Helper()
+	var out [][]string
+	fired := 0
+	for b := range 20 {
+		var batch [][]wm.Value
+		for i := range 12 {
+			in := WMEInput{Class: "txn", Attrs: map[string]any{"acct": (b*37 + i*11) % 200, "amt": 1 + (b+i)%9}}
+			if i == 0 {
+				in = WMEInput{Class: "hold", Attrs: map[string]any{"acct": (b * 53) % 200}}
+			}
+			fields, err := buildFields(sp.prog, &in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch = append(batch, fields)
+		}
+		if _, err := eng.AssertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(engine.Options{RecordFiring: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fires []string
+		for _, f := range res.Firings {
+			fires = append(fires, fmt.Sprint(f))
+		}
+		out = append(out, fires)
+		fired += len(fires)
+	}
+	if fired < 100 {
+		t.Fatalf("fixture: the ledger traffic fired %d times", fired)
+	}
+	var final []string
+	for _, w := range eng.WM.Snapshot() {
+		final = append(final, fmt.Sprintf("%d %s", w.TimeTag, w.String(eng.Prog.Symbols, eng.Prog.AttrName)))
+	}
+	return append(out, final)
+}
 
 // coldCore is what a create built before init images: a fresh core on
 // empty working memory, then Init.
@@ -56,7 +141,10 @@ func runToHalt(t *testing.T, eng *engine.Engine) ([]engine.Firing, []string) {
 // re-slotted when it is frozen (hashmem.Table.Reslot), so a create
 // starts at the smallest power of two of lines holding its live tokens,
 // floored at 1 024 and capped at the cold 16 384. The deepest line
-// depends on that geometry, so it is not compared. A durable create must
+// depends on that geometry, so it is not compared. Each program is
+// created, run to halt and deleted, then created again: the second
+// create takes over the first one's token table (the image's spare) and
+// must hold to build + Init all the same. A durable create must
 // journal exactly the log Init would have written, and a program must
 // build one image however many creates race for it and whatever their
 // trace level or match budget. The program subtests run in parallel on
@@ -77,44 +165,80 @@ func TestCreateForksProgramImage(t *testing.T) {
 		cfg := SessionConfig{Program: p.src}
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
-			info, err := s.CreateSession(cfg)
-			if err != nil {
-				t.Fatalf("create: %v", err)
+			for _, round := range []string{"fresh table", "recycled table"} {
+				info, err := s.CreateSession(cfg)
+				if err != nil {
+					t.Fatalf("%s: create: %v", round, err)
+				}
+				sess, err := s.session(info.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if spare := sess.from.spare.Load(); spare != nil {
+					t.Fatalf("%s: the create left its image's spare untaken", round)
+				}
+				sess.mu.Lock()
+				matchesCold(t, sess, &cfg, p.lines)
+				sess.mu.Unlock()
+				if err := s.DeleteSession(info.ID); err != nil {
+					t.Fatal(err)
+				}
+				if sess.from.spare.Load() != sess.matcher.Table {
+					t.Fatalf("%s: delete did not hand the session's token table to its image", round)
+				}
 			}
-			defer s.DeleteSession(info.ID)
-			sess, err := s.session(info.ID)
+		})
+	}
+	t.Run("ledger fork after a deleted fork", func(t *testing.T) {
+		t.Parallel()
+		s := New(Options{})
+		defer s.Close()
+		tc := &TemplateConfig{SessionConfig: SessionConfig{Program: LedgerSrc}}
+		for i := range 200 {
+			tc.Asserts = append(tc.Asserts, WMEInput{Class: "acct", Attrs: map[string]any{"id": i, "bal": 0, "n": 0}})
+		}
+		tpl, err := s.CreateTemplate(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := wmlog.DecodeSnapshot(s.templates[tpl.ID].state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][]string
+		for round := range 2 {
+			fork, err := s.Fork(tpl.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := s.session(fork.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := sess.sp.restore(&tc.SessionConfig, snap, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sess.mu.Lock()
-			defer sess.mu.Unlock()
-			cold := coldCore(t, sess.sp, &cfg)
-
-			gotSum, err := sess.eng.CaptureState().Hash()
-			if err != nil {
+			sameState(t, sess.eng, cold.eng)
+			got := ledgerTraffic(t, sess.sp, sess.eng)
+			if w := ledgerTraffic(t, sess.sp, cold.eng); !reflect.DeepEqual(got, w) {
+				t.Errorf("fork %d: trace and WM differ from the template's restored state", round)
+			}
+			sameState(t, sess.eng, cold.eng)
+			sess.mu.Unlock()
+			if want != nil && !reflect.DeepEqual(got, want) {
+				t.Errorf("fork %d: trace and WM differ from the first fork's", round)
+			}
+			want = got
+			if err := s.DeleteSession(fork.ID); err != nil {
 				t.Fatal(err)
 			}
-			wantSum, err := cold.eng.CaptureState().Hash()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotSum != wantSum {
-				t.Errorf("captured state hash %x, cold %x", gotSum, wantSum)
-			}
-			gm, wm := sess.matcher.MemStats(), cold.matcher.MemStats()
-			if gm.Lines != p.lines || gm.Entries != wm.Entries {
-				t.Errorf("memory stats %+v, cold %+v; want %d lines", gm, wm, p.lines)
-			}
-			gotFires, gotWM := runToHalt(t, sess.eng)
-			wantFires, wantWM := runToHalt(t, cold.eng)
-			if !reflect.DeepEqual(gotFires, wantFires) {
-				t.Errorf("firing trace differs from cold: %d firings, want %d", len(gotFires), len(wantFires))
-			}
-			if !reflect.DeepEqual(gotWM, wantWM) {
-				t.Errorf("final WM differs from cold: %d elements, want %d", len(gotWM), len(wantWM))
-			}
-		})
-	}
+		}
+		if n := s.Snapshot().Server.ThawsReused; n != 1 {
+			t.Errorf("two forks with a delete between them reused %d tables, want 1", n)
+		}
+	})
 
 	t.Run("durable log", func(t *testing.T) {
 		ds := New(Options{DataDir: t.TempDir()})

@@ -83,6 +83,14 @@ func (m *metrics) imageBuilt() {
 	m.mu.Unlock()
 }
 
+// thawReused records one session start that took over its image's
+// spare token table.
+func (m *metrics) thawReused() {
+	m.mu.Lock()
+	m.srv.ThawsReused++
+	m.mu.Unlock()
+}
+
 // programHit records one session create that reused an already-compiled
 // program (by hash or by byte-identical source) instead of compiling.
 func (m *metrics) programHit() {

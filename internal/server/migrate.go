@@ -42,7 +42,9 @@ func (s *Server) ExportSession(id string) (*ExportPayload, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess.mu.Lock()
+	if err := sess.lock(); err != nil {
+		return nil, err
+	}
 	defer sess.mu.Unlock()
 	if sess.broken != nil {
 		return nil, sess.broken

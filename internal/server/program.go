@@ -42,7 +42,9 @@ func (s *Server) Program(id string, req *ProgramRequest) (*ProgramResult, error)
 		return nil, errors.New("empty program change: need source and/or excise")
 	}
 
-	sess.mu.Lock()
+	if err := sess.lock(); err != nil {
+		return nil, err
+	}
 	defer sess.mu.Unlock()
 
 	res := &ProgramResult{Added: []string{}, Excised: []string{}}

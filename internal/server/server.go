@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/conflict"
@@ -141,6 +142,9 @@ type core struct {
 	watch int
 	// folded is what the last fold read (Server.foldLocked).
 	folded counters
+	// from is the image the core was thawed from, nil for one build or
+	// restore made; teardown hands its token table back to it.
+	from *image
 }
 
 // build turns a compiled program and a session config into a fresh
@@ -202,6 +206,9 @@ type Session struct {
 	mu sync.Mutex
 	*core
 	broken error // set when a panic quarantined the session
+	// gone is set by teardown before it takes the lock: a request that
+	// takes the lock afterwards must not touch the core (lock).
+	gone atomic.Bool
 
 	// cfg is the session's resolved configuration (Program holds the
 	// full source, Matcher the served one, ProgramHash/ID cleared):
@@ -222,6 +229,18 @@ type Session struct {
 func newSession(id string, sp *sharedProgram, cfg SessionConfig, c *core, template string) *Session {
 	cfg.ID, cfg.ProgramHash, cfg.Program, cfg.Matcher = "", "", sp.src, servedMatcher
 	return &Session{ID: id, Created: time.Now(), sp: sp, core: c, cfg: cfg, template: template}
+}
+
+// lock takes the session's mutex for a request. A session that teardown
+// has reached answers ErrNoSession instead, with the mutex released: its
+// token table may already be another session's.
+func (sess *Session) lock() error {
+	sess.mu.Lock()
+	if sess.gone.Load() {
+		sess.mu.Unlock()
+		return fmt.Errorf("%w: %q", ErrNoSession, sess.ID)
+	}
+	return nil
 }
 
 // info describes the session; shared is SessionInfo.SharedNet. The
@@ -553,7 +572,11 @@ func (s *Server) startFrom(id string, sp *sharedProgram, cfg SessionConfig, im *
 	if err != nil {
 		return nil, err
 	}
-	sess := newSession(id, sp, cfg, im.thaw(watch), template)
+	c, reused := im.thaw(watch)
+	if reused {
+		s.met.thawReused()
+	}
+	sess := newSession(id, sp, cfg, c, template)
 	if err := s.admit(sess, state); err != nil {
 		return nil, err
 	}
@@ -657,11 +680,15 @@ func (s *Server) DeleteSession(id string) error {
 	return nil
 }
 
-// teardown cancels or waits out the session's compaction, folds its
-// final counters, and flushes and closes its delta log (the SIGTERM
-// drain path runs through here). Once it returns nothing writes to the
-// session's entry directory, so a delete can remove it for good.
+// teardown marks the session gone, then cancels or waits out its
+// compaction, folds its final counters, and flushes and closes its
+// delta log (the SIGTERM drain path runs through here). Once it returns
+// nothing writes to the session's entry directory, so a delete can
+// remove it for good, and no request runs on the session again: one
+// still waiting for the lock answers ErrNoSession. The token table of a
+// healthy core thawed from an image becomes that image's spare.
 func (s *Server) teardown(sess *Session) {
+	sess.gone.Store(true)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.compaction != nil {
@@ -669,6 +696,9 @@ func (s *Server) teardown(sess *Session) {
 	}
 	s.foldLocked(sess, true)
 	sess.journal.close()
+	if sess.from != nil && sess.broken == nil {
+		sess.from.spare.Store(sess.matcher.Table)
+	}
 	s.met.sessionClosed()
 }
 
@@ -832,7 +862,9 @@ func (s *Server) Batch(id string, req *BatchRequest) (*BatchResult, error) {
 		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
 	}
 
-	sess.mu.Lock()
+	if err := sess.lock(); err != nil {
+		return nil, err
+	}
 	defer sess.mu.Unlock()
 
 	res := &BatchResult{Firings: []FiringOut{}, WMAdded: []WMEOut{}, WMRemoved: []int{}}
@@ -921,7 +953,9 @@ func (s *Server) WMSnapshot(id string) ([]WMEOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess.mu.Lock()
+	if err := sess.lock(); err != nil {
+		return nil, err
+	}
 	defer sess.mu.Unlock()
 	prog := sess.sp.prog
 	out := make([]WMEOut, 0, sess.eng.WM.Len())

@@ -83,7 +83,7 @@ func (s *Server) CreateTemplate(cfg *TemplateConfig) (*TemplateInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := im.thaw(watch)
+	c, _ := im.thaw(watch)
 	// The base facts run engine code on caller input; quarantine panics
 	// the same way session requests do.
 	err = s.quarantined(func() error {

@@ -35,6 +35,10 @@ type Server struct {
 	// ProgramImagesBuilt counts the init images built: a program's
 	// top-level makes matched once, then copied by every create.
 	ProgramImagesBuilt int64 `json:"program_images_built"`
+	// ThawsReused counts the session starts (creates and forks) whose
+	// token table was a deleted session's, taken over from its image
+	// instead of allocated.
+	ThawsReused int64 `json:"thaws_reused"`
 }
 
 // histBuckets is the number of power-of-two latency buckets. Bucket i
