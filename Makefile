@@ -36,19 +36,20 @@ DURABILITY_TESTS = TestCrashRecoveryDifferential|TestLifecycleDifferential|TestR
 
 # Race-detect the concurrent subsystems: the inference server (many
 # sessions admitted through its semaphore of Workers slots, compactions
-# behind them) and the engine
-# over the parallel matcher; then the engine's epoch-swap suites (runtime
-# build/excise on 1-8 workers under both lock schemes: the control
-# process replays alone on the walk once the workers are out, then
-# drains), the durability suites, and the parallel matcher, its task
-# queues and the token store under it, 20 times over — their oracles are
-# schedules (who wins the last unit of a phase, which process buffers a
-# terminal activation, a control hand-off between goroutines, which
-# same-side activation re-keys a run slot another still holds a Ref to,
-# whether a compaction is queued, in flight or done when its session
-# goes), and one pass samples too few of them. The conflict set is no
-# longer concurrent: match goroutines buffer their terminal activations
-# and only the control process applies them. Session starts are
+# behind them) and the engine over the parallel matcher; then the
+# engine's dynamic suites (runtime build/excise on 1-8 workers under
+# both lock schemes: each change retracts working memory through the old
+# network, moves the drained, empty matcher onto the recompiled one and
+# re-asserts working memory, refraction carried across), the durability
+# suites, and the parallel matcher, its task queues and the token store
+# under it, 20 times over — their oracles are schedules (who wins the
+# last unit of a phase, which process buffers a terminal activation, a
+# control hand-off between goroutines, which same-side activation
+# re-keys a run slot another still holds a Ref to, whether a compaction
+# is queued, in flight or done when its session goes), and one pass
+# samples too few of them. The conflict set is no longer concurrent:
+# match goroutines buffer their terminal activations and only the
+# control process applies them. Session starts are
 # schedules too: concurrent creates of a new program race to build its
 # one init image while others thaw it, and forks thaw a template's
 # image with no lock, so the image suite, fork isolation and the
@@ -76,8 +77,10 @@ recovery:
 reorder-differential:
 	$(GO) test -race -run 'TestReorderDifferential' -v ./internal/tables
 
+# go vet, and gofmt: an unformatted Go file fails the gate.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 check: build vet test race bench-smoke bench-e2e-smoke reorder-differential fuzz-smoke cluster-smoke
 

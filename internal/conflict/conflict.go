@@ -501,64 +501,3 @@ func compareRecency(a, b []int) int {
 	}
 	return 0
 }
-
-// ExciseRule drops every instantiation of one production from the set —
-// live, fired (the refraction ghosts awaiting their terminal minus) and
-// parked deletes — and reports how many entries went. OPS5 excise
-// semantics: the production's instantiations vanish outright, with no
-// retraction traffic through the network (its terminal is already gone
-// from the epoch). Dropped objects are never recycled; Select may have
-// leaked some to the engine.
-func (s *Set) ExciseRule(rule *rete.CompiledRule) (removed int) {
-	for i := range s.parts {
-		p := &s.parts[i]
-		nLive := exciseMap(p.live, rule)
-		if nLive > 0 {
-			p.nLive -= nLive
-			if p.best != nil && p.best.Rule == rule {
-				p.best = nil
-				p.dirty = true
-			}
-		}
-		nFired := exciseMap(p.fired, rule)
-		nPend := exciseMap(p.pending, rule)
-		s.c.Live -= int64(nLive)
-		s.c.Fired -= int64(nFired)
-		s.c.Pending -= int64(nPend)
-		removed += nLive + nFired + nPend
-	}
-	return removed
-}
-
-// exciseMap rebuilds each bucket chain without the rule's entries,
-// preserving the order of the survivors.
-func exciseMap(m map[uint64]*Instantiation, rule *rete.CompiledRule) (removed int) {
-	for h, head := range m {
-		var newHead, tail *Instantiation
-		n := 0
-		for cur := head; cur != nil; {
-			next := cur.next
-			cur.next = nil
-			if cur.Rule == rule {
-				n++
-			} else if tail == nil {
-				newHead, tail = cur, cur
-			} else {
-				tail.next = cur
-				tail = cur
-			}
-			cur = next
-		}
-		if n == 0 {
-			m[h] = newHead // relinked unchanged
-			continue
-		}
-		removed += n
-		if newHead == nil {
-			delete(m, h)
-		} else {
-			m[h] = newHead
-		}
-	}
-	return removed
-}

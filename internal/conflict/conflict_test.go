@@ -343,71 +343,6 @@ func TestPlusMinusStormAnyOrder(t *testing.T) {
 	}
 }
 
-// ExciseRule removes every trace of a rule — live, fired, and parked
-// pending deletes — across all shards, leaving other rules intact.
-func TestExciseRuleRemovesAllStates(t *testing.T) {
-	cs := lexSet()
-	doomed := mkRule(0, 5, "doomed")
-	keep := mkRule(1, 5, "keep")
-	// Live entries for both rules, spread across shards; doomed holds
-	// the most recent tags so Select lands on it first.
-	for i := 1; i <= 6; i++ {
-		cs.InsertInstantiation(doomed, []*wm.WME{mkWME(i + 100)})
-		cs.InsertInstantiation(keep, []*wm.WME{mkWME(i)})
-	}
-	// One fired entry for the doomed rule (it must be purged too).
-	inst := cs.Select()
-	if inst.Rule != doomed {
-		t.Fatalf("setup: Select = %v, want doomed (most recent)", inst)
-	}
-	cs.MarkFired(inst)
-	// And one parked pending delete (out-of-order minus) for it.
-	cs.RemoveInstantiation(doomed, []*wm.WME{mkWME(999)})
-
-	removed := cs.ExciseRule(doomed)
-	if removed == 0 {
-		t.Fatal("ExciseRule removed nothing")
-	}
-	for _, got := range cs.Snapshot() {
-		if got.Rule == doomed {
-			t.Fatalf("excised rule still present: %v", got)
-		}
-	}
-	if cs.Live()+cs.Fired() != cs.Len() {
-		t.Fatalf("live=%d fired=%d len=%d inconsistent after excise", cs.Live(), cs.Fired(), cs.Len())
-	}
-	// Only keep's entries survive, and selection still works.
-	for i := 0; i < 6; i++ {
-		got := cs.Select()
-		if got == nil || got.Rule != keep {
-			t.Fatalf("post-excise Select = %v, want keep", got)
-		}
-		cs.RemoveInstantiation(keep, got.Wmes)
-	}
-	if !cs.Drained() {
-		t.Fatal("excise left parked pending deletes behind")
-	}
-	if cs.Len() != 0 {
-		t.Fatalf("len = %d after draining survivors, want 0", cs.Len())
-	}
-}
-
-// Excising the cached best must not leave a stale Select result.
-func TestExciseRuleInvalidatesCachedBest(t *testing.T) {
-	cs := lexSet()
-	a := mkRule(0, 5, "a")
-	b := mkRule(1, 5, "b")
-	cs.InsertInstantiation(a, []*wm.WME{mkWME(9)}) // most recent: cached best
-	cs.InsertInstantiation(b, []*wm.WME{mkWME(1)})
-	if got := cs.Select(); got.Rule != a {
-		t.Fatalf("Select = %v, want a", got)
-	}
-	cs.ExciseRule(a)
-	if got := cs.Select(); got == nil || got.Rule != b {
-		t.Fatalf("Select after excising cached best = %v, want b", got)
-	}
-}
-
 // Property: dominance is asymmetric — a and b can never dominate each
 // other — across randomized instantiations under both strategies.
 func TestDominanceAsymmetric(t *testing.T) {

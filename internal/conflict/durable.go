@@ -25,7 +25,8 @@ func instKeyTags(rule *rete.CompiledRule, tags []int) uint64 {
 
 // MarkFiredByTags finds the live instantiation of rule whose token time
 // tags equal tags (in token order) and marks it fired, re-establishing
-// refraction during log replay. It reports whether such an
+// refraction during log replay and after a program change re-matches
+// working memory. It reports whether such an
 // instantiation existed — a miss is normal when the firing's WMEs were
 // later retracted and the instantiation annihilated.
 func (s *Set) MarkFiredByTags(rule *rete.CompiledRule, tags []int) bool {

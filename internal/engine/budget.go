@@ -43,8 +43,7 @@ func (e *Engine) Quarantined() []QuarantinedRule {
 
 // snapshotBudget re-bases the per-cycle examination deltas. Called at
 // the start of a run (so work done by Init or between runs is not
-// charged to the first cycle) and after any epoch change (which zeroes
-// dead joins' counters).
+// charged to the first cycle).
 func (e *Engine) snapshotBudget() {
 	if jm, ok := e.Matcher.(JoinExaminer); ok {
 		e.budgetPrev = jm.JoinExamined()
@@ -59,8 +58,7 @@ func (e *Engine) enforceBudget(budget int64, cycle int) error {
 	if !ok || budget <= 0 {
 		return nil
 	}
-	sw, swOK := e.Matcher.(EpochSwapper)
-	if !swOK {
+	if _, ok := e.Matcher.(Rebinder); !ok {
 		return nil // nothing actionable: the backend cannot excise
 	}
 	cur := jm.JoinExamined()
@@ -86,13 +84,13 @@ func (e *Engine) enforceBudget(budget int64, cycle int) error {
 		return nil
 	}
 	name := worst.Rule.Name
-	if err := e.excise(sw, name); err != nil {
+	if err := e.Excise(name); err != nil {
 		return fmt.Errorf("match budget: quarantining %s: %w", name, err)
 	}
 	e.quarantined = append(e.quarantined, QuarantinedRule{Rule: name, Cycle: cycle, Examined: worstCost})
 	e.epochStats.BudgetTrips++
-	// The excise zeroed the dead joins' counters; re-base so the next
-	// cycle's deltas stay non-negative.
+	// The excise restarted the per-join counters on the new network;
+	// re-base so the next cycle's deltas stay non-negative.
 	e.budgetPrev = jm.JoinExamined()
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"repro/internal/conflict"
-	"repro/internal/rhs"
 	"repro/internal/symbols"
 	"repro/internal/wm"
 	"repro/internal/wmlog"
@@ -198,10 +197,11 @@ func (e *Engine) ReplayRecords(recs []*wmlog.Record) error {
 
 // CloneWith builds a forked engine over pre-cloned session state: the
 // caller supplies the cloned working memory, conflict set, and matcher
-// (or a fresh matcher it restored separately). Program, network epoch,
-// and compiled right-hand sides are shared — all read-only at execution
-// time. The compiled slice and the program delta are copied so post-fork
-// rule changes never write through a shared backing array.
+// (or a fresh matcher it restored separately). Program, network and
+// compiled right-hand sides are shared — all read-only at execution
+// time; a runtime program change replaces them. The program delta is
+// copied so post-fork rule changes never write through a shared backing
+// array.
 func (e *Engine) CloneWith(wmem *wm.Memory, cs *conflict.Set, m Matcher, out io.Writer) *Engine {
 	UseSlots(m, wmem.Slots())
 	return &Engine{
@@ -211,7 +211,7 @@ func (e *Engine) CloneWith(wmem *wm.Memory, cs *conflict.Set, m Matcher, out io.
 		CS:        cs,
 		Matcher:   m,
 		Out:       out,
-		compiled:  append([]*rhs.Compiled(nil), e.compiled...),
+		compiled:  e.compiled,
 		progDelta: append([]string(nil), e.progDelta...),
 		halted:    e.halted,
 	}

@@ -4,25 +4,21 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/conflict"
 	"repro/internal/ops5"
 	"repro/internal/rete"
-	"repro/internal/rhs"
 	"repro/internal/stats"
-	"repro/internal/wm"
 )
 
-// ErrDynamicUnsupported reports a matcher backend that cannot adopt new
-// network epochs (currently only the interpreted Lisp baseline).
+// ErrDynamicUnsupported reports a matcher backend that cannot move onto
+// a new network (currently only the interpreted Lisp baseline).
 var ErrDynamicUnsupported = errors.New("engine: matcher backend does not support runtime build/excise")
 
-// EpochSwapper is the optional matcher interface for dynamic rule
-// changes. SwapEpoch adopts a network epoch derived from the matcher's
-// current one: it tears down the memories of excised nodes and replays
-// the live working memory through newly added topology. It must only be
-// called while the matcher is drained. The returned count is the number
-// of memory entries removed by an excise.
-type EpochSwapper interface {
-	SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, err error)
+// Rebinder is the optional matcher interface for runtime program
+// changes. SetNetwork moves a drained matcher that holds no token onto
+// another network.
+type Rebinder interface {
+	SetNetwork(net *rete.Network) error
 }
 
 // Epoch returns the version of the network the engine is matching on.
@@ -32,86 +28,65 @@ func (e *Engine) Epoch() int { return e.Net.Epoch }
 func (e *Engine) EpochStats() stats.Epoch { return e.epochStats }
 
 // AddRules parses a runtime batch of (p ...) and (excise name) forms
-// and applies the changes in source order, one network epoch per
-// change. Redefining an existing production excises the old definition
-// first (OPS5 semantics). The returned slices name the productions
-// added and excised; on error the changes already applied stay applied
-// and are still reported.
+// and applies the changes in source order, one rebuild per change.
+// Redefining an existing production excises the old definition first
+// (OPS5 semantics). The returned slices name the productions added and
+// excised; on error the changes already applied stay applied and are
+// still reported.
 func (e *Engine) AddRules(src string) (added, excised []string, err error) {
-	sw, ok := e.Matcher.(EpochSwapper)
-	if !ok {
-		return nil, nil, ErrDynamicUnsupported
-	}
 	changes, err := e.Prog.ParseProductions(src)
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, ch := range changes {
-		if ch.Add == nil {
-			if err := e.excise(sw, ch.Excise); err != nil {
+		if ch.Add == nil || e.Net.RuleByName(ch.Add.Name) != nil {
+			name := ch.Excise
+			if ch.Add != nil {
+				name = ch.Add.Name
+			}
+			if err := e.Excise(name); err != nil {
 				return added, excised, err
 			}
-			excised = append(excised, ch.Excise)
+			excised = append(excised, name)
+		}
+		if ch.Add == nil {
 			continue
 		}
-		if e.Net.RuleByName(ch.Add.Name) != nil {
-			if err := e.excise(sw, ch.Add.Name); err != nil {
-				return added, excised, err
-			}
-			excised = append(excised, ch.Add.Name)
-		}
-		if err := e.addRule(sw, ch.Add); err != nil {
+		if err := e.rebuild(append(e.rules(""), ch.Add)); err != nil {
 			return added, excised, err
 		}
+		e.epochStats.RulesAdded++
+		e.programChanged(e.Prog.FormatRule(ch.Add))
 		added = append(added, ch.Add.Name)
 	}
-	return added, excised, e.Matcher.CheckInvariants()
+	return added, excised, nil
 }
 
-// Excise removes one production from the engine's network epoch,
-// dropping its memory entries and conflict-set instantiations. Shared
-// nodes referenced by other productions are untouched.
+// Excise removes one production: the engine rebuilds on the network of
+// the other rules, and the production's instantiations go with its
+// terminal.
 func (e *Engine) Excise(name string) error {
-	sw, ok := e.Matcher.(EpochSwapper)
-	if !ok {
-		return ErrDynamicUnsupported
+	if e.Net.RuleByName(name) == nil {
+		return fmt.Errorf("excise: no production named %s", name)
 	}
-	if err := e.excise(sw, name); err != nil {
+	if err := e.rebuild(e.rules(name)); err != nil {
 		return err
 	}
-	return e.Matcher.CheckInvariants()
+	e.epochStats.RulesExcised++
+	e.programChanged(fmt.Sprintf("(excise %s)", name))
+	return nil
 }
 
-// addRule compiles one parsed rule into a new network epoch (in the
-// network's own join plan), compiles its RHS, and has the matcher adopt
-// the epoch with a replay of the live working memory.
-// The engine's own state (Net, compiled) is only updated after the swap
-// succeeds. This is the engine's single add site.
-func (e *Engine) addRule(sw EpochSwapper, r *ops5.Rule) error {
-	e.drain()
-	next, err := rete.AddRule(e.Net, r)
-	if err != nil {
-		return err
+// rules returns the network's rules in compile order, except the one
+// named except.
+func (e *Engine) rules(except string) []*ops5.Rule {
+	out := make([]*ops5.Rule, 0, len(e.Net.Rules)+1)
+	for _, cr := range e.Net.Rules {
+		if cr.Rule.Name != except {
+			out = append(out, cr.Rule)
+		}
 	}
-	cr := next.Delta.AddedRules[0]
-	c, err := rhs.Compile(e.Prog, cr)
-	if err != nil {
-		return fmt.Errorf("production %s: %w", r.Name, err)
-	}
-	live := e.WM.Snapshot()
-	if _, err := sw.SwapEpoch(next, live); err != nil {
-		return err
-	}
-	for len(e.compiled) < next.NumRuleIDs() {
-		e.compiled = append(e.compiled, nil)
-	}
-	e.compiled[cr.Index] = c
-	e.Net = next
-	e.epochStats.Swaps++
-	e.epochStats.RulesAdded++
-	e.epochStats.ReplayedWMEs += int64(len(live))
-	e.programChanged(e.Prog.FormatRule(r))
-	return nil
+	return out
 }
 
 // programChanged records one applied program change in its canonical
@@ -125,31 +100,65 @@ func (e *Engine) programChanged(src string) {
 	}
 }
 
-// excise builds the removal epoch, swaps the matcher onto it, and
-// drops the rule's conflict-set instantiations. This is the engine's
-// single excise site: runtime excises, redefinitions and budget
-// quarantines all come through here.
-func (e *Engine) excise(sw EpochSwapper, name string) error {
-	cr := e.Net.RuleByName(name)
-	if cr == nil {
-		return fmt.Errorf("excise: no production named %s", name)
+// rebuild makes rules the engine's program: the single site of every
+// runtime build, excise, redefinition, budget quarantine and replayed
+// program record. It compiles the next network and its right-hand sides
+// (a failure changes nothing), notes the fired instantiations of the
+// rules that survive, retracts working memory through the old network
+// — straight to the matcher, with no journal and no listener, which
+// empties the token table and the conflict set — moves the matcher onto
+// the new network, re-asserts working memory in tag order and marks the
+// noted instantiations fired again. The result is the state a
+// from-scratch compile of rules would reach on this working memory,
+// refraction included.
+func (e *Engine) rebuild(rules []*ops5.Rule) error {
+	rb, ok := e.Matcher.(Rebinder)
+	if !ok {
+		return ErrDynamicUnsupported
+	}
+	next, err := e.Net.Recompile(rules)
+	if err != nil {
+		return err
+	}
+	compiled, err := compileRHS(e.Prog, next)
+	if err != nil {
+		return err
 	}
 	e.drain()
-	next, err := rete.RemoveRule(e.Net, name)
-	if err != nil {
+	type fireKey struct {
+		rule string
+		tags []int
+	}
+	var fired []fireKey
+	e.CS.ForEachFired(func(inst *conflict.Instantiation) {
+		fired = append(fired, fireKey{inst.Rule.Rule.Name, tags(inst.Wmes)})
+	})
+	live := e.WM.Snapshot()
+	for _, w := range live {
+		e.Matcher.Submit(false, w)
+	}
+	e.Matcher.Drain()
+	if n := e.CS.Len(); n != 0 || !e.CS.Drained() {
+		return fmt.Errorf("engine: %d instantiations left after retracting working memory", n)
+	}
+	if err := rb.SetNetwork(next); err != nil {
 		return err
 	}
-	removed, err := sw.SwapEpoch(next, nil)
-	if err != nil {
-		return err
+	e.Net, e.compiled = next, compiled
+	for _, w := range live {
+		e.Matcher.Submit(true, w)
 	}
-	e.compiled[cr.Index] = nil
-	e.Net = next
-	insts := e.CS.ExciseRule(cr)
+	e.Matcher.Drain()
+	byName := make(map[string]*rete.CompiledRule, len(next.Rules))
+	for _, cr := range next.Rules {
+		byName[cr.Rule.Name] = cr
+	}
+	for _, k := range fired {
+		if cr := byName[k.rule]; cr != nil && !e.CS.MarkFiredByTags(cr, k.tags) {
+			return fmt.Errorf("engine: fired %s %v not re-derived", k.rule, k.tags)
+		}
+	}
 	e.epochStats.Swaps++
-	e.epochStats.RulesExcised++
-	e.epochStats.RemovedEntries += int64(removed)
-	e.epochStats.RemovedInsts += int64(insts)
-	e.programChanged(fmt.Sprintf("(excise %s)", name))
-	return nil
+	e.epochStats.ReplayedWMEs += int64(len(live))
+	return e.Matcher.CheckInvariants()
 }

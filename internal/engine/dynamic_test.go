@@ -30,10 +30,8 @@ const dynBase = `
 (p keep (item ^kind <k> ^size <s>) (box ^kind <k> ^cap > <s>) --> (write fits))
 `
 
-// dynNewRules exercises both replay paths: lonely builds a fresh
-// negated join (right memory must settle before left deliveries), and
-// pair extends keep's existing (item,box) join with a new successor,
-// so its historical outputs are re-derived and replayed.
+// dynNewRules adds a negated join (lonely) and a rule that shares
+// keep's (item,box) join and extends it (pair).
 const dynNewRules = `
 (p lonely (box ^kind <k> ^cap <c>) - (item ^kind <k> ^size > <c>) --> (write empty))
 (p pair (item ^kind <k> ^size <s>) (box ^kind <k> ^cap > <s>) (item ^kind blue ^size <s2>) --> (write pair))
@@ -154,9 +152,8 @@ func TestDynamicAddEquivalence(t *testing.T) {
 }
 
 // TestDynamicExciseEquivalence: excising must drop exactly the excised
-// rule's state — the remaining conflict set matches a from-scratch
-// compile without the rule, memories of dead nodes are empty, and
-// shared nodes keep their tokens.
+// rule's state — the remaining conflict set and token table match a
+// from-scratch compile without the rule.
 func TestDynamicExciseEquivalence(t *testing.T) {
 	for _, b := range dynBackends() {
 		t.Run(b.name, func(t *testing.T) {
@@ -175,17 +172,17 @@ func TestDynamicExciseEquivalence(t *testing.T) {
 			if err := e.Matcher.CheckInvariants(); err != nil {
 				t.Errorf("invariants after excise: %v", err)
 			}
-			// No leaked memory entries under excised nodes.
+			// The rebuilt network is the from-scratch one, node for node,
+			// and holds exactly its tokens: none leaked from the old one.
 			if sm, ok := e.Matcher.(*seqmatch.Matcher); ok {
-				sizes := sm.Table.SizeByNode(e.Net.NumJoinIDs())
-				for _, dj := range e.Net.Delta.DeadJoins {
-					if n := sizes[dj.ID][0] + sizes[dj.ID][1]; n != 0 {
-						t.Errorf("dead join %d still holds %d tokens", dj.ID, n)
-					}
+				n := e.Net.NumJoinIDs()
+				got, want := sm.Table.SizeByNode(n), fresh.Matcher.(*seqmatch.Matcher).Table.SizeByNode(n)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("tokens by join %v, from-scratch %v", got, want)
 				}
 			}
-			if st := e.EpochStats(); st.RulesExcised != 1 || st.RemovedInsts == 0 {
-				t.Errorf("epoch stats %+v, want one excised rule with removed instantiations", st)
+			if st := e.EpochStats(); st.RulesExcised != 1 || st.ReplayedWMEs != 5 {
+				t.Errorf("epoch stats %+v, want one excised rule and 5 re-matched WMEs", st)
 			}
 		})
 	}
@@ -284,5 +281,72 @@ func TestDynamicFrozenProgram(t *testing.T) {
 	}
 	if err := e.Excise("nope"); err == nil {
 		t.Error("excising an unknown production must fail")
+	}
+}
+
+// TestDynamicKeepsRefraction: a program change re-matches working
+// memory, but an instantiation that fired stays fired — on every
+// backend, with the same firing trace. Redefining the production that
+// fired gives its instantiations a new identity, so they fire again.
+// (csKeys compares unfired instantiations only, so the equivalence
+// tests above do not see refraction.)
+func TestDynamicKeepsRefraction(t *testing.T) {
+	var want string
+	for _, b := range dynBackends() {
+		t.Run(b.name, func(t *testing.T) {
+			e, closeE := newDynEngine(t, dynBase, b)
+			defer closeE()
+			var trace []string
+			run := func(max int) {
+				t.Helper()
+				res, err := e.Run(engine.Options{MaxCycles: max, RecordFiring: true, CheckEvery: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range res.Firings {
+					trace = append(trace, fmt.Sprintf("%s%v", f.Rule, f.TimeTags))
+				}
+			}
+			count := func(key string) (n int) {
+				for _, f := range trace {
+					if f == key {
+						n++
+					}
+				}
+				return n
+			}
+			run(1)
+			if len(trace) != 1 {
+				t.Fatalf("first cycle fired %v, want one keep instantiation", trace)
+			}
+			first := trace[0]
+			if _, _, err := e.AddRules(`(p blue-box (box ^kind blue) --> (write blue))
+(p red-box (box ^kind red) --> (write red))`); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Excise("red-box"); err != nil {
+				t.Fatal(err)
+			}
+			run(0)
+			if count(first) != 1 {
+				t.Fatalf("%s fired %d times across an add and an excise: %v", first, count(first), trace)
+			}
+			if count("blue-box[5]") != 1 || len(trace) != 3 {
+				t.Fatalf("trace %v, want %s, the other keep and blue-box[5]", trace, first)
+			}
+			if _, _, err := e.AddRules(`(p keep (item ^kind <k> ^size <s>) (box ^kind <k> ^cap > <s>) --> (write fits))`); err != nil {
+				t.Fatal(err)
+			}
+			run(0)
+			if count(first) != 2 || len(trace) != 5 {
+				t.Fatalf("trace after redefining keep %v, want both keep instantiations again", trace)
+			}
+			got := fmt.Sprint(trace)
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("trace %s, want %s (the first backend's)", got, want)
+			}
+		})
 	}
 }

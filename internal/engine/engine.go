@@ -105,7 +105,7 @@ type Options struct {
 	// joins may examine in a single cycle. A rule over the cap is
 	// quarantined — excised via the dynamic-rule path, reported through
 	// Quarantined() — instead of stalling the session (budget.go).
-	// Requires a matcher implementing JoinExaminer and EpochSwapper;
+	// Requires a matcher implementing JoinExaminer and Rebinder;
 	// inert otherwise.
 	MatchBudget int64
 }
@@ -127,8 +127,8 @@ type Engine struct {
 	// The server uses it to report per-request WM deltas.
 	WMListener func(sign bool, w *wm.WME)
 
-	// compiled is indexed by CompiledRule.Index — the monotonic rule ID,
-	// never reused across epochs — so it is sparse after excises.
+	// compiled holds the right-hand sides of Net's rules, indexed by
+	// CompiledRule.Index.
 	compiled []*rhs.Compiled
 	// rhsEnv is the RHS execution environment (see env).
 	rhsEnv *rhs.Env
@@ -225,7 +225,16 @@ func New(prog *ops5.Program, net *rete.Network, cs *conflict.Set, m Matcher, out
 // parses must not mutate them. The result is read-only and may be handed
 // to any number of engines over the same program (NewWithRHS).
 func CompileRHS(prog *ops5.Program, net *rete.Network) ([]*rhs.Compiled, error) {
-	compiled := make([]*rhs.Compiled, net.NumRuleIDs())
+	compiled, err := compileRHS(prog, net)
+	if err != nil {
+		return nil, err
+	}
+	prog.Freeze()
+	return compiled, nil
+}
+
+func compileRHS(prog *ops5.Program, net *rete.Network) ([]*rhs.Compiled, error) {
+	compiled := make([]*rhs.Compiled, len(net.Rules))
 	for _, cr := range net.Rules {
 		c, err := rhs.Compile(prog, cr)
 		if err != nil {
@@ -233,14 +242,13 @@ func CompileRHS(prog *ops5.Program, net *rete.Network) ([]*rhs.Compiled, error) 
 		}
 		compiled[cr.Index] = c
 	}
-	prog.Freeze()
 	return compiled, nil
 }
 
 // NewWithRHS is New over right-hand sides CompileRHS already produced
 // for this program and network — a server compiles them once per program,
-// not once per session. The slice is copied (runtime build and excise
-// write the engine's own), the compiled rules are shared.
+// not once per session. The slice is shared: a runtime program change
+// replaces the engine's slice, never writes into it.
 func NewWithRHS(prog *ops5.Program, net *rete.Network, compiled []*rhs.Compiled, cs *conflict.Set, m Matcher, out io.Writer) (*Engine, error) {
 	st, err := conflict.ParseStrategy(prog.Strategy)
 	if err != nil {
@@ -256,7 +264,7 @@ func NewWithRHS(prog *ops5.Program, net *rete.Network, compiled []*rhs.Compiled,
 		CS:       cs,
 		Matcher:  m,
 		Out:      out,
-		compiled: append([]*rhs.Compiled(nil), compiled...),
+		compiled: compiled,
 	}, nil
 }
 

@@ -271,9 +271,7 @@ func (l *Line) growRuns(p *Pools, hash uint64) *run {
 	return freeSlot(v, base, n, hash)
 }
 
-// forEachRun calls fn for every keyed run of a segregated line. The
-// sub-index is read once, so fn may insert into the line (epoch replay
-// does): the runs it has yet to visit stay where they were.
+// forEachRun calls fn for every keyed run of a segregated line.
 func (l *Line) forEachRun(v view, fn func(*run)) {
 	if l.first.node != 0 {
 		fn(&l.first)
@@ -359,7 +357,7 @@ type Emit func(sign bool, tok []uint32)
 // FoldLive moves the live-entry delta p's owner has accumulated into
 // the table's gauge. The owner must be out of the table: matchers call
 // it at drained points, before anything reads the gauge (GrowTarget,
-// MemStats, Reslot, Freeze) or recounts it (Grow, ExciseNodes).
+// MemStats, Reslot, Freeze, Rebind) or recounts it (Grow).
 func (t *Table) FoldLive(p *Pools) {
 	if p.live != 0 {
 		t.entries.Add(p.live)
@@ -814,161 +812,25 @@ func (t *Table) WalkParked() (n int64) {
 	return n
 }
 
-// EnsureNodes grows a per-node (vs1) table so node IDs up to
-// numJoins-1 have a private line, preserving existing lines. Hashed
-// tables need no growth (lines are picked by token hash, not node ID);
-// matchers call this when adopting a network epoch with new joins.
-func (t *Table) EnsureNodes(numJoins int) {
-	if t.Hashed || numJoins <= len(t.Lines) {
-		return
+// Rebind readies the table for a network of numJoins joins: a per-node
+// (vs1) table gets one line per join; a hashed one picks lines by token
+// hash and keeps its lines. The table must hold no entry and no parked
+// delete — node IDs name different joins in the new network — and its
+// owner must hold it alone with every live delta folded.
+func (t *Table) Rebind(numJoins int) error {
+	if n, p := t.entries.Load(), t.parked.Load(); n != 0 || p != 0 {
+		return fmt.Errorf("hashmem: rebind with %d entries and %d parked deletes left", n, p)
 	}
-	lines := make([]Line, numJoins)
-	copy(lines, t.Lines)
-	t.Lines = lines
-}
-
-// EnsureNodes grows the per-node counters for a network epoch with new
-// joins.
-func (r *Recorder) EnsureNodes(numJoins int) {
-	for s := 0; s < 2; s++ {
-		if numJoins > len(r.NodeCount[s]) {
-			grown := make([]int64, numJoins)
-			copy(grown, r.NodeCount[s])
-			r.NodeCount[s] = grown
-		}
-	}
-	if numJoins > len(r.NodeExamined) {
-		grown := make([]int64, numJoins)
-		copy(grown, r.NodeExamined)
-		r.NodeExamined = grown
-	}
-}
-
-// ExciseNodes unlinks every memory entry and parked early delete
-// belonging to a dead node (keyed by node ID), recycles them into p, and
-// reports how many entries were dropped. rec, when non-nil, has the dead
-// nodes' token counts zeroed. The caller must hold the table exclusively
-// (sequential matchers between activations; the parallel matcher
-// drained).
-func (t *Table) ExciseNodes(dead map[int]bool, rec *Recorder, p *Pools) (removed int) {
-	if len(dead) == 0 {
-		return 0
-	}
-	p.bind(t.st)
-	v := t.st.view()
-	for i := range t.Lines {
-		l := &t.Lines[i]
-		// A dead run keeps its key (overflow probe sequences stay intact;
-		// the next sub-index growth compacts it away) and drops its lists.
-		t.lists(v, l, func(_ rete.Side, head *uint32) {
-			n := exciseList(v, head, dead, p)
-			l.live -= int32(n)
-			removed += n
-		})
-		for s := range l.xdel {
-			x := exciseList(v, &l.xdel[s], dead, p)
-			t.parked.Add(int64(-x))
-			removed += x
-		}
-	}
-	// removed includes parked entries, which never counted toward the
-	// live gauge; recompute exactly.
-	var live int64
-	for i := range t.Lines {
-		live += int64(t.Lines[i].live)
-	}
-	t.entries.Store(live)
-	if rec != nil {
-		for id := range dead {
-			for s := 0; s < 2; s++ {
-				if id < len(rec.NodeCount[s]) {
-					rec.NodeCount[s][id] = 0
-				}
-			}
-			if id < len(rec.NodeExamined) {
-				rec.NodeExamined[id] = 0
-			}
-		}
-	}
-	return removed
-}
-
-// exciseList unlinks and frees the dead nodes' entries of the list at
-// *head, keeping the others in order.
-func exciseList(v view, head *uint32, dead map[int]bool, p *Pools) (removed int) {
-	for q := head; *q != 0; {
-		i := *q
-		e := v.ent(i)
-		if dead[e.node()] {
-			*q, e.next = e.next, 0
-			p.FreeEntry(i)
-			removed++
-			continue
-		}
-		q = &e.next
-	}
-	return removed
-}
-
-// ForEachOutput re-derives the historical output tokens of join j from
-// its stored memories and calls fn for each, a span from pools' arena:
-// for a positive node every matching (left token, right WME) pair in the
-// same line, for a negated node every left token whose negation count is
-// zero. Replay uses this to seed newly attached successors and terminals
-// of a pre-existing join with the tokens it has already emitted. Correct
-// on hashed tables because both sides of a matching pair fold the same
-// equality-test values into their hash and therefore share a line — and,
-// in the segregated layout, a run. The caller must hold the table
-// exclusively.
-func (t *Table) ForEachOutput(j *rete.JoinNode, pools *Pools, fn func(tok []uint32)) {
-	lines := t.Lines
 	if !t.Hashed {
-		lines = t.Lines[j.ID : j.ID+1]
+		t.Lines = make([]Line, max(numJoins, 1))
 	}
-	v := t.st.view()
-	node := uint32(j.ID) + 1
-	for i := range lines {
-		l := &lines[i]
-		if !t.seg {
-			forEachPair(v, j, l.first.mem[rete.Left], l.first.mem[rete.Right], pools, fn)
-			continue
-		}
-		l.forEachRun(v, func(r *run) {
-			if r.node == node {
-				forEachPair(v, j, r.mem[rete.Left], r.mem[rete.Right], pools, fn)
-			}
-		})
-	}
+	return nil
 }
 
-// forEachPair calls fn for every output token j's entries on the two
-// lists stand for, skipping entries of other nodes.
-func forEachPair(v view, j *rete.JoinNode, left, right uint32, pools *Pools, fn func(tok []uint32)) {
-	sv := pools.Slots
-	lwant, rwant := packMeta(j.ID, j.LeftLen, rete.Left), packMeta(j.ID, 1, rete.Right)
-	for le := left; le != 0; le = v.ent(le).next {
-		if v.ent(le).meta != lwant {
-			continue
-		}
-		ltok := v.tok(le, j.LeftLen)
-		if j.Negated {
-			if v.ent(le).neg.Load() == 0 {
-				fn(copyTok(pools, ltok))
-			}
-			continue
-		}
-		for re := right; re != 0; re = v.ent(re).next {
-			if v.ent(re).meta != rwant {
-				continue
-			}
-			rs := v.tok(re, 1)[0]
-			if !j.TestPair(sv, ltok, sv.Get(rs)) {
-				continue
-			}
-			child := pools.Token(len(ltok) + 1)
-			copy(child, ltok)
-			child[len(ltok)] = rs
-			fn(child)
-		}
-	}
+// ResetNodes sizes the per-node counters for a network of numJoins
+// joins, all zero. The totals in M carry on.
+func (r *Recorder) ResetNodes(numJoins int) {
+	m := r.M
+	*r = *NewRecorder(numJoins)
+	r.M = m
 }

@@ -516,11 +516,10 @@ func emitKey(sign bool, tok []uint32) string {
 // segregated layout — with adaptive growth firing mid-stream, including
 // while deletes are parked, and the table swapped for a frozen copy
 // (thawed as it is, re-slotted at a template pin first, or thawed into
-// a dirty spare) and joins
-// excised at random points between activations — and in lockstep
-// through the fixed legacy layout (which sees the same excises), and
-// requires identical gauges at every such point, identical emission
-// multisets, drained extra-deletes and empty final memories.
+// a dirty spare) at random points between activations — and in lockstep
+// through the fixed legacy layout, and requires identical gauges at
+// every such point, identical emission multisets, drained extra-deletes
+// and empty final memories.
 func TestStormDifferentialAcrossResize(t *testing.T) {
 	net := fixture(t, threeJoinSrc)
 	joins := net.Joins[:3]
@@ -589,20 +588,15 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 		}
 	}
 	var segGot, legGot []string
-	dead := map[*rete.JoinNode]bool{}
 	copies := 0
 	for i, e := range events {
-		if dead[e.j] {
-			continue // its tokens left with the node, in both tables
-		}
 		step(seg, e, &segGot)
 		step(leg, e, &legGot)
 		if n := seg.GrowTarget(); n > 0 {
 			seg = seg.Grow(n, poolsFor(seg))
 			sameGauges(i, "grow")
 		}
-		switch r := rng.Intn(150); {
-		case r < 2 && i > len(events)/3:
+		if rng.Intn(150) < 2 && i > len(events)/3 {
 			// Carry on with the copy: thawed as it is, re-slotted (sized for
 			// its live entries, so growth stops there), or thawed into a
 			// spare that ran the next stretch of the storm first. The first
@@ -621,17 +615,6 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 			}
 			copies++
 			sameGauges(i, "copy")
-		case r == 2 && i > len(events)/2 && len(dead) < 2:
-			j := joins[rng.Intn(len(joins))]
-			if dead[j] {
-				break
-			}
-			dead[j] = true
-			ns, nl := seg.ExciseNodes(map[int]bool{j.ID: true}, nil, poolsFor(seg)), leg.ExciseNodes(map[int]bool{j.ID: true}, nil, poolsFor(leg))
-			if ns != nl {
-				t.Fatalf("event %d: ExciseNodes dropped %d segregated, %d legacy", i, ns, nl)
-			}
-			sameGauges(i, "excise")
 		}
 	}
 	sort.Strings(segGot)
@@ -656,13 +639,13 @@ func TestStormDifferentialAcrossResize(t *testing.T) {
 			t.Errorf("%s: %d tokens left in memory", name, n)
 		}
 	}
-	if ms := seg.MemStats(); ms.Resizes == 0 || copies < 3 || len(dead) == 0 {
-		t.Errorf("storm too tame: %d resizes, %d copies, %d excises; raise the pair count", ms.Resizes, copies, len(dead))
+	if ms := seg.MemStats(); ms.Resizes == 0 || copies < 3 {
+		t.Errorf("storm too tame: %d resizes, %d copies; raise the pair count", ms.Resizes, copies)
 	}
 }
 
-// threeJoinSrc compiles to three independent two-CE joins, so the storm
-// has several node IDs to excise one at a time.
+// threeJoinSrc compiles to three independent two-CE joins, so a storm
+// spreads over several node IDs.
 const threeJoinSrc = `(p r1 (a ^x <v>) (b ^y <v>) --> (halt))
 (p r2 (c ^x <v>) (d ^y <v>) --> (halt))
 (p r3 (e ^x <v>) (f ^y <v>) --> (halt))`
@@ -680,10 +663,11 @@ func allLayouts(numJoins int) map[string]func() *hashmem.Table {
 // TestParkedCountTracksWalk drives a randomized add/delete storm with
 // forced early deletes through every layout, interleaving Grow, a frozen
 // copy (thawed as it is, or re-slotted at a template pin first: the
-// compacting and the fixed-geometry path) and ExciseNodes, and
-// requires after every single step that the exact parked count equals
-// a full walk of the extra-deletes lists and the model's own tally, and
-// that CheckDrained fails exactly when that number is non-zero.
+// compacting and the fixed-geometry path) and Rebind, which must refuse
+// while anything is held, and requires after every single step that the
+// exact parked count equals a full walk of the extra-deletes lists and
+// the model's own tally, and that CheckDrained fails exactly when that
+// number is non-zero. Settled and emptied, the table rebinds.
 func TestParkedCountTracksWalk(t *testing.T) {
 	net := fixture(t, threeJoinSrc)
 	if len(net.Joins) < 3 {
@@ -726,7 +710,7 @@ func TestParkedCountTracksWalk(t *testing.T) {
 					t.Fatalf("step %d (%s): CheckDrained = %v with %d parked", step, op, err, walk)
 				}
 			}
-			var sawGrow, sawExcise, sawParkedExcise bool
+			var sawGrow, sawRefused bool
 			copies := 0
 			for step := 0; step < 4000; step++ {
 				op := ""
@@ -770,38 +754,34 @@ func TestParkedCountTracksWalk(t *testing.T) {
 					}
 					copies++
 				default:
-					op = "excise"
-					dead := joins[rng.Intn(len(joins))]
-					keep := func(s []tok) []tok {
-						out := s[:0]
-						for _, x := range s {
-							if x.j != dead {
-								out = append(out, x)
-							}
-						}
-						return out
+					op = "rebind"
+					if err := table.Rebind(len(joins)); (err == nil) != (len(live)+len(parked) == 0) {
+						t.Fatalf("step %d: Rebind = %v with %d live and %d parked", step, err, len(live), len(parked))
 					}
-					n := len(parked)
-					table.ExciseNodes(map[int]bool{dead.ID: true}, nil, poolsFor(table))
-					live, parked = keep(live), keep(parked)
-					sawExcise = true
-					sawParkedExcise = sawParkedExcise || len(parked) < n
+					sawRefused = sawRefused || len(live)+len(parked) > 0
 				}
 				if op != "" {
 					check(step, op)
 				}
 			}
-			if copies < 2 || !sawExcise || !sawParkedExcise || (table.Segregated() && !sawGrow) {
-				t.Fatalf("storm too tame: grow %v copies %d excise %v excise-with-parked %v",
-					sawGrow, copies, sawExcise, sawParkedExcise)
+			if copies < 2 || !sawRefused || (table.Segregated() && !sawGrow) {
+				t.Fatalf("storm too tame: grow %v copies %d rebind refused %v", sawGrow, copies, sawRefused)
 			}
 			// Settle: every outstanding conjugate arrives, the count reaches
-			// zero, and CheckDrained is quiet again.
+			// zero, and CheckDrained is quiet again; emptied, the table
+			// rebinds.
 			for len(parked) > 0 {
 				x := take(&parked)
 				apply(table, x.j, x.side, true, x.wmes)
 			}
 			check(-1, "settle")
+			for len(live) > 0 {
+				x := take(&live)
+				apply(table, x.j, x.side, false, x.wmes)
+			}
+			if err := table.Rebind(len(joins)); err != nil {
+				t.Fatalf("Rebind of an empty table: %v", err)
+			}
 		})
 	}
 }

@@ -264,8 +264,8 @@ func (s *sim) nodeProfile(net *rete.Network, n int) []NodeContention {
 		out = append(out, NodeContention{
 			Node: i, Acts: s.nodeActs[i], Hold: s.nodeHold[i],
 			MaxHold: s.nodeMaxHold[i], MaxScan: s.nodeMaxScan[i], MaxExam: s.nodeMaxExam[i],
-			Negated: net.JoinByID(i).Negated,
-			Rules:   net.RuleNamesOf(net.JoinByID(i)),
+			Negated: net.Joins[i].Negated,
+			Rules:   net.RuleNamesOf(net.Joins[i]),
 		})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Hold > out[b].Hold })
@@ -285,7 +285,7 @@ func (s *sim) lineProfile(net *rete.Network, n int) []LineContention {
 		lc := LineContention{Line: i, Acquires: s.lineAcqN[i], Spins: s.lineSpinN[i], Hold: s.lineHoldN[i], MaxHold: s.lineMaxHold[i]}
 		seen := map[string]bool{}
 		for nodeID := range s.lineNodes[i] {
-			for _, name := range net.RuleNamesOf(net.JoinByID(nodeID)) {
+			for _, name := range net.RuleNamesOf(net.Joins[nodeID]) {
 				if !seen[name] {
 					seen[name] = true
 					lc.Rules = append(lc.Rules, name)

@@ -279,8 +279,8 @@ func (p *Program) AttrName(class symbols.ID, field int) string {
 
 // ExciseRule removes a parsed rule by name and reports whether it
 // existed. It implements the top-level (excise name) form evaluated
-// during Parse; at runtime the engine excises from its network epoch
-// instead and leaves the (possibly shared) Program untouched.
+// during Parse; at runtime the engine recompiles its network without
+// the rule instead and leaves the (possibly shared) Program untouched.
 func (p *Program) ExciseRule(name string) bool {
 	for i, r := range p.Rules {
 		if r.Name == name {

@@ -75,7 +75,7 @@ type ProgramChange struct {
 // forms against an existing — typically frozen — program. It interns
 // symbols (thread-safe) but never mutates prog.Rules or the class
 // tables: new rules are returned to the caller, who owns applying them
-// to whichever network epoch it is building. Unknown classes and
+// to whichever network it is building. Unknown classes and
 // attributes are errors when the program is frozen.
 func (prog *Program) ParseProductions(src string) ([]ProgramChange, error) {
 	toks, err := lexAll(src)

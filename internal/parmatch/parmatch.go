@@ -22,8 +22,7 @@
 // A control process that holds every unit in existence matches alone on
 // vs2's own walk (seqmatch.Walk) over the shared table, with no line
 // locks, task objects or private stack: the protocol is paid only while
-// a peer could hold a unit. Epoch replay (SwapEpoch) runs on that walk
-// too.
+// a peer could hold a unit.
 //
 // Terminal activations do not touch the conflict set from the match
 // goroutines: each process buffers its (+)/(−) instantiations privately,
@@ -135,10 +134,10 @@ const (
 
 // Matcher is the parallel match backend. It implements engine.Matcher.
 type Matcher struct {
-	// net is the current network epoch. Workers load it once per task;
-	// SwapEpoch publishes a new epoch while the matcher is drained, so a
-	// task never straddles two epochs and the atomic load is all the
-	// steady-state match path pays for versioning.
+	// net is the current network. Workers load it once per task;
+	// SetNetwork publishes a new one while the matcher is drained and
+	// empty, so a task never straddles two networks and the atomic load
+	// is all the steady-state match path pays for it.
 	net atomic.Pointer[rete.Network]
 	// mem bundles the token table with its per-line lock arrays. Workers
 	// load the bundle once per join task; the control process publishes a
@@ -187,12 +186,12 @@ type termOp struct {
 	tok  []uint32
 }
 
-// wctx is one process's private state: a walk's state (the epoch its
+// wctx is one process's private state: a walk's state (the network its
 // task runs on, its recorder, and its pools of entries and in-flight
 // tokens), the stack its current unit runs on, task free list, buffered
 // terminal activations, counters and the pre-bound closures that keep
 // the hot path from allocating a closure per task. Only the control
-// process runs the walk itself (runSolo, SwapEpoch). Everything plain in
+// process runs the walk itself (runSolo). Everything plain in
 // it is written only while the process holds a unit (TaskCount > 0), so
 // the control process may read it once TaskCount == 0.
 //
@@ -220,7 +219,7 @@ type wctx struct {
 	polls atomic.Int64
 
 	// Per-task state read by the pre-bound closures below, beside the
-	// epoch (Walk.Net) loaded at task start for emit's fan-out.
+	// network (Walk.Net) loaded at task start for emit's fan-out.
 	curJoin *rete.JoinNode // join whose outputs emit fans out
 	curSign bool           // sign of the root change being delivered
 	curWME  *wm.WME        // root WME being delivered
@@ -596,7 +595,7 @@ func (w *wctx) takeAll() bool {
 
 // runSolo runs the units on the stack in queue order on the control
 // process's walk, depth-first as vs2 does, over the shared table (the
-// control process, the only writer of the epoch and the table, keeps
+// control process, the only writer of the network and the table, keeps
 // its walk on the current ones). Roots count one activation each, as on
 // the locked path, and terminals buffer as they do there.
 func (w *wctx) runSolo() {
@@ -806,32 +805,23 @@ func (w *wctx) recordLine(side rete.Side, spins int64) {
 	}
 }
 
-// SwapEpoch adopts a network epoch derived from the matcher's current
-// one. Must be called from the control process with the matcher drained
-// (no tasks in flight), the same condition under which the engine reads
-// the conflict set: then no peer holds a unit and none can get one
-// before the next Submit, and the TaskCount==0 edge ordered every
-// worker's line writes before this read. So the control process tears
-// down the excised joins and replays the live working memory alone, on
-// vs2's walk (seqmatch.Walk.SwapEpoch), and the closing Drain applies
-// the terminal activations the replay buffered.
-func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, err error) {
+// SetNetwork moves the matcher onto net. Must be called from the
+// control process with the matcher drained (no tasks in flight) and
+// holding no token (hashmem.Table.Rebind): then no peer holds a unit and
+// none can get one before the next Submit. For a runtime program change
+// the engine retracts working memory through the old network first and
+// re-asserts it after. Every process's per-node counters restart.
+func (m *Matcher) SetNetwork(net *rete.Network) error {
 	if n := m.queues.TaskCount.Load(); n != 0 {
-		return 0, fmt.Errorf("parmatch: SwapEpoch while %d tasks in flight", n)
+		return fmt.Errorf("parmatch: SetNetwork while %d tasks in flight", n)
 	}
-	m.Table() // fold every process's live delta before the excise recounts it
-	c := m.ctl
-	c.Pools.Slots = m.slots.View()
-	if removed, err = c.Walk.SwapEpoch(next, live); err != nil {
-		return 0, err
+	if err := m.Table().Rebind(net.NumJoinIDs()); err != nil { // Table folds every live delta
+		return fmt.Errorf("parmatch: %w", err)
 	}
-	m.net.Store(next)
-	for _, w := range m.procs[:m.cfg.Procs] {
-		for _, j := range next.Delta.DeadJoins {
-			w.Rec.NodeCount[0][j.ID], w.Rec.NodeCount[1][j.ID], w.Rec.NodeExamined[j.ID] = 0, 0, 0
-		}
-		w.Rec.EnsureNodes(next.NumJoinIDs())
+	m.net.Store(net)
+	m.ctl.Net = net
+	for _, w := range m.procs {
+		w.Rec.ResetNodes(net.NumJoinIDs())
 	}
-	m.Drain()
-	return removed, nil
+	return nil
 }

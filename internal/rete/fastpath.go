@@ -12,7 +12,7 @@ import (
 )
 
 // compileFast lowers the chain's tests into per-test closures used by
-// Matches and RootDeliver.
+// RootDeliver.
 func (a *AlphaChain) compileFast() {
 	a.evals = make([]func(*wm.WME) bool, len(a.Tests))
 	for i := range a.Tests {

@@ -11,14 +11,12 @@
 // impossible in the parallel implementation), but constant-test chains
 // and identical join prefixes are.
 //
-// Networks are versioned: Compile produces epoch 0 and AddRule/RemoveRule
-// (epoch.go) derive new epochs by copy-on-write, sharing every untouched
-// node with the parent. Node objects themselves are immutable — all
-// mutable topology (a chain's destinations, a join's successors and
-// terminals) lives in per-epoch tables indexed by node ID, reached
-// through the DestsOf/SuccsOf/TermsOf accessors. That keeps node
-// pointers stable across epochs, which the matcher memories rely on for
-// token identity, while letting two epochs disagree about fan-out.
+// A network is compiled whole from a rule list and never changes
+// afterwards. Node objects are immutable; a node's fan-out (a chain's
+// destinations, a join's successors and terminals) lives in tables
+// indexed by its dense ID, reached through the DestsOf/SuccsOf/TermsOf
+// accessors. A runtime program change compiles the next network whole
+// (Recompile) and the engine re-matches working memory on it.
 package rete
 
 import (
@@ -29,8 +27,8 @@ import (
 
 // The matchers' token store packs a join's ID and a token's length into
 // one word beside each stored token, so the compiler rejects a rule
-// whose instantiations would exceed MaxTokenLen WMEs and stops issuing
-// join IDs at MaxJoinIDs (IDs are never reused across epochs).
+// whose instantiations would exceed MaxTokenLen WMEs and a network of
+// more than MaxJoinIDs joins.
 const (
 	MaxTokenLen = 255
 	MaxJoinIDs  = 1 << 23
@@ -73,25 +71,14 @@ type AlphaDest struct {
 
 // AlphaChain is a shared constant-test chain for one condition-element
 // pattern. Class dispatch happens before the chain, so the class test is
-// implicit. The chain's destinations are epoch state — use
+// implicit. The chain's destinations are network state — use
 // Network.DestsOf.
 type AlphaChain struct {
 	ID    int
 	Class symbols.ID
 	Tests []ConstTest
-	key   string
 	// evals are the compiled per-test closures (fastpath.go).
 	evals []func(*wm.WME) bool
-}
-
-// Matches runs the whole chain on a WME of the right class.
-func (a *AlphaChain) Matches(w *wm.WME) bool {
-	for _, f := range a.evals {
-		if !f(w) {
-			return false
-		}
-	}
-	return true
 }
 
 // JoinTest compares a field of the incoming right WME against a field of
@@ -108,7 +95,7 @@ type JoinTest struct {
 // alpha chain; both live in whatever memory implementation the matcher
 // backend chose (per-node lists for vs1, the global hash tables for vs2
 // and the parallel matchers). A join's successors and terminals are
-// epoch state — use Network.SuccsOf and Network.TermsOf.
+// network state — use Network.SuccsOf and Network.TermsOf.
 type JoinNode struct {
 	ID      int
 	Negated bool // right input comes from a negated condition element
@@ -199,8 +186,8 @@ type CompiledRule struct {
 	Specificity int
 	// ChainIDs and JoinIDs record the rule's node path through the
 	// network: one alpha chain per condition element in order, one join
-	// per condition element after the first. RemoveRule walks them to
-	// decrement the refcounts of shared nodes.
+	// per condition element after the first. The match budget charges a
+	// rule for the work of every join on its path.
 	ChainIDs []int
 	JoinIDs  []int
 	// Order is the planned condition-element compile order (planned
@@ -221,42 +208,31 @@ type Terminal struct {
 	Rule *CompiledRule
 }
 
-// Network is one epoch of the compiled Rete network plus the per-rule
-// metadata.
+// Network is one compiled Rete network plus the per-rule metadata.
 //
 // A Network is immutable once built: matching only reads it (all token
 // state lives in the matcher's own memories), so one Network can be
 // shared read-only by any number of concurrent matchers — this is what
 // lets the inference server compile a program once and run many
-// sessions against it. Rule changes never mutate a Network in place;
-// AddRule and RemoveRule derive a child epoch by copy-on-write while
-// readers of the parent epoch continue undisturbed. The embedded
-// Program must be frozen (ops5.Program.Freeze) before a Network is
-// shared across goroutines; engine.New does this.
+// sessions against it. A rule change never mutates a Network: Recompile
+// builds the next one whole. Node and rule IDs are dense: Chains[i].ID,
+// Joins[i].ID, Terminals[i].ID and Rules[i].Index are all i. The
+// embedded Program must be frozen (ops5.Program.Freeze) before a
+// Network is shared across goroutines; engine.New does this.
 type Network struct {
 	Prog *ops5.Program
 	// Epoch numbers successive network versions; a whole-program Compile
-	// yields epoch 0 and each AddRule/RemoveRule increments it.
+	// yields epoch 0 and each Recompile increments it.
 	Epoch int
-	// Delta describes what this epoch changed relative to its parent;
-	// nil for a whole-program compile. Matchers use it to replay working
-	// memory through the new nodes and to tear down the dead ones.
-	Delta *EpochDelta
 
-	// ChainsByClass indexes the live alpha chains by condition-element
-	// class.
+	// ChainsByClass indexes the alpha chains by condition-element class.
 	ChainsByClass map[symbols.ID][]*AlphaChain
-	Chains        []*AlphaChain   // live chains, compile order
-	Joins         []*JoinNode     // live joins, compile order
-	Terminals     []*Terminal     // live terminals, compile order
-	Rules         []*CompiledRule // live rules, compile order
+	Chains        []*AlphaChain   // by ID, compile order
+	Joins         []*JoinNode     // by ID, compile order
+	Terminals     []*Terminal     // by ID, compile order
+	Rules         []*CompiledRule // by Index, compile order
 
-	parent *Network
-
-	// Per-node-ID epoch tables. Node IDs are monotonic and never reused
-	// across epochs, so rows for excised nodes go nil and the tables
-	// only ever grow. Rows are shared with the parent epoch until the
-	// child changes them (copy-on-write).
+	// Fan-out tables, indexed by node ID.
 	chainDests [][]AlphaDest
 	joinSuccs  [][]*JoinNode
 	joinTerms  [][]*Terminal
@@ -265,63 +241,40 @@ type Network struct {
 	// contention profiles to point at culprit productions, as the paper
 	// does for Tourney in §4.2.
 	joinRules [][]string
-	// chainRefs/joinRefs count how many condition elements of live rules
-	// use each node; RemoveRule excises a node when its count drops to
-	// zero.
-	chainRefs  []int32
-	joinRefs   []int32
-	chainsByID []*AlphaChain
-	joinsByID  []*JoinNode
-
-	numTermIDs int
-	numRuleIDs int
+	// chainRefs/joinRefs count how many condition elements of the rules
+	// use each node: the sharing Dump and Summarize report.
+	chainRefs []int32
+	joinRefs  []int32
 
 	// plan is the join-order compile policy this network was built with;
-	// child epochs inherit it so AddRule plans new rules the same way.
+	// Recompile plans the next network the same way.
 	plan PlanConfig
 
 	chainByKey map[string]*AlphaChain
 	joinByKey  map[string]*JoinNode
 }
 
-// DestsOf returns the chain's destinations in this epoch.
+// DestsOf returns the chain's destinations.
 func (n *Network) DestsOf(c *AlphaChain) []AlphaDest { return n.chainDests[c.ID] }
 
-// SuccsOf returns the joins fed by j's output in this epoch.
+// SuccsOf returns the joins fed by j's output.
 func (n *Network) SuccsOf(j *JoinNode) []*JoinNode { return n.joinSuccs[j.ID] }
 
-// TermsOf returns the terminals fed by j's output in this epoch.
+// TermsOf returns the terminals fed by j's output.
 func (n *Network) TermsOf(j *JoinNode) []*Terminal { return n.joinTerms[j.ID] }
 
-// RuleNamesOf returns the names of the live productions whose chains
-// include j.
+// RuleNamesOf returns the names of the productions whose chains include
+// j.
 func (n *Network) RuleNamesOf(j *JoinNode) []string { return n.joinRules[j.ID] }
 
-// NumJoinIDs returns the size of the join ID space. Matchers size
-// per-node structures (vs1 line tables, activation recorders) by it.
-func (n *Network) NumJoinIDs() int { return len(n.joinSuccs) }
+// NumJoinIDs returns the number of joins. Matchers size per-node
+// structures (vs1 line tables, activation recorders) by it.
+func (n *Network) NumJoinIDs() int { return len(n.Joins) }
 
-// NumRuleIDs returns the size of the rule index space; the engine sizes
-// its compiled-RHS table by it.
-func (n *Network) NumRuleIDs() int { return n.numRuleIDs }
-
-// JoinByID returns the live join with the given ID, or nil if the ID is
-// unassigned or the node was excised.
-func (n *Network) JoinByID(id int) *JoinNode {
-	if id < 0 || id >= len(n.joinsByID) {
-		return nil
-	}
-	return n.joinsByID[id]
-}
-
-// ChainRefs returns how many condition elements of live rules use c.
+// ChainRefs returns how many condition elements of the rules use c.
 func (n *Network) ChainRefs(c *AlphaChain) int { return int(n.chainRefs[c.ID]) }
 
-// Parent returns the epoch this one was derived from, or nil for a
-// whole-program compile.
-func (n *Network) Parent() *Network { return n.parent }
-
-// RuleByName returns the live compiled rule with the given name, or nil.
+// RuleByName returns the compiled rule with the given name, or nil.
 func (n *Network) RuleByName(name string) *CompiledRule {
 	for _, cr := range n.Rules {
 		if cr.Rule.Name == name {

@@ -184,8 +184,8 @@ func TestReorderGoldenDump(t *testing.T) {
 }
 
 // TestIncrementalEqualsBatchReordered: the incremental-equals-batch
-// topology guarantee must hold under a reordering plan too — AddRule
-// inherits the parent epoch's plan and the planner is deterministic.
+// topology guarantee must hold under a reordering plan too — Recompile
+// keeps the network's plan and the planner is deterministic.
 func TestIncrementalEqualsBatchReordered(t *testing.T) {
 	src := `
 (literalize big x)
@@ -197,21 +197,15 @@ func TestIncrementalEqualsBatchReordered(t *testing.T) {
 (p r3 (tiny ^a 1 ^b 2 ^x <v>) - (d ^y <v>) (big ^x <v>) --> (halt))
 `
 	batch := compilePlanned(t, src, reorderOn)
-	prog, err := ops5.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	rules := prog.Rules
-	prog.Rules = nil
-	net, err := rete.CompileWithPlan(prog, reorderOn)
+	rules := batch.Prog.Rules
+	net, err := rete.CompileRules(batch.Prog, nil, reorderOn)
 	if err != nil {
 		t.Fatalf("compile empty base: %v", err)
 	}
-	prog.Rules = rules
-	for _, r := range rules {
-		next, err := rete.AddRule(net, r)
+	for i, r := range rules {
+		next, err := net.Recompile(rules[:i+1])
 		if err != nil {
-			t.Fatalf("AddRule(%s): %v", r.Name, err)
+			t.Fatalf("Recompile(+%s): %v", r.Name, err)
 		}
 		net = next
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // Image is a settled matcher frozen for copying: its network (shared,
-// immutable per epoch), its token table in frozen form and its
+// immutable), its token table in frozen form and its
 // per-node live-token gauges. Every Thaw is an independent matcher that
 // carries on from that state.
 type Image struct {

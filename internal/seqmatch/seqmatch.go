@@ -91,9 +91,9 @@ func (m *Matcher) Submit(sign bool, w *wm.WME) {
 	m.Root(sign, w)
 }
 
-// quiesce runs the drained-point bookkeeping before a change or an
-// epoch replay enters the network: fold the live gauge, grow the table
-// if due, recycle the in-flight tokens and take a fresh slot view.
+// quiesce runs the drained-point bookkeeping before a change enters the
+// network: fold the live gauge, grow the table if due, recycle the
+// in-flight tokens and take a fresh slot view.
 func (m *Matcher) quiesce() {
 	m.Table.FoldLive(&m.Pools)
 	if n := m.Table.GrowTarget(); n > 0 {
@@ -142,13 +142,18 @@ func (m *Matcher) CheckInvariants() error {
 	return nil
 }
 
-// SwapEpoch adopts a network epoch derived from the matcher's current
-// one at a drained point: the walk tears down the excised joins'
-// memories and replays the live working memory through the new
-// topology (Walk.SwapEpoch).
-func (m *Matcher) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, err error) {
-	m.quiesce()
-	return m.Walk.SwapEpoch(next, live)
+// SetNetwork moves the matcher onto net. The matcher must hold no token
+// (Table.Rebind): for a runtime program change the engine retracts
+// working memory through the old network first and re-asserts it after.
+// The per-node counters restart; the totals carry on.
+func (m *Matcher) SetNetwork(net *rete.Network) error {
+	m.Table.FoldLive(&m.Pools)
+	if err := m.Table.Rebind(net.NumJoinIDs()); err != nil {
+		return fmt.Errorf("%s: %w", m.Variant, err)
+	}
+	m.Net = net
+	m.Rec.ResetNodes(net.NumJoinIDs())
+	return nil
 }
 
 // toSink is the walk's terminal: it resolves the token into the

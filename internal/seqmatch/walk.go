@@ -1,8 +1,6 @@
 package seqmatch
 
 import (
-	"fmt"
-
 	"repro/internal/hashmem"
 	"repro/internal/rete"
 	"repro/internal/wm"
@@ -10,7 +8,7 @@ import (
 
 // Walk is vs2's match discipline: a change's whole activation subtree
 // runs depth-first on the Go stack, with no locks, over one token
-// table. vs1 and vs2 run every change and every epoch replay through it;
+// table. vs1 and vs2 run every change through it;
 // the parallel matcher's control process runs it on the shared table
 // whenever it holds every unit in existence. Each terminal activation
 // goes to the walk's terminal callback — the conflict set for the
@@ -112,74 +110,4 @@ func (w *Walk) Terminal(t *rete.Terminal, sign bool, tok []uint32) {
 		w.Rec.M.CSDeletes++
 	}
 	w.term(t.Rule, sign, tok)
-}
-
-// SwapEpoch adopts a network epoch derived from the walk's current one.
-// The walker must hold the table alone. For removals it drops every
-// memory entry of the excised joins (reporting how many); for additions
-// it replays the live working memory through exactly the new topology:
-// phase 1 fills the right memories of the new joins (their left
-// memories are still empty, so nothing emits), phase 2 seeds their left
-// inputs — root deliveries for first-stage joins and terminals,
-// re-derived historical outputs for pre-existing joins that gained
-// successors — and lets the ordinary depth-first activation propagate
-// from there. The two phases make the negation counts of new negated
-// joins correct before any left token is scored against them.
-func (w *Walk) SwapEpoch(next *rete.Network, live []*wm.WME) (removed int, err error) {
-	if next.Parent() != w.Net {
-		return 0, fmt.Errorf("seqmatch: epoch %d is not derived from the current epoch %d", next.Epoch, w.Net.Epoch)
-	}
-	d := next.Delta
-	if d == nil {
-		return 0, fmt.Errorf("seqmatch: epoch %d has no delta", next.Epoch)
-	}
-	if len(d.DeadJoins) > 0 {
-		dead := make(map[int]bool, len(d.DeadJoins))
-		for _, j := range d.DeadJoins {
-			dead[j.ID] = true
-		}
-		removed = w.Table.ExciseNodes(dead, w.Rec, &w.Pools)
-	}
-	w.Net = next
-	w.Table.EnsureNodes(next.NumJoinIDs())
-	w.Rec.EnsureNodes(next.NumJoinIDs())
-
-	targets := next.ReplayDests()
-	for _, right := range [2]bool{true, false} {
-		// Phase 1 takes the right-side deliveries into the new joins,
-		// phase 2 the left-side and terminal ones.
-		for _, cd := range targets {
-			for _, dst := range cd.Dests {
-				if (dst.Join != nil && dst.Side == rete.Right) != right {
-					continue
-				}
-				for _, wme := range live {
-					if wme.Class() != cd.Chain.Class || !cd.Chain.Matches(wme) {
-						continue
-					}
-					tok := w.Pools.Token(1)
-					tok[0] = wme.Slot
-					if dst.Terminal != nil {
-						w.Terminal(dst.Terminal, true, tok)
-					} else {
-						w.Activate(dst.Join, dst.Side, true, tok)
-					}
-				}
-			}
-		}
-	}
-	// Then the historical outputs of grown joins into their new
-	// successors and terminals.
-	for i := range d.GrownJoins {
-		g := &d.GrownJoins[i]
-		w.Table.ForEachOutput(g.Join, &w.Pools, func(tok []uint32) {
-			for _, succ := range g.NewSuccs {
-				w.Activate(succ, rete.Left, true, tok)
-			}
-			for _, t := range g.NewTerms {
-				w.Terminal(t, true, tok)
-			}
-		})
-	}
-	return removed, nil
 }

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -9,8 +10,10 @@ import (
 )
 
 // TestSessionDensity: an idle session costs what it holds. Forty
-// sessions of each paper program are created from its init image, and
-// forty forks of a 2 000-account ledger template, and held open; the
+// sessions of each paper program are created from its init image, forty
+// imports of a Tourney export (rebuilt by re-matching, then re-slotted
+// like an image), and forty forks of a 2 000-account ledger template,
+// and held open; the
 // heap they add, read after two collections, divided by forty is a
 // session's share. A thawed token table sized by the image's live
 // tokens (hashmem.Table.Reslot) keeps Tourney, Monkeys and Rubik well
@@ -18,19 +21,21 @@ import (
 // of empty lines) puts each of them near 870 KB. A Weaver image
 // re-slotted past the cold size, or rehashed into it, reads near 2.7 MB
 // or 2.1 MB, and a ledger template that brings the sub-indexes its
-// 1 024-line image outgrew into its store reads near 440 KB a fork.
+// 1 024-line image outgrew into its store reads near 440 KB a fork. An
+// import that kept the cold table read near 900 KB.
 func TestSessionDensity(t *testing.T) {
 	const sessions, accounts = 40, 2000
 	programs := []struct {
 		name, src string
-		fork      bool
+		fork, imp bool
 		maxKB     int64
 	}{
-		{"tourney", workload.Tourney(16), false, 300},
-		{"monkeys", workload.Monkeys(), false, 300},
-		{"rubik", workload.Rubik(60), false, 450},
-		{"weaver", workload.Weaver(20, 9), false, 1900},
-		{"ledger fork", server.LedgerSrc, true, 360},
+		{"tourney", workload.Tourney(16), false, false, 300},
+		{"monkeys", workload.Monkeys(), false, false, 300},
+		{"rubik", workload.Rubik(60), false, false, 450},
+		{"weaver", workload.Weaver(20, 9), false, false, 1900},
+		{"tourney import", workload.Tourney(16), false, true, 300},
+		{"ledger fork", server.LedgerSrc, true, false, 360},
 	}
 	heap := func() int64 {
 		var ms runtime.MemStats
@@ -62,7 +67,20 @@ func TestSessionDensity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := s.DeleteSession(warm.ID); err != nil {
+				if p.imp {
+					payload, err := s.ExportSession(warm.ID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n := 0
+					start = func() error {
+						n++
+						imp := *payload
+						imp.ID = fmt.Sprintf("imp-%d", n)
+						_, err := s.ImportSession(&imp)
+						return err
+					}
+				} else if err := s.DeleteSession(warm.ID); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -8,10 +8,10 @@ import (
 // ProgramRequest is the body of POST /sessions/{id}/program: a runtime
 // program change applied to one session. Excise names are removed
 // first, then Source — a batch of (p ...) and (excise name) forms — is
-// applied in source order. The change is private to the session: its
-// engine hops onto a new copy-on-write network epoch while every other
-// session created from the same program keeps matching on the shared
-// base network.
+// applied in source order. Each change recompiles the session's network
+// whole and re-matches its working memory. The change is private to the
+// session: it moves onto its own network while every other session
+// created from the same program keeps matching on the shared base one.
 type ProgramRequest struct {
 	Source string   `json:"source,omitempty"`
 	Excise []string `json:"excise,omitempty"`

@@ -175,7 +175,9 @@ func (sp *sharedProgram) build(cfg *SessionConfig) (*core, error) {
 // restore builds a core for cfg from stored state: snap (nil when the
 // state starts from empty working memory) restored, then log replayed
 // over it. Import, template recovery, crash recovery and restore all
-// rebuild through here.
+// rebuild through here. The token table is then re-slotted for what it
+// holds, by the rule that sizes every image (freeze), so a rebuilt
+// session starts as small as a thawed one.
 func (sp *sharedProgram) restore(cfg *SessionConfig, snap *wmlog.Snapshot, log []*wmlog.Record) (*core, error) {
 	c, err := sp.build(cfg)
 	if err != nil {
@@ -192,6 +194,7 @@ func (sp *sharedProgram) restore(cfg *SessionConfig, snap *wmlog.Snapshot, log [
 	if err := c.eng.ReplayRecords(log); err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
+	c.matcher.Reslot()
 	return c, nil
 }
 
@@ -250,7 +253,7 @@ func (sess *Session) info(shared bool) *SessionInfo {
 		ID:      sess.ID,
 		Backend: servedMatcher,
 		// The session's network may have diverged from the shared base
-		// epoch through runtime build/excise; report its own view.
+		// one through runtime build/excise; report its own view.
 		Rules:     len(sess.eng.Net.Rules),
 		Epoch:     sess.eng.Epoch(),
 		SharedNet: shared,

@@ -166,19 +166,16 @@ func (c *Conflict) Sub(o *Conflict) {
 }
 
 // Epoch aggregates dynamic program-change statistics: runtime (p ...)
-// builds and excises applied to a live engine. Swaps counts network
-// epoch transitions a matcher adopted; ReplayedWMEs is the number of
-// live working-memory elements pushed back through new topology during
-// add replays; RemovedEntries and RemovedInsts are the memory entries
-// and conflict-set instantiations dropped by excises. All fields are
-// monotonic counters and fold as deltas like Match.
+// builds and excises applied to a live engine, each a recompile of the
+// whole network. Swaps counts the networks a matcher moved onto;
+// ReplayedWMEs is the number of working-memory elements re-matched on
+// them, every live one per change. All fields are monotonic counters and
+// fold as deltas like Match.
 type Epoch struct {
-	Swaps          int64 `json:"swaps"`
-	RulesAdded     int64 `json:"rules_added"`
-	RulesExcised   int64 `json:"rules_excised"`
-	ReplayedWMEs   int64 `json:"replayed_wmes"`
-	RemovedEntries int64 `json:"removed_entries"`
-	RemovedInsts   int64 `json:"removed_insts"`
+	Swaps        int64 `json:"swaps"`
+	RulesAdded   int64 `json:"rules_added"`
+	RulesExcised int64 `json:"rules_excised"`
+	ReplayedWMEs int64 `json:"replayed_wmes"`
 	// BudgetTrips counts rules quarantined by the per-rule match budget.
 	BudgetTrips int64 `json:"budget_trips"`
 }
@@ -189,8 +186,6 @@ func (e *Epoch) Add(o *Epoch) {
 	e.RulesAdded += o.RulesAdded
 	e.RulesExcised += o.RulesExcised
 	e.ReplayedWMEs += o.ReplayedWMEs
-	e.RemovedEntries += o.RemovedEntries
-	e.RemovedInsts += o.RemovedInsts
 	e.BudgetTrips += o.BudgetTrips
 }
 
@@ -200,8 +195,6 @@ func (e *Epoch) Sub(o *Epoch) {
 	e.RulesAdded -= o.RulesAdded
 	e.RulesExcised -= o.RulesExcised
 	e.ReplayedWMEs -= o.ReplayedWMEs
-	e.RemovedEntries -= o.RemovedEntries
-	e.RemovedInsts -= o.RemovedInsts
 	e.BudgetTrips -= o.BudgetTrips
 }
 

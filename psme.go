@@ -282,9 +282,9 @@ func (e *Engine) MemStats() stats.Memory {
 }
 
 // AddRules applies a runtime batch of (p ...) and (excise name) forms
-// to the live engine, in source order: each change compiles into a new
-// copy-on-write network epoch and the live working memory is replayed
-// through the added topology, so new productions see existing elements.
+// to the live engine, in source order: each change recompiles the whole
+// network and re-matches the live working memory on it, so new
+// productions see existing elements and fired instantiations stay fired.
 // Redefining a production excises the old definition first. Returns the
 // names added and excised. The Lisp baseline matcher does not support
 // dynamic changes (engine.ErrDynamicUnsupported).
@@ -292,9 +292,9 @@ func (e *Engine) AddRules(src string) (added, excised []string, err error) {
 	return e.inner.AddRules(src)
 }
 
-// Excise removes one production at runtime, dropping its memory entries
-// and conflict-set instantiations while productions sharing nodes with
-// it keep matching undisturbed.
+// Excise removes one production at runtime: the network is recompiled
+// without it and working memory re-matched, so its instantiations go
+// and every other production's state is as before.
 func (e *Engine) Excise(name string) error { return e.inner.Excise(name) }
 
 // Epoch returns the engine's current network version: 0 after Parse,
@@ -305,8 +305,8 @@ func (e *Engine) Epoch() int { return e.inner.Epoch() }
 func (e *Engine) EpochStats() stats.Epoch { return e.inner.EpochStats() }
 
 // NetworkSummary returns size statistics for the engine's current
-// network epoch (which diverges from the parsed Program's base network
-// once AddRules or Excise have run).
+// network (which diverges from the parsed Program's base network once
+// AddRules or Excise have run).
 func (e *Engine) NetworkSummary() rete.NetStats { return e.inner.Net.Summarize() }
 
 // MatchStats returns the matcher's counters — working-memory changes,
