@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	psmbench [-scale 1.0] [-table all|4-1|...|seq|sim] [-host]
+//	psmbench [-scale 1.0] [-table all|4-1|...|seq|sim] [-ablation]
 //	psmbench -match [-procs 1,2,4,8] [-matchout BENCH_match.json]
 //	psmbench ... [-cpuprofile cpu.prof] [-memprofile mem.prof]
 package main
@@ -20,14 +20,12 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/parmatch"
 	"repro/internal/tables"
 )
 
 func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper-scale runs)")
 	which := flag.String("table", "all", "table to print: all, seq (4-1..4-4), sim (4-5..4-9), or a single id like 4-6")
-	host := flag.Bool("host", false, "also run the real goroutine matcher on this host and report wall-clock")
 	ablation := flag.Bool("ablation", false, "run the design-choice ablations (hardware scheduler, FIFO, pipelining, ...)")
 	match := flag.Bool("match", false, "run the multicore match microbenchmarks instead of the paper tables")
 	matchOut := flag.String("matchout", "", "write -match results as JSON to this file (e.g. BENCH_match.json)")
@@ -125,20 +123,6 @@ func main() {
 		t2, err := tables.ControlOverlapTable(specs)
 		fatal(err)
 		fmt.Println(t2.Render())
-	}
-	if *host {
-		fmt.Printf("host check: real goroutine matcher on %d cores (GOMAXPROCS=%d)\n",
-			runtime.NumCPU(), runtime.GOMAXPROCS(0))
-		for _, spec := range specs {
-			seq, err := tables.RunSeq(spec, "vs2")
-			fatal(err)
-			par, err := tables.RunPar(spec, parmatch.Config{
-				Procs: runtime.GOMAXPROCS(0), Queues: 4, Scheme: parmatch.SchemeSimple,
-			})
-			fatal(err)
-			fmt.Printf("  %-8s vs2 match %8.3fs   parallel(%d procs) match %8.3fs\n",
-				spec.Name, seq.Match.Seconds(), runtime.GOMAXPROCS(0), par.Res.MatchTime.Seconds())
-		}
 	}
 }
 

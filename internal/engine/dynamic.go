@@ -16,9 +16,10 @@ var ErrDynamicUnsupported = errors.New("engine: matcher backend does not support
 
 // Rebinder is the optional matcher interface for runtime program
 // changes. SetNetwork moves a drained matcher that holds no token onto
-// another network.
+// another network; MatchStats lets a rebuild count its re-match apart.
 type Rebinder interface {
 	SetNetwork(net *rete.Network) error
+	MatchStats() stats.Match
 }
 
 // Epoch returns the version of the network the engine is matching on.
@@ -26,6 +27,11 @@ func (e *Engine) Epoch() int { return e.Net.Epoch }
 
 // EpochStats returns the accumulated dynamic-change counters.
 func (e *Engine) EpochStats() stats.Epoch { return e.epochStats }
+
+// RebuildWork returns what rebuilds' re-matches of working memory added
+// to the match counters and the conflict set's inserts and deletes: not
+// client work, so the server reports without it.
+func (e *Engine) RebuildWork() (stats.Match, stats.Conflict) { return e.rebuildMatch, e.rebuildConf }
 
 // AddRules parses a runtime batch of (p ...) and (excise name) forms
 // and applies the changes in source order, one rebuild per change.
@@ -125,6 +131,7 @@ func (e *Engine) rebuild(rules []*ops5.Rule) error {
 		return err
 	}
 	e.drain()
+	match0, conf0 := rb.MatchStats(), e.CS.StatsSnapshot()
 	type fireKey struct {
 		rule string
 		tags []int
@@ -160,5 +167,11 @@ func (e *Engine) rebuild(rules []*ops5.Rule) error {
 	}
 	e.epochStats.Swaps++
 	e.epochStats.ReplayedWMEs += int64(len(live))
+	match, conf := rb.MatchStats(), e.CS.StatsSnapshot()
+	match.Sub(&match0)
+	conf.Sub(&conf0)
+	conf.Live, conf.Fired, conf.Pending = 0, 0, 0
+	e.rebuildMatch.Add(&match)
+	e.rebuildConf.Add(&conf)
 	return e.Matcher.CheckInvariants()
 }

@@ -138,13 +138,15 @@ type Engine struct {
 	// progDelta lists every runtime program change applied to this engine
 	// in canonical form, oldest first (see programChanged): the part of
 	// the session's state that separates Net from the compiled program.
-	progDelta  []string
-	halted     bool
-	removed    bool // a removal was submitted since the last drain
-	rhsCount   int64
-	matchTime  time.Duration
-	traceWMEs  bool
-	epochStats stats.Epoch
+	progDelta    []string
+	halted       bool
+	removed      bool // a removal was submitted since the last drain
+	rhsCount     int64
+	matchTime    time.Duration
+	traceWMEs    bool
+	epochStats   stats.Epoch
+	rebuildMatch stats.Match
+	rebuildConf  stats.Conflict
 	// Match-budget state (budget.go): the JoinExamined snapshot the next
 	// cycle's deltas are measured against, and the trip log.
 	budgetPrev  []int64

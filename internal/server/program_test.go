@@ -157,3 +157,50 @@ func TestProgramEndpointErrors(t *testing.T) {
 		t.Fatalf("post-error batch wm_size = %d, want 1", res.WMSize)
 	}
 }
+
+// TestProgramChangeIsNotClientWork: a runtime program change re-matches
+// the session's working memory on the recompiled network, and that
+// re-match shows under epoch.replayed_wmes only. The match counters and
+// the conflict set's inserts and deletes count client work: a rebuild
+// leaves them where the last batch did.
+func TestProgramChangeIsNotClientWork(t *testing.T) {
+	_, ts := newTestServer(t)
+	c := ts.Client()
+	sess := createSession(t, c, ts.URL, pingSrc)
+	// Five answered requests: 15 WM changes, 5 resp elements left.
+	if res := assertN(t, c, ts.URL, sess.ID, 1, 5); res.WMSize != 5 {
+		t.Fatalf("wm_size = %d after 5 answered reqs, want 5", res.WMSize)
+	}
+	metrics := func() stats.Snapshot {
+		t.Helper()
+		var snap stats.Snapshot
+		if code := call(t, c, "GET", ts.URL+"/metrics", nil, &snap); code != http.StatusOK {
+			t.Fatalf("metrics: status %d", code)
+		}
+		return snap
+	}
+	before := metrics()
+	var pr server.ProgramResult
+	if code := call(t, c, "POST", ts.URL+"/sessions/"+sess.ID+"/program",
+		server.ProgramRequest{Source: lateSrc}, &pr); code != http.StatusOK {
+		t.Fatalf("program: status %d", code)
+	}
+	after := metrics()
+	if before.Match.WMChanges != 15 {
+		t.Fatalf("match.wm_changes = %d before the change, want 15", before.Match.WMChanges)
+	}
+	if after.Match != before.Match {
+		t.Errorf("match counters moved on a program change:\n before %+v\n after  %+v", before.Match, after.Match)
+	}
+	if after.Conflict.Inserts != before.Conflict.Inserts || after.Conflict.Deletes != before.Conflict.Deletes {
+		t.Errorf("conflict inserts/deletes %d/%d -> %d/%d on a program change",
+			before.Conflict.Inserts, before.Conflict.Deletes, after.Conflict.Inserts, after.Conflict.Deletes)
+	}
+	// The new rule matches all five resp elements: the gauge shows them.
+	if after.Conflict.Live != 5 {
+		t.Errorf("conflict.live = %d after adding late, want 5", after.Conflict.Live)
+	}
+	if got := after.Epoch.ReplayedWMEs - before.Epoch.ReplayedWMEs; got != 5 {
+		t.Errorf("epoch.replayed_wmes grew by %d, want 5", got)
+	}
+}

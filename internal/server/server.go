@@ -754,6 +754,10 @@ func (s *Server) foldLocked(sess *Session, gone bool) {
 	if sess.journal != nil {
 		cur.dur = sess.journal.w.Stats()
 	}
+	// A rebuild's re-match is not client work (epoch.replayed_wmes).
+	rm, rc := sess.eng.RebuildWork()
+	cur.match.Sub(&rm)
+	cur.conf.Sub(&rc)
 	if gone {
 		cur.conf.Live, cur.conf.Fired, cur.conf.Pending = 0, 0, 0
 		cur.mem.Lines, cur.mem.Entries, cur.mem.MaxLineDepth = 0, 0, 0

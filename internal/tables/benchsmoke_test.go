@@ -5,6 +5,8 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"repro/internal/multimax"
 )
 
 // The bench-smoke bounds. Wall-clock numbers are useless as CI gates on
@@ -150,4 +152,99 @@ func TestBenchSmoke(t *testing.T) {
 		t.Errorf("bigmem runs high-water line depth %d > %d — growth is lagging the load",
 			runs.Memory.MaxLineDepth, maxBigmemDepth)
 	}
+}
+
+// TestSimShapes holds the simulated Tables 4-5..4-9 at paper scale to
+// the shapes EXPERIMENTS.md reports against the paper; one subtest per
+// table. The grid is deterministic but takes a while, so it runs with
+// the bench-smoke gates.
+func TestSimShapes(t *testing.T) {
+	if os.Getenv("BENCH_SMOKE") == "" {
+		t.Skip("set BENCH_SMOKE=1 (make bench-smoke) to run")
+	}
+	sim, err := RunSimAll(Programs(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(ProcCols) - 1
+	speedup := func(base, r *multimax.Result) float64 {
+		return float64(base.MatchInstr) / float64(r.MatchInstr)
+	}
+	queueSpins := func(r *multimax.Result) float64 {
+		return mean(r.Contention.QueueSpins, r.Contention.QueueAcquires)
+	}
+	t.Run("4-5", func(t *testing.T) {
+		// One queue saturates: past 1+7 processes the speed-up is flat.
+		for _, spec := range sim.Specs {
+			base, one := sim.BaseSimple[spec.Name], sim.Simple1Q[spec.Name]
+			s7, s13 := speedup(base, one[3]), speedup(base, one[last])
+			t.Logf("%s: 1+7/1Q %.2f, 1+13/1Q %.2f", spec.Name, s7, s13)
+			if s13 > 1.1*s7 {
+				t.Errorf("%s: one queue still scales: 1+13 %.2f > 1.1 x 1+7 %.2f", spec.Name, s13, s7)
+			}
+		}
+	})
+	t.Run("4-6", func(t *testing.T) {
+		// Eight queues at least double Weaver's and Rubik's top end;
+		// Tourney stays pinned by its cross-product hash lines.
+		for _, spec := range sim.Specs {
+			base := sim.BaseSimple[spec.Name]
+			one, eight := speedup(base, sim.Simple1Q[spec.Name][last]), speedup(base, sim.SimpleMQ[spec.Name][last])
+			t.Logf("%s: 1+13 1Q %.2f, 8Q %.2f", spec.Name, one, eight)
+			if spec.Name == "Tourney" {
+				if eight >= 3 {
+					t.Errorf("Tourney: 1+13/8Q speed-up %.2f, want < 3", eight)
+				}
+			} else if eight < 2*one {
+				t.Errorf("%s: 1+13/8Q speed-up %.2f < 2 x 1Q %.2f", spec.Name, eight, one)
+			}
+		}
+	})
+	t.Run("4-7", func(t *testing.T) {
+		// Eight queues cut the spins before a queue access at 1+13.
+		for _, spec := range sim.Specs {
+			one, eight := queueSpins(sim.Simple1Q[spec.Name][last]), queueSpins(sim.SimpleMQ[spec.Name][last])
+			t.Logf("%s: 1+13 queue spins 1Q %.2f, 8Q %.2f", spec.Name, one, eight)
+			if eight >= one {
+				t.Errorf("%s: 8 queues spin %.2f, 1 queue %.2f", spec.Name, eight, one)
+			}
+		}
+	})
+	t.Run("4-8", func(t *testing.T) {
+		// The MRSW locks slow the one-process base case.
+		costs := multimax.DefaultCosts()
+		for _, spec := range sim.Specs {
+			simple, mrsw := sim.BaseSimple[spec.Name], sim.BaseMRSW[spec.Name]
+			t.Logf("%s: base case simple %.1f, MRSW %.1f virtual s",
+				spec.Name, simple.MatchSeconds(costs), mrsw.MatchSeconds(costs))
+			if mrsw.MatchInstr <= simple.MatchInstr {
+				t.Errorf("%s: MRSW base case %d instr, simple %d: not slower",
+					spec.Name, mrsw.MatchInstr, simple.MatchInstr)
+			}
+		}
+	})
+	t.Run("4-9", func(t *testing.T) {
+		// At 12 processes: Tourney's line contention is the largest, left
+		// exceeds right, and MRSW contends less than simple locks.
+		const p12 = 1 // ContProcs index
+		spins := func(r *multimax.Result) (left, right float64) {
+			c := r.Contention
+			return mean(c.LineSpinsLeft, c.LineAcquiresLeft), mean(c.LineSpinsRight, c.LineAcquiresRight)
+		}
+		tl, _ := spins(sim.ContSimple["Tourney"][p12])
+		for _, spec := range sim.Specs {
+			sl, sr := spins(sim.ContSimple[spec.Name][p12])
+			ml, mr := spins(sim.ContMRSW[spec.Name][p12])
+			t.Logf("%s: 12p simple %.1f/%.1f, MRSW %.1f/%.1f", spec.Name, sl, sr, ml, mr)
+			if spec.Name != "Tourney" && sl >= tl {
+				t.Errorf("%s: simple left spins %.1f >= Tourney's %.1f", spec.Name, sl, tl)
+			}
+			if sl <= sr || ml <= mr {
+				t.Errorf("%s: left does not exceed right: simple %.1f/%.1f, MRSW %.1f/%.1f", spec.Name, sl, sr, ml, mr)
+			}
+			if ml >= sl || mr > sr {
+				t.Errorf("%s: MRSW %.1f/%.1f does not cut simple %.1f/%.1f", spec.Name, ml, mr, sl, sr)
+			}
+		}
+	})
 }

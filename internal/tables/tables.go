@@ -129,7 +129,6 @@ func RunSeq(spec Spec, variant string) (*SeqRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Sequential variants: one conflict-set stripe keeps Select trivial.
 	cs := conflict.NewSet()
 	var m engine.Matcher
 	var rec *hashmem.Recorder
@@ -188,11 +187,9 @@ type ParRun struct {
 	Res   *engine.Result
 	Match stats.Match
 	Cont  stats.Contention
-	Conf  stats.Conflict
 }
 
-// RunPar executes a spec on the real goroutine matcher, for the on-host
-// parallel sanity numbers reported alongside the simulation.
+// RunPar executes a spec on the real goroutine matcher (psmbench -match).
 func RunPar(spec Spec, cfg parmatch.Config) (*ParRun, error) {
 	prog, net, err := compile(spec)
 	if err != nil {
@@ -212,7 +209,7 @@ func RunPar(spec Spec, cfg parmatch.Config) (*ParRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ParRun{Res: res, Match: pm.MatchStats(), Cont: pm.Contention(), Conf: cs.StatsSnapshot()}, nil
+	return &ParRun{Res: res, Match: pm.MatchStats(), Cont: pm.Contention()}, nil
 }
 
 // RunSim executes a spec on the Multimax simulator.
