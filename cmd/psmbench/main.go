@@ -66,7 +66,8 @@ func main() {
 		return
 	}
 
-	specs := tables.Programs(*scale)
+	specs, err := tables.Programs(*scale)
+	fatal(err)
 	want := func(id string) bool {
 		switch *which {
 		case "all":
@@ -98,9 +99,11 @@ func main() {
 			}
 		}
 	}
+	// One grid: the ablations read the cells the tables already ran.
+	sim := tables.NewSimGrid(specs)
 	if needSim {
 		fmt.Println("running Multimax simulation grid (deterministic)...")
-		sim, err := tables.RunSimAll(specs)
+		sim, err = tables.RunSimAll(specs)
 		fatal(err)
 		for _, t := range []struct {
 			id string
@@ -117,10 +120,10 @@ func main() {
 	}
 	if *ablation {
 		fmt.Println("running design-choice ablations (deterministic)...")
-		rows, err := tables.RunAblations(specs)
+		rows, err := tables.RunAblations(sim)
 		fatal(err)
 		fmt.Println(tables.AblationTable(specs, rows).Render())
-		t2, err := tables.ControlOverlapTable(specs)
+		t2, err := tables.ControlOverlapTable(sim)
 		fatal(err)
 		fmt.Println(t2.Render())
 	}

@@ -368,26 +368,36 @@ func (e *Engine) ioReady(inst *conflict.Instantiation) bool {
 func (e *Engine) Init() error {
 	env := e.env()
 	for _, act := range e.Prog.InitialMakes {
-		n := e.Prog.ClassOf(act.Class).NumFields()
-		for _, s := range act.Sets {
-			// Vector attributes can extend a make past the literalized width.
-			if s.Field+1 > n {
-				n = s.Field + 1
-			}
-		}
-		fields := make([]wm.Value, n)
-		fields[0] = wm.Sym(act.Class)
-		for _, s := range act.Sets {
-			v, err := constExpr(s.Expr)
-			if err != nil {
-				return fmt.Errorf("top-level make: %w", err)
-			}
-			fields[s.Field] = v
+		fields, err := MakeFields(e.Prog, act)
+		if err != nil {
+			return err
 		}
 		env.Make(fields)
 	}
 	e.drain()
 	return e.Matcher.CheckInvariants()
+}
+
+// MakeFields builds the WME fields of a top-level make: the class in
+// field 0 and each attribute's ground value (a constant, or compute over
+// constants) in its field, widened past the literalized width for
+// vector attributes. Init, the REPL's make and the Multimax simulator
+// all build top-level makes through it.
+func MakeFields(prog *ops5.Program, act *ops5.Action) ([]wm.Value, error) {
+	n := prog.ClassOf(act.Class).NumFields()
+	for _, s := range act.Sets {
+		n = max(n, s.Field+1)
+	}
+	fields := make([]wm.Value, n)
+	fields[0] = wm.Sym(act.Class)
+	for _, s := range act.Sets {
+		v, err := constExpr(s.Expr)
+		if err != nil {
+			return nil, fmt.Errorf("top-level make: %w", err)
+		}
+		fields[s.Field] = v
+	}
+	return fields, nil
 }
 
 // constExpr evaluates a ground expression (constants and compute over
@@ -407,7 +417,7 @@ func constExpr(ex *ops5.Expr) (wm.Value, error) {
 		}
 		return rhs.ComputeOp(ex.Op, l, r)
 	default:
-		return wm.Nil, fmt.Errorf("non-constant expression in top-level make")
+		return wm.Nil, fmt.Errorf("non-constant expression")
 	}
 }
 

@@ -40,3 +40,27 @@ func (t *Table) SwapSegments() {
 	dir := *t.st.dir.Load()
 	dir[0], dir[1] = dir[1], dir[0]
 }
+
+// Placement walks every run and parked early delete of t and counts
+// them, and those not on the line LineIndex picks for their hash.
+func (t *Table) Placement() (runs, parked, misplaced int) {
+	v := t.st.view()
+	for i := range t.Lines {
+		l := &t.Lines[i]
+		l.forEachRun(v, func(r *run) {
+			runs++
+			if t.LineIndex(nil, r.hash()) != i {
+				misplaced++
+			}
+		})
+		for s := range l.xdel {
+			for e := l.xdel[s]; e != 0; e = v.ent(e).next {
+				parked++
+				if t.LineIndex(nil, v.ent(e).hash()) != i {
+					misplaced++
+				}
+			}
+		}
+	}
+	return runs, parked, misplaced
+}

@@ -174,10 +174,15 @@ func (t *Table) Segregated() bool { return t.seg }
 // LineIndex picks the line for an activation of node j with token hash h.
 func (t *Table) LineIndex(j *rete.JoinNode, h uint64) int {
 	if t.Hashed {
-		return int(h & t.mask)
+		return t.line(h)
 	}
 	return j.ID
 }
+
+// line is a hashed table's one hash-to-line rule: every activation's
+// walk (LineIndex) and every resize's re-slotting (rehashInto) place an
+// entry by it.
+func (t *Table) line(h uint64) int { return int(h & t.mask) }
 
 // fibMul redistributes a key across the whole word (Fibonacci hashing):
 // the sub-index slot comes from the product's HIGH bits, because every
@@ -689,7 +694,7 @@ func (t *Table) rehashInto(nt *Table, p *Pools) (moved int64) {
 				return
 			}
 			h := r.hash()
-			dl := &nt.Lines[h&nt.mask]
+			dl := &nt.Lines[nt.line(h)]
 			dr := dl.findRun(nt.st.view(), r.node, h, true, p)
 			for s := range r.mem {
 				head, n := carry(r.mem[s])
@@ -706,7 +711,7 @@ func (t *Table) rehashInto(nt *Table, p *Pools) (moved int64) {
 					e = p.copyEntry(tv, e)
 				}
 				v := nt.st.view()
-				push(v, &nt.Lines[v.ent(e).hash()&nt.mask].xdel[s], e)
+				push(v, &nt.Lines[nt.line(v.ent(e).hash())].xdel[s], e)
 				parked++
 				e = next
 			}

@@ -498,6 +498,30 @@ func TestGrowRehashesParkedDeletes(t *testing.T) {
 	}
 }
 
+// TestResizeKeepsLineIndex: a grown and a re-slotted table hold every
+// run and every parked early delete on the line LineIndex picks for its
+// hash, the line every later walk looks on.
+func TestResizeKeepsLineIndex(t *testing.T) {
+	j := fixture(t, joinSrc).Joins[0]
+	table := hashmem.New(1)
+	churn(table, j, 3000)
+	check := func(what string, table *hashmem.Table) {
+		t.Helper()
+		runs, parked, misplaced := table.Placement()
+		if runs == 0 || parked == 0 {
+			t.Fatalf("%s: %d runs, %d parked deletes: nothing to check", what, runs, parked)
+		}
+		if misplaced != 0 {
+			t.Errorf("%s: %d of %d runs and parked deletes off LineIndex's line", what, misplaced, runs+parked)
+		}
+	}
+	check("before", table)
+	table = table.Grow(64, poolsFor(table))
+	check("after Grow", table)
+	table = table.Reslot(poolsFor(table))
+	check("after Reslot", table)
+}
+
 // emitKey renders one emission as sign plus the token's time tags, an
 // order-independent identity for differential comparison.
 func emitKey(sign bool, tok []uint32) string {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/conflict"
+	"repro/internal/engine"
 	"repro/internal/ops5"
 	"repro/internal/parmatch"
 	"repro/internal/rete"
@@ -53,10 +54,6 @@ type Result struct {
 	// nodes (and their productions) that hit them — the simulator's
 	// version of the paper's culprit-production analysis.
 	LineProfile []LineContention
-	NodeProfile []NodeContention
-	// NodeProfileAll is every active node sorted by longest single hold
-	// (diagnostics).
-	NodeProfileAll []NodeContention
 }
 
 // LineContention describes one contended hash-table line.
@@ -167,14 +164,9 @@ func Simulate(prog *ops5.Program, net *rete.Network, cfg Config) (*Result, error
 
 	// Initial makes: charged like one RHS evaluation.
 	for _, act := range prog.InitialMakes {
-		fields := make([]wm.Value, prog.ClassOf(act.Class).NumFields())
-		fields[0] = wm.Sym(act.Class)
-		for _, set := range act.Sets {
-			v, err := initValue(set.Expr)
-			if err != nil {
-				return nil, err
-			}
-			fields[set.Field] = v
+		fields, err := engine.MakeFields(prog, act)
+		if err != nil {
+			return nil, err
 		}
 		env.Make(fields)
 	}
@@ -234,45 +226,7 @@ func Simulate(prog *ops5.Program, net *rete.Network, cfg Config) (*Result, error
 		Requeues:          s.requeues,
 	}
 	res.LineProfile = s.lineProfile(net, 10)
-	res.NodeProfile = s.nodeProfile(net, 10)
-	res.NodeProfileAll = s.nodeProfile(net, 1<<30)
-	sort.Slice(res.NodeProfileAll, func(a, b int) bool {
-		return res.NodeProfileAll[a].MaxHold > res.NodeProfileAll[b].MaxHold
-	})
 	return res, nil
-}
-
-// NodeContention describes one node's activation cost profile.
-type NodeContention struct {
-	Node    int
-	Acts    int64
-	Hold    int64
-	MaxHold int64
-	MaxScan int64
-	MaxExam int64
-	Negated bool
-	Rules   []string
-}
-
-// nodeProfile extracts the top-n nodes by total hold time.
-func (s *sim) nodeProfile(net *rete.Network, n int) []NodeContention {
-	var out []NodeContention
-	for i := range s.nodeHold {
-		if s.nodeHold[i] == 0 {
-			continue
-		}
-		out = append(out, NodeContention{
-			Node: i, Acts: s.nodeActs[i], Hold: s.nodeHold[i],
-			MaxHold: s.nodeMaxHold[i], MaxScan: s.nodeMaxScan[i], MaxExam: s.nodeMaxExam[i],
-			Negated: net.Joins[i].Negated,
-			Rules:   net.RuleNamesOf(net.Joins[i]),
-		})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Hold > out[b].Hold })
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
 }
 
 // lineProfile extracts the top-n most contended lines.
@@ -300,24 +254,4 @@ func (s *sim) lineProfile(net *rete.Network, n int) []LineContention {
 		out = out[:n]
 	}
 	return out
-}
-
-// initValue folds the ground expressions allowed in top-level makes.
-func initValue(ex *ops5.Expr) (wm.Value, error) {
-	switch ex.Kind {
-	case ops5.ExprConst:
-		return ex.Const, nil
-	case ops5.ExprCompute:
-		l, err := initValue(ex.L)
-		if err != nil {
-			return wm.Nil, err
-		}
-		r, err := initValue(ex.R)
-		if err != nil {
-			return wm.Nil, err
-		}
-		return rhs.ComputeOp(ex.Op, l, r)
-	default:
-		return wm.Nil, fmt.Errorf("non-constant expression in top-level make")
-	}
 }

@@ -78,10 +78,6 @@ type sim struct {
 	lineAcqN, lineSpinN    []int64
 	lineHoldN, lineMaxHold []int64
 	lineNodes              []map[int]struct{}
-
-	// per-node activation cost profile (diagnostics)
-	nodeHold, nodeMaxHold, nodeActs []int64
-	nodeMaxScan, nodeMaxExam        []int64
 }
 
 // profileLine records one line acquisition for the contention profile.
@@ -126,12 +122,6 @@ func newSim(cfg Config, net *rete.Network, sink rete.TerminalSink, slots *wm.Slo
 	s.lineHoldN = make([]int64, n)
 	s.lineMaxHold = make([]int64, n)
 	s.lineNodes = make([]map[int]struct{}, n)
-	nj := net.NumJoinIDs()
-	s.nodeHold = make([]int64, nj)
-	s.nodeMaxHold = make([]int64, nj)
-	s.nodeActs = make([]int64, nj)
-	s.nodeMaxScan = make([]int64, nj)
-	s.nodeMaxExam = make([]int64, nj)
 	s.procs = make([]*proc, cfg.Procs+1)
 	for i := range s.procs {
 		s.procs[i] = &proc{id: i, rr: i, dormant: i == cfg.Procs}
@@ -149,15 +139,12 @@ func (s *sim) control() *proc { return s.procs[s.cfg.Procs] }
 // avoids through timing noise, and the simulator must avoid through
 // fair arbitration.
 func (s *sim) minProc() *proc {
-	n := len(s.procs)
 	var best *proc
-	for i := 0; i < n; i++ {
-		p := s.procs[(s.rrProc+i)%n]
-		if p.dormant {
-			continue
-		}
-		if best == nil || p.t < best.t {
-			best = p
+	for _, procs := range [2][]*proc{s.procs[s.rrProc:], s.procs[:s.rrProc]} {
+		for _, p := range procs {
+			if !p.dormant && (best == nil || p.t < best.t) {
+				best = p
+			}
 		}
 	}
 	s.rrProc = best.id + 1
@@ -462,28 +449,14 @@ func (s *sim) execJoin(idx int, t *taskqueue.Task, hash uint64, extra int64) ([]
 	entry, ref, res := s.table.UpdateOwn(idx, t.Join, t.Side, t.Sign, t.Tok, hash, nil, &s.pools)
 	cost := extra + s.cost.UpdateOwnBase + int64(res.OwnScanned)*s.cost.OwnScanEntry
 	var children []*taskqueue.Task
-	exam := int64(0)
 	if res.Proceeded {
 		sr := s.table.SearchOpposite(ref, t.Join, t.Side, t.Sign, t.Tok, entry, nil, &s.pools, func(cs bool, ct []uint32) {
 			children = append(children, s.childTasks(t.Join, cs, ct)...)
 		})
 		cost += int64(sr.OppExamined)*s.cost.OppExamine + int64(sr.Pairs)*s.cost.PairEmit
-		exam = int64(sr.OppExamined)
 		if !t.Sign {
 			s.pools.FreeEntry(entry)
 		}
-	}
-	id := t.Join.ID
-	s.nodeActs[id]++
-	s.nodeHold[id] += cost
-	if cost > s.nodeMaxHold[id] {
-		s.nodeMaxHold[id] = cost
-	}
-	if int64(res.OwnScanned) > s.nodeMaxScan[id] {
-		s.nodeMaxScan[id] = int64(res.OwnScanned)
-	}
-	if exam > s.nodeMaxExam[id] {
-		s.nodeMaxExam[id] = exam
 	}
 	return children, cost
 }

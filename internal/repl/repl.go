@@ -16,9 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ops5"
 	"repro/internal/rete"
-	"repro/internal/rhs"
 	"repro/internal/seqmatch"
-	"repro/internal/wm"
 )
 
 // REPL holds one interactive session.
@@ -350,21 +348,9 @@ func (r *REPL) doMake(form string) error {
 	if err != nil {
 		return err
 	}
-	n := r.prog.ClassOf(act.Class).NumFields()
-	for _, s := range act.Sets {
-		// Vector-attribute continuation values land past NumFields.
-		if s.Field+1 > n {
-			n = s.Field + 1
-		}
-	}
-	fields := make([]wm.Value, n)
-	fields[0] = wm.Sym(act.Class)
-	for _, s := range act.Sets {
-		v, err := constValue(s.Expr)
-		if err != nil {
-			return err
-		}
-		fields[s.Field] = v
+	fields, err := engine.MakeFields(r.prog, act)
+	if err != nil {
+		return err
 	}
 	w, err := r.eng.Assert(fields)
 	if err != nil {
@@ -372,25 +358,6 @@ func (r *REPL) doMake(form string) error {
 	}
 	fmt.Fprintf(r.out, "asserted %d: %s\n", w.TimeTag, w.String(r.prog.Symbols, r.prog.AttrName))
 	return nil
-}
-
-func constValue(e *ops5.Expr) (wm.Value, error) {
-	switch e.Kind {
-	case ops5.ExprConst:
-		return e.Const, nil
-	case ops5.ExprCompute:
-		l, err := constValue(e.L)
-		if err != nil {
-			return wm.Nil, err
-		}
-		rv, err := constValue(e.R)
-		if err != nil {
-			return wm.Nil, err
-		}
-		return rhs.ComputeOp(e.Op, l, rv)
-	default:
-		return wm.Nil, fmt.Errorf("non-constant value in top-level make")
-	}
 }
 
 func (r *REPL) doRemove(args []string) error {

@@ -162,7 +162,11 @@ func TestSimShapes(t *testing.T) {
 	if os.Getenv("BENCH_SMOKE") == "" {
 		t.Skip("set BENCH_SMOKE=1 (make bench-smoke) to run")
 	}
-	sim, err := RunSimAll(Programs(1))
+	specs, err := Programs(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := RunSimAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,11 @@ func RunMatchBench(opt MatchBenchOptions) (*MatchBenchReport, error) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
-	for _, spec := range Programs(opt.Scale) {
+	specs, err := Programs(opt.Scale)
+	if err != nil {
+		return nil, err
+	}
+	for _, spec := range specs {
 		best := make([]*ParRun, len(opt.Procs))
 		var seq *SeqRun
 		for rep := 0; rep < opt.Reps; rep++ {

@@ -320,11 +320,38 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// The scale-0.2 simulation grid and ablations, run once and shared by
-// TestSimTableSmall, TestAblationsSmall and TestGoldenTables.
+// smallRuns is the scale-0.2 grid: the programs, compiled once, and one
+// simulation grid holding Tables 4-5..4-9, the ablations (A-1) and the
+// overlapped conflict resolution (A-2).
+type smallRuns struct {
+	specs     []Spec
+	sim       *SimResults
+	ablations []AblationRow
+	overlap   *Table
+}
+
+// smallSpecs compiles the scale-0.2 programs once; smallGrid runs the
+// scale-0.2 grid on them once, for TestSimTableSmall, TestAblationsSmall
+// and TestGoldenTables.
 var (
-	smallSim       = sync.OnceValues(func() (*SimResults, error) { return RunSimAll(Programs(0.2)) })
-	smallAblations = sync.OnceValues(func() ([]AblationRow, error) { return RunAblations(Programs(0.2)) })
+	smallSpecs = sync.OnceValues(func() ([]Spec, error) { return Programs(0.2) })
+	smallGrid  = sync.OnceValues(func() (*smallRuns, error) {
+		specs, err := smallSpecs()
+		if err != nil {
+			return nil, err
+		}
+		g := &smallRuns{specs: specs}
+		if g.sim, err = RunSimAll(specs); err != nil {
+			return nil, err
+		}
+		if g.ablations, err = RunAblations(g.sim); err != nil {
+			return nil, err
+		}
+		if g.overlap, err = ControlOverlapTable(g.sim); err != nil {
+			return nil, err
+		}
+		return g, nil
+	})
 )
 
 // seqCounts renders the integer counters behind Tables 4-1..4-4. It
@@ -357,35 +384,49 @@ func seqCounts(sr *SeqResults) string {
 // 4-5..4-9 as psmbench renders them (sim_tables.golden), and the
 // extension Tables A-1 and A-2 (ablations.golden). Every pinned column
 // is a count or a simulated figure; no wall-clock column is rendered.
-// It runs in parallel with TestSeqTablesShape.
+// It also holds the grid to one simulation per distinct configuration
+// and one compile per program. It runs in parallel with
+// TestSeqTablesShape and the grid's other readers.
 func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the simulation grid is slow")
 	}
 	t.Parallel()
-	sr, err := RunSeqAll(Programs(0.2), true)
+	specs, err := smallSpecs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := RunSeqAll(specs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "seq_counts.golden", seqCounts(sr))
 
-	sim, err := smallSim()
+	g, err := smallGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	for _, tab := range []*Table{Table45(sim), Table46(sim), Table47(sim), Table48(sim), Table49(sim)} {
+	for _, tab := range []*Table{Table45(g.sim), Table46(g.sim), Table47(g.sim), Table48(g.sim), Table49(g.sim)} {
 		b.WriteString(tab.Render() + "\n")
 	}
 	checkGolden(t, "sim_tables.golden", b.String())
+	checkGolden(t, "ablations.golden", AblationTable(g.specs, g.ablations).Render()+"\n"+g.overlap.Render())
 
-	rows, err := smallAblations()
-	if err != nil {
-		t.Fatal(err)
+	// Every table is a view over one grid: 28 distinct simulations per
+	// program (23 cells of 4-5..4-9, four more ablations, the overlapped
+	// CR), all of them on the program's one compiled network.
+	nets := map[*rete.Network]bool{}
+	for k := range g.sim.runs {
+		nets[k.net] = true
 	}
-	overlap, err := ControlOverlapTable(Programs(0.2))
-	if err != nil {
-		t.Fatal(err)
+	for _, spec := range g.specs {
+		if !nets[spec.Net] {
+			t.Errorf("%s: no simulation ran on its compiled network", spec.Name)
+		}
 	}
-	checkGolden(t, "ablations.golden", AblationTable(Programs(0.2), rows).Render()+"\n"+overlap.Render())
+	if want := 28 * len(g.specs); len(g.sim.runs) != want || len(nets) != len(g.specs) {
+		t.Errorf("the grid ran %d simulations on %d compiled programs, want %d on %d",
+			len(g.sim.runs), len(nets), want, len(g.specs))
+	}
 }

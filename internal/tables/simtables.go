@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/multimax"
 	"repro/internal/parmatch"
+	"repro/internal/rete"
 )
 
 // ProcCols are the paper's match-process counts (the k of "1+k").
@@ -17,8 +18,9 @@ var QueueCols = []int{1, 2, 4, 8, 8, 8}
 // ContProcs are the process counts of the contention Table 4-9.
 var ContProcs = []int{6, 12}
 
-// SimResults caches every simulated configuration Tables 4-5..4-9
-// derive from.
+// SimResults is the simulation grid Tables 4-5..4-9, A-1 and A-2 are
+// views over: each distinct configuration of each program is simulated
+// once, on the program's one compiled network, whichever tables read it.
 type SimResults struct {
 	Specs []Spec
 	// BaseSimple and BaseMRSW are the non-pipelined single-match-process
@@ -36,11 +38,31 @@ type SimResults struct {
 	// ContSimple/ContMRSW are 8-queue runs at ContProcs (Table 4-9).
 	ContSimple map[string][]*multimax.Result
 	ContMRSW   map[string][]*multimax.Result
+
+	runs map[simKey]*multimax.Result
 }
 
-// RunSimAll executes the whole simulation grid.
-func RunSimAll(specs []Spec) (*SimResults, error) {
-	out := &SimResults{
+// simKey names one simulation: a compiled program under one machine
+// configuration.
+type simKey struct {
+	net *rete.Network
+	cfg multimax.Config
+}
+
+// baseSimple is the paper's §4.2 baseline: one match process, one queue,
+// simple locks, no pipelining.
+var baseSimple = multimax.Config{Procs: 1, Queues: 1, Scheme: parmatch.SchemeSimple}
+
+// pipelined is a pipelined configuration with procs match processes.
+func pipelined(procs, queues int, scheme parmatch.Scheme) multimax.Config {
+	return multimax.Config{Procs: procs, Queues: queues, Scheme: scheme, Pipelined: true}
+}
+
+// NewSimGrid returns an empty grid over specs; RunSimAll fills the
+// cells Tables 4-5..4-9 read, and RunAblations and ControlOverlapTable
+// add theirs.
+func NewSimGrid(specs []Spec) *SimResults {
+	return &SimResults{
 		Specs:      specs,
 		BaseSimple: map[string]*multimax.Result{},
 		BaseMRSW:   map[string]*multimax.Result{},
@@ -49,59 +71,57 @@ func RunSimAll(specs []Spec) (*SimResults, error) {
 		MRSWMQ:     map[string][]*multimax.Result{},
 		ContSimple: map[string][]*multimax.Result{},
 		ContMRSW:   map[string][]*multimax.Result{},
+		runs:       map[simKey]*multimax.Result{},
 	}
+}
+
+// sim returns spec's run under cfg, simulating it on first use.
+func (sr *SimResults) sim(spec Spec, cfg multimax.Config) (*multimax.Result, error) {
+	key := simKey{spec.Net, cfg}
+	if r := sr.runs[key]; r != nil {
+		return r, nil
+	}
+	cfg.MaxCycles = maxCycles
+	r, err := multimax.Simulate(spec.Prog, spec.Net, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("%s: simulate: %w", spec.Name, err)
+	}
+	if !r.Halted {
+		return nil, fmt.Errorf("%s: simulation did not halt (%d cycles)", spec.Name, r.Cycles)
+	}
+	sr.runs[key] = r
+	return r, nil
+}
+
+// RunSimAll simulates every cell of Tables 4-5..4-9.
+func RunSimAll(specs []Spec) (*SimResults, error) {
+	sr := NewSimGrid(specs)
 	for _, spec := range specs {
-		base, err := RunSim(spec, multimax.Config{Procs: 1, Queues: 1, Scheme: parmatch.SchemeSimple})
-		if err != nil {
-			return nil, err
+		var err error
+		run := func(cfg multimax.Config) *multimax.Result {
+			var r *multimax.Result
+			if err == nil {
+				r, err = sr.sim(spec, cfg)
+			}
+			return r
 		}
-		out.BaseSimple[spec.Name] = base
-		baseM, err := RunSim(spec, multimax.Config{Procs: 1, Queues: 1, Scheme: parmatch.SchemeMRSW})
-		if err != nil {
-			return nil, err
-		}
-		out.BaseMRSW[spec.Name] = baseM
+		n := spec.Name
+		sr.BaseSimple[n] = run(baseSimple)
+		sr.BaseMRSW[n] = run(multimax.Config{Procs: 1, Queues: 1, Scheme: parmatch.SchemeMRSW})
 		for i, procs := range ProcCols {
-			r, err := RunSim(spec, multimax.Config{
-				Procs: procs, Queues: 1, Scheme: parmatch.SchemeSimple, Pipelined: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out.Simple1Q[spec.Name] = append(out.Simple1Q[spec.Name], r)
-			r, err = RunSim(spec, multimax.Config{
-				Procs: procs, Queues: QueueCols[i], Scheme: parmatch.SchemeSimple, Pipelined: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out.SimpleMQ[spec.Name] = append(out.SimpleMQ[spec.Name], r)
-			r, err = RunSim(spec, multimax.Config{
-				Procs: procs, Queues: QueueCols[i], Scheme: parmatch.SchemeMRSW, Pipelined: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out.MRSWMQ[spec.Name] = append(out.MRSWMQ[spec.Name], r)
+			sr.Simple1Q[n] = append(sr.Simple1Q[n], run(pipelined(procs, 1, parmatch.SchemeSimple)))
+			sr.SimpleMQ[n] = append(sr.SimpleMQ[n], run(pipelined(procs, QueueCols[i], parmatch.SchemeSimple)))
+			sr.MRSWMQ[n] = append(sr.MRSWMQ[n], run(pipelined(procs, QueueCols[i], parmatch.SchemeMRSW)))
 		}
 		for _, procs := range ContProcs {
-			r, err := RunSim(spec, multimax.Config{
-				Procs: procs, Queues: 8, Scheme: parmatch.SchemeSimple, Pipelined: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out.ContSimple[spec.Name] = append(out.ContSimple[spec.Name], r)
-			r, err = RunSim(spec, multimax.Config{
-				Procs: procs, Queues: 8, Scheme: parmatch.SchemeMRSW, Pipelined: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out.ContMRSW[spec.Name] = append(out.ContMRSW[spec.Name], r)
+			sr.ContSimple[n] = append(sr.ContSimple[n], run(pipelined(procs, 8, parmatch.SchemeSimple)))
+			sr.ContMRSW[n] = append(sr.ContMRSW[n], run(pipelined(procs, 8, parmatch.SchemeMRSW)))
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return sr, nil
 }
 
 func speedupTable(id, title string, specs []Spec, base map[string]*multimax.Result,

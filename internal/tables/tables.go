@@ -2,7 +2,7 @@
 // (§4, Tables 4-1 through 4-9) from this repository's implementations:
 // the sequential matchers supply Tables 4-1..4-4, the Multimax simulator
 // supplies the speed-up and contention tables 4-5..4-9. cmd/psmbench
-// prints them; bench_test.go exposes one benchmark per table.
+// prints them; testdata/*.golden pins their counts at scale 0.2.
 package tables
 
 import (
@@ -14,7 +14,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hashmem"
 	"repro/internal/lispemu"
-	"repro/internal/multimax"
 	"repro/internal/ops5"
 	"repro/internal/parmatch"
 	"repro/internal/rete"
@@ -26,31 +25,37 @@ import (
 // maxCycles bounds every benchmark run; the workloads halt well before.
 const maxCycles = 200000
 
-// Spec is one benchmark program.
+// Spec is one benchmark program, parsed and compiled once: every run
+// of it, sequential, parallel or simulated, shares Prog and Net.
 type Spec struct {
 	Name string
 	Src  string
+	Prog *ops5.Program
+	Net  *rete.Network
 }
 
-// Programs returns the three evaluation programs at roughly the paper's
-// workload scale (Table 4-1's WM-change and node-activation counts).
-// scale < 1.0 shrinks them for quick runs.
-func Programs(scale float64) []Spec {
-	if scale <= 0 {
-		scale = 1
-	}
-	s := func(n int) int {
-		v := int(float64(n) * scale)
-		if v < 2 {
-			v = 2
+// Programs returns the three evaluation programs at scale, from the
+// workload registry (workload.Program): 1.0 is roughly the paper's
+// workload (Table 4-1's WM-change and node-activation counts), and
+// smaller scales shrink them for quick runs.
+func Programs(scale float64) ([]Spec, error) {
+	var specs []Spec
+	for _, name := range []string{"Weaver", "Rubik", "Tourney"} {
+		src, err := workload.Program(strings.ToLower(name), scale)
+		if err != nil {
+			return nil, err
 		}
-		return v
+		prog, err := ops5.Parse(src)
+		if err != nil {
+			return nil, fmt.Errorf("%s: parse: %w", name, err)
+		}
+		net, err := rete.Compile(prog)
+		if err != nil {
+			return nil, fmt.Errorf("%s: compile: %w", name, err)
+		}
+		specs = append(specs, Spec{Name: name, Src: src, Prog: prog, Net: net})
 	}
-	return []Spec{
-		{Name: "Weaver", Src: workload.Weaver(s(20), 9)},
-		{Name: "Rubik", Src: workload.Rubik(s(60))},
-		{Name: "Tourney", Src: workload.Tourney(s(16))},
-	}
+	return specs, nil
 }
 
 // Table is a rendered result table.
@@ -92,18 +97,6 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-func compile(spec Spec) (*ops5.Program, *rete.Network, error) {
-	prog, err := ops5.Parse(spec.Src)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: parse: %w", spec.Name, err)
-	}
-	net, err := rete.Compile(prog)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: compile: %w", spec.Name, err)
-	}
-	return prog, net, nil
-}
-
 // SeqRun is one instrumented sequential execution.
 type SeqRun struct {
 	Spec    Spec
@@ -125,10 +118,7 @@ type SeqRun struct {
 // RunSeq executes a spec on vs1, vs2 or the lisp emulator and returns
 // the instrumented result.
 func RunSeq(spec Spec, variant string) (*SeqRun, error) {
-	prog, net, err := compile(spec)
-	if err != nil {
-		return nil, err
-	}
+	prog, net := spec.Prog, spec.Net
 	cs := conflict.NewSet()
 	var m engine.Matcher
 	var rec *hashmem.Recorder
@@ -191,14 +181,10 @@ type ParRun struct {
 
 // RunPar executes a spec on the real goroutine matcher (psmbench -match).
 func RunPar(spec Spec, cfg parmatch.Config) (*ParRun, error) {
-	prog, net, err := compile(spec)
-	if err != nil {
-		return nil, err
-	}
 	cs := conflict.NewSet()
-	pm := parmatch.New(net, cfg, cs)
+	pm := parmatch.New(spec.Net, cfg, cs)
 	defer pm.Close()
-	e, err := engine.New(prog, net, cs, pm, nil)
+	e, err := engine.New(spec.Prog, spec.Net, cs, pm, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -210,23 +196,6 @@ func RunPar(spec Spec, cfg parmatch.Config) (*ParRun, error) {
 		return nil, err
 	}
 	return &ParRun{Res: res, Match: pm.MatchStats(), Cont: pm.Contention()}, nil
-}
-
-// RunSim executes a spec on the Multimax simulator.
-func RunSim(spec Spec, cfg multimax.Config) (*multimax.Result, error) {
-	prog, net, err := compile(spec)
-	if err != nil {
-		return nil, err
-	}
-	cfg.MaxCycles = maxCycles
-	res, err := multimax.Simulate(prog, net, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s: simulate: %w", spec.Name, err)
-	}
-	if !res.Halted {
-		return nil, fmt.Errorf("%s: simulation did not halt (%d cycles)", spec.Name, res.Cycles)
-	}
-	return res, nil
 }
 
 func secs(d time.Duration) string { return fmt.Sprintf("%.3f", d.Seconds()) }

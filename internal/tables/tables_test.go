@@ -9,7 +9,10 @@ import (
 // TestProgramsParseAtScales guards the spec generator across scales.
 func TestProgramsParseAtScales(t *testing.T) {
 	for _, scale := range []float64{0.1, 0.5, 1.0} {
-		specs := Programs(scale)
+		specs, err := Programs(scale)
+		if err != nil {
+			t.Fatalf("scale %v: %v", scale, err)
+		}
 		if len(specs) != 3 {
 			t.Fatalf("scale %v: %d specs", scale, len(specs))
 		}
@@ -25,7 +28,10 @@ func TestProgramsParseAtScales(t *testing.T) {
 // the qualitative relations the paper reports.
 func TestSeqTablesShape(t *testing.T) {
 	t.Parallel()
-	specs := Programs(0.4)
+	specs, err := Programs(0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sr, err := RunSeqAll(specs, true)
 	if err != nil {
 		t.Fatal(err)
@@ -113,12 +119,13 @@ func TestSimTableSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid is slow")
 	}
+	t.Parallel()
 	// Monotone headline: Table 4-6 speed-up at 1+13 exceeds 1+1 for all.
-	sim, err := smallSim()
+	g, err := smallGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t46 := Table46(sim)
+	t46 := Table46(g.sim)
 	for _, row := range t46.Rows {
 		first, _ := strconv.ParseFloat(row[2], 64)
 		last, _ := strconv.ParseFloat(row[len(row)-1], 64)
@@ -133,12 +140,13 @@ func TestAblationsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations are slow")
 	}
-	rows, err := smallAblations()
+	t.Parallel()
+	g, err := smallGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := AblationTable(Programs(0.2), rows)
-	if len(tab.Rows) != len(rows) {
-		t.Fatalf("ablation table rows = %d, want %d", len(tab.Rows), len(rows))
+	tab := AblationTable(g.specs, g.ablations)
+	if len(tab.Rows) != len(g.ablations) {
+		t.Fatalf("ablation table rows = %d, want %d", len(tab.Rows), len(g.ablations))
 	}
 }

@@ -405,33 +405,13 @@ func Simulate(p *Program, cfg SimConfig) (*SimResult, error) {
 
 // BenchmarkProgram returns the OPS5 source of one of the paper's three
 // evaluation programs — "weaver", "rubik" or "tourney" — or the classic
-// "monkeys" (monkey-and-bananas) demo. scale 1.0 is the
-// paper-comparable size; monkeys ignores scale.
+// "monkeys" (monkey-and-bananas) demo, from the registry psmbench and
+// the tables use (workload.Program): scale 1.0 is the paper-comparable
+// size, every scaled size is at least 2, and monkeys ignores scale.
 func BenchmarkProgram(name string, scale float64) (string, error) {
-	if scale <= 0 {
-		scale = 1
+	src, err := workload.Program(name, scale)
+	if err != nil {
+		return "", fmt.Errorf("psme: %w", err)
 	}
-	switch name {
-	case "monkeys":
-		return workload.Monkeys(), nil
-	case "weaver":
-		n := int(20 * scale)
-		if n < 1 {
-			n = 1
-		}
-		return workload.Weaver(n, 9), nil
-	case "rubik":
-		n := int(60 * scale)
-		if n < 1 {
-			n = 1
-		}
-		return workload.Rubik(n), nil
-	case "tourney":
-		n := int(16 * scale)
-		if n < 2 {
-			n = 2
-		}
-		return workload.Tourney(n), nil
-	}
-	return "", fmt.Errorf("psme: unknown benchmark program %q", name)
+	return src, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	psme "repro"
+	"repro/internal/tables"
 )
 
 const facadeSrc = `
@@ -124,6 +125,26 @@ func TestFacadeBenchmarkPrograms(t *testing.T) {
 	}
 	if _, err := psme.BenchmarkProgram("nonesuch", 1); err == nil {
 		t.Fatal("unknown program should error")
+	}
+}
+
+// TestOneProgramRegistry: the facade and the paper tables read one
+// registry, so they generate the same sources at every scale.
+func TestOneProgramRegistry(t *testing.T) {
+	for _, scale := range []float64{0.2, 0.3, 0.5, 1} {
+		specs, err := tables.Programs(scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range specs {
+			src, err := psme.BenchmarkProgram(strings.ToLower(spec.Name), scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if src != spec.Src {
+				t.Errorf("scale %v: %s differs between psme.BenchmarkProgram and tables.Programs", scale, spec.Name)
+			}
+		}
 	}
 }
 
